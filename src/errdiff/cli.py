@@ -20,6 +20,7 @@ from .serialize import (
     iteration_result_to_json,
     load_collection,
     load_scenario,
+    metrics_to_json,
     parse_iteration_config,
 )
 from .simulate import emit_plot_data, run_scenario
@@ -115,14 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "resources": {},
     }
     for rid, metrics in result.report.resources.items():
-        summary["resources"][rid] = {
-            "max_error_norm": metrics.max_error_norm,
-            "max_error_norm2": str(metrics.max_error_norm2),
-            "final_error": [str(metrics.final_error.x), str(metrics.final_error.y)],
-            "error_slope": metrics.error_slope,
-            "stagnation_steps": metrics.stagnation_steps,
-            "bound_satisfied": metrics.bound_satisfied,
-        }
+        summary["resources"][rid] = metrics_to_json(metrics)
         status = "" if metrics.bound_satisfied is None else f" bound_ok={metrics.bound_satisfied}"
         print(f"{rid}: max|e|={metrics.max_error_norm:.6g} slope={metrics.error_slope:.3g}{status}")
     (out / "metrics.json").write_text(json.dumps(summary, indent=2, sort_keys=True))

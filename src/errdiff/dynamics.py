@@ -6,11 +6,15 @@ closest to request-plus-carried-error, and carries the remainder forward:
     e[n+1] = e[n] + x[n] - y[n],    y[n] = proj(S[n], e[n] + x[n]).
 
 Two prediction disciplines are supported.  With perfect prediction the
-advertisement for step n is the hull of S[n] itself.  With persistent
-prediction the advertisement is the hull of the previous feasible set, and
-the natural state variable becomes the modified request z[n] = e[n] + x[n]:
+request x[n] is chosen from the hull of S[n] itself.  With persistent
+prediction it is chosen from the hull of the previous feasible set; in the
+modified request z[n] = e[n] + x[n] the recursion reads
 
-    z[n+1] = z[n] + x[n+1] - proj(S[n], z[n]),    e[n] = z[n] - x[n].
+    z[n+1] = z[n] + x[n+1] - proj(S[n], z[n]),    e[n] = z[n] - x[n],
+
+which is the same update with the advertisement one step behind.  So one
+loop, ``run_resource_loop``, runs both disciplines, over fixed set
+sequences (``run_trace``) and closed-loop resources alike.
 
 All arithmetic is exact; the recursion above holds as an identity of
 rationals in every trace.
@@ -52,8 +56,8 @@ def project_feasible(feasible: FeasibleSet, z: Point2) -> Point2:
 class ControllerState:
     """Controller memory between steps.
 
-    ``modified_request`` is only used in persistent mode, where it carries
-    z[n] = e[n] + x[n] once the first request has been received.
+    ``modified_request`` is only used by ``step_persistent``, where it
+    carries z[n] = e[n] + x[n] once the first request has been received.
     """
 
     error: Point2 = ORIGIN
@@ -67,13 +71,11 @@ class ControllerState:
 def step_perfect(
     state: ControllerState, request: Point2, feasible: FeasibleSet
 ) -> tuple[Point2, ControllerState]:
-    """One greedy step under perfect prediction.
+    """One greedy step: implement proj(S[n], e[n] + x[n]), carry the rest.
 
-    The request must lie in the hull of the current feasible set; a
-    violation is a protocol error, not something to clamp silently.
+    This is the update of both prediction modes; they differ only in the
+    advertisement the request was drawn from, which the caller checks.
     """
-    if not feasible_hull(feasible).contains_point(request):
-        raise InfeasibleRequestError(f"request {request} outside advertised set")
     target = state.error + request
     implemented = project_feasible(feasible, target)
     next_state = ControllerState(
@@ -87,11 +89,13 @@ def step_perfect(
 def step_persistent(
     state: ControllerState, next_request: Point2, feasible: FeasibleSet
 ) -> tuple[Point2, ControllerState]:
-    """One greedy step under persistent prediction.
+    """One greedy step under persistent prediction, in the z-form.
 
     ``feasible`` is the set valid now; its hull is the advertisement from
     which ``next_request`` was chosen.  Returns the setpoint implemented now
-    and the state carrying the updated modified request.
+    and the state carrying the updated modified request.  The controller
+    loop runs the equivalent e-form; this is the paper's recursion as
+    written, kept as an oracle for it.
     """
     if state.modified_request is None:
         raise ValueError("persistent state not initialized; call start_persistent first")
@@ -270,21 +274,101 @@ def adversarial_request() -> RequestPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Open-loop trace runner
+# The controller loop
 # ---------------------------------------------------------------------------
 
-SetSource = Union[Sequence[FeasibleSet], Callable[[int], FeasibleSet]]
+
+class SetSource(Protocol):
+    """What the controller loop runs over.
+
+    ``feasible_set`` gives the set S[n] valid at the current step and
+    ``advance`` receives the setpoint implemented from it, moving the source
+    to the next step; a resource whose state follows what it implemented
+    closes the loop there.
+    """
+
+    prediction: Mode
+
+    def feasible_set(self) -> FeasibleSet:
+        ...
+
+    def advance(self, implemented: Point2) -> None:
+        ...
 
 
-def _set_at(sets: SetSource, n: int) -> FeasibleSet:
-    if callable(sets):
-        return sets(n)
-    return sets[n]
+def run_resource_loop(
+    source: SetSource,
+    requests: RequestPolicy,
+    horizon: int,
+    rng: random.Random,
+    *,
+    diffusion: bool = True,
+    initial_error: Point2 = ORIGIN,
+) -> ControllerTrace:
+    """Run the local controller over ``source`` for ``horizon`` steps.
+
+    Every step reads one feasible set, takes one hull, checks the request
+    against the advertisement it was drawn from and projects once.  The
+    advertisement is the hull of the current set under perfect prediction
+    and the hull of the previous set under persistent prediction (step 0
+    advertises its own set).  With ``diffusion`` off the controller projects
+    the bare request instead, which is the unbounded-error baseline.
+
+    Perfect steps read the set before drawing the request; persistent steps
+    after the first draw the request before reading the set.  A source and
+    a request policy sharing ``rng`` see that order.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    mode = source.prediction
+    if mode not in ("perfect", "persistent"):
+        raise ValueError(f"unknown mode {mode!r}")
+    trace = ControllerTrace(mode=mode, initial_error=initial_error)
+    state = ControllerState(error=initial_error)
+    for n in range(horizon):
+        if mode == "persistent" and n > 0:
+            advertised = hull  # the previous step's set
+            request = requests(advertised, state.error, rng)
+            feasible = source.feasible_set()
+            hull = feasible_hull(feasible)
+        else:
+            feasible = source.feasible_set()
+            hull = advertised = feasible_hull(feasible)
+            request = requests(advertised, state.error, rng)
+        if not advertised.contains_point(request):
+            raise InfeasibleRequestError(f"request {request} outside advertised set")
+        error = state.error
+        if diffusion:
+            implemented, state = step_perfect(state, request, feasible)
+        else:
+            implemented = project_feasible(feasible, request)
+            state = ControllerState(error=error + request - implemented, step=n + 1)
+        trace.records.append(StepRecord(n, feasible, advertised, request, implemented, error))
+        source.advance(implemented)
+    return trace
+
+
+Schedule = Union[Sequence[FeasibleSet], Callable[[int], FeasibleSet]]
+
+
+@dataclass
+class _ScheduledSource:
+    """A set sequence or a function of the step index, as a set source."""
+
+    prediction: Mode
+    sets: Schedule
+    step: int = 0
+
+    def feasible_set(self) -> FeasibleSet:
+        return self.sets(self.step) if callable(self.sets) else self.sets[self.step]
+
+    def advance(self, implemented: Point2) -> None:
+        self.step += 1
 
 
 def run_trace(
     mode: Mode,
-    sets: SetSource,
+    sets: Schedule,
     requests: RequestPolicy,
     horizon: int,
     *,
@@ -292,66 +376,17 @@ def run_trace(
     seed: int = 0,
     diffusion: bool = True,
 ) -> ControllerTrace:
-    """Run the controller against a given sequence of feasible sets.
+    """Run the controller against a fixed schedule of feasible sets.
 
-    ``sets`` may be a sequence or a function of the step index (the sets do
-    not depend on what gets implemented; closed-loop resources live in the
-    simulation harness).  With ``diffusion`` off the controller projects the
-    bare request instead, which is the unbounded-error baseline.
+    ``sets`` may be a sequence or a function of the step index; it is read
+    once per step and does not depend on what gets implemented.  ``seed``
+    seeds the stream the request policy draws from.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    rng = random.Random(seed)
-    trace = ControllerTrace(mode=mode, initial_error=initial_error)
-    if horizon == 0:
-        return trace
-
-    if mode == "perfect":
-        state = ControllerState(error=initial_error)
-        for n in range(horizon):
-            feasible = _set_at(sets, n)
-            advertised = feasible_hull(feasible)
-            request = requests(advertised, state.error, rng)
-            error_before = state.error
-            if diffusion:
-                implemented, state = step_perfect(state, request, feasible)
-            else:
-                if not advertised.contains_point(request):
-                    raise InfeasibleRequestError(f"request {request} outside advertised set")
-                implemented = project_feasible(feasible, request)
-                state = ControllerState(
-                    error=state.error + request - implemented, step=n + 1
-                )
-            trace.records.append(
-                StepRecord(n, feasible, advertised, request, implemented, error_before)
-            )
-        return trace
-
-    if mode != "persistent":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    feasible = _set_at(sets, 0)
-    advertised = feasible_hull(feasible)  # the very first advertisement
-    request = requests(advertised, initial_error, rng)
-    state = ControllerState(error=initial_error).start_persistent(request)
-    for n in range(horizon):
-        feasible = _set_at(sets, n)
-        if diffusion:
-            assert state.modified_request is not None
-            implemented = project_feasible(feasible, state.modified_request)
-        else:
-            implemented = project_feasible(feasible, request)
-        error_before = state.error
-        trace.records.append(
-            StepRecord(n, feasible, advertised, request, implemented, error_before)
-        )
-        next_advertised = feasible_hull(feasible)
-        error_after = error_before + request - implemented
-        next_request = requests(next_advertised, error_after, rng)
-        if diffusion:
-            _, state = step_persistent(state, next_request, feasible)
-        else:
-            state = ControllerState(error=error_after, step=n + 1)
-        advertised = next_advertised
-        request = next_request
-    return trace
+    return run_resource_loop(
+        _ScheduledSource(mode, sets),
+        requests,
+        horizon,
+        random.Random(seed),
+        diffusion=diffusion,
+        initial_error=initial_error,
+    )

@@ -402,8 +402,11 @@ def iterate_to_invariance(
 
     The iterates form a growing chain (checked exactly each step before
     rounding; a violation means a geometry bug and raises).  The seed is
-    never rounded.  When the budget runs out the last iterate is returned
-    with ``converged`` false.
+    never rounded.  ``converged`` is true only when the unrounded image of
+    the returned set equals it, which is exact invariance; a repeat that
+    rounding alone produced (a rounding stall), a longer cycle, the bit
+    budget or the iteration budget return the last iterate with
+    ``converged`` false.
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
@@ -433,7 +436,7 @@ def iterate_to_invariance(
         hashes.append(digest)
         counts.append(len(candidate.vertices))
         if candidate == current:
-            converged = True
+            converged = grown == current
             iterations = step - 1
             break
         if digest in seen:
@@ -469,38 +472,6 @@ def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:
         candidate.contains_polygon(apply_single(collection, member, candidate))
         for member in collection.sets
     )
-
-
-def collection_diagnostics(collection: Collection) -> dict:
-    """Report on the sufficient conditions for a bounded minimal invariant set.
-
-    For a finite collection of finite sets the conditions hold trivially:
-    finitely many outgoing facet normals, uniformly bounded hulls, and
-    bounded cells for interior sites.  The report makes them inspectable.
-    """
-    from .geometry import diameter_sq
-
-    normals = set()
-    max_hull_diameter_sq = Fraction(0)
-    for member in collection.sets:
-        hull = feasible_hull(member)
-        if len(hull.vertices) >= 2:
-            max_hull_diameter_sq = max(max_hull_diameter_sq, diameter_sq(hull))
-        for u, v in hull.edges():
-            d = v - u
-            # integer direction on a common denominator, then the outward normal
-            ix = d.x.numerator * d.y.denominator
-            iy = d.y.numerator * d.x.denominator
-            g = math.gcd(abs(iy), abs(ix)) or 1
-            normals.add((iy // g, -ix // g))
-    return {
-        "set_count": len(collection.sets),
-        "distinct_outward_normals": len(normals),
-        "normals_finite": True,
-        "max_hull_diameter_sq": max_hull_diameter_sq,
-        "hulls_uniformly_bounded": True,
-        "interior_cells_bounded": True,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .simulate import (
     MaximizeActivePower,
     PVSpec,
     QuadraticCost,
+    ResourceMetrics,
     Scenario,
     constant_availability,
     random_availability,
@@ -120,6 +121,22 @@ def iteration_result_to_json(result) -> dict:
         ],
         "history_hashes": result.history_hashes,
         "vertex_counts": result.vertex_counts,
+    }
+
+
+def metrics_to_json(metrics: ResourceMetrics) -> dict:
+    """One resource's closed-loop metrics, as in ``metrics.json`` and the plot manifest."""
+    return {
+        "steps": metrics.steps,
+        "max_error_norm": metrics.max_error_norm,
+        "max_error_norm2": str(metrics.max_error_norm2),
+        "final_error": point_to_json(metrics.final_error),
+        "average_requested": point_to_json(metrics.average_requested),
+        "average_implemented": point_to_json(metrics.average_implemented),
+        "error_slope": metrics.error_slope,
+        "stagnation_steps": metrics.stagnation_steps,
+        "error_bound_sq": None if metrics.error_bound_sq is None else str(metrics.error_bound_sq),
+        "bound_satisfied": metrics.bound_satisfied,
     }
 
 

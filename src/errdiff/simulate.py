@@ -1,12 +1,16 @@
-"""Closed-loop scenario runner: a toy central controller dispatching
-setpoints to resource-backed local controllers.
+"""Closed-loop scenarios: a toy central controller dispatching setpoints to
+resource-backed local controllers.
 
 Each resource advertises a convex set, the central policy picks the next
 request by a projected gradient step on its per-resource cost, and the
-local controller implements greedily (with or without error diffusion).
-Resources then advance their own state from what was actually implemented.
-No network constraints couple the resources here; each one runs its own
-loop, which keeps every claim about accumulated error exact and testable.
+local controller (``dynamics.run_resource_loop``) implements greedily, with
+or without error diffusion.  Resources then advance their own state from
+what was actually implemented.  No network constraints couple the resources
+here; each one runs its own loop, which keeps every claim about accumulated
+error exact and testable.
+
+This module holds the resource units, the central policy, scenarios,
+metrics and plot data.
 """
 
 from __future__ import annotations
@@ -20,16 +24,7 @@ from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
 
-from .dynamics import (
-    ControllerState,
-    ControllerTrace,
-    InfeasibleRequestError,
-    RequestPolicy,
-    StepRecord,
-    project_feasible,
-    step_perfect,
-    step_persistent,
-)
+from .dynamics import ControllerTrace, RequestPolicy, SetSource, run_resource_loop
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
@@ -37,7 +32,7 @@ from .geometry import (
     as_fraction,
     project_convex_polygon,
 )
-from .operators import FeasibleSet, Mode, feasible_hull
+from .operators import FeasibleSet, Mode
 from .resources import (
     HeaterParams,
     HeaterState,
@@ -140,15 +135,8 @@ class GradientRequests:
 # ---------------------------------------------------------------------------
 
 
-class ResourceUnit(Protocol):
+class ResourceUnit(SetSource, Protocol):
     resource_id: str
-    prediction: Mode
-
-    def feasible_set(self) -> FeasibleSet:
-        ...
-
-    def advance(self, implemented: Point2) -> None:
-        ...
 
     def error_bound_sq(self) -> Optional[Fraction]:
         ...
@@ -244,82 +232,6 @@ class PVUnit:
 
     def error_bound_sq(self) -> Optional[Fraction]:
         return pv_error_bound_sq(self.params)
-
-
-# ---------------------------------------------------------------------------
-# Closed-loop runner
-# ---------------------------------------------------------------------------
-
-
-def run_resource_loop(
-    unit: ResourceUnit,
-    requests: RequestPolicy,
-    horizon: int,
-    rng: random.Random,
-    *,
-    diffusion: bool = True,
-    initial_error: Point2 = ORIGIN,
-) -> ControllerTrace:
-    """Run one resource's local controller closed-loop for ``horizon`` steps.
-
-    The feasible set at each step comes from the resource state, which in
-    turn advances from the implemented setpoint, so discrete duty-cycling
-    and lock dynamics feed back into what gets advertised.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    mode = unit.prediction
-    trace = ControllerTrace(mode=mode, initial_error=initial_error)
-    if horizon == 0:
-        return trace
-
-    if mode == "perfect":
-        state = ControllerState(error=initial_error)
-        for n in range(horizon):
-            feasible = unit.feasible_set()
-            advertised = feasible_hull(feasible)
-            request = requests(advertised, state.error, rng)
-            error_before = state.error
-            if diffusion:
-                implemented, state = step_perfect(state, request, feasible)
-            else:
-                if not advertised.contains_point(request):
-                    raise InfeasibleRequestError(f"request {request} outside advertised set")
-                implemented = project_feasible(feasible, request)
-                state = ControllerState(error=state.error + request - implemented, step=n + 1)
-            trace.records.append(
-                StepRecord(n, feasible, advertised, request, implemented, error_before)
-            )
-            unit.advance(implemented)
-        return trace
-
-    feasible = unit.feasible_set()
-    advertised = feasible_hull(feasible)
-    request = requests(advertised, initial_error, rng)
-    state = ControllerState(error=initial_error).start_persistent(request)
-    for n in range(horizon):
-        if diffusion:
-            assert state.modified_request is not None
-            implemented = project_feasible(feasible, state.modified_request)
-        else:
-            implemented = project_feasible(feasible, request)
-        error_before = state.error
-        trace.records.append(
-            StepRecord(n, feasible, advertised, request, implemented, error_before)
-        )
-        next_advertised = feasible_hull(feasible)  # persistent: next ad is today's hull
-        error_after = error_before + request - implemented
-        next_request = requests(next_advertised, error_after, rng)
-        if diffusion:
-            _, state = step_persistent(state, next_request, feasible)
-        else:
-            state = ControllerState(error=error_after, step=n + 1)
-        unit.advance(implemented)
-        if n + 1 < horizon:
-            feasible = unit.feasible_set()
-        advertised = next_advertised
-        request = next_request
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +410,8 @@ def emit_plot_data(result: ScenarioResult, out_dir: Union[str, Path]) -> list[Pa
     error components, and running time averages.  Values are exact rational
     strings plus float renderings, so reruns are byte-identical.
     """
+    from .serialize import metrics_to_json  # serialize imports this module
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -586,27 +500,7 @@ def emit_plot_data(result: ScenarioResult, out_dir: Union[str, Path]) -> list[Pa
         )
         written.extend([setpoints, errors_path, averages_path])
         if trace.records:
-            metrics = result.report.resources[rid]
-            manifest["metrics"][rid] = {
-                "steps": metrics.steps,
-                "max_error_norm": metrics.max_error_norm,
-                "max_error_norm2": str(metrics.max_error_norm2),
-                "final_error": [str(metrics.final_error.x), str(metrics.final_error.y)],
-                "average_requested": [
-                    str(metrics.average_requested.x),
-                    str(metrics.average_requested.y),
-                ],
-                "average_implemented": [
-                    str(metrics.average_implemented.x),
-                    str(metrics.average_implemented.y),
-                ],
-                "error_slope": metrics.error_slope,
-                "stagnation_steps": metrics.stagnation_steps,
-                "error_bound_sq": None
-                if metrics.error_bound_sq is None
-                else str(metrics.error_bound_sq),
-                "bound_satisfied": metrics.bound_satisfied,
-            }
+            manifest["metrics"][rid] = metrics_to_json(result.report.resources[rid])
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     written.append(manifest_path)

@@ -14,6 +14,7 @@ from errdiff.dynamics import (
     uniform_request,
 )
 from errdiff.geometry import ORIGIN, PointSet, dist2
+from errdiff.operators import feasible_hull
 from errdiff.resources import PVParams, pv_triangle
 
 from conftest import poly, pt
@@ -41,10 +42,6 @@ class TestStepPerfect:
             seen.append(y)
         assert seen == [pt(-15, 0), pt(0, 0)] * 3
         assert state.error == ORIGIN
-
-    def test_infeasible_request_raises(self):
-        with pytest.raises(InfeasibleRequestError):
-            step_perfect(ControllerState(), pt(1, 0), HEATER)
 
     def test_greedy_optimality_over_finite_set(self):
         rng = random.Random(2)
@@ -239,6 +236,51 @@ class TestRunTrace:
             assert trace.max_error_norm2() <= bound_sq
             exercised += 1
         assert exercised >= 4
+
+
+class TestControllerLoop:
+    def test_infeasible_request_raises(self):
+        with pytest.raises(InfeasibleRequestError):
+            run_trace("perfect", [HEATER], fixed_request(pt(1, 0)), 1)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            run_trace("clairvoyant", [HEATER], fixed_request(pt(0, 0)), 1)
+
+    def test_persistent_reads_each_set_once(self):
+        reads = []
+
+        def sets(n):
+            reads.append(n)
+            return HEATER
+
+        run_trace("persistent", sets, fixed_request(pt(0, 0)), 7)
+        assert reads == list(range(7))
+
+    def test_persistent_first_request_is_checked(self):
+        replay = iter([pt(1, 0)] + [pt(0, 0)] * 5)
+        with pytest.raises(InfeasibleRequestError):
+            run_trace("persistent", [HEATER] * 5, lambda a, e, r: next(replay), 5)
+
+    def test_persistent_requests_checked_without_diffusion(self):
+        # x[2] is drawn from the hull of S[1] = {0}, which excludes (1, 0)
+        sets = [PointSet.of(pt(1, 0)), PointSet.of(pt(0, 0)), PointSet.of(pt(0, 0))]
+        with pytest.raises(InfeasibleRequestError):
+            run_trace("persistent", sets, fixed_request(pt(1, 0)), 3, diffusion=False)
+
+    def test_persistent_loop_matches_z_recursion(self):
+        params = PVParams(p_max=Fraction(4), tan_phi=Fraction(1, 2))
+        caps = [Fraction(4 * (40 - n), 40) for n in range(41)]
+        sets = [pv_triangle(params, cap) for cap in caps]
+        trace = run_trace("persistent", sets, uniform_request(denominator=32), len(sets), seed=3)
+        records = trace.records
+        state = ControllerState().start_persistent(records[0].requested)
+        for now, nxt in zip(records, records[1:]):
+            assert nxt.advertised == feasible_hull(now.feasible)
+            y, state = step_persistent(state, nxt.requested, now.feasible)
+            assert y == now.implemented
+            assert state.error == nxt.error
+        assert any(r.error != ORIGIN for r in records)
 
 
 class TestTraceExport:

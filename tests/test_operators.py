@@ -23,7 +23,6 @@ from errdiff.operators import (
     apply_P_single,
     apply_g_interval,
     check_invariance,
-    collection_diagnostics,
     conditional_round,
     iterate_1d,
     iterate_to_invariance,
@@ -251,6 +250,21 @@ class TestIteration:
         assert not result.converged
 
 
+    def test_rounding_stall_is_not_converged(self):
+        # round(G(Q)) == Q here, but G(Q) != Q: the stop is not a fixed point
+        col = Collection(
+            (
+                PointSet.of(pt(-2, -5), pt(-2, 1)),
+                PointSet.of(pt(5, 0)),
+                PointSet.of(pt(-5, 3), pt(1, -3), pt(4, 1)),
+            ),
+            "perfect",
+        )
+        result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10)))
+        assert not check_invariance(col, result.invariant_set)
+        assert not result.converged
+
+
 class TestCheckInvariance:
     def test_origin_not_invariant_for_spread_sets(self):
         col = Collection((PointSet.of(pt(-1, 0), pt(1, 0)),), "perfect")
@@ -263,13 +277,6 @@ class TestCheckInvariance:
         assert check_invariance(col, minimal)
         shrunk = convex_hull(minimal.vertices[1:])
         assert not check_invariance(col, shrunk)
-
-    def test_diagnostics_report(self, ring_family):
-        col = Collection(ring_family, "perfect")
-        report = collection_diagnostics(col)
-        assert report["normals_finite"] and report["hulls_uniformly_bounded"]
-        assert report["distinct_outward_normals"] >= 4
-        assert report["max_hull_diameter_sq"] == 8
 
 
 class TestIterate1D:
