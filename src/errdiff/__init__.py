@@ -15,6 +15,7 @@ from .geometry import (
     as_fraction,
     classify_points,
     clip,
+    clip_all,
     clip_to_cell,
     convex_hull,
     diameter_sq,

@@ -449,7 +449,17 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
 
 
 def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
-    """Exact intersection of a convex polygon with a closed half-plane."""
+    """Exact intersection of a convex polygon with a closed half-plane.
+
+    The output is never re-canonicalised.  A polygon's boundary list (kept
+    vertices plus crossing points, in order) is already in canonical form
+    up to rotation, because the input is strictly convex: crossing points
+    lie strictly inside distinct edges and at most two points lie on the
+    line.  If no kept vertex is strictly inside, the list is a single
+    vertex or the two ends of an edge on the line.  Rotating the list to
+    its smallest vertex therefore gives the canonical polygon, segment or
+    point.
+    """
     verts = polygon.vertices
     n = len(verts)
     if n == 0:
@@ -490,52 +500,82 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
             u, v = verts[i], verts[j]
             t = su / (su - sv)
             out.append(_pt(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t))
-    return _canonical_from_ccw(out)
+    k = min(range(len(out)), key=out.__getitem__)
+    return _raw_polygon(tuple(out[k:] + out[:k]))
+
+
+def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
+    """polygon intersected with every half-plane, stopping once it is empty."""
+    result = polygon
+    for plane in planes:
+        result = clip(result, plane)
+        if result.is_empty:
+            break
+    return result
 
 
 def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact intersection of two convex polygons (possibly degenerate)."""
     if p.is_empty or q.is_empty:
         return EMPTY_POLYGON
-    result = p
-    for plane in q.half_planes():
-        result = clip(result, plane)
-        if result.is_empty:
-            break
-    return result
+    return clip_all(p, q.half_planes())
 
 
 def voronoi_cell(point_set: PointSet, center: Point2) -> list[HalfPlane]:
-    """Bisector half-planes whose intersection is the Voronoi cell of center.
+    """The bisector half-planes that define a facet of the Voronoi cell of center.
 
-    For every other site c' the constraint is 2(c'-c).x <= |c'|^2 - |c|^2.
+    For every other site c' the constraint is 2(c'-c).x <= |c'|^2 - |c|^2;
+    the list keeps, in site order, exactly those whose line meets the
+    intersection of the others in a segment of positive length, so the
+    cell equals the intersection of the list and no member is redundant.
     The cell is closed, so neighboring cells overlap on their bisectors.
     A singleton set yields no constraints (the cell is the whole plane).
     """
     if center not in point_set:
         raise ValueError("center must belong to the point set")
-    planes = []
-    for other in point_set.points:
-        if other == center:
-            continue
-        planes.append(
-            HalfPlane(
-                2 * (other.x - center.x),
-                2 * (other.y - center.y),
-                other.norm2() - center.norm2(),
-            )
+    planes = [
+        HalfPlane(
+            2 * (other.x - center.x),
+            2 * (other.y - center.y),
+            other.norm2() - center.norm2(),
         )
-    return planes
+        for other in point_set.points
+        if other != center
+    ]
+    return [h for i, h in enumerate(planes) if _defines_facet(h, planes[:i] + planes[i + 1 :])]
+
+
+def _defines_facet(h: HalfPlane, others: Sequence[HalfPlane]) -> bool:
+    """True when the line of h meets the intersection of others in positive length.
+
+    The line is p0 + t*d with p0 its point nearest the origin and d along
+    it; each other half-plane bounds t from one side, or, when parallel,
+    keeps the whole line or none of it.
+    """
+    scale = h.c / (h.a * h.a + h.b * h.b)
+    x0, y0 = h.a * scale, h.b * scale
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    for g in others:
+        rate = g.b * h.a - g.a * h.b  # g's normal dotted with d = (-h.b, h.a)
+        room = g.c - g.a * x0 - g.b * y0
+        if rate == 0:
+            if room < 0:
+                return False
+        elif rate > 0:
+            bound = room / rate
+            if hi is None or bound < hi:
+                hi = bound
+        else:
+            bound = room / rate
+            if lo is None or bound > lo:
+                lo = bound
+    return lo is None or hi is None or lo < hi
 
 
 def clip_to_cell(polygon: ConvexPolygon, point_set: PointSet, center: Point2) -> ConvexPolygon:
     """polygon intersected with the Voronoi cell of center, exactly."""
-    result = polygon
-    for plane in voronoi_cell(point_set, center):
-        result = clip(result, plane)
-        if result.is_empty:
-            break
-    return result
+    return clip_all(polygon, voronoi_cell(point_set, center))
 
 
 def project_point_set(point_set: PointSet, z: Point2) -> Point2:

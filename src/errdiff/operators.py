@@ -39,6 +39,7 @@ from .geometry import (
     RationalLike,
     as_fraction,
     clip,
+    clip_all,
     convex_hull,
     minkowski_sum,
     polygon_intersection,
@@ -170,15 +171,6 @@ def _finite_cells(point_set: PointSet) -> tuple[tuple[Point2, tuple[HalfPlane, .
     return tuple((c, tuple(voronoi_cell(point_set, c))) for c in point_set.points)
 
 
-def _clip_many(region: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
-    result = region
-    for plane in planes:
-        result = clip(result, plane)
-        if result.is_empty:
-            break
-    return result
-
-
 def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPolygon]:
     """Convex pieces whose union is { (region ∩ cell(c)) - c : c in S }.
 
@@ -190,7 +182,7 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPoly
     if isinstance(feasible, PointSet):
         pieces = []
         for center, planes in _finite_cells(feasible):
-            piece = _clip_many(region, planes)
+            piece = clip_all(region, planes)
             if not piece.is_empty:
                 pieces.append(piece.translate(-center))
         return pieces

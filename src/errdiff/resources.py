@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .geometry import ConvexPolygon, Point2, PointSet, RationalLike, as_fraction, convex_hull
+from .geometry import (
+    ORIGIN,
+    ConvexPolygon,
+    Point2,
+    PointSet,
+    RationalLike,
+    _raw_polygon,
+    as_fraction,
+    segment,
+)
 
 # ---------------------------------------------------------------------------
 # Heaters
@@ -263,15 +272,17 @@ def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     """Feasible (P, Q) triangle with real power in [0, cap] inside the cone.
 
     Vertices are (0, 0) and (cap, +-cap*tan_phi); cap = 0 collapses to the
-    origin and tan_phi = 0 to a segment on the P axis.
+    origin and tan_phi = 0 to a segment on the P axis.  The result is built
+    in canonical form: the origin is the lexicographically smallest vertex
+    and (0, 0), (cap, -spread), (cap, spread) turn counter-clockwise.
     """
     cap = as_fraction(cap)
     if not (0 <= cap <= params.p_max):
         raise ValueError(f"cap {cap} outside [0, {params.p_max}]")
     spread = cap * params.tan_phi
-    return convex_hull(
-        (Point2(Fraction(0), Fraction(0)), Point2(cap, -spread), Point2(cap, spread))
-    )
+    if spread == 0:
+        return segment(ORIGIN, Point2(cap, spread))  # the origin itself when cap = 0
+    return _raw_polygon((ORIGIN, Point2(cap, -spread), Point2(cap, spread)))
 
 
 def pv_feasible_set(params: PVParams, state: PVState) -> ConvexPolygon:

@@ -4,7 +4,9 @@ Each check compares a computed result against an independently stated
 expectation (a transcribed golden polygon, a closed-form bound, or an exact
 property) and reports expected/got strings for machine-readable output.
 The command line's ``verify`` subcommand runs these; the acceptance test
-suite maps onto the same functions.
+suite maps onto the same functions.  Every check that returns a converged
+set of a collection of point sets also requires the independent
+``certificate.certify_invariant`` to accept it.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from .certificate import certify_invariant
 from .dynamics import fixed_request, run_trace, uniform_request
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
     Point2,
     PointSet,
-    clip,
+    clip_to_cell,
     convex_hull,
-    voronoi_cell,
 )
 from .intervals import IntervalUnion
 from .operators import (
@@ -118,11 +120,10 @@ ORIGIN_SEED = ConvexPolygon((ORIGIN,))
 
 def check_family3(golden_dir: Optional[Path] = None) -> CheckResult:
     golden = load_golden_polygon(golden_dir)
-    result = iterate_to_invariance(
-        three_set_family(), ORIGIN_SEED, IterationConfig(max_iterations=600)
-    )
+    family = three_set_family()
+    result = iterate_to_invariance(family, ORIGIN_SEED, IterationConfig(max_iterations=600))
     got = result.invariant_set
-    passed = result.converged and got == golden
+    passed = result.converged and got == golden and certify_invariant(family, got)
     return CheckResult(
         name="invariant-family3",
         expected=_polygon_text(golden),
@@ -132,8 +133,13 @@ def check_family3(golden_dir: Optional[Path] = None) -> CheckResult:
 
 
 def check_grid8(golden_dir: Optional[Path] = None) -> CheckResult:
-    result = iterate_to_invariance(grid8_collection(), ORIGIN_SEED, IterationConfig())
-    passed = result.converged and result.iterations == 1
+    grid = grid8_collection()
+    result = iterate_to_invariance(grid, ORIGIN_SEED, IterationConfig())
+    passed = (
+        result.converged
+        and result.iterations == 1
+        and certify_invariant(grid, result.invariant_set)
+    )
     return CheckResult(
         name="grid8-one-iteration",
         expected="converged after exactly 1 growing iteration",
@@ -343,10 +349,7 @@ def bounded_voronoi_polygon(sites: PointSet, center: Point2, box: int = 10**6) -
     big = convex_hull(
         Point2(Fraction(sx * box), Fraction(sy * box)) for sx in (-1, 1) for sy in (-1, 1)
     )
-    cell = big
-    for plane in voronoi_cell(sites, center):
-        cell = clip(cell, plane)
-    return cell
+    return clip_to_cell(big, sites, center)
 
 
 def check_voronoi_coverage(golden_dir: Optional[Path] = None) -> CheckResult:
@@ -354,11 +357,16 @@ def check_voronoi_coverage(golden_dir: Optional[Path] = None) -> CheckResult:
     for p_y in (0, 5, 9):
         sites = interior_point_set(p_y)
         center = Point2(Fraction(0), Fraction(p_y))
+        collection = Collection((sites,), "perfect")
         result = iterate_to_invariance(
-            Collection((sites,), "perfect"), ORIGIN_SEED, IterationConfig(max_iterations=2000)
+            collection, ORIGIN_SEED, IterationConfig(max_iterations=2000)
         )
         cell = bounded_voronoi_polygon(sites, center).translate(-center)
-        if not (result.converged and result.invariant_set.contains_polygon(cell)):
+        if not (
+            result.converged
+            and result.invariant_set.contains_polygon(cell)
+            and certify_invariant(collection, result.invariant_set)
+        ):
             failures.append(p_y)
     return CheckResult(
         name="voronoi-coverage",
@@ -413,6 +421,8 @@ def check_operator_properties(golden_dir: Optional[Path] = None) -> CheckResult:
         if not check_invariance(collection, invariant):
             problems.append(f"{idx}: fixed point not invariant")
             continue
+        if not certify_invariant(collection, invariant):
+            problems.append(f"{idx}: certificate rejects the fixed point")
         trace = run_trace(
             "perfect",
             lambda n: collection.sets[rng.randrange(len(collection.sets))],

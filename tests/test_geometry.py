@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from errdiff.geometry import (
@@ -12,8 +12,10 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
+    _canonical_from_ccw,
     classify_points,
     clip,
+    clip_all,
     clip_to_cell,
     convex_hull,
     diameter_sq,
@@ -26,6 +28,8 @@ from errdiff.geometry import (
     segment,
     voronoi_cell,
 )
+
+from errdiff.verify import grid8_collection, three_set_family
 
 from conftest import poly, pt
 
@@ -62,6 +66,43 @@ def brute_hull(pts):
         if not inside:
             extreme.append(p)
     return extreme
+
+
+def boundary_list_clip(polygon, plane):
+    """Oracle: clip's boundary list for any input, always re-canonicalised.
+
+    Vertices with non-negative slack are kept in order and each edge whose
+    endpoints have strictly opposite signs adds its crossing point.
+    """
+    verts = polygon.vertices
+    slacks = [plane.slack(v) for v in verts]
+    out = []
+    for i, (u, su) in enumerate(zip(verts, slacks)):
+        j = (i + 1) % len(verts)
+        v, sv = verts[j], slacks[j]
+        if su >= 0:
+            out.append(u)
+        if su * sv < 0:
+            out.append(u + (v - u) * (su / (su - sv)))
+    return _canonical_from_ccw(out)
+
+
+@st.composite
+def clip_cases(draw):
+    """A polygon (possibly a point or segment) and a half-plane that is free,
+    passes through a vertex, or contains a chord or edge of the polygon."""
+    region = convex_hull(draw(st.lists(points, min_size=1, max_size=6)))
+    verts = region.vertices
+    kind = draw(st.sampled_from(["free", "vertex", "chord"]))
+    if kind == "free":
+        return region, draw(half_planes)
+    u = draw(st.sampled_from(verts))
+    if kind == "chord" and len(verts) > 1:
+        w = draw(st.sampled_from([v for v in verts if v != u]))
+        a, b = w.y - u.y, u.x - w.x
+    else:
+        a, b = draw(st.tuples(rationals, rationals).filter(lambda t: t != (0, 0)))
+    return region, HalfPlane(a, b, a * u.x + b * u.y)
 
 
 def _in_triangle(p, a, b, c):
@@ -250,6 +291,19 @@ class TestClip:
             expected = region.contains_point(probe) and plane.contains(probe)
             assert clipped.contains_point(probe) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(clip_cases())
+    @example((poly((0, 0), (1, 0), (1, 1), (0, 1)), HalfPlane(0, 1, 0)))  # edge on the line
+    @example((poly((0, 0), (1, 0), (1, 1), (0, 1)), HalfPlane(0, -1, 0)))
+    @example((poly((0, -1), (1, 0), (0, 1), (-1, 0)), HalfPlane(1, 0, 0)))  # through two vertices
+    @example((poly((0, 0), (2, 0), (1, 1)), HalfPlane(1, 1, 2)))  # one vertex on the line
+    @example((segment(pt(0, 0), pt(2, 2)), HalfPlane(1, 0, 1)))
+    @example((segment(pt(0, 0), pt(2, 0)), HalfPlane(0, 1, 0)))
+    @example((ConvexPolygon((pt(1, 1),)), HalfPlane(1, 1, 2)))
+    def test_clip_equals_canonical_boundary_list(self, case):
+        region, plane = case
+        assert clip(region, plane) == boundary_list_clip(region, plane)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(points, min_size=1, max_size=7), half_planes)
     def test_clip_output_is_canonical_hull_of_itself(self, pts, plane):
@@ -284,6 +338,31 @@ class TestVoronoi:
                 nearest = min(dist2(probe, q) for q in grid8.points)
                 in_cell = dist2(probe, center) <= nearest
                 assert all(h.contains(probe) for h in planes) == in_cell
+
+    @pytest.mark.parametrize(
+        "collection, kept, total",
+        [(three_set_family(), 62, 128), (grid8_collection(), 20, 56)],
+    )
+    def test_only_facet_bisectors_are_kept(self, collection, kept, total):
+        members = collection.sets
+        assert sum(len(voronoi_cell(s, c)) for s in members for c in s) == kept
+        assert sum(len(s) * (len(s) - 1) for s in members) == total
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(points, min_size=1, max_size=7).map(lambda ps: PointSet(tuple(ps))),
+        st.lists(points, min_size=1, max_size=6).map(convex_hull),
+    )
+    def test_pruned_cell_clips_like_every_bisector(self, sites, region):
+        for c in sites:
+            every = [
+                HalfPlane(2 * (o.x - c.x), 2 * (o.y - c.y), o.norm2() - c.norm2())
+                for o in sites
+                if o != c
+            ]
+            pruned = voronoi_cell(sites, c)
+            assert all(h in every for h in pruned)
+            assert clip_all(region, pruned) == clip_all(region, every)
 
     def test_cells_cover_the_plane(self):
         rng = random.Random(23)

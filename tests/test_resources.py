@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from errdiff.geometry import convex_hull
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import Collection, check_invariance, iterate_1d, verify_monotone_family
 from errdiff.resources import (
@@ -203,6 +204,14 @@ class TestPVTriangle:
     def test_zero_cone_gives_segment(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(0))
         assert pv_triangle(params, 1).vertices == (pt(0, 0), pt(1, 0))
+
+    @pytest.mark.parametrize("tan_phi", [Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3)])
+    @pytest.mark.parametrize("cap", [Fraction(0), Fraction(1, 3), Fraction(2)])
+    def test_equals_hull_of_its_corners(self, cap, tan_phi):
+        params = PVParams(p_max=Fraction(2), tan_phi=tan_phi)
+        spread = cap * tan_phi
+        corners = (pt(0, 0), pt(cap, -spread), pt(cap, spread))
+        assert pv_triangle(params, cap) == convex_hull(corners)
 
     def test_cap_out_of_range_rejected(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
