@@ -5,17 +5,21 @@ Subcommands:
   simulate           run a scenario file and dump traces plus metrics
   plot-data          run a scenario and emit figure-ready CSV series
   verify             run the named regression checks (CSV report, exit status)
+
+A missing or malformed input file or option ends the run with one line,
+``errdiff: error: <message>``, on standard error and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from .geometry import ConvexPolygon, Point2, as_fraction
-from .operators import iterate_to_invariance
+from .operators import Collection, iterate_to_invariance
 from .serialize import (
     iteration_result_to_json,
     load_collection,
@@ -68,15 +72,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_compute_invariant(args: argparse.Namespace) -> int:
-    collection = load_collection(args.collection)
-    if args.mode:
-        from .operators import Collection
+# Errors that reading or validating an input file or option can raise;
+# json.JSONDecodeError is a ValueError.
+_INPUT_ERRORS = (OSError, ValueError, ZeroDivisionError, KeyError, TypeError)
 
-        collection = Collection(collection.sets, args.mode)
-    x_text, y_text = args.q0.split(",")
-    seed = ConvexPolygon((Point2(as_fraction(x_text.strip()), as_fraction(y_text.strip())),))
-    config = parse_iteration_config(args)
+
+class InputError(Exception):
+    """An input file or option could not be read or is malformed."""
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """Turn an error raised while reading ``what`` into an InputError."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        if isinstance(exc, KeyError):
+            detail = f"missing key {exc.args[0]!r}"
+        elif isinstance(exc, ZeroDivisionError):
+            detail = f"zero denominator in {exc}"
+        else:
+            detail = str(exc)
+        raise InputError(f"{what}: {detail}") from exc
+
+
+def _parse_xy(text: str) -> Point2:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'x,y', got {text!r}")
+    return Point2(as_fraction(parts[0].strip()), as_fraction(parts[1].strip()))
+
+
+def _cmd_compute_invariant(args: argparse.Namespace) -> int:
+    with _reading(f"--collection {args.collection}"):
+        collection = load_collection(args.collection)
+        if args.mode:
+            collection = Collection(collection.sets, args.mode)
+    with _reading("--q0"):
+        seed = ConvexPolygon((_parse_xy(args.q0),))
+    with _reading("iteration options"):
+        config = parse_iteration_config(args)
     result = iterate_to_invariance(collection, seed, config)
     events_by_iteration: dict[int, int] = {}
     for ev in result.rounding_events:
@@ -84,6 +119,7 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     for idx, count in enumerate(result.vertex_counts):
         print(f"iteration {idx}: vertices={count} rounding_events={events_by_iteration.get(idx, 0)}")
     print(f"converged: {result.converged}")
+    print(f"status: {result.status}")
     print(f"iterations: {result.iterations}")
     print("invariant set vertices (exact):")
     for v in result.invariant_set.vertices:
@@ -94,7 +130,8 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
 
 
 def _run_scenario_from_args(args: argparse.Namespace):
-    scenario = load_scenario(args.scenario)
+    with _reading(f"--scenario {args.scenario}"):
+        scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
     overrides = {rid: False for rid in args.no_diffusion}
@@ -157,7 +194,11 @@ def main(argv=None) -> int:
         "plot-data": _cmd_plot_data,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except InputError as exc:
+        print(f"errdiff: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,21 @@
 """Exact plane geometry over arbitrary-precision rationals.
 
-Coordinates are `fractions.Fraction` throughout; every operation is closed
-over the rationals and nothing is ever rounded implicitly.  Distances are
-kept *squared* so that all comparisons stay exact.
+Coordinates are `fractions.Fraction` at the API: every value type stores
+Fractions, every operation is closed over the rationals and nothing is
+ever rounded implicitly.  Distances are kept *squared* so that all
+comparisons stay exact.
+
+Inside the kernel (`clip`, `clip_all`, `convex_hull`, `minkowski_sum` and
+polygon containment) a point travels as an integer triple (X, Y, W) with
+W > 0 and gcd(X, Y, W) = 1, standing for (X/W, Y/W), and a half-plane as
+an integer triple (A, B, C).  Orientation is then a 3x3 integer
+determinant and a half-plane test an integer dot product, so the hot
+loops do no Fraction arithmetic.  Each public function converts at its
+own boundary only: a point becomes a triple through the lcm of its two
+denominators, a triple becomes a point through `Fraction(X, W)` and
+`Fraction(Y, W)`.  `orient` stays the Fraction predicate; polygon
+validation and the tests use it as the reference the integer kernel is
+checked against.
 
 All value types are immutable (frozen dataclasses) and all operations are
 pure functions, so values can be shared freely across threads.
@@ -11,12 +24,16 @@ pure functions, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+Triple = tuple[int, int, int]
+# A boundary-list entry inside clip_all: a triple and its Point2, if known.
+Vertex = tuple[Triple, Optional["Point2"]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -87,6 +104,11 @@ def _pt(x: Fraction, y: Fraction) -> Point2:
 ORIGIN = Point2(_ZERO, _ZERO)
 
 
+def _xy(p: Point2) -> tuple[Fraction, Fraction]:
+    """Sort key giving Point2's lexicographic order without a dataclass call."""
+    return p.x, p.y
+
+
 def dist2(a: Point2, b: Point2) -> Fraction:
     """Squared Euclidean distance."""
     dx = a.x - b.x
@@ -99,9 +121,41 @@ def orient(a: Point2, b: Point2, c: Point2) -> Fraction:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
-def cross(u: Point2, v: Point2) -> Fraction:
-    """2D cross product u.x*v.y - u.y*v.x."""
-    return u.x * v.y - u.y * v.x
+def _triple(p: Point2) -> Triple:
+    """The gcd-normalised integer triple (X, Y, W) of p, W > 0.
+
+    Both coordinates are in lowest terms, so scaling them by the lcm of
+    their denominators leaves no common factor.
+    """
+    x, y = p.x, p.y
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return x.numerator, y.numerator, xd
+    w = math.lcm(xd, yd)
+    return x.numerator * (w // xd), y.numerator * (w // yd), w
+
+
+def _point(t: Triple) -> Point2:
+    x, y, w = t
+    return _pt(Fraction(x, w), Fraction(y, w))
+
+
+def _line(a: Triple, b: Triple) -> Triple:
+    """The line through a and b as the cross product a x b."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    return ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx
+
+
+def _orient3(a: Triple, b: Triple, c: Triple) -> int:
+    """det[a; b; c] = (a x b).c, which is Wa*Wb*Wc*orient(a, b, c): the same sign."""
+    la, lb, lc = _line(a, b)
+    return la * c[0] + lb * c[1] + lc * c[2]
+
+
+def _lex_le(a: Triple, b: Triple) -> bool:
+    """a <= b in the lexicographic (x, y) order of the points they stand for."""
+    return (a[0] * b[2], a[1] * b[2]) <= (b[0] * a[2], b[1] * a[2])
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,13 +165,22 @@ class HalfPlane:
     a: Fraction
     b: Fraction
     c: Fraction
+    # (A, B, C): the plane scaled to coprime integers, for the kernel.
+    _ints: Triple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "c", as_fraction(self.c))
-        if self.a == 0 and self.b == 0:
+        a, b, c = as_fraction(self.a), as_fraction(self.b), as_fraction(self.c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        if a == 0 and b == 0:
             raise ValueError("half-plane normal must be non-zero")
+        scale = math.lcm(a.denominator, b.denominator, c.denominator)
+        ia = a.numerator * (scale // a.denominator)
+        ib = b.numerator * (scale // b.denominator)
+        ic = c.numerator * (scale // c.denominator)
+        g = math.gcd(ia, ib, ic)
+        object.__setattr__(self, "_ints", (ia // g, ib // g, ic // g))
 
     def slack(self, p: Point2) -> Fraction:
         """c - a*x - b*y; non-negative exactly when p lies inside."""
@@ -185,26 +248,18 @@ class ConvexPolygon:
 
     def contains_point(self, p: Point2) -> bool:
         verts = self.vertices
-        n = len(verts)
-        if n == 0:
-            return False
-        if n == 1:
-            return verts[0] == p
-        if n == 2:
-            u, v = verts
-            if orient(u, v, p) != 0:
-                return False
-            d = v - u
-            t = (p - u).dot(d)
-            return 0 <= t <= d.norm2()
-        for i in range(n):
-            if orient(verts[i], verts[(i + 1) % n], p) < 0:
-                return False
-        return True
+        if len(verts) <= 1:
+            return verts == (p,)
+        return _contains_all(verts, (_triple(p),))
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
         """Exact containment; valid because both regions are convex."""
-        return all(self.contains_point(v) for v in other.vertices)
+        verts, points = self.vertices, other.vertices
+        if not points:
+            return True
+        if len(verts) <= 1:
+            return verts == points
+        return _contains_all(verts, [_triple(v) for v in points])
 
     def translate(self, d: Point2) -> "ConvexPolygon":
         # Translation preserves orientation and lexicographic order, so the
@@ -255,6 +310,26 @@ class ConvexPolygon:
 EMPTY_POLYGON = ConvexPolygon(())
 
 
+def _contains_all(verts: Sequence[Point2], points: Sequence[Triple]) -> bool:
+    """True when every triple of points lies in the segment or polygon verts.
+
+    A point lies in a strictly convex counter-clockwise polygon when it is
+    on or left of every edge line, and in a segment u < v when it is on its
+    line and u <= p <= v lexicographically.
+    """
+    ts = [_triple(v) for v in verts]
+    if len(ts) == 2:
+        u, v = ts
+        a, b, c = _line(u, v)
+        for p in points:
+            x, y, w = p
+            if a * x + b * y + c * w != 0 or not (_lex_le(u, p) and _lex_le(p, v)):
+                return False
+        return True
+    lines = [_line(ts[i - 1], ts[i]) for i in range(len(ts))]
+    return all(a * x + b * y + c * w >= 0 for x, y, w in points for a, b, c in lines)
+
+
 def _raw_polygon(verts: tuple[Point2, ...]) -> ConvexPolygon:
     """Construct without validation; callers guarantee canonical form."""
     poly = object.__new__(ConvexPolygon)
@@ -273,9 +348,11 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
     """Convex hull via monotone chain with exact orientation predicates.
 
     Degenerate inputs yield the matching degenerate polygon: one distinct
-    point gives a point, collinear points give the extreme segment.
+    point gives a point, collinear points give the extreme segment.  The
+    chain runs on the points' integer triples; the hull's vertices are the
+    input points themselves.
     """
-    pts = sorted(points)
+    pts = sorted(points, key=_xy)
     deduped: list[Point2] = []
     for p in pts:
         if not deduped or p != deduped[-1]:
@@ -285,56 +362,18 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
         return EMPTY_POLYGON
     if n == 1:
         return _raw_polygon((deduped[0],))
-    lower: list[Point2] = []
-    for p in deduped:
-        while len(lower) >= 2 and orient(lower[-2], lower[-1], p) <= 0:
+    ts = [_triple(p) for p in deduped]
+    lower: list[int] = []
+    for i in range(n):
+        while len(lower) >= 2 and _orient3(ts[lower[-2]], ts[lower[-1]], ts[i]) <= 0:
             lower.pop()
-        lower.append(p)
-    upper: list[Point2] = []
-    for p in reversed(deduped):
-        while len(upper) >= 2 and orient(upper[-2], upper[-1], p) <= 0:
+        lower.append(i)
+    upper: list[int] = []
+    for i in reversed(range(n)):
+        while len(upper) >= 2 and _orient3(ts[upper[-2]], ts[upper[-1]], ts[i]) <= 0:
             upper.pop()
-        upper.append(p)
-    verts = tuple(lower[:-1] + upper[:-1])
-    return _raw_polygon(verts)
-
-
-def _canonical_from_ccw(points: Sequence[Point2]) -> ConvexPolygon:
-    """Canonical polygon from boundary points already in CCW cyclic order.
-
-    Consecutive duplicates and collinear middle vertices are removed; a
-    degenerate output collapses to the extreme segment or point.
-    """
-    pts: list[Point2] = []
-    for p in points:
-        if not pts or p != pts[-1]:
-            pts.append(p)
-    while len(pts) > 1 and pts[-1] == pts[0]:
-        pts.pop()
-    if not pts:
-        return EMPTY_POLYGON
-    if len(pts) == 1:
-        return _raw_polygon((pts[0],))
-    if len(pts) == 2:
-        u, v = pts
-        return _raw_polygon((u, v) if u < v else (v, u))
-    while True:
-        n = len(pts)
-        kept = []
-        changed = False
-        for i in range(n):
-            if orient(pts[i - 1], pts[i], pts[(i + 1) % n]) > 0:
-                kept.append(pts[i])
-            else:
-                changed = True
-        if len(kept) <= 2:
-            # everything collinear: fall back to the exact hull of the points
-            return convex_hull(pts)
-        pts = kept
-        if not changed:
-            break
-    k = min(range(len(pts)), key=lambda i: pts[i])
-    return _raw_polygon(tuple(pts[k:] + pts[:k]))
+        upper.append(i)
+    return _raw_polygon(tuple(deduped[i] for i in lower[:-1] + upper[:-1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,30 +414,34 @@ def _hull_of_point_set(ps: PointSet) -> ConvexPolygon:
     return convex_hull(ps.points)
 
 
-def _bottom_start(verts: Sequence[Point2]) -> int:
-    """Index of the bottommost (then leftmost) vertex."""
-    return min(range(len(verts)), key=lambda i: (verts[i].y, verts[i].x))
+def _edge_directions(verts: Sequence[Point2]) -> tuple[list[tuple[int, int]], int]:
+    """Integer edge directions traversed CCW from the bottom vertex, and its index.
 
-
-def _edges_from_bottom(verts: Sequence[Point2]) -> tuple[list[Point2], Point2]:
-    """Edge vectors traversed CCW from the bottom vertex, plus that vertex.
-
-    For a strictly convex CCW boundary this ordering is sorted by polar
-    angle in [0, 2*pi); a two-vertex segment yields an antiparallel pair.
+    The bottom vertex is the lowest, then leftmost; from it a strictly
+    convex CCW boundary has its edge angles sorted in [0, 2*pi), and a
+    two-vertex segment gives an antiparallel pair.  A direction is the
+    edge vector scaled by the positive Wu*Wv.
     """
     n = len(verts)
-    k = _bottom_start(verts)
-    edges = [verts[(k + i + 1) % n] - verts[(k + i) % n] for i in range(n)]
-    return edges, verts[k]
+    k = min(range(n), key=lambda i: (verts[i].y, verts[i].x))
+    ts = [_triple(verts[(k + i) % n]) for i in range(n)]
+    dirs = []
+    for i in range(n):
+        ux, uy, uw = ts[i]
+        vx, vy, vw = ts[(i + 1) % n]
+        dirs.append((vx * uw - ux * vw, vy * uw - uy * vw))
+    return dirs, k
 
 
-def _angle_cmp(u: Point2, v: Point2) -> int:
+def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
     """Exact comparison of polar angles in [0, 2*pi); 0 means same direction."""
-    hu = 0 if (u.y > 0 or (u.y == 0 and u.x > 0)) else 1
-    hv = 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+    ux, uy = u
+    vx, vy = v
+    hu = 0 if (uy > 0 or (uy == 0 and ux > 0)) else 1
+    hv = 0 if (vy > 0 or (vy == 0 and vx > 0)) else 1
     if hu != hv:
         return -1 if hu < hv else 1
-    cr = cross(u, v)
+    cr = ux * vy - uy * vx
     if cr > 0:
         return -1
     if cr < 0:
@@ -409,8 +452,11 @@ def _angle_cmp(u: Point2, v: Point2) -> int:
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact Minkowski sum of two convex polygons.
 
-    Computed by merging the edge sequences in angular order (linear time);
-    the result has at most |p| + |q| vertices.
+    Computed by merging the edge sequences in angular order (linear time),
+    emitting the sum of the current vertex pair before each step; the
+    result has at most |p| + |q| vertices.  Parallel edges advance both
+    sequences at once, so the output is already strictly convex and only
+    needs rotating to its smallest vertex (a segment: ordering its ends).
     """
     if p.is_empty or q.is_empty:
         raise ValueError("Minkowski sum requires non-empty polygons")
@@ -418,34 +464,66 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         return q.translate(p.vertices[0])
     if q.is_point:
         return p.translate(q.vertices[0])
-    ep, start_p = _edges_from_bottom(p.vertices)
-    eq, start_q = _edges_from_bottom(q.vertices)
-    current = start_p + start_q
-    out = [current]
+    pv, qv = p.vertices, q.vertices
+    ep, i0 = _edge_directions(pv)
+    eq, j0 = _edge_directions(qv)
+    np_, nq = len(ep), len(eq)
+    out = []
     i = j = 0
-    while i < len(ep) or j < len(eq):
-        if i == len(ep):
-            step = eq[j]
-            j += 1
-        elif j == len(eq):
-            step = ep[i]
+    while i < np_ or j < nq:
+        out.append(pv[(i0 + i) % np_] + qv[(j0 + j) % nq])
+        cmp = 1 if i == np_ else -1 if j == nq else _angle_cmp(ep[i], eq[j])
+        if cmp <= 0:
             i += 1
-        else:
-            cmp = _angle_cmp(ep[i], eq[j])
-            if cmp < 0:
-                step = ep[i]
-                i += 1
-            elif cmp > 0:
-                step = eq[j]
-                j += 1
-            else:
-                step = ep[i] + eq[j]
-                i += 1
-                j += 1
-        current = current + step
-        out.append(current)
-    out.pop()  # edge vectors close the loop; last point repeats the first
-    return _canonical_from_ccw(out)
+        if cmp >= 0:
+            j += 1
+    k = min(range(len(out)), key=lambda m: _xy(out[m]))
+    return _raw_polygon(tuple(out[k:] + out[:k]))
+
+
+def _cut(verts: list[Vertex], plane: Triple) -> list[Vertex]:
+    """One half-plane cut of a boundary list of (triple, point or None) pairs.
+
+    A list of one entry is a point, of two a segment (one edge), of more a
+    strictly convex CCW polygon.  Entries with non-negative slack are kept
+    in order, and every edge whose ends have strictly opposite slack signs
+    adds its crossing point, whose Point2 is left as None.  The input list
+    itself is returned when nothing is cut.
+    """
+    a, b, c = plane
+    slacks = [c * w - a * x - b * y for (x, y, w), _ in verts]
+    if min(slacks) >= 0:
+        return verts
+    if max(slacks) < 0:
+        return []
+    n = len(verts)
+    edges = n if n > 2 else 1
+    out = []
+    for i in range(n):
+        su = slacks[i]
+        if su >= 0:
+            out.append(verts[i])
+        if i < edges:
+            j = i + 1 if i + 1 < n else 0
+            sv = slacks[j]
+            if (su > 0 > sv) or (su < 0 < sv):
+                out.append((_crossing(verts[i][0], verts[j][0], su, sv), None))
+    return out
+
+
+def _crossing(u: Triple, v: Triple, su: int, sv: int) -> Triple:
+    """The point of segment uv with zero slack, given slacks su, sv of opposite signs.
+
+    su*v - sv*u is a positive or negative multiple of it (its slack is
+    su*sv - sv*su = 0); fix the sign so W > 0 and divide out the gcd.
+    """
+    x = su * v[0] - sv * u[0]
+    y = su * v[1] - sv * u[1]
+    w = su * v[2] - sv * u[2]
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = math.gcd(x, y, w)
+    return x // g, y // g, w // g
 
 
 def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
@@ -460,58 +538,33 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
     its smallest vertex therefore gives the canonical polygon, segment or
     point.
     """
-    verts = polygon.vertices
-    n = len(verts)
-    if n == 0:
-        return EMPTY_POLYGON
-    a, b, c = half_plane.a, half_plane.b, half_plane.c
-    slacks = [c - a * v.x - b * v.y for v in verts]
-    if n == 1:
-        return polygon if slacks[0] >= 0 else EMPTY_POLYGON
-    if n == 2:
-        su, sv = slacks
-        if su >= 0 and sv >= 0:
-            return polygon
-        if su < 0 and sv < 0:
-            return EMPTY_POLYGON
-        u, v = verts
-        t = su / (su - sv)
-        w = _pt(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t)
-        kept = u if su >= 0 else v
-        return segment(kept, w)
-    all_in = True
-    all_out = True
-    for s in slacks:
-        if s < 0:
-            all_in = False
-        else:
-            all_out = False
-    if all_in:
-        return polygon
-    if all_out:
-        return EMPTY_POLYGON
-    out: list[Point2] = []
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        su, sv = slacks[i], slacks[j]
-        if su >= 0:
-            out.append(verts[i])
-        if (su > 0 > sv) or (su < 0 < sv):
-            u, v = verts[i], verts[j]
-            t = su / (su - sv)
-            out.append(_pt(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t))
-    k = min(range(len(out)), key=out.__getitem__)
-    return _raw_polygon(tuple(out[k:] + out[:k]))
+    return clip_all(polygon, (half_plane,))
 
 
 def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
-    """polygon intersected with every half-plane, stopping once it is empty."""
-    result = polygon
+    """polygon intersected with every half-plane, stopping once it is empty.
+
+    The polygon is converted to integer triples once and cut by every
+    plane in turn (see `clip`); kept input vertices keep their Point2, and
+    only the final polygon is converted back.  A polygon no plane cuts is
+    returned as it is.
+    """
+    original = [(_triple(v), v) for v in polygon.vertices]
+    verts = original
     for plane in planes:
-        result = clip(result, plane)
-        if result.is_empty:
+        if not verts:
             break
-    return result
+        verts = _cut(verts, plane._ints)
+    if verts is original:
+        return polygon
+    if not verts:
+        return EMPTY_POLYGON
+    pts = [p if p is not None else _point(t) for t, p in verts]
+    k = 0
+    for m in range(1, len(verts)):
+        if not _lex_le(verts[k][0], verts[m][0]):
+            k = m
+    return _raw_polygon(tuple(pts[k:] + pts[:k]))
 
 
 def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

@@ -138,6 +138,9 @@ class RoundingEvent:
     after: Fraction
 
 
+StopStatus = Literal["converged", "budget", "cycle", "bits", "rounding-stall"]
+
+
 @dataclass
 class IterationResult:
     """Outcome of the fixed-point iteration.
@@ -145,12 +148,20 @@ class IterationResult:
     ``iterations`` counts the applications that strictly grew the iterate;
     it is reported for information only, since operation order and rounding
     schedule can legitimately perturb it.  When ``converged`` is true the
-    collection operator maps ``invariant_set`` to itself.
+    collection operator maps ``invariant_set`` to itself.  ``status`` says
+    why the run stopped:
+
+    * ``converged``: the unrounded image equals the iterate;
+    * ``budget``: the iteration budget ran out;
+    * ``cycle``: rounding brought back an iterate older than the last one;
+    * ``bits``: a coordinate outgrew the bit budget (``aborted``);
+    * ``rounding-stall``: rounding alone mapped the iterate to itself.
     """
 
     invariant_set: ConvexPolygon
     iterations: int
     converged: bool
+    status: StopStatus
     rounding_events: list[RoundingEvent] = field(default_factory=list)
     history_hashes: list[str] = field(default_factory=list)
     vertex_counts: list[int] = field(default_factory=list)
@@ -398,7 +409,7 @@ def iterate_to_invariance(
     the returned set equals it, which is exact invariance; a repeat that
     rounding alone produced (a rounding stall), a longer cycle, the bit
     budget or the iteration budget return the last iterate with
-    ``converged`` false.
+    ``converged`` false, and ``status`` names which of them stopped the run.
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
@@ -407,8 +418,7 @@ def iterate_to_invariance(
     hashes = [_digest(current)]
     seen = set(hashes)
     counts = [len(current.vertices)]
-    converged = False
-    aborted = False
+    status: StopStatus = "budget"
     iterations = config.max_iterations
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
@@ -422,29 +432,31 @@ def iterate_to_invariance(
             events.extend(step_events)
         if _coordinate_bits(candidate) > config.max_coordinate_bits:
             iterations = step
-            aborted = True
+            status = "bits"
             break
         digest = _digest(candidate)
         hashes.append(digest)
         counts.append(len(candidate.vertices))
         if candidate == current:
-            converged = grown == current
+            status = "converged" if grown == current else "rounding-stall"
             iterations = step - 1
             break
         if digest in seen:
             # rounding produced a cycle longer than one step; no fixed point
             iterations = step
+            status = "cycle"
             break
         seen.add(digest)
         current = candidate
     return IterationResult(
         invariant_set=current,
         iterations=iterations,
-        converged=converged,
+        converged=status == "converged",
+        status=status,
         rounding_events=events,
         history_hashes=hashes,
         vertex_counts=counts,
-        aborted=aborted,
+        aborted=status == "bits",
     )
 
 

@@ -107,6 +107,7 @@ def load_collection(path: PathLike) -> Collection:
 def iteration_result_to_json(result) -> dict:
     return {
         "converged": result.converged,
+        "status": result.status,
         "iterations": result.iterations,
         "vertices": polygon_to_json(result.invariant_set),
         "rounding_events": [

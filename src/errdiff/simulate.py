@@ -248,6 +248,10 @@ class HeaterSpec:
     prediction: Mode = "perfect"
     diffusion: bool = True
 
+    def __post_init__(self) -> None:
+        if len(self.initial.temps) != self.params.rooms:
+            raise ValueError(f"heater {self.resource_id!r} needs one initial state per room")
+
     def build(self, rng: random.Random) -> ResourceUnit:
         return HeaterUnit(self.resource_id, self.params, self.initial, self.prediction)
 

@@ -98,6 +98,96 @@ class TestComputeInvariant:
         )
 
 
+STALL_COLLECTION = {
+    "mode": "perfect",
+    "sets": [
+        {"points": [["-2", "-5"], ["-2", "1"]]},
+        {"points": [["5", "0"]]},
+        {"points": [["-5", "3"], ["1", "-3"], ["4", "1"]]},
+    ],
+}
+CYCLE_COLLECTION = {"mode": "perfect", "sets": [{"points": [["-2", "-5"], ["-2", "-1"], ["0", "-4"]]}]}
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return path
+
+
+class TestStopStatus:
+    """Each status the CLI can report, with its line, JSON key and exit code."""
+
+    def _run(self, path, tmp_path, capsys, *extra):
+        out = tmp_path / "result.json"
+        code = main(["compute-invariant", "--collection", str(path), "--out", str(out), *extra])
+        printed = capsys.readouterr().out
+        status = json.loads(out.read_text())["status"]
+        assert f"status: {status}" in printed.splitlines()
+        return code, status
+
+    def test_converged(self, collection_file, tmp_path, capsys):
+        assert self._run(collection_file, tmp_path, capsys) == (0, "converged")
+
+    def test_rounding_stall(self, tmp_path, capsys):
+        path = _write(tmp_path, "stall.json", STALL_COLLECTION)
+        assert self._run(path, tmp_path, capsys, "--epsilon", "1/10") == (2, "rounding-stall")
+
+    def test_cycle(self, tmp_path, capsys):
+        # Rounding at 1/10 maps the second iterate to a third and back.
+        path = _write(tmp_path, "cycle.json", CYCLE_COLLECTION)
+        assert self._run(path, tmp_path, capsys, "--epsilon", "1/10") == (2, "cycle")
+
+    def test_budget(self, tmp_path, capsys):
+        path = _write(tmp_path, "stall.json", STALL_COLLECTION)
+        assert self._run(path, tmp_path, capsys, "--max-iters", "1") == (2, "budget")
+
+
+class TestMalformedInput:
+    """Bad input files and options end in one stderr line and exit 1."""
+
+    def _fails(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("errdiff: error: ")
+        return line
+
+    def _compute(self, capsys, path, *extra):
+        return self._fails(capsys, ["compute-invariant", "--collection", str(path), *extra])
+
+    def test_missing_collection_file(self, tmp_path, capsys):
+        assert "No such file" in self._compute(capsys, tmp_path / "absent.json")
+
+    def test_collection_not_json(self, tmp_path, capsys):
+        self._compute(capsys, _write(tmp_path, "c.json", "not json {"))
+
+    def test_collection_without_sets(self, tmp_path, capsys):
+        line = self._compute(capsys, _write(tmp_path, "c.json", {"points": []}))
+        assert "'sets'" in line
+
+    def test_zero_denominator(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.json", {"sets": [{"points": [["1/0", "0"]]}]})
+        assert "zero denominator" in self._compute(capsys, path)
+
+    def test_three_coordinate_seed(self, collection_file, capsys):
+        assert "--q0" in self._compute(capsys, collection_file, "--q0", "1,2,3")
+
+    def test_non_rational_epsilon(self, collection_file, capsys):
+        assert "'abc'" in self._compute(capsys, collection_file, "--epsilon", "abc")
+
+    def test_heater_without_a_temperature_per_room(self, tmp_path, capsys):
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["resources"][0]["initial_temps"] = ["20", "21"]
+        path = _write(tmp_path, "s.json", scenario)
+        argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]
+        assert "one initial state per room" in self._fails(capsys, argv)
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        argv = ["simulate", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]
+        assert "No such file" in self._fails(capsys, argv)
+
+
 class TestSimulate:
     def test_outputs_and_determinism(self, scenario_file, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,6 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
-    _canonical_from_ccw,
     classify_points,
     clip,
     clip_all,
@@ -32,6 +31,7 @@ from errdiff.geometry import (
 from errdiff.verify import grid8_collection, three_set_family
 
 from conftest import poly, pt
+from fraction_kernel import canonical_from_ccw
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -84,7 +84,7 @@ def boundary_list_clip(polygon, plane):
             out.append(u)
         if su * sv < 0:
             out.append(u + (v - u) * (su / (su - sv)))
-    return _canonical_from_ccw(out)
+    return canonical_from_ccw(out)
 
 
 @st.composite

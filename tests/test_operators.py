@@ -214,13 +214,14 @@ class TestIteration:
     def test_grid8_converges_in_one_growing_step(self, grid8):
         result = iterate_to_invariance(Collection((grid8,), "perfect"), ORIGIN_POLY)
         assert result.converged and result.iterations == 1
+        assert result.status == "converged"
         assert result.invariant_set == poly((-1, -1), (1, -1), (1, 1), (-1, 1))
 
     def test_zero_budget_returns_seed(self, grid8):
         result = iterate_to_invariance(
             Collection((grid8,), "perfect"), ORIGIN_POLY, IterationConfig(max_iterations=0)
         )
-        assert not result.converged
+        assert not result.converged and result.status == "budget"
         assert result.invariant_set == ORIGIN_POLY
 
     def test_fixed_point_is_invariant(self, ring_family):
@@ -248,7 +249,7 @@ class TestIteration:
             col, ORIGIN_POLY, IterationConfig(max_iterations=200, max_coordinate_bits=24)
         )
         assert not result.converged
-
+        assert result.status == "bits" and result.aborted
 
     def test_rounding_stall_is_not_converged(self):
         # round(G(Q)) == Q here, but G(Q) != Q: the stop is not a fixed point
@@ -263,6 +264,15 @@ class TestIteration:
         result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10)))
         assert not check_invariance(col, result.invariant_set)
         assert not result.converged
+        assert result.status == "rounding-stall" and not result.aborted
+
+    def test_rounding_cycle_is_reported(self):
+        # at 1/10 rounding maps the second iterate to a third and back again
+        col = Collection((PointSet.of(pt(-2, -5), pt(-2, -1), pt(0, -4)),), "perfect")
+        result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10)))
+        hashes = result.history_hashes
+        assert result.status == "cycle" and not result.converged and not result.aborted
+        assert hashes[-1] in hashes[:-2] and hashes[-1] != hashes[-2]
 
 
 class TestCheckInvariance:
