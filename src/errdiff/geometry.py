@@ -5,35 +5,35 @@ Fractions, every operation is closed over the rationals and nothing is
 ever rounded implicitly.  Distances are kept *squared* so that all
 comparisons stay exact.
 
-Inside the kernel (`clip`, `clip_all`, `convex_hull`, `minkowski_sum` and
-polygon containment) a point travels as an integer triple (X, Y, W) with
-W > 0 and gcd(X, Y, W) = 1, standing for (X/W, Y/W), and a half-plane as
-an integer triple (A, B, C).  Orientation is then a 3x3 integer
-determinant and a half-plane test an integer dot product, so the hot
-loops do no Fraction arithmetic.  Each public function converts at its
-own boundary only: a point becomes a triple through the lcm of its two
+A `ConvexPolygon` carries its vertices as integer triples (X, Y, W) with
+W > 0 and gcd(X, Y, W) = 1, standing for (X/W, Y/W); its `Point2`
+vertices are built from them on first use and kept.  The kernel (`clip`,
+`clip_all`, `convex_hull`, `hull_of_polygons`, `minkowski_sum`,
+translation and polygon containment) reads and writes the triples, and a
+half-plane carries its integer triple (A, B, C), so a whole operator step
+runs on ints: orientation is a 3x3 integer determinant, a half-plane test
+an integer dot product and the lexicographic order a cross-multiplied
+comparison.  A `Point2` becomes a triple through the lcm of its two
 denominators, a triple becomes a point through `Fraction(X, W)` and
 `Fraction(Y, W)`.  `orient` stays the Fraction predicate; polygon
 validation and the tests use it as the reference the integer kernel is
 checked against.
 
-All value types are immutable (frozen dataclasses) and all operations are
-pure functions, so values can be shared freely across threads.
+All value types are immutable and all operations are pure functions, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Triple = tuple[int, int, int]
-# A boundary-list entry inside clip_all: a triple and its Point2, if known.
-Vertex = tuple[Triple, Optional["Point2"]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,11 +104,6 @@ def _pt(x: Fraction, y: Fraction) -> Point2:
 ORIGIN = Point2(_ZERO, _ZERO)
 
 
-def _xy(p: Point2) -> tuple[Fraction, Fraction]:
-    """Sort key giving Point2's lexicographic order without a dataclass call."""
-    return p.x, p.y
-
-
 def dist2(a: Point2, b: Point2) -> Fraction:
     """Squared Euclidean distance."""
     dx = a.x - b.x
@@ -140,6 +135,27 @@ def _point(t: Triple) -> Point2:
     return _pt(Fraction(x, w), Fraction(y, w))
 
 
+def _normalised(x: int, y: int, w: int) -> Triple:
+    """(x, y, w) divided by its gcd; w must be positive."""
+    g = math.gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
+def _add(a: Triple, b: Triple) -> Triple:
+    """The triple of the sum of the points a and b.
+
+    When one of them is integral (W = 1), gcd(Xa + Xb*Wa, Ya + Yb*Wa, Wa)
+    = gcd(Xa, Ya, Wa) = 1, so only a sum of two proper fractions needs a gcd.
+    """
+    ax, ay, aw = a
+    bx, by, bw = b
+    if bw == 1:
+        return ax + bx * aw, ay + by * aw, aw
+    if aw == 1:
+        return bx + ax * bw, by + ay * bw, bw
+    return _normalised(ax * bw + bx * aw, ay * bw + by * aw, aw * bw)
+
+
 def _line(a: Triple, b: Triple) -> Triple:
     """The line through a and b as the cross product a x b."""
     ax, ay, aw = a
@@ -153,9 +169,23 @@ def _orient3(a: Triple, b: Triple, c: Triple) -> int:
     return la * c[0] + lb * c[1] + lc * c[2]
 
 
-def _lex_le(a: Triple, b: Triple) -> bool:
-    """a <= b in the lexicographic (x, y) order of the points they stand for."""
-    return (a[0] * b[2], a[1] * b[2]) <= (b[0] * a[2], b[1] * a[2])
+def _lex_cmp(a: Triple, b: Triple) -> int:
+    """Negative, zero or positive as point a is before, at or after point b in (x, y) order."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    return (ax * bw - bx * aw) or (ay * bw - by * aw)
+
+
+_LEX_KEY = cmp_to_key(_lex_cmp)
+
+
+def _lex_min(ts: Sequence[Triple]) -> int:
+    """Index of the lexicographically smallest of the distinct points ts."""
+    k = 0
+    for m in range(1, len(ts)):
+        if _lex_cmp(ts[m], ts[k]) < 0:
+            k = m
+    return k
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +220,6 @@ class HalfPlane:
         return self.slack(p) >= 0
 
 
-@dataclass(frozen=True, slots=True)
 class ConvexPolygon:
     """Convex region in canonical vertex representation.
 
@@ -199,13 +228,18 @@ class ConvexPolygon:
     that normalization structural equality coincides with set equality.
     Degenerate regions are first-class: empty (no vertices), a single
     point, or a segment (two vertices in lexicographic order).
+
+    The polygon holds the integer triples of its vertices; `vertices`
+    builds their Point2s on first use and keeps them.  Canonical triples
+    and canonical vertices determine each other, so equality and hashing
+    compare the triples.  The constructor validates its Point2s; the
+    kernel builds polygons from triples it knows to be canonical.
     """
 
-    vertices: tuple[Point2, ...]
+    __slots__ = ("_ts", "_verts")
 
-    def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Iterable[Point2]) -> None:
+        verts = tuple(vertices)
         n = len(verts)
         if n == 2:
             if not verts[0] < verts[1]:
@@ -218,6 +252,33 @@ class ConvexPolygon:
                 a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
                 if orient(a, b, c) <= 0:
                     raise ValueError("vertices must make strict counter-clockwise turns")
+        _setattr(self, "_ts", tuple(_triple(v) for v in verts))
+        _setattr(self, "_verts", verts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ConvexPolygon:
+            return NotImplemented
+        return self._ts == other._ts
+
+    def __hash__(self) -> int:
+        return hash(self._ts)
+
+    def __repr__(self) -> str:
+        return f"ConvexPolygon(vertices={self.vertices!r})"
+
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        verts = self._verts
+        if verts is None:
+            verts = tuple(_point(t) for t in self._ts)
+            _setattr(self, "_verts", verts)
+        return verts
 
     @classmethod
     def from_points(cls, points: Iterable[Point2]) -> "ConvexPolygon":
@@ -226,15 +287,15 @@ class ConvexPolygon:
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self._ts
 
     @property
     def is_point(self) -> bool:
-        return len(self.vertices) == 1
+        return len(self._ts) == 1
 
     @property
     def is_segment(self) -> bool:
-        return len(self.vertices) == 2
+        return len(self._ts) == 2
 
     def edges(self) -> Iterator[tuple[Point2, Point2]]:
         """Directed boundary edges; a segment yields its single edge once."""
@@ -247,26 +308,22 @@ class ConvexPolygon:
                 yield verts[i], verts[(i + 1) % n]
 
     def contains_point(self, p: Point2) -> bool:
-        verts = self.vertices
-        if len(verts) <= 1:
-            return verts == (p,)
-        return _contains_all(verts, (_triple(p),))
+        ts = self._ts
+        if len(ts) <= 1:
+            return ts == (_triple(p),)
+        return _contains_all(ts, (_triple(p),))
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
         """Exact containment; valid because both regions are convex."""
-        verts, points = self.vertices, other.vertices
+        ts, points = self._ts, other._ts
         if not points:
             return True
-        if len(verts) <= 1:
-            return verts == points
-        return _contains_all(verts, [_triple(v) for v in points])
+        if len(ts) <= 1:
+            return ts == points
+        return _contains_all(ts, points)
 
     def translate(self, d: Point2) -> "ConvexPolygon":
-        # Translation preserves orientation and lexicographic order, so the
-        # canonical form survives without re-hulling.
-        poly = object.__new__(ConvexPolygon)
-        object.__setattr__(poly, "vertices", tuple(v + d for v in self.vertices))
-        return poly
+        return _translated(self, _triple(d))
 
     def half_planes(self) -> list[HalfPlane]:
         """Half-planes whose intersection is exactly this region."""
@@ -307,34 +364,48 @@ class ConvexPolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+_setattr = object.__setattr__
+
+
+def _polygon(ts: tuple[Triple, ...], verts: Optional[tuple[Point2, ...]] = None) -> ConvexPolygon:
+    """Construct from canonical triples (and their Point2s, if known) without validation."""
+    poly = object.__new__(ConvexPolygon)
+    _setattr(poly, "_ts", ts)
+    _setattr(poly, "_verts", verts)
+    return poly
+
+
+def _raw_polygon(verts: tuple[Point2, ...]) -> ConvexPolygon:
+    """Construct without validation; callers guarantee canonical form."""
+    return _polygon(tuple(_triple(v) for v in verts), verts)
+
+
 EMPTY_POLYGON = ConvexPolygon(())
 
 
-def _contains_all(verts: Sequence[Point2], points: Sequence[Triple]) -> bool:
-    """True when every triple of points lies in the segment or polygon verts.
+def _translated(poly: ConvexPolygon, d: Triple) -> ConvexPolygon:
+    # Translation preserves orientation and lexicographic order, so the
+    # canonical form survives without re-hulling.
+    return _polygon(tuple(_add(t, d) for t in poly._ts))
+
+
+def _contains_all(ts: Sequence[Triple], points: Sequence[Triple]) -> bool:
+    """True when every triple of points lies in the segment or polygon ts.
 
     A point lies in a strictly convex counter-clockwise polygon when it is
     on or left of every edge line, and in a segment u < v when it is on its
     line and u <= p <= v lexicographically.
     """
-    ts = [_triple(v) for v in verts]
     if len(ts) == 2:
         u, v = ts
         a, b, c = _line(u, v)
         for p in points:
             x, y, w = p
-            if a * x + b * y + c * w != 0 or not (_lex_le(u, p) and _lex_le(p, v)):
+            if a * x + b * y + c * w != 0 or _lex_cmp(u, p) > 0 or _lex_cmp(p, v) > 0:
                 return False
         return True
     lines = [_line(ts[i - 1], ts[i]) for i in range(len(ts))]
     return all(a * x + b * y + c * w >= 0 for x, y, w in points for a, b, c in lines)
-
-
-def _raw_polygon(verts: tuple[Point2, ...]) -> ConvexPolygon:
-    """Construct without validation; callers guarantee canonical form."""
-    poly = object.__new__(ConvexPolygon)
-    object.__setattr__(poly, "vertices", verts)
-    return poly
 
 
 def segment(u: Point2, v: Point2) -> ConvexPolygon:
@@ -342,6 +413,28 @@ def segment(u: Point2, v: Point2) -> ConvexPolygon:
     if u == v:
         return _raw_polygon((u,))
     return _raw_polygon((u, v) if u < v else (v, u))
+
+
+def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
+    """Canonical convex hull of triples: monotone chain over the distinct points.
+
+    Canonical triples of equal points are equal, so a set removes the
+    duplicates, and the sort compares points by cross-multiplication.
+    """
+    pts = sorted(set(points), key=_LEX_KEY)
+    if len(pts) <= 1:
+        return tuple(pts)
+    lower: list[Triple] = []
+    for p in pts:
+        while len(lower) >= 2 and _orient3(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Triple] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _orient3(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return tuple(lower[:-1] + upper[:-1])
 
 
 def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
@@ -352,28 +445,14 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
     chain runs on the points' integer triples; the hull's vertices are the
     input points themselves.
     """
-    pts = sorted(points, key=_xy)
-    deduped: list[Point2] = []
-    for p in pts:
-        if not deduped or p != deduped[-1]:
-            deduped.append(p)
-    n = len(deduped)
-    if n == 0:
-        return EMPTY_POLYGON
-    if n == 1:
-        return _raw_polygon((deduped[0],))
-    ts = [_triple(p) for p in deduped]
-    lower: list[int] = []
-    for i in range(n):
-        while len(lower) >= 2 and _orient3(ts[lower[-2]], ts[lower[-1]], ts[i]) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(range(n)):
-        while len(upper) >= 2 and _orient3(ts[upper[-2]], ts[upper[-1]], ts[i]) <= 0:
-            upper.pop()
-        upper.append(i)
-    return _raw_polygon(tuple(deduped[i] for i in lower[:-1] + upper[:-1]))
+    by_triple = {_triple(p): p for p in points}
+    ts = _hull(by_triple)
+    return _polygon(ts, tuple(by_triple[t] for t in ts))
+
+
+def hull_of_polygons(polygons: Iterable[ConvexPolygon]) -> ConvexPolygon:
+    """Convex hull of the union of polygons, computed on their triples."""
+    return _polygon(_hull(t for poly in polygons for t in poly._ts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,12 +460,18 @@ class PointSet:
     """Finite set of distinct points, stored sorted for determinism."""
 
     points: tuple[Point2, ...]
+    # The hash of points, computed once: point sets key several caches.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(sorted(set(self.points)))
         if not pts:
             raise ValueError("point set must be non-empty")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_hash", hash((pts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *points: Point2) -> "PointSet":
@@ -414,21 +499,20 @@ def _hull_of_point_set(ps: PointSet) -> ConvexPolygon:
     return convex_hull(ps.points)
 
 
-def _edge_directions(verts: Sequence[Point2]) -> tuple[list[tuple[int, int]], int]:
+def _edge_directions(ts: Sequence[Triple]) -> tuple[list[tuple[int, int]], int]:
     """Integer edge directions traversed CCW from the bottom vertex, and its index.
 
-    The bottom vertex is the lowest, then leftmost; from it a strictly
-    convex CCW boundary has its edge angles sorted in [0, 2*pi), and a
-    two-vertex segment gives an antiparallel pair.  A direction is the
-    edge vector scaled by the positive Wu*Wv.
+    The bottom vertex is the lowest, then leftmost: the smallest in (y, x)
+    order.  From it a strictly convex CCW boundary has its edge angles
+    sorted in [0, 2*pi), and a two-vertex segment gives an antiparallel
+    pair.  A direction is the edge vector scaled by the positive Wu*Wv.
     """
-    n = len(verts)
-    k = min(range(n), key=lambda i: (verts[i].y, verts[i].x))
-    ts = [_triple(verts[(k + i) % n]) for i in range(n)]
+    n = len(ts)
+    k = _lex_min([(y, x, w) for x, y, w in ts])
     dirs = []
     for i in range(n):
-        ux, uy, uw = ts[i]
-        vx, vy, vw = ts[(i + 1) % n]
+        ux, uy, uw = ts[(k + i) % n]
+        vx, vy, vw = ts[(k + i + 1) % n]
         dirs.append((vx * uw - ux * vw, vy * uw - uy * vw))
     return dirs, k
 
@@ -458,40 +542,40 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     sequences at once, so the output is already strictly convex and only
     needs rotating to its smallest vertex (a segment: ordering its ends).
     """
-    if p.is_empty or q.is_empty:
+    pt, qt = p._ts, q._ts
+    if not pt or not qt:
         raise ValueError("Minkowski sum requires non-empty polygons")
-    if p.is_point:
-        return q.translate(p.vertices[0])
-    if q.is_point:
-        return p.translate(q.vertices[0])
-    pv, qv = p.vertices, q.vertices
-    ep, i0 = _edge_directions(pv)
-    eq, j0 = _edge_directions(qv)
+    if len(pt) == 1:
+        return _translated(q, pt[0])
+    if len(qt) == 1:
+        return _translated(p, qt[0])
+    ep, i0 = _edge_directions(pt)
+    eq, j0 = _edge_directions(qt)
     np_, nq = len(ep), len(eq)
     out = []
     i = j = 0
     while i < np_ or j < nq:
-        out.append(pv[(i0 + i) % np_] + qv[(j0 + j) % nq])
+        out.append(_add(pt[(i0 + i) % np_], qt[(j0 + j) % nq]))
         cmp = 1 if i == np_ else -1 if j == nq else _angle_cmp(ep[i], eq[j])
         if cmp <= 0:
             i += 1
         if cmp >= 0:
             j += 1
-    k = min(range(len(out)), key=lambda m: _xy(out[m]))
-    return _raw_polygon(tuple(out[k:] + out[:k]))
+    k = _lex_min(out)
+    return _polygon(tuple(out[k:] + out[:k]))
 
 
-def _cut(verts: list[Vertex], plane: Triple) -> list[Vertex]:
-    """One half-plane cut of a boundary list of (triple, point or None) pairs.
+def _cut(verts: Sequence[Triple], plane: Triple) -> Sequence[Triple]:
+    """One half-plane cut of a boundary list of triples.
 
     A list of one entry is a point, of two a segment (one edge), of more a
     strictly convex CCW polygon.  Entries with non-negative slack are kept
     in order, and every edge whose ends have strictly opposite slack signs
-    adds its crossing point, whose Point2 is left as None.  The input list
-    itself is returned when nothing is cut.
+    adds its crossing point.  The input list itself is returned when
+    nothing is cut.
     """
     a, b, c = plane
-    slacks = [c * w - a * x - b * y for (x, y, w), _ in verts]
+    slacks = [c * w - a * x - b * y for x, y, w in verts]
     if min(slacks) >= 0:
         return verts
     if max(slacks) < 0:
@@ -507,7 +591,7 @@ def _cut(verts: list[Vertex], plane: Triple) -> list[Vertex]:
             j = i + 1 if i + 1 < n else 0
             sv = slacks[j]
             if (su > 0 > sv) or (su < 0 < sv):
-                out.append((_crossing(verts[i][0], verts[j][0], su, sv), None))
+                out.append(_crossing(verts[i], verts[j], su, sv))
     return out
 
 
@@ -522,8 +606,7 @@ def _crossing(u: Triple, v: Triple, su: int, sv: int) -> Triple:
     w = su * v[2] - sv * u[2]
     if w < 0:
         x, y, w = -x, -y, -w
-    g = math.gcd(x, y, w)
-    return x // g, y // g, w // g
+    return _normalised(x, y, w)
 
 
 def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
@@ -544,13 +627,11 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
 def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
     """polygon intersected with every half-plane, stopping once it is empty.
 
-    The polygon is converted to integer triples once and cut by every
-    plane in turn (see `clip`); kept input vertices keep their Point2, and
-    only the final polygon is converted back.  A polygon no plane cuts is
-    returned as it is.
+    The polygon's triples are cut by every plane in turn (see `clip`).  A
+    polygon no plane cuts is returned as it is.
     """
-    original = [(_triple(v), v) for v in polygon.vertices]
-    verts = original
+    original = polygon._ts
+    verts: Sequence[Triple] = original
     for plane in planes:
         if not verts:
             break
@@ -559,12 +640,8 @@ def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolyg
         return polygon
     if not verts:
         return EMPTY_POLYGON
-    pts = [p if p is not None else _point(t) for t, p in verts]
-    k = 0
-    for m in range(1, len(verts)):
-        if not _lex_le(verts[k][0], verts[m][0]):
-            k = m
-    return _raw_polygon(tuple(pts[k:] + pts[:k]))
+    k = _lex_min(verts)
+    return _polygon(tuple(verts[k:]) + tuple(verts[:k]))
 
 
 def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
@@ -631,9 +708,34 @@ def clip_to_cell(polygon: ConvexPolygon, point_set: PointSet, center: Point2) ->
     return clip_all(polygon, voronoi_cell(point_set, center))
 
 
+@lru_cache(maxsize=8192)
+def _scaled_points(ps: PointSet) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """L, the lcm of every coordinate denominator of ps, and each point times L."""
+    scale = math.lcm(*(q.denominator for p in ps.points for q in (p.x, p.y)))
+    return scale, tuple(
+        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+        for p in ps.points
+    )
+
+
 def project_point_set(point_set: PointSet, z: Point2) -> Point2:
-    """Closest point of a finite set, ties broken lexicographically."""
-    return min(point_set.points, key=lambda p: (dist2(p, z), p))
+    """Closest point of a finite set, ties broken lexicographically.
+
+    With the points scaled to integers (Xi, Yi) = L*pi and z = (zx, zy, zw),
+    |pi - z|^2 is ((Xi*zw - zx*L)^2 + (Yi*zw - zy*L)^2) / (L*zw)^2, one
+    positive factor for every point.  The points are sorted, and `min`
+    returns the first of equal keys, which is the lexicographically
+    smallest of the closest points.
+    """
+    scale, scaled = _scaled_points(point_set)
+    zx, zy, zw = _triple(z)
+    zx *= scale
+    zy *= scale
+    best = min(
+        range(len(scaled)),
+        key=lambda i: (scaled[i][0] * zw - zx) ** 2 + (scaled[i][1] * zw - zy) ** 2,
+    )
+    return point_set.points[best]
 
 
 def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:

@@ -41,6 +41,7 @@ from .geometry import (
     clip,
     clip_all,
     convex_hull,
+    hull_of_polygons,
     minkowski_sum,
     polygon_intersection,
     project_convex_polygon,
@@ -179,7 +180,8 @@ class GeometryInconsistencyError(RuntimeError):
 
 @lru_cache(maxsize=2048)
 def _finite_cells(point_set: PointSet) -> tuple[tuple[Point2, tuple[HalfPlane, ...]], ...]:
-    return tuple((c, tuple(voronoi_cell(point_set, c))) for c in point_set.points)
+    """(-c, the facet bisectors of cell(c)) for every site c."""
+    return tuple((-c, tuple(voronoi_cell(point_set, c))) for c in point_set.points)
 
 
 def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPolygon]:
@@ -192,10 +194,10 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPoly
     """
     if isinstance(feasible, PointSet):
         pieces = []
-        for center, planes in _finite_cells(feasible):
+        for offset, planes in _finite_cells(feasible):
             piece = clip_all(region, planes)
             if not piece.is_empty:
-                pieces.append(piece.translate(-center))
+                pieces.append(piece.translate(offset))
         return pieces
     return _convex_cell_pieces(feasible, region)
 
@@ -251,23 +253,19 @@ def _convex_cell_pieces(poly: ConvexPolygon, region: ConvexPolygon) -> list[Conv
 # ---------------------------------------------------------------------------
 
 
-def _hull_of_pieces(pieces: Sequence[ConvexPolygon]) -> ConvexPolygon:
-    return convex_hull(v for piece in pieces for v in piece.vertices)
-
-
 def apply_G_single(feasible: FeasibleSet, region: ConvexPolygon) -> ConvexPolygon:
     """One application of the perfect-prediction error-set operator."""
     if region.is_empty:
         raise ValueError("region must be non-empty")
     shifted = minkowski_sum(feasible_hull(feasible), region)
-    return _hull_of_pieces(cell_pieces(feasible, shifted))
+    return hull_of_polygons(cell_pieces(feasible, shifted))
 
 
 def apply_P_single(feasible: FeasibleSet, domain: ConvexPolygon) -> ConvexPolygon:
     """One application of the persistent-prediction modified-request operator."""
     if domain.is_empty:
         raise ValueError("domain must be non-empty")
-    inner = _hull_of_pieces(cell_pieces(feasible, domain))
+    inner = hull_of_polygons(cell_pieces(feasible, domain))
     return minkowski_sum(feasible_hull(feasible), inner)
 
 
@@ -281,21 +279,18 @@ def apply_G_collection(collection: Collection, region: ConvexPolygon) -> ConvexP
         raise ValueError("collection mode must be 'perfect'")
     if region.is_empty:
         raise ValueError("region must be non-empty")
-    gathered: list[Point2] = []
-    for member in collection.sets:
-        shifted = minkowski_sum(feasible_hull(member), region)
-        for piece in cell_pieces(member, shifted):
-            gathered.extend(piece.vertices)
-    return convex_hull(gathered)
+    return hull_of_polygons(
+        piece
+        for member in collection.sets
+        for piece in cell_pieces(member, minkowski_sum(feasible_hull(member), region))
+    )
 
 
 def apply_P_collection(collection: Collection, domain: ConvexPolygon) -> ConvexPolygon:
     """Convexified union of the per-set operator results (persistent mode)."""
     if collection.mode != "persistent":
         raise ValueError("collection mode must be 'persistent'")
-    return convex_hull(
-        v for member in collection.sets for v in apply_P_single(member, domain).vertices
-    )
+    return hull_of_polygons(apply_P_single(member, domain) for member in collection.sets)
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:

@@ -1,12 +1,13 @@
 """Reference kernel: the exact 2-D algorithms written over `Fraction` coordinates.
 
-This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`
-and polygon containment that `errdiff.geometry` runs on integer
-homogeneous triples.  Only the tests import it, as an oracle: every
-function here must return exactly what its counterpart in the package
-returns.  Of the package it uses the value types, their Fraction
-arithmetic and `orient`, and it builds its polygons with the validating
-`ConvexPolygon` constructor.
+This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`,
+translation and polygon containment that `errdiff.geometry` runs on
+integer homogeneous triples, and of one collection-operator step
+(`cell_pieces`, `apply_collection`) assembled from them.  Only the tests
+import it, as an oracle: every function here must return exactly what its
+counterpart in the package returns.  Of the package it uses the value
+types, their Fraction arithmetic, `orient` and `voronoi_cell`, and it
+builds its polygons with the validating `ConvexPolygon` constructor.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from errdiff.geometry import EMPTY_POLYGON, ConvexPolygon, HalfPlane, Point2, orient
+from errdiff.geometry import (
+    EMPTY_POLYGON,
+    ORIGIN,
+    ConvexPolygon,
+    HalfPlane,
+    Point2,
+    PointSet,
+    orient,
+    voronoi_cell,
+)
+from errdiff.operators import Collection
 
 
 def cross(u: Point2, v: Point2) -> Fraction:
@@ -214,3 +225,62 @@ def contains_point(polygon: ConvexPolygon, p: Point2) -> bool:
 
 def contains_polygon(polygon: ConvexPolygon, other: ConvexPolygon) -> bool:
     return all(contains_point(polygon, v) for v in other.vertices)
+
+
+def translate(polygon: ConvexPolygon, d: Point2) -> ConvexPolygon:
+    return ConvexPolygon(tuple(v + d for v in polygon.vertices))
+
+
+def _hull_of_union(polygons: Iterable[ConvexPolygon]) -> ConvexPolygon:
+    return convex_hull(v for polygon in polygons for v in polygon.vertices)
+
+
+def _feasible_hull(feasible) -> ConvexPolygon:
+    return convex_hull(feasible.points) if isinstance(feasible, PointSet) else feasible
+
+
+def cell_pieces(feasible, region: ConvexPolygon) -> list[ConvexPolygon]:
+    """The pieces (region ∩ cell(c)) - c of `errdiff.operators.cell_pieces`."""
+    if isinstance(feasible, PointSet):
+        pieces = [(clip_all(region, voronoi_cell(feasible, c)), c) for c in feasible.points]
+        return [translate(piece, -c) for piece, c in pieces if not piece.is_empty]
+    verts = feasible.vertices
+    if len(verts) == 1:
+        return [translate(region, -verts[0])]
+    pieces = []
+    if len(verts) == 2:
+        u, w = verts
+        d = w - u
+        pieces.append(clip(translate(region, -u), HalfPlane(d.x, d.y, 0)))
+        pieces.append(clip(translate(region, -w), HalfPlane(-d.x, -d.y, 0)))
+        swept = minkowski_sum(region, segment(-u, -w))
+        pieces.append(clip_all(swept, [HalfPlane(d.x, d.y, 0), HalfPlane(-d.x, -d.y, 0)]))
+    else:
+        n = len(verts)
+        normals = [Point2(verts[(i + 1) % n].y - verts[i].y, verts[i].x - verts[(i + 1) % n].x) for i in range(n)]
+        for i in range(n):
+            n_in, n_out = normals[i - 1], normals[i]
+            cone = [HalfPlane(n_in.y, -n_in.x, 0), HalfPlane(-n_out.y, n_out.x, 0)]
+            pieces.append(clip_all(translate(region, -verts[i]), cone))
+        for i in range(n):
+            nrm = normals[i]
+            swept = minkowski_sum(region, segment(-verts[i], -verts[(i + 1) % n]))
+            ray = [HalfPlane(-nrm.y, nrm.x, 0), HalfPlane(nrm.y, -nrm.x, 0), HalfPlane(-nrm.x, -nrm.y, 0)]
+            pieces.append(clip_all(swept, ray))
+    if not clip_all(feasible, region.half_planes()).is_empty:
+        pieces.append(ConvexPolygon((ORIGIN,)))
+    return [p for p in pieces if not p.is_empty]
+
+
+def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
+    """One step of the perfect or persistent collection operator."""
+    if collection.mode == "perfect":
+        return _hull_of_union(
+            piece
+            for member in collection.sets
+            for piece in cell_pieces(member, minkowski_sum(_feasible_hull(member), region))
+        )
+    return _hull_of_union(
+        minkowski_sum(_feasible_hull(member), _hull_of_union(cell_pieces(member, region)))
+        for member in collection.sets
+    )

@@ -237,9 +237,12 @@ class TestVerify:
         assert rows[1][0] == "grid8-one-iteration"
         assert rows[1][3] == "pass"
 
-    def test_unknown_check_rejected(self):
-        with pytest.raises(ValueError):
-            main(["verify", "--only", "bogus"])
+    def test_unknown_check_rejected(self, capsys):
+        assert main(["verify", "--only", "bogus"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("errdiff: error: --only: unknown checks: ['bogus']")
+        assert captured.out == ""
 
     def test_list_checks(self, capsys):
         assert main(["verify", "--list"]) == 0

@@ -412,6 +412,25 @@ class TestProjection:
         assert brute == pt(5, -1)
         assert project_point_set(grid8, z) == pt(5, -1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points,
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4),
+        st.lists(points, max_size=4),
+        st.fractions(min_value=Fraction(1, 10**30), max_value=10**30),
+        points,
+    )
+    @example(pt(1, 0), [(1, 0), (0, 1)], [], Fraction(1), pt(1, 0))  # four equidistant
+    def test_equals_brute_force_with_ties(self, z, offsets, extra, scale, probe):
+        # Each offset also appears turned by 90 degrees, so sites tie around z.
+        sites = [z + Point2(a, b) * scale for a, b in offsets]
+        sites += [z + Point2(-b, a) * scale for a, b in offsets]
+        ps = PointSet(tuple(sites + extra))
+        assert hash(ps) == hash(PointSet(tuple(reversed(ps.points))))
+        for target in (z, probe):
+            brute = min(ps.points, key=lambda p: (dist2(p, target), p))
+            assert project_point_set(ps, target) == brute
+
     def test_polygon_inside_point_fixed(self, unit_square):
         assert project_convex_polygon(unit_square, pt("1/3", "2/3")) == pt("1/3", "2/3")
 

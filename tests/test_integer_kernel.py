@@ -1,5 +1,9 @@
 """The integer-triple kernel of errdiff.geometry against the Fraction oracle.
 
+Polygons carry their integer triples, so besides the kernel functions the
+tests cover polygons built from triples, translation, the hull of a union
+of polygons and one whole collection-operator step.
+
 Every input is a small rational configuration, which keeps the
 degeneracies that matter (duplicates, collinear points, parallel edges,
 cut lines through vertices and along edges), mapped by x -> off + s*x with
@@ -19,16 +23,20 @@ from errdiff.geometry import (
     ConvexPolygon,
     HalfPlane,
     Point2,
+    PointSet,
     _orient3,
     _point,
+    _polygon,
     _triple,
     clip,
     clip_all,
     convex_hull,
+    hull_of_polygons,
     minkowski_sum,
     orient,
     segment,
 )
+from errdiff.operators import MODES, Collection, apply_collection
 
 from conftest import pt
 
@@ -118,11 +126,64 @@ class TestOrientation:
         assert sign(_orient3(_triple(a), _triple(b), _triple(c))) == sign(orient(a, b, c))
 
 
+class TestRepresentation:
+    @settings(max_examples=100, deadline=None)
+    @given(point_lists())
+    def test_polygon_from_triples_equals_polygon_from_points(self, pts):
+        validated = oracle.convex_hull(pts)
+        lazy = _polygon(tuple(_triple(v) for v in validated.vertices))
+        assert lazy == validated
+        assert hash(lazy) == hash(validated)
+        assert lazy.vertices == validated.vertices
+
+    def test_different_polygons_differ(self):
+        assert _polygon(SQUARE._ts[:3]) != SQUARE
+        assert SQUARE.translate(pt(0, Fraction(1, 3))) != SQUARE
+
+
+offsets = st.one_of(
+    st.builds(Point2, st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200)),
+    st.builds(Point2, big, big),
+    st.builds(Point2, small, big),
+    st.builds(Point2, small, small),
+)
+
+
+class TestTranslate:
+    @settings(max_examples=100, deadline=None)
+    @given(point_lists(), offsets)
+    @example([pt(Fraction(1, 2), Fraction(1, 3)), pt(1, 0)], pt(Fraction(1, 2), Fraction(2, 3)))
+    def test_equals_oracle(self, pts, d):
+        region = convex_hull(pts)
+        got = region.translate(d)
+        assert got == oracle.translate(region, d)
+        for x, y, w in got._ts:
+            assert w > 0 and gcd(x, y, w) == 1
+
+
+@st.composite
+def overlapping_polygons(draw):
+    """Hulls of overlapping sublists of one point list, so vertices repeat across polygons."""
+    pts = draw(point_lists(min_size=1, max_size=9))
+    chunks = st.lists(st.sampled_from(pts), min_size=1, max_size=5)
+    return [convex_hull(chunk) for chunk in draw(st.lists(chunks, min_size=1, max_size=4))]
+
+
 class TestConvexHull:
     @settings(max_examples=100, deadline=None)
     @given(point_lists(min_size=1, max_size=9))
+    @example([pt(1, 1), pt(1, 1)])  # one distinct point, repeated
+    @example([pt(0, 1), pt(0, 0), pt(0, 2), pt(0, 1)])  # vertical, with a repeat
     def test_equals_oracle(self, pts):
         assert convex_hull(pts) == oracle.convex_hull(pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(overlapping_polygons())
+    @example([ConvexPolygon((pt(1, 1),)), ConvexPolygon((pt(1, 1),))])
+    @example([segment(pt(0, 0), pt(0, 2)), segment(pt(0, 1), pt(0, 3)), ConvexPolygon((pt(0, 1),))])
+    def test_hull_of_polygons_equals_oracle(self, polygons):
+        expected = oracle.convex_hull(v for p in polygons for v in p.vertices)
+        assert hull_of_polygons(polygons) == expected
 
 
 class TestClip:
@@ -202,3 +263,30 @@ class TestContainment:
         p, q = convex_hull(pa), convex_hull(pb)
         for outer, inner in ((p, q), (q, p), (p, p), (minkowski_sum(p, q), q)):
             assert outer.contains_polygon(inner) == oracle.contains_polygon(outer, inner)
+
+
+@st.composite
+def collections(draw):
+    """1-3 point-set or convex members of small rational points under one large map."""
+    f = draw(affine_maps())
+    members = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pts = [f(p) for p in draw(st.lists(small_points, min_size=1, max_size=5))]
+        members.append(PointSet(tuple(pts)) if draw(st.booleans()) else convex_hull(pts))
+    return Collection(tuple(members), draw(st.sampled_from(MODES)))
+
+
+RING = PointSet.from_coords([(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)])
+TRIANGLE = convex_hull([pt(0, 0), pt(2, -1), pt(2, 1)])
+
+
+class TestOperatorStep:
+    @settings(max_examples=60, deadline=None)
+    @given(collections(), point_lists(max_size=5))
+    @example(Collection((RING,), "perfect"), [pt(0, 0), pt(1, 0), pt(0, 1)])
+    @example(Collection((RING, TRIANGLE), "persistent"), [pt(0, 0), pt(1, 0), pt(0, 1)])
+    @example(Collection((segment(pt(0, 0), pt(1, 1)), RING), "perfect"), [pt(0, 0)])
+    @example(Collection((ConvexPolygon((pt(1, 0),)), TRIANGLE), "persistent"), [pt(3, 3), pt(-1, 2)])
+    def test_apply_collection_equals_oracle(self, collection, pts):
+        region = convex_hull(pts)
+        assert apply_collection(collection, region) == oracle.apply_collection(collection, region)
