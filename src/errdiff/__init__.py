@@ -34,11 +34,9 @@ from .operators import (
     IterationResult,
     MonotoneFamilyReport,
     RoundingEvent,
-    apply_G_collection,
-    apply_G_single,
-    apply_P_collection,
-    apply_P_single,
+    apply_collection,
     apply_g_interval,
+    apply_member,
     check_invariance,
     conditional_round,
     iterate_1d,

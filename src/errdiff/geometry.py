@@ -89,9 +89,6 @@ class Point2:
         """Squared Euclidean norm."""
         return self.x * self.x + self.y * self.y
 
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.x), float(self.y)
-
 
 def _pt(x: Fraction, y: Fraction) -> Point2:
     """Internal fast constructor for coordinates already known to be exact."""
@@ -280,11 +277,6 @@ class ConvexPolygon:
             _setattr(self, "_verts", verts)
         return verts
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point2]) -> "ConvexPolygon":
-        """Convex hull of arbitrary points, in canonical form."""
-        return convex_hull(points)
-
     @property
     def is_empty(self) -> bool:
         return not self._ts
@@ -292,10 +284,6 @@ class ConvexPolygon:
     @property
     def is_point(self) -> bool:
         return len(self._ts) == 1
-
-    @property
-    def is_segment(self) -> bool:
-        return len(self._ts) == 2
 
     def edges(self) -> Iterator[tuple[Point2, Point2]]:
         """Directed boundary edges; a segment yields its single edge once."""

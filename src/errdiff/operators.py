@@ -1,16 +1,31 @@
 """Set operators for accumulated-error dynamics and their fixed-point iteration.
 
-Two pairs of operators are provided, one per prediction discipline:
+Each feasible set S has one operator per prediction discipline:
 
 * perfect prediction: the error-set operator maps a region Q through
-  ``ch( U_c ((ch S + Q) ∩ cell(c)) - c )`` for each feasible set S,
+  ``ch( U_c ((ch S + Q) ∩ cell(c)) - c )``,
 * persistent prediction: the modified-request operator maps a region D
   through ``ch( ch S + U_c ((D ∩ cell(c)) - c) )``,
 
-where ``cell(c)`` is the Voronoi cell of c with respect to S.  Feasible sets
-may be finite point sets or continuous convex polygons; for polygons the
-cells are handled analytically (singleton cells for interior points, normal
-rays for facet points, normal cones for vertices).
+where ``cell(c)`` is the Voronoi cell of c with respect to S.
+`apply_member` applies one of them and `apply_collection` the convexified
+union over a collection's sets.
+
+Feasible sets may be finite point sets or continuous convex polygons.
+Either way S has a cached list of cells, each a pair (sweep, planes) whose
+piece of a region R is ``(R + sweep) ∩ planes``; `cell_pieces` returns
+them, and their union is ``U_c ((R ∩ cell(c)) - c)``:
+
+* a site c of a point set: the point -c, and the facet bisectors of
+  cell(c) shifted by -c;
+* a vertex v of a polygon, a point member or a segment end: the point -v,
+  and the normal cone at v moved to the origin (no plane for a point, one
+  for a segment end);
+* an edge [u, w]: the segment [-u, -w], and the normal line through the
+  origin, cut to its outer ray for a polygon;
+* the interior points of a member with two or more vertices (their cells
+  are singletons): the reflected member -S, and the point 0, so the piece
+  is {0} exactly when S meets R.
 
 Iterating either collection operator from a seed grows a monotone chain of
 convex polygons whose limit is the minimal (convex) invariant set; the
@@ -28,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .geometry import (
     ORIGIN,
@@ -38,13 +53,10 @@ from .geometry import (
     PointSet,
     RationalLike,
     as_fraction,
-    clip,
     clip_all,
     convex_hull,
     hull_of_polygons,
     minkowski_sum,
-    polygon_intersection,
-    project_convex_polygon,
     segment,
     voronoi_cell,
 )
@@ -177,75 +189,61 @@ class GeometryInconsistencyError(RuntimeError):
 # Voronoi-cell pieces
 # ---------------------------------------------------------------------------
 
+Cell = tuple[ConvexPolygon, tuple[HalfPlane, ...]]
+
+# The point 0 as half-planes: a sweep clipped by them is {0} or empty.
+_ORIGIN_PLANES = tuple(ConvexPolygon((ORIGIN,)).half_planes())
+
 
 @lru_cache(maxsize=2048)
-def _finite_cells(point_set: PointSet) -> tuple[tuple[Point2, tuple[HalfPlane, ...]], ...]:
-    """(-c, the facet bisectors of cell(c)) for every site c."""
-    return tuple((-c, tuple(voronoi_cell(point_set, c))) for c in point_set.points)
+def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
+    """(sweep, planes) for every cell type of member; see the module docstring."""
+    if isinstance(member, PointSet):
+        # A bisector a.p <= b shifted by -c is a.p <= b - a.c, its slack at c.
+        return tuple(
+            (
+                ConvexPolygon((-c,)),
+                tuple(HalfPlane(h.a, h.b, h.slack(c)) for h in voronoi_cell(member, c)),
+            )
+            for c in member.points
+        )
+    verts = member.vertices
+    if not verts:
+        raise ValueError("feasible set must be non-empty")
+    n = len(verts)
+    # Edge i runs from verts[i] to verts[i + 1]: a segment has one, a polygon n.
+    steps = [verts[(i + 1) % n] - verts[i] for i in range(n if n > 2 else n - 1)]
+    cells: list[Cell] = []
+    for i, v in enumerate(verts):
+        # The normal cone of v: behind its outgoing edge, ahead of its incoming one.
+        cone = []
+        if i < len(steps):
+            cone.append(HalfPlane(steps[i].x, steps[i].y, 0))
+        if n > 2 or i > 0:
+            cone.append(HalfPlane(-steps[i - 1].x, -steps[i - 1].y, 0))
+        cells.append((ConvexPolygon((-v,)), tuple(cone)))
+    for i, d in enumerate(steps):
+        # The normal line through the edge's points; a polygon keeps its outer ray.
+        strip = (HalfPlane(d.x, d.y, 0), HalfPlane(-d.x, -d.y, 0))
+        if n > 2:
+            strip += (HalfPlane(-d.y, d.x, 0),)
+        cells.append((segment(-verts[i], -verts[(i + 1) % n]), strip))
+    if n > 1:
+        cells.append((convex_hull(-v for v in verts), _ORIGIN_PLANES))
+    return tuple(cells)
 
 
 def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPolygon]:
-    """Convex pieces whose union is { (region ∩ cell(c)) - c : c in S }.
+    """The non-empty convex pieces (region + sweep) ∩ planes over the cells of S.
 
-    For a finite set this is one clipped piece per site.  For a continuous
-    convex set the union is assembled from the three cell types: vertex
-    normal cones, facet normal rays swept along the facet, and the origin
-    whenever the set meets the region (interior points have singleton cells).
+    Their union is { (region ∩ cell(c)) - c : c in S }.
     """
-    if isinstance(feasible, PointSet):
-        pieces = []
-        for offset, planes in _finite_cells(feasible):
-            piece = clip_all(region, planes)
-            if not piece.is_empty:
-                pieces.append(piece.translate(offset))
-        return pieces
-    return _convex_cell_pieces(feasible, region)
-
-
-def _convex_cell_pieces(poly: ConvexPolygon, region: ConvexPolygon) -> list[ConvexPolygon]:
-    verts = poly.vertices
-    if not verts:
-        raise ValueError("feasible set must be non-empty")
-    if len(verts) == 1:
-        return [region.translate(-verts[0])]
-
-    pieces: list[ConvexPolygon] = []
-
-    if len(verts) == 2:
-        u, w = verts
-        d = w - u
-        # Endpoint cells are half-planes behind each endpoint.
-        pieces.append(clip(region.translate(-u), HalfPlane(d.x, d.y, 0)))
-        pieces.append(clip(region.translate(-w), HalfPlane(-d.x, -d.y, 0)))
-        # Interior cells are perpendicular lines; swept along the segment
-        # they contribute (region + (-segment)) restricted to d·p = 0.
-        swept = minkowski_sum(region, segment(-u, -w))
-        line = clip(clip(swept, HalfPlane(d.x, d.y, 0)), HalfPlane(-d.x, -d.y, 0))
-        pieces.append(line)
-    else:
-        n = len(verts)
-        normals = []
-        for i in range(n):
-            d = verts[(i + 1) % n] - verts[i]
-            normals.append(Point2(d.y, -d.x))
-        for i in range(n):
-            v = verts[i]
-            n_in = normals[i - 1]
-            n_out = normals[i]
-            cone_a = HalfPlane(n_in.y, -n_in.x, 0)
-            cone_b = HalfPlane(-n_out.y, n_out.x, 0)
-            pieces.append(clip(clip(region.translate(-v), cone_a), cone_b))
-        for i in range(n):
-            u, w = verts[i], verts[(i + 1) % n]
-            nrm = normals[i]
-            swept = minkowski_sum(region, segment(-u, -w))
-            ray = clip(clip(swept, HalfPlane(-nrm.y, nrm.x, 0)), HalfPlane(nrm.y, -nrm.x, 0))
-            ray = clip(ray, HalfPlane(-nrm.x, -nrm.y, 0))
-            pieces.append(ray)
-
-    if not polygon_intersection(poly, region).is_empty:
-        pieces.append(ConvexPolygon((ORIGIN,)))
-    return [p for p in pieces if not p.is_empty]
+    pieces = []
+    for sweep, planes in _cells(feasible):
+        piece = clip_all(minkowski_sum(region, sweep), planes)
+        if not piece.is_empty:
+            pieces.append(piece)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -253,56 +251,36 @@ def _convex_cell_pieces(poly: ConvexPolygon, region: ConvexPolygon) -> list[Conv
 # ---------------------------------------------------------------------------
 
 
-def apply_G_single(feasible: FeasibleSet, region: ConvexPolygon) -> ConvexPolygon:
-    """One application of the perfect-prediction error-set operator."""
+def _member_pieces(
+    member: FeasibleSet, region: ConvexPolygon, mode: Mode
+) -> Iterator[ConvexPolygon]:
+    """Polygons whose hull is the image of region under member's operator."""
     if region.is_empty:
         raise ValueError("region must be non-empty")
-    shifted = minkowski_sum(feasible_hull(feasible), region)
-    return hull_of_polygons(cell_pieces(feasible, shifted))
+    if mode == "perfect":
+        yield from cell_pieces(member, minkowski_sum(feasible_hull(member), region))
+    elif mode == "persistent":
+        yield minkowski_sum(feasible_hull(member), hull_of_polygons(cell_pieces(member, region)))
+    else:
+        raise ValueError(f"mode must be one of {MODES}")
 
 
-def apply_P_single(feasible: FeasibleSet, domain: ConvexPolygon) -> ConvexPolygon:
-    """One application of the persistent-prediction modified-request operator."""
-    if domain.is_empty:
-        raise ValueError("domain must be non-empty")
-    inner = hull_of_polygons(cell_pieces(feasible, domain))
-    return minkowski_sum(feasible_hull(feasible), inner)
-
-
-def apply_G_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
-    """Convexified union of the per-set operator results (perfect mode).
-
-    Computed as one hull over all cell pieces of all member sets, which
-    equals the hull of the per-set hulls.
-    """
-    if collection.mode != "perfect":
-        raise ValueError("collection mode must be 'perfect'")
-    if region.is_empty:
-        raise ValueError("region must be non-empty")
-    return hull_of_polygons(
-        piece
-        for member in collection.sets
-        for piece in cell_pieces(member, minkowski_sum(feasible_hull(member), region))
-    )
-
-
-def apply_P_collection(collection: Collection, domain: ConvexPolygon) -> ConvexPolygon:
-    """Convexified union of the per-set operator results (persistent mode)."""
-    if collection.mode != "persistent":
-        raise ValueError("collection mode must be 'persistent'")
-    return hull_of_polygons(apply_P_single(member, domain) for member in collection.sets)
+def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
+    """One application of a single feasible set's operator in the given mode."""
+    return hull_of_polygons(_member_pieces(member, region, mode))
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
-    if collection.mode == "perfect":
-        return apply_G_collection(collection, region)
-    return apply_P_collection(collection, region)
+    """Convexified union of the per-set operator results.
 
-
-def apply_single(collection: Collection, feasible: FeasibleSet, region: ConvexPolygon) -> ConvexPolygon:
-    if collection.mode == "perfect":
-        return apply_G_single(feasible, region)
-    return apply_P_single(feasible, region)
+    Computed as one hull over the pieces of every member, which equals the
+    hull of the per-set hulls.
+    """
+    return hull_of_polygons(
+        piece
+        for member in collection.sets
+        for piece in _member_pieces(member, region, collection.mode)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +386,7 @@ def iterate_to_invariance(
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
-    current = convex_hull(seed.vertices)
+    current = seed
     events: list[RoundingEvent] = []
     hashes = [_digest(current)]
     seen = set(hashes)
@@ -468,7 +446,7 @@ def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:
     if candidate.is_empty:
         raise ValueError("candidate must be non-empty")
     return all(
-        candidate.contains_polygon(apply_single(collection, member, candidate))
+        candidate.contains_polygon(apply_member(member, candidate, collection.mode))
         for member in collection.sets
     )
 
@@ -542,33 +520,15 @@ class MonotoneFamilyReport:
     reason: str = ""
 
 
-def _sample_grid(poly: ConvexPolygon) -> list[Point2]:
-    verts = poly.vertices
-    if not verts:
-        raise ValueError("cannot sample an empty polygon")
-    samples = list(verts)
-    half = Fraction(1, 2)
-    for u, w in poly.edges():
-        samples.append((u + w) * half)
-    if len(verts) >= 3:
-        inv = Fraction(1, len(verts))
-        centroid = Point2(
-            sum((v.x for v in verts), Fraction(0)) * inv,
-            sum((v.y for v in verts), Fraction(0)) * inv,
-        )
-        samples.append(centroid)
-        samples.extend((centroid + v) * half for v in verts)
-    return sorted(set(samples))
-
-
 def verify_monotone_family(family: Sequence[ConvexPolygon]) -> MonotoneFamilyReport:
     """Check the sufficient conditions under which the largest member of a
     nested family of convex sets is invariant for the persistent dynamics.
 
     The family must be totally ordered by inclusion, and for each member S
-    the sampled condition ``x + y - proj_S(y) in S_max`` must hold for grid
-    points x of S and y of S_max.  Membership tests are exact; the grid is
-    a finite proxy for the universally quantified condition.
+    the closure condition ``x + y - proj_S(y) in S_max`` must hold for all
+    x in S and y in S_max.  The persistent operator of S maps S_max to the
+    hull of exactly these points, so the condition is checked exactly as
+    the persistent-mode invariance of S_max under the family.
     """
     members = list(family)
     if not members:
@@ -584,13 +544,6 @@ def verify_monotone_family(family: Sequence[ConvexPolygon]) -> MonotoneFamilyRep
     for m in members[1:]:
         if m.contains_polygon(largest):
             largest = m
-    outer_grid = _sample_grid(largest)
-    for member in members:
-        projections = [(y, project_convex_polygon(member, y)) for y in outer_grid]
-        for x in _sample_grid(member):
-            for y, proj in projections:
-                if not largest.contains_point(x + y - proj):
-                    return MonotoneFamilyReport(
-                        False, None, "closure condition fails on the sample grid"
-                    )
+    if not check_invariance(Collection(tuple(members), "persistent"), largest):
+        return MonotoneFamilyReport(False, None, "closure condition fails")
     return MonotoneFamilyReport(True, largest, "")

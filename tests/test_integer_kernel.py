@@ -36,7 +36,7 @@ from errdiff.geometry import (
     orient,
     segment,
 )
-from errdiff.operators import MODES, Collection, apply_collection
+from errdiff.operators import MODES, Collection, apply_collection, apply_member
 
 from conftest import pt
 
@@ -287,6 +287,16 @@ class TestOperatorStep:
     @example(Collection((RING, TRIANGLE), "persistent"), [pt(0, 0), pt(1, 0), pt(0, 1)])
     @example(Collection((segment(pt(0, 0), pt(1, 1)), RING), "perfect"), [pt(0, 0)])
     @example(Collection((ConvexPolygon((pt(1, 0),)), TRIANGLE), "persistent"), [pt(3, 3), pt(-1, 2)])
+    @example(Collection((ConvexPolygon((pt(1, 0),)),), "perfect"), [pt(0, 0), pt(2, 1)])
+    @example(Collection((segment(pt(0, 0), pt(2, 1)),), "persistent"), [pt(1, 1), pt(3, 0), pt(0, -2)])
+    # The region meets the triangle only at its vertex (0, 0), or lies inside it.
+    @example(Collection((TRIANGLE,), "persistent"), [pt(0, 0), pt(-1, 1), pt(-1, -1)])
+    @example(Collection((TRIANGLE,), "persistent"), [pt(1, 0)])
     def test_apply_collection_equals_oracle(self, collection, pts):
+        """One collection step, and each member's own operator, against the oracle."""
         region = convex_hull(pts)
+        mode = collection.mode
         assert apply_collection(collection, region) == oracle.apply_collection(collection, region)
+        for member in collection.sets:
+            want = oracle.apply_collection(Collection((member,), mode), region)
+            assert apply_member(member, region, mode) == want

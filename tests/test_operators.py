@@ -17,11 +17,9 @@ from errdiff.intervals import IntervalUnion
 from errdiff.operators import (
     Collection,
     IterationConfig,
-    apply_G_collection,
-    apply_G_single,
-    apply_P_collection,
-    apply_P_single,
+    apply_collection,
     apply_g_interval,
+    apply_member,
     check_invariance,
     conditional_round,
     iterate_1d,
@@ -59,11 +57,11 @@ class TestApplyGSingle:
     def test_singleton_site_returns_region(self):
         s = PointSet.of(pt(5, -2))
         region = poly((0, 0), (1, 0), (0, 1))
-        assert apply_G_single(s, region) == region
+        assert apply_member(s, region, "perfect") == region
 
     def test_two_point_set_halves_into_segment(self):
         s = PointSet.of(pt(-1, 0), pt(1, 0))
-        got = apply_G_single(s, ORIGIN_POLY)
+        got = apply_member(s, ORIGIN_POLY, "perfect")
         # hand evaluation: both cell pieces recenter to [0,1] and [-1,0]
         assert got == poly((-1, 0), (1, 0))
         # cross-check with the exact 1D engine
@@ -72,26 +70,26 @@ class TestApplyGSingle:
         assert (lo, hi) == (Fraction(-1), Fraction(1))
 
     def test_grid8_fixed_after_one_application(self, grid8):
-        first = apply_G_single(grid8, ORIGIN_POLY)
-        second = apply_G_single(grid8, first)
+        first = apply_member(grid8, ORIGIN_POLY, "perfect")
+        second = apply_member(grid8, first, "perfect")
         assert first == second
 
     def test_continuum_polygon_member(self, unit_square):
         # a convex-set member: image must still contain the region
-        got = apply_G_single(unit_square, ORIGIN_POLY)
+        got = apply_member(unit_square, ORIGIN_POLY, "perfect")
         assert got.contains_point(ORIGIN)
 
     @settings(max_examples=40, deadline=None)
     @given(point_sets, regions)
     def test_extensivity(self, sites, region):
-        assert apply_G_single(sites, region).contains_polygon(region)
+        assert apply_member(sites, region, "perfect").contains_polygon(region)
 
     @settings(max_examples=30, deadline=None)
     @given(point_sets, regions, st.lists(points, max_size=3))
     def test_monotonicity(self, sites, region, extra):
         bigger = convex_hull(tuple(region.vertices) + tuple(extra))
-        small_img = apply_G_single(sites, region)
-        big_img = apply_G_single(sites, bigger)
+        small_img = apply_member(sites, region, "perfect")
+        big_img = apply_member(sites, bigger, "perfect")
         assert big_img.contains_polygon(small_img)
 
 
@@ -99,48 +97,50 @@ class TestApplyGCollection:
     def test_singleton_collection_equals_single(self, grid8):
         col = Collection((grid8,), "perfect")
         region = poly((0, 0), (1, 1), (0, 1))
-        assert apply_G_collection(col, region) == apply_G_single(grid8, region)
+        assert apply_collection(col, region) == apply_member(grid8, region, "perfect")
 
     def test_duplicate_members_are_idempotent(self, grid8):
         col = Collection((grid8, grid8), "perfect")
         region = poly((0, 0), (1, 1), (0, 1))
-        assert apply_G_collection(col, region) == apply_G_single(grid8, region)
+        assert apply_collection(col, region) == apply_member(grid8, region, "perfect")
 
-    def test_mode_mismatch_rejected(self, grid8):
+    def test_unknown_mode_rejected(self, grid8):
         with pytest.raises(ValueError):
-            apply_G_collection(Collection((grid8,), "persistent"), ORIGIN_POLY)
+            apply_member(grid8, ORIGIN_POLY, "bogus")
+        with pytest.raises(ValueError):
+            Collection((grid8,), "bogus")
 
 
 class TestApplyP:
     def test_point_set_and_domain_at_site(self):
         c = pt(2, 1)
         s = PointSet.of(c)
-        assert apply_P_single(s, ConvexPolygon((c,))) == ConvexPolygon((c,))
+        assert apply_member(s, ConvexPolygon((c,)), "persistent") == ConvexPolygon((c,))
 
     @settings(max_examples=40, deadline=None)
     @given(point_sets, regions)
     def test_extensivity(self, sites, domain):
-        assert apply_P_single(sites, domain).contains_polygon(domain)
+        assert apply_member(sites, domain, "persistent").contains_polygon(domain)
 
     def test_pv_triangle_family_fixed_point(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
         full = pv_triangle(params, 1)
         for cap in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
             member = pv_triangle(params, cap)
-            assert apply_P_single(member, full) == full
+            assert apply_member(member, full, "persistent") == full
 
     def test_pv_segment_family_fixed_point(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(0))
         full = pv_triangle(params, 1)
         for cap in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            assert apply_P_single(pv_triangle(params, cap), full) == full
+            assert apply_member(pv_triangle(params, cap), full, "persistent") == full
 
     def test_continuum_image_matches_definitional_sampling(self, unit_square):
         # oracle: z in domain maps to z - proj(z) + s for all s in the member;
         # all such witnesses must land inside the computed convex image
         member = poly((0, 0), (2, 0), (2, 2), (0, 2))
         domain = poly((-1, -1), (3, -1), (3, 3), (-1, 3))
-        image = apply_P_single(member, domain)
+        image = apply_member(member, domain, "persistent")
         rng = random.Random(3)
         for _ in range(80):
             z = pt(Fraction(rng.randint(-4, 12), 4), Fraction(rng.randint(-4, 12), 4))
@@ -157,10 +157,9 @@ class TestApplyP:
         b = PointSet.of(pt(0, 0), pt(0, 2))
         col = Collection((a, b), "persistent")
         domain = ORIGIN_POLY
-        merged = apply_P_collection(col, domain)
-        assert merged == convex_hull(
-            tuple(apply_P_single(a, domain).vertices) + tuple(apply_P_single(b, domain).vertices)
-        )
+        merged = apply_collection(col, domain)
+        images = (apply_member(m, domain, "persistent") for m in (a, b))
+        assert merged == convex_hull(v for image in images for v in image.vertices)
 
 
 class TestConditionalRound:
