@@ -12,14 +12,8 @@ from fractions import Fraction
 
 from errdiff.geometry import Point2
 from errdiff.resources import HeaterParams, HeaterState, heater_error_bound
-from errdiff.simulate import (
-    CentralPolicy,
-    HeaterSpec,
-    QuadraticCost,
-    Scenario,
-    emit_plot_data,
-    run_scenario,
-)
+from errdiff.serialize import emit_plot_data
+from errdiff.simulate import CentralPolicy, HeaterSpec, QuadraticCost, Scenario, run_scenario
 
 P_HEAT = Fraction(15000)
 

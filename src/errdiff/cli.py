@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
 
 from .geometry import ConvexPolygon, Point2, as_fraction
 from .operators import Collection, iterate_to_invariance
 from .serialize import (
-    iteration_result_to_json,
+    emit_plot_data,
     load_collection,
     load_scenario,
-    metrics_to_json,
     parse_iteration_config,
+    write_iteration_result,
+    write_simulation,
 )
-from .simulate import emit_plot_data, run_scenario
+from .simulate import run_scenario
 from .verify import CHECKS, run_checks
 
 
@@ -125,7 +125,7 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     for v in result.invariant_set.vertices:
         print(f"  {v.x} {v.y}")
     if args.out:
-        Path(args.out).write_text(json.dumps(iteration_result_to_json(result), indent=2))
+        write_iteration_result(args.out, result)
     return 0 if result.converged else 2
 
 
@@ -134,29 +134,20 @@ def _run_scenario_from_args(args: argparse.Namespace):
         scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
+    with _reading("--no-diffusion"):
+        unknown = set(args.no_diffusion) - {r.resource_id for r in scenario.resources}
+        if unknown:
+            raise ValueError(f"unknown resources: {', '.join(sorted(unknown))}")
     overrides = {rid: False for rid in args.no_diffusion}
     return run_scenario(scenario, diffusion_overrides=overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for rid, trace in result.traces.items():
-        with (out / f"{rid}_trace.csv").open("w", newline="") as fh:
-            trace.write_csv(fh)
-    summary = {
-        "horizon": result.scenario.horizon,
-        "seed": result.scenario.seed,
-        "step_ms": result.scenario.step_ms,
-        "diffusion": result.diffusion,
-        "resources": {},
-    }
+    write_simulation(result, args.out)
     for rid, metrics in result.report.resources.items():
-        summary["resources"][rid] = metrics_to_json(metrics)
         status = "" if metrics.bound_satisfied is None else f" bound_ok={metrics.bound_satisfied}"
         print(f"{rid}: max|e|={metrics.max_error_norm:.6g} slope={metrics.error_slope:.3g}{status}")
-    (out / "metrics.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 

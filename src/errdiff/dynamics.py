@@ -22,8 +22,6 @@ rationals in every trace.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -34,7 +32,6 @@ from .geometry import (
     ConvexPolygon,
     Point2,
     PointSet,
-    dist2,
     project_convex_polygon,
     project_point_set,
 )
@@ -144,58 +141,6 @@ class ControllerTrace:
     def max_error_norm2(self) -> Fraction:
         return max(e.norm2() for e in self.errors())
 
-    def average_requested(self) -> Point2:
-        if not self.records:
-            raise ValueError("empty trace has no averages")
-        inv = Fraction(1, len(self.records))
-        return Point2(
-            sum((r.requested.x for r in self.records), Fraction(0)) * inv,
-            sum((r.requested.y for r in self.records), Fraction(0)) * inv,
-        )
-
-    def average_implemented(self) -> Point2:
-        if not self.records:
-            raise ValueError("empty trace has no averages")
-        inv = Fraction(1, len(self.records))
-        return Point2(
-            sum((r.implemented.x for r in self.records), Fraction(0)) * inv,
-            sum((r.implemented.y for r in self.records), Fraction(0)) * inv,
-        )
-
-    def write_csv(self, fh) -> None:
-        """Exact trace dump: rational strings plus float renderings."""
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n", "set_id",
-                "x_p", "x_q", "y_p", "y_q", "e_p", "e_q",
-                "x_p_float", "x_q_float", "y_p_float", "y_q_float",
-                "e_p_float", "e_q_float",
-            ]
-        )
-        for r in self.records:
-            writer.writerow(
-                [
-                    r.step,
-                    feasible_set_id(r.feasible),
-                    str(r.requested.x), str(r.requested.y),
-                    str(r.implemented.x), str(r.implemented.y),
-                    str(r.error.x), str(r.error.y),
-                    float(r.requested.x), float(r.requested.y),
-                    float(r.implemented.x), float(r.implemented.y),
-                    float(r.error.x), float(r.error.y),
-                ]
-            )
-
-
-def feasible_set_id(feasible: FeasibleSet) -> str:
-    """Short stable identifier of a feasible set's exact contents."""
-    if isinstance(feasible, PointSet):
-        text = "ps:" + ";".join(f"{p.x},{p.y}" for p in feasible.points)
-    else:
-        text = "cp:" + ";".join(f"{p.x},{p.y}" for p in feasible.vertices)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
-
 
 # ---------------------------------------------------------------------------
 # Request policies
@@ -246,29 +191,6 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
         x = sum((v.x * w for v, w in zip(verts, weights)), Fraction(0)) / total
         y = sum((v.y * w for v, w in zip(verts, weights)), Fraction(0)) / total
         return Point2(x, y)
-
-    return policy
-
-
-def adversarial_request() -> RequestPolicy:
-    """Request the advertised vertex farthest from the error-cancelling point.
-
-    A tightness probe: it pushes the accumulated error outward as hard as a
-    vertex request can.  Ties go to the lexicographically smallest vertex.
-    """
-
-    def policy(advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
-        target = -error
-        verts = advertised.vertices
-        if not verts:
-            raise ValueError("cannot sample from an empty advertisement")
-        best = verts[0]
-        best_d = dist2(best, target)
-        for v in verts[1:]:
-            d = dist2(v, target)
-            if d > best_d or (d == best_d and v < best):
-                best, best_d = v, d
-        return best
 
     return policy
 

@@ -95,7 +95,9 @@ class Collection:
                 raise ValueError("collection members must be non-empty")
 
 
-DEFAULT_SNAP_FRACTIONS: tuple[Fraction, ...] = tuple(
+# The finite menu of proper fractions that conditional rounding may snap a
+# coordinate's fractional part to: every denominator up to 6, sorted.
+SNAP_FRACTIONS: tuple[Fraction, ...] = tuple(
     sorted({Fraction(num, den) for den in range(1, 7) for num in range(den)})
 )
 
@@ -106,20 +108,14 @@ DEFAULT_EPSILON = Fraction(1, 10**8)
 class IterationConfig:
     """Stopping-rule parameters for the invariant-set iteration.
 
-    ``snap_fractions`` is the finite menu of proper fractions that the
-    conditional rounding step may snap a coordinate's fractional part to,
-    and ``epsilon`` the snap tolerance.  Rounding never touches the seed.
+    ``epsilon`` is the tolerance within which conditional rounding snaps a
+    coordinate to the ``SNAP_FRACTIONS`` menu.  Rounding never touches the
+    seed.
     """
 
     epsilon: Fraction = DEFAULT_EPSILON
-    snap_fractions: tuple[Fraction, ...] = DEFAULT_SNAP_FRACTIONS
     max_iterations: int = 1000
     rounding_enabled: bool = True
-    # Snap to the simplest rational within epsilon instead of the fixed
-    # menu.  Strictly more powerful on arbitrary instances (any rational
-    # limit of moderate denominator gets caught); every stop is still
-    # verified by the repeat-equality rule, so the mode is sound.
-    snap_simplest: bool = False
     # Abort (converged=False) once any coordinate's numerator or denominator
     # outgrows this many bits.  Arbitrary collections can drift toward
     # limits the snap menu never catches, with representations compounding
@@ -128,14 +124,8 @@ class IterationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        fractions = tuple(sorted(as_fraction(x) for x in self.snap_fractions))
-        object.__setattr__(self, "snap_fractions", fractions)
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if any(not (0 <= x < 1) for x in fractions):
-            raise ValueError("snap fractions must lie in [0, 1)")
-        if not fractions and self.rounding_enabled:
-            raise ValueError("rounding requires at least one snap fraction")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
         if self.max_coordinate_bits < 16:
@@ -288,44 +278,17 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
 # ---------------------------------------------------------------------------
 
 
-def snap_menu(max_denominator: int) -> tuple[Fraction, ...]:
-    """All proper fractions in [0, 1) with denominator up to the bound."""
-    if max_denominator < 1:
-        raise ValueError("denominator bound must be positive")
-    return tuple(
-        sorted({Fraction(num, den) for den in range(1, max_denominator + 1) for num in range(den)})
-    )
-
-
-def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator (then numerator) in [lo, hi]."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    floor_lo = math.floor(lo)
-    if lo == floor_lo:
-        return lo
-    if floor_lo + 1 <= hi:
-        return Fraction(floor_lo + 1)
-    inner = simplest_in_interval(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / inner
-
-
 def conditional_round(q: RationalLike, config: IterationConfig) -> Fraction:
     """Snap q to floor(q) + t when the nearest menu fraction t is within epsilon.
 
     Ties between menu fractions go to the smaller fraction.  Values farther
     than epsilon from every menu fraction are returned unchanged.  The menu
-    is sorted, so the nearest fraction is found by bisection.  In simplest
-    mode the menu is replaced by the simplest rational within epsilon.
+    is sorted, so the nearest fraction is found by bisection.
     """
     q = as_fraction(q)
-    if config.snap_simplest:
-        return simplest_in_interval(q - config.epsilon, q + config.epsilon)
     base = Fraction(math.floor(q))
     fractional = q - base
-    menu = config.snap_fractions
+    menu = SNAP_FRACTIONS
     i = bisect.bisect_left(menu, fractional)
     best: Optional[tuple[Fraction, Fraction]] = None
     for j in (i - 1, i):

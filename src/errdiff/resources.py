@@ -27,6 +27,12 @@ from .geometry import (
 # Heaters
 # ---------------------------------------------------------------------------
 
+# Temperatures are snapped to this grid after every step.  Without the snap
+# the exact recursion multiplies denominators every step; the temperature
+# only selects which feasible set appears, so the grid is a modeling
+# choice, not an accuracy loss in the error accounting.
+TEMP_RESOLUTION = Fraction(1, 1024)
+
 
 @dataclass(frozen=True)
 class HeaterParams:
@@ -45,16 +51,10 @@ class HeaterParams:
     leak: Fraction = Fraction(1, 100)
     gain: Fraction = Fraction(0)
     t_out: Fraction = Fraction(0)
-    # Temperatures are snapped to this grid after every step.  Without the
-    # snap the exact recursion multiplies denominators every step; the
-    # temperature only selects which feasible set appears, so grid
-    # resolution is a modeling knob, not an accuracy loss in the error
-    # accounting.
-    temp_resolution: Fraction = Fraction(1, 1024)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", tuple(as_fraction(p) for p in self.powers))
-        for name in ("t_min", "t_max", "leak", "gain", "t_out", "temp_resolution"):
+        for name in ("t_min", "t_max", "leak", "gain", "t_out"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if not self.powers:
             raise ValueError("at least one heater required")
@@ -66,8 +66,6 @@ class HeaterParams:
             raise ValueError("lock_steps must be non-negative")
         if not (0 <= self.leak < 1):
             raise ValueError("leak rate must lie in [0, 1)")
-        if self.temp_resolution <= 0:
-            raise ValueError("temperature resolution must be positive")
 
     @property
     def rooms(self) -> int:
@@ -188,7 +186,7 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
         else:
             new_lock.append(max(state.lock_remaining[i] - 1, 0))
 
-    res = params.temp_resolution
+    res = TEMP_RESOLUTION
     new_temps = tuple(
         round((t + params.leak * (params.t_out - t) + params.gain * (params.powers[i] if new_on[i] else 0)) / res)
         * res
@@ -306,6 +304,5 @@ def pv_error_bound_sq(params: PVParams) -> Fraction:
     The maximum of leg^2 = p_max^2 (1 + tan_phi^2) and base^2 =
     (2 p_max tan_phi)^2, whichever dominates for the given cone.
     """
-    leg_sq = params.p_max * params.p_max * (1 + params.tan_phi * params.tan_phi)
     base_sq = 4 * params.p_max * params.p_max * params.tan_phi * params.tan_phi
-    return max(leg_sq, base_sq)
+    return max(params.rated_power_sq, base_sq)

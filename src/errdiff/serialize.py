@@ -1,19 +1,26 @@
-"""JSON serialization of exact geometry and scenario/collection files.
+"""Every file format errdiff reads or writes.
 
 Rationals travel as strings "p/q" (bare "p" when the denominator is 1),
 which is exactly what str(Fraction) produces; points and polygons are
 ordered coordinate lists.  Scenario and collection files are plain JSON
-documents whose schemas are documented in the README.
+documents whose schemas are documented in the README.  The closed-loop
+outputs are the per-resource trace CSVs with ``metrics.json`` that
+``write_simulation`` writes and the plot series with ``manifest.json``
+that ``emit_plot_data`` writes; ``write_iteration_result`` writes the
+invariant-set result.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Iterable, Sequence, Union
 
-from .geometry import ConvexPolygon, Point2, PointSet, as_fraction, convex_hull
+from .dynamics import ControllerTrace, StepRecord
+from .geometry import ORIGIN, ConvexPolygon, Point2, PointSet, as_fraction, convex_hull
 from .operators import Collection, FeasibleSet, IterationConfig
 from .resources import HeaterParams, HeaterState, PVParams
 from .simulate import (
@@ -25,20 +32,13 @@ from .simulate import (
     QuadraticCost,
     ResourceMetrics,
     Scenario,
+    ScenarioResult,
     constant_availability,
     random_availability,
     square_wave,
 )
 
 PathLike = Union[str, Path]
-
-
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
-def parse_fraction(text: Union[str, int]) -> Fraction:
-    return as_fraction(text)
 
 
 def point_to_json(p: Point2) -> list[str]:
@@ -125,6 +125,11 @@ def iteration_result_to_json(result) -> dict:
     }
 
 
+def write_iteration_result(path: PathLike, result) -> None:
+    """The ``compute-invariant --out`` document."""
+    Path(path).write_text(json.dumps(iteration_result_to_json(result), indent=2))
+
+
 def metrics_to_json(metrics: ResourceMetrics) -> dict:
     """One resource's closed-loop metrics, as in ``metrics.json`` and the plot manifest."""
     return {
@@ -139,6 +144,138 @@ def metrics_to_json(metrics: ResourceMetrics) -> dict:
         "error_bound_sq": None if metrics.error_bound_sq is None else str(metrics.error_bound_sq),
         "bound_satisfied": metrics.bound_satisfied,
     }
+
+
+# ---------------------------------------------------------------------------
+# Closed-loop outputs
+# ---------------------------------------------------------------------------
+
+
+def _columns(index: Sequence[str], names: Sequence[str]) -> list[str]:
+    return [*index, *names, *(f"{name}_float" for name in names)]
+
+
+def _row(index: Sequence, values: Sequence[Fraction]) -> list:
+    """Index columns, then each rational exactly, then each as a float."""
+    return [*index, *map(str, values), *map(float, values)]
+
+
+def _coords(*points: Point2) -> list[Fraction]:
+    return [c for p in points for c in (p.x, p.y)]
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _scenario_header(result: ScenarioResult) -> dict:
+    scenario = result.scenario
+    return {
+        "horizon": scenario.horizon,
+        "seed": scenario.seed,
+        "step_ms": scenario.step_ms,
+        "diffusion": result.diffusion,
+    }
+
+
+def feasible_set_id(feasible: FeasibleSet) -> str:
+    """Short stable identifier of a feasible set's exact contents."""
+    if isinstance(feasible, PointSet):
+        text = "ps:" + ";".join(f"{p.x},{p.y}" for p in feasible.points)
+    else:
+        text = "cp:" + ";".join(f"{p.x},{p.y}" for p in feasible.vertices)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
+
+
+def write_trace_csv(path: PathLike, trace: ControllerTrace) -> None:
+    """Exact trace dump: one row per step, rational strings plus floats."""
+    _write_csv(
+        Path(path),
+        _columns(["n", "set_id"], ["x_p", "x_q", "y_p", "y_q", "e_p", "e_q"]),
+        (
+            _row((r.step, feasible_set_id(r.feasible)), _coords(r.requested, r.implemented, r.error))
+            for r in trace.records
+        ),
+    )
+
+
+def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
+    """Write one ``<id>_trace.csv`` per resource and the ``metrics.json`` summary."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for rid, trace in result.traces.items():
+        write_trace_csv(out / f"{rid}_trace.csv", trace)
+    summary = _scenario_header(result)
+    summary["resources"] = {
+        rid: metrics_to_json(metrics) for rid, metrics in result.report.resources.items()
+    }
+    _write_json(out / "metrics.json", summary)
+
+
+def _running_averages(records: list[StepRecord]) -> Iterable[list]:
+    requested = implemented = ORIGIN
+    for k, r in enumerate(records, start=1):
+        requested += r.requested
+        implemented += r.implemented
+        inv = Fraction(1, k)
+        yield _row((k - 1,), _coords(requested * inv, implemented * inv))
+
+
+def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
+    """Write per-resource CSV series and a manifest describing them.
+
+    Series per resource: requested vs implemented setpoints, accumulated
+    error components, and running time averages.  Values are exact rational
+    strings plus float renderings, so reruns are byte-identical.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    files: list[dict] = []
+    metrics: dict = {}
+    for rid, trace in result.traces.items():
+        records = trace.records
+        errors = trace.errors() if records else []
+        series = (
+            (
+                "setpoints",
+                "requested vs implemented setpoints per step",
+                _columns(["n"], ["x_p", "x_q", "y_p", "y_q"]),
+                (_row((r.step,), _coords(r.requested, r.implemented)) for r in records),
+            ),
+            (
+                "accumulated_error",
+                "accumulated error e_n (components and norm)",
+                _columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"],
+                (_row((n,), _coords(e)) + [float(e.norm2()) ** 0.5] for n, e in enumerate(errors)),
+            ),
+            (
+                "time_averaged",
+                "running time-averages of requested and implemented setpoints",
+                _columns(["n"], ["xbar_p", "xbar_q", "ybar_p", "ybar_q"]),
+                _running_averages(records),
+            ),
+        )
+        for name, description, header, rows in series:
+            path = out / f"{rid}_{name}.csv"
+            _write_csv(path, header, rows)
+            files.append({"path": path.name, "resource": rid, "series": description})
+            written.append(path)
+        if records:
+            metrics[rid] = metrics_to_json(result.report.resources[rid])
+    scenario = _scenario_header(result)
+    scenario["resources"] = [r.resource_id for r in result.scenario.resources]
+    manifest_path = out / "manifest.json"
+    _write_json(manifest_path, {"scenario": scenario, "files": files, "metrics": metrics})
+    written.append(manifest_path)
+    return written
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,17 @@ what was actually implemented.  No network constraints couple the resources
 here; each one runs its own loop, which keeps every claim about accumulated
 error exact and testable.
 
-This module holds the resource units, the central policy, scenarios,
-metrics and plot data.
+This module holds the resource units, the central policy, scenarios and
+metrics; ``serialize`` writes them out.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Optional, Protocol, Union
-
-import numpy as np
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 from .dynamics import ControllerTrace, RequestPolicy, SetSource, run_resource_loop
 from .geometry import (
@@ -77,36 +74,33 @@ class MaximizeActivePower:
 Cost = Union[QuadraticCost, MaximizeActivePower]
 
 
+# Gradient targets are snapped to this grid before projecting onto the
+# advertisement.  A real dispatcher sends setpoints with finite precision
+# anyway, and without the snap the exact iterates contract forever without
+# settling, with denominators compounding every step.
+REQUEST_RESOLUTION = Fraction(1, 1024)
+
+
 @dataclass(frozen=True)
 class CentralPolicy:
-    """Projected-gradient request policy for one resource.
-
-    Gradient targets are snapped to the ``request_resolution`` grid before
-    projecting onto the advertisement.  A real dispatcher sends setpoints
-    with finite precision anyway, and without the snap the exact iterates
-    contract forever without settling, with denominators compounding every
-    step.
-    """
+    """Projected-gradient request policy for one resource."""
 
     cost: Cost
     step_size: Fraction = Fraction(1, 2)
-    request_resolution: Fraction = Fraction(1, 1024)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "step_size", as_fraction(self.step_size))
-        object.__setattr__(self, "request_resolution", as_fraction(self.request_resolution))
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
-        if self.request_resolution <= 0:
-            raise ValueError("request resolution must be positive")
 
 
 def central_step(policy: CentralPolicy, advertised: ConvexPolygon, x_prev: Point2) -> Point2:
-    """One projected gradient step, guaranteed to land in the advertisement."""
+    """One projected gradient step on the ``REQUEST_RESOLUTION`` grid,
+    guaranteed to land in the advertisement."""
     if advertised.is_empty:
         raise ValueError("advertisement must be non-empty")
     target = x_prev - policy.cost.gradient(x_prev) * policy.step_size
-    res = policy.request_resolution
+    res = REQUEST_RESOLUTION
     snapped = Point2(round(target.x / res) * res, round(target.y / res) * res)
     return project_convex_polygon(advertised, snapped)
 
@@ -326,28 +320,49 @@ def _resource_rng(seed: int, resource_id: str) -> random.Random:
     return random.Random(f"{seed}:{resource_id}")
 
 
+def least_squares_slope(ys: Sequence[float]) -> float:
+    """Correctly rounded least-squares slope of the points (i, ys[i]).
+
+    Every float is a dyadic rational, so all of them scale to integers over
+    one power of two; the normal equations are then solved exactly and
+    rounded once, by the correctly rounded integer division.
+    """
+    n = len(ys)
+    if n < 2:
+        raise ValueError("a slope needs at least two points")
+    ratios = [y.as_integer_ratio() for y in ys]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    scaled = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+    sum_i = n * (n - 1) // 2
+    sum_ii = (n - 1) * n * (2 * n - 1) // 6
+    sum_y = sum(scaled)
+    sum_iy = sum(i * y for i, y in enumerate(scaled))
+    return (n * sum_iy - sum_i * sum_y) / ((n * sum_ii - sum_i * sum_i) << shift)
+
+
 def compute_metrics(trace: ControllerTrace, resource_id: str, bound_sq: Optional[Fraction]) -> ResourceMetrics:
     steps = len(trace.records)
     if steps == 0:
         raise ValueError("cannot compute metrics for an empty trace")
     errors = trace.errors()
-    max_err2 = max(e.norm2() for e in errors)
-    avg_req = trace.average_requested()
-    avg_imp = trace.average_implemented()
-    # Exact bookkeeping identity: mean(y) - mean(x) = (e_0 - e_N) / N.
-    lhs = avg_imp - avg_req
-    rhs = (errors[0] - errors[-1]) * Fraction(1, steps)
-    if lhs != rhs:
-        raise AssertionError("trace violates the exact averaging identity")
-    norms = np.sqrt([float(e.norm2()) for e in errors])
-    slope = float(np.polyfit(np.arange(len(norms)), norms, 1)[0]) if len(norms) > 1 else 0.0
+    norms2 = [e.norm2() for e in errors]
+    max_err2 = max(norms2)
+    requested = implemented = ORIGIN
     longest = current = 0
     prev = None
     for r in trace.records:
+        requested += r.requested
+        implemented += r.implemented
         pair = (r.requested, r.implemented)
         current = current + 1 if pair == prev else 1
         prev = pair
         longest = max(longest, current)
+    inv = Fraction(1, steps)
+    avg_req = requested * inv
+    avg_imp = implemented * inv
+    # Exact bookkeeping identity: mean(y) - mean(x) = (e_0 - e_N) / N.
+    if avg_imp - avg_req != (errors[0] - errors[-1]) * inv:
+        raise AssertionError("trace violates the exact averaging identity")
     return ResourceMetrics(
         resource_id=resource_id,
         steps=steps,
@@ -355,7 +370,7 @@ def compute_metrics(trace: ControllerTrace, resource_id: str, bound_sq: Optional
         final_error=errors[-1],
         average_requested=avg_req,
         average_implemented=avg_imp,
-        error_slope=slope,
+        error_slope=least_squares_slope([math.sqrt(float(q)) for q in norms2]),
         stagnation_steps=longest,
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
@@ -391,121 +406,3 @@ def run_scenario(
             trace, spec.resource_id, unit.error_bound_sq()
         )
     return ScenarioResult(scenario=scenario, traces=traces, report=report, diffusion=flags)
-
-
-# ---------------------------------------------------------------------------
-# Plot-data emission
-# ---------------------------------------------------------------------------
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def emit_plot_data(result: ScenarioResult, out_dir: Union[str, Path]) -> list[Path]:
-    """Write per-resource CSV series and a manifest describing them.
-
-    Series per resource: requested vs implemented setpoints, accumulated
-    error components, and running time averages.  Values are exact rational
-    strings plus float renderings, so reruns are byte-identical.
-    """
-    from .serialize import metrics_to_json  # serialize imports this module
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    manifest: dict = {
-        "scenario": {
-            "horizon": result.scenario.horizon,
-            "seed": result.scenario.seed,
-            "step_ms": result.scenario.step_ms,
-            "resources": [r.resource_id for r in result.scenario.resources],
-            "diffusion": result.diffusion,
-        },
-        "files": [],
-        "metrics": {},
-    }
-    for rid, trace in result.traces.items():
-        setpoints = out / f"{rid}_setpoints.csv"
-        _write_csv(
-            setpoints,
-            ["n", "x_p", "x_q", "y_p", "y_q", "x_p_float", "x_q_float", "y_p_float", "y_q_float"],
-            (
-                [
-                    r.step,
-                    str(r.requested.x), str(r.requested.y),
-                    str(r.implemented.x), str(r.implemented.y),
-                    float(r.requested.x), float(r.requested.y),
-                    float(r.implemented.x), float(r.implemented.y),
-                ]
-                for r in trace.records
-            ),
-        )
-        manifest["files"].append(
-            {
-                "path": setpoints.name,
-                "resource": rid,
-                "series": "requested vs implemented setpoints per step",
-            }
-        )
-        errors_path = out / f"{rid}_accumulated_error.csv"
-        errors = trace.errors() if trace.records else []
-        _write_csv(
-            errors_path,
-            ["n", "e_p", "e_q", "e_p_float", "e_q_float", "e_norm_float"],
-            (
-                [n, str(e.x), str(e.y), float(e.x), float(e.y), float(e.norm2()) ** 0.5]
-                for n, e in enumerate(errors)
-            ),
-        )
-        manifest["files"].append(
-            {
-                "path": errors_path.name,
-                "resource": rid,
-                "series": "accumulated error e_n (components and norm)",
-            }
-        )
-        averages_path = out / f"{rid}_time_averaged.csv"
-
-        def running_rows(records):
-            sx = sy = ix = iy = Fraction(0)
-            for k, r in enumerate(records, start=1):
-                sx += r.requested.x
-                sy += r.requested.y
-                ix += r.implemented.x
-                iy += r.implemented.y
-                inv = Fraction(1, k)
-                yield [
-                    k - 1,
-                    str(sx * inv), str(sy * inv), str(ix * inv), str(iy * inv),
-                    float(sx * inv), float(sy * inv), float(ix * inv), float(iy * inv),
-                ]
-
-        _write_csv(
-            averages_path,
-            [
-                "n",
-                "xbar_p", "xbar_q", "ybar_p", "ybar_q",
-                "xbar_p_float", "xbar_q_float", "ybar_p_float", "ybar_q_float",
-            ],
-            running_rows(trace.records),
-        )
-        manifest["files"].append(
-            {
-                "path": averages_path.name,
-                "resource": rid,
-                "series": "running time-averages of requested and implemented setpoints",
-            }
-        )
-        written.extend([setpoints, errors_path, averages_path])
-        if trace.records:
-            manifest["metrics"][rid] = metrics_to_json(result.report.resources[rid])
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    written.append(manifest_path)
-    return written

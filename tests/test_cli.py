@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources as importlib_resources
+from pathlib import Path
 
 import pytest
 
+import errdiff
 from errdiff.cli import main
 
 
@@ -151,6 +156,7 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith("errdiff: error: ")
+        assert captured.out == ""
         return line
 
     def _compute(self, capsys, path, *extra):
@@ -186,6 +192,15 @@ class TestMalformedInput:
     def test_missing_scenario_file(self, tmp_path, capsys):
         argv = ["simulate", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]
         assert "No such file" in self._fails(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["simulate", "plot-data"])
+    def test_no_diffusion_unknown_resource(self, command, scenario_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(scenario_file), "--out", str(out),
+                "--no-diffusion", "heater", "bogus"]
+        line = self._fails(capsys, argv)
+        assert line == "errdiff: error: --no-diffusion: unknown resources: bogus"
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -224,6 +239,19 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["files"]) == 3
         assert (out / "heater_setpoints.csv").exists()
+
+
+def test_cli_imports_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import errdiff.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'errdiff'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(errdiff.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestVerify:

@@ -6,7 +6,6 @@ import pytest
 from errdiff.dynamics import (
     ControllerState,
     InfeasibleRequestError,
-    feasible_set_id,
     fixed_request,
     run_trace,
     step_perfect,
@@ -16,6 +15,7 @@ from errdiff.dynamics import (
 from errdiff.geometry import ORIGIN, PointSet, dist2
 from errdiff.operators import feasible_hull
 from errdiff.resources import PVParams, pv_triangle
+from errdiff.simulate import compute_metrics
 
 from conftest import poly, pt
 
@@ -143,7 +143,9 @@ class TestRunTrace:
             "perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 101, seed=0
         )
         n = len(trace.records)
-        avg_gap = trace.average_implemented() - trace.average_requested()
+        metrics = compute_metrics(trace, "heater", None)
+        assert metrics.average_requested == pt("-15/2", 0)
+        avg_gap = metrics.average_implemented - metrics.average_requested
         assert avg_gap == (trace.errors()[0] - trace.final_error) * Fraction(1, n)
 
     def test_no_diffusion_baseline_grows_linearly(self):
@@ -281,26 +283,3 @@ class TestControllerLoop:
             assert y == now.implemented
             assert state.error == nxt.error
         assert any(r.error != ORIGIN for r in records)
-
-
-class TestTraceExport:
-    def test_csv_round_trip_values(self, tmp_path):
-        import csv
-
-        trace = run_trace("perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 4)
-        path = tmp_path / "trace.csv"
-        with path.open("w", newline="") as fh:
-            trace.write_csv(fh)
-        rows = list(csv.DictReader(path.open()))
-        assert len(rows) == 4
-        assert rows[0]["x_p"] == "-15/2"
-        assert rows[0]["y_p"] == "-15"
-        assert rows[1]["e_p"] == "15/2"
-        assert float(rows[0]["x_p_float"]) == -7.5
-        assert all(r["set_id"] == rows[0]["set_id"] for r in rows)
-
-    def test_set_id_distinguishes_sets(self):
-        a = feasible_set_id(HEATER)
-        b = feasible_set_id(PointSet.of(pt(0, 0)))
-        c = feasible_set_id(poly((0, 0), (1, 0), (0, 1)))
-        assert len({a, b, c}) == 3

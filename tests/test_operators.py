@@ -11,10 +11,12 @@ from errdiff.geometry import (
     Point2,
     PointSet,
     convex_hull,
+    dist2,
     project_convex_polygon,
 )
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import (
+    SNAP_FRACTIONS,
     Collection,
     IterationConfig,
     apply_collection,
@@ -24,8 +26,6 @@ from errdiff.operators import (
     conditional_round,
     iterate_1d,
     iterate_to_invariance,
-    simplest_in_interval,
-    snap_menu,
     verify_monotone_family,
 )
 from errdiff.resources import PVParams, pv_triangle, pv_triangle_family
@@ -181,32 +181,20 @@ class TestConditionalRound:
         assert conditional_round(q, cfg) == Fraction(-9, 2)
 
     def test_tie_goes_to_smaller_fraction(self):
-        cfg = IterationConfig(
-            epsilon=Fraction(1), snap_fractions=(Fraction(0), Fraction(1, 2))
-        )
-        assert conditional_round(Fraction(1, 4), cfg) == Fraction(0)
+        # 1/12 lies halfway between the menu fractions 0 and 1/6
+        cfg = IterationConfig(epsilon=Fraction(1, 12))
+        assert conditional_round(Fraction(1, 12), cfg) == Fraction(0)
 
     def test_matches_linear_scan(self):
-        cfg = IterationConfig(epsilon=Fraction(1, 50), snap_fractions=snap_menu(7))
+        cfg = IterationConfig(epsilon=Fraction(1, 50))
         rng = random.Random(9)
         for _ in range(300):
             q = Fraction(rng.randint(-4000, 4000), rng.randint(1, 997))
             base = Fraction(q.__floor__())
             frac = q - base
-            best = min(cfg.snap_fractions, key=lambda x: (abs(x - frac), x))
+            best = min(SNAP_FRACTIONS, key=lambda x: (abs(x - frac), x))
             want = base + best if abs(best - frac) <= cfg.epsilon else q
             assert conditional_round(q, cfg) == want
-
-    def test_simplest_mode(self):
-        cfg = IterationConfig(epsilon=Fraction(1, 10**8), snap_simplest=True)
-        near_third = Fraction(1, 3) + Fraction(1, 10**10)
-        assert conditional_round(near_third, cfg) == Fraction(1, 3)
-        assert conditional_round(Fraction(355, 113), cfg) == Fraction(355, 113)
-
-    def test_simplest_in_interval(self):
-        assert simplest_in_interval(Fraction(3, 10), Fraction(2, 5)) == Fraction(1, 3)
-        assert simplest_in_interval(Fraction(-1, 2), Fraction(1, 2)) == 0
-        assert simplest_in_interval(Fraction(5, 2), Fraction(7, 2)) == 3
 
 
 class TestIteration:
@@ -429,9 +417,12 @@ class TestDynamicsContainment:
         assert 0 < coverage <= 1
 
     def test_adversarial_policy_returns_farthest_vertex(self):
-        from errdiff.dynamics import adversarial_request
+        def policy(advertised, error, rng):
+            """The advertised vertex farthest from the error-cancelling point
+            -error; ties go to the lexicographically smallest vertex."""
+            target = -error
+            return min(advertised.vertices, key=lambda v: (-dist2(v, target), v))
 
-        policy = adversarial_request()
         advert = poly((0, 0), (4, 0), (0, 3))
         # farthest vertex from -e
         assert policy(advert, pt(0, 0), random.Random(0)) == pt(4, 0)

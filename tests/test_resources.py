@@ -8,6 +8,7 @@ from errdiff.geometry import convex_hull
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import Collection, check_invariance, iterate_1d, verify_monotone_family
 from errdiff.resources import (
+    TEMP_RESOLUTION,
     HeaterParams,
     HeaterState,
     PVParams,
@@ -103,7 +104,7 @@ class TestHeaterStep:
         assert nxt.on == (False,)
         # quantized first-order decay toward 8
         expected = Fraction(20) + Fraction(1, 100) * (Fraction(8) - Fraction(20))
-        assert abs(nxt.temps[0] - expected) <= params.temp_resolution / 2
+        assert abs(nxt.temps[0] - expected) <= TEMP_RESOLUTION / 2
 
     def test_switching_on_locks(self):
         params = single_heater(lock_steps=3)
@@ -141,8 +142,8 @@ class TestHeaterStep:
         # at most gain*P - leak*(t_min - t_out) above t_max... conservative:
         down = params.leak * (params.t_max - params.t_out)
         up = params.gain * params.powers[0]
-        lo = params.t_min - down - params.temp_resolution
-        hi = params.t_max + up + params.temp_resolution
+        lo = params.t_min - down - TEMP_RESOLUTION
+        hi = params.t_max + up + TEMP_RESOLUTION
         st = state(["20"])
         rng = random.Random(1)
         for _ in range(800):

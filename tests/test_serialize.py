@@ -3,21 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from errdiff.geometry import PointSet
+from errdiff.dynamics import fixed_request, run_trace
+from errdiff.geometry import PointSet, as_fraction
 from errdiff.operators import Collection
 from errdiff.serialize import (
     collection_to_json,
+    feasible_set_id,
     feasible_to_json,
-    format_fraction,
     load_collection,
     load_scenario,
     parse_collection,
     parse_feasible,
-    parse_fraction,
     parse_point,
     parse_polygon,
     parse_scenario,
     polygon_to_json,
+    write_trace_csv,
 )
 
 from conftest import poly, pt
@@ -25,16 +26,16 @@ from conftest import poly, pt
 
 class TestFractionFormat:
     def test_integer_omits_denominator(self):
-        assert format_fraction(Fraction(3)) == "3"
-        assert format_fraction(Fraction(-15000)) == "-15000"
+        assert str(Fraction(3)) == "3"
+        assert str(Fraction(-15000)) == "-15000"
 
     def test_proper_fraction(self):
-        assert format_fraction(Fraction(-7, 2)) == "-7/2"
+        assert str(Fraction(-7, 2)) == "-7/2"
 
     def test_parse_round_trip(self):
         for text in ("3", "-7/2", "0", "1/100000000"):
-            assert format_fraction(parse_fraction(text)) == text
-        assert parse_fraction(5) == Fraction(5)
+            assert str(as_fraction(text)) == text
+        assert as_fraction(5) == Fraction(5)
 
 
 class TestGeometryJson:
@@ -144,3 +145,28 @@ class TestScenarioFiles:
         bad["resources"][0]["policy"]["cost"]["kind"] = "cubic"
         with pytest.raises(ValueError):
             parse_scenario(bad)
+
+
+HEATER = PointSet.of(pt(-15, 0), pt(0, 0))  # consumption setpoints, embedded at Q=0
+
+
+class TestTraceExport:
+    def test_csv_round_trip_values(self, tmp_path):
+        trace = run_trace("perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 4)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        lines = path.read_text().splitlines()
+        assert lines[0] == (
+            "n,set_id,x_p,x_q,y_p,y_q,e_p,e_q,"
+            "x_p_float,x_q_float,y_p_float,y_q_float,e_p_float,e_q_float"
+        )
+        set_id = feasible_set_id(HEATER)
+        assert lines[1] == f"0,{set_id},-15/2,0,-15,0,0,0,-7.5,0.0,-15.0,0.0,0.0,0.0"
+        assert lines[2] == f"1,{set_id},-15/2,0,0,0,15/2,0,-7.5,0.0,0.0,0.0,7.5,0.0"
+        assert len(lines) == 5
+
+    def test_set_id_distinguishes_sets(self):
+        a = feasible_set_id(HEATER)
+        b = feasible_set_id(PointSet.of(pt(0, 0)))
+        c = feasible_set_id(poly((0, 0), (1, 0), (0, 1)))
+        assert len({a, b, c}) == 3

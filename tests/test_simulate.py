@@ -1,12 +1,16 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from errdiff.dynamics import ControllerTrace
 from errdiff.geometry import ORIGIN, Point2
 from errdiff.resources import HeaterParams, HeaterState, PVParams, pv_error_bound_sq
+from errdiff.serialize import emit_plot_data
 from errdiff.simulate import (
     CentralPolicy,
     GradientRequests,
@@ -21,7 +25,7 @@ from errdiff.simulate import (
     ScenarioResult,
     central_step,
     constant_availability,
-    emit_plot_data,
+    least_squares_slope,
     random_availability,
     run_scenario,
     square_wave,
@@ -188,7 +192,7 @@ class TestRunScenario:
         requests = [r.requested.x for r in trace.records]
         settle = next(i for i, x in enumerate(requests) if x == Fraction(-7500))
         assert settle < 100
-        avg_imp = trace.average_implemented()
+        avg_imp = result.report.resources["heater"].average_implemented
         n = len(trace.records)
         transient_mass = Fraction(settle) * 15000
         envelope = (transient_mass + Fraction(7500)) * Fraction(1, n)
@@ -207,6 +211,44 @@ class TestRunScenario:
         result = run_scenario(sc)
         assert set(result.traces) == {"heater", "pv"}
         assert set(result.report.resources) == {"heater", "pv"}
+
+
+def slope_oracle(ys):
+    """Least-squares slope by the centred formula, in exact rationals."""
+    qs = [Fraction(y) for y in ys]
+    n = len(qs)
+    i_bar = Fraction(n - 1, 2)
+    y_bar = sum(qs) / n
+    num = sum((i - i_bar) * (y - y_bar) for i, y in enumerate(qs))
+    return float(num / sum((i - i_bar) ** 2 for i in range(n)))
+
+
+norm_floats = st.one_of(
+    st.floats(min_value=0, max_value=1e300),
+    st.floats(min_value=0, max_value=1e-300),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+class TestErrorSlope:
+    @given(st.lists(norm_floats, min_size=2, max_size=40))
+    def test_matches_exact_oracle(self, ys):
+        assert least_squares_slope(ys) == slope_oracle(ys)
+
+    @given(norm_floats, st.integers(min_value=2, max_value=30))
+    def test_constant_list_is_flat(self, y, n):
+        assert least_squares_slope([y] * n) == 0.0
+
+    def test_two_points(self):
+        assert least_squares_slope([1.5, 4.0]) == 2.5
+        assert least_squares_slope([5e-324, 0.0]) == -5e-324
+
+    def test_metrics_slope_is_over_error_norms(self):
+        result = run_scenario(pv_scenario(horizon=200))
+        trace = result.traces["pv"]
+        norms = [math.sqrt(float(e.norm2())) for e in trace.errors()]
+        slope = result.report.resources["pv"].error_slope
+        assert slope == slope_oracle(norms) != 0.0
 
 
 class TestAvailabilityWaves:
