@@ -13,7 +13,6 @@ from .geometry import (
     Point2,
     PointSet,
     as_fraction,
-    classify_points,
     clip,
     clip_all,
     clip_to_cell,

@@ -42,9 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--collection", required=True, help="JSON collection file")
     ci.add_argument("--mode", choices=("perfect", "persistent"), help="override file mode")
     ci.add_argument("--q0", default="0,0", help="seed point 'x,y' (rational), default origin")
-    ci.add_argument("--epsilon", help="rounding tolerance (rational, e.g. 1/100000000)")
+    ci.add_argument("--epsilon", help="rounding tolerance (rational, e.g. 1/100000000; 0: no rounding)")
     ci.add_argument("--max-iters", type=int, help="iteration budget")
-    ci.add_argument("--no-rounding", action="store_true", help="disable conditional rounding")
     ci.add_argument("--out", help="write the result as JSON here")
 
     sim = sub.add_parser("simulate", help="run a scenario and dump traces")

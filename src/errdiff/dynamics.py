@@ -1,14 +1,17 @@
 """Discrete-time dynamics of a greedy setpoint-tracking local controller.
 
-The controller receives a requested setpoint, implements the feasible point
-closest to request-plus-carried-error, and carries the remainder forward:
+The controller's state is its accumulated error e[n], a point that starts
+at the origin.  It receives a requested setpoint, implements the feasible
+point closest to request-plus-error, and carries the remainder forward
+(``step_perfect``):
 
     e[n+1] = e[n] + x[n] - y[n],    y[n] = proj(S[n], e[n] + x[n]).
 
 Two prediction disciplines are supported.  With perfect prediction the
 request x[n] is chosen from the hull of S[n] itself.  With persistent
 prediction it is chosen from the hull of the previous feasible set; in the
-modified request z[n] = e[n] + x[n] the recursion reads
+modified request z[n] = e[n] + x[n], with z[0] = x[0], the recursion reads
+(``step_persistent``, kept as the oracle)
 
     z[n+1] = z[n] + x[n+1] - proj(S[n], z[n]),    e[n] = z[n] - x[n],
 
@@ -23,9 +26,9 @@ rationals in every trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Protocol, Sequence, Union
 
 from .geometry import (
     ORIGIN,
@@ -35,7 +38,7 @@ from .geometry import (
     project_convex_polygon,
     project_point_set,
 )
-from .operators import FeasibleSet, Mode, feasible_hull
+from .operators import MODES, FeasibleSet, Mode, feasible_hull
 
 
 class InfeasibleRequestError(ValueError):
@@ -49,64 +52,36 @@ def project_feasible(feasible: FeasibleSet, z: Point2) -> Point2:
     return project_convex_polygon(feasible, z)
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Controller memory between steps.
-
-    ``modified_request`` is only used by ``step_persistent``, where it
-    carries z[n] = e[n] + x[n] once the first request has been received.
-    """
-
-    error: Point2 = ORIGIN
-    modified_request: Optional[Point2] = None
-    step: int = 0
-
-    def start_persistent(self, first_request: Point2) -> "ControllerState":
-        return replace(self, modified_request=self.error + first_request)
-
-
 def step_perfect(
-    state: ControllerState, request: Point2, feasible: FeasibleSet
-) -> tuple[Point2, ControllerState]:
+    error: Point2, request: Point2, feasible: FeasibleSet
+) -> tuple[Point2, Point2]:
     """One greedy step: implement proj(S[n], e[n] + x[n]), carry the rest.
 
-    This is the update of both prediction modes; they differ only in the
+    Returns the implemented setpoint y[n] and the next error e[n+1].  This
+    is the update of both prediction modes; they differ only in the
     advertisement the request was drawn from, which the caller checks.
     """
-    target = state.error + request
+    target = error + request
     implemented = project_feasible(feasible, target)
-    next_state = ControllerState(
-        error=target - implemented,
-        modified_request=None,
-        step=state.step + 1,
-    )
-    return implemented, next_state
+    return implemented, target - implemented
 
 
 def step_persistent(
-    state: ControllerState, next_request: Point2, feasible: FeasibleSet
-) -> tuple[Point2, ControllerState]:
+    z: Point2, next_request: Point2, feasible: FeasibleSet
+) -> tuple[Point2, Point2]:
     """One greedy step under persistent prediction, in the z-form.
 
-    ``feasible`` is the set valid now; its hull is the advertisement from
-    which ``next_request`` was chosen.  Returns the setpoint implemented now
-    and the state carrying the updated modified request.  The controller
-    loop runs the equivalent e-form; this is the paper's recursion as
-    written, kept as an oracle for it.
+    ``z`` is the modified request z[n] = e[n] + x[n] (z[0] = x[0] from a
+    zero error) and ``feasible`` the set valid now; its hull is the
+    advertisement from which ``next_request`` was chosen.  Returns the
+    setpoint implemented now and z[n+1].  The controller loop runs the
+    equivalent e-form; this is the paper's recursion as written, kept as an
+    oracle for it.
     """
-    if state.modified_request is None:
-        raise ValueError("persistent state not initialized; call start_persistent first")
     if not feasible_hull(feasible).contains_point(next_request):
         raise InfeasibleRequestError(f"request {next_request} outside advertised set")
-    z = state.modified_request
     implemented = project_feasible(feasible, z)
-    z_next = z + next_request - implemented
-    next_state = ControllerState(
-        error=z_next - next_request,
-        modified_request=z_next,
-        step=state.step + 1,
-    )
-    return implemented, next_state
+    return implemented, z + next_request - implemented
 
 
 @dataclass(frozen=True)
@@ -123,16 +98,10 @@ class StepRecord:
 
 @dataclass
 class ControllerTrace:
-    mode: Mode
-    records: list[StepRecord] = field(default_factory=list)
-    initial_error: Point2 = ORIGIN
+    """The steps of one run; the error starts at the origin and ends at ``final_error``."""
 
-    @property
-    def final_error(self) -> Point2:
-        if not self.records:
-            return self.initial_error
-        last = self.records[-1]
-        return last.error + last.requested - last.implemented
+    records: list[StepRecord] = field(default_factory=list)
+    final_error: Point2 = ORIGIN
 
     def errors(self) -> list[Point2]:
         """Accumulated errors e[0..N], including the post-horizon value."""
@@ -225,7 +194,6 @@ def run_resource_loop(
     rng: random.Random,
     *,
     diffusion: bool = True,
-    initial_error: Point2 = ORIGIN,
 ) -> ControllerTrace:
     """Run the local controller over ``source`` for ``horizon`` steps.
 
@@ -233,8 +201,9 @@ def run_resource_loop(
     against the advertisement it was drawn from and projects once.  The
     advertisement is the hull of the current set under perfect prediction
     and the hull of the previous set under persistent prediction (step 0
-    advertises its own set).  With ``diffusion`` off the controller projects
-    the bare request instead, which is the unbounded-error baseline.
+    advertises its own set).  The error starts at the origin.  With
+    ``diffusion`` off the controller projects the bare request and the
+    residual still accumulates, which is the unbounded-error baseline.
 
     Perfect steps read the set before drawing the request; persistent steps
     after the first draw the request before reading the set.  A source and
@@ -243,30 +212,29 @@ def run_resource_loop(
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     mode = source.prediction
-    if mode not in ("perfect", "persistent"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    trace = ControllerTrace(mode=mode, initial_error=initial_error)
-    state = ControllerState(error=initial_error)
+    trace = ControllerTrace()
+    error = ORIGIN
     for n in range(horizon):
         if mode == "persistent" and n > 0:
             advertised = hull  # the previous step's set
-            request = requests(advertised, state.error, rng)
+            request = requests(advertised, error, rng)
             feasible = source.feasible_set()
             hull = feasible_hull(feasible)
         else:
             feasible = source.feasible_set()
             hull = advertised = feasible_hull(feasible)
-            request = requests(advertised, state.error, rng)
+            request = requests(advertised, error, rng)
         if not advertised.contains_point(request):
             raise InfeasibleRequestError(f"request {request} outside advertised set")
-        error = state.error
-        if diffusion:
-            implemented, state = step_perfect(state, request, feasible)
-        else:
-            implemented = project_feasible(feasible, request)
-            state = ControllerState(error=error + request - implemented, step=n + 1)
+        # Without diffusion the step sees no carried error; e[n+1] still
+        # accumulates its residual.
+        implemented, residual = step_perfect(error if diffusion else ORIGIN, request, feasible)
         trace.records.append(StepRecord(n, feasible, advertised, request, implemented, error))
+        error = residual if diffusion else error + residual
         source.advance(implemented)
+    trace.final_error = error
     return trace
 
 
@@ -294,7 +262,6 @@ def run_trace(
     requests: RequestPolicy,
     horizon: int,
     *,
-    initial_error: Point2 = ORIGIN,
     seed: int = 0,
     diffusion: bool = True,
 ) -> ControllerTrace:
@@ -310,5 +277,4 @@ def run_trace(
         horizon,
         random.Random(seed),
         diffusion=diffusion,
-        initial_error=initial_error,
     )

@@ -10,7 +10,7 @@ W > 0 and gcd(X, Y, W) = 1, standing for (X/W, Y/W); its `Point2`
 vertices are built from them on first use and kept.  The kernel (`clip`,
 `clip_all`, `convex_hull`, `hull_of_polygons`, `minkowski_sum`,
 translation and polygon containment) reads and writes the triples, and a
-half-plane carries its integer triple (A, B, C), so a whole operator step
+half-plane is kept as its integer triple (A, B, C), so a whole operator step
 runs on ints: orientation is a 3x3 integer determinant, a half-plane test
 an integer dot product and the lexicographic order a cross-multiplied
 comparison.  A `Point2` becomes a triple through the lcm of its two
@@ -185,21 +185,19 @@ def _lex_min(ts: Sequence[Triple]) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HalfPlane:
-    """Closed half-plane {p : a*p.x + b*p.y <= c}."""
+    """Closed half-plane {p : a*p.x + b*p.y <= c}.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    # (A, B, C): the plane scaled to coprime integers, for the kernel.
-    _ints: Triple = field(init=False, repr=False, compare=False)
+    Only (a, b, c) scaled to coprime integers is kept, in ``ints``: two
+    half-planes compare equal exactly when they are the same set, and the
+    kernel reads the triple as it is.
+    """
 
-    def __post_init__(self) -> None:
-        a, b, c = as_fraction(self.a), as_fraction(self.b), as_fraction(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    ints: Triple
+
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike) -> None:
+        a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
         if a == 0 and b == 0:
             raise ValueError("half-plane normal must be non-zero")
         scale = math.lcm(a.denominator, b.denominator, c.denominator)
@@ -207,14 +205,20 @@ class HalfPlane:
         ib = b.numerator * (scale // b.denominator)
         ic = c.numerator * (scale // c.denominator)
         g = math.gcd(ia, ib, ic)
-        object.__setattr__(self, "_ints", (ia // g, ib // g, ic // g))
+        object.__setattr__(self, "ints", (ia // g, ib // g, ic // g))
 
     def slack(self, p: Point2) -> Fraction:
-        """c - a*x - b*y; non-negative exactly when p lies inside."""
-        return self.c - self.a * p.x - self.b * p.y
+        """c - a*x - b*y for the integer triple; non-negative exactly when p lies inside."""
+        a, b, c = self.ints
+        return c - a * p.x - b * p.y
 
     def contains(self, p: Point2) -> bool:
         return self.slack(p) >= 0
+
+    def translate(self, d: Point2) -> "HalfPlane":
+        """The half-plane moved by d: a*p.x + b*p.y <= c + a*d.x + b*d.y."""
+        a, b, c = self.ints
+        return HalfPlane(a, b, c + a * d.x + b * d.y)
 
 
 class ConvexPolygon:
@@ -623,7 +627,7 @@ def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolyg
     for plane in planes:
         if not verts:
             break
-        verts = _cut(verts, plane._ints)
+        verts = _cut(verts, plane.ints)
     if verts is original:
         return polygon
     if not verts:
@@ -666,26 +670,29 @@ def voronoi_cell(point_set: PointSet, center: Point2) -> list[HalfPlane]:
 def _defines_facet(h: HalfPlane, others: Sequence[HalfPlane]) -> bool:
     """True when the line of h meets the intersection of others in positive length.
 
-    The line is p0 + t*d with p0 its point nearest the origin and d along
-    it; each other half-plane bounds t from one side, or, when parallel,
-    keeps the whole line or none of it.
+    The line is p0 + t*d with p0 = (a, b) * c / (a^2 + b^2), its point
+    nearest the origin, and d = (-b, a); each other half-plane bounds t from
+    one side, or, when parallel, keeps the whole line or none of it.  Every
+    bound is taken times a^2 + b^2 > 0, which keeps it an exact quotient of
+    integers.
     """
-    scale = h.c / (h.a * h.a + h.b * h.b)
-    x0, y0 = h.a * scale, h.b * scale
+    a, b, c = h.ints
+    norm2 = a * a + b * b
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
     for g in others:
-        rate = g.b * h.a - g.a * h.b  # g's normal dotted with d = (-h.b, h.a)
-        room = g.c - g.a * x0 - g.b * y0
+        ga, gb, gc = g.ints
+        rate = gb * a - ga * b  # g's normal dotted with d
+        room = gc * norm2 - (ga * a + gb * b) * c  # g's slack at p0, times a^2 + b^2
         if rate == 0:
             if room < 0:
                 return False
         elif rate > 0:
-            bound = room / rate
+            bound = Fraction(room, rate)
             if hi is None or bound < hi:
                 hi = bound
         else:
-            bound = room / rate
+            bound = Fraction(room, rate)
             if lo is None or bound > lo:
                 lo = bound
     return lo is None or hi is None or lo < hi
@@ -753,38 +760,6 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
             best = key
     assert best is not None
     return best[1]
-
-
-def classify_points(point_set: PointSet) -> tuple[PointSet, Optional[PointSet]]:
-    """Split a finite set into hull-boundary points and interior points.
-
-    Points lying in the interior of a hull edge count as boundary ("corner")
-    points.  Returns (corner, inner); inner is None when every point lies on
-    the boundary, since point sets are non-empty by construction.
-    """
-    hull = point_set.hull()
-    if len(hull.vertices) <= 2:
-        return point_set, None
-    boundary = []
-    interior = []
-    for p in point_set.points:
-        if _on_boundary(hull, p):
-            boundary.append(p)
-        else:
-            interior.append(p)
-    corner = PointSet(tuple(boundary))
-    inner = PointSet(tuple(interior)) if interior else None
-    return corner, inner
-
-
-def _on_boundary(polygon: ConvexPolygon, p: Point2) -> bool:
-    for u, v in polygon.edges():
-        if orient(u, v, p) == 0:
-            d = v - u
-            t = (p - u).dot(d)
-            if 0 <= t <= d.norm2():
-                return True
-    return False
 
 
 def diameter_sq(polygon: ConvexPolygon) -> Fraction:

@@ -109,13 +109,12 @@ class IterationConfig:
     """Stopping-rule parameters for the invariant-set iteration.
 
     ``epsilon`` is the tolerance within which conditional rounding snaps a
-    coordinate to the ``SNAP_FRACTIONS`` menu.  Rounding never touches the
-    seed.
+    coordinate to the ``SNAP_FRACTIONS`` menu; at 0 rounding changes
+    nothing, so it is skipped.  Rounding never touches the seed.
     """
 
     epsilon: Fraction = DEFAULT_EPSILON
     max_iterations: int = 1000
-    rounding_enabled: bool = True
     # Abort (converged=False) once any coordinate's numerator or denominator
     # outgrows this many bits.  Arbitrary collections can drift toward
     # limits the snap menu never catches, with representations compounding
@@ -189,12 +188,8 @@ _ORIGIN_PLANES = tuple(ConvexPolygon((ORIGIN,)).half_planes())
 def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
     """(sweep, planes) for every cell type of member; see the module docstring."""
     if isinstance(member, PointSet):
-        # A bisector a.p <= b shifted by -c is a.p <= b - a.c, its slack at c.
         return tuple(
-            (
-                ConvexPolygon((-c,)),
-                tuple(HalfPlane(h.a, h.b, h.slack(c)) for h in voronoi_cell(member, c)),
-            )
+            (ConvexPolygon((-c,)), tuple(h.translate(-c) for h in voronoi_cell(member, c)))
             for c in member.points
         )
     verts = member.vertices
@@ -363,7 +358,7 @@ def iterate_to_invariance(
                 f"iterate {step} does not contain its predecessor"
             )
         candidate = grown
-        if config.rounding_enabled:
+        if config.epsilon:
             candidate, step_events = _round_polygon(grown, config, step)
             events.extend(step_events)
         if _coordinate_bits(candidate) > config.max_coordinate_bits:

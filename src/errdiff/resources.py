@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     ORIGIN,
@@ -130,8 +130,8 @@ def heater_setpoints_2d(params: HeaterParams, state: HeaterState) -> PointSet:
 
 def _coldest_subset(
     order: Sequence[int], powers: Sequence[Fraction], target: Fraction
-) -> list[int]:
-    """First subset (in coldest-first preference order) summing to target."""
+) -> Optional[list[int]]:
+    """First subset (in coldest-first preference order) summing to target, or None."""
 
     def search(idx: int, remaining: Fraction, chosen: list[int]):
         if remaining == 0:
@@ -145,54 +145,37 @@ def _coldest_subset(
                 return found
         return search(idx + 1, remaining, chosen)
 
-    result = search(0, target, [])
-    if result is None:
-        raise ValueError("setpoint does not decompose over eligible rooms")
-    return result
+    return search(0, target, [])
 
 
 def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) -> HeaterState:
     """Advance the bank after implementing a feasible total setpoint.
 
-    The setpoint is decoded into a room subset; when several subsets match,
-    the coldest rooms are heated (room index breaks exact temperature ties).
-    Heaters that switch acquire a fresh lock; temperatures then follow the
-    first-order thermal model using the new switch states.
+    The setpoint is decoded into a subset of the comfort-band rooms; a
+    setpoint that no subset decodes is not in ``heater_feasible_set`` and
+    raises ValueError.  When several subsets match, the coldest rooms are
+    heated (room index breaks exact temperature ties).  Heaters that switch
+    acquire a fresh lock; temperatures then follow the first-order thermal
+    model using the new switch states.
     """
     setpoint = as_fraction(setpoint)
-    feasible = heater_feasible_set(params, state)
-    if setpoint not in feasible:
-        raise ValueError(f"setpoint {setpoint} is not implementable in this state")
-    locked, cold, comfort, base = _room_classes(params, state)
-    target = base - setpoint
+    _, cold, comfort, base = _room_classes(params, state)
     order = sorted(comfort, key=lambda i: (state.temps[i], i))
-    heated = set(_coldest_subset(order, params.powers, target))
-
-    new_on = []
-    for i in range(params.rooms):
-        if i in locked:
-            new_on.append(state.on[i])
-        elif i in cold:
-            new_on.append(True)
-        elif i in comfort:
-            new_on.append(i in heated)
-        else:  # unlocked and too hot
-            new_on.append(False)
-
-    new_lock = []
-    for i in range(params.rooms):
-        if i not in locked and new_on[i] != state.on[i]:
-            new_lock.append(params.lock_steps)
-        else:
-            new_lock.append(max(state.lock_remaining[i] - 1, 0))
+    heated = _coldest_subset(order, params.powers, base - setpoint)
+    if heated is None:
+        raise ValueError(f"setpoint {setpoint} is not implementable in this state")
 
     res = TEMP_RESOLUTION
-    new_temps = tuple(
-        round((t + params.leak * (params.t_out - t) + params.gain * (params.powers[i] if new_on[i] else 0)) / res)
-        * res
-        for i, t in enumerate(state.temps)
-    )
-    return HeaterState(on=tuple(new_on), lock_remaining=tuple(new_lock), temps=new_temps)
+    on, locks, temps = [], [], []
+    for i, (was_on, lock, t) in enumerate(zip(state.on, state.lock_remaining, state.temps)):
+        # A locked room keeps its switch; an unlocked one heats when too cold
+        # or chosen, and a too-hot room switches off.
+        now_on = was_on if lock else (i in cold or i in heated)
+        on.append(now_on)
+        locks.append(params.lock_steps if now_on != was_on else max(lock - 1, 0))
+        heat = params.gain * params.powers[i] if now_on else 0
+        temps.append(round((t + params.leak * (params.t_out - t) + heat) / res) * res)
+    return HeaterState(on=tuple(on), lock_remaining=tuple(locks), temps=tuple(temps))
 
 
 def max_step_size(sets: Iterable[Iterable[RationalLike]]) -> Fraction:
@@ -254,18 +237,6 @@ class PVParams:
         return self.p_max * self.p_max * (1 + self.tan_phi * self.tan_phi)
 
 
-@dataclass(frozen=True)
-class PVState:
-    """Currently available real power (set by irradiance)."""
-
-    p_avail: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_avail", as_fraction(self.p_avail))
-        if self.p_avail < 0:
-            raise ValueError("available power must be non-negative")
-
-
 def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     """Feasible (P, Q) triangle with real power in [0, cap] inside the cone.
 
@@ -283,9 +254,9 @@ def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     return _raw_polygon((ORIGIN, Point2(cap, -spread), Point2(cap, spread)))
 
 
-def pv_feasible_set(params: PVParams, state: PVState) -> ConvexPolygon:
-    """Triangle capped by what irradiance currently allows."""
-    return pv_triangle(params, min(state.p_avail, params.p_max))
+def pv_feasible_set(params: PVParams, p_avail: Fraction) -> ConvexPolygon:
+    """Triangle capped by the real power irradiance currently makes available."""
+    return pv_triangle(params, min(p_avail, params.p_max))
 
 
 def pv_triangle_family(params: PVParams, subdivisions: int) -> list[ConvexPolygon]:

@@ -59,18 +59,8 @@ def parse_polygon(data: Any) -> ConvexPolygon:
     return convex_hull(parse_point(item) for item in data)
 
 
-def point_set_to_json(ps: PointSet) -> list[list[str]]:
-    return [point_to_json(p) for p in ps.points]
-
-
 def parse_point_set(data: Any) -> PointSet:
     return PointSet(tuple(parse_point(item) for item in data))
-
-
-def feasible_to_json(feasible: FeasibleSet) -> dict:
-    if isinstance(feasible, PointSet):
-        return {"points": point_set_to_json(feasible)}
-    return {"polygon": polygon_to_json(feasible)}
 
 
 def parse_feasible(data: Any) -> FeasibleSet:
@@ -84,13 +74,6 @@ def parse_feasible(data: Any) -> FeasibleSet:
 # ---------------------------------------------------------------------------
 # Collection files (compute-invariant input)
 # ---------------------------------------------------------------------------
-
-
-def collection_to_json(collection: Collection) -> dict:
-    return {
-        "mode": collection.mode,
-        "sets": [feasible_to_json(member) for member in collection.sets],
-    }
 
 
 def parse_collection(data: Any) -> Collection:
@@ -283,8 +266,15 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
+def _object(data: Any, what: str) -> dict:
+    """data, checked to be a JSON object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _parse_cost(data: Any):
-    kind = data.get("kind")
+    kind = _object(data, "cost").get("kind")
     if kind == "quadratic":
         return QuadraticCost(
             center=parse_point(data["center"]),
@@ -296,6 +286,7 @@ def _parse_cost(data: Any):
 
 
 def _parse_policy(data: Any) -> CentralPolicy:
+    _object(data, "policy")
     return CentralPolicy(
         cost=_parse_cost(data["cost"]),
         step_size=as_fraction(data.get("step_size", "1/2")),
@@ -303,7 +294,7 @@ def _parse_policy(data: Any) -> CentralPolicy:
 
 
 def _parse_availability(data: Any) -> Availability:
-    kind = data.get("kind")
+    kind = _object(data, "availability").get("kind")
     if kind == "square":
         return square_wave(int(data["period"]), as_fraction(data["low"]), as_fraction(data["high"]))
     if kind == "constant":
@@ -318,7 +309,7 @@ def _parse_availability(data: Any) -> Availability:
 
 
 def _parse_heater(data: Any) -> HeaterSpec:
-    thermal = data.get("thermal", {})
+    thermal = _object(data.get("thermal", {}), "thermal")
     params = HeaterParams(
         powers=tuple(as_fraction(p) for p in data["powers"]),
         t_min=as_fraction(data["t_min"]),
@@ -354,9 +345,10 @@ def _parse_pv(data: Any) -> PVSpec:
 
 
 def parse_scenario(data: Any) -> Scenario:
+    _object(data, "scenario")
     resources = []
     for item in data.get("resources", []):
-        kind = item.get("kind")
+        kind = _object(item, "resource").get("kind")
         if kind == "heater":
             resources.append(_parse_heater(item))
         elif kind == "pv":
@@ -376,12 +368,10 @@ def load_scenario(path: PathLike) -> Scenario:
 
 
 def parse_iteration_config(args: Any) -> IterationConfig:
-    """IterationConfig from parsed CLI flags (epsilon, max_iters, no_rounding)."""
+    """IterationConfig from parsed CLI flags (epsilon, max_iters)."""
     kwargs: dict = {}
     if getattr(args, "epsilon", None) is not None:
         kwargs["epsilon"] = as_fraction(args.epsilon)
     if getattr(args, "max_iters", None) is not None:
         kwargs["max_iterations"] = int(args.max_iters)
-    if getattr(args, "no_rounding", False):
-        kwargs["rounding_enabled"] = False
     return IterationConfig(**kwargs)

@@ -29,12 +29,11 @@ from .geometry import (
     as_fraction,
     project_convex_polygon,
 )
-from .operators import FeasibleSet, Mode
+from .operators import MODES, FeasibleSet, Mode
 from .resources import (
     HeaterParams,
     HeaterState,
     PVParams,
-    PVState,
     heater_error_bound,
     heater_setpoints_2d,
     heater_step,
@@ -167,9 +166,17 @@ class HeaterUnit:
 Availability = Callable[[int, random.Random], Fraction]
 
 
+def _levels(*values: Fraction) -> list[Fraction]:
+    """The values as Fractions, checked to be available powers."""
+    levels = [as_fraction(v) for v in values]
+    if any(v < 0 for v in levels):
+        raise ValueError("availability levels must be non-negative")
+    return levels
+
+
 def square_wave(period: int, low: Fraction, high: Fraction) -> Availability:
     """Alternate between low and high every half period (in control steps)."""
-    low, high = as_fraction(low), as_fraction(high)
+    low, high = _levels(low, high)
     if period < 2:
         raise ValueError("period must span at least two steps")
     half = period // 2
@@ -181,7 +188,7 @@ def square_wave(period: int, low: Fraction, high: Fraction) -> Availability:
 
 
 def constant_availability(value: Fraction) -> Availability:
-    value = as_fraction(value)
+    (value,) = _levels(value)
 
     def wave(n: int, rng: random.Random) -> Fraction:
         return value
@@ -191,7 +198,9 @@ def constant_availability(value: Fraction) -> Availability:
 
 def random_availability(low: Fraction, high: Fraction, denominator: int = 64) -> Availability:
     """Seeded random availability on a rational grid between low and high."""
-    low, high = as_fraction(low), as_fraction(high)
+    low, high = _levels(low, high)
+    if denominator < 1:
+        raise ValueError("availability grid denominator must be at least 1")
 
     def wave(n: int, rng: random.Random) -> Fraction:
         return low + (high - low) * Fraction(rng.randrange(denominator + 1), denominator)
@@ -218,8 +227,7 @@ class PVUnit:
         self.step = 0
 
     def feasible_set(self) -> FeasibleSet:
-        avail = self.availability(self.step, self.rng)
-        return pv_feasible_set(self.params, PVState(avail))
+        return pv_feasible_set(self.params, self.availability(self.step, self.rng))
 
     def advance(self, implemented: Point2) -> None:
         self.step += 1
@@ -233,6 +241,11 @@ class PVUnit:
 # ---------------------------------------------------------------------------
 
 
+def _check_prediction(spec: "ResourceSpec") -> None:
+    if spec.prediction not in MODES:
+        raise ValueError(f"resource {spec.resource_id!r}: prediction must be one of {MODES}")
+
+
 @dataclass
 class HeaterSpec:
     resource_id: str
@@ -243,6 +256,7 @@ class HeaterSpec:
     diffusion: bool = True
 
     def __post_init__(self) -> None:
+        _check_prediction(self)
         if len(self.initial.temps) != self.params.rooms:
             raise ValueError(f"heater {self.resource_id!r} needs one initial state per room")
 
@@ -258,6 +272,9 @@ class PVSpec:
     policy: CentralPolicy
     prediction: Mode = "persistent"
     diffusion: bool = True
+
+    def __post_init__(self) -> None:
+        _check_prediction(self)
 
     def build(self, rng: random.Random) -> ResourceUnit:
         return PVUnit(self.resource_id, self.params, self.availability, self.prediction, rng)
@@ -287,7 +304,6 @@ class Scenario:
 
 @dataclass
 class ResourceMetrics:
-    resource_id: str
     steps: int
     max_error_norm2: Fraction
     final_error: Point2
@@ -340,7 +356,7 @@ def least_squares_slope(ys: Sequence[float]) -> float:
     return (n * sum_iy - sum_i * sum_y) / ((n * sum_ii - sum_i * sum_i) << shift)
 
 
-def compute_metrics(trace: ControllerTrace, resource_id: str, bound_sq: Optional[Fraction]) -> ResourceMetrics:
+def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> ResourceMetrics:
     steps = len(trace.records)
     if steps == 0:
         raise ValueError("cannot compute metrics for an empty trace")
@@ -364,7 +380,6 @@ def compute_metrics(trace: ControllerTrace, resource_id: str, bound_sq: Optional
     if avg_imp - avg_req != (errors[0] - errors[-1]) * inv:
         raise AssertionError("trace violates the exact averaging identity")
     return ResourceMetrics(
-        resource_id=resource_id,
         steps=steps,
         max_error_norm2=max_err2,
         final_error=errors[-1],
@@ -402,7 +417,5 @@ def run_scenario(
         flags[spec.resource_id] = diffusion
         trace = run_resource_loop(unit, requests, scenario.horizon, rng, diffusion=diffusion)
         traces[spec.resource_id] = trace
-        report.resources[spec.resource_id] = compute_metrics(
-            trace, spec.resource_id, unit.error_bound_sq()
-        )
+        report.resources[spec.resource_id] = compute_metrics(trace, unit.error_bound_sq())
     return ScenarioResult(scenario=scenario, traces=traces, report=report, diffusion=flags)

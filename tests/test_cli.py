@@ -41,6 +41,19 @@ SCENARIO = {
 }
 
 
+def _pv(availability=None, **extra) -> dict:
+    """A PV resource entry on a square wave unless ``availability`` is given."""
+    return {
+        "id": "pv",
+        "kind": "pv",
+        "p_max": "1",
+        "tan_phi": "1",
+        "availability": availability or {"kind": "square", "period": 4, "low": "0", "high": "1"},
+        "policy": {"cost": {"kind": "maximize_p"}},
+        **extra,
+    }
+
+
 @pytest.fixture
 def collection_file(tmp_path):
     path = tmp_path / "collection.json"
@@ -87,20 +100,13 @@ class TestComputeInvariant:
         )
         assert code == 2
 
-    def test_no_rounding_and_epsilon_flags(self, collection_file):
-        assert (
-            main(
-                [
-                    "compute-invariant",
-                    "--collection",
-                    str(collection_file),
-                    "--no-rounding",
-                    "--epsilon",
-                    "1/1000",
-                ]
-            )
-            == 0
-        )
+    def test_no_rounding_and_epsilon_flags(self, collection_file, capsys):
+        # --epsilon 0 turns rounding off; there is no separate flag for it
+        argv = ["compute-invariant", "--collection", str(collection_file)]
+        assert main([*argv, "--epsilon", "0"]) == 0
+        with pytest.raises(SystemExit):
+            main([*argv, "--no-rounding"])
+        assert "unrecognized arguments: --no-rounding" in capsys.readouterr().err
 
 
 STALL_COLLECTION = {
@@ -192,6 +198,48 @@ class TestMalformedInput:
     def test_missing_scenario_file(self, tmp_path, capsys):
         argv = ["simulate", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]
         assert "No such file" in self._fails(capsys, argv)
+
+    def _scenario(self, capsys, tmp_path, doc):
+        out = tmp_path / "o"
+        path = _write(tmp_path, "s.json", doc)
+        line = self._fails(capsys, ["simulate", "--scenario", str(path), "--out", str(out)])
+        assert not out.exists()  # rejected while reading, before any step runs
+        return line
+
+    @pytest.mark.parametrize(
+        "doc, what",
+        [
+            ([SCENARIO], "scenario"),
+            ({**SCENARIO, "resources": ["heater"]}, "resource"),
+            ({"horizon": 4, "resources": [_pv("square")]}, "availability"),
+        ],
+    )
+    def test_non_object_entry(self, doc, what, tmp_path, capsys):
+        assert f"{what} must be a JSON object" in self._scenario(capsys, tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "resource", [{**SCENARIO["resources"][0], "prediction": "bogus"}, _pv(prediction="bogus")]
+    )
+    def test_unknown_prediction(self, resource, tmp_path, capsys):
+        line = self._scenario(capsys, tmp_path, {"horizon": 4, "resources": [resource]})
+        assert "prediction must be one of" in line
+
+    @pytest.mark.parametrize(
+        "availability",
+        [
+            {"kind": "square", "period": 4, "low": "-1", "high": "1"},
+            {"kind": "constant", "value": "-1/2"},
+            {"kind": "random", "low": "0", "high": "-1"},
+        ],
+    )
+    def test_negative_availability_level(self, availability, tmp_path, capsys):
+        line = self._scenario(capsys, tmp_path, {"horizon": 4, "resources": [_pv(availability)]})
+        assert "availability levels must be non-negative" in line
+
+    def test_zero_availability_denominator(self, tmp_path, capsys):
+        availability = {"kind": "random", "low": "0", "high": "1", "denominator": 0}
+        line = self._scenario(capsys, tmp_path, {"horizon": 4, "resources": [_pv(availability)]})
+        assert "denominator must be at least 1" in line
 
     @pytest.mark.parametrize("command", ["simulate", "plot-data"])
     def test_no_diffusion_unknown_resource(self, command, scenario_file, tmp_path, capsys):

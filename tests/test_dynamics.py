@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errdiff.dynamics import (
-    ControllerState,
     InfeasibleRequestError,
     fixed_request,
+    project_feasible,
     run_trace,
     step_perfect,
     step_persistent,
     uniform_request,
 )
-from errdiff.geometry import ORIGIN, PointSet, dist2
+from errdiff.geometry import ORIGIN, PointSet, convex_hull, dist2
 from errdiff.operators import feasible_hull
 from errdiff.resources import PVParams, pv_triangle
 from errdiff.simulate import compute_metrics
@@ -22,64 +24,66 @@ from conftest import poly, pt
 
 HEATER = PointSet.of(pt(-15, 0), pt(0, 0))  # consumption setpoints, embedded at Q=0
 
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+points = st.builds(pt, coords, coords)
+# Finite sets, and the convex members: a point, a segment or a triangle.
+feasible_sets = st.one_of(
+    st.lists(points, min_size=1, max_size=4).map(lambda ps: PointSet(tuple(ps))),
+    st.lists(points, min_size=1, max_size=3).map(convex_hull),
+)
+schedules = st.lists(feasible_sets, min_size=1, max_size=8)
+
 
 class TestStepPerfect:
     def test_implementable_request_leaves_no_error(self):
-        y, state = step_perfect(ControllerState(), pt(-15, 0), HEATER)
+        y, error = step_perfect(ORIGIN, pt(-15, 0), HEATER)
         assert y == pt(-15, 0)
-        assert state.error == ORIGIN
+        assert error == ORIGIN
 
     def test_midpoint_request_ties_to_lexicographic_smaller(self):
-        y, state = step_perfect(ControllerState(), pt("-15/2", 0), HEATER)
+        y, error = step_perfect(ORIGIN, pt("-15/2", 0), HEATER)
         assert y == pt(-15, 0)
-        assert state.error == pt("15/2", 0)
+        assert error == pt("15/2", 0)
 
     def test_repeating_midpoint_duty_cycles(self):
-        state = ControllerState()
+        error = ORIGIN
         seen = []
         for _ in range(6):
-            y, state = step_perfect(state, pt("-15/2", 0), HEATER)
+            y, error = step_perfect(error, pt("-15/2", 0), HEATER)
             seen.append(y)
         assert seen == [pt(-15, 0), pt(0, 0)] * 3
-        assert state.error == ORIGIN
+        assert error == ORIGIN
 
     def test_greedy_optimality_over_finite_set(self):
         rng = random.Random(2)
         sites = PointSet.of(pt(0, 0), pt(2, 1), pt(-1, 3), pt(4, -2))
-        state = ControllerState()
+        error = ORIGIN
         advert = sites.hull()
         for k in range(60):
-            request = uniform_request(denominator=32)(advert, state.error, rng)
-            target = state.error + request
-            y, state = step_perfect(state, request, sites)
-            assert all(state.error.norm2() <= dist2(target, s) for s in sites.points)
+            request = uniform_request(denominator=32)(advert, error, rng)
+            target = error + request
+            y, error = step_perfect(error, request, sites)
+            assert all(error.norm2() <= dist2(target, s) for s in sites.points)
 
 
 class TestStepPersistent:
     def test_request_at_carried_point_clears_error(self):
-        state = ControllerState().start_persistent(pt(2, 1))
         sites = PointSet.of(pt(2, 1), pt(0, 0))
-        y, nxt = step_persistent(state, pt(0, 0), sites)
+        y, z = step_persistent(pt(2, 1), pt(0, 0), sites)  # z[0] = x[0] = (2, 1)
         assert y == pt(2, 1)
-        assert nxt.modified_request == pt(0, 0)
-        assert nxt.error == ORIGIN
-
-    def test_uninitialized_state_rejected(self):
-        with pytest.raises(ValueError):
-            step_persistent(ControllerState(), pt(0, 0), HEATER)
+        assert z == pt(0, 0)  # z[1] = x[1]: no error carried
 
     def test_pv_shrink_absorbs_error_into_carried_request(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
         wide = pv_triangle(params, 1)
         shrunk = pv_triangle(params, 0)  # irradiance vanished: only the origin
         x0 = pt(1, 0)
-        state = ControllerState().start_persistent(x0)
-        y0, state = step_persistent(state, x0, wide)  # advertise wide again, x1 = x0
-        assert y0 == x0 and state.error == ORIGIN
+        y0, z = step_persistent(x0, x0, wide)  # advertise wide again, x1 = x0
+        assert y0 == x0 and z - x0 == ORIGIN
         # next step the set collapses; the only admissible request is origin
-        y1, state = step_persistent(state, pt(0, 0), shrunk)
+        y1, z = step_persistent(z, pt(0, 0), shrunk)
         assert y1 == pt(0, 0)
-        assert state.error == x0  # the miss is carried exactly
+        assert z - pt(0, 0) == x0  # the miss is carried exactly
 
     def test_constant_sets_match_perfect_mode(self):
         sites = PointSet.of(pt(0, 0), pt(3, 0), pt(0, 3))
@@ -143,7 +147,7 @@ class TestRunTrace:
             "perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 101, seed=0
         )
         n = len(trace.records)
-        metrics = compute_metrics(trace, "heater", None)
+        metrics = compute_metrics(trace, None)
         assert metrics.average_requested == pt("-15/2", 0)
         avg_gap = metrics.average_implemented - metrics.average_requested
         assert avg_gap == (trace.errors()[0] - trace.final_error) * Fraction(1, n)
@@ -167,17 +171,6 @@ class TestRunTrace:
         assert [r.implemented for r in seq_trace.records] == [
             r.implemented for r in fn_trace.records
         ]
-
-    def test_nonzero_initial_error_is_carried_not_asserted(self):
-        # starting outside any invariant set is allowed; the recursion holds
-        start = pt(100, -3)
-        trace = run_trace(
-            "perfect", lambda n: HEATER, fixed_request(pt(0, 0)), 5, initial_error=start
-        )
-        assert trace.errors()[0] == start
-        errors = trace.errors()
-        for k, r in enumerate(trace.records):
-            assert errors[k + 1] == r.error + r.requested - r.implemented
 
     def test_mixed_finite_and_continuous_sets_per_step(self):
         from errdiff.geometry import convex_hull
@@ -276,10 +269,46 @@ class TestControllerLoop:
         sets = [pv_triangle(params, cap) for cap in caps]
         trace = run_trace("persistent", sets, uniform_request(denominator=32), len(sets), seed=3)
         records = trace.records
-        state = ControllerState().start_persistent(records[0].requested)
+        z = records[0].requested
         for now, nxt in zip(records, records[1:]):
             assert nxt.advertised == feasible_hull(now.feasible)
-            y, state = step_persistent(state, nxt.requested, now.feasible)
+            y, z = step_persistent(z, nxt.requested, now.feasible)
             assert y == now.implemented
-            assert state.error == nxt.error
+            assert z - nxt.requested == nxt.error
         assert any(r.error != ORIGIN for r in records)
+
+
+class TestLoopMatchesSteps:
+    """The loop's e-form against the step functions iterated by hand."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedules, st.integers(0, 2**16))
+    def test_persistent_loop_is_the_z_recursion(self, sets, seed):
+        trace = run_trace("persistent", sets, uniform_request(denominator=8), len(sets), seed=seed)
+        records = trace.records
+        z = records[0].requested  # z[0] = e[0] + x[0] with e[0] = 0
+        for now, nxt in zip(records, records[1:]):
+            y, z = step_persistent(z, nxt.requested, now.feasible)
+            assert y == now.implemented
+            assert z - nxt.requested == nxt.error
+        last = records[-1]
+        assert project_feasible(last.feasible, z) == last.implemented
+        assert trace.final_error == z - last.implemented
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedules, st.integers(0, 2**16), st.booleans())
+    def test_perfect_loop_iterates_step_perfect(self, sets, seed, diffusion):
+        trace = run_trace(
+            "perfect", sets, uniform_request(denominator=8), len(sets), seed=seed, diffusion=diffusion
+        )
+        error = ORIGIN
+        for r in trace.records:
+            assert r.error == error
+            if diffusion:
+                y, error = step_perfect(error, r.requested, r.feasible)
+            else:
+                # the bare request is projected; the miss still accumulates
+                y = project_feasible(r.feasible, r.requested)
+                error = error + r.requested - y
+            assert y == r.implemented
+        assert trace.final_error == error

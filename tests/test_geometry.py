@@ -12,7 +12,6 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
-    classify_points,
     clip,
     clip_all,
     clip_to_cell,
@@ -462,48 +461,53 @@ class TestProjection:
             assert best <= dist2(s, z)
 
 
+def cell_is_unbounded(point_set, center):
+    """Whether the Voronoi cell of center holds a ray.
+
+    The cell is {p : n.p <= k} over its bisectors.  It holds a ray exactly
+    when some direction d != 0 has n.d <= 0 for every normal n, and then
+    one such d runs along a bisector line.
+    """
+    normals = [pt(h.ints[0], h.ints[1]) for h in voronoi_cell(point_set, center)]
+    directions = [pt(-n.y, n.x) for n in normals] + [pt(n.y, -n.x) for n in normals]
+    return not normals or any(all(n.dot(d) <= 0 for n in normals) for d in directions)
+
+
 class TestClassify:
+    """Corner points (on the hull boundary) have unbounded Voronoi cells, inner points bounded ones."""
+
     def test_convex_position_all_corner(self):
         s = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
-        corner, inner = classify_points(s)
-        assert corner == s and inner is None
+        assert all(cell_is_unbounded(s, c) for c in s.points)
 
     def test_grid8_edge_points_are_corner(self, grid8):
-        corner, inner = classify_points(grid8)
-        assert corner == grid8 and inner is None
+        assert all(cell_is_unbounded(grid8, c) for c in grid8.points)
 
     def test_interior_point_detected(self):
         s = PointSet.from_coords([(-10, -10), (10, -10), (10, 10), (-10, 10), (0, 5)])
-        corner, inner = classify_points(s)
-        assert inner is not None and inner.points == (pt(0, 5),)
-        assert len(corner) == 4
+        assert [c for c in s.points if not cell_is_unbounded(s, c)] == [pt(0, 5)]
 
     def test_corner_cells_unbounded_inner_bounded(self):
         # characterization used by the boundedness argument, checked by ray probing
         s = PointSet.from_coords([(-10, -10), (10, -10), (10, 10), (-10, 10), (0, 5)])
-        corner, inner = classify_points(s)
         far = Fraction(10**6)
-        for c in corner.points:
-            direction = c - pt(0, 0)
-            if direction == pt(0, 0):
-                continue
-            probe = c + direction * far
+        for c in (pt(-10, -10), pt(10, -10), pt(10, 10), pt(-10, 10)):
+            probe = c + c * far
             assert all(h.contains(probe) for h in voronoi_cell(s, c))
-        (p,) = inner.points
+        p = pt(0, 5)
         for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             probe = p + pt(sx, sy) * far
             assert not all(h.contains(probe) for h in voronoi_cell(s, p))
 
     def test_voronoi_subset_property(self):
-        # cells w.r.t. the full set are contained in cells w.r.t. corner points
+        # cells w.r.t. the full set are contained in cells w.r.t. the hull's vertices
         rng = random.Random(31)
         for _ in range(12):
             pts = tuple(pt(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(4, 9)))
             s = PointSet(pts)
-            corner, inner = classify_points(s)
-            if inner is None:
+            sc = PointSet(s.hull().vertices)
+            if sc == s:
                 continue
-            sc = corner
             for c in sc.points:
                 full_planes = voronoi_cell(s, c)
                 corner_planes = voronoi_cell(sc, c)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errdiff.geometry import convex_hull
 from errdiff.intervals import IntervalUnion
@@ -12,7 +14,6 @@ from errdiff.resources import (
     HeaterParams,
     HeaterState,
     PVParams,
-    PVState,
     heater_error_bound,
     heater_feasible_set,
     heater_setpoints_2d,
@@ -154,6 +155,48 @@ class TestHeaterStep:
             assert lo <= st.temps[0] <= hi
 
 
+@st.composite
+def heater_banks(draw):
+    """Up to four rooms in any switch, lock and temperature-band state."""
+    rooms = draw(st.integers(1, 4))
+    powers = [draw(st.sampled_from(["1", "2", "3", "3/2"])) for _ in range(rooms)]
+    params = HeaterParams(
+        powers=tuple(Fraction(p) for p in powers),
+        t_min=Fraction(19),
+        t_max=Fraction(22),
+        lock_steps=draw(st.integers(0, 3)),
+    )
+    bank = HeaterState(
+        on=tuple(draw(st.booleans()) for _ in range(rooms)),
+        lock_remaining=tuple(draw(st.integers(0, 3)) for _ in range(rooms)),
+        temps=tuple(Fraction(draw(st.sampled_from(["18", "19", "41/2", "22", "23"]))) for _ in range(rooms)),
+    )
+    return params, bank
+
+
+class TestHeaterStepOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(heater_banks())
+    def test_raises_exactly_outside_the_feasible_set(self, bank):
+        params, now = bank
+        feasible = heater_feasible_set(params, now)
+        # Every negated sum of room powers, feasible here or not, and values between them.
+        sums = {
+            sum(chosen, Fraction(0))
+            for k in range(params.rooms + 1)
+            for chosen in itertools.combinations(params.powers, k)
+        }
+        candidates = {-s for s in sums} | {-s - Fraction(1, 2) for s in sums} | {Fraction(1)}
+        for setpoint in sorted(candidates):
+            if setpoint in feasible:
+                nxt = heater_step(params, now, setpoint)
+                heating = sum((p for p, on in zip(params.powers, nxt.on) if on), Fraction(0))
+                assert -heating == setpoint  # the decoded rooms draw exactly the setpoint
+            else:
+                with pytest.raises(ValueError):
+                    heater_step(params, now, setpoint)
+
+
 class TestStepSize:
     def test_singleton(self):
         assert max_step_size([(0,)]) == 0
@@ -221,9 +264,9 @@ class TestPVTriangle:
 
     def test_feasible_set_saturates(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
-        assert pv_feasible_set(params, PVState(Fraction(5))) == pv_triangle(params, 1)
-        assert pv_feasible_set(params, PVState(Fraction(0))).is_point
-        assert pv_feasible_set(params, PVState(Fraction(1, 3))) == pv_triangle(params, "1/3")
+        assert pv_feasible_set(params, Fraction(5)) == pv_triangle(params, 1)
+        assert pv_feasible_set(params, Fraction(0)).is_point
+        assert pv_feasible_set(params, Fraction(1, 3)) == pv_triangle(params, "1/3")
 
 
 class TestPVBound:

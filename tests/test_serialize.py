@@ -7,9 +7,7 @@ from errdiff.dynamics import fixed_request, run_trace
 from errdiff.geometry import PointSet, as_fraction
 from errdiff.operators import Collection
 from errdiff.serialize import (
-    collection_to_json,
     feasible_set_id,
-    feasible_to_json,
     load_collection,
     load_scenario,
     parse_collection,
@@ -51,11 +49,11 @@ class TestGeometryJson:
 
     def test_point_set_round_trip(self):
         ps = PointSet.from_coords([(0, 0), ("1/2", -1)])
-        assert parse_feasible(feasible_to_json(ps)) == ps
+        assert parse_feasible({"points": [["0", "0"], ["1/2", "-1"]]}) == ps
 
     def test_feasible_polygon_round_trip(self):
         region = poly((0, 0), (2, 0), (0, 2))
-        assert parse_feasible(feasible_to_json(region)) == region
+        assert parse_feasible({"polygon": polygon_to_json(region)}) == region
 
     def test_golden_file_matches_computed_polygon(self):
         from errdiff.verify import load_golden_polygon
@@ -68,8 +66,18 @@ class TestGeometryJson:
 class TestCollectionFiles:
     def test_round_trip(self, tmp_path, ring_family):
         col = Collection(ring_family, "perfect")
+        ring = [["-1", "-1"], ["0", "-1"], ["1", "-1"], ["1", "0"],
+                ["1", "1"], ["0", "1"], ["-1", "1"], ["-1", "0"]]
+        doc = {
+            "mode": "perfect",
+            "sets": [
+                {"points": ring},
+                {"points": [p for p in ring if p != ["0", "-1"]]},
+                {"points": [p for p in ring if p not in (["0", "-1"], ["-1", "-1"])]},
+            ],
+        }
         path = tmp_path / "collection.json"
-        path.write_text(json.dumps(collection_to_json(col)))
+        path.write_text(json.dumps(doc))
         assert load_collection(path) == col
 
     def test_mode_default_and_errors(self):

@@ -289,7 +289,7 @@ class TestEmitPlotData:
         scenario = heater_scenario(horizon=1)
         synthetic = ScenarioResult(
             scenario=scenario,
-            traces={"heater": ControllerTrace(mode="perfect")},
+            traces={"heater": ControllerTrace()},
             report=MetricsReport(),
             diffusion={"heater": True},
         )
