@@ -35,6 +35,10 @@ from .geometry import (
     ConvexPolygon,
     Point2,
     PointSet,
+    Triple,
+    _contains_all,
+    _pt,
+    _scaled,
     project_convex_polygon,
     project_point_set,
 )
@@ -61,9 +65,11 @@ def step_perfect(
     is the update of both prediction modes; they differ only in the
     advertisement the request was drawn from, which the caller checks.
     """
-    target = error + request
+    # A polygon projection returns z itself when z is feasible, and the
+    # error is then the origin: such steps skip their Fraction arithmetic.
+    target = request if error is ORIGIN else error + request
     implemented = project_feasible(feasible, target)
-    return implemented, target - implemented
+    return implemented, ORIGIN if implemented is target else target - implemented
 
 
 def step_persistent(
@@ -108,7 +114,8 @@ class ControllerTrace:
         return [r.error for r in self.records] + [self.final_error]
 
     def max_error_norm2(self) -> Fraction:
-        return max(e.norm2() for e in self.errors())
+        scale, errors = _scaled(self.errors())
+        return Fraction(max(x * x + y * y for x, y in errors), scale * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -130,32 +137,54 @@ def fixed_request(point: Point2) -> RequestPolicy:
     return policy
 
 
+def _extent(ts: Sequence[Triple], axis: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The smallest and largest coordinate ``axis`` of the triples, as (numerator, denominator)."""
+    lo = hi = ts[0]
+    for t in ts[1:]:
+        if t[axis] * lo[2] < lo[axis] * t[2]:
+            lo = t
+        elif t[axis] * hi[2] > hi[axis] * t[2]:
+            hi = t
+    return (lo[axis], lo[2]), (hi[axis], hi[2])
+
+
 def uniform_request(denominator: int = 1024) -> RequestPolicy:
     """Random rational request in the advertised set.
 
     Points are drawn on a denominator-bounded grid: rejection sampling from
     the bounding box for full polygons, parameter sampling for segments.
+    Each draw k/denominator is placed in integers, on the segment's or the
+    box's corners as numerator-denominator pairs, and only the returned
+    point becomes a Point2.
     """
 
-    def rand_unit(rng: random.Random) -> Fraction:
-        return Fraction(rng.randrange(denominator + 1), denominator)
+    def lerp(a: tuple[int, int], b: tuple[int, int], k: int) -> tuple[int, int]:
+        """a + (b - a)*k/denominator for a = an/ad and b = bn/bd, as a numerator and denominator."""
+        (an, ad), (bn, bd) = a, b
+        return an * bd * (denominator - k) + bn * ad * k, ad * bd * denominator
 
     def policy(advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
-        verts = advertised.vertices
-        if not verts:
+        ts = advertised._ts
+        if not ts:
             raise ValueError("cannot sample from an empty advertisement")
-        if len(verts) == 1:
-            return verts[0]
-        if len(verts) == 2:
-            u, v = verts
-            return u + (v - u) * rand_unit(rng)
-        xmin, ymin, xmax, ymax = advertised.bbox()
+        if len(ts) == 1:
+            return advertised.vertices[0]
+        if len(ts) == 2:
+            (ux, uy, uw), (vx, vy, vw) = ts
+            k = rng.randrange(denominator + 1)
+            x, w = lerp((ux, uw), (vx, vw), k)
+            y, _ = lerp((uy, uw), (vy, vw), k)
+            return _pt(Fraction(x, w), Fraction(y, w))
+        (xmin, xmax), (ymin, ymax) = _extent(ts, 0), _extent(ts, 1)
         for _ in range(200):
-            p = Point2(xmin + (xmax - xmin) * rand_unit(rng), ymin + (ymax - ymin) * rand_unit(rng))
-            if advertised.contains_point(p):
-                return p
-        # Thin polygon: fall back to a random convex combination of vertices.
-        weights = [Fraction(rng.randrange(1, denominator)) for _ in verts]
+            xn, xd = lerp(xmin, xmax, rng.randrange(denominator + 1))
+            yn, yd = lerp(ymin, ymax, rng.randrange(denominator + 1))
+            if _contains_all(ts, ((xn * yd, yn * xd, xd * yd),)):
+                return _pt(Fraction(xn, xd), Fraction(yn, yd))
+        # Thin polygon: fall back to a random convex combination of vertices
+        # (equal weights when the grid has no point strictly between 0 and 1).
+        verts = advertised.vertices
+        weights = [Fraction(rng.randrange(1, max(denominator, 2))) for _ in verts]
         total = sum(weights)
         x = sum((v.x * w for v, w in zip(verts, weights)), Fraction(0)) / total
         y = sum((v.y * w for v, w in zip(verts, weights)), Fraction(0)) / total

@@ -13,11 +13,14 @@ translation and polygon containment) reads and writes the triples, and a
 half-plane is kept as its integer triple (A, B, C), so a whole operator step
 runs on ints: orientation is a 3x3 integer determinant, a half-plane test
 an integer dot product and the lexicographic order a cross-multiplied
-comparison.  A `Point2` becomes a triple through the lcm of its two
-denominators, a triple becomes a point through `Fraction(X, W)` and
-`Fraction(Y, W)`.  `orient` stays the Fraction predicate; polygon
-validation and the tests use it as the reference the integer kernel is
-checked against.
+comparison.  Both projections run on integers too: `project_point_set`
+compares scaled squared distances, and `project_convex_polygon` works on
+the polygon's triples, clamps each edge parameter and compares candidates
+by cross-multiplication, then builds one Point2 for the answer.  A
+`Point2` becomes a triple through the lcm of its two denominators, a
+triple becomes a point through `Fraction(X, W)` and `Fraction(Y, W)`.
+`orient` stays the Fraction predicate; polygon validation and the tests
+use it as the reference the integer kernel is checked against.
 
 All value types are immutable and all operations are pure functions, so
 values can be shared freely across threads.
@@ -703,14 +706,20 @@ def clip_to_cell(polygon: ConvexPolygon, point_set: PointSet, center: Point2) ->
     return clip_all(polygon, voronoi_cell(point_set, center))
 
 
+def _scaled(points: Sequence[Point2]) -> tuple[int, list[tuple[int, int]]]:
+    """L, the lcm of every coordinate denominator of the points, and each point times L."""
+    scale = math.lcm(*{q.denominator for p in points for q in (p.x, p.y)})
+    return scale, [
+        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+        for p in points
+    ]
+
+
 @lru_cache(maxsize=8192)
 def _scaled_points(ps: PointSet) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """L, the lcm of every coordinate denominator of ps, and each point times L."""
-    scale = math.lcm(*(q.denominator for p in ps.points for q in (p.x, p.y)))
-    return scale, tuple(
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-        for p in ps.points
-    )
+    """`_scaled` of a point set, computed once per set."""
+    scale, scaled = _scaled(ps.points)
+    return scale, tuple(scaled)
 
 
 def project_point_set(point_set: PointSet, z: Point2) -> Point2:
@@ -734,32 +743,59 @@ def project_point_set(point_set: PointSet, z: Point2) -> Point2:
 
 
 def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
-    """Euclidean projection onto a convex polygon, computed exactly.
+    """Euclidean projection onto a convex polygon, computed exactly on its triples.
 
-    The projection lands on a vertex or on the foot of a perpendicular to
-    an edge; both have rational coordinates, so the unique minimizer is
-    found by comparing squared distances over edges and vertices.
+    A z inside the polygon is its own projection.  Otherwise the projection
+    is a vertex or the foot of the perpendicular from z = (zx, zy, zw) to
+    an edge u -> v.  With D = (v - u)*Wu*Wv and Zu = (z - u)*Wu*Wz integer
+    vectors, the edge parameter is t = Zu.D*Wv / (|D|^2*Wz), so clamping t
+    to [0, 1] is two integer comparisons.  A vertex u lies at squared
+    distance |Zu|^2 / (Wu*Wz)^2 and a foot at cross(Zu, D)^2 / (Wu*Wz)^2
+    |D|^2; without their common factor 1/Wz^2 the candidates compare by
+    cross-multiplication.  Only the winner becomes a Point2: a vertex is
+    the polygon's own, a foot is built from its triple.  The projection is
+    unique, so only equal candidates can tie; ties keep the (squared
+    distance, point) order all the same.
     """
-    if polygon.is_empty:
+    ts = polygon._ts
+    if not ts:
         raise ValueError("cannot project onto an empty polygon")
-    if polygon.contains_point(z):
+    zt = _triple(z)
+    if len(ts) == 1:
+        return z if ts[0] == zt else polygon.vertices[0]
+    if _contains_all(ts, (zt,)):
         return z
-    if polygon.is_point:
-        return polygon.vertices[0]
-    best: Optional[tuple[Fraction, Point2]] = None
-    for u, v in polygon.edges():
-        d = v - u
-        t = (z - u).dot(d) / d.norm2()
-        if t < 0:
-            t = _ZERO
-        elif t > 1:
-            t = _ONE
-        candidate = u + d * t
-        key = (dist2(candidate, z), candidate)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[1]
+    zx, zy, zw = zt
+    n = len(ts)
+    best_num = best_den = 0
+    best_t: Triple = zt
+    best_vertex: Optional[int] = None
+    for i in range(1 if n == 2 else n):
+        j = (i + 1) % n
+        ux, uy, uw = ts[i]
+        vx, vy, vw = ts[j]
+        dx, dy = vx * uw - ux * vw, vy * uw - uy * vw
+        px, py = zx * uw - ux * zw, zy * uw - uy * zw
+        dot = px * dx + py * dy
+        d2 = dx * dx + dy * dy
+        if dot <= 0:  # t <= 0: the vertex u
+            vertex, cand = i, ts[i]
+            num, den = px * px + py * py, uw * uw
+        elif dot * vw >= d2 * zw:  # t >= 1: the vertex v
+            vertex, cand = j, ts[j]
+            qx, qy = zx * vw - vx * zw, zy * vw - vy * zw
+            num, den = qx * qx + qy * qy, vw * vw
+        else:  # the foot u + (v - u)*t
+            scale = d2 * zw
+            vertex, cand = None, (ux * scale + dx * dot, uy * scale + dy * dot, uw * scale)
+            cross = px * dy - py * dx
+            num, den = cross * cross, uw * uw * d2
+        if best_den:
+            order = num * best_den - best_num * den or _lex_cmp(cand, best_t)
+            if order >= 0:
+                continue
+        best_num, best_den, best_t, best_vertex = num, den, cand, vertex
+    return polygon.vertices[best_vertex] if best_vertex is not None else _point(best_t)
 
 
 def diameter_sq(polygon: ConvexPolygon) -> Fraction:

@@ -4,20 +4,32 @@ The heater bank exposes a one-dimensional discrete feasible set of real
 power setpoints (consumption is negative by convention), shaped by per-room
 lock timers and comfort-band state.  The PV converter exposes a triangle of
 (P, Q) setpoints whose real-power cap follows the available irradiance.
+
+Both models run their per-step work on integers.  A bank keeps its powers
+over one common denominator, classifies rooms by cross-multiplied
+temperature comparisons, decodes a setpoint as an integer subset sum and
+rounds each new temperature to the 1/1024 grid (``TEMP_RESOLUTION``, ties
+to even) by one integer divmod (``grid_point``).  Feasible sets are built
+once and shared through bounded caches: the heater set per (forced base,
+comfort-room powers) and the PV triangle per (cap, tan_phi).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (
+    _ZERO,
     ORIGIN,
     ConvexPolygon,
     Point2,
     PointSet,
     RationalLike,
+    _pt,
     _raw_polygon,
     as_fraction,
     segment,
@@ -34,6 +46,20 @@ from .geometry import (
 TEMP_RESOLUTION = Fraction(1, 1024)
 
 
+def grid_point(num: int, den: int, resolution: Fraction) -> Fraction:
+    """round(num / den / resolution) * resolution for den > 0, in one integer divmod.
+
+    The nearest point of the grid, ties to even, exactly what rounding the
+    Fraction num/den/resolution with ``round`` gives.
+    """
+    rn, rd = resolution.numerator, resolution.denominator
+    den *= rn
+    k, r = divmod(num * rd, den)
+    if 2 * r > den or (2 * r == den and k & 1):
+        k += 1
+    return Fraction(k * rn, rd)
+
+
 @dataclass(frozen=True)
 class HeaterParams:
     """A bank of purely resistive on/off heaters, one per room.
@@ -42,6 +68,11 @@ class HeaterParams:
     their negatives).  After a switch a heater stays locked for
     ``lock_steps`` control periods.  Temperatures follow a first-order
     model: T' = T + leak*(t_out - T) + gain*P_delivered.
+
+    The bank is also kept in integers, computed once: ``_scale``, the lcm
+    of the power denominators, and every power times it; the band limits as
+    (numerator, denominator) pairs; and per room and switch state the
+    thermal update T' = (T*keep + add) / over with integer keep, add, over.
     """
 
     powers: tuple[Fraction, ...]
@@ -51,6 +82,10 @@ class HeaterParams:
     leak: Fraction = Fraction(1, 100)
     gain: Fraction = Fraction(0)
     t_out: Fraction = Fraction(0)
+    _scale: int = field(init=False, repr=False, compare=False)
+    _scaled_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _band: tuple[tuple[int, int], tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _thermal: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", tuple(as_fraction(p) for p in self.powers))
@@ -66,10 +101,29 @@ class HeaterParams:
             raise ValueError("lock_steps must be non-negative")
         if not (0 <= self.leak < 1):
             raise ValueError("leak rate must lie in [0, 1)")
+        scale = math.lcm(*(p.denominator for p in self.powers))
+        object.__setattr__(self, "_scale", scale)
+        scaled_powers = tuple(p.numerator * (scale // p.denominator) for p in self.powers)
+        object.__setattr__(self, "_scaled_powers", scaled_powers)
+        object.__setattr__(
+            self, "_band", tuple((t.numerator, t.denominator) for t in (self.t_min, self.t_max))
+        )
+        keep, add = 1 - self.leak, self.leak * self.t_out
+        object.__setattr__(
+            self,
+            "_thermal",
+            tuple((_affine(keep, add), _affine(keep, add + self.gain * p)) for p in self.powers),
+        )
 
     @property
     def rooms(self) -> int:
         return len(self.powers)
+
+
+def _affine(keep: Fraction, add: Fraction) -> tuple[int, int, int]:
+    """T -> T*keep + add as integers (k, a, m): T' = (T*k + a) / m."""
+    m = math.lcm(keep.denominator, add.denominator)
+    return keep.numerator * (m // keep.denominator), add.numerator * (m // add.denominator), m
 
 
 @dataclass(frozen=True)
@@ -96,44 +150,77 @@ class HeaterState:
         return cls(on=on, lock_remaining=(0,) * len(temps), temps=temps)
 
 
-def _room_classes(params: HeaterParams, state: HeaterState):
-    """Locked rooms, forced-on contribution, and toggle-eligible rooms."""
-    locked = [i for i in range(params.rooms) if state.lock_remaining[i] > 0]
-    unlocked = [i for i in range(params.rooms) if state.lock_remaining[i] == 0]
-    cold = [i for i in unlocked if state.temps[i] < params.t_min]
-    comfort = [i for i in unlocked if params.t_min <= state.temps[i] <= params.t_max]
-    base = -sum(
-        (params.powers[i] for i in locked if state.on[i]), Fraction(0)
-    ) - sum((params.powers[i] for i in cold), Fraction(0))
-    return locked, cold, comfort, base
+def _heater_state(on: tuple, locks: tuple, temps: tuple) -> HeaterState:
+    """A HeaterState from values ``heater_step`` computed, without re-validating them."""
+    state = object.__new__(HeaterState)
+    object.__setattr__(state, "on", on)
+    object.__setattr__(state, "lock_remaining", locks)
+    object.__setattr__(state, "temps", temps)
+    return state
+
+
+def _room_classes(params: HeaterParams, state: HeaterState) -> tuple[list[int], list[int], int]:
+    """Too-cold rooms, toggle-eligible comfort rooms, and the forced base.
+
+    Temperatures are compared with the band by cross-multiplication; the
+    base is the negated power of the locked-on and too-cold rooms, as an
+    integer over ``params._scale``.
+    """
+    (lo_n, lo_d), (hi_n, hi_d) = params._band
+    powers = params._scaled_powers
+    cold, comfort = [], []
+    base = 0
+    for i, lock in enumerate(state.lock_remaining):
+        if lock:
+            if state.on[i]:
+                base -= powers[i]
+            continue
+        t = state.temps[i]
+        a, b = t.numerator, t.denominator
+        if a * lo_d < lo_n * b:
+            cold.append(i)
+            base -= powers[i]
+        elif a * hi_d <= hi_n * b:
+            comfort.append(i)
+    return cold, comfort, base
+
+
+@lru_cache(maxsize=4096)
+def _setpoints(scale: int, base: int, comfort: tuple[int, ...]) -> PointSet:
+    """base minus every subset sum of the comfort powers, over scale, on the P axis."""
+    sums = {0}
+    for p in comfort:
+        sums |= {s + p for s in sums}
+    return PointSet(tuple(_pt(Fraction(base - s, scale), _ZERO) for s in sums))
+
+
+def heater_setpoints_2d(params: HeaterParams, state: HeaterState) -> PointSet:
+    """The feasible set embedded in the (P, Q) plane at Q = 0.
+
+    Locked heaters and too-cold rooms contribute a fixed base consumption;
+    each subset of the unlocked comfort-band rooms may additionally heat.
+    The set is built once per (base, comfort-room powers) and then shared.
+    """
+    _, comfort, base = _room_classes(params, state)
+    powers = params._scaled_powers
+    return _setpoints(params._scale, base, tuple(powers[i] for i in comfort))
 
 
 def heater_feasible_set(params: HeaterParams, state: HeaterState) -> tuple[Fraction, ...]:
     """Implementable total real-power setpoints, sorted ascending.
 
-    Locked heaters and too-cold rooms contribute a fixed base consumption;
-    each subset of the unlocked comfort-band rooms may additionally heat.
-    With a single room this reduces to the three-case table {0}, {-P, 0},
-    {-P} driven by lock state and temperature.
+    With a single room this is the three-case table {0}, {-P, 0}, {-P}
+    driven by lock state and temperature.
     """
-    _, _, comfort, base = _room_classes(params, state)
-    sums = {Fraction(0)}
-    for i in comfort:
-        sums |= {s + params.powers[i] for s in sums}
-    return tuple(sorted({base - s for s in sums}))
-
-
-def heater_setpoints_2d(params: HeaterParams, state: HeaterState) -> PointSet:
-    """The feasible set embedded in the (P, Q) plane at Q = 0."""
-    return PointSet(tuple(Point2(v, Fraction(0)) for v in heater_feasible_set(params, state)))
+    return tuple(p.x for p in heater_setpoints_2d(params, state).points)
 
 
 def _coldest_subset(
-    order: Sequence[int], powers: Sequence[Fraction], target: Fraction
+    order: Sequence[int], powers: Sequence[int], target: int
 ) -> Optional[list[int]]:
     """First subset (in coldest-first preference order) summing to target, or None."""
 
-    def search(idx: int, remaining: Fraction, chosen: list[int]):
+    def search(idx: int, remaining: int, chosen: list[int]):
         if remaining == 0:
             return chosen
         if idx == len(order):
@@ -156,16 +243,19 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
     raises ValueError.  When several subsets match, the coldest rooms are
     heated (room index breaks exact temperature ties).  Heaters that switch
     acquire a fresh lock; temperatures then follow the first-order thermal
-    model using the new switch states.
+    model using the new switch states, rounded to the ``TEMP_RESOLUTION``
+    grid (ties to even) by one integer divmod per room.
     """
     setpoint = as_fraction(setpoint)
-    _, cold, comfort, base = _room_classes(params, state)
+    cold, comfort, base = _room_classes(params, state)
     order = sorted(comfort, key=lambda i: (state.temps[i], i))
-    heated = _coldest_subset(order, params.powers, base - setpoint)
+    # The decode runs in integers over params._scale; a setpoint off that
+    # grid is no sum of powers.
+    target, off_grid = divmod(setpoint.numerator * params._scale, setpoint.denominator)
+    heated = None if off_grid else _coldest_subset(order, params._scaled_powers, base - target)
     if heated is None:
         raise ValueError(f"setpoint {setpoint} is not implementable in this state")
 
-    res = TEMP_RESOLUTION
     on, locks, temps = [], [], []
     for i, (was_on, lock, t) in enumerate(zip(state.on, state.lock_remaining, state.temps)):
         # A locked room keeps its switch; an unlocked one heats when too cold
@@ -173,9 +263,10 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
         now_on = was_on if lock else (i in cold or i in heated)
         on.append(now_on)
         locks.append(params.lock_steps if now_on != was_on else max(lock - 1, 0))
-        heat = params.gain * params.powers[i] if now_on else 0
-        temps.append(round((t + params.leak * (params.t_out - t) + heat) / res) * res)
-    return HeaterState(on=tuple(on), lock_remaining=tuple(locks), temps=tuple(temps))
+        keep, add, over = params._thermal[i][now_on]
+        a, b = t.numerator, t.denominator
+        temps.append(grid_point(a * keep + add * b, b * over, TEMP_RESOLUTION))
+    return _heater_state(tuple(on), tuple(locks), tuple(temps))
 
 
 def max_step_size(sets: Iterable[Iterable[RationalLike]]) -> Fraction:
@@ -248,7 +339,13 @@ def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     cap = as_fraction(cap)
     if not (0 <= cap <= params.p_max):
         raise ValueError(f"cap {cap} outside [0, {params.p_max}]")
-    spread = cap * params.tan_phi
+    return _pv_triangle(cap, params.tan_phi)
+
+
+@lru_cache(maxsize=4096)
+def _pv_triangle(cap: Fraction, tan_phi: Fraction) -> ConvexPolygon:
+    """The triangle of a valid cap, built once per (cap, tan_phi): they determine it."""
+    spread = cap * tan_phi
     if spread == 0:
         return segment(ORIGIN, Point2(cap, spread))  # the origin itself when cap = 0
     return _raw_polygon((ORIGIN, Point2(cap, -spread), Point2(cap, spread)))

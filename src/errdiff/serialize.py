@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
@@ -168,8 +169,9 @@ def _scenario_header(result: ScenarioResult) -> dict:
     }
 
 
+@lru_cache(maxsize=4096)
 def feasible_set_id(feasible: FeasibleSet) -> str:
-    """Short stable identifier of a feasible set's exact contents."""
+    """Short stable identifier of a feasible set's exact contents, hashed once per set."""
     if isinstance(feasible, PointSet):
         text = "ps:" + ";".join(f"{p.x},{p.y}" for p in feasible.points)
     else:
@@ -273,6 +275,20 @@ def _object(data: Any, what: str) -> dict:
     return data
 
 
+def _json_integer(value: Any, name: str) -> int:
+    """value, checked to be a JSON integer: an int that is not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_boolean(value: Any, name: str) -> bool:
+    """value, checked to be a JSON boolean."""
+    if type(value) is not bool:
+        raise ValueError(f"{name!r} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _parse_cost(data: Any):
     kind = _object(data, "cost").get("kind")
     if kind == "quadratic":
@@ -296,14 +312,18 @@ def _parse_policy(data: Any) -> CentralPolicy:
 def _parse_availability(data: Any) -> Availability:
     kind = _object(data, "availability").get("kind")
     if kind == "square":
-        return square_wave(int(data["period"]), as_fraction(data["low"]), as_fraction(data["high"]))
+        return square_wave(
+            _json_integer(data["period"], "period"),
+            as_fraction(data["low"]),
+            as_fraction(data["high"]),
+        )
     if kind == "constant":
         return constant_availability(as_fraction(data["value"]))
     if kind == "random":
         return random_availability(
             as_fraction(data["low"]),
             as_fraction(data["high"]),
-            int(data.get("denominator", 64)),
+            _json_integer(data.get("denominator", 64), "denominator"),
         )
     raise ValueError(f"unknown availability kind {kind!r}")
 
@@ -314,13 +334,13 @@ def _parse_heater(data: Any) -> HeaterSpec:
         powers=tuple(as_fraction(p) for p in data["powers"]),
         t_min=as_fraction(data["t_min"]),
         t_max=as_fraction(data["t_max"]),
-        lock_steps=int(data.get("lock_steps", 0)),
+        lock_steps=_json_integer(data.get("lock_steps", 0), "lock_steps"),
         leak=as_fraction(thermal.get("leak", "1/100")),
         gain=as_fraction(thermal.get("gain", 0)),
         t_out=as_fraction(thermal.get("t_out", 0)),
     )
     temps = [as_fraction(t) for t in data["initial_temps"]]
-    on = [bool(v) for v in data.get("initial_on", [False] * len(temps))]
+    on = [_json_boolean(v, "initial_on") for v in data.get("initial_on", [False] * len(temps))]
     initial = HeaterState(on=tuple(on), lock_remaining=(0,) * len(temps), temps=tuple(temps))
     return HeaterSpec(
         resource_id=data["id"],
@@ -328,7 +348,7 @@ def _parse_heater(data: Any) -> HeaterSpec:
         initial=initial,
         policy=_parse_policy(data["policy"]),
         prediction=data.get("prediction", "perfect"),
-        diffusion=bool(data.get("diffusion", True)),
+        diffusion=_json_boolean(data.get("diffusion", True), "diffusion"),
     )
 
 
@@ -340,7 +360,7 @@ def _parse_pv(data: Any) -> PVSpec:
         availability=_parse_availability(data["availability"]),
         policy=_parse_policy(data["policy"]),
         prediction=data.get("prediction", "persistent"),
-        diffusion=bool(data.get("diffusion", True)),
+        diffusion=_json_boolean(data.get("diffusion", True), "diffusion"),
     )
 
 
@@ -356,10 +376,10 @@ def parse_scenario(data: Any) -> Scenario:
         else:
             raise ValueError(f"unknown resource kind {kind!r}")
     return Scenario(
-        horizon=int(data["horizon"]),
+        horizon=_json_integer(data["horizon"], "horizon"),
         resources=resources,
-        seed=int(data.get("seed", 0)),
-        step_ms=int(data.get("step_ms", 100)),
+        seed=_json_integer(data.get("seed", 0), "seed"),
+        step_ms=_json_integer(data.get("step_ms", 100), "step_ms"),
     )
 
 

@@ -9,6 +9,14 @@ what was actually implemented.  No network constraints couple the resources
 here; each one runs its own loop, which keeps every claim about accumulated
 error exact and testable.
 
+The central step rounds each coordinate of its gradient target to the
+1/1024 grid (``REQUEST_RESOLUTION``, ties to even) by one integer divmod,
+and the metrics put every setpoint and error of a trace over one common
+denominator, so the sums, squared norms and the averaging-identity check
+are integer operations.  The resources' feasible sets come from the
+bounded caches of ``resources``, and ``serialize`` hashes each distinct
+set once.
+
 This module holds the resource units, the central policy, scenarios and
 metrics; ``serialize`` writes them out.
 """
@@ -26,6 +34,8 @@ from .geometry import (
     ORIGIN,
     ConvexPolygon,
     Point2,
+    _pt,
+    _scaled,
     as_fraction,
     project_convex_polygon,
 )
@@ -34,6 +44,7 @@ from .resources import (
     HeaterParams,
     HeaterState,
     PVParams,
+    grid_point,
     heater_error_bound,
     heater_setpoints_2d,
     heater_step,
@@ -62,12 +73,15 @@ class QuadraticCost:
         return (x - self.center) * (2 * self.curvature)
 
 
+_MINUS_P = Point2(Fraction(-1), Fraction(0))
+
+
 @dataclass(frozen=True)
 class MaximizeActivePower:
     """cost(x) = -P, so the gradient is the constant (-1, 0)."""
 
     def gradient(self, x: Point2) -> Point2:
-        return Point2(Fraction(-1), Fraction(0))
+        return _MINUS_P
 
 
 Cost = Union[QuadraticCost, MaximizeActivePower]
@@ -93,14 +107,26 @@ class CentralPolicy:
             raise ValueError("step size must be positive")
 
 
+def _descend(x: Fraction, slope: Fraction, step: Fraction) -> Fraction:
+    """x - slope*step rounded to the ``REQUEST_RESOLUTION`` grid, in integers."""
+    xn, xd = x.numerator, x.denominator
+    gn, gd = slope.numerator, slope.denominator
+    sn, sd = step.numerator, step.denominator
+    return grid_point(xn * gd * sd - gn * sn * xd, xd * gd * sd, REQUEST_RESOLUTION)
+
+
 def central_step(policy: CentralPolicy, advertised: ConvexPolygon, x_prev: Point2) -> Point2:
     """One projected gradient step on the ``REQUEST_RESOLUTION`` grid,
-    guaranteed to land in the advertisement."""
+    guaranteed to land in the advertisement.
+
+    Each coordinate of x - gradient*step is rounded to the grid, ties to
+    even, by one integer divmod; the snapped point is then projected.
+    """
     if advertised.is_empty:
         raise ValueError("advertisement must be non-empty")
-    target = x_prev - policy.cost.gradient(x_prev) * policy.step_size
-    res = REQUEST_RESOLUTION
-    snapped = Point2(round(target.x / res) * res, round(target.y / res) * res)
+    gradient = policy.cost.gradient(x_prev)
+    step = policy.step_size
+    snapped = _pt(_descend(x_prev.x, gradient.x, step), _descend(x_prev.y, gradient.y, step))
     return project_convex_polygon(advertised, snapped)
 
 
@@ -357,35 +383,48 @@ def least_squares_slope(ys: Sequence[float]) -> float:
 
 
 def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> ResourceMetrics:
-    steps = len(trace.records)
+    """The metrics of one trace, in one exact pass over integers.
+
+    Every requested and implemented setpoint and every error is put over
+    one common denominator L, so the sums, the squared norms (over L^2) and
+    the stagnation test are integer operations, and each reported rational
+    is built once.  The averaging identity mean(y) - mean(x) = (e_0 - e_N)/N
+    is checked exactly, as sum(y) - sum(x) = e_0 - e_N in those integers.
+    """
+    records = trace.records
+    steps = len(records)
     if steps == 0:
         raise ValueError("cannot compute metrics for an empty trace")
     errors = trace.errors()
-    norms2 = [e.norm2() for e in errors]
-    max_err2 = max(norms2)
-    requested = implemented = ORIGIN
+    scale, ints = _scaled(
+        [r.requested for r in records] + [r.implemented for r in records] + errors
+    )
+    requested, implemented, scaled_errors = ints[:steps], ints[steps : 2 * steps], ints[2 * steps :]
+    norms2 = [x * x + y * y for x, y in scaled_errors]
+    max_norm2 = max(norms2)
     longest = current = 0
     prev = None
-    for r in trace.records:
-        requested += r.requested
-        implemented += r.implemented
-        pair = (r.requested, r.implemented)
+    for pair in zip(requested, implemented):
         current = current + 1 if pair == prev else 1
         prev = pair
         longest = max(longest, current)
-    inv = Fraction(1, steps)
-    avg_req = requested * inv
-    avg_imp = implemented * inv
-    # Exact bookkeeping identity: mean(y) - mean(x) = (e_0 - e_N) / N.
-    if avg_imp - avg_req != (errors[0] - errors[-1]) * inv:
+    req_x = sum(x for x, _ in requested)
+    req_y = sum(y for _, y in requested)
+    imp_x = sum(x for x, _ in implemented)
+    imp_y = sum(y for _, y in implemented)
+    (first_x, first_y), (last_x, last_y) = scaled_errors[0], scaled_errors[-1]
+    if (imp_x - req_x, imp_y - req_y) != (first_x - last_x, first_y - last_y):
         raise AssertionError("trace violates the exact averaging identity")
+    total, square = scale * steps, scale * scale
+    max_err2 = Fraction(max_norm2, square)
     return ResourceMetrics(
         steps=steps,
         max_error_norm2=max_err2,
         final_error=errors[-1],
-        average_requested=avg_req,
-        average_implemented=avg_imp,
-        error_slope=least_squares_slope([math.sqrt(float(q)) for q in norms2]),
+        average_requested=_pt(Fraction(req_x, total), Fraction(req_y, total)),
+        average_implemented=_pt(Fraction(imp_x, total), Fraction(imp_y, total)),
+        # q / square is the correctly rounded float of the squared norm.
+        error_slope=least_squares_slope([math.sqrt(q / square) for q in norms2]),
         stagnation_steps=longest,
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,

@@ -1,17 +1,20 @@
-"""Reference kernel: the exact 2-D algorithms written over `Fraction` coordinates.
+"""Reference kernel: the exact algorithms written over `Fraction` coordinates.
 
 This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`,
-translation and polygon containment that `errdiff.geometry` runs on
-integer homogeneous triples, and of one collection-operator step
-(`cell_pieces`, `apply_collection`) assembled from them.  Only the tests
+translation, polygon containment and `project_convex_polygon` that
+`errdiff.geometry` runs on integer homogeneous triples, of one
+collection-operator step (`cell_pieces`, `apply_collection`) assembled
+from them, and of the closed loop's `uniform_request`, `central_step`,
+`heater_step` and `compute_metrics`, which the package runs on integers.  Only the tests
 import it, as an oracle: every function here must return exactly what its
 counterpart in the package returns.  Of the package it uses the value
-types, their Fraction arithmetic, `orient` and `voronoi_cell`, and it
-builds its polygons with the validating `ConvexPolygon` constructor.
+types, their Fraction arithmetic, `orient`, `dist2` and `voronoi_cell`,
+and it builds its polygons with the validating `ConvexPolygon` constructor.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,10 +25,14 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
+    dist2,
     orient,
     voronoi_cell,
 )
+from errdiff.dynamics import ControllerTrace
 from errdiff.operators import Collection
+from errdiff.resources import TEMP_RESOLUTION, HeaterParams, HeaterState
+from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics, least_squares_slope
 
 
 def cross(u: Point2, v: Point2) -> Fraction:
@@ -283,4 +290,162 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
     return _hull_of_union(
         minkowski_sum(_feasible_hull(member), _hull_of_union(cell_pieces(member, region)))
         for member in collection.sets
+    )
+
+
+def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
+    """Closest point: z itself inside, else the best vertex or edge foot by (dist^2, point)."""
+    if polygon.is_empty:
+        raise ValueError("cannot project onto an empty polygon")
+    if contains_point(polygon, z):
+        return z
+    if polygon.is_point:
+        return polygon.vertices[0]
+    best = None
+    for u, v in polygon.edges():
+        d = v - u
+        t = (z - u).dot(d) / d.norm2()
+        if t < 0:
+            t = Fraction(0)
+        elif t > 1:
+            t = Fraction(1)
+        candidate = u + d * t
+        key = (dist2(candidate, z), candidate)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+# ---------------------------------------------------------------------------
+# The closed loop
+# ---------------------------------------------------------------------------
+
+
+def uniform_request(denominator: int = 1024):
+    """Requests drawn by Fraction arithmetic: the same draws, in the same order, as the package."""
+
+    def rand_unit(rng) -> Fraction:
+        return Fraction(rng.randrange(denominator + 1), denominator)
+
+    def policy(advertised: ConvexPolygon, error: Point2, rng) -> Point2:
+        verts = advertised.vertices
+        if not verts:
+            raise ValueError("cannot sample from an empty advertisement")
+        if len(verts) == 1:
+            return verts[0]
+        if len(verts) == 2:
+            u, v = verts
+            return u + (v - u) * rand_unit(rng)
+        xmin, ymin, xmax, ymax = advertised.bbox()
+        for _ in range(200):
+            p = Point2(xmin + (xmax - xmin) * rand_unit(rng), ymin + (ymax - ymin) * rand_unit(rng))
+            if contains_point(advertised, p):
+                return p
+        weights = [Fraction(rng.randrange(1, max(denominator, 2))) for _ in verts]
+        total = sum(weights)
+        x = sum((v.x * w for v, w in zip(verts, weights)), Fraction(0)) / total
+        y = sum((v.y * w for v, w in zip(verts, weights)), Fraction(0)) / total
+        return Point2(x, y)
+
+    return policy
+
+
+def central_step(policy, advertised: ConvexPolygon, x_prev: Point2) -> Point2:
+    """One projected gradient step, snapped by rounding the Fraction ratio to the grid."""
+    if advertised.is_empty:
+        raise ValueError("advertisement must be non-empty")
+    target = x_prev - policy.cost.gradient(x_prev) * policy.step_size
+    res = REQUEST_RESOLUTION
+    snapped = Point2(round(target.x / res) * res, round(target.y / res) * res)
+    return project_convex_polygon(advertised, snapped)
+
+
+def _room_classes(params: HeaterParams, state: HeaterState):
+    """Locked rooms, forced-on contribution, and toggle-eligible rooms."""
+    locked = [i for i in range(params.rooms) if state.lock_remaining[i] > 0]
+    unlocked = [i for i in range(params.rooms) if state.lock_remaining[i] == 0]
+    cold = [i for i in unlocked if state.temps[i] < params.t_min]
+    comfort = [i for i in unlocked if params.t_min <= state.temps[i] <= params.t_max]
+    base = -sum(
+        (params.powers[i] for i in locked if state.on[i]), Fraction(0)
+    ) - sum((params.powers[i] for i in cold), Fraction(0))
+    return locked, cold, comfort, base
+
+
+def heater_feasible_set(params: HeaterParams, state: HeaterState) -> tuple[Fraction, ...]:
+    _, _, comfort, base = _room_classes(params, state)
+    sums = {Fraction(0)}
+    for i in comfort:
+        sums |= {s + params.powers[i] for s in sums}
+    return tuple(sorted({base - s for s in sums}))
+
+
+def _coldest_subset(order, powers, target):
+    def search(idx, remaining, chosen):
+        if remaining == 0:
+            return chosen
+        if idx == len(order):
+            return None
+        room = order[idx]
+        if powers[room] <= remaining:
+            found = search(idx + 1, remaining - powers[room], chosen + [room])
+            if found is not None:
+                return found
+        return search(idx + 1, remaining, chosen)
+
+    return search(0, target, [])
+
+
+def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) -> HeaterState:
+    """Decode to the coldest matching rooms, then round the thermal model with round()."""
+    setpoint = Fraction(setpoint)
+    _, cold, comfort, base = _room_classes(params, state)
+    order = sorted(comfort, key=lambda i: (state.temps[i], i))
+    heated = _coldest_subset(order, params.powers, base - setpoint)
+    if heated is None:
+        raise ValueError(f"setpoint {setpoint} is not implementable in this state")
+    res = TEMP_RESOLUTION
+    on, locks, temps = [], [], []
+    for i, (was_on, lock, t) in enumerate(zip(state.on, state.lock_remaining, state.temps)):
+        now_on = was_on if lock else (i in cold or i in heated)
+        on.append(now_on)
+        locks.append(params.lock_steps if now_on != was_on else max(lock - 1, 0))
+        heat = params.gain * params.powers[i] if now_on else 0
+        temps.append(round((t + params.leak * (params.t_out - t) + heat) / res) * res)
+    return HeaterState(on=tuple(on), lock_remaining=tuple(locks), temps=tuple(temps))
+
+
+def compute_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:
+    """The metrics by Point2 sums and Fraction norms."""
+    steps = len(trace.records)
+    if steps == 0:
+        raise ValueError("cannot compute metrics for an empty trace")
+    errors = trace.errors()
+    norms2 = [e.norm2() for e in errors]
+    max_err2 = max(norms2)
+    requested = implemented = ORIGIN
+    longest = current = 0
+    prev = None
+    for r in trace.records:
+        requested += r.requested
+        implemented += r.implemented
+        pair = (r.requested, r.implemented)
+        current = current + 1 if pair == prev else 1
+        prev = pair
+        longest = max(longest, current)
+    inv = Fraction(1, steps)
+    avg_req = requested * inv
+    avg_imp = implemented * inv
+    if avg_imp - avg_req != (errors[0] - errors[-1]) * inv:
+        raise AssertionError("trace violates the exact averaging identity")
+    return ResourceMetrics(
+        steps=steps,
+        max_error_norm2=max_err2,
+        final_error=errors[-1],
+        average_requested=avg_req,
+        average_implemented=avg_imp,
+        error_slope=least_squares_slope([math.sqrt(float(q)) for q in norms2]),
+        stagnation_steps=longest,
+        error_bound_sq=bound_sq,
+        bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
     )

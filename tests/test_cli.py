@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -52,6 +53,15 @@ def _pv(availability=None, **extra) -> dict:
         "policy": {"cost": {"kind": "maximize_p"}},
         **extra,
     }
+
+
+def _heater(**extra) -> dict:
+    """The heater entry of SCENARIO with ``extra`` fields set."""
+    return {**SCENARIO["resources"][0], **extra}
+
+
+def _pv_scenario(availability: dict) -> dict:
+    return {"horizon": 4, "resources": [_pv(availability)]}
 
 
 @pytest.fixture
@@ -241,6 +251,38 @@ class TestMalformedInput:
         line = self._scenario(capsys, tmp_path, {"horizon": 4, "resources": [_pv(availability)]})
         assert "denominator must be at least 1" in line
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**SCENARIO, "horizon": 3.7}, "horizon"),
+            ({**SCENARIO, "horizon": True}, "horizon"),
+            ({**SCENARIO, "seed": "2"}, "seed"),
+            ({**SCENARIO, "step_ms": 100.0}, "step_ms"),
+            ({**SCENARIO, "resources": [_heater(lock_steps=5.9)]}, "lock_steps"),
+            (_pv_scenario({"kind": "square", "period": 4.0, "low": "0", "high": "1"}), "period"),
+            (
+                _pv_scenario({"kind": "random", "low": "0", "high": "1", "denominator": 2.9}),
+                "denominator",
+            ),
+        ],
+    )
+    def test_non_integer_field(self, doc, field, tmp_path, capsys):
+        line = self._scenario(capsys, tmp_path, doc)
+        assert f"'{field}' must be a JSON integer" in line
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**SCENARIO, "resources": [_heater(diffusion="false")]}, "diffusion"),
+            ({"horizon": 4, "resources": [_pv(diffusion=0)]}, "diffusion"),
+            ({**SCENARIO, "resources": [_heater(initial_on=["false"])]}, "initial_on"),
+            ({**SCENARIO, "resources": [_heater(initial_on=[1])]}, "initial_on"),
+        ],
+    )
+    def test_non_boolean_field(self, doc, field, tmp_path, capsys):
+        line = self._scenario(capsys, tmp_path, doc)
+        assert f"'{field}' must be a JSON boolean" in line
+
     @pytest.mark.parametrize("command", ["simulate", "plot-data"])
     def test_no_diffusion_unknown_resource(self, command, scenario_file, tmp_path, capsys):
         out = tmp_path / "o"
@@ -287,6 +329,34 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["files"]) == 3
         assert (out / "heater_setpoints.csv").exists()
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _digest(out: Path) -> str:
+    """sha256 over the sorted output files, each as name, NUL, bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command, seed, expected",
+    [
+        ("simulate", 1, "10c46af1505a55074155fbddf3b580d6040513e154d8de76ef50a2fa74bc3a86"),
+        ("plot-data", 1, "6c0c379150fca03b67e16c5be9a964deb02d3e1a3063cfd50ea7a4c8c9cf3131"),
+        ("simulate", 2, "d4229f6ffbde52cb17bc1199079336fd87dceb2d1e45961f4cad47be32f339f6"),
+    ],
+    ids=["simulate-seed1", "plot-data-seed1", "simulate-seed2"],
+)
+def test_closed_loop_outputs_are_pinned(command, seed, expected, tmp_path, capsys):
+    """The benchmark's closed-loop scenario (heaters and two PV units, 2000 steps) byte for byte."""
+    out = tmp_path / "out"
+    scenario = DATA / f"closed_loop_seed{seed}.json"
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert _digest(out) == expected
 
 
 def test_cli_imports_only_the_standard_library():

@@ -1,8 +1,11 @@
-"""The integer-triple kernel of errdiff.geometry against the Fraction oracle.
+"""The integer kernels of errdiff against the Fraction oracle.
 
 Polygons carry their integer triples, so besides the kernel functions the
 tests cover polygons built from triples, translation, the hull of a union
-of polygons and one whole collection-operator step.
+of polygons, one whole collection-operator step and the projection.  The
+closed loop's integer arithmetic (grid snapping, the central step, the
+heater update, the request draws and the metrics) is checked against the
+same oracle.
 
 Every input is a small rational configuration, which keeps the
 degeneracies that matter (duplicates, collinear points, parallel edges,
@@ -12,13 +15,16 @@ and denominators of 200 bits and more.  A common scale preserves every
 orientation sign, so the mapped input keeps its degeneracies.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel as oracle
+from errdiff.dynamics import ControllerTrace, StepRecord, fixed_request, run_trace, uniform_request
 from errdiff.geometry import (
     ConvexPolygon,
     HalfPlane,
@@ -34,9 +40,27 @@ from errdiff.geometry import (
     hull_of_polygons,
     minkowski_sum,
     orient,
+    project_convex_polygon,
     segment,
 )
 from errdiff.operators import MODES, Collection, apply_collection, apply_member
+from errdiff.resources import (
+    TEMP_RESOLUTION,
+    HeaterParams,
+    HeaterState,
+    grid_point,
+    heater_feasible_set,
+    heater_setpoints_2d,
+    heater_step,
+)
+from errdiff.simulate import (
+    REQUEST_RESOLUTION,
+    CentralPolicy,
+    MaximizeActivePower,
+    QuadraticCost,
+    central_step,
+    compute_metrics,
+)
 
 from conftest import pt
 
@@ -300,3 +324,205 @@ class TestOperatorStep:
         for member in collection.sets:
             want = oracle.apply_collection(Collection((member,), mode), region)
             assert apply_member(member, region, mode) == want
+
+
+class TestProjection:
+    @settings(max_examples=50, deadline=None)
+    @given(point_lists(), st.lists(small_points, min_size=1, max_size=4), affine_maps())
+    @example([pt(0, 0), pt(2, 0)], [pt(1, 0)], lambda p: p)
+    @example([pt(0, 0), pt(2, -1), pt(2, 1)], [pt(3, 3)], lambda p: p)
+    def test_equals_oracle(self, pts, probes, f):
+        """Points, segments, triangles and larger polygons, with z free, inside,
+        at a vertex, on an edge, on an edge line beyond its ends and on the
+        perpendicular through an end of an edge (clamped t exactly 0 or 1)."""
+        region = convex_hull(pts)
+        verts = region.vertices
+        candidates = list(verts) + [f(p) for p in probes]
+        if len(verts) >= 3:
+            candidates.append(sum(verts[1:], verts[0]) * Fraction(1, len(verts)))
+        for u, v in region.edges():
+            d = v - u
+            out = Point2(d.y, -d.x)  # the outward normal of a CCW edge
+            candidates += [(u + v) * Fraction(1, 2), u * 2 - v, v * 2 - u]
+            candidates += [u + out, v + out, u - out, v - out * 3]
+        for z in candidates:
+            got = project_convex_polygon(region, z)
+            assert got == oracle.project_convex_polygon(region, z)
+            if oracle.contains_point(region, z):
+                assert got is z  # a feasible z is returned as it is
+            elif got in verts:
+                assert got is verts[verts.index(got)]  # a vertex is the polygon's own
+
+    def test_empty_polygon_rejected(self):
+        with pytest.raises(ValueError):
+            project_convex_polygon(ConvexPolygon(()), pt(0, 0))
+
+
+# Values whose ratio to the grid spacing is k + 1/2, below and above zero
+# and with k even and odd, plus free rationals.
+TIES = [Fraction(2 * k + 1, 2048) for k in range(-4, 4)]
+RESOLUTIONS = [REQUEST_RESOLUTION, Fraction(3, 1024), Fraction(5, 7), Fraction(1)]
+
+
+class TestSnapping:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(TIES), st.fractions(), big),
+        st.sampled_from(RESOLUTIONS),
+        st.integers(min_value=1, max_value=5),
+    )
+    @example(Fraction(1, 2048), REQUEST_RESOLUTION, 1)
+    @example(Fraction(3, 2048), REQUEST_RESOLUTION, 1)
+    @example(Fraction(-1, 2048), REQUEST_RESOLUTION, 1)
+    @example(Fraction(-3, 2048), REQUEST_RESOLUTION, 1)
+    @example(Fraction(15, 14), Fraction(5, 7), 1)
+    def test_grid_point_rounds_half_to_even(self, value, resolution, spread):
+        """Equal to round() of the Fraction ratio, also for an unreduced num/den."""
+        want = round(value / resolution) * resolution
+        num, den = value.numerator * spread, value.denominator * spread
+        assert grid_point(num, den, resolution) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(-4096, 4096), st.integers(-4096, 4096)),
+        st.one_of(
+            st.just(MaximizeActivePower()),
+            st.builds(
+                QuadraticCost,
+                st.builds(Point2, *[st.fractions(max_denominator=2048)] * 2),
+                st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+            ),
+        ),
+        st.sampled_from([Fraction(1, 2048), Fraction(1, 4), Fraction(1, 2), Fraction(3, 7)]),
+        point_lists(),
+    )
+    @example((0, 0), MaximizeActivePower(), Fraction(1, 2048), [pt(-9, -9), pt(9, -9), pt(0, 9)])
+    @example((-3, 2), QuadraticCost(pt(0, "1/1024")), Fraction(1, 4), [pt(-9, -9), pt(9, 9)])
+    def test_central_step_equals_oracle(self, x, cost, step, pts):
+        """x on the 1/1024 grid; a step of 1/2048, or a centre half a grid step off,
+        puts the snapped target on exact ties."""
+        policy = CentralPolicy(cost, step)
+        advertised = convex_hull(pts)
+        x_prev = Point2(Fraction(x[0], 1024), Fraction(x[1], 1024))
+        want = oracle.central_step(policy, advertised, x_prev)
+        assert central_step(policy, advertised, x_prev) == want
+
+
+@st.composite
+def heater_cases(draw):
+    """A bank of up to four rooms with fractional powers and thermal constants,
+    in any switch and lock state, with temperatures on or off the 1/1024 grid."""
+    rooms = draw(st.integers(1, 4))
+    powers = [draw(st.sampled_from(["1", "2", "3", "3/2", "5/3", "7/4"])) for _ in range(rooms)]
+    params = HeaterParams(
+        powers=tuple(Fraction(p) for p in powers),
+        t_min=Fraction(draw(st.sampled_from(["19", "379/20"]))),
+        t_max=Fraction(22),
+        lock_steps=draw(st.integers(0, 3)),
+        leak=draw(st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(3, 7)])),
+        gain=draw(st.sampled_from([Fraction(0), Fraction(1, 6), Fraction(2, 3)])),
+        t_out=draw(st.sampled_from([Fraction(8), Fraction(-5, 3), Fraction(41, 2)])),
+    )
+    temps = st.one_of(
+        st.sampled_from([Fraction(19), Fraction(22), Fraction(379, 20)]),
+        st.fractions(min_value=18, max_value=23, max_denominator=3000),
+        st.builds(Fraction, st.integers(18 * 1024, 23 * 1024), st.just(1024)),
+    )
+    state = HeaterState(
+        on=tuple(draw(st.booleans()) for _ in range(rooms)),
+        lock_remaining=tuple(draw(st.integers(0, 3)) for _ in range(rooms)),
+        temps=tuple(draw(temps) for _ in range(rooms)),
+    )
+    return params, state, draw(st.lists(st.integers(0, 2**rooms), min_size=1, max_size=6))
+
+
+class TestHeater:
+    @settings(max_examples=100, deadline=None)
+    @given(heater_cases())
+    def test_step_equals_oracle(self, case):
+        """A short run choosing setpoints by index; every state's set, every
+        step and every rejected setpoint agree with the oracle."""
+        params, state, choices = case
+        for choice in choices:
+            feasible = oracle.heater_feasible_set(params, state)
+            assert heater_feasible_set(params, state) == feasible
+            points = heater_setpoints_2d(params, state).points
+            assert points == tuple(Point2(v, 0) for v in feasible)
+            for bad in (feasible[0] - Fraction(1, 3), Fraction(1)):
+                with pytest.raises(ValueError):
+                    heater_step(params, state, bad)
+            setpoint = feasible[choice % len(feasible)]
+            nxt = heater_step(params, state, setpoint)
+            assert nxt == oracle.heater_step(params, state, setpoint)
+            state = nxt
+        assert all(t.denominator <= TEMP_RESOLUTION.denominator for t in state.temps)
+
+    def test_sets_with_one_base_differ_by_comfort_rooms(self):
+        """Both states force nothing (base 0); one offers room 0, the other room 1."""
+        params = HeaterParams(powers=(Fraction(1), Fraction(2)), t_min=19, t_max=22)
+        first = HeaterState.initial([20, 25])
+        second = HeaterState.initial([25, 20])
+        assert heater_feasible_set(params, first) == (-1, 0)
+        assert heater_feasible_set(params, second) == (-2, 0)
+
+
+class TestUniformRequest:
+    @settings(max_examples=60, deadline=None)
+    @given(point_lists(), st.sampled_from([1, 2, 7, 64, 1024]), st.integers(0, 2**32))
+    @example([pt(0, 1), pt(1, 0), pt(0, -1), pt(-1, 0)], 1, 0)  # no grid point inside: fallback
+    def test_same_draws_as_oracle(self, pts, denominator, seed):
+        """The same points from the same random calls, so the two streams stay in step."""
+        advertised = convex_hull(pts)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draw, want = uniform_request(denominator), oracle.uniform_request(denominator)
+        for _ in range(4):
+            request = draw(advertised, pt(0, 0), ours)
+            assert request == want(advertised, pt(0, 0), theirs)
+            assert advertised.contains_point(request)
+        assert ours.getstate() == theirs.getstate()
+
+
+@st.composite
+def traces(draw):
+    """Runs of 1-25 steps over drawn point sets and polygons, either prediction
+    mode, with or without diffusion, under uniform or fixed requests."""
+    f = draw(affine_maps())
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = [f(p) for p in draw(st.lists(small_points, min_size=1, max_size=4))]
+        sets.append(PointSet(tuple(pts)) if draw(st.booleans()) else convex_hull(pts))
+    if draw(st.booleans()):
+        requests = uniform_request(draw(st.sampled_from([1, 7, 64, 1024])))
+    else:
+        # The first set's own point: a request every advertisement holds when
+        # the sets are equal, so steps stagnate.
+        sets = sets[:1]
+        first = sets[0]
+        points = first.points if isinstance(first, PointSet) else first.vertices
+        requests = fixed_request(min(points))
+    return run_trace(
+        draw(st.sampled_from(MODES)),
+        lambda n: sets[n % len(sets)],
+        requests,
+        draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 9)),
+        diffusion=draw(st.booleans()),
+    )
+
+
+class TestMetrics:
+    @settings(max_examples=50, deadline=None)
+    @given(traces(), st.one_of(st.none(), st.fractions(min_value=0)))
+    def test_equals_oracle(self, trace, bound_sq):
+        assert compute_metrics(trace, bound_sq) == oracle.compute_metrics(trace, bound_sq)
+        assert trace.max_error_norm2() == max(e.norm2() for e in trace.errors())
+
+    def test_broken_identity_is_caught(self):
+        records = [
+            StepRecord(n, PointSet.of(p), ConvexPolygon((p,)), p, p, error)
+            for n, p, error in ((0, pt(0, 0), pt(0, 0)), (1, pt(1, 0), pt(0, 1)))
+        ]
+        trace = ControllerTrace(records, final_error=pt(0, 1))
+        for metrics in (compute_metrics, oracle.compute_metrics):
+            with pytest.raises(AssertionError):
+                metrics(trace, None)
