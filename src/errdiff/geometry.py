@@ -46,11 +46,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to Fraction.
 
     Floats are rejected on purpose: silently converting a binary float
-    would smuggle rounding error into an exact pipeline.
+    would smuggle rounding error into an exact pipeline.  Booleans are
+    rejected too, although `bool` is an `int`: a JSON ``true`` is not 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected a rational value, got {type(value).__name__!s}")
 

@@ -37,7 +37,6 @@ in practice.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -49,9 +48,12 @@ from .geometry import (
     ORIGIN,
     ConvexPolygon,
     HalfPlane,
-    Point2,
     PointSet,
     RationalLike,
+    Triple,
+    _hull,
+    _normalised,
+    _polygon,
     as_fraction,
     clip_all,
     convex_hull,
@@ -120,9 +122,14 @@ class IterationConfig:
     # limits the snap menu never catches, with representations compounding
     # every iteration; the budget turns that into a clean non-convergence.
     max_coordinate_bits: int = 4096
+    # epsilon as (numerator, denominator), read by the integer snap.
+    _epsilon_ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        object.__setattr__(
+            self, "_epsilon_ratio", (self.epsilon.numerator, self.epsilon.denominator)
+        )
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.max_iterations < 0:
@@ -278,47 +285,93 @@ def conditional_round(q: RationalLike, config: IterationConfig) -> Fraction:
 
     Ties between menu fractions go to the smaller fraction.  Values farther
     than epsilon from every menu fraction are returned unchanged.  The menu
-    is sorted, so the nearest fraction is found by bisection.
+    holds only proper fractions, so a value just below an integer never
+    snaps up: 3 - 1/10**9 stays as it is, while 3 + 1/10**9 snaps to 3.
     """
     q = as_fraction(q)
-    base = Fraction(math.floor(q))
-    fractional = q - base
-    menu = SNAP_FRACTIONS
-    i = bisect.bisect_left(menu, fractional)
-    best: Optional[tuple[Fraction, Fraction]] = None
-    for j in (i - 1, i):
-        if 0 <= j < len(menu):
-            candidate = menu[j]
-            key = (abs(candidate - fractional), candidate)
-            if best is None or key < best:
-                best = key
-    if best is not None and best[0] <= config.epsilon:
-        return base + best[1]
-    return q
+    snapped = _snap(q.numerator, q.denominator, *config._epsilon_ratio)
+    return q if snapped is None else Fraction(*snapped)
+
+
+# The menu's denominators and their lcm L: every menu fraction is a multiple of 1/L.
+_SNAP_DENOMINATORS = tuple(sorted({t.denominator for t in SNAP_FRACTIONS}))
+_SNAP_LCM = math.lcm(*_SNAP_DENOMINATORS)
+
+
+def _snap(x: int, w: int, eps_num: int, eps_den: int) -> Optional[tuple[int, int]]:
+    """`conditional_round` of x/w (w > 0) on integers: the snapped value as
+    (numerator, denominator), or None when the value does not change.
+
+    With x = base*w + r the fractional part is r/w.  No menu fraction is
+    nearer to it than the nearest multiple of 1/L, so when that is farther
+    than epsilon nothing snaps.  Otherwise each menu denominator b offers
+    its nearest numerator a in [0, b), at distance |a*w - r*b| / (b*w);
+    candidates compare by cross-multiplication in (distance, fraction)
+    order, and the winner is within epsilon when its distance n / (b*w)
+    satisfies n*eps_den <= eps_num*b*w.
+    """
+    base, r = divmod(x, w)
+    near = r * _SNAP_LCM % w
+    if min(near, w - near) * eps_den > eps_num * _SNAP_LCM * w:
+        return None
+    best_n, best_a, best_b = w, 0, 1  # no candidate is as far as 1
+    for b in _SNAP_DENOMINATORS:
+        a, rem = divmod(r * b, w)
+        if 2 * rem > w and a + 1 < b:
+            a += 1
+        n = abs(a * w - r * b)
+        if (n * best_b, a * best_b) < (best_n * b, best_a * b):
+            best_n, best_a, best_b = n, a, b
+    if best_n == 0 or best_n * eps_den > eps_num * best_b * w:
+        return None
+    return base * best_b + best_a, best_b
 
 
 def _round_polygon(
     poly: ConvexPolygon, config: IterationConfig, iteration: int
 ) -> tuple[ConvexPolygon, list[RoundingEvent]]:
+    """Snap every vertex coordinate of poly; the polygon itself when none changes."""
+    eps_num, eps_den = config._epsilon_ratio
     events: list[RoundingEvent] = []
-    rounded: list[Point2] = []
-    for idx, v in enumerate(poly.vertices):
-        nx = conditional_round(v.x, config)
-        ny = conditional_round(v.y, config)
-        if nx != v.x:
-            events.append(RoundingEvent(iteration, idx, "x", v.x, nx))
-        if ny != v.y:
-            events.append(RoundingEvent(iteration, idx, "y", v.y, ny))
-        rounded.append(Point2(nx, ny))
+    rounded: list[Triple] = []
+    for idx, t in enumerate(poly._ts):
+        x, y, w = t
+        sx = _snap(x, w, eps_num, eps_den)
+        sy = _snap(y, w, eps_num, eps_den)
+        if sx is None and sy is None:
+            rounded.append(t)
+            continue
+        (xn, xd), (yn, yd) = sx or (x, w), sy or (y, w)
+        if sx is not None:
+            events.append(RoundingEvent(iteration, idx, "x", Fraction(x, w), Fraction(xn, xd)))
+        if sy is not None:
+            events.append(RoundingEvent(iteration, idx, "y", Fraction(y, w), Fraction(yn, yd)))
+        d = math.lcm(xd, yd)
+        rounded.append(_normalised(xn * (d // xd), yn * (d // yd), d))
     if not events:
         return poly, events
     # Rounding can break strict convexity or canonical order; re-hull.
-    return convex_hull(rounded), events
+    return _polygon(_hull(rounded)), events
 
 
-def _digest(poly: ConvexPolygon) -> str:
-    text = ";".join(f"{v.x},{v.y}" for v in poly.vertices)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+def _bits_and_digest(poly: ConvexPolygon) -> tuple[int, str]:
+    """The most bits of any coordinate's numerator or denominator, and the digest.
+
+    Both read each coordinate X/W of the triples in lowest terms, through
+    gcd(X, W).  The digest is the sha256 prefix of "x,y;x,y;..." with each
+    coordinate written as `str(Fraction)` writes it: n, or n/d.
+    """
+    worst = 0
+    texts = []
+    for x, y, w in poly._ts:
+        pair = []
+        for c in (x, y):
+            g = math.gcd(c, w)
+            n, d = c // g, w // g
+            worst = max(worst, n.bit_length(), d.bit_length())
+            pair.append(str(n) if d == 1 else f"{n}/{d}")
+        texts.append(",".join(pair))
+    return worst, hashlib.sha256(";".join(texts).encode("ascii")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +399,12 @@ def iterate_to_invariance(
         raise ValueError("seed must be non-empty")
     current = seed
     events: list[RoundingEvent] = []
-    hashes = [_digest(current)]
+    hashes = [_bits_and_digest(current)[1]]
     seen = set(hashes)
-    counts = [len(current.vertices)]
+    counts = [len(current._ts)]
     status: StopStatus = "budget"
     iterations = config.max_iterations
+    rounding = config._epsilon_ratio[0] != 0
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
         if not grown.contains_polygon(current):
@@ -358,16 +412,16 @@ def iterate_to_invariance(
                 f"iterate {step} does not contain its predecessor"
             )
         candidate = grown
-        if config.epsilon:
+        if rounding:
             candidate, step_events = _round_polygon(grown, config, step)
             events.extend(step_events)
-        if _coordinate_bits(candidate) > config.max_coordinate_bits:
+        bits, digest = _bits_and_digest(candidate)
+        if bits > config.max_coordinate_bits:
             iterations = step
             status = "bits"
             break
-        digest = _digest(candidate)
         hashes.append(digest)
-        counts.append(len(candidate.vertices))
+        counts.append(len(candidate._ts))
         if candidate == current:
             status = "converged" if grown == current else "rounding-stall"
             iterations = step - 1
@@ -389,14 +443,6 @@ def iterate_to_invariance(
         vertex_counts=counts,
         aborted=status == "bits",
     )
-
-
-def _coordinate_bits(poly: ConvexPolygon) -> int:
-    worst = 0
-    for v in poly.vertices:
-        for q in (v.x, v.y):
-            worst = max(worst, q.numerator.bit_length(), q.denominator.bit_length())
-    return worst
 
 
 def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:

@@ -4,7 +4,8 @@ This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`,
 translation, polygon containment and `project_convex_polygon` that
 `errdiff.geometry` runs on integer homogeneous triples, of one
 collection-operator step (`cell_pieces`, `apply_collection`) assembled
-from them, and of the closed loop's `uniform_request`, `central_step`,
+from them, of the iteration's conditional rounding, coordinate bit count
+and digest, and of the closed loop's `uniform_request`, `central_step`,
 `heater_step` and `compute_metrics`, which the package runs on integers.  Only the tests
 import it, as an oracle: every function here must return exactly what its
 counterpart in the package returns.  Of the package it uses the value
@@ -14,6 +15,8 @@ and it builds its polygons with the validating `ConvexPolygon` constructor.
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,7 +33,7 @@ from errdiff.geometry import (
     voronoi_cell,
 )
 from errdiff.dynamics import ControllerTrace
-from errdiff.operators import Collection
+from errdiff.operators import SNAP_FRACTIONS, Collection, IterationConfig, RoundingEvent
 from errdiff.resources import TEMP_RESOLUTION, HeaterParams, HeaterState
 from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics, least_squares_slope
 
@@ -291,6 +294,55 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
         minkowski_sum(_feasible_hull(member), _hull_of_union(cell_pieces(member, region)))
         for member in collection.sets
     )
+
+
+def conditional_round(q: Fraction, config: IterationConfig) -> Fraction:
+    """floor(q) + t for the nearest menu fraction t, found by bisection, when within epsilon."""
+    base = Fraction(math.floor(q))
+    fractional = q - base
+    menu = SNAP_FRACTIONS
+    i = bisect.bisect_left(menu, fractional)
+    best = None
+    for j in (i - 1, i):
+        if 0 <= j < len(menu):
+            candidate = menu[j]
+            key = (abs(candidate - fractional), candidate)
+            if best is None or key < best:
+                best = key
+    if best is not None and best[0] <= config.epsilon:
+        return base + best[1]
+    return q
+
+
+def round_polygon(
+    poly: ConvexPolygon, config: IterationConfig, iteration: int
+) -> tuple[ConvexPolygon, list[RoundingEvent]]:
+    """Every vertex coordinate rounded, an event per change, and the hull of the result."""
+    events = []
+    rounded = []
+    for idx, v in enumerate(poly.vertices):
+        nx, ny = conditional_round(v.x, config), conditional_round(v.y, config)
+        if nx != v.x:
+            events.append(RoundingEvent(iteration, idx, "x", v.x, nx))
+        if ny != v.y:
+            events.append(RoundingEvent(iteration, idx, "y", v.y, ny))
+        rounded.append(Point2(nx, ny))
+    return (convex_hull(rounded) if events else poly), events
+
+
+def coordinate_bits(poly: ConvexPolygon) -> int:
+    """The most bits of any vertex coordinate's numerator or denominator."""
+    return max(
+        (max(q.numerator.bit_length(), q.denominator.bit_length())
+         for v in poly.vertices for q in (v.x, v.y)),
+        default=0,
+    )
+
+
+def digest(poly: ConvexPolygon) -> str:
+    """sha256 prefix of the vertices written as "x,y;x,y;..."."""
+    text = ";".join(f"{v.x},{v.y}" for v in poly.vertices)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:

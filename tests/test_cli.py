@@ -128,6 +128,15 @@ STALL_COLLECTION = {
     ],
 }
 CYCLE_COLLECTION = {"mode": "perfect", "sets": [{"points": [["-2", "-5"], ["-2", "-1"], ["0", "-4"]]}]}
+# The paper's three-set family: the 8-point ring, without (0, -1), without (-1, -1) too.
+RING = [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)]
+FAMILY3_COLLECTION = {
+    "mode": "perfect",
+    "sets": [
+        {"points": [[str(x), str(y)] for x, y in RING if (x, y) not in dropped]}
+        for dropped in ((), ((0, -1),), ((0, -1), (-1, -1)))
+    ],
+}
 
 
 def _write(tmp_path, name, data):
@@ -191,6 +200,10 @@ class TestMalformedInput:
     def test_zero_denominator(self, tmp_path, capsys):
         path = _write(tmp_path, "c.json", {"sets": [{"points": [["1/0", "0"]]}]})
         assert "zero denominator" in self._compute(capsys, path)
+
+    def test_boolean_coordinate(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.json", {"sets": [{"points": [[True, "0"]]}]})
+        assert "expected a rational value, got bool" in self._compute(capsys, path)
 
     def test_three_coordinate_seed(self, collection_file, capsys):
         assert "--q0" in self._compute(capsys, collection_file, "--q0", "1,2,3")
@@ -269,6 +282,10 @@ class TestMalformedInput:
     def test_non_integer_field(self, doc, field, tmp_path, capsys):
         line = self._scenario(capsys, tmp_path, doc)
         assert f"'{field}' must be a JSON integer" in line
+
+    def test_boolean_rational_field(self, tmp_path, capsys):
+        line = self._scenario(capsys, tmp_path, {**SCENARIO, "resources": [_heater(t_min=True)]})
+        assert "expected a rational value, got bool" in line
 
     @pytest.mark.parametrize(
         "doc, field",
@@ -357,6 +374,31 @@ def test_closed_loop_outputs_are_pinned(command, seed, expected, tmp_path, capsy
     scenario = DATA / f"closed_loop_seed{seed}.json"
     assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 0
     assert _digest(out) == expected
+
+
+@pytest.mark.parametrize(
+    "collection, extra, expected",
+    [
+        (FAMILY3_COLLECTION, [], "db1469e468ac521453f9cca48459ac740f9af8f5387f3e6472ded029e11bffa5"),
+        (
+            STALL_COLLECTION,
+            ["--epsilon", "1/10"],
+            "0d1bd824f0258b30ba2c008ecd2072112a57056e55c8288abed51c6ee12ca90e",
+        ),
+        (
+            CYCLE_COLLECTION,
+            ["--epsilon", "1/10"],
+            "8c29091c85ea77af646fb60392e9d4c61ef896fd796930fec2473310abc5a3c5",
+        ),
+    ],
+    ids=["family3", "rounding-stall", "cycle"],
+)
+def test_compute_invariant_outputs_are_pinned(collection, extra, expected, tmp_path, capsys):
+    """The --out document byte for byte: vertices, rounding events, digests and vertex counts."""
+    out = tmp_path / "result.json"
+    path = _write(tmp_path, "collection.json", collection)
+    main(["compute-invariant", "--collection", str(path), "--out", str(out), *extra])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_cli_imports_only_the_standard_library():

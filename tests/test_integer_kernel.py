@@ -2,7 +2,8 @@
 
 Polygons carry their integer triples, so besides the kernel functions the
 tests cover polygons built from triples, translation, the hull of a union
-of polygons, one whole collection-operator step and the projection.  The
+of polygons, one whole collection-operator step, the iteration's rounding,
+bit count and digest, and the projection.  The
 closed loop's integer arithmetic (grid snapping, the central step, the
 heater update, the request draws and the metrics) is checked against the
 same oracle.
@@ -43,7 +44,17 @@ from errdiff.geometry import (
     project_convex_polygon,
     segment,
 )
-from errdiff.operators import MODES, Collection, apply_collection, apply_member
+from errdiff.operators import (
+    MODES,
+    SNAP_FRACTIONS,
+    Collection,
+    IterationConfig,
+    _bits_and_digest,
+    _round_polygon,
+    apply_collection,
+    apply_member,
+    conditional_round,
+)
 from errdiff.resources import (
     TEMP_RESOLUTION,
     HeaterParams,
@@ -324,6 +335,62 @@ class TestOperatorStep:
         for member in collection.sets:
             want = oracle.apply_collection(Collection((member,), mode), region)
             assert apply_member(member, region, mode) == want
+
+
+# 1/12 lies halfway between the menu fractions 0 and 1/6, so at 1/12 it is a tie.
+EPSILONS = [Fraction(1, 10**8), Fraction(1, 120), Fraction(1, 12), Fraction(1, 10), Fraction(1, 2), Fraction(3)]
+menu_points = st.builds(lambda k, t: k + t, st.integers(-50, 50), st.sampled_from(SNAP_FRACTIONS))
+# Off a menu point by a little or a lot, toward either side: with t = 0 just
+# above or just below an integer.
+near_menu_points = st.builds(
+    lambda q, k, d: q + Fraction(k, d),
+    menu_points,
+    st.integers(-3, 3),
+    st.sampled_from([10**9, 10**8 - 1, 240, 120, 24, 12, 10, 7, 2**200 + 1]),
+)
+coordinates = st.one_of(
+    small, big, st.fractions(max_denominator=10**6), menu_points, near_menu_points
+)
+
+
+class TestConditionalRounding:
+    @settings(max_examples=300, deadline=None)
+    @given(coordinates, st.sampled_from(EPSILONS))
+    @example(Fraction(3) - Fraction(1, 10**9), Fraction(1, 10**8))  # stays: no menu fraction 1
+    @example(Fraction(3) + Fraction(1, 10**9), Fraction(1, 10**8))  # snaps to 3
+    @example(Fraction(-9, 2) + Fraction(1, 10**7), Fraction(1, 10**8))
+    @example(Fraction(1, 12), Fraction(1, 12))  # the tie, to the smaller fraction 0
+    @example(Fraction(-11, 12), Fraction(1, 12))
+    @example(Fraction(9, 40), Fraction(1, 10))  # 1/5 and 1/4 both 1/40 away: to 1/5
+    @example(Fraction(7, 60), Fraction(1, 10))  # a multiple of 1/60 off the menu
+    @example(Fraction(2**200 + 1, 2**201), Fraction(1, 10**8))
+    def test_equals_oracle(self, q, epsilon):
+        config = IterationConfig(epsilon=epsilon)
+        assert conditional_round(q, config) == oracle.conditional_round(q, config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.builds(Point2, coordinates, coordinates), min_size=1, max_size=6),
+        st.sampled_from(EPSILONS),
+    )
+    @example([pt(Fraction(1, 3) + Fraction(1, 10**9), 0), pt(1, 0), pt(0, 1)], Fraction(1, 10**8))
+    # Rounding moves (1/100, 0) onto (0, 0); in the triangle, (1, 1/100) onto its base.
+    @example([pt(0, 0), pt(Fraction(1, 100), 0), pt(1, 1), pt(0, 1)], Fraction(1, 10))
+    @example([pt(0, 0), pt(2, 0), pt(1, Fraction(1, 100))], Fraction(1, 10))
+    def test_round_polygon_equals_oracle(self, pts, epsilon):
+        config = IterationConfig(epsilon=epsilon)
+        poly = convex_hull(pts)
+        rounded, events = _round_polygon(poly, config, 7)
+        want, want_events = oracle.round_polygon(poly, config, 7)
+        assert rounded == want and events == want_events
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(point_lists(), st.lists(st.builds(Point2, coordinates, coordinates), min_size=1)))
+    @example([pt(0, 0)])
+    @example([pt(-3, Fraction(-7, 2)), pt(Fraction(4, 6), 1)])
+    def test_bits_and_digest_equal_oracle(self, pts):
+        poly = convex_hull(pts)
+        assert _bits_and_digest(poly) == (oracle.coordinate_bits(poly), oracle.digest(poly))
 
 
 class TestProjection:

@@ -180,6 +180,12 @@ class TestConditionalRound:
         q = Fraction(-9, 2) + Fraction(1, 10**7)
         assert conditional_round(q, cfg) == Fraction(-9, 2)
 
+    def test_just_below_an_integer_never_snaps_up(self):
+        # the menu holds proper fractions only, so 1 is no candidate for 3 - 1/10**9
+        below, above = Fraction(3) - Fraction(1, 10**9), Fraction(3) + Fraction(1, 10**9)
+        assert conditional_round(below, self.CFG) == below
+        assert conditional_round(above, self.CFG) == 3
+
     def test_tie_goes_to_smaller_fraction(self):
         # 1/12 lies halfway between the menu fractions 0 and 1/6
         cfg = IterationConfig(epsilon=Fraction(1, 12))
