@@ -17,10 +17,7 @@ from .geometry import (
     clip_all,
     clip_to_cell,
     convex_hull,
-    diameter_sq,
-    dist2,
     minkowski_sum,
-    polygon_intersection,
     project_convex_polygon,
     project_point_set,
     segment,

@@ -15,7 +15,9 @@ For a site c of a member S the region checked is
 
 where cell(c) is given by all of c's bisectors, redundant ones included.
 Both regions are bounded (the box directions ±e1, ±e2 are always among the
-normals), so checking their vertices checks them entirely.
+normals), so checking their vertices checks them entirely.  Every point is
+read once as its pair of Fraction coordinates, and all the arithmetic is
+on Fractions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
 
 Plane = tuple[Fraction, Fraction, Fraction]  # (a, b, c): a*x + b*y <= c
 Normal = tuple[Fraction, Fraction]
+XY = tuple[Fraction, Fraction]
 
 _BOX: tuple[Normal, ...] = (
     (Fraction(1), Fraction(0)),
@@ -39,30 +42,34 @@ _BOX: tuple[Normal, ...] = (
 )
 
 
-def _support(points: Sequence[Point2], n: Normal) -> Fraction:
-    return max(n[0] * p.x + n[1] * p.y for p in points)
+def _coords(points: Sequence[Point2]) -> list[XY]:
+    return [(p.x, p.y) for p in points]
 
 
-def _facet_normals(points: Sequence[Point2]) -> set[Normal]:
+def _support(points: Sequence[XY], n: Normal) -> Fraction:
+    return max(n[0] * x + n[1] * y for x, y in points)
+
+
+def _facet_normals(points: Sequence[XY]) -> set[Normal]:
     """Outer normals of the hull's edges, scaled so the larger entry is ±1.
 
     The right-hand normal of p -> q is an outer edge normal exactly when no
     point lies strictly to the right of the line through p and q.
     """
     normals: set[Normal] = set()
-    for p in points:
-        for q in points:
-            if p == q:
+    for px, py in points:
+        for qx, qy in points:
+            if (px, py) == (qx, qy):
                 continue
-            a, b = q.y - p.y, p.x - q.x
-            h = a * p.x + b * p.y
-            if all(a * r.x + b * r.y <= h for r in points):
+            a, b = qy - py, px - qx
+            h = a * px + b * py
+            if all(a * rx + b * ry <= h for rx, ry in points):
                 m = max(abs(a), abs(b))
                 normals.add((a / m, b / m))
     return normals
 
 
-def _support_planes(summands: Sequence[Sequence[Point2]]) -> list[Plane]:
+def _support_planes(summands: Sequence[Sequence[XY]]) -> list[Plane]:
     """H-representation of the Minkowski sum of the summands' hulls."""
     normals = set(_BOX)
     for points in summands:
@@ -70,11 +77,12 @@ def _support_planes(summands: Sequence[Sequence[Point2]]) -> list[Plane]:
     return [(a, b, sum(_support(pts, (a, b)) for pts in summands)) for a, b in normals]
 
 
-def _bisectors(sites: PointSet, c: Point2) -> list[Plane]:
+def _bisectors(sites: Sequence[XY], c: XY) -> list[Plane]:
+    cx, cy = c
     return [
-        (2 * (o.x - c.x), 2 * (o.y - c.y), o.x * o.x + o.y * o.y - c.x * c.x - c.y * c.y)
-        for o in sites
-        if o != c
+        (2 * (ox - cx), 2 * (oy - cy), ox * ox + oy * oy - cx * cx - cy * cy)
+        for ox, oy in sites
+        if (ox, oy) != c
     ]
 
 
@@ -82,9 +90,9 @@ def _inside(planes: Sequence[Plane], x: Fraction, y: Fraction) -> bool:
     return all(a * x + b * y <= c for a, b, c in planes)
 
 
-def _vertices(planes: Sequence[Plane]) -> set[Point2]:
+def _vertices(planes: Sequence[Plane]) -> set[XY]:
     """Every feasible intersection of two non-parallel boundary lines."""
-    found: set[Point2] = set()
+    found: set[XY] = set()
     for i, (a1, b1, c1) in enumerate(planes):
         for a2, b2, c2 in planes[i + 1 :]:
             det = a1 * b2 - a2 * b1
@@ -93,7 +101,7 @@ def _vertices(planes: Sequence[Plane]) -> set[Point2]:
             x = (c1 * b2 - c2 * b1) / det
             y = (a1 * c2 - a2 * c1) / det
             if _inside(planes, x, y):
-                found.add(Point2(x, y))
+                found.add((x, y))
     return found
 
 
@@ -106,18 +114,20 @@ def certify_invariant(collection: Collection, candidate: ConvexPolygon) -> bool:
         raise ValueError("candidate must be non-empty")
     if not all(isinstance(member, PointSet) for member in collection.sets):
         raise ValueError("the certificate covers collections of point sets only")
-    region = candidate.vertices
+    region = _coords(candidate.vertices)
     own = _support_planes([region])
-    for sites in collection.sets:
+    for member in collection.sets:
+        sites = _coords(member.points)
         if collection.mode == "perfect":
-            base = _support_planes([sites.points, region])
-            shifts = [Point2(Fraction(0), Fraction(0))]
+            base = _support_planes([sites, region])
+            shifts = [(Fraction(0), Fraction(0))]
         else:
             base = own
-            shifts = sites.points
+            shifts = sites
         for c in sites:
-            for v in _vertices(base + _bisectors(sites, c)):
-                for s in shifts:
-                    if not _inside(own, v.x - c.x + s.x, v.y - c.y + s.y):
+            cx, cy = c
+            for vx, vy in _vertices(base + _bisectors(sites, c)):
+                for sx, sy in shifts:
+                    if not _inside(own, vx - cx + sx, vy - cy + sy):
                         return False
     return True

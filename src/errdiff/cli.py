@@ -6,8 +6,9 @@ Subcommands:
   plot-data          run a scenario and emit figure-ready CSV series
   verify             run the named regression checks (CSV report, exit status)
 
-A missing or malformed input file or option ends the run with one line,
-``errdiff: error: <message>``, on standard error and exit status 1.
+A missing or malformed input file or option, or an ``--out`` path that
+cannot be written, ends the run with one line, ``errdiff: error:
+<message>``, on standard error and exit status 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .geometry import ConvexPolygon, Point2, as_fraction
+from .geometry import ConvexPolygon, Point2
 from .operators import Collection, iterate_to_invariance
 from .serialize import (
     emit_plot_data,
@@ -81,11 +82,11 @@ class InputError(Exception):
 
 
 @contextlib.contextmanager
-def _reading(what: str):
-    """Turn an error raised while reading ``what`` into an InputError."""
+def _reporting(what: str, errors: tuple = _INPUT_ERRORS):
+    """Turn one of ``errors`` raised while reading or writing ``what`` into an InputError."""
     try:
         yield
-    except _INPUT_ERRORS as exc:
+    except errors as exc:
         if isinstance(exc, KeyError):
             detail = f"missing key {exc.args[0]!r}"
         elif isinstance(exc, ZeroDivisionError):
@@ -99,19 +100,22 @@ def _parse_xy(text: str) -> Point2:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'x,y', got {text!r}")
-    return Point2(as_fraction(parts[0].strip()), as_fraction(parts[1].strip()))
+    return Point2(*parts)
 
 
 def _cmd_compute_invariant(args: argparse.Namespace) -> int:
-    with _reading(f"--collection {args.collection}"):
+    with _reporting(f"--collection {args.collection}"):
         collection = load_collection(args.collection)
         if args.mode:
             collection = Collection(collection.sets, args.mode)
-    with _reading("--q0"):
+    with _reporting("--q0"):
         seed = ConvexPolygon((_parse_xy(args.q0),))
-    with _reading("iteration options"):
+    with _reporting("iteration options"):
         config = parse_iteration_config(args)
     result = iterate_to_invariance(collection, seed, config)
+    if args.out:
+        with _reporting(f"--out {args.out}", OSError):
+            write_iteration_result(args.out, result)
     events_by_iteration: dict[int, int] = {}
     for ev in result.rounding_events:
         events_by_iteration[ev.iteration] = events_by_iteration.get(ev.iteration, 0) + 1
@@ -123,17 +127,15 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     print("invariant set vertices (exact):")
     for v in result.invariant_set.vertices:
         print(f"  {v.x} {v.y}")
-    if args.out:
-        write_iteration_result(args.out, result)
     return 0 if result.converged else 2
 
 
 def _run_scenario_from_args(args: argparse.Namespace):
-    with _reading(f"--scenario {args.scenario}"):
+    with _reporting(f"--scenario {args.scenario}"):
         scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    with _reading("--no-diffusion"):
+    with _reporting("--no-diffusion"):
         unknown = set(args.no_diffusion) - {r.resource_id for r in scenario.resources}
         if unknown:
             raise ValueError(f"unknown resources: {', '.join(sorted(unknown))}")
@@ -143,7 +145,8 @@ def _run_scenario_from_args(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
-    write_simulation(result, args.out)
+    with _reporting(f"--out {args.out}", OSError):
+        write_simulation(result, args.out)
     for rid, metrics in result.report.resources.items():
         status = "" if metrics.bound_satisfied is None else f" bound_ok={metrics.bound_satisfied}"
         print(f"{rid}: max|e|={metrics.max_error_norm:.6g} slope={metrics.error_slope:.3g}{status}")
@@ -152,7 +155,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
-    files = emit_plot_data(result, args.out)
+    with _reporting(f"--out {args.out}", OSError):
+        files = emit_plot_data(result, args.out)
     for path in files:
         print(path)
     return 0
@@ -166,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     golden = Path(args.golden_dir) if args.golden_dir else None
     # run_checks turns a failing check into a FAIL row, so only its check of
     # the names can raise here.
-    with _reading("--only"):
+    with _reporting("--only"):
         results = run_checks(args.only or None, golden_dir=golden)
     print("check,expected,got,status,seconds")
     failed = False

@@ -37,7 +37,8 @@ from .geometry import (
     PointSet,
     Triple,
     _contains_all,
-    _pt,
+    _from_triple,
+    _normalised,
     _scaled,
     project_convex_polygon,
     project_point_set,
@@ -66,7 +67,7 @@ def step_perfect(
     advertisement the request was drawn from, which the caller checks.
     """
     # A polygon projection returns z itself when z is feasible, and the
-    # error is then the origin: such steps skip their Fraction arithmetic.
+    # error is then the origin: such steps skip their subtraction.
     target = request if error is ORIGIN else error + request
     implemented = project_feasible(feasible, target)
     return implemented, ORIGIN if implemented is target else target - implemented
@@ -155,7 +156,7 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
     the bounding box for full polygons, parameter sampling for segments.
     Each draw k/denominator is placed in integers, on the segment's or the
     box's corners as numerator-denominator pairs, and only the returned
-    point becomes a Point2.
+    point's triple becomes a Point2.
     """
 
     def lerp(a: tuple[int, int], b: tuple[int, int], k: int) -> tuple[int, int]:
@@ -174,21 +175,19 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
             k = rng.randrange(denominator + 1)
             x, w = lerp((ux, uw), (vx, vw), k)
             y, _ = lerp((uy, uw), (vy, vw), k)
-            return _pt(Fraction(x, w), Fraction(y, w))
+            return _from_triple(_normalised(x, y, w))
         (xmin, xmax), (ymin, ymax) = _extent(ts, 0), _extent(ts, 1)
         for _ in range(200):
             xn, xd = lerp(xmin, xmax, rng.randrange(denominator + 1))
             yn, yd = lerp(ymin, ymax, rng.randrange(denominator + 1))
-            if _contains_all(ts, ((xn * yd, yn * xd, xd * yd),)):
-                return _pt(Fraction(xn, xd), Fraction(yn, yd))
+            t = (xn * yd, yn * xd, xd * yd)
+            if _contains_all(ts, (t,)):
+                return _from_triple(_normalised(*t))
         # Thin polygon: fall back to a random convex combination of vertices
         # (equal weights when the grid has no point strictly between 0 and 1).
         verts = advertised.vertices
-        weights = [Fraction(rng.randrange(1, max(denominator, 2))) for _ in verts]
-        total = sum(weights)
-        x = sum((v.x * w for v, w in zip(verts, weights)), Fraction(0)) / total
-        y = sum((v.y * w for v, w in zip(verts, weights)), Fraction(0)) / total
-        return Point2(x, y)
+        weights = [rng.randrange(1, max(denominator, 2)) for _ in verts]
+        return sum((v * w for v, w in zip(verts, weights)), ORIGIN) * Fraction(1, sum(weights))
 
     return policy
 

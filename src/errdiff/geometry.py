@@ -1,26 +1,18 @@
 """Exact plane geometry over arbitrary-precision rationals.
 
-Coordinates are `fractions.Fraction` at the API: every value type stores
-Fractions, every operation is closed over the rationals and nothing is
-ever rounded implicitly.  Distances are kept *squared* so that all
-comparisons stay exact.
-
-A `ConvexPolygon` carries its vertices as integer triples (X, Y, W) with
-W > 0 and gcd(X, Y, W) = 1, standing for (X/W, Y/W); its `Point2`
-vertices are built from them on first use and kept.  The kernel (`clip`,
-`clip_all`, `convex_hull`, `hull_of_polygons`, `minkowski_sum`,
-translation and polygon containment) reads and writes the triples, and a
-half-plane is kept as its integer triple (A, B, C), so a whole operator step
-runs on ints: orientation is a 3x3 integer determinant, a half-plane test
-an integer dot product and the lexicographic order a cross-multiplied
-comparison.  Both projections run on integers too: `project_point_set`
-compares scaled squared distances, and `project_convex_polygon` works on
-the polygon's triples, clamps each edge parameter and compares candidates
-by cross-multiplication, then builds one Point2 for the answer.  A
-`Point2` becomes a triple through the lcm of its two denominators, a
-triple becomes a point through `Fraction(X, W)` and `Fraction(Y, W)`.
-`orient` stays the Fraction predicate; polygon validation and the tests
-use it as the reference the integer kernel is checked against.
+A point is one integer triple (X, Y, W), W > 0 and gcd(X, Y, W) = 1,
+standing for (X/W, Y/W); the normal form is unique, so equal points have
+equal triples.  A `Point2` holds its triple, a `ConvexPolygon` the triples
+of its vertices and a `HalfPlane` its coprime integer triple (A, B, C).
+Point arithmetic, the kernel (`clip_all`, `convex_hull`,
+`hull_of_polygons`, `minkowski_sum`, translation and containment) and both
+projections run on these ints: orientation is a 3x3 integer determinant, a
+half-plane test an integer dot product and the lexicographic order a
+cross-multiplied comparison.  Rationals enter through `Point2(x, y)`, which
+takes Fractions, ints or 'p/q' strings but never a float, and leave through
+`Point2.x` and `.y`, lowest-terms Fractions built on each read; squared
+lengths are Fractions too.  `orient`, written over those Fractions, is the
+reference that polygon validation and the tests hold the integer kernel to.
 
 All value types are immutable and all operations are pure functions, so
 values can be shared freely across threads.
@@ -28,7 +20,6 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
@@ -37,9 +28,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Triple = tuple[int, int, int]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -56,84 +44,112 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__!s}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Point2:
+class _Frozen:
+    """Refuses assignment and deletion; constructors set slots with `_setattr`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_setattr = object.__setattr__
+
+
+class Point2(_Frozen):
     """A point (or displacement vector) in the rational plane.
 
-    Ordering is lexicographic on (x, y), which is the tie-break order used
-    by the closest-point operators.
+    Kept as its normalised triple ``_t``; ``x`` and ``y`` are the
+    coordinates as Fractions.  Equality and hashing compare triples, and
+    ordering is lexicographic on (x, y), the tie-break order of the
+    closest-point operators.
     """
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("_t",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_fraction(self.x))
-        object.__setattr__(self, "y", as_fraction(self.y))
+    def __init__(self, x: RationalLike, y: RationalLike) -> None:
+        x, y = as_fraction(x), as_fraction(y)
+        xd, yd = x.denominator, y.denominator
+        # Both coordinates are in lowest terms, so scaling them by the lcm
+        # of their denominators leaves no common factor.
+        w = xd if xd == yd else math.lcm(xd, yd)
+        _setattr(self, "_t", (x.numerator * (w // xd), y.numerator * (w // yd), w))
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return Point2, (self.x, self.y)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Point2:
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self) -> int:
+        return hash(self._t)
+
+    # p > q and p >= q fall back to the reflected q < p and q <= p.
+    def __lt__(self, other: "Point2") -> bool:
+        return _lex_cmp(self._t, other._t) < 0
+
+    def __le__(self, other: "Point2") -> bool:
+        return _lex_cmp(self._t, other._t) <= 0
 
     def __add__(self, other: "Point2") -> "Point2":
-        return _pt(self.x + other.x, self.y + other.y)
+        return _from_triple(_add(self._t, other._t))
 
     def __sub__(self, other: "Point2") -> "Point2":
-        return _pt(self.x - other.x, self.y - other.y)
+        x, y, w = other._t
+        return _from_triple(_add(self._t, (-x, -y, w)))
 
     def __neg__(self) -> "Point2":
-        return _pt(-self.x, -self.y)
+        x, y, w = self._t
+        return _from_triple((-x, -y, w))
 
     def __mul__(self, k: RationalLike) -> "Point2":
         k = as_fraction(k)
-        return _pt(self.x * k, self.y * k)
+        x, y, w = self._t
+        return _from_triple(_normalised(x * k.numerator, y * k.numerator, w * k.denominator))
 
     __rmul__ = __mul__
 
     def dot(self, other: "Point2") -> Fraction:
-        return self.x * other.x + self.y * other.y
+        ax, ay, aw = self._t
+        bx, by, bw = other._t
+        return Fraction(ax * bx + ay * by, aw * bw)
 
     def norm2(self) -> Fraction:
         """Squared Euclidean norm."""
-        return self.x * self.x + self.y * self.y
+        x, y, w = self._t
+        return Fraction(x * x + y * y, w * w)
 
 
-def _pt(x: Fraction, y: Fraction) -> Point2:
-    """Internal fast constructor for coordinates already known to be exact."""
+def _from_triple(t: Triple) -> Point2:
+    """The point of a normalised triple, taken as it is."""
     p = object.__new__(Point2)
-    object.__setattr__(p, "x", x)
-    object.__setattr__(p, "y", y)
+    _setattr(p, "_t", t)
     return p
 
 
-ORIGIN = Point2(_ZERO, _ZERO)
-
-
-def dist2(a: Point2, b: Point2) -> Fraction:
-    """Squared Euclidean distance."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
+ORIGIN = Point2(0, 0)
 
 
 def orient(a: Point2, b: Point2, c: Point2) -> Fraction:
     """Twice the signed area of triangle abc; positive for a left turn."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def _triple(p: Point2) -> Triple:
-    """The gcd-normalised integer triple (X, Y, W) of p, W > 0.
-
-    Both coordinates are in lowest terms, so scaling them by the lcm of
-    their denominators leaves no common factor.
-    """
-    x, y = p.x, p.y
-    xd, yd = x.denominator, y.denominator
-    if xd == yd:
-        return x.numerator, y.numerator, xd
-    w = math.lcm(xd, yd)
-    return x.numerator * (w // xd), y.numerator * (w // yd), w
-
-
-def _point(t: Triple) -> Point2:
-    x, y, w = t
-    return _pt(Fraction(x, w), Fraction(y, w))
+    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _normalised(x: int, y: int, w: int) -> Triple:
@@ -211,21 +227,14 @@ class HalfPlane:
         g = math.gcd(ia, ib, ic)
         object.__setattr__(self, "ints", (ia // g, ib // g, ic // g))
 
-    def slack(self, p: Point2) -> Fraction:
-        """c - a*x - b*y for the integer triple; non-negative exactly when p lies inside."""
-        a, b, c = self.ints
-        return c - a * p.x - b * p.y
-
-    def contains(self, p: Point2) -> bool:
-        return self.slack(p) >= 0
-
     def translate(self, d: Point2) -> "HalfPlane":
-        """The half-plane moved by d: a*p.x + b*p.y <= c + a*d.x + b*d.y."""
+        """The half-plane moved by d = (X/W, Y/W): a*W*p.x + b*W*p.y <= c*W + a*X + b*Y."""
         a, b, c = self.ints
-        return HalfPlane(a, b, c + a * d.x + b * d.y)
+        x, y, w = d._t
+        return HalfPlane(a * w, b * w, c * w + a * x + b * y)
 
 
-class ConvexPolygon:
+class ConvexPolygon(_Frozen):
     """Convex region in canonical vertex representation.
 
     Vertices are in counter-clockwise order, no three consecutive vertices
@@ -235,10 +244,10 @@ class ConvexPolygon:
     point, or a segment (two vertices in lexicographic order).
 
     The polygon holds the integer triples of its vertices; `vertices`
-    builds their Point2s on first use and keeps them.  Canonical triples
-    and canonical vertices determine each other, so equality and hashing
-    compare the triples.  The constructor validates its Point2s; the
-    kernel builds polygons from triples it knows to be canonical.
+    wraps them in Point2s on first use and keeps them, so a vertex is one
+    object for the polygon's life.  Equality and hashing compare the
+    triples.  The constructor validates its Point2s; the kernel builds
+    polygons from triples it knows to be canonical.
     """
 
     __slots__ = ("_ts", "_verts")
@@ -250,21 +259,18 @@ class ConvexPolygon:
             if not verts[0] < verts[1]:
                 raise ValueError("segment vertices must be distinct and ordered")
         elif n >= 3:
-            smallest = min(verts)
-            if verts[0] != smallest:
+            if verts[0] != min(verts):
                 raise ValueError("polygon must start at its lexicographically smallest vertex")
             for i in range(n):
                 a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
                 if orient(a, b, c) <= 0:
                     raise ValueError("vertices must make strict counter-clockwise turns")
-        _setattr(self, "_ts", tuple(_triple(v) for v in verts))
+            # Strict left turns alone admit a boundary that winds twice (a
+            # pentagram); a convex one also turns left in every fan triangle.
+            if any(orient(verts[0], verts[i], verts[i + 1]) <= 0 for i in range(1, n - 1)):
+                raise ValueError("vertices must wind once around a convex polygon")
+        _setattr(self, "_ts", tuple(v._t for v in verts))
         _setattr(self, "_verts", verts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ConvexPolygon:
@@ -281,17 +287,13 @@ class ConvexPolygon:
     def vertices(self) -> tuple[Point2, ...]:
         verts = self._verts
         if verts is None:
-            verts = tuple(_point(t) for t in self._ts)
+            verts = tuple(map(_from_triple, self._ts))
             _setattr(self, "_verts", verts)
         return verts
 
     @property
     def is_empty(self) -> bool:
         return not self._ts
-
-    @property
-    def is_point(self) -> bool:
-        return len(self._ts) == 1
 
     def edges(self) -> Iterator[tuple[Point2, Point2]]:
         """Directed boundary edges; a segment yields its single edge once."""
@@ -306,8 +308,8 @@ class ConvexPolygon:
     def contains_point(self, p: Point2) -> bool:
         ts = self._ts
         if len(ts) <= 1:
-            return ts == (_triple(p),)
-        return _contains_all(ts, (_triple(p),))
+            return ts == (p._t,)
+        return _contains_all(ts, (p._t,))
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
         """Exact containment; valid because both regions are convex."""
@@ -319,48 +321,33 @@ class ConvexPolygon:
         return _contains_all(ts, points)
 
     def translate(self, d: Point2) -> "ConvexPolygon":
-        return _translated(self, _triple(d))
+        return _translated(self, d._t)
 
     def half_planes(self) -> list[HalfPlane]:
-        """Half-planes whose intersection is exactly this region."""
-        verts = self.vertices
-        n = len(verts)
-        if n == 0:
+        """Half-planes whose intersection is exactly this region.
+
+        A triple (a, b, c) of `_line(u, v)` has a*X + b*Y + c*W >= 0 for the
+        points (X/W, Y/W) left of u -> v, that is HalfPlane(-a, -b, c).
+        """
+        ts = self._ts
+        if not ts:
             raise ValueError("empty polygon has no half-plane representation")
-        if n == 1:
-            (p,) = verts
+        if len(ts) == 1:
+            ((x, y, w),) = ts
+            return [HalfPlane(w, 0, x), HalfPlane(-w, 0, -x), HalfPlane(0, w, y), HalfPlane(0, -w, -y)]
+        if len(ts) == 2:
+            # Both sides of the line, then the caps at v and at u along d ~ v - u.
+            (ux, uy, uw), (vx, vy, vw) = u, v = ts
+            a, b, c = _line(u, v)
+            dx, dy = vx * uw - ux * vw, vy * uw - uy * vw
             return [
-                HalfPlane(_ONE, _ZERO, p.x),
-                HalfPlane(-_ONE, _ZERO, -p.x),
-                HalfPlane(_ZERO, _ONE, p.y),
-                HalfPlane(_ZERO, -_ONE, -p.y),
+                HalfPlane(a, b, -c),
+                HalfPlane(-a, -b, c),
+                HalfPlane(dx * vw, dy * vw, dx * vx + dy * vy),
+                HalfPlane(-dx * uw, -dy * uw, -dx * ux - dy * uy),
             ]
-        if n == 2:
-            u, v = verts
-            d = v - u
-            line_rhs = -d.y * u.x + d.x * u.y
-            return [
-                HalfPlane(-d.y, d.x, line_rhs),
-                HalfPlane(d.y, -d.x, -line_rhs),
-                HalfPlane(d.x, d.y, d.dot(v)),
-                HalfPlane(-d.x, -d.y, -d.dot(u)),
-            ]
-        planes = []
-        for u, v in self.edges():
-            a = v.y - u.y
-            b = -(v.x - u.x)
-            planes.append(HalfPlane(a, b, a * u.x + b * u.y))
-        return planes
-
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        if self.is_empty:
-            raise ValueError("empty polygon has no bounding box")
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
-
-
-_setattr = object.__setattr__
+        n = len(ts)
+        return [HalfPlane(-a, -b, c) for a, b, c in (_line(ts[i], ts[(i + 1) % n]) for i in range(n))]
 
 
 def _polygon(ts: tuple[Triple, ...], verts: Optional[tuple[Point2, ...]] = None) -> ConvexPolygon:
@@ -369,11 +356,6 @@ def _polygon(ts: tuple[Triple, ...], verts: Optional[tuple[Point2, ...]] = None)
     _setattr(poly, "_ts", ts)
     _setattr(poly, "_verts", verts)
     return poly
-
-
-def _raw_polygon(verts: tuple[Point2, ...]) -> ConvexPolygon:
-    """Construct without validation; callers guarantee canonical form."""
-    return _polygon(tuple(_triple(v) for v in verts), verts)
 
 
 EMPTY_POLYGON = ConvexPolygon(())
@@ -406,9 +388,7 @@ def _contains_all(ts: Sequence[Triple], points: Sequence[Triple]) -> bool:
 
 def segment(u: Point2, v: Point2) -> ConvexPolygon:
     """Segment (or point) through two points, canonical."""
-    if u == v:
-        return _raw_polygon((u,))
-    return _raw_polygon((u, v) if u < v else (v, u))
+    return convex_hull((u, v))
 
 
 def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
@@ -438,12 +418,9 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
 
     Degenerate inputs yield the matching degenerate polygon: one distinct
     point gives a point, collinear points give the extreme segment.  The
-    chain runs on the points' integer triples; the hull's vertices are the
-    input points themselves.
+    chain runs on the points' integer triples.
     """
-    by_triple = {_triple(p): p for p in points}
-    ts = _hull(by_triple)
-    return _polygon(ts, tuple(by_triple[t] for t in ts))
+    return _polygon(_hull(p._t for p in points))
 
 
 def hull_of_polygons(polygons: Iterable[ConvexPolygon]) -> ConvexPolygon:
@@ -468,10 +445,6 @@ class PointSet:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @classmethod
-    def of(cls, *points: Point2) -> "PointSet":
-        return cls(points)
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[RationalLike, RationalLike]]) -> "PointSet":
@@ -640,17 +613,11 @@ def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolyg
     return _polygon(tuple(verts[k:]) + tuple(verts[:k]))
 
 
-def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Exact intersection of two convex polygons (possibly degenerate)."""
-    if p.is_empty or q.is_empty:
-        return EMPTY_POLYGON
-    return clip_all(p, q.half_planes())
-
-
 def voronoi_cell(point_set: PointSet, center: Point2) -> list[HalfPlane]:
     """The bisector half-planes that define a facet of the Voronoi cell of center.
 
-    For every other site c' the constraint is 2(c'-c).x <= |c'|^2 - |c|^2;
+    For every other site c' the constraint is 2(c'-c).x <= |c'|^2 - |c|^2,
+    taken times (W'*W)^2 on the triples of c' and c to stay in integers;
     the list keeps, in site order, exactly those whose line meets the
     intersection of the others in a segment of positive length, so the
     cell equals the intersection of the list and no member is redundant.
@@ -659,14 +626,14 @@ def voronoi_cell(point_set: PointSet, center: Point2) -> list[HalfPlane]:
     """
     if center not in point_set:
         raise ValueError("center must belong to the point set")
+    cx, cy, cw = center._t
     planes = [
         HalfPlane(
-            2 * (other.x - center.x),
-            2 * (other.y - center.y),
-            other.norm2() - center.norm2(),
+            2 * ow * cw * (ox * cw - cx * ow),
+            2 * ow * cw * (oy * cw - cy * ow),
+            (ox * ox + oy * oy) * cw * cw - (cx * cx + cy * cy) * ow * ow,
         )
-        for other in point_set.points
-        if other != center
+        for ox, oy, ow in (other._t for other in point_set.points if other != center)
     ]
     return [h for i, h in enumerate(planes) if _defines_facet(h, planes[:i] + planes[i + 1 :])]
 
@@ -708,12 +675,10 @@ def clip_to_cell(polygon: ConvexPolygon, point_set: PointSet, center: Point2) ->
 
 
 def _scaled(points: Sequence[Point2]) -> tuple[int, list[tuple[int, int]]]:
-    """L, the lcm of every coordinate denominator of the points, and each point times L."""
-    scale = math.lcm(*{q.denominator for p in points for q in (p.x, p.y)})
-    return scale, [
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-        for p in points
-    ]
+    """L, the lcm of the points' W, and each point times L as an integer pair."""
+    ts = [p._t for p in points]
+    scale = math.lcm(*{w for _, _, w in ts})
+    return scale, [(x * (scale // w), y * (scale // w)) for x, y, w in ts]
 
 
 @lru_cache(maxsize=8192)
@@ -733,7 +698,7 @@ def project_point_set(point_set: PointSet, z: Point2) -> Point2:
     smallest of the closest points.
     """
     scale, scaled = _scaled_points(point_set)
-    zx, zy, zw = _triple(z)
+    zx, zy, zw = z._t
     zx *= scale
     zy *= scale
     best = min(
@@ -754,14 +719,14 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     distance |Zu|^2 / (Wu*Wz)^2 and a foot at cross(Zu, D)^2 / (Wu*Wz)^2
     |D|^2; without their common factor 1/Wz^2 the candidates compare by
     cross-multiplication.  Only the winner becomes a Point2: a vertex is
-    the polygon's own, a foot is built from its triple.  The projection is
+    the polygon's own, a foot is built from its normalised triple.  The projection is
     unique, so only equal candidates can tie; ties keep the (squared
     distance, point) order all the same.
     """
     ts = polygon._ts
     if not ts:
         raise ValueError("cannot project onto an empty polygon")
-    zt = _triple(z)
+    zt = z._t
     if len(ts) == 1:
         return z if ts[0] == zt else polygon.vertices[0]
     if _contains_all(ts, (zt,)):
@@ -796,14 +761,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
             if order >= 0:
                 continue
         best_num, best_den, best_t, best_vertex = num, den, cand, vertex
-    return polygon.vertices[best_vertex] if best_vertex is not None else _point(best_t)
+    if best_vertex is not None:
+        return polygon.vertices[best_vertex]
+    return _from_triple(_normalised(*best_t))
 
-
-def diameter_sq(polygon: ConvexPolygon) -> Fraction:
-    """Squared diameter: the maximum squared distance between vertices."""
-    verts = polygon.vertices
-    if not verts:
-        raise ValueError("empty polygon has no diameter")
-    if len(verts) == 1:
-        return _ZERO
-    return max(dist2(a, b) for a, b in itertools.combinations(verts, 2))

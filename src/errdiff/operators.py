@@ -204,21 +204,23 @@ def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
         raise ValueError("feasible set must be non-empty")
     n = len(verts)
     # Edge i runs from verts[i] to verts[i + 1]: a segment has one, a polygon n.
-    steps = [verts[(i + 1) % n] - verts[i] for i in range(n if n > 2 else n - 1)]
+    # Its direction (X, Y) is the triple's: the edge vector times W > 0.
+    steps = [(verts[(i + 1) % n] - verts[i])._t[:2] for i in range(n if n > 2 else n - 1)]
     cells: list[Cell] = []
     for i, v in enumerate(verts):
         # The normal cone of v: behind its outgoing edge, ahead of its incoming one.
         cone = []
         if i < len(steps):
-            cone.append(HalfPlane(steps[i].x, steps[i].y, 0))
+            cone.append(HalfPlane(*steps[i], 0))
         if n > 2 or i > 0:
-            cone.append(HalfPlane(-steps[i - 1].x, -steps[i - 1].y, 0))
+            dx, dy = steps[i - 1]
+            cone.append(HalfPlane(-dx, -dy, 0))
         cells.append((ConvexPolygon((-v,)), tuple(cone)))
-    for i, d in enumerate(steps):
+    for i, (dx, dy) in enumerate(steps):
         # The normal line through the edge's points; a polygon keeps its outer ray.
-        strip = (HalfPlane(d.x, d.y, 0), HalfPlane(-d.x, -d.y, 0))
+        strip = (HalfPlane(dx, dy, 0), HalfPlane(-dx, -dy, 0))
         if n > 2:
-            strip += (HalfPlane(-d.y, d.x, 0),)
+            strip += (HalfPlane(-dy, dx, 0),)
         cells.append((segment(-verts[i], -verts[(i + 1) % n]), strip))
     if n > 1:
         cells.append((convex_hull(-v for v in verts), _ORIGIN_PLANES))

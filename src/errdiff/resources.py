@@ -23,14 +23,13 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (
-    _ZERO,
     ORIGIN,
     ConvexPolygon,
-    Point2,
     PointSet,
     RationalLike,
-    _pt,
-    _raw_polygon,
+    _from_triple,
+    _normalised,
+    _polygon,
     as_fraction,
     segment,
 )
@@ -46,18 +45,23 @@ from .geometry import (
 TEMP_RESOLUTION = Fraction(1, 1024)
 
 
+def grid_numerator(num: int, den: int, resolution: Fraction) -> int:
+    """``grid_point(num, den, resolution)`` times ``resolution.denominator``."""
+    rn, rd = resolution.numerator, resolution.denominator
+    den *= rn
+    k, r = divmod(num * rd, den)
+    if 2 * r > den or (2 * r == den and k & 1):
+        k += 1
+    return k * rn
+
+
 def grid_point(num: int, den: int, resolution: Fraction) -> Fraction:
     """round(num / den / resolution) * resolution for den > 0, in one integer divmod.
 
     The nearest point of the grid, ties to even, exactly what rounding the
     Fraction num/den/resolution with ``round`` gives.
     """
-    rn, rd = resolution.numerator, resolution.denominator
-    den *= rn
-    k, r = divmod(num * rd, den)
-    if 2 * r > den or (2 * r == den and k & 1):
-        k += 1
-    return Fraction(k * rn, rd)
+    return Fraction(grid_numerator(num, den, resolution), resolution.denominator)
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ def _setpoints(scale: int, base: int, comfort: tuple[int, ...]) -> PointSet:
     sums = {0}
     for p in comfort:
         sums |= {s + p for s in sums}
-    return PointSet(tuple(_pt(Fraction(base - s, scale), _ZERO) for s in sums))
+    return PointSet(tuple(_from_triple(_normalised(base - s, 0, scale)) for s in sums))
 
 
 def heater_setpoints_2d(params: HeaterParams, state: HeaterState) -> PointSet:
@@ -204,15 +208,6 @@ def heater_setpoints_2d(params: HeaterParams, state: HeaterState) -> PointSet:
     _, comfort, base = _room_classes(params, state)
     powers = params._scaled_powers
     return _setpoints(params._scale, base, tuple(powers[i] for i in comfort))
-
-
-def heater_feasible_set(params: HeaterParams, state: HeaterState) -> tuple[Fraction, ...]:
-    """Implementable total real-power setpoints, sorted ascending.
-
-    With a single room this is the three-case table {0}, {-P, 0}, {-P}
-    driven by lock state and temperature.
-    """
-    return tuple(p.x for p in heater_setpoints_2d(params, state).points)
 
 
 def _coldest_subset(
@@ -239,7 +234,7 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
     """Advance the bank after implementing a feasible total setpoint.
 
     The setpoint is decoded into a subset of the comfort-band rooms; a
-    setpoint that no subset decodes is not in ``heater_feasible_set`` and
+    setpoint that no subset decodes is not in ``heater_setpoints_2d`` and
     raises ValueError.  When several subsets match, the coldest rooms are
     heated (room index breaks exact temperature ties).  Heaters that switch
     acquire a fresh lock; temperatures then follow the first-order thermal
@@ -334,26 +329,35 @@ def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     Vertices are (0, 0) and (cap, +-cap*tan_phi); cap = 0 collapses to the
     origin and tan_phi = 0 to a segment on the P axis.  The result is built
     in canonical form: the origin is the lexicographically smallest vertex
-    and (0, 0), (cap, -spread), (cap, spread) turn counter-clockwise.
+    and (0, 0), (cap, -spread), (cap, spread) turn counter-clockwise.  The
+    cap is checked, and the cache keyed, on numerators and denominators.
     """
     cap = as_fraction(cap)
-    if not (0 <= cap <= params.p_max):
-        raise ValueError(f"cap {cap} outside [0, {params.p_max}]")
-    return _pv_triangle(cap, params.tan_phi)
+    cn, cd = cap.numerator, cap.denominator
+    p_max, tan_phi = params.p_max, params.tan_phi
+    if cn < 0 or cn * p_max.denominator > p_max.numerator * cd:
+        raise ValueError(f"cap {cap} outside [0, {p_max}]")
+    return _pv_triangle(cn, cd, tan_phi.numerator, tan_phi.denominator)
 
 
 @lru_cache(maxsize=4096)
-def _pv_triangle(cap: Fraction, tan_phi: Fraction) -> ConvexPolygon:
-    """The triangle of a valid cap, built once per (cap, tan_phi): they determine it."""
-    spread = cap * tan_phi
+def _pv_triangle(cn: int, cd: int, tn: int, td: int) -> ConvexPolygon:
+    """The triangle of a valid cap cn/cd, built once per (cap, tan_phi): they determine it."""
+    x, spread, w = top = _normalised(cn * td, cn * tn, cd * td)  # (cap, cap*tan_phi)
     if spread == 0:
-        return segment(ORIGIN, Point2(cap, spread))  # the origin itself when cap = 0
-    return _raw_polygon((ORIGIN, Point2(cap, -spread), Point2(cap, spread)))
+        return segment(ORIGIN, _from_triple(top))  # the origin itself when cap = 0
+    return _polygon((ORIGIN._t, (x, -spread, w), top))
 
 
 def pv_feasible_set(params: PVParams, p_avail: Fraction) -> ConvexPolygon:
-    """Triangle capped by the real power irradiance currently makes available."""
-    return pv_triangle(params, min(p_avail, params.p_max))
+    """Triangle capped by the real power irradiance currently makes available.
+
+    The cap min(p_avail, p_max) is chosen by cross-multiplication.
+    """
+    p_max = params.p_max
+    if p_avail.numerator * p_max.denominator > p_max.numerator * p_avail.denominator:
+        p_avail = p_max
+    return pv_triangle(params, p_avail)
 
 
 def pv_triangle_family(params: PVParams, subdivisions: int) -> list[ConvexPolygon]:

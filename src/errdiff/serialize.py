@@ -49,7 +49,7 @@ def point_to_json(p: Point2) -> list[str]:
 def parse_point(data: Any) -> Point2:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError(f"expected [x, y], got {data!r}")
-    return Point2(as_fraction(data[0]), as_fraction(data[1]))
+    return Point2(*data)
 
 
 def polygon_to_json(poly: ConvexPolygon) -> list[list[str]]:

@@ -34,7 +34,8 @@ from .geometry import (
     ORIGIN,
     ConvexPolygon,
     Point2,
-    _pt,
+    _from_triple,
+    _normalised,
     _scaled,
     as_fraction,
     project_convex_polygon,
@@ -44,7 +45,7 @@ from .resources import (
     HeaterParams,
     HeaterState,
     PVParams,
-    grid_point,
+    grid_numerator,
     heater_error_bound,
     heater_setpoints_2d,
     heater_step,
@@ -73,7 +74,7 @@ class QuadraticCost:
         return (x - self.center) * (2 * self.curvature)
 
 
-_MINUS_P = Point2(Fraction(-1), Fraction(0))
+_MINUS_P = Point2(-1, 0)
 
 
 @dataclass(frozen=True)
@@ -107,27 +108,27 @@ class CentralPolicy:
             raise ValueError("step size must be positive")
 
 
-def _descend(x: Fraction, slope: Fraction, step: Fraction) -> Fraction:
-    """x - slope*step rounded to the ``REQUEST_RESOLUTION`` grid, in integers."""
-    xn, xd = x.numerator, x.denominator
-    gn, gd = slope.numerator, slope.denominator
-    sn, sd = step.numerator, step.denominator
-    return grid_point(xn * gd * sd - gn * sn * xd, xd * gd * sd, REQUEST_RESOLUTION)
-
-
 def central_step(policy: CentralPolicy, advertised: ConvexPolygon, x_prev: Point2) -> Point2:
     """One projected gradient step on the ``REQUEST_RESOLUTION`` grid,
     guaranteed to land in the advertisement.
 
     Each coordinate of x - gradient*step is rounded to the grid, ties to
-    even, by one integer divmod; the snapped point is then projected.
+    even, by one integer divmod on the two points' triples; the snapped
+    point is then projected.
     """
     if advertised.is_empty:
         raise ValueError("advertisement must be non-empty")
-    gradient = policy.cost.gradient(x_prev)
+    x, y, w = x_prev._t
+    gx, gy, gw = policy.cost.gradient(x_prev)._t
     step = policy.step_size
-    snapped = _pt(_descend(x_prev.x, gradient.x, step), _descend(x_prev.y, gradient.y, step))
-    return project_convex_polygon(advertised, snapped)
+    sn, sd = step.numerator, step.denominator
+    den = w * gw * sd
+    snapped = _normalised(
+        grid_numerator(x * gw * sd - gx * sn * w, den, REQUEST_RESOLUTION),
+        grid_numerator(y * gw * sd - gy * sn * w, den, REQUEST_RESOLUTION),
+        REQUEST_RESOLUTION.denominator,
+    )
+    return project_convex_polygon(advertised, _from_triple(snapped))
 
 
 class GradientRequests:
@@ -421,8 +422,8 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
         steps=steps,
         max_error_norm2=max_err2,
         final_error=errors[-1],
-        average_requested=_pt(Fraction(req_x, total), Fraction(req_y, total)),
-        average_implemented=_pt(Fraction(imp_x, total), Fraction(imp_y, total)),
+        average_requested=_from_triple(_normalised(req_x, req_y, total)),
+        average_implemented=_from_triple(_normalised(imp_x, imp_y, total)),
         # q / square is the correctly rounded float of the squared norm.
         error_slope=least_squares_slope([math.sqrt(q / square) for q in norms2]),
         stagnation_steps=longest,

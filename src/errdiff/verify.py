@@ -102,8 +102,7 @@ def load_golden_polygon(golden_dir: Optional[Path]) -> ConvexPolygon:
     else:
         text = (resources.files("errdiff") / "golden" / "family3_invariant.json").read_text()
     data = json.loads(text)
-    verts = tuple(Point2(Fraction(x), Fraction(y)) for x, y in data["vertices"])
-    return convex_hull(verts)
+    return convex_hull(Point2(x, y) for x, y in data["vertices"])
 
 
 def _polygon_text(poly: ConvexPolygon) -> str:
@@ -346,9 +345,7 @@ def check_diffusion_contrast(golden_dir: Optional[Path] = None) -> CheckResult:
 
 def bounded_voronoi_polygon(sites: PointSet, center: Point2, box: int = 10**6) -> ConvexPolygon:
     """The (bounded) Voronoi cell of an interior site as an explicit polygon."""
-    big = convex_hull(
-        Point2(Fraction(sx * box), Fraction(sy * box)) for sx in (-1, 1) for sy in (-1, 1)
-    )
+    big = convex_hull(Point2(sx * box, sy * box) for sx in (-1, 1) for sy in (-1, 1))
     return clip_to_cell(big, sites, center)
 
 
@@ -356,7 +353,7 @@ def check_voronoi_coverage(golden_dir: Optional[Path] = None) -> CheckResult:
     failures = []
     for p_y in (0, 5, 9):
         sites = interior_point_set(p_y)
-        center = Point2(Fraction(0), Fraction(p_y))
+        center = Point2(0, p_y)
         collection = Collection((sites,), "perfect")
         result = iterate_to_invariance(
             collection, ORIGIN_SEED, IterationConfig(max_iterations=2000)
@@ -377,7 +374,7 @@ def check_voronoi_coverage(golden_dir: Optional[Path] = None) -> CheckResult:
 
 
 def _random_point(rng: random.Random) -> Point2:
-    return Point2(Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
+    return Point2(rng.randint(-6, 6), rng.randint(-6, 6))
 
 
 def _random_collection(rng: random.Random) -> Collection:

@@ -8,15 +8,18 @@ from them, of the iteration's conditional rounding, coordinate bit count
 and digest, and of the closed loop's `uniform_request`, `central_step`,
 `heater_step` and `compute_metrics`, which the package runs on integers.  Only the tests
 import it, as an oracle: every function here must return exactly what its
-counterpart in the package returns.  Of the package it uses the value
-types, their Fraction arithmetic, `orient`, `dist2` and `voronoi_cell`,
-and it builds its polygons with the validating `ConvexPolygon` constructor.
+counterpart in the package returns.  It also holds the Fraction helpers
+the tests measure with (`dist2`, `slack`, `diameter_sq`,
+`polygon_intersection`).  Of the package it uses the value types, their
+Fraction coordinates and arithmetic, `orient` and `voronoi_cell`, and it
+builds its polygons with the validating `ConvexPolygon` constructor.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,7 +31,6 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
-    dist2,
     orient,
     voronoi_cell,
 )
@@ -40,6 +42,27 @@ from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics, least_squares_
 
 def cross(u: Point2, v: Point2) -> Fraction:
     return u.x * v.y - u.y * v.x
+
+
+def dist2(a: Point2, b: Point2) -> Fraction:
+    return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
+
+
+def slack(plane: HalfPlane, p: Point2) -> Fraction:
+    """c - a*x - b*y for the plane's integer triple; non-negative exactly when p lies inside."""
+    a, b, c = plane.ints
+    return c - a * p.x - b * p.y
+
+
+def diameter_sq(polygon: ConvexPolygon) -> Fraction:
+    """The largest squared distance between two vertices (0 for a point)."""
+    pairs = itertools.combinations(polygon.vertices, 2)
+    return max((dist2(a, b) for a, b in pairs), default=Fraction(0))
+
+
+def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
+    """p clipped by every half-plane of the non-empty q."""
+    return clip_all(p, q.half_planes())
 
 
 def segment(u: Point2, v: Point2) -> ConvexPolygon:
@@ -134,9 +157,9 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Edge-merge Minkowski sum, re-canonicalised from its boundary list."""
     if p.is_empty or q.is_empty:
         raise ValueError("Minkowski sum requires non-empty polygons")
-    if p.is_point:
+    if len(p.vertices) == 1:
         return q.translate(p.vertices[0])
-    if q.is_point:
+    if len(q.vertices) == 1:
         return p.translate(q.vertices[0])
     ep, start_p = _edges_from_bottom(p.vertices)
     eq, start_q = _edges_from_bottom(q.vertices)
@@ -179,7 +202,7 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
     n = len(verts)
     if n == 0:
         return EMPTY_POLYGON
-    slacks = [half_plane.slack(v) for v in verts]
+    slacks = [slack(half_plane, v) for v in verts]
     if n == 1:
         return polygon if slacks[0] >= 0 else EMPTY_POLYGON
     if n == 2:
@@ -351,7 +374,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
         raise ValueError("cannot project onto an empty polygon")
     if contains_point(polygon, z):
         return z
-    if polygon.is_point:
+    if len(polygon.vertices) == 1:
         return polygon.vertices[0]
     best = None
     for u, v in polygon.edges():
@@ -388,7 +411,8 @@ def uniform_request(denominator: int = 1024):
         if len(verts) == 2:
             u, v = verts
             return u + (v - u) * rand_unit(rng)
-        xmin, ymin, xmax, ymax = advertised.bbox()
+        xs, ys = [v.x for v in verts], [v.y for v in verts]
+        xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
         for _ in range(200):
             p = Point2(xmin + (xmax - xmin) * rand_unit(rng), ymin + (ymax - ymin) * rand_unit(rng))
             if contains_point(advertised, p):

@@ -44,7 +44,8 @@ def test_agrees_with_check_invariance(collection, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(lattice, min_size=1, max_size=5), st.lists(lattice, min_size=1, max_size=5))
 def test_support_planes_describe_the_minkowski_sum(a, b):
-    corners = certificate._vertices(certificate._support_planes([a, b]))
+    planes = certificate._support_planes([certificate._coords(a), certificate._coords(b)])
+    corners = [Point2(x, y) for x, y in certificate._vertices(planes)]
     assert convex_hull(corners) == minkowski_sum(convex_hull(a), convex_hull(b))
 
 

@@ -218,6 +218,18 @@ class TestMalformedInput:
         argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]
         assert "one initial state per room" in self._fails(capsys, argv)
 
+    def test_unwritable_compute_invariant_out(self, collection_file, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.json"
+        line = self._compute(capsys, collection_file, "--out", str(out))
+        assert f"--out {out}" in line and "No such file" in line
+
+    @pytest.mark.parametrize("command", ["simulate", "plot-data"])
+    def test_unwritable_out_directory(self, command, scenario_file, tmp_path, capsys):
+        taken = _write(tmp_path, "taken", "a file, not a directory")
+        out = taken if command == "simulate" else taken / "sub"
+        argv = [command, "--scenario", str(scenario_file), "--out", str(out)]
+        assert f"--out {out}" in self._fails(capsys, argv)
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         argv = ["simulate", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]
         assert "No such file" in self._fails(capsys, argv)
@@ -318,7 +330,7 @@ class TestSimulate:
         metrics = json.loads((out_a / "metrics.json").read_text())
         assert metrics["resources"]["heater"]["bound_satisfied"] is True
         assert (out_a / "heater_trace.csv").read_bytes() == (out_b / "heater_trace.csv").read_bytes()
-        rows = list(csv.DictReader((out_a / "heater_trace.csv").open()))
+        rows = list(csv.DictReader((out_a / "heater_trace.csv").read_text().splitlines()))
         assert len(rows) == 40
 
     def test_no_diffusion_flag(self, scenario_file, tmp_path):

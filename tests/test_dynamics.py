@@ -14,15 +14,16 @@ from errdiff.dynamics import (
     step_persistent,
     uniform_request,
 )
-from errdiff.geometry import ORIGIN, PointSet, convex_hull, dist2
+from errdiff.geometry import ORIGIN, PointSet, convex_hull
 from errdiff.operators import feasible_hull
 from errdiff.resources import PVParams, pv_triangle
 from errdiff.simulate import compute_metrics
 
 from conftest import poly, pt
+from fraction_kernel import diameter_sq, dist2
 
 
-HEATER = PointSet.of(pt(-15, 0), pt(0, 0))  # consumption setpoints, embedded at Q=0
+HEATER = PointSet((pt(-15, 0), pt(0, 0)))  # consumption setpoints, embedded at Q=0
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 points = st.builds(pt, coords, coords)
@@ -56,7 +57,7 @@ class TestStepPerfect:
 
     def test_greedy_optimality_over_finite_set(self):
         rng = random.Random(2)
-        sites = PointSet.of(pt(0, 0), pt(2, 1), pt(-1, 3), pt(4, -2))
+        sites = PointSet((pt(0, 0), pt(2, 1), pt(-1, 3), pt(4, -2)))
         error = ORIGIN
         advert = sites.hull()
         for k in range(60):
@@ -68,7 +69,7 @@ class TestStepPerfect:
 
 class TestStepPersistent:
     def test_request_at_carried_point_clears_error(self):
-        sites = PointSet.of(pt(2, 1), pt(0, 0))
+        sites = PointSet((pt(2, 1), pt(0, 0)))
         y, z = step_persistent(pt(2, 1), pt(0, 0), sites)  # z[0] = x[0] = (2, 1)
         assert y == pt(2, 1)
         assert z == pt(0, 0)  # z[1] = x[1]: no error carried
@@ -86,7 +87,7 @@ class TestStepPersistent:
         assert z - pt(0, 0) == x0  # the miss is carried exactly
 
     def test_constant_sets_match_perfect_mode(self):
-        sites = PointSet.of(pt(0, 0), pt(3, 0), pt(0, 3))
+        sites = PointSet((pt(0, 0), pt(3, 0), pt(0, 3)))
         requests = [pt("3/2", 0), pt(1, 1), pt(0, 3), pt("1/2", "1/2"), pt(2, 0)]
         seq = iter(requests + [pt(0, 0)])
 
@@ -109,9 +110,9 @@ class TestRunTrace:
     def test_exact_recursion_identity(self):
         rng_sets = random.Random(4)
         pool = [
-            PointSet.of(pt(0, 0), pt(2, 0), pt(0, 2)),
-            PointSet.of(pt(1, 1)),
-            PointSet.of(pt(-2, 0), pt(2, 0)),
+            PointSet((pt(0, 0), pt(2, 0), pt(0, 2))),
+            PointSet((pt(1, 1),)),
+            PointSet((pt(-2, 0), pt(2, 0))),
         ]
         trace = run_trace(
             "perfect",
@@ -126,8 +127,8 @@ class TestRunTrace:
 
     def test_recursion_identity_persistent(self):
         pool = [
-            PointSet.of(pt(0, 0), pt(2, 0), pt(0, 2)),
-            PointSet.of(pt(0, 0)),
+            PointSet((pt(0, 0), pt(2, 0), pt(0, 2))),
+            PointSet((pt(0, 0),)),
         ]
         rng_sets = random.Random(9)
         trace = run_trace(
@@ -165,7 +166,7 @@ class TestRunTrace:
             assert e == pt(Fraction(15, 2) * n, 0)
 
     def test_callable_and_sequence_sources_agree(self):
-        pool = [HEATER, PointSet.of(pt(0, 0))]
+        pool = [HEATER, PointSet((pt(0, 0),))]
         seq_trace = run_trace("perfect", pool * 5, fixed_request(pt(0, 0)), 10)
         fn_trace = run_trace("perfect", lambda n: pool[n % 2], fixed_request(pt(0, 0)), 10)
         assert [r.implemented for r in seq_trace.records] == [
@@ -190,7 +191,6 @@ class TestRunTrace:
         """With an invariant domain containing every feasible set and the
         carried request starting inside it, the error never exceeds the
         domain's diameter."""
-        from errdiff.geometry import convex_hull, diameter_sq
         from errdiff.operators import (
             Collection,
             IterationConfig,
@@ -259,7 +259,7 @@ class TestControllerLoop:
 
     def test_persistent_requests_checked_without_diffusion(self):
         # x[2] is drawn from the hull of S[1] = {0}, which excludes (1, 0)
-        sets = [PointSet.of(pt(1, 0)), PointSet.of(pt(0, 0)), PointSet.of(pt(0, 0))]
+        sets = [PointSet((pt(1, 0),)), PointSet((pt(0, 0),)), PointSet((pt(0, 0),))]
         with pytest.raises(InfeasibleRequestError):
             run_trace("persistent", sets, fixed_request(pt(1, 0)), 3, diffusion=False)
 

@@ -16,11 +16,8 @@ from errdiff.geometry import (
     clip_all,
     clip_to_cell,
     convex_hull,
-    diameter_sq,
-    dist2,
     minkowski_sum,
     orient,
-    polygon_intersection,
     project_convex_polygon,
     project_point_set,
     segment,
@@ -30,7 +27,13 @@ from errdiff.geometry import (
 from errdiff.verify import grid8_collection, three_set_family
 
 from conftest import poly, pt
-from fraction_kernel import canonical_from_ccw
+from fraction_kernel import (
+    canonical_from_ccw,
+    diameter_sq,
+    dist2,
+    polygon_intersection,
+    slack,
+)
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -74,7 +77,7 @@ def boundary_list_clip(polygon, plane):
     endpoints have strictly opposite signs adds its crossing point.
     """
     verts = polygon.vertices
-    slacks = [plane.slack(v) for v in verts]
+    slacks = [slack(plane, v) for v in verts]
     out = []
     for i, (u, su) in enumerate(zip(verts, slacks)):
         j = (i + 1) % len(verts)
@@ -187,9 +190,16 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             ConvexPolygon((pt(0, 0), pt(0, 1), pt(1, 0)))
 
+    def test_pentagram_rejected(self):
+        """Every consecutive turn is a strict left turn, but the boundary winds twice."""
+        star = (pt(-10, -3), pt(10, -3), pt(-6, 8), pt(0, -10), pt(6, 8))
+        assert all(orient(star[i], star[(i + 1) % 5], star[(i + 2) % 5]) > 0 for i in range(5))
+        with pytest.raises(ValueError):
+            ConvexPolygon(star)
+
     def test_degenerate_forms(self):
         assert EMPTY_POLYGON.is_empty
-        assert ConvexPolygon((pt(1, 2),)).is_point
+        assert len(ConvexPolygon((pt(1, 2),)).vertices) == 1
         assert segment(pt(1, 0), pt(0, 0)).vertices == (pt(0, 0), pt(1, 0))
 
 
@@ -287,7 +297,7 @@ class TestClip:
         # half-plane are gone; region points inside stay
         for _ in range(25):
             probe = pt(Fraction(rng.randint(-16, 16), 2), Fraction(rng.randint(-16, 16), 2))
-            expected = region.contains_point(probe) and plane.contains(probe)
+            expected = region.contains_point(probe) and slack(plane, probe) >= 0
             assert clipped.contains_point(probe) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -312,18 +322,18 @@ class TestClip:
 
 class TestVoronoi:
     def test_singleton_has_no_constraints(self):
-        s = PointSet.of(pt(3, 4))
+        s = PointSet((pt(3, 4),))
         assert voronoi_cell(s, pt(3, 4)) == []
 
     def test_two_point_bisector(self):
-        s = PointSet.of(pt(0, 0), pt(2, 0))
+        s = PointSet((pt(0, 0), pt(2, 0)))
         (plane,) = voronoi_cell(s, pt(0, 0))
-        assert plane.contains(pt(1, 0))       # boundary
-        assert plane.contains(pt("1/2", 7))   # inside
-        assert not plane.contains(pt("3/2", 0))
+        assert slack(plane, pt(1, 0)) >= 0       # boundary
+        assert slack(plane, pt("1/2", 7)) >= 0   # inside
+        assert slack(plane, pt("3/2", 0)) < 0
 
     def test_membership_error(self):
-        s = PointSet.of(pt(0, 0), pt(2, 0))
+        s = PointSet((pt(0, 0), pt(2, 0)))
         with pytest.raises(ValueError):
             voronoi_cell(s, pt(1, 1))
 
@@ -336,7 +346,7 @@ class TestVoronoi:
                 probe = pt(Fraction(ix, 4), Fraction(iy, 4))
                 nearest = min(dist2(probe, q) for q in grid8.points)
                 in_cell = dist2(probe, center) <= nearest
-                assert all(h.contains(probe) for h in planes) == in_cell
+                assert all(slack(h, probe) >= 0 for h in planes) == in_cell
 
     @pytest.mark.parametrize(
         "collection, kept, total",
@@ -372,18 +382,18 @@ class TestVoronoi:
             for _ in range(20):
                 probe = pt(Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(-20, 20), 3))
                 assert any(
-                    all(h.contains(probe) for h in voronoi_cell(sites, c)) for c in sites
+                    all(slack(h, probe) >= 0 for h in voronoi_cell(sites, c)) for c in sites
                 )
 
 
 class TestClipToCell:
     def test_contained_region_unchanged(self):
-        sites = PointSet.of(pt(0, 0), pt(10, 0))
+        sites = PointSet((pt(0, 0), pt(10, 0)))
         small = poly((0, 0), (1, 0), (0, 1))
         assert clip_to_cell(small, sites, pt(0, 0)) == small
 
     def test_disjoint_region_empty(self):
-        sites = PointSet.of(pt(0, 0), pt(10, 0))
+        sites = PointSet((pt(0, 0), pt(10, 0)))
         far = poly((8, 0), (9, 0), (9, 1))
         assert clip_to_cell(far, sites, pt(0, 0)).is_empty
 
@@ -402,7 +412,7 @@ class TestProjection:
         assert project_point_set(grid8, pt(3, 1)) == pt(3, 1)
 
     def test_tie_breaks_lexicographically(self):
-        s = PointSet.of(pt(0, 0), pt(2, 0))
+        s = PointSet((pt(0, 0), pt(2, 0)))
         assert project_point_set(s, pt(1, 0)) == pt(0, 0)
 
     def test_grid8_projection_matches_exhaustive(self, grid8):
@@ -493,11 +503,11 @@ class TestClassify:
         far = Fraction(10**6)
         for c in (pt(-10, -10), pt(10, -10), pt(10, 10), pt(-10, 10)):
             probe = c + c * far
-            assert all(h.contains(probe) for h in voronoi_cell(s, c))
+            assert all(slack(h, probe) >= 0 for h in voronoi_cell(s, c))
         p = pt(0, 5)
         for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             probe = p + pt(sx, sy) * far
-            assert not all(h.contains(probe) for h in voronoi_cell(s, p))
+            assert not all(slack(h, probe) >= 0 for h in voronoi_cell(s, p))
 
     def test_voronoi_subset_property(self):
         # cells w.r.t. the full set are contained in cells w.r.t. the hull's vertices
@@ -513,8 +523,8 @@ class TestClassify:
                 corner_planes = voronoi_cell(sc, c)
                 for _ in range(25):
                     probe = pt(Fraction(rng.randint(-30, 30), 2), Fraction(rng.randint(-30, 30), 2))
-                    if all(h.contains(probe) for h in full_planes):
-                        assert all(h.contains(probe) for h in corner_planes)
+                    if all(slack(h, probe) >= 0 for h in full_planes):
+                        assert all(slack(h, probe) >= 0 for h in corner_planes)
 
 
 class TestDiameter:
@@ -568,8 +578,8 @@ class TestExactnessPipeline:
         probe = pt("3/2", "1/4")
         planes = voronoi_cell(grid8, pt(1, 1))
         planes_t = voronoi_cell(transformed, tf_point(pt(1, 1)))
-        assert all(h.contains(probe) for h in planes) == all(
-            h.contains(tf_point(probe)) for h in planes_t
+        assert all(slack(h, probe) >= 0 for h in planes) == all(
+            slack(h, tf_point(probe)) >= 0 for h in planes_t
         )
         # minkowski with a scaled square commutes
         square = poly((0, 0), (1, 0), (1, 1), (0, 1))

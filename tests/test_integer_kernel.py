@@ -32,9 +32,7 @@ from errdiff.geometry import (
     Point2,
     PointSet,
     _orient3,
-    _point,
     _polygon,
-    _triple,
     clip,
     clip_all,
     convex_hull,
@@ -60,7 +58,6 @@ from errdiff.resources import (
     HeaterParams,
     HeaterState,
     grid_point,
-    heater_feasible_set,
     heater_setpoints_2d,
     heater_step,
 )
@@ -139,14 +136,62 @@ def sign(q) -> int:
 SQUARE = convex_hull([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
 
 
+# Numerators and denominators of up to 200 bits, and small values that tie.
+wide = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+wide_coords = st.one_of(small, wide)
+
+
+@st.composite
+def coordinate_pairs(draw):
+    """Two (x, y) pairs; the second may share the first's x, or equal it."""
+    a = (draw(wide_coords), draw(wide_coords))
+    kind = draw(st.sampled_from(["free", "same x", "equal"]))
+    if kind == "equal":
+        return a, a
+    x = a[0] if kind == "same x" else draw(wide_coords)
+    return a, (x, draw(wide_coords))
+
+
+def model(p: Point2) -> tuple[Fraction, Fraction]:
+    return p.x, p.y
+
+
 class TestConversions:
+    """Point2 against the plain (Fraction, Fraction) model of a point."""
+
     @settings(max_examples=100, deadline=None)
-    @given(st.builds(Point2, st.one_of(small, big), st.one_of(small, big)))
-    def test_triple_round_trip_is_normalised(self, p):
-        x, y, w = t = _triple(p)
-        assert w > 0
-        assert _point(t) == p
-        assert gcd(x, y, w) == 1
+    @given(wide_coords, wide_coords)
+    def test_triple_round_trip_is_normalised(self, x, y):
+        p = Point2(x, y)
+        tx, ty, tw = p._t
+        assert tw > 0 and gcd(tx, ty, tw) == 1
+        assert model(p) == (x, y)
+        assert Point2(str(x), str(y))._t == p._t
+
+    @settings(max_examples=200, deadline=None)
+    @given(coordinate_pairs(), st.one_of(wide_coords, st.integers(-5, 5)))
+    def test_arithmetic_and_order_match_the_model(self, pair, k):
+        (ax, ay), (bx, by) = a, b = pair
+        p, q = Point2(ax, ay), Point2(bx, by)
+        assert (p == q) == (a == b) and (p != q) == (a != b)
+        assert (p < q, p <= q, p > q, p >= q) == (a < b, a <= b, a > b, a >= b)
+        assert model(p + q) == (ax + bx, ay + by)
+        assert model(p - q) == (ax - bx, ay - by)
+        assert model(-p) == (-ax, -ay)
+        assert model(p * k) == model(k * p) == (ax * k, ay * k)
+        assert p.dot(q) == ax * bx + ay * by
+        assert p.norm2() == ax * ax + ay * ay
+        # Equal points built along different routes hash alike.
+        same = p + q - q
+        assert same == p and hash(same) == hash(p)
+        if a == b:
+            assert hash(p) == hash(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(wide_coords, wide_coords), min_size=1, max_size=8))
+    def test_point_set_order_matches_tuple_order(self, coords):
+        points = PointSet(tuple(Point2(x, y) for x, y in coords)).points
+        assert [model(p) for p in points] == sorted(set(coords))
 
 
 class TestOrientation:
@@ -158,7 +203,7 @@ class TestOrientation:
     @example([pt(1, 1), pt(1, 1), pt(2, 3)])
     def test_integer_orientation_has_the_sign_of_orient(self, pts):
         a, b, c = pts[:3]
-        assert sign(_orient3(_triple(a), _triple(b), _triple(c))) == sign(orient(a, b, c))
+        assert sign(_orient3(a._t, b._t, c._t)) == sign(orient(a, b, c))
 
 
 class TestRepresentation:
@@ -166,7 +211,7 @@ class TestRepresentation:
     @given(point_lists())
     def test_polygon_from_triples_equals_polygon_from_points(self, pts):
         validated = oracle.convex_hull(pts)
-        lazy = _polygon(tuple(_triple(v) for v in validated.vertices))
+        lazy = _polygon(tuple(v._t for v in validated.vertices))
         assert lazy == validated
         assert hash(lazy) == hash(validated)
         assert lazy.vertices == validated.vertices
@@ -512,7 +557,6 @@ class TestHeater:
         params, state, choices = case
         for choice in choices:
             feasible = oracle.heater_feasible_set(params, state)
-            assert heater_feasible_set(params, state) == feasible
             points = heater_setpoints_2d(params, state).points
             assert points == tuple(Point2(v, 0) for v in feasible)
             for bad in (feasible[0] - Fraction(1, 3), Fraction(1)):
@@ -529,8 +573,8 @@ class TestHeater:
         params = HeaterParams(powers=(Fraction(1), Fraction(2)), t_min=19, t_max=22)
         first = HeaterState.initial([20, 25])
         second = HeaterState.initial([25, 20])
-        assert heater_feasible_set(params, first) == (-1, 0)
-        assert heater_feasible_set(params, second) == (-2, 0)
+        assert heater_setpoints_2d(params, first).points == (pt(-1, 0), pt(0, 0))
+        assert heater_setpoints_2d(params, second).points == (pt(-2, 0), pt(0, 0))
 
 
 class TestUniformRequest:
@@ -586,7 +630,7 @@ class TestMetrics:
 
     def test_broken_identity_is_caught(self):
         records = [
-            StepRecord(n, PointSet.of(p), ConvexPolygon((p,)), p, p, error)
+            StepRecord(n, PointSet((p,)), ConvexPolygon((p,)), p, p, error)
             for n, p, error in ((0, pt(0, 0), pt(0, 0)), (1, pt(1, 0), pt(0, 1)))
         ]
         trace = ControllerTrace(records, final_error=pt(0, 1))

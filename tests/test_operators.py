@@ -11,7 +11,6 @@ from errdiff.geometry import (
     Point2,
     PointSet,
     convex_hull,
-    dist2,
     project_convex_polygon,
 )
 from errdiff.intervals import IntervalUnion
@@ -31,6 +30,7 @@ from errdiff.operators import (
 from errdiff.resources import PVParams, pv_triangle, pv_triangle_family
 
 from conftest import poly, pt
+from fraction_kernel import dist2
 
 ORIGIN_POLY = ConvexPolygon((ORIGIN,))
 
@@ -55,12 +55,12 @@ def brute_g_single(sites: PointSet, region: ConvexPolygon, probes):
 
 class TestApplyGSingle:
     def test_singleton_site_returns_region(self):
-        s = PointSet.of(pt(5, -2))
+        s = PointSet((pt(5, -2),))
         region = poly((0, 0), (1, 0), (0, 1))
         assert apply_member(s, region, "perfect") == region
 
     def test_two_point_set_halves_into_segment(self):
-        s = PointSet.of(pt(-1, 0), pt(1, 0))
+        s = PointSet((pt(-1, 0), pt(1, 0)))
         got = apply_member(s, ORIGIN_POLY, "perfect")
         # hand evaluation: both cell pieces recenter to [0,1] and [-1,0]
         assert got == poly((-1, 0), (1, 0))
@@ -114,7 +114,7 @@ class TestApplyGCollection:
 class TestApplyP:
     def test_point_set_and_domain_at_site(self):
         c = pt(2, 1)
-        s = PointSet.of(c)
+        s = PointSet((c,))
         assert apply_member(s, ConvexPolygon((c,)), "persistent") == ConvexPolygon((c,))
 
     @settings(max_examples=40, deadline=None)
@@ -153,8 +153,8 @@ class TestApplyP:
                     assert image.contains_point(z - c + s)
 
     def test_collection_is_hull_of_members(self):
-        a = PointSet.of(pt(0, 0), pt(2, 0))
-        b = PointSet.of(pt(0, 0), pt(0, 2))
+        a = PointSet((pt(0, 0), pt(2, 0)))
+        b = PointSet((pt(0, 0), pt(0, 2)))
         col = Collection((a, b), "persistent")
         domain = ORIGIN_POLY
         merged = apply_collection(col, domain)
@@ -236,7 +236,7 @@ class TestIteration:
         assert result.invariant_set == pv_triangle(params, 1)
 
     def test_representation_budget_aborts_cleanly(self):
-        sites = PointSet.of(pt(0, 0), pt(3, 1), pt(-1, 2), pt(2, -2))
+        sites = PointSet((pt(0, 0), pt(3, 1), pt(-1, 2), pt(2, -2)))
         col = Collection((sites,), "perfect")
         result = iterate_to_invariance(
             col, ORIGIN_POLY, IterationConfig(max_iterations=200, max_coordinate_bits=24)
@@ -248,9 +248,9 @@ class TestIteration:
         # round(G(Q)) == Q here, but G(Q) != Q: the stop is not a fixed point
         col = Collection(
             (
-                PointSet.of(pt(-2, -5), pt(-2, 1)),
-                PointSet.of(pt(5, 0)),
-                PointSet.of(pt(-5, 3), pt(1, -3), pt(4, 1)),
+                PointSet((pt(-2, -5), pt(-2, 1))),
+                PointSet((pt(5, 0),)),
+                PointSet((pt(-5, 3), pt(1, -3), pt(4, 1))),
             ),
             "perfect",
         )
@@ -261,7 +261,7 @@ class TestIteration:
 
     def test_rounding_cycle_is_reported(self):
         # at 1/10 rounding maps the second iterate to a third and back again
-        col = Collection((PointSet.of(pt(-2, -5), pt(-2, -1), pt(0, -4)),), "perfect")
+        col = Collection((PointSet((pt(-2, -5), pt(-2, -1), pt(0, -4))),), "perfect")
         result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10)))
         hashes = result.history_hashes
         assert result.status == "cycle" and not result.converged and not result.aborted
@@ -270,7 +270,7 @@ class TestIteration:
 
 class TestCheckInvariance:
     def test_origin_not_invariant_for_spread_sets(self):
-        col = Collection((PointSet.of(pt(-1, 0), pt(1, 0)),), "perfect")
+        col = Collection((PointSet((pt(-1, 0), pt(1, 0))),), "perfect")
         assert not check_invariance(col, ORIGIN_POLY)
 
     def test_removing_a_vertex_breaks_invariance(self, ring_family):

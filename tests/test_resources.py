@@ -15,7 +15,6 @@ from errdiff.resources import (
     HeaterState,
     PVParams,
     heater_error_bound,
-    heater_feasible_set,
     heater_setpoints_2d,
     heater_step,
     max_step_size,
@@ -26,6 +25,12 @@ from errdiff.resources import (
 )
 
 from conftest import pt
+from fraction_kernel import diameter_sq, polygon_intersection
+
+
+def heater_feasible_set(params: HeaterParams, state: HeaterState) -> tuple[Fraction, ...]:
+    """The real-power setpoints of ``heater_setpoints_2d``, sorted ascending."""
+    return tuple(p.x for p in heater_setpoints_2d(params, state).points)
 
 
 def single_heater(p=15, lock_steps=3, leak="1/100", gain="1/10", t_out=8):
@@ -265,7 +270,7 @@ class TestPVTriangle:
     def test_feasible_set_saturates(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
         assert pv_feasible_set(params, Fraction(5)) == pv_triangle(params, 1)
-        assert pv_feasible_set(params, Fraction(0)).is_point
+        assert pv_feasible_set(params, Fraction(0)).vertices == (pt(0, 0),)
         assert pv_feasible_set(params, Fraction(1, 3)) == pv_triangle(params, "1/3")
 
 
@@ -280,8 +285,6 @@ class TestPVBound:
         assert pv_error_bound_sq(PVParams(p_max=Fraction(4), tan_phi=Fraction(1, 4))) == 17
 
     def test_bound_is_the_squared_diameter(self):
-        from errdiff.geometry import diameter_sq
-
         for p_max, tan_phi in ((1, 1), (4, "1/4"), (1, 0), (3, "1/2")):
             params = PVParams(p_max=Fraction(p_max), tan_phi=Fraction(tan_phi))
             tri = pv_triangle(params, params.p_max)
@@ -298,8 +301,6 @@ class TestPVInvariance:
     def test_family_intersection_is_origin(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
         family = pv_triangle_family(params, 4)
-        from errdiff.geometry import polygon_intersection
-
         meet = family[0]
         for member in family[1:]:
             meet = polygon_intersection(meet, member)

@@ -155,7 +155,7 @@ class TestScenarioFiles:
             parse_scenario(bad)
 
 
-HEATER = PointSet.of(pt(-15, 0), pt(0, 0))  # consumption setpoints, embedded at Q=0
+HEATER = PointSet((pt(-15, 0), pt(0, 0)))  # consumption setpoints, embedded at Q=0
 
 
 class TestTraceExport:
@@ -175,6 +175,6 @@ class TestTraceExport:
 
     def test_set_id_distinguishes_sets(self):
         a = feasible_set_id(HEATER)
-        b = feasible_set_id(PointSet.of(pt(0, 0)))
+        b = feasible_set_id(PointSet((pt(0, 0),)))
         c = feasible_set_id(poly((0, 0), (1, 0), (0, 1)))
         assert len({a, b, c}) == 3

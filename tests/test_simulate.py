@@ -311,7 +311,7 @@ class TestUnits:
         first = unit.feasible_set()
         unit.advance(pt(0, 0))
         second = unit.feasible_set()
-        assert not first.is_point and second.is_point
+        assert len(first.vertices) == 3 and second.vertices == (pt(0, 0),)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
