@@ -21,6 +21,12 @@ sequences (``run_trace``) and closed-loop resources alike.
 
 All arithmetic is exact; the recursion above holds as an identity of
 rationals in every trace.
+
+A step is a pure function of its set, request and error, and in grid
+scenarios those repeat, so ``run_resource_loop`` keeps two tables for the
+length of one call: the projection of each distinct (set, target) pair and
+the pairs (advertisement, request) already found to contain the request.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -57,19 +63,29 @@ def project_feasible(feasible: FeasibleSet, z: Point2) -> Point2:
     return project_convex_polygon(feasible, z)
 
 
+Projections = dict[tuple[FeasibleSet, Triple], Point2]
+
+
 def step_perfect(
-    error: Point2, request: Point2, feasible: FeasibleSet
+    error: Point2, request: Point2, feasible: FeasibleSet, projections: Projections
 ) -> tuple[Point2, Point2]:
     """One greedy step: implement proj(S[n], e[n] + x[n]), carry the rest.
 
     Returns the implemented setpoint y[n] and the next error e[n+1].  This
     is the update of both prediction modes; they differ only in the
     advertisement the request was drawn from, which the caller checks.
+    ``projections`` maps (set, target triple) pairs to the projections
+    found before; a pair not in it is projected and added.
     """
+    target = request if error is ORIGIN else error + request
+    key = (feasible, target._t)
+    implemented = projections.get(key)
+    if implemented is None:
+        implemented = projections[key] = project_feasible(feasible, target)
+    elif implemented._t == target._t:
+        implemented = target  # an earlier target, equal to this one
     # A polygon projection returns z itself when z is feasible, and the
     # error is then the origin: such steps skip their subtraction.
-    target = request if error is ORIGIN else error + request
-    implemented = project_feasible(feasible, target)
     return implemented, ORIGIN if implemented is target else target - implemented
 
 
@@ -236,6 +252,10 @@ def run_resource_loop(
     Perfect steps read the set before drawing the request; persistent steps
     after the first draw the request before reading the set.  A source and
     a request policy sharing ``rng`` see that order.
+
+    The call projects each distinct (set, target) pair and checks each
+    distinct (advertisement, request) pair once; a request outside its
+    advertisement is never added, so it raises whenever it recurs.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -244,6 +264,9 @@ def run_resource_loop(
         raise ValueError(f"unknown mode {mode!r}")
     trace = ControllerTrace()
     error = ORIGIN
+    projections: Projections = {}
+    # Keyed on triples: a tuple of ints hashes and compares without a Python call.
+    contained: set[tuple[tuple[Triple, ...], Triple]] = set()
     for n in range(horizon):
         if mode == "persistent" and n > 0:
             advertised = hull  # the previous step's set
@@ -254,11 +277,16 @@ def run_resource_loop(
             feasible = source.feasible_set()
             hull = advertised = feasible_hull(feasible)
             request = requests(advertised, error, rng)
-        if not advertised.contains_point(request):
-            raise InfeasibleRequestError(f"request {request} outside advertised set")
+        checked = (advertised._ts, request._t)
+        if checked not in contained:
+            if not advertised.contains_point(request):
+                raise InfeasibleRequestError(f"request {request} outside advertised set")
+            contained.add(checked)
         # Without diffusion the step sees no carried error; e[n+1] still
         # accumulates its residual.
-        implemented, residual = step_perfect(error if diffusion else ORIGIN, request, feasible)
+        implemented, residual = step_perfect(
+            error if diffusion else ORIGIN, request, feasible, projections
+        )
         trace.records.append(StepRecord(n, feasible, advertised, request, implemented, error))
         error = residual if diffusion else error + residual
         source.advance(implemented)

@@ -295,16 +295,6 @@ class ConvexPolygon(_Frozen):
     def is_empty(self) -> bool:
         return not self._ts
 
-    def edges(self) -> Iterator[tuple[Point2, Point2]]:
-        """Directed boundary edges; a segment yields its single edge once."""
-        verts = self.vertices
-        n = len(verts)
-        if n == 2:
-            yield verts[0], verts[1]
-        elif n >= 3:
-            for i in range(n):
-                yield verts[i], verts[(i + 1) % n]
-
     def contains_point(self, p: Point2) -> bool:
         ts = self._ts
         if len(ts) <= 1:

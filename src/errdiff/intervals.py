@@ -57,10 +57,6 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.intervals + other.intervals)
 

@@ -8,6 +8,12 @@ outputs are the per-resource trace CSVs with ``metrics.json`` that
 ``write_simulation`` writes and the plot series with ``manifest.json``
 that ``emit_plot_data`` writes; ``write_iteration_result`` writes the
 invariant-set result.
+
+Writers format points straight from their integer triples: a coordinate
+X/W becomes its lowest-terms string by one gcd and its float by the
+correctly rounded integer division X / W, the value float(Fraction(X, W))
+has, so no Fraction is built per cell.  Running averages are summed as
+triples.
 """
 
 from __future__ import annotations
@@ -15,13 +21,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from fractions import Fraction
+import math
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
 from .dynamics import ControllerTrace, StepRecord
-from .geometry import ORIGIN, ConvexPolygon, Point2, PointSet, as_fraction, convex_hull
+from .geometry import ORIGIN, ConvexPolygon, Point2, PointSet, _add, as_fraction, convex_hull
 from .operators import Collection, FeasibleSet, IterationConfig
 from .resources import HeaterParams, HeaterState, PVParams
 from .simulate import (
@@ -42,8 +48,15 @@ from .simulate import (
 PathLike = Union[str, Path]
 
 
+def _rational(x: int, w: int) -> str:
+    """x/w for w > 0 in lowest terms, written as str(Fraction(x, w)) writes it."""
+    g = math.gcd(x, w)
+    return str(x // g) if g == w else f"{x // g}/{w // g}"
+
+
 def point_to_json(p: Point2) -> list[str]:
-    return [str(p.x), str(p.y)]
+    x, y, w = p._t
+    return [_rational(x, w), _rational(y, w)]
 
 
 def parse_point(data: Any) -> Point2:
@@ -139,13 +152,18 @@ def _columns(index: Sequence[str], names: Sequence[str]) -> list[str]:
     return [*index, *names, *(f"{name}_float" for name in names)]
 
 
-def _row(index: Sequence, values: Sequence[Fraction]) -> list:
-    """Index columns, then each rational exactly, then each as a float."""
-    return [*index, *map(str, values), *map(float, values)]
+def _row(index: Sequence, values: Sequence[tuple[int, int]]) -> list:
+    """Index columns, then each rational x/w exactly, then each as a float."""
+    return [*index, *(_rational(x, w) for x, w in values), *(x / w for x, w in values)]
 
 
-def _coords(*points: Point2) -> list[Fraction]:
-    return [c for p in points for c in (p.x, p.y)]
+def _coords(*points: Point2) -> list[tuple[int, int]]:
+    """The points' coordinates as (numerator, denominator) pairs, in x, y order."""
+    cells = []
+    for p in points:
+        x, y, w = p._t
+        cells += ((x, w), (y, w))
+    return cells
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
@@ -173,9 +191,9 @@ def _scenario_header(result: ScenarioResult) -> dict:
 def feasible_set_id(feasible: FeasibleSet) -> str:
     """Short stable identifier of a feasible set's exact contents, hashed once per set."""
     if isinstance(feasible, PointSet):
-        text = "ps:" + ";".join(f"{p.x},{p.y}" for p in feasible.points)
+        text = "ps:" + ";".join(",".join(point_to_json(p)) for p in feasible.points)
     else:
-        text = "cp:" + ";".join(f"{p.x},{p.y}" for p in feasible.vertices)
+        text = "cp:" + ";".join(",".join(point_to_json(p)) for p in feasible.vertices)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
@@ -205,12 +223,19 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
 
 
 def _running_averages(records: list[StepRecord]) -> Iterable[list]:
-    requested = implemented = ORIGIN
+    """Rows of the running means: the sums kept as triples, each mean formatted over W*k."""
+    requested = implemented = ORIGIN._t
     for k, r in enumerate(records, start=1):
-        requested += r.requested
-        implemented += r.implemented
-        inv = Fraction(1, k)
-        yield _row((k - 1,), _coords(requested * inv, implemented * inv))
+        requested = _add(requested, r.requested._t)
+        implemented = _add(implemented, r.implemented._t)
+        (rx, ry, rw), (ix, iy, iw) = requested, implemented
+        yield _row((k - 1,), [(rx, rw * k), (ry, rw * k), (ix, iw * k), (iy, iw * k)])
+
+
+def _norm(e: Point2) -> float:
+    """|e| as the square root of the correctly rounded float of |e|^2."""
+    x, y, w = e._t
+    return ((x * x + y * y) / (w * w)) ** 0.5
 
 
 def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
@@ -239,7 +264,7 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
                 "accumulated_error",
                 "accumulated error e_n (components and norm)",
                 _columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"],
-                (_row((n,), _coords(e)) + [float(e.norm2()) ** 0.5] for n, e in enumerate(errors)),
+                (_row((n,), _coords(e)) + [_norm(e)] for n, e in enumerate(errors)),
             ),
             (
                 "time_averaged",

@@ -17,6 +17,13 @@ are integer operations.  The resources' feasible sets come from the
 bounded caches of ``resources``, and ``serialize`` hashes each distinct
 set once.
 
+On the grid the same steps recur, and one run computes each of them once:
+``GradientRequests``, built afresh for every resource of every run, keeps
+the central step of each (advertisement, previous request) pair, and a
+random availability wave, built with its scenario, builds each grid level
+when it is first drawn.  The loop's own projection and containment tables
+are described in ``dynamics``.  No table is process-wide.
+
 This module holds the resource units, the central policy, scenarios and
 metrics; ``serialize`` writes them out.
 """
@@ -34,6 +41,7 @@ from .geometry import (
     ORIGIN,
     ConvexPolygon,
     Point2,
+    Triple,
     _from_triple,
     _normalised,
     _scaled,
@@ -136,18 +144,26 @@ class GradientRequests:
 
     The first request starts from the projection of the origin onto the
     first advertisement; afterwards each request is a projected gradient
-    step from the previous one.
+    step from the previous one.  The step is a pure function of the
+    advertisement and the previous request, so each distinct pair is
+    computed once for the life of the source, which is one run.
     """
 
     def __init__(self, policy: CentralPolicy):
         self.policy = policy
         self._current: Optional[Point2] = None
+        self._steps: dict[tuple[tuple[Triple, ...], Triple], Point2] = {}
 
     def __call__(self, advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
-        if self._current is None:
-            self._current = project_convex_polygon(advertised, ORIGIN)
-        self._current = central_step(self.policy, advertised, self._current)
-        return self._current
+        current = self._current
+        if current is None:
+            current = project_convex_polygon(advertised, ORIGIN)
+        key = (advertised._ts, current._t)
+        request = self._steps.get(key)
+        if request is None:
+            request = self._steps[key] = central_step(self.policy, advertised, current)
+        self._current = request
+        return request
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +240,24 @@ def constant_availability(value: Fraction) -> Availability:
 
 
 def random_availability(low: Fraction, high: Fraction, denominator: int = 64) -> Availability:
-    """Seeded random availability on a rational grid between low and high."""
+    """Seeded random availability on a rational grid between low and high.
+
+    Each level low + (high - low)*k/denominator is built the first time
+    draw k comes up and kept by the wave, so a fine grid costs nothing
+    until it is drawn.
+    """
     low, high = _levels(low, high)
     if denominator < 1:
         raise ValueError("availability grid denominator must be at least 1")
+    span = high - low
+    levels: dict[int, Fraction] = {}
 
     def wave(n: int, rng: random.Random) -> Fraction:
-        return low + (high - low) * Fraction(rng.randrange(denominator + 1), denominator)
+        k = rng.randrange(denominator + 1)
+        level = levels.get(k)
+        if level is None:
+            level = levels[k] = low + span * Fraction(k, denominator)
+        return level
 
     return wave
 

@@ -5,14 +5,16 @@ translation, polygon containment and `project_convex_polygon` that
 `errdiff.geometry` runs on integer homogeneous triples, of one
 collection-operator step (`cell_pieces`, `apply_collection`) assembled
 from them, of the iteration's conditional rounding, coordinate bit count
-and digest, and of the closed loop's `uniform_request`, `central_step`,
-`heater_step` and `compute_metrics`, which the package runs on integers.  Only the tests
-import it, as an oracle: every function here must return exactly what its
+and digest, of the closed loop's `uniform_request`, `central_step`,
+`heater_step` and `compute_metrics`, and of the trace writers' `row` and
+`coords`, which the package runs on integers.  Only the tests import it,
+as an oracle: every function here must return exactly what its
 counterpart in the package returns.  It also holds the Fraction helpers
 the tests measure with (`dist2`, `slack`, `diameter_sq`,
-`polygon_intersection`).  Of the package it uses the value types, their
-Fraction coordinates and arithmetic, `orient` and `voronoi_cell`, and it
-builds its polygons with the validating `ConvexPolygon` constructor.
+`polygon_intersection`, `edges`, `interval_contains`).  Of the package it
+uses the value types, their Fraction coordinates and arithmetic, `orient`
+and `voronoi_cell`, and it builds its polygons with the validating
+`ConvexPolygon` constructor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from errdiff.geometry import (
     EMPTY_POLYGON,
@@ -35,6 +37,7 @@ from errdiff.geometry import (
     voronoi_cell,
 )
 from errdiff.dynamics import ControllerTrace
+from errdiff.intervals import IntervalUnion
 from errdiff.operators import SNAP_FRACTIONS, Collection, IterationConfig, RoundingEvent
 from errdiff.resources import TEMP_RESOLUTION, HeaterParams, HeaterState
 from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics, least_squares_slope
@@ -52,6 +55,23 @@ def slack(plane: HalfPlane, p: Point2) -> Fraction:
     """c - a*x - b*y for the plane's integer triple; non-negative exactly when p lies inside."""
     a, b, c = plane.ints
     return c - a * p.x - b * p.y
+
+
+def edges(polygon: ConvexPolygon) -> Iterator[tuple[Point2, Point2]]:
+    """Directed boundary edges; a segment yields its single edge once."""
+    verts = polygon.vertices
+    n = len(verts)
+    if n == 2:
+        yield verts[0], verts[1]
+    elif n >= 3:
+        for i in range(n):
+            yield verts[i], verts[(i + 1) % n]
+
+
+def interval_contains(union: IntervalUnion, x) -> bool:
+    """Whether the rational x lies in one of the union's closed intervals."""
+    x = Fraction(x)
+    return any(lo <= x <= hi for lo, hi in union.intervals)
 
 
 def diameter_sq(polygon: ConvexPolygon) -> Fraction:
@@ -377,7 +397,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     if len(polygon.vertices) == 1:
         return polygon.vertices[0]
     best = None
-    for u, v in polygon.edges():
+    for u, v in edges(polygon):
         d = v - u
         t = (z - u).dot(d) / d.norm2()
         if t < 0:
@@ -525,3 +545,17 @@ def compute_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
     )
+
+
+# ---------------------------------------------------------------------------
+# The trace writers
+# ---------------------------------------------------------------------------
+
+
+def row(index: Sequence, values: Sequence[Fraction]) -> list:
+    """Index columns, then each rational exactly, then each as a float."""
+    return [*index, *map(str, values), *map(float, values)]
+
+
+def coords(*points: Point2) -> list[Fraction]:
+    return [c for p in points for c in (p.x, p.y)]

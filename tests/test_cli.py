@@ -388,6 +388,15 @@ def test_closed_loop_outputs_are_pinned(command, seed, expected, tmp_path, capsy
     assert _digest(out) == expected
 
 
+def test_closed_loop_without_diffusion_is_pinned(tmp_path, capsys):
+    """The same scenario with diffusion off for the heaters and the random PV unit."""
+    out = tmp_path / "out"
+    scenario = DATA / "closed_loop_seed1.json"
+    argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
+    assert main(argv + ["--no-diffusion", "heaters", "pv_random"]) == 0
+    assert _digest(out) == "68d07443cd94fa8c11920e0b101f44b0b55ff5f1493fea425e972ac4d331f61f"
+
+
 @pytest.mark.parametrize(
     "collection, extra, expected",
     [

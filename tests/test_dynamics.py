@@ -9,15 +9,24 @@ from errdiff.dynamics import (
     InfeasibleRequestError,
     fixed_request,
     project_feasible,
+    run_resource_loop,
     run_trace,
     step_perfect,
     step_persistent,
     uniform_request,
 )
-from errdiff.geometry import ORIGIN, PointSet, convex_hull
+from errdiff.geometry import ORIGIN, PointSet, convex_hull, project_convex_polygon
 from errdiff.operators import feasible_hull
 from errdiff.resources import PVParams, pv_triangle
-from errdiff.simulate import compute_metrics
+from errdiff.simulate import (
+    CentralPolicy,
+    GradientRequests,
+    PVUnit,
+    QuadraticCost,
+    central_step,
+    compute_metrics,
+    random_availability,
+)
 
 from conftest import poly, pt
 from fraction_kernel import diameter_sq, dist2
@@ -37,12 +46,12 @@ schedules = st.lists(feasible_sets, min_size=1, max_size=8)
 
 class TestStepPerfect:
     def test_implementable_request_leaves_no_error(self):
-        y, error = step_perfect(ORIGIN, pt(-15, 0), HEATER)
+        y, error = step_perfect(ORIGIN, pt(-15, 0), HEATER, {})
         assert y == pt(-15, 0)
         assert error == ORIGIN
 
     def test_midpoint_request_ties_to_lexicographic_smaller(self):
-        y, error = step_perfect(ORIGIN, pt("-15/2", 0), HEATER)
+        y, error = step_perfect(ORIGIN, pt("-15/2", 0), HEATER, {})
         assert y == pt(-15, 0)
         assert error == pt("15/2", 0)
 
@@ -50,7 +59,7 @@ class TestStepPerfect:
         error = ORIGIN
         seen = []
         for _ in range(6):
-            y, error = step_perfect(error, pt("-15/2", 0), HEATER)
+            y, error = step_perfect(error, pt("-15/2", 0), HEATER, {})
             seen.append(y)
         assert seen == [pt(-15, 0), pt(0, 0)] * 3
         assert error == ORIGIN
@@ -63,8 +72,25 @@ class TestStepPerfect:
         for k in range(60):
             request = uniform_request(denominator=32)(advert, error, rng)
             target = error + request
-            y, error = step_perfect(error, request, sites)
+            y, error = step_perfect(error, request, sites, {})
             assert all(error.norm2() <= dist2(target, s) for s in sites.points)
+
+
+    def test_memo_hit_inside_the_set_returns_the_target_itself(self):
+        square = poly((0, 0), (2, 0), (2, 2), (0, 2))
+        projections = {}
+        for _ in range(2):
+            request = pt(1, 1)  # a new object each time, equal to the last
+            y, error = step_perfect(ORIGIN, request, square, projections)
+            assert y is request
+            assert error is ORIGIN
+        assert len(projections) == 1
+
+    def test_memo_hit_outside_the_set_returns_the_projection(self):
+        projections = {}
+        first = step_perfect(pt(1, 0), pt(-1, 0), HEATER, projections)
+        assert step_perfect(pt(1, 0), pt(-1, 0), HEATER, projections) == first
+        assert first == step_perfect(pt(1, 0), pt(-1, 0), HEATER, {})
 
 
 class TestStepPersistent:
@@ -305,10 +331,68 @@ class TestLoopMatchesSteps:
         for r in trace.records:
             assert r.error == error
             if diffusion:
-                y, error = step_perfect(error, r.requested, r.feasible)
+                y, error = step_perfect(error, r.requested, r.feasible, {})
             else:
                 # the bare request is projected; the miss still accumulates
                 y = project_feasible(r.feasible, r.requested)
                 error = error + r.requested - y
             assert y == r.implemented
         assert trace.final_error == error
+
+
+class TestLoopMemo:
+    """The loop computes each distinct step once per run, and the answers are the same."""
+
+    def test_request_checked_against_each_advertisement(self):
+        # The same request under two advertisements: only the first holds it,
+        # so a check remembered by request alone would let step 2 through.
+        wide, narrow = PointSet((pt(0, 0), pt(2, 0))), PointSet((pt(0, 0),))
+        drawn = []
+
+        def request(advertised, error, rng):
+            drawn.append(advertised)
+            return pt(1, 0)
+
+        with pytest.raises(InfeasibleRequestError):
+            run_trace("perfect", [wide, narrow], request, 2)
+        assert drawn == [wide.hull(), narrow.hull()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(feasible_sets, min_size=1, max_size=3),
+        st.lists(st.integers(0, 2), min_size=1, max_size=30),
+        points,
+        st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]),
+        st.booleans(),
+    )
+    def test_repeating_schedule_equals_iterated_steps(self, pool, picks, center, step, diffusion):
+        sets = [pool[k % len(pool)] for k in picks]
+        policy = CentralPolicy(QuadraticCost(center), step)
+        trace = run_trace("perfect", sets, GradientRequests(policy), len(sets), diffusion=diffusion)
+        error = ORIGIN
+        request = None
+        for feasible, r in zip(sets, trace.records):
+            advertised = feasible_hull(feasible)
+            if request is None:
+                request = project_convex_polygon(advertised, ORIGIN)
+            request = central_step(policy, advertised, request)
+            assert (r.requested, r.error) == (request, error)
+            if diffusion:
+                y, error = step_perfect(error, request, feasible, {})
+            else:
+                y = project_feasible(feasible, request)
+                error = error + request - y
+            assert y == r.implemented
+        assert trace.final_error == error
+
+    def test_fine_availability_grid_is_drawn_lazily(self):
+        params = PVParams(p_max=Fraction(4), tan_phi=Fraction(1, 2))
+        grid = 10**12
+        wave = random_availability(Fraction(1), Fraction(4), denominator=grid)
+        draws = random.Random(5)
+        expected = [1 + 3 * Fraction(draws.randrange(grid + 1), grid) for _ in range(6)]
+        rng = random.Random(5)
+        unit = PVUnit("pv", params, wave, rng=rng)
+        policy = CentralPolicy(QuadraticCost(pt(4, 0)))
+        trace = run_resource_loop(unit, GradientRequests(policy), 6, rng)
+        assert [r.feasible for r in trace.records] == [pv_triangle(params, c) for c in expected]

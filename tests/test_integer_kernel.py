@@ -332,7 +332,7 @@ class TestContainment:
         half = Fraction(1, 2)
         # vertices, edge midpoints, points on edge lines beyond the ends, free points
         candidates = list(verts) + [f(p) for p in probes]
-        for u, v in region.edges():
+        for u, v in oracle.edges(region):
             candidates += [(u + v) * half, u * 2 - v, v * 2 - u]
         for z in candidates:
             assert region.contains_point(z) == oracle.contains_point(region, z)
@@ -452,7 +452,7 @@ class TestProjection:
         candidates = list(verts) + [f(p) for p in probes]
         if len(verts) >= 3:
             candidates.append(sum(verts[1:], verts[0]) * Fraction(1, len(verts)))
-        for u, v in region.edges():
+        for u, v in oracle.edges(region):
             d = v - u
             out = Point2(d.y, -d.x)  # the outward normal of a CCW edge
             candidates += [(u + v) * Fraction(1, 2), u * 2 - v, v * 2 - u]

@@ -4,6 +4,8 @@ import pytest
 
 from errdiff.intervals import IntervalUnion
 
+from fraction_kernel import interval_contains
+
 
 def iu(*pairs):
     return IntervalUnion(tuple((Fraction(a), Fraction(b)) for a, b in pairs))
@@ -48,9 +50,9 @@ class TestOperations:
 
     def test_contains(self):
         u = iu((0, 1), (2, 3))
-        assert u.contains(Fraction(1, 2))
-        assert u.contains(1)
-        assert not u.contains(Fraction(3, 2))
+        assert interval_contains(u, Fraction(1, 2))
+        assert interval_contains(u, 1)
+        assert not interval_contains(u, Fraction(3, 2))
 
     def test_bounds(self):
         assert iu((0, 1), (4, 9)).bounds() == (Fraction(0), Fraction(9))

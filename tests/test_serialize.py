@@ -2,11 +2,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fraction_kernel as oracle
 from errdiff.dynamics import fixed_request, run_trace
-from errdiff.geometry import PointSet, as_fraction
+from errdiff.geometry import Point2, PointSet, as_fraction
 from errdiff.operators import Collection
 from errdiff.serialize import (
+    _coords,
+    _norm,
+    _row,
     feasible_set_id,
     load_collection,
     load_scenario,
@@ -15,6 +21,7 @@ from errdiff.serialize import (
     parse_point,
     parse_polygon,
     parse_scenario,
+    point_to_json,
     polygon_to_json,
     write_trace_csv,
 )
@@ -34,6 +41,66 @@ class TestFractionFormat:
         for text in ("3", "-7/2", "0", "1/100000000"):
             assert str(as_fraction(text)) == text
         assert as_fraction(5) == Fraction(5)
+
+
+def _near_tie(m: int, q: int, delta: int, shift: int) -> Fraction:
+    """(2m + 1)/2^shift, a tie between two floats for a 53-bit m, moved by delta/(q*2^shift)."""
+    return Fraction((2 * m + 1) * q + delta, q) * Fraction(2) ** -shift
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.fractions(max_denominator=10**6),
+    # dyadic: the float is exact when the numerator fits
+    st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-(2**60), 2**60), st.integers(0, 1100)),
+    # 200-bit numerators and denominators
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+    st.builds(
+        _near_tie,
+        st.integers(2**52, 2**53 - 1),
+        st.sampled_from([1, 3, 5, 1023]),
+        st.integers(-2, 2),
+        st.integers(-980, 1130),
+    ),
+)
+
+
+def _cells(row, coords, points) -> object:
+    """The row's cells as their reprs, or OverflowError when a value has no float."""
+    try:
+        return [repr(c) for c in row((7, "id"), coords(*points))]
+    except OverflowError:
+        return OverflowError
+
+
+class TestFormatter:
+    """The writers format from the triples exactly as the Fraction form did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=3))
+    @example([(Fraction(-3, 6), Fraction(0))])
+    @example([(Fraction(2**1024), Fraction(1, 3))])
+    def test_row_equals_fraction_oracle(self, pairs):
+        points = [Point2(x, y) for x, y in pairs]
+        assert _cells(_row, _coords, points) == _cells(oracle.row, oracle.coords, points)
+        for p in points:
+            assert point_to_json(p) == [str(p.x), str(p.y)]
+            try:
+                want = float(p.norm2()) ** 0.5
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _norm(p)
+            else:
+                assert repr(_norm(p)) == repr(want)
+
+    def test_beyond_float_range_raises_on_both_sides(self):
+        huge = Point2(Fraction(3 * 2**1100, 7), Fraction(1))
+        with pytest.raises(OverflowError):
+            _row((0,), _coords(huge))
+        with pytest.raises(OverflowError):
+            oracle.row((0,), oracle.coords(huge))
+        assert point_to_json(huge) == [str(huge.x), "1"]
 
 
 class TestGeometryJson:
