@@ -16,7 +16,7 @@ SEED = ConvexPolygon((ORIGIN,))
 
 def show(label, result):
     print(f"\n{label}")
-    print(f"  converged:   {result.converged} after {result.iterations} growing iterations")
+    print(f"  status:      {result.status} after {result.iterations} growing iterations")
     print(f"  rounding:    {len(result.rounding_events)} coordinate snap(s)")
     print("  vertices:")
     for v in result.invariant_set.vertices:
@@ -36,8 +36,8 @@ assert result.iterations == 1
 # ---------------------------------------------------------------------------
 # Three feasible sets: a ring of eight points with one, then two, points
 # missing.  The joint invariant set is much larger than any single-set one,
-# and takes much longer to stabilize; conditional rounding snaps the last
-# few coordinates so the exact iteration can terminate.
+# and the exact chain never repeats; extrapolation finds its limit at step
+# 6 and verifies it as an exact fixed point.
 # ---------------------------------------------------------------------------
 ring = [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)]
 s1 = PointSet.from_coords(ring)

@@ -1,4 +1,4 @@
-"""Independent invariance certificate for collections of finite point sets.
+"""Independent invariance certificate for collections of any member type.
 
 A second, deliberately separate check of what ``operators.check_invariance``
 decides.  It shares none of the kernel's clipping, hull, Minkowski or
@@ -6,24 +6,36 @@ Voronoi code: every region is written as an H-representation (a list of
 half-planes a*x + b*y <= c), its vertices are enumerated exactly from pairs
 of boundary lines, and membership is tested against support values.
 
-For a site c of a member S the region checked is
+A member S splits the plane into cells, each mapped onto its piece by
+x -> x - proj_S(x):
 
-* perfect mode: (ch S + Q) ∩ cell(c), and every vertex minus c must lie
+* a site c of a point set: the cell of all of c's bisectors, redundant
+  ones included, mapped by x - c;
+* a vertex v of a convex member (a polygon, segment or point): its normal
+  cone v + N(v), mapped by x - v;
+* an edge [p, q]: its outer strip, between the perpendiculars at p and q
+  and outside the edge line (both sides for a segment), mapped by x minus
+  its projection onto the line;
+* the member itself, mapped to 0: its points are their own projections.
+
+For every cell the region checked is
+
+* perfect mode: (ch S + Q) ∩ cell, and the image of every vertex must lie
   in Q;
-* persistent mode: D ∩ cell(c), and every vertex minus c plus every
-  s in S must lie in D,
+* persistent mode: D ∩ cell, and the image of every vertex plus every
+  point s of S must lie in D.  The images form a convex set and the
+  condition is linear in s, so a convex member's vertices are enough.
 
-where cell(c) is given by all of c's bisectors, redundant ones included.
-Both regions are bounded (the box directions ±e1, ±e2 are always among the
-normals), so checking their vertices checks them entirely.  Every point is
-read once as its pair of Fraction coordinates, and all the arithmetic is
-on Fractions.
+The images are affine on each cell, so checking the vertices checks the
+pieces entirely.  Every region is bounded (the box directions ±e1, ±e2 are
+always among the normals).  Every point is read once as its pair of
+Fraction coordinates, and all the arithmetic is on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .geometry import ConvexPolygon, Point2, PointSet
 
@@ -33,6 +45,8 @@ if TYPE_CHECKING:
 Plane = tuple[Fraction, Fraction, Fraction]  # (a, b, c): a*x + b*y <= c
 Normal = tuple[Fraction, Fraction]
 XY = tuple[Fraction, Fraction]
+Image = Callable[[Fraction, Fraction], XY]
+Cell = tuple[list[Plane], Image]
 
 _BOX: tuple[Normal, ...] = (
     (Fraction(1), Fraction(0)),
@@ -105,29 +119,99 @@ def _vertices(planes: Sequence[Plane]) -> set[XY]:
     return found
 
 
-def certify_invariant(collection: Collection, candidate: ConvexPolygon) -> bool:
-    """True exactly when every member's operator maps candidate into itself.
+def _edges(points: Sequence[XY]) -> list[tuple[XY, XY]]:
+    """Directed edges p -> q of a convex member, with no point strictly right.
 
-    Members must all be point sets; convex members raise ``ValueError``.
+    A polygon in convex position has its counter-clockwise edges; a segment
+    has both directions, one for each side; a point has none.
     """
+    return [
+        (p, q)
+        for p in points
+        for q in points
+        if p != q
+        and all((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) >= 0 for r in points)
+    ]
+
+
+def _cone(v: XY, edges: Sequence[tuple[XY, XY]]) -> list[Plane]:
+    """v + N(v): behind each edge leaving v and ahead of each edge entering it."""
+    planes = []
+    for p, q in edges:
+        ex, ey = q[0] - p[0], q[1] - p[1]
+        if p == v:
+            planes.append((ex, ey, ex * v[0] + ey * v[1]))
+        elif q == v:
+            planes.append((-ex, -ey, -ex * v[0] - ey * v[1]))
+    return planes
+
+
+def _strip(p: XY, q: XY) -> list[Plane]:
+    """The outer strip of the edge p -> q: between the perpendiculars at p and
+    at q, and on or right of the edge line."""
+    ex, ey = q[0] - p[0], q[1] - p[1]
+    return [
+        (-ex, -ey, -ex * p[0] - ey * p[1]),
+        (ex, ey, ex * q[0] + ey * q[1]),
+        (-ey, ex, ex * p[1] - ey * p[0]),
+    ]
+
+
+def _minus(c: XY) -> Image:
+    return lambda x, y: (x - c[0], y - c[1])
+
+
+def _off_edge(p: XY, q: XY) -> Image:
+    """x - proj(x) for the projection onto the line through p and q."""
+    ex, ey = q[0] - p[0], q[1] - p[1]
+    length2 = ex * ex + ey * ey
+
+    def image(x: Fraction, y: Fraction) -> XY:
+        t = ((x - p[0]) * ex + (y - p[1]) * ey) / length2
+        return x - p[0] - t * ex, y - p[1] - t * ey
+
+    return image
+
+
+def _zero(x: Fraction, y: Fraction) -> XY:
+    return Fraction(0), Fraction(0)
+
+
+def _member(member: PointSet | ConvexPolygon) -> tuple[list[XY], list[Cell]]:
+    """The member's points (sites, or a convex member's vertices) and its cells.
+
+    A cell is (planes, image): the region cut by planes is mapped by image,
+    x -> x - proj(x), onto the cell's piece.
+    """
+    if isinstance(member, PointSet):
+        sites = _coords(member.points)
+        return sites, [(_bisectors(sites, c), _minus(c)) for c in sites]
+    verts = _coords(member.vertices)
+    edges = _edges(verts)
+    cells = [(_cone(v, edges), _minus(v)) for v in verts]
+    cells += [(_strip(p, q), _off_edge(p, q)) for p, q in edges]
+    # The member itself: an interior point is its own projection.
+    cells.append((_support_planes([verts]), _zero))
+    return verts, cells
+
+
+def certify_invariant(collection: Collection, candidate: ConvexPolygon) -> bool:
+    """True exactly when every member's operator maps candidate into itself."""
     if candidate.is_empty:
         raise ValueError("candidate must be non-empty")
-    if not all(isinstance(member, PointSet) for member in collection.sets):
-        raise ValueError("the certificate covers collections of point sets only")
     region = _coords(candidate.vertices)
     own = _support_planes([region])
+    origin = [(Fraction(0), Fraction(0))]
     for member in collection.sets:
-        sites = _coords(member.points)
+        points, cells = _member(member)
         if collection.mode == "perfect":
-            base = _support_planes([sites, region])
-            shifts = [(Fraction(0), Fraction(0))]
+            base, shifts = _support_planes([points, region]), origin
         else:
-            base = own
-            shifts = sites
-        for c in sites:
-            cx, cy = c
-            for vx, vy in _vertices(base + _bisectors(sites, c)):
+            base, shifts = own, points
+        for planes, image in cells:
+            for v in _vertices(base + planes):
+                px, py = image(*v)
                 for sx, sy in shifts:
-                    if not _inside(own, vx - cx + sx, vy - cy + sy):
+                    if not _inside(own, px + sx, py + sy):
                         return False
     return True

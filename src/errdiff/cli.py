@@ -6,7 +6,9 @@ Subcommands:
   plot-data          run a scenario and emit figure-ready CSV series
   verify             run the named regression checks (CSV report, exit status)
 
-A missing or malformed input file or option, or an ``--out`` path that
+``compute-invariant`` exits 0 when the run stops on ``converged`` or
+``extrapolated`` (a verified fixed point), and 2 on any other status.  A
+missing or malformed input file or option, or an ``--out`` path that
 cannot be written, ends the run with one line, ``errdiff: error:
 <message>``, on standard error and exit status 1.
 """

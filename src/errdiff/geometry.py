@@ -423,7 +423,9 @@ class PointSet:
     """Finite set of distinct points, stored sorted for determinism."""
 
     points: tuple[Point2, ...]
-    # The hash of points, computed once: point sets key several caches.
+    # The points' triples and the hash of points, computed once: point sets
+    # key several caches, and equal triples mean equal points.
+    _key: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -431,7 +433,13 @@ class PointSet:
         if not pts:
             raise ValueError("point set must be non-empty")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_key", tuple(p._t for p in pts))
         object.__setattr__(self, "_hash", hash((pts,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PointSet:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -450,12 +458,15 @@ class PointSet:
         return iter(self.points)
 
     def hull(self) -> ConvexPolygon:
-        return _hull_of_point_set(self)
+        return _hull_of_triples(self._key)
 
 
+# The caches of point-set data are keyed by the triples, not the PointSet: a
+# later run that builds an equal but new set then finds its entry through a
+# comparison of int tuples, with no Python-level __eq__.
 @lru_cache(maxsize=8192)
-def _hull_of_point_set(ps: PointSet) -> ConvexPolygon:
-    return convex_hull(ps.points)
+def _hull_of_triples(ts: tuple[Triple, ...]) -> ConvexPolygon:
+    return _polygon(_hull(ts))
 
 
 def _edge_directions(ts: Sequence[Triple]) -> tuple[list[tuple[int, int]], int]:
@@ -672,10 +683,10 @@ def _scaled(points: Sequence[Point2]) -> tuple[int, list[tuple[int, int]]]:
 
 
 @lru_cache(maxsize=8192)
-def _scaled_points(ps: PointSet) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """`_scaled` of a point set, computed once per set."""
-    scale, scaled = _scaled(ps.points)
-    return scale, tuple(scaled)
+def _scaled_points(ts: tuple[Triple, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`_scaled` of a point set's triples, computed once per set."""
+    scale = math.lcm(*{w for _, _, w in ts})
+    return scale, tuple((x * (scale // w), y * (scale // w)) for x, y, w in ts)
 
 
 def project_point_set(point_set: PointSet, z: Point2) -> Point2:
@@ -687,7 +698,7 @@ def project_point_set(point_set: PointSet, z: Point2) -> Point2:
     returns the first of equal keys, which is the lexicographically
     smallest of the closest points.
     """
-    scale, scaled = _scaled_points(point_set)
+    scale, scaled = _scaled_points(point_set._key)
     zx, zy, zw = z._t
     zx *= scale
     zy *= scale

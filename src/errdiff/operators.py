@@ -29,16 +29,19 @@ them, and their union is ``U_c ((R ∩ cell(c)) - c)``:
 
 Iterating either collection operator from a seed grows a monotone chain of
 convex polygons whose limit is the minimal (convex) invariant set; the
-iteration stops as soon as the canonical vertex representation repeats.  A
-conditional per-coordinate rounding step can snap coordinates that creep
-toward simple fractions, which is what makes the exact iteration terminate
-in practice.
+iteration stops as soon as the canonical vertex representation repeats, or
+as soon as an exact extrapolation of the chain's limit (minimal polynomial
+extrapolation on its recent iterates) is verified to be a fixed point that
+contains the seed.  A conditional per-coordinate rounding step can snap
+coordinates that creep toward simple fractions, which ends runs that
+extrapolation does not catch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -147,7 +150,7 @@ class RoundingEvent:
     after: Fraction
 
 
-StopStatus = Literal["converged", "budget", "cycle", "bits", "rounding-stall"]
+StopStatus = Literal["converged", "extrapolated", "budget", "cycle", "bits", "rounding-stall"]
 
 
 @dataclass
@@ -161,6 +164,9 @@ class IterationResult:
     why the run stopped:
 
     * ``converged``: the unrounded image equals the iterate;
+    * ``extrapolated``: the returned set is an extrapolated limit of the
+      chain, verified to contain the seed and the last iterate and to be
+      mapped to itself (``iterations`` is the step it was found at);
     * ``budget``: the iteration budget ran out;
     * ``cycle``: rounding brought back an iterate older than the last one;
     * ``bits``: a coordinate outgrew the bit budget (``aborted``);
@@ -377,6 +383,184 @@ def _bits_and_digest(poly: ConvexPolygon) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
+# Extrapolated limits
+# ---------------------------------------------------------------------------
+
+# Strides s and degrees m the extrapolation tries.  The window holds the
+# (m + 1) * s + 1 newest iterates that the largest of them reads.
+_MAX_STRIDE = 4
+_MAX_DEGREE = 4
+_WINDOW = (_MAX_DEGREE + 1) * _MAX_STRIDE + 1
+# A stride that has been tried at this many steps without success is dropped.
+_STRIDE_TRIES = 3
+
+
+def _mpe_limit(samples: Sequence[Sequence[int]]) -> Optional[tuple[list[int], int]]:
+    """Exact minimal polynomial extrapolation (Cabay & Jackson, 1976).
+
+    samples are m + 2 integer vectors x_0 ... x_{m+1} over one common
+    denominator.  The weights c_0 ... c_m, c_m = 1, must satisfy
+    sum_j c_j (x_{j+1} - x_j) = 0 in every coordinate.  The rows are
+    eliminated one by one, fraction-free: a row that reduces to 0 = r with
+    r != 0 is inconsistent and ends the solve, and once m rows are
+    independent the weights are fixed and every later row must have a
+    residual of exactly 0.  The limit is sum_j c_j x_j / sum_j c_j, returned
+    as (numerators, total > 0): its coordinate i is numerators[i] / total
+    over the samples' common denominator.  None when no unique weights
+    exist or they sum to 0.
+    """
+    m = len(samples) - 2
+    diffs = zip(*[[b - a for a, b in zip(samples[j], samples[j + 1])] for j in range(m + 1)])
+    pivots: list[tuple[int, list[int]]] = []
+    weights: Optional[list[int]] = None
+    for row in diffs:
+        if weights is not None:
+            if sum(w * u for w, u in zip(weights, row)):
+                return None
+            continue
+        r = list(row)
+        for col, p in pivots:
+            if r[col]:
+                f, g = p[col], r[col]
+                r = [f * a - g * b for a, b in zip(r, p)]
+        lead = next((k for k in range(m) if r[k]), None)
+        if lead is None:
+            if r[m]:
+                return None
+            continue
+        g = math.gcd(*r)
+        pivots.append((lead, [a // g for a in r]))
+        if len(pivots) == m:
+            weights = _back_substitute(pivots, m)
+    if weights is None:
+        return None
+    total = sum(weights)
+    if total == 0:
+        return None
+    if total < 0:
+        weights, total = [-w for w in weights], -total
+    return [sum(w * x for w, x in zip(weights, coords)) for coords in zip(*samples)], total
+
+
+def _back_substitute(pivots: list[tuple[int, list[int]]], m: int) -> list[int]:
+    """Integer weights (c_0 ... c_m) * D, c_m = 1, from m independent pivot rows.
+
+    Each pivot row is zero in the lead columns of the rows before it.
+    """
+    c: list[Fraction] = [Fraction(0)] * m + [Fraction(1)]
+    for col, p in reversed(pivots):
+        rest = sum(p[k] * c[k] for k in range(m + 1) if k != col)
+        c[col] = -rest / p[col]
+    d = math.lcm(*(q.denominator for q in c))
+    return [q.numerator * (d // q.denominator) for q in c]
+
+
+def _flat(poly: ConvexPolygon) -> tuple[int, list[int]]:
+    """poly's vertex coordinates x0, y0, x1, y1, ... over their common denominator."""
+    d = math.lcm(*(w for _, _, w in poly._ts))
+    flat = []
+    for x, y, w in poly._ts:
+        k = d // w
+        flat += (x * k, y * k)
+    return d, flat
+
+
+def _shift_to(flat: list[int], newest: list[int]) -> Optional[int]:
+    """The cyclic vertex shift of flat nearest to newest, or None on a tie.
+
+    The summed squared displacement differs from minus twice the summed dot
+    product by a shift-independent constant, so the shift with the largest
+    integer dot product is the nearest.
+    """
+    size = len(flat)
+    best, best_shift, tied = None, None, False
+    for k in range(0, size, 2):
+        dot = sum(a * b for a, b in zip(flat[k:] + flat[:k], newest))
+        if best is None or dot > best:
+            best, best_shift, tied = dot, k, False
+        elif dot == best:
+            tied = True
+    return None if tied else best_shift
+
+
+class _Extrapolation:
+    """MPE on a window of the newest iterates, verified before it is trusted.
+
+    Lives for one `iterate_to_invariance` call.  After each step, every
+    stride s and degree m reads the m + 2 iterates s apart that end at the
+    newest one, provided their vertex counts agree; each is aligned to the
+    newest by its nearest cyclic vertex shift.  A candidate, the hull of the
+    extrapolated vertices, is returned only when it contains the seed and
+    the newest iterate, stays within the bit budget and is mapped to itself
+    by the collection operator.  Since the operator is monotone and the
+    candidate contains the seed, it then contains every iterate of the
+    unrounded chain, so it is an exact fixed point containing the minimal
+    invariant set.
+    """
+
+    def __init__(self, collection: Collection, seed: ConvexPolygon, max_bits: int) -> None:
+        self.collection, self.seed, self.max_bits = collection, seed, max_bits
+        self.window: deque[tuple[ConvexPolygon, int, list[int]]] = deque(maxlen=_WINDOW)
+        self.failures = [0] * (_MAX_STRIDE + 1)
+        self.push(seed)
+
+    def push(self, poly: ConvexPolygon) -> None:
+        self.window.append((poly, *_flat(poly)))
+
+    def limit(self) -> Optional[ConvexPolygon]:
+        window = self.window
+        _, _, newest_flat = window[-1]
+        size = len(newest_flat)
+        aligned: dict[int, Optional[tuple[int, list[int]]]] = {}
+
+        def sample(idx: int) -> Optional[tuple[int, list[int]]]:
+            if idx not in aligned:
+                _, d, flat = window[idx]
+                k = _shift_to(flat, newest_flat) if len(flat) == size else None
+                aligned[idx] = None if k is None else (d, flat[k:] + flat[:k])
+            return aligned[idx]
+
+        for s in range(1, _MAX_STRIDE + 1):
+            if self.failures[s] >= _STRIDE_TRIES:
+                continue
+            tried = False
+            for m in range(1, _MAX_DEGREE + 1):
+                picks = [len(window) - 1 - s * t for t in range(m + 1, -1, -1)]
+                # Rows (two per vertex) must outnumber the unknowns, or
+                # some weights always fit.
+                if picks[0] < 0 or size <= m:
+                    break
+                samples = [sample(i) for i in picks]
+                if None in samples:
+                    break
+                tried = True
+                candidate = self._candidate(samples)
+                if candidate is not None:
+                    return candidate
+            if tried:
+                self.failures[s] += 1
+        return None
+
+    def _candidate(self, samples: list[tuple[int, list[int]]]) -> Optional[ConvexPolygon]:
+        common = math.lcm(*(d for d, _ in samples))
+        found = _mpe_limit([[x * (common // d) for x in flat] for d, flat in samples])
+        if found is None:
+            return None
+        nums, den = found
+        den *= common
+        candidate = _polygon(_hull(
+            _normalised(nums[i], nums[i + 1], den) for i in range(0, len(nums), 2)
+        ))
+        if not (
+            candidate.contains_polygon(self.seed)
+            and candidate.contains_polygon(self.window[-1][0])
+            and _bits_and_digest(candidate)[0] <= self.max_bits
+        ):
+            return None
+        return candidate if apply_collection(self.collection, candidate) == candidate else None
+
+
+# ---------------------------------------------------------------------------
 # Fixed-point iteration
 # ---------------------------------------------------------------------------
 
@@ -387,15 +571,17 @@ def iterate_to_invariance(
     config: IterationConfig = IterationConfig(),
 ) -> IterationResult:
     """Iterate the collection operator from a seed until the vertex
-    representation repeats.
+    representation repeats or an extrapolated limit is verified.
 
     The iterates form a growing chain (checked exactly each step before
     rounding; a violation means a geometry bug and raises).  The seed is
-    never rounded.  ``converged`` is true only when the unrounded image of
-    the returned set equals it, which is exact invariance; a repeat that
-    rounding alone produced (a rounding stall), a longer cycle, the bit
-    budget or the iteration budget return the last iterate with
-    ``converged`` false, and ``status`` names which of them stopped the run.
+    never rounded.  After each step `_Extrapolation` tries to guess the
+    chain's limit.  ``converged`` is true only when the unrounded image of
+    the returned set equals it, which is exact invariance: at an exact
+    repeat or at a verified extrapolated limit.  A repeat that rounding
+    alone produced (a rounding stall), a longer cycle, the bit budget or
+    the iteration budget return the last iterate with ``converged`` false,
+    and ``status`` names which of them stopped the run.
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
@@ -407,6 +593,7 @@ def iterate_to_invariance(
     status: StopStatus = "budget"
     iterations = config.max_iterations
     rounding = config._epsilon_ratio[0] != 0
+    extrapolation = _Extrapolation(collection, seed, config.max_coordinate_bits)
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
         if not grown.contains_polygon(current):
@@ -435,10 +622,15 @@ def iterate_to_invariance(
             break
         seen.add(digest)
         current = candidate
+        extrapolation.push(current)
+        limit = extrapolation.limit()
+        if limit is not None:
+            current, iterations, status = limit, step, "extrapolated"
+            break
     return IterationResult(
         invariant_set=current,
         iterations=iterations,
-        converged=status == "converged",
+        converged=status in ("converged", "extrapolated"),
         status=status,
         rounding_events=events,
         history_hashes=hashes,

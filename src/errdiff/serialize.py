@@ -102,6 +102,8 @@ def load_collection(path: PathLike) -> Collection:
 
 
 def iteration_result_to_json(result) -> dict:
+    """The result as JSON: ``status`` is one of ``operators.StopStatus``, and
+    ``converged`` is true for ``converged`` and ``extrapolated``."""
     return {
         "converged": result.converged,
         "status": result.status,

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from errdiff.geometry import ConvexPolygon, Point2, PointSet, convex_hull
+from errdiff.operators import Collection
 
 
 def pt(x, y) -> Point2:
@@ -30,3 +31,20 @@ def ring_family():
     s2 = PointSet.from_coords([c for c in ring if c != (0, -1)])
     s3 = PointSet.from_coords([c for c in ring if c not in ((0, -1), (-1, -1))])
     return s1, s2, s3
+
+
+def points(*coords) -> PointSet:
+    return PointSet.from_coords(coords)
+
+
+# Collections 6, 19 and 23 of the benchmark's fixed population
+# (`perfbench/inputs.population(40)`), before placement.  Each pairs a point
+# set with a convex member, and extrapolation answers each of them.
+BENCHMARK_COLLECTIONS = {
+    6: Collection(
+        (poly((4, 1), (0, 4), (2, -3)), points((0, -1), (5, 4), (0, 4), (3, -3), (5, -6))),
+        "perfect",
+    ),
+    19: Collection((poly((3, -3)), points((0, -5), (6, 0), (-1, 1), (-4, -1))), "persistent"),
+    23: Collection((poly((-4, 2)), points((4, 1), (-4, -6), (1, 1))), "persistent"),
+}

@@ -159,6 +159,10 @@ class TestStopStatus:
     def test_converged(self, collection_file, tmp_path, capsys):
         assert self._run(collection_file, tmp_path, capsys) == (0, "converged")
 
+    def test_extrapolated(self, tmp_path, capsys):
+        path = _write(tmp_path, "family3.json", FAMILY3_COLLECTION)
+        assert self._run(path, tmp_path, capsys) == (0, "extrapolated")
+
     def test_rounding_stall(self, tmp_path, capsys):
         path = _write(tmp_path, "stall.json", STALL_COLLECTION)
         assert self._run(path, tmp_path, capsys, "--epsilon", "1/10") == (2, "rounding-stall")
@@ -400,7 +404,7 @@ def test_closed_loop_without_diffusion_is_pinned(tmp_path, capsys):
 @pytest.mark.parametrize(
     "collection, extra, expected",
     [
-        (FAMILY3_COLLECTION, [], "db1469e468ac521453f9cca48459ac740f9af8f5387f3e6472ded029e11bffa5"),
+        (FAMILY3_COLLECTION, [], "29f6bff22ad6f73f423f02a8e99cbc458ba2110d1992631f1b36310e0d7aa142"),
         (
             STALL_COLLECTION,
             ["--epsilon", "1/10"],

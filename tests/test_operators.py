@@ -203,6 +203,18 @@ class TestConditionalRound:
             assert conditional_round(q, cfg) == want
 
 
+# Converges by rounding after 92 steps at the default epsilon; exactly, its
+# chain is caught neither by an exact repeat nor by extrapolation.
+STALL_COLLECTION = Collection(
+    (
+        PointSet((pt(-2, -5), pt(-2, 1))),
+        PointSet((pt(5, 0),)),
+        PointSet((pt(-5, 3), pt(1, -3), pt(4, 1))),
+    ),
+    "perfect",
+)
+
+
 class TestIteration:
     def test_grid8_converges_in_one_growing_step(self, grid8):
         result = iterate_to_invariance(Collection((grid8,), "perfect"), ORIGIN_POLY)
@@ -236,26 +248,28 @@ class TestIteration:
         assert result.invariant_set == pv_triangle(params, 1)
 
     def test_representation_budget_aborts_cleanly(self):
-        sites = PointSet((pt(0, 0), pt(3, 1), pt(-1, 2), pt(2, -2)))
-        col = Collection((sites,), "perfect")
         result = iterate_to_invariance(
-            col, ORIGIN_POLY, IterationConfig(max_iterations=200, max_coordinate_bits=24)
+            STALL_COLLECTION, ORIGIN_POLY, IterationConfig(max_iterations=200, max_coordinate_bits=24)
         )
         assert not result.converged
         assert result.status == "bits" and result.aborted
+        assert result.iterations == 5
+
+    def test_stall_collection_still_needs_rounding(self):
+        exact = iterate_to_invariance(
+            STALL_COLLECTION, ORIGIN_POLY, IterationConfig(epsilon=0, max_iterations=200)
+        )
+        assert exact.status == "budget"
+        rounded = iterate_to_invariance(STALL_COLLECTION, ORIGIN_POLY)
+        assert (rounded.status, rounded.iterations) == ("converged", 92)
+        assert check_invariance(STALL_COLLECTION, rounded.invariant_set)
 
     def test_rounding_stall_is_not_converged(self):
         # round(G(Q)) == Q here, but G(Q) != Q: the stop is not a fixed point
-        col = Collection(
-            (
-                PointSet((pt(-2, -5), pt(-2, 1))),
-                PointSet((pt(5, 0),)),
-                PointSet((pt(-5, 3), pt(1, -3), pt(4, 1))),
-            ),
-            "perfect",
+        result = iterate_to_invariance(
+            STALL_COLLECTION, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10))
         )
-        result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10)))
-        assert not check_invariance(col, result.invariant_set)
+        assert not check_invariance(STALL_COLLECTION, result.invariant_set)
         assert not result.converged
         assert result.status == "rounding-stall" and not result.aborted
 
