@@ -64,22 +64,30 @@ def _support(points: Sequence[XY], n: Normal) -> Fraction:
     return max(n[0] * x + n[1] * y for x, y in points)
 
 
-def _facet_normals(points: Sequence[XY]) -> set[Normal]:
-    """Outer normals of the hull's edges, scaled so the larger entry is ±1.
+def _edges(points: Sequence[XY]) -> list[tuple[XY, XY]]:
+    """Directed edges p -> q between the points with no point strictly right.
 
-    The right-hand normal of p -> q is an outer edge normal exactly when no
-    point lies strictly to the right of the line through p and q.
+    These run along the hull counter-clockwise.  A polygon in convex
+    position gets its edges; a segment gets both directions, one for each
+    side; a point gets none.
     """
+    return [
+        (p, q)
+        for p in points
+        for q in points
+        if p != q
+        and all((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) >= 0 for r in points)
+    ]
+
+
+def _facet_normals(points: Sequence[XY]) -> set[Normal]:
+    """Outer normals of the hull's edges: the right-hand normals of `_edges`,
+    scaled so the larger entry is ±1."""
     normals: set[Normal] = set()
-    for px, py in points:
-        for qx, qy in points:
-            if (px, py) == (qx, qy):
-                continue
-            a, b = qy - py, px - qx
-            h = a * px + b * py
-            if all(a * rx + b * ry <= h for rx, ry in points):
-                m = max(abs(a), abs(b))
-                normals.add((a / m, b / m))
+    for p, q in _edges(points):
+        a, b = q[1] - p[1], p[0] - q[0]
+        m = max(abs(a), abs(b))
+        normals.add((a / m, b / m))
     return normals
 
 
@@ -117,21 +125,6 @@ def _vertices(planes: Sequence[Plane]) -> set[XY]:
             if _inside(planes, x, y):
                 found.add((x, y))
     return found
-
-
-def _edges(points: Sequence[XY]) -> list[tuple[XY, XY]]:
-    """Directed edges p -> q of a convex member, with no point strictly right.
-
-    A polygon in convex position has its counter-clockwise edges; a segment
-    has both directions, one for each side; a point has none.
-    """
-    return [
-        (p, q)
-        for p in points
-        for q in points
-        if p != q
-        and all((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) >= 0 for r in points)
-    ]
 
 
 def _cone(v: XY, edges: Sequence[tuple[XY, XY]]) -> list[Plane]:

@@ -131,7 +131,7 @@ class ControllerTrace:
         return [r.error for r in self.records] + [self.final_error]
 
     def max_error_norm2(self) -> Fraction:
-        scale, errors = _scaled(self.errors())
+        scale, errors = _scaled([e._t for e in self.errors()])
         return Fraction(max(x * x + y * y for x, y in errors), scale * scale)
 
 

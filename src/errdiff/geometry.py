@@ -675,9 +675,8 @@ def clip_to_cell(polygon: ConvexPolygon, point_set: PointSet, center: Point2) ->
     return clip_all(polygon, voronoi_cell(point_set, center))
 
 
-def _scaled(points: Sequence[Point2]) -> tuple[int, list[tuple[int, int]]]:
-    """L, the lcm of the points' W, and each point times L as an integer pair."""
-    ts = [p._t for p in points]
+def _scaled(ts: Sequence[Triple]) -> tuple[int, list[tuple[int, int]]]:
+    """L, the lcm of the triples' W, and each point times L as an integer pair."""
     scale = math.lcm(*{w for _, _, w in ts})
     return scale, [(x * (scale // w), y * (scale // w)) for x, y, w in ts]
 
@@ -685,8 +684,8 @@ def _scaled(points: Sequence[Point2]) -> tuple[int, list[tuple[int, int]]]:
 @lru_cache(maxsize=8192)
 def _scaled_points(ts: tuple[Triple, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """`_scaled` of a point set's triples, computed once per set."""
-    scale = math.lcm(*{w for _, _, w in ts})
-    return scale, tuple((x * (scale // w), y * (scale // w)) for x, y, w in ts)
+    scale, scaled = _scaled(ts)
+    return scale, tuple(scaled)
 
 
 def project_point_set(point_set: PointSet, z: Point2) -> Point2:

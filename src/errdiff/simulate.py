@@ -425,7 +425,7 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
         raise ValueError("cannot compute metrics for an empty trace")
     errors = trace.errors()
     scale, ints = _scaled(
-        [r.requested for r in records] + [r.implemented for r in records] + errors
+        [p._t for p in [r.requested for r in records] + [r.implemented for r in records] + errors]
     )
     requested, implemented, scaled_errors = ints[:steps], ints[steps : 2 * steps], ints[2 * steps :]
     norms2 = [x * x + y * y for x, y in scaled_errors]

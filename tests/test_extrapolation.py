@@ -27,11 +27,11 @@ FAMILY3 = IterationConfig(max_iterations=600)
 def _limit(samples):
     """_mpe_limit of Fraction vectors, as Fractions."""
     den = math.lcm(*(q.denominator for x in samples for q in x))
-    found = _mpe_limit([[int(q * den) for q in x] for x in samples])
+    found = _mpe_limit([(den, [int(q * den) for q in x]) for x in samples])
     if found is None:
         return None
     nums, total = found
-    return [Fraction(n, total * den) for n in nums]
+    return [Fraction(n, total) for n in nums]
 
 
 X_STAR = [Fraction(3), Fraction(-1, 2), Fraction(5, 7), Fraction(0), Fraction(2, 3)]
@@ -116,6 +116,25 @@ def test_no_state_survives_a_call():
     other = iterate_to_invariance(BENCHMARK_COLLECTIONS[19], ORIGIN_POLY, TIGHT)
     assert first == iterate_to_invariance(family, ORIGIN_POLY, FAMILY3)
     assert other == iterate_to_invariance(BENCHMARK_COLLECTIONS[19], ORIGIN_POLY, TIGHT)
+
+
+# Collections drawn like operator-properties whose limits are found late: at
+# stride 2 and degree 2, stride 1 and degree 2, and stride 2 and degree 1.
+# Every stride and degree must stay in the search at every step to reach them.
+LATE = {
+    23: Collection((points((-1, 2), (1, -1), (3, -2), (6, -6)),), "perfect"),
+    19: Collection((points((0, 3)), points((0, 6), (2, 3), (4, -6), (4, 0))), "perfect"),
+    14: Collection((points((-5, -5), (-5, 4), (1, 6), (2, 4), (3, -6), (4, 6)),), "perfect"),
+}
+
+
+@pytest.mark.parametrize("step", sorted(LATE))
+def test_late_limits_are_found(step):
+    collection = LATE[step]
+    result = iterate_to_invariance(collection, ORIGIN_POLY, TIGHT)
+    assert (result.status, result.iterations) == ("extrapolated", step)
+    assert check_invariance(collection, result.invariant_set)
+    assert certify_invariant(collection, result.invariant_set)
 
 
 def test_family3_golden_polygon_at_step_six():

@@ -256,6 +256,8 @@ class TestIteration:
         assert result.iterations == 5
 
     def test_stall_collection_still_needs_rounding(self):
+        # Extrapolation tries every stride and degree at each of the 200
+        # exact steps and finds no limit.
         exact = iterate_to_invariance(
             STALL_COLLECTION, ORIGIN_POLY, IterationConfig(epsilon=0, max_iterations=200)
         )
