@@ -6,11 +6,13 @@ lock timers and comfort-band state.  The PV converter exposes a triangle of
 (P, Q) setpoints whose real-power cap follows the available irradiance.
 
 Both models run their per-step work on integers.  A bank keeps its powers
-over one common denominator, classifies rooms by cross-multiplied
-temperature comparisons, decodes a setpoint as an integer subset sum and
-rounds each new temperature to the 1/1024 grid (``TEMP_RESOLUTION``, ties
-to even) by one integer divmod (``grid_point``).  Feasible sets are built
-once and shared through bounded caches: the heater set per (forced base,
+over one common denominator, and a ``HeaterState`` its temperatures as
+numerators over another, so rooms are classified (once per state) and
+ordered coldest first by integer comparisons, a setpoint is decoded as an
+integer subset sum, and each new temperature is rounded to the 1/1024 grid
+(``TEMP_RESOLUTION``, ties to even) by one integer divmod.  Fractions are
+built only where a temperature is read.  Feasible sets are built once and
+shared through bounded caches: the heater set per (forced base,
 comfort-room powers) and the PV triangle per (cap, tan_phi).
 """
 
@@ -28,8 +30,10 @@ from .geometry import (
     PointSet,
     RationalLike,
     _from_triple,
+    _Frozen,
     _normalised,
     _polygon,
+    _setattr,
     as_fraction,
     segment,
 )
@@ -43,25 +47,26 @@ from .geometry import (
 # only selects which feasible set appears, so the grid is a modeling
 # choice, not an accuracy loss in the error accounting.
 TEMP_RESOLUTION = Fraction(1, 1024)
+_GRID_NUM, _GRID_DEN = TEMP_RESOLUTION.numerator, TEMP_RESOLUTION.denominator
+
+
+def _nearest(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den > 0: the nearest integer, ties to even."""
+    k, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and k & 1):
+        k += 1
+    return k
 
 
 def grid_numerator(num: int, den: int, resolution: Fraction) -> int:
-    """``grid_point(num, den, resolution)`` times ``resolution.denominator``."""
-    rn, rd = resolution.numerator, resolution.denominator
-    den *= rn
-    k, r = divmod(num * rd, den)
-    if 2 * r > den or (2 * r == den and k & 1):
-        k += 1
-    return k * rn
-
-
-def grid_point(num: int, den: int, resolution: Fraction) -> Fraction:
-    """round(num / den / resolution) * resolution for den > 0, in one integer divmod.
+    """round(num / den / resolution) * resolution for den > 0, as a numerator
+    over ``resolution.denominator``, in one integer divmod.
 
     The nearest point of the grid, ties to even, exactly what rounding the
     Fraction num/den/resolution with ``round`` gives.
     """
-    return Fraction(grid_numerator(num, den, resolution), resolution.denominator)
+    rn, rd = resolution.numerator, resolution.denominator
+    return _nearest(num * rd, den * rn) * rn
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,8 @@ class HeaterParams:
     The bank is also kept in integers, computed once: ``_scale``, the lcm
     of the power denominators, and every power times it; the band limits as
     (numerator, denominator) pairs; and per room and switch state the
-    thermal update T' = (T*keep + add) / over with integer keep, add, over.
+    thermal update in units of ``TEMP_RESOLUTION``,
+    T' / TEMP_RESOLUTION = (T*keep + add) / over with integer keep, add, over.
     """
 
     powers: tuple[Fraction, ...]
@@ -112,11 +118,13 @@ class HeaterParams:
         object.__setattr__(
             self, "_band", tuple((t.numerator, t.denominator) for t in (self.t_min, self.t_max))
         )
-        keep, add = 1 - self.leak, self.leak * self.t_out
+        keep = (1 - self.leak) / TEMP_RESOLUTION
+        add = self.leak * self.t_out / TEMP_RESOLUTION
+        heat = self.gain / TEMP_RESOLUTION
         object.__setattr__(
             self,
             "_thermal",
-            tuple((_affine(keep, add), _affine(keep, add + self.gain * p)) for p in self.powers),
+            tuple((_affine(keep, add), _affine(keep, add + heat * p)) for p in self.powers),
         )
 
     @property
@@ -130,22 +138,40 @@ def _affine(keep: Fraction, add: Fraction) -> tuple[int, int, int]:
     return keep.numerator * (m // keep.denominator), add.numerator * (m // add.denominator), m
 
 
-@dataclass(frozen=True)
-class HeaterState:
-    """Per-room switch state, remaining lock steps, and temperature."""
+class HeaterState(_Frozen):
+    """Per-room switch state, remaining lock steps, and temperature.
 
-    on: tuple[bool, ...]
-    lock_remaining: tuple[int, ...]
-    temps: tuple[Fraction, ...]
+    The temperatures are kept like a point's triple: integer numerators
+    ``_nums`` over one common denominator ``_den``, the least one, so equal
+    temperatures give equal integers.  Equality and hashing compare
+    (on, lock_remaining, _nums, _den), which is comparing the temperatures
+    as Fractions.  ``temps`` builds the lowest-terms Fractions when read.
+    A starting temperature off the ``TEMP_RESOLUTION`` grid is kept
+    exactly; ``heater_step`` snaps every room onto the grid.  The room
+    classes of a state under one bank are computed once and kept in
+    ``_rooms``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "on", tuple(bool(s) for s in self.on))
-        object.__setattr__(self, "lock_remaining", tuple(int(k) for k in self.lock_remaining))
-        object.__setattr__(self, "temps", tuple(as_fraction(t) for t in self.temps))
-        if not (len(self.on) == len(self.lock_remaining) == len(self.temps)):
+    __slots__ = ("on", "lock_remaining", "_nums", "_den", "_rooms")
+
+    def __init__(
+        self,
+        on: Iterable[bool],
+        lock_remaining: Iterable[int],
+        temps: Iterable[RationalLike],
+    ) -> None:
+        on = tuple(bool(s) for s in on)
+        locks = tuple(int(k) for k in lock_remaining)
+        temps = tuple(as_fraction(t) for t in temps)
+        if not (len(on) == len(locks) == len(temps)):
             raise ValueError("per-room state tuples must have equal length")
-        if any(k < 0 for k in self.lock_remaining):
+        if any(k < 0 for k in locks):
             raise ValueError("lock counters must be non-negative")
+        # The lcm of lowest-terms denominators leaves the numerators and it
+        # without a common factor.
+        den = math.lcm(*(t.denominator for t in temps))
+        nums = tuple(t.numerator * (den // t.denominator) for t in temps)
+        _init_state(self, on, locks, nums, den)
 
     @classmethod
     def initial(cls, temps: Iterable[RationalLike], on: Iterable[bool] = ()) -> "HeaterState":
@@ -153,40 +179,73 @@ class HeaterState:
         on = tuple(on) or (False,) * len(temps)
         return cls(on=on, lock_remaining=(0,) * len(temps), temps=temps)
 
+    @property
+    def temps(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
 
-def _heater_state(on: tuple, locks: tuple, temps: tuple) -> HeaterState:
-    """A HeaterState from values ``heater_step`` computed, without re-validating them."""
-    state = object.__new__(HeaterState)
-    object.__setattr__(state, "on", on)
-    object.__setattr__(state, "lock_remaining", locks)
-    object.__setattr__(state, "temps", temps)
+    def _fields(self) -> tuple:
+        return self.on, self.lock_remaining, self._nums, self._den
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HeaterState:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"HeaterState(on={self.on!r}, lock_remaining={self.lock_remaining!r}, "
+            f"temps={self.temps!r})"
+        )
+
+    def __reduce__(self):
+        return HeaterState, (self.on, self.lock_remaining, self.temps)
+
+
+def _init_state(state: HeaterState, on: tuple, locks: tuple, nums: tuple, den: int) -> HeaterState:
+    """Set the slots of a state whose temperatures are nums/den in least terms."""
+    _setattr(state, "on", on)
+    _setattr(state, "lock_remaining", locks)
+    _setattr(state, "_nums", nums)
+    _setattr(state, "_den", den)
+    _setattr(state, "_rooms", None)
     return state
 
 
-def _room_classes(params: HeaterParams, state: HeaterState) -> tuple[list[int], list[int], int]:
+def _room_classes(
+    params: HeaterParams, state: HeaterState
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Too-cold rooms, toggle-eligible comfort rooms, and the forced base.
 
     Temperatures are compared with the band by cross-multiplication; the
     base is the negated power of the locked-on and too-cold rooms, as an
-    integer over ``params._scale``.
+    integer over ``params._scale``.  Computed once per state and bank:
+    ``heater_setpoints_2d`` and ``heater_step`` both read them.
     """
+    kept = state._rooms
+    if kept is not None and kept[0] is params:
+        return kept[1]
     (lo_n, lo_d), (hi_n, hi_d) = params._band
+    den = state._den
+    lo, hi = lo_n * den, hi_n * den
     powers = params._scaled_powers
     cold, comfort = [], []
     base = 0
-    for i, lock in enumerate(state.lock_remaining):
+    for i, (lock, a) in enumerate(zip(state.lock_remaining, state._nums)):
         if lock:
             if state.on[i]:
                 base -= powers[i]
-            continue
-        t = state.temps[i]
-        a, b = t.numerator, t.denominator
-        if a * lo_d < lo_n * b:
+        elif a * lo_d < lo:
             cold.append(i)
             base -= powers[i]
-        elif a * hi_d <= hi_n * b:
+        elif a * hi_d <= hi:
             comfort.append(i)
-    return cold, comfort, base
+    classes = (tuple(cold), tuple(comfort), base)
+    _setattr(state, "_rooms", (params, classes))
+    return classes
 
 
 @lru_cache(maxsize=4096)
@@ -230,7 +289,7 @@ def _coldest_subset(
     return search(0, target, [])
 
 
-def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) -> HeaterState:
+def heater_step(params: HeaterParams, state: HeaterState, setpoint: RationalLike) -> HeaterState:
     """Advance the bank after implementing a feasible total setpoint.
 
     The setpoint is decoded into a subset of the comfort-band rooms; a
@@ -239,11 +298,17 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
     heated (room index breaks exact temperature ties).  Heaters that switch
     acquire a fresh lock; temperatures then follow the first-order thermal
     model using the new switch states, rounded to the ``TEMP_RESOLUTION``
-    grid (ties to even) by one integer divmod per room.
+    grid (ties to even) by one integer divmod per room.  All of it runs on
+    the state's numerators over its common denominator; an int setpoint
+    needs no Fraction.
     """
-    setpoint = as_fraction(setpoint)
+    if type(setpoint) is not int:
+        setpoint = as_fraction(setpoint)
     cold, comfort, base = _room_classes(params, state)
-    order = sorted(comfort, key=lambda i: (state.temps[i], i))
+    nums, den = state._nums, state._den
+    # Over one denominator the numerators order the temperatures; the sort
+    # is stable and comfort ascends, so the room index breaks ties.
+    order = sorted(comfort, key=nums.__getitem__)
     # The decode runs in integers over params._scale; a setpoint off that
     # grid is no sum of powers.
     target, off_grid = divmod(setpoint.numerator * params._scale, setpoint.denominator)
@@ -251,17 +316,26 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
     if heated is None:
         raise ValueError(f"setpoint {setpoint} is not implementable in this state")
 
-    on, locks, temps = [], [], []
-    for i, (was_on, lock, t) in enumerate(zip(state.on, state.lock_remaining, state.temps)):
-        # A locked room keeps its switch; an unlocked one heats when too cold
-        # or chosen, and a too-hot room switches off.
-        now_on = was_on if lock else (i in cold or i in heated)
+    thermal, lock_steps = params._thermal, params.lock_steps
+    on, locks, snapped = [], [], []
+    for i, (now_on, lock, a) in enumerate(zip(state.on, state.lock_remaining, nums)):
+        # A locked room keeps its switch and counts down; an unlocked one
+        # heats when too cold or chosen, a too-hot room switches off, and a
+        # switch takes a fresh lock.
+        if lock:
+            lock -= 1
+        elif now_on != (i in cold or i in heated):
+            now_on, lock = not now_on, lock_steps
         on.append(now_on)
-        locks.append(params.lock_steps if now_on != was_on else max(lock - 1, 0))
-        keep, add, over = params._thermal[i][now_on]
-        a, b = t.numerator, t.denominator
-        temps.append(grid_point(a * keep + add * b, b * over, TEMP_RESOLUTION))
-    return _heater_state(tuple(on), tuple(locks), tuple(temps))
+        locks.append(lock)
+        keep, add, over = thermal[i][now_on]
+        snapped.append(_nearest(a * keep + add * den, den * over) * _GRID_NUM)
+    g = math.gcd(_GRID_DEN, *snapped)
+    if g > 1:
+        snapped = [k // g for k in snapped]
+    return _init_state(
+        object.__new__(HeaterState), tuple(on), tuple(locks), tuple(snapped), _GRID_DEN // g
+    )
 
 
 def max_step_size(sets: Iterable[Iterable[RationalLike]]) -> Fraction:

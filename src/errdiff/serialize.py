@@ -12,8 +12,9 @@ invariant-set result.
 Writers format points straight from their integer triples: a coordinate
 X/W becomes its lowest-terms string by one gcd and its float by the
 correctly rounded integer division X / W, the value float(Fraction(X, W))
-has, so no Fraction is built per cell.  Running averages are summed as
-triples.
+has, so no Fraction is built per cell.  Traces repeat values, so each CSV
+file formats each distinct triple once (``_RowFormatter``).  Running
+averages are summed as triples.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
 from .dynamics import ControllerTrace, StepRecord
-from .geometry import ORIGIN, ConvexPolygon, Point2, PointSet, _add, as_fraction, convex_hull
+from .geometry import (
+    ORIGIN,
+    ConvexPolygon,
+    Point2,
+    PointSet,
+    Triple,
+    _add,
+    as_fraction,
+    convex_hull,
+)
 from .operators import Collection, FeasibleSet, IterationConfig
 from .resources import HeaterParams, HeaterState, PVParams
 from .simulate import (
@@ -154,18 +164,32 @@ def _columns(index: Sequence[str], names: Sequence[str]) -> list[str]:
     return [*index, *names, *(f"{name}_float" for name in names)]
 
 
-def _row(index: Sequence, values: Sequence[tuple[int, int]]) -> list:
-    """Index columns, then each rational x/w exactly, then each as a float."""
-    return [*index, *(_rational(x, w) for x, w in values), *(x / w for x, w in values)]
+class _RowFormatter:
+    """The rows of one CSV file: index columns, then each point's
+    coordinates exactly, then each coordinate as a float.
 
+    A coordinate X/W is written in lowest terms by one gcd, and as a float
+    by the repr of the correctly rounded integer division X / W, which is
+    float(Fraction(X, W)) as the csv writer renders it.  Each distinct
+    triple is formatted once per file; one beyond the float range raises
+    OverflowError.
+    """
 
-def _coords(*points: Point2) -> list[tuple[int, int]]:
-    """The points' coordinates as (numerator, denominator) pairs, in x, y order."""
-    cells = []
-    for p in points:
-        x, y, w = p._t
-        cells += ((x, w), (y, w))
-    return cells
+    def __init__(self) -> None:
+        # triple -> ((exact x, exact y), (float x, float y))
+        self._cells: dict[Triple, tuple[tuple[str, str], tuple[str, str]]] = {}
+
+    def row(self, index: Sequence, triples: Iterable[Triple]) -> list:
+        cells = self._cells
+        exact, floats = list(index), []
+        for t in triples:
+            c = cells.get(t)
+            if c is None:
+                x, y, w = t
+                c = cells[t] = ((_rational(x, w), _rational(y, w)), (repr(x / w), repr(y / w)))
+            exact += c[0]
+            floats += c[1]
+        return exact + floats
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
@@ -201,11 +225,15 @@ def feasible_set_id(feasible: FeasibleSet) -> str:
 
 def write_trace_csv(path: PathLike, trace: ControllerTrace) -> None:
     """Exact trace dump: one row per step, rational strings plus floats."""
+    row = _RowFormatter().row
     _write_csv(
         Path(path),
         _columns(["n", "set_id"], ["x_p", "x_q", "y_p", "y_q", "e_p", "e_q"]),
         (
-            _row((r.step, feasible_set_id(r.feasible)), _coords(r.requested, r.implemented, r.error))
+            row(
+                (r.step, feasible_set_id(r.feasible)),
+                (r.requested._t, r.implemented._t, r.error._t),
+            )
             for r in trace.records
         ),
     )
@@ -226,12 +254,13 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
 
 def _running_averages(records: list[StepRecord]) -> Iterable[list]:
     """Rows of the running means: the sums kept as triples, each mean formatted over W*k."""
+    row = _RowFormatter().row
     requested = implemented = ORIGIN._t
     for k, r in enumerate(records, start=1):
         requested = _add(requested, r.requested._t)
         implemented = _add(implemented, r.implemented._t)
         (rx, ry, rw), (ix, iy, iw) = requested, implemented
-        yield _row((k - 1,), [(rx, rw * k), (ry, rw * k), (ix, iw * k), (iy, iw * k)])
+        yield row((k - 1,), ((rx, ry, rw * k), (ix, iy, iw * k)))
 
 
 def _norm(e: Point2) -> float:
@@ -255,18 +284,19 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
     for rid, trace in result.traces.items():
         records = trace.records
         errors = trace.errors() if records else []
+        setpoint_row, error_row = _RowFormatter().row, _RowFormatter().row
         series = (
             (
                 "setpoints",
                 "requested vs implemented setpoints per step",
                 _columns(["n"], ["x_p", "x_q", "y_p", "y_q"]),
-                (_row((r.step,), _coords(r.requested, r.implemented)) for r in records),
+                (setpoint_row((r.step,), (r.requested._t, r.implemented._t)) for r in records),
             ),
             (
                 "accumulated_error",
                 "accumulated error e_n (components and norm)",
                 _columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"],
-                (_row((n,), _coords(e)) + [_norm(e)] for n, e in enumerate(errors)),
+                (error_row((n,), (e._t,)) + [_norm(e)] for n, e in enumerate(errors)),
             ),
             (
                 "time_averaged",

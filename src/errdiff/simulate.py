@@ -197,9 +197,11 @@ class HeaterUnit:
         return heater_setpoints_2d(self.params, self.state)
 
     def advance(self, implemented: Point2) -> None:
-        if implemented.y != 0:
+        # Read from the triple: an integral setpoint (W = 1) goes as an int.
+        x, y, w = implemented._t
+        if y:
             raise ValueError("heater bank cannot implement reactive power")
-        self.state = heater_step(self.params, self.state, implemented.x)
+        self.state = heater_step(self.params, self.state, x if w == 1 else Fraction(x, w))
 
     def error_bound_sq(self) -> Optional[Fraction]:
         bound = heater_error_bound(self.params.powers)

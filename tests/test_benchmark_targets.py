@@ -1,10 +1,29 @@
-"""The benchmark's tracer rebinds errdiff functions by name; keep them resolvable."""
+"""The benchmark's tracer rebinds errdiff functions by name; keep them resolvable,
+and keep the closed loop calling them."""
 
+import functools
 import importlib
 import importlib.util
+import json
+import sys
+from collections import Counter
 from pathlib import Path
 
+import errdiff.cli
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+SCENARIO = Path(__file__).resolve().parent / "data" / "closed_loop_seed1.json"
+
+# The per-layer targets of the closed-loop workload.  A fast path that stops
+# calling one of them by name would make its metrics read 0.
+CLOSED_LOOP_TARGETS = (
+    "resources.heater_step",
+    "resources.heater_setpoints_2d",
+    "resources.pv_feasible_set",
+    "simulate.HeaterUnit.advance",
+    "simulate.central_step",
+    "dynamics.step_perfect",
+)
 
 
 def _load_tracing():
@@ -25,3 +44,42 @@ def test_every_trace_target_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(method)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def _counting(calls: Counter, name: str, fn):
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_short_simulate_calls_every_closed_loop_target(monkeypatch, tmp_path):
+    """Counting wrappers rebound the way the tracer rebinds: a function in
+    every errdiff module that holds it, a method on its class."""
+    traced = {name for name, _keep in _load_tracing().TARGETS}
+    assert set(CLOSED_LOOP_TARGETS) <= traced
+    calls: Counter = Counter()
+    modules = [m for n, m in sys.modules.items() if n == "errdiff" or n.startswith("errdiff.")]
+    for name in CLOSED_LOOP_TARGETS:
+        module_name, attr = name.split(".", 1)
+        owner = importlib.import_module(f"errdiff.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(owner, cls_name)
+            monkeypatch.setattr(cls, method, _counting(calls, name, vars(cls)[method]))
+            continue
+        original = getattr(owner, attr)
+        wrapper = _counting(calls, name, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    scenario = json.loads(SCENARIO.read_text())
+    scenario["horizon"] = 12
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert errdiff.cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert {name: calls[name] for name in CLOSED_LOOP_TARGETS if calls[name] < 1} == {}

@@ -16,6 +16,7 @@ and denominators of 200 bits and more.  A common scale preserves every
 orientation sign, so the mapped input keeps its degeneracies.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -57,7 +58,7 @@ from errdiff.resources import (
     TEMP_RESOLUTION,
     HeaterParams,
     HeaterState,
-    grid_point,
+    grid_numerator,
     heater_setpoints_2d,
     heater_step,
 )
@@ -492,7 +493,7 @@ class TestSnapping:
         """Equal to round() of the Fraction ratio, also for an unreduced num/den."""
         want = round(value / resolution) * resolution
         num, den = value.numerator * spread, value.denominator * spread
-        assert grid_point(num, den, resolution) == want
+        assert Fraction(grid_numerator(num, den, resolution), resolution.denominator) == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -567,6 +568,46 @@ class TestHeater:
             assert nxt == oracle.heater_step(params, state, setpoint)
             state = nxt
         assert all(t.denominator <= TEMP_RESOLUTION.denominator for t in state.temps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(heater_cases())
+    def test_state_compares_and_hashes_as_its_fractions(self, case):
+        """Every state of a run, the drawn one with off-grid temperatures too,
+        equals and hashes like the state built from its Fractions, reads them
+        back in lowest terms, and equals another exactly when the Fraction
+        tuples do."""
+        params, state, choices = case
+        states = [state]
+        for choice in choices:
+            feasible = oracle.heater_feasible_set(params, state)
+            state = heater_step(params, state, feasible[choice % len(feasible)])
+            states.append(state)
+        for state in states:
+            temps = state.temps
+            assert all(type(t) is Fraction and gcd(t.numerator, t.denominator) == 1 for t in temps)
+            rebuilt = HeaterState(on=state.on, lock_remaining=state.lock_remaining, temps=temps)
+            assert state == rebuilt and hash(state) == hash(rebuilt)
+            assert rebuilt.temps == temps
+            assert pickle.loads(pickle.dumps(state)) == state
+        for a in states:
+            for b in states:
+                same = (a.on, a.lock_remaining, a.temps) == (b.on, b.lock_remaining, b.temps)
+                assert (a == b) == same
+
+    def test_state_keeps_off_grid_temperatures_exactly(self):
+        """Equal temperatures written differently give one state; an off-grid
+        one is kept exactly until the first step snaps it."""
+        a = HeaterState(on=(True, False), lock_remaining=(1, 0), temps=("2/4", "379/20"))
+        b = HeaterState((True, False), (1, 0), (Fraction(1, 2), Fraction(758, 40)))
+        assert a == b and hash(a) == hash(b)
+        assert a.temps == (Fraction(1, 2), Fraction(379, 20))
+        assert a != HeaterState(on=(True, False), lock_remaining=(1, 0), temps=("1/2", "19"))
+        params = HeaterParams(powers=(Fraction(1), Fraction(2)), t_min=19, t_max=22)
+        # Room 0 is locked on and room 1 too cold, so both heat.
+        assert oracle.heater_feasible_set(params, a) == (Fraction(-3),)
+        stepped = heater_step(params, a, Fraction(-3))
+        assert stepped == oracle.heater_step(params, a, Fraction(-3))
+        assert all(t.denominator <= TEMP_RESOLUTION.denominator for t in stepped.temps)
 
     def test_sets_with_one_base_differ_by_comfort_rooms(self):
         """Both states force nothing (base 0); one offers room 0, the other room 1."""

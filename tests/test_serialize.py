@@ -10,9 +10,8 @@ from errdiff.dynamics import fixed_request, run_trace
 from errdiff.geometry import Point2, PointSet, as_fraction
 from errdiff.operators import Collection
 from errdiff.serialize import (
-    _coords,
     _norm,
-    _row,
+    _RowFormatter,
     feasible_set_id,
     load_collection,
     load_scenario,
@@ -66,10 +65,11 @@ rationals = st.one_of(
 )
 
 
-def _cells(row, coords, points) -> object:
-    """The row's cells as their reprs, or OverflowError when a value has no float."""
+def _cells(row) -> object:
+    """The cells of a row as the csv writer renders them (str; repr for a
+    float), or OverflowError when a value has no float."""
     try:
-        return [repr(c) for c in row((7, "id"), coords(*points))]
+        return [str(c) for c in row()]
     except OverflowError:
         return OverflowError
 
@@ -78,12 +78,21 @@ class TestFormatter:
     """The writers format from the triples exactly as the Fraction form did."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=3))
-    @example([(Fraction(-3, 6), Fraction(0))])
-    @example([(Fraction(2**1024), Fraction(1, 3))])
-    def test_row_equals_fraction_oracle(self, pairs):
+    @given(
+        st.lists(st.tuples(rationals, rationals), min_size=1, max_size=3),
+        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=4),
+    )
+    @example([(Fraction(-3, 6), Fraction(0))], [[0, 0]])
+    @example([(Fraction(2**1024), Fraction(1, 3)), (Fraction(1, 3), Fraction(0))], [[1], [0, 1]])
+    def test_row_equals_fraction_oracle(self, pairs, rows):
+        """Rows of one file pick points by index; the second pass over them
+        reads every cell from the memo, and both passes equal the oracle."""
         points = [Point2(x, y) for x, y in pairs]
-        assert _cells(_row, _coords, points) == _cells(oracle.row, oracle.coords, points)
+        row = _RowFormatter().row
+        for picks in rows + rows:
+            chosen = [points[i % len(points)] for i in picks]
+            got = _cells(lambda: row((7, "id"), [p._t for p in chosen]))
+            assert got == _cells(lambda: oracle.row((7, "id"), oracle.coords(*chosen)))
         for p in points:
             assert point_to_json(p) == [str(p.x), str(p.y)]
             try:
@@ -96,8 +105,10 @@ class TestFormatter:
 
     def test_beyond_float_range_raises_on_both_sides(self):
         huge = Point2(Fraction(3 * 2**1100, 7), Fraction(1))
-        with pytest.raises(OverflowError):
-            _row((0,), _coords(huge))
+        row = _RowFormatter().row
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                row((0,), [huge._t])
         with pytest.raises(OverflowError):
             oracle.row((0,), oracle.coords(huge))
         assert point_to_json(huge) == [str(huge.x), "1"]
