@@ -113,17 +113,43 @@ def _inside(planes: Sequence[Plane], x: Fraction, y: Fraction) -> bool:
 
 
 def _vertices(planes: Sequence[Plane]) -> set[XY]:
-    """Every feasible intersection of two non-parallel boundary lines."""
+    """Every feasible intersection of two non-parallel boundary lines.
+
+    Each boundary line a*x + b*y = c is cut to its feasible interval: with
+    n = a^2 + b^2 its points are ((a*c - b*T) / n, (b*c + a*T) / n), and
+    every other plane bounds T from one side or, when parallel, keeps the
+    whole line or none of it.  A feasible point where another line crosses
+    is an end of that interval, so the interval ends are exactly the
+    feasible crossings: O(P^2) work for P planes.  The planes are read from
+    the last, where a cell's own planes come, since they tend to empty the
+    interval soonest.
+    """
     found: set[XY] = set()
-    for i, (a1, b1, c1) in enumerate(planes):
-        for a2, b2, c2 in planes[i + 1 :]:
-            det = a1 * b2 - a2 * b1
-            if det == 0:
+    for i, (a, b, c) in enumerate(planes):
+        n = a * a + b * b
+        lo = hi = None
+        for j in range(len(planes) - 1, -1, -1):
+            if j == i:
                 continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if _inside(planes, x, y):
-                found.add((x, y))
+            aj, bj, cj = planes[j]
+            rate = a * bj - b * aj
+            room = cj * n - c * (a * aj + b * bj)
+            if rate == 0:
+                if room < 0:
+                    break
+                continue
+            bound = room / rate
+            if rate > 0:
+                if hi is None or bound < hi:
+                    hi = bound
+            elif lo is None or bound > lo:
+                lo = bound
+            if lo is not None and hi is not None and lo > hi:
+                break
+        else:
+            for t in (lo, hi):
+                if t is not None:
+                    found.add(((a * c - b * t) / n, (b * c + a * t) / n))
     return found
 
 

@@ -4,15 +4,18 @@ A point is one integer triple (X, Y, W), W > 0 and gcd(X, Y, W) = 1,
 standing for (X/W, Y/W); the normal form is unique, so equal points have
 equal triples.  A `Point2` holds its triple, a `ConvexPolygon` the triples
 of its vertices and a `HalfPlane` its coprime integer triple (A, B, C).
-Point arithmetic, the kernel (`clip_all`, `convex_hull`,
-`hull_of_polygons`, `minkowski_sum`, translation and containment) and both
-projections run on these ints: orientation is a 3x3 integer determinant, a
-half-plane test an integer dot product and the lexicographic order a
-cross-multiplied comparison.  Rationals enter through `Point2(x, y)`, which
-takes Fractions, ints or 'p/q' strings but never a float, and leave through
-`Point2.x` and `.y`, lowest-terms Fractions built on each read; squared
-lengths are Fractions too.  `orient`, written over those Fractions, is the
-reference that polygon validation and the tests hold the integer kernel to.
+Point arithmetic, the kernel (`clip_all`, `convex_hull`, `minkowski_sum`,
+translation and containment) and both projections run on these ints:
+orientation is a 3x3 integer determinant, a half-plane test an integer dot
+product and the lexicographic order a cross-multiplied comparison.  Floats
+only order or screen: the hull sorts by correctly rounded float keys and
+re-sorts exactly wherever two keys tie, so no answer depends on a float.
+
+Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
+'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
+lowest-terms Fractions built on each read; squared lengths are Fractions
+too.  `orient`, written over those Fractions, is the reference that polygon
+validation and the tests hold the integer kernel to.
 
 All value types are immutable and all operations are pure functions, so
 values can be shared freely across threads.
@@ -24,6 +27,8 @@ import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -174,16 +179,14 @@ def _add(a: Triple, b: Triple) -> Triple:
 
 
 def _line(a: Triple, b: Triple) -> Triple:
-    """The line through a and b as the cross product a x b."""
+    """The line through a and b as the cross product a x b.
+
+    Dotted with a point c it gives det[a; b; c] = Wa*Wb*Wc*orient(a, b, c),
+    which has the sign of the orientation of abc.
+    """
     ax, ay, aw = a
     bx, by, bw = b
     return ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx
-
-
-def _orient3(a: Triple, b: Triple, c: Triple) -> int:
-    """det[a; b; c] = (a x b).c, which is Wa*Wb*Wc*orient(a, b, c): the same sign."""
-    la, lb, lc = _line(a, b)
-    return la * c[0] + lb * c[1] + lc * c[2]
 
 
 def _lex_cmp(a: Triple, b: Triple) -> int:
@@ -385,22 +388,49 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
     """Canonical convex hull of triples: monotone chain over the distinct points.
 
     Canonical triples of equal points are equal, so a set removes the
-    duplicates, and the sort compares points by cross-multiplication.
+    duplicates.  The points are sorted by the float key (X/W, Y/W): int/int
+    division is correctly rounded and so monotone, which means only points
+    with equal float x can be out of order, and each such run is re-sorted
+    by exact cross-multiplication.  A key too large for a float takes the
+    exact sort.  The chain itself tests exact integer orientations.
     """
-    pts = sorted(set(points), key=_LEX_KEY)
-    if len(pts) <= 1:
-        return tuple(pts)
-    lower: list[Triple] = []
-    for p in pts:
-        while len(lower) >= 2 and _orient3(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Triple] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _orient3(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    distinct = set(points)
+    if len(distinct) <= 1:
+        return tuple(distinct)
+    try:
+        keyed = sorted([(x / w, y / w, (x, y, w)) for x, y, w in distinct])
+    except OverflowError:
+        pts = sorted(distinct, key=_LEX_KEY)
+    else:
+        pts = []
+        for _, run in groupby(keyed, key=itemgetter(0)):
+            run = [t for _, _, t in run]
+            pts += sorted(run, key=_LEX_KEY) if len(run) > 1 else run
+    lower = _chain(pts)
+    upper = _chain(reversed(pts))
     return tuple(lower[:-1] + upper[:-1])
+
+
+def _chain(pts: Iterable[Triple]) -> list[Triple]:
+    """One monotone chain: the points kept so that every turn is strictly left.
+
+    The line through each kept edge is computed once, when the edge is
+    appended, so testing a point against it is one integer dot product.
+    """
+    chain: list[Triple] = []
+    lines: list[Triple] = []  # lines[i] runs through chain[i] and chain[i + 1]
+    for p in pts:
+        x, y, w = p
+        while lines:
+            a, b, c = lines[-1]
+            if a * x + b * y + c * w > 0:
+                break
+            lines.pop()
+            chain.pop()
+        if chain:
+            lines.append(_line(chain[-1], p))
+        chain.append(p)
+    return chain
 
 
 def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
@@ -411,11 +441,6 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
     chain runs on the points' integer triples.
     """
     return _polygon(_hull(p._t for p in points))
-
-
-def hull_of_polygons(polygons: Iterable[ConvexPolygon]) -> ConvexPolygon:
-    """Convex hull of the union of polygons, computed on their triples."""
-    return _polygon(_hull(t for poly in polygons for t in poly._ts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -543,25 +568,43 @@ def _cut(verts: Sequence[Triple], plane: Triple) -> Sequence[Triple]:
     in order, and every edge whose ends have strictly opposite slack signs
     adds its crossing point.  The input list itself is returned when
     nothing is cut.
+
+    A line cuts one contiguous cyclic run of a strictly convex polygon's
+    vertices away.  So the kept vertices are one cyclic slice, from just
+    after the run to just before it, and the crossings lie on the two
+    edges that leave those ends; an end with zero slack is on the line and
+    adds none.
     """
     a, b, c = plane
     slacks = [c * w - a * x - b * y for x, y, w in verts]
-    if min(slacks) >= 0:
+    low = min(slacks)
+    if low >= 0:
         return verts
     if max(slacks) < 0:
         return []
     n = len(verts)
-    edges = n if n > 2 else 1
-    out = []
-    for i in range(n):
-        su = slacks[i]
-        if su >= 0:
-            out.append(verts[i])
-        if i < edges:
-            j = i + 1 if i + 1 < n else 0
-            sv = slacks[j]
-            if (su > 0 > sv) or (su < 0 < sv):
-                out.append(_crossing(verts[i], verts[j], su, sv))
+    if n == 2:
+        (u, v), (su, sv) = verts, slacks
+        if su < 0:
+            return [v] if sv == 0 else [_crossing(u, v, su, sv), v]
+        return [u] if su == 0 else [u, _crossing(u, v, su, sv)]
+    # The cut-away run is first ... last (cyclic), around the lowest slack.
+    first = last = slacks.index(low)
+    while slacks[first - 1] < 0:
+        first -= 1
+    while slacks[(last + 1) % n] < 0:
+        last += 1
+    first %= n
+    last %= n
+    before, after = (first - 1) % n, (last + 1) % n
+    if after <= before:
+        out = list(verts[after : before + 1])
+    else:
+        out = list(verts[after:]) + list(verts[: before + 1])
+    if slacks[before] > 0:
+        out.append(_crossing(verts[before], verts[first], slacks[before], slacks[first]))
+    if slacks[after] > 0:
+        out.append(_crossing(verts[last], verts[after], slacks[last], slacks[after]))
     return out
 
 
@@ -577,6 +620,16 @@ def _crossing(u: Triple, v: Triple, su: int, sv: int) -> Triple:
     if w < 0:
         x, y, w = -x, -y, -w
     return _normalised(x, y, w)
+
+
+def _clip(verts: Sequence[Triple], planes: Iterable[Triple]) -> Sequence[Triple]:
+    """The boundary list cut by every plane triple in turn, stopping once it is
+    empty; the input list itself when nothing is cut."""
+    for plane in planes:
+        verts = _cut(verts, plane)
+        if not verts:
+            break
+    return verts
 
 
 def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
@@ -601,11 +654,7 @@ def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolyg
     polygon no plane cuts is returned as it is.
     """
     original = polygon._ts
-    verts: Sequence[Triple] = original
-    for plane in planes:
-        if not verts:
-            break
-        verts = _cut(verts, plane.ints)
+    verts = _clip(original, (h.ints for h in planes))
     if verts is original:
         return polygon
     if not verts:

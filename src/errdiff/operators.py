@@ -14,18 +14,24 @@ union over a collection's sets.
 Feasible sets may be finite point sets or continuous convex polygons.
 Either way S has a cached list of cells, each a pair (sweep, planes) whose
 piece of a region R is ``(R + sweep) ∩ planes``; `cell_pieces` returns
-them, and their union is ``U_c ((R ∩ cell(c)) - c)``:
+them, and their union is ``U_c ((R ∩ cell(c)) - c)``.  A point sweep -c
+keeps its planes in the member's own frame, around c: R is clipped first
+and only the surviving vertices are moved by -c, which gives the same
+piece.  The cells are:
 
 * a site c of a point set: the point -c, and the facet bisectors of
-  cell(c) shifted by -c;
+  cell(c);
 * a vertex v of a polygon, a point member or a segment end: the point -v,
-  and the normal cone at v moved to the origin (no plane for a point, one
-  for a segment end);
+  and the normal cone at v (no plane for a point, one for a segment end);
 * an edge [u, w]: the segment [-u, -w], and the normal line through the
   origin, cut to its outer ray for a polygon;
 * the interior points of a member with two or more vertices (their cells
   are singletons): the reflected member -S, and the point 0, so the piece
   is {0} exactly when S meets R.
+
+A piece is a raw counter-clockwise list of vertex triples, never made a
+canonical polygon: one operator application takes a single hull over the
+points of all its pieces.
 
 Iterating either collection operator from a seed grows a monotone chain of
 convex polygons whose limit is the minimal (convex) invariant set; the
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .geometry import (
     ORIGIN,
@@ -55,13 +61,13 @@ from .geometry import (
     PointSet,
     RationalLike,
     Triple,
+    _add,
+    _clip,
     _hull,
     _normalised,
     _polygon,
     as_fraction,
-    clip_all,
     convex_hull,
-    hull_of_polygons,
     minkowski_sum,
     segment,
     voronoi_cell,
@@ -192,19 +198,24 @@ class GeometryInconsistencyError(RuntimeError):
 # Voronoi-cell pieces
 # ---------------------------------------------------------------------------
 
-Cell = tuple[ConvexPolygon, tuple[HalfPlane, ...]]
+# A cell's sweep is a point, as the triple to translate by, or a polygon to
+# add; its planes are coprime integer triples (A, B, C) of A*x + B*y <= C.
+Cell = tuple[Union[Triple, ConvexPolygon], tuple[Triple, ...]]
 
 # The point 0 as half-planes: a sweep clipped by them is {0} or empty.
-_ORIGIN_PLANES = tuple(ConvexPolygon((ORIGIN,)).half_planes())
+_ORIGIN_PLANES = tuple(h.ints for h in ConvexPolygon((ORIGIN,)).half_planes())
 
 
 @lru_cache(maxsize=2048)
 def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
-    """(sweep, planes) for every cell type of member; see the module docstring."""
+    """(sweep, planes) for every cell type of member; see the module docstring.
+
+    A point sweep -c keeps its planes in the member's own frame, around c:
+    the region is clipped first, and only the surviving vertices move.
+    """
     if isinstance(member, PointSet):
         return tuple(
-            (ConvexPolygon((-c,)), tuple(h.translate(-c) for h in voronoi_cell(member, c)))
-            for c in member.points
+            ((-c)._t, tuple(h.ints for h in voronoi_cell(member, c))) for c in member.points
         )
     verts = member.vertices
     if not verts:
@@ -215,35 +226,42 @@ def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
     steps = [(verts[(i + 1) % n] - verts[i])._t[:2] for i in range(n if n > 2 else n - 1)]
     cells: list[Cell] = []
     for i, v in enumerate(verts):
-        # The normal cone of v: behind its outgoing edge, ahead of its incoming one.
+        # The normal cone v + N(v): behind its outgoing edge, ahead of its incoming one.
         cone = []
         if i < len(steps):
             cone.append(HalfPlane(*steps[i], 0))
         if n > 2 or i > 0:
             dx, dy = steps[i - 1]
             cone.append(HalfPlane(-dx, -dy, 0))
-        cells.append((ConvexPolygon((-v,)), tuple(cone)))
+        cells.append(((-v)._t, tuple(h.translate(v).ints for h in cone)))
     for i, (dx, dy) in enumerate(steps):
         # The normal line through the edge's points; a polygon keeps its outer ray.
-        strip = (HalfPlane(dx, dy, 0), HalfPlane(-dx, -dy, 0))
+        strip = [HalfPlane(dx, dy, 0), HalfPlane(-dx, -dy, 0)]
         if n > 2:
-            strip += (HalfPlane(-dy, dx, 0),)
-        cells.append((segment(-verts[i], -verts[(i + 1) % n]), strip))
+            strip.append(HalfPlane(-dy, dx, 0))
+        cells.append((segment(-verts[i], -verts[(i + 1) % n]), tuple(h.ints for h in strip)))
     if n > 1:
         cells.append((convex_hull(-v for v in verts), _ORIGIN_PLANES))
     return tuple(cells)
 
 
-def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPolygon]:
+def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[Triple]]:
     """The non-empty convex pieces (region + sweep) ∩ planes over the cells of S.
 
-    Their union is { (region ∩ cell(c)) - c : c in S }.
+    Their union is { (region ∩ cell(c)) - c : c in S }.  Each piece is a
+    raw CCW list of vertex triples, in no particular rotation.
     """
     pieces = []
+    ts = region._ts
     for sweep, planes in _cells(feasible):
-        piece = clip_all(minkowski_sum(region, sweep), planes)
-        if not piece.is_empty:
-            pieces.append(piece)
+        if sweep.__class__ is tuple:
+            piece = _clip(ts, planes)
+            if piece:
+                pieces.append([_add(t, sweep) for t in piece])
+        else:
+            piece = _clip(minkowski_sum(region, sweep)._ts, planes)
+            if piece:
+                pieces.append(piece)
     return pieces
 
 
@@ -254,21 +272,21 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[ConvexPoly
 
 def _member_pieces(
     member: FeasibleSet, region: ConvexPolygon, mode: Mode
-) -> Iterator[ConvexPolygon]:
-    """Polygons whose hull is the image of region under member's operator."""
+) -> list[Sequence[Triple]]:
+    """Vertex lists whose hull is the image of region under member's operator."""
     if region.is_empty:
         raise ValueError("region must be non-empty")
     if mode == "perfect":
-        yield from cell_pieces(member, minkowski_sum(feasible_hull(member), region))
-    elif mode == "persistent":
-        yield minkowski_sum(feasible_hull(member), hull_of_polygons(cell_pieces(member, region)))
-    else:
-        raise ValueError(f"mode must be one of {MODES}")
+        return cell_pieces(member, minkowski_sum(feasible_hull(member), region))
+    if mode == "persistent":
+        inner = _polygon(_hull(t for piece in cell_pieces(member, region) for t in piece))
+        return [minkowski_sum(feasible_hull(member), inner)._ts]
+    raise ValueError(f"mode must be one of {MODES}")
 
 
 def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
     """One application of a single feasible set's operator in the given mode."""
-    return hull_of_polygons(_member_pieces(member, region, mode))
+    return _polygon(_hull(t for piece in _member_pieces(member, region, mode) for t in piece))
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
@@ -277,11 +295,13 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
     Computed as one hull over the pieces of every member, which equals the
     hull of the per-set hulls.
     """
-    return hull_of_polygons(
-        piece
+    mode = collection.mode
+    return _polygon(_hull(
+        t
         for member in collection.sets
-        for piece in _member_pieces(member, region, collection.mode)
-    )
+        for piece in _member_pieces(member, region, mode)
+        for t in piece
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +492,64 @@ def _shift_to(flat: list[int], newest: list[int]) -> Optional[int]:
     product by a shift-independent constant, so the shift with the largest
     integer dot product is the nearest.
     """
-    size = len(flat)
-    dots = [
-        sum(map(mul, flat[k:], newest)) + sum(map(mul, flat[:k], newest[size - k :]))
-        for k in range(0, size, 2)
-    ]
+    dots = _cyclic_dots(flat, newest)
     best = max(dots)
     return None if dots.count(best) > 1 else 2 * dots.index(best)
+
+
+def _cyclic_dots(xs: Sequence, ys: Sequence) -> list:
+    """ys dotted with xs under each cyclic vertex shift (two coordinates a step)."""
+    size = len(xs)
+    return [
+        sum(map(mul, xs[k:], ys)) + sum(map(mul, xs[:k], ys[size - k :]))
+        for k in range(0, size, 2)
+    ]
+
+
+# Float coordinates are screened only inside [2**-500, 2**500] (or 0), so no
+# product or sum of them underflows or overflows.
+_FLOAT_RANGE = (2.0**-500, 2.0**500)
+
+
+def _floats(d: int, flat: list[int]) -> Optional[tuple[list[float], float]]:
+    """flat / d as correctly rounded floats and their Euclidean norm, or None
+    when a coordinate lies outside `_FLOAT_RANGE`."""
+    try:
+        xs = [x / d for x in flat]
+    except OverflowError:
+        return None
+    lo, hi = _FLOAT_RANGE
+    # A non-zero coordinate must stay non-zero: 0.0 fails the range too.
+    if any(not lo <= abs(x) <= hi for x, exact in zip(xs, flat) if exact):
+        return None
+    return xs, math.sqrt(sum(x * x for x in xs))
+
+
+def _screened_shift(
+    floats: tuple[list[float], float], newest: tuple[list[float], float]
+) -> Optional[int]:
+    """The shift `_shift_to` returns, when a float screen can certify it; else None.
+
+    With u = 2**-53, each rounded coordinate is within u of the exact one,
+    relatively, and `_FLOAT_RANGE` keeps every product and sum normal.  So
+    a float dot product of n terms is within (gamma_n + 2u / (1 - u)^2)
+    * sum |x_i * y_i| <= (n + 3) * u * |x| * |y| of the exact one (Higham,
+    "Accuracy and Stability of Numerical Algorithms", section 3.1, and
+    Cauchy-Schwarz; |x| is the same for every shift).  The bound used,
+    (n + 8) * 2u times the float norms, is more than twice that, which also
+    covers the rounding of the norms and of the final subtraction.  When
+    the float argmax beats every other shift by more than twice the bound,
+    its exact dot product is the unique largest, as in Shewchuk's filtered
+    predicates; anything closer is left to the exact search.
+    """
+    xs, xnorm = floats
+    ys, ynorm = newest
+    dots = _cyclic_dots(xs, ys)
+    bound = (len(xs) + 8) * 2.0**-52 * xnorm * ynorm
+    best = max(dots)
+    k = dots.index(best)
+    runner_up = max(dots[:k] + dots[k + 1 :], default=-math.inf)
+    return 2 * k if best - runner_up > 2 * bound else None
 
 
 class _Extrapolation:
@@ -487,26 +558,29 @@ class _Extrapolation:
     Lives for one `iterate_to_invariance` call.  After each step, every
     stride s and degree m reads the m + 2 iterates s apart that end at the
     newest one, provided their vertex counts agree; each is aligned to the
-    newest by its nearest cyclic vertex shift.  A candidate, the hull of the
-    extrapolated vertices, is returned only when it contains the seed and
-    the newest iterate, stays within the bit budget and is mapped to itself
-    by the collection operator.  Since the operator is monotone and the
-    candidate contains the seed, it then contains every iterate of the
-    unrounded chain, so it is an exact fixed point containing the minimal
-    invariant set.
+    newest by its nearest cyclic vertex shift, which a float screen
+    certifies where it can and `_shift_to` decides exactly where it cannot.
+    A candidate, the hull of the extrapolated vertices, is returned only
+    when it contains the seed and the newest iterate, stays within the bit
+    budget and is mapped to itself by the collection operator.  Since the
+    operator is monotone and the candidate contains the seed, it then
+    contains every iterate of the unrounded chain, so it is an exact fixed
+    point containing the minimal invariant set.
     """
 
     def __init__(self, collection: Collection, seed: ConvexPolygon, max_bits: int) -> None:
         self.collection, self.seed, self.max_bits = collection, seed, max_bits
-        self.window: deque[tuple[ConvexPolygon, int, list[int]]] = deque(maxlen=_WINDOW)
+        # (iterate, d, flat coordinates over d, their `_floats` or None)
+        self.window: deque[tuple] = deque(maxlen=_WINDOW)
         self.push(seed)
 
     def push(self, poly: ConvexPolygon) -> None:
-        self.window.append((poly, *_flat(poly)))
+        d, flat = _flat(poly)
+        self.window.append((poly, d, flat, _floats(d, flat)))
 
     def limit(self) -> Optional[ConvexPolygon]:
         window = self.window
-        _, newest_d, newest_flat = window[-1]
+        _, newest_d, newest_flat, newest_floats = window[-1]
         size = len(newest_flat)
         # The newest iterate's vertices are distinct, so shift 0 is its own
         # unique nearest shift.
@@ -516,8 +590,13 @@ class _Extrapolation:
 
         def sample(idx: int) -> Optional[tuple[int, list[int]]]:
             if idx not in aligned:
-                _, d, flat = window[idx]
-                k = _shift_to(flat, newest_flat) if len(flat) == size else None
+                _, d, flat, floats = window[idx]
+                k = None
+                if len(flat) == size:
+                    if floats is not None and newest_floats is not None:
+                        k = _screened_shift(floats, newest_floats)
+                    if k is None:
+                        k = _shift_to(flat, newest_flat)
                 aligned[idx] = None if k is None else (d, flat[k:] + flat[:k])
             return aligned[idx]
 

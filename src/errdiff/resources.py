@@ -379,14 +379,20 @@ class PVParams:
 
     The rated apparent power is determined by the pair: its square is
     p_max^2 * (1 + tan_phi^2), kept squared so it stays rational.
+    ``_p_max`` and ``_tan_phi`` hold both as (numerator, denominator), read
+    by the per-step cap arithmetic.
     """
 
     p_max: Fraction
     tan_phi: Fraction
+    _p_max: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _tan_phi: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_max", as_fraction(self.p_max))
-        object.__setattr__(self, "tan_phi", as_fraction(self.tan_phi))
+        for name in ("p_max", "tan_phi"):
+            value = as_fraction(getattr(self, name))
+            object.__setattr__(self, name, value)
+            object.__setattr__(self, f"_{name}", (value.numerator, value.denominator))
         if self.p_max < 0:
             raise ValueError("p_max must be non-negative")
         if self.tan_phi < 0:
@@ -408,10 +414,10 @@ def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     """
     cap = as_fraction(cap)
     cn, cd = cap.numerator, cap.denominator
-    p_max, tan_phi = params.p_max, params.tan_phi
-    if cn < 0 or cn * p_max.denominator > p_max.numerator * cd:
-        raise ValueError(f"cap {cap} outside [0, {p_max}]")
-    return _pv_triangle(cn, cd, tan_phi.numerator, tan_phi.denominator)
+    pn, pd = params._p_max
+    if cn < 0 or cn * pd > pn * cd:
+        raise ValueError(f"cap {cap} outside [0, {params.p_max}]")
+    return _pv_triangle(cn, cd, *params._tan_phi)
 
 
 @lru_cache(maxsize=4096)
@@ -426,12 +432,16 @@ def _pv_triangle(cn: int, cd: int, tn: int, td: int) -> ConvexPolygon:
 def pv_feasible_set(params: PVParams, p_avail: Fraction) -> ConvexPolygon:
     """Triangle capped by the real power irradiance currently makes available.
 
-    The cap min(p_avail, p_max) is chosen by cross-multiplication.
+    The cap min(p_avail, p_max) is chosen and checked by cross-multiplying
+    numerators and denominators.
     """
-    p_max = params.p_max
-    if p_avail.numerator * p_max.denominator > p_max.numerator * p_avail.denominator:
-        p_avail = p_max
-    return pv_triangle(params, p_avail)
+    an, ad = p_avail.numerator, p_avail.denominator
+    pn, pd = params._p_max
+    if an * pd > pn * ad:
+        an, ad = pn, pd
+    elif an < 0:
+        raise ValueError(f"cap {p_avail} outside [0, {params.p_max}]")
+    return _pv_triangle(an, ad, *params._tan_phi)
 
 
 def pv_triangle_family(params: PVParams, subdivisions: int) -> list[ConvexPolygon]:

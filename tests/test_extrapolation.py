@@ -1,6 +1,7 @@
 """Exact limits by minimal polynomial extrapolation, verified before use."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from errdiff.geometry import ORIGIN, ConvexPolygon, Point2, PointSet, convex_hul
 from errdiff.operators import (
     Collection,
     IterationConfig,
+    _floats,
     _mpe_limit,
+    _screened_shift,
+    _shift_to,
     check_invariance,
     iterate_to_invariance,
 )
@@ -172,3 +176,49 @@ def test_rounding_overshoots_where_extrapolation_is_minimal():
     assert rounded.contains_polygon(answer) and rounded != answer
     for q in (rounded, answer):
         assert check_invariance(collection, q) and certify_invariant(collection, q)
+
+
+class TestScreenedAlignment:
+    """The float screen of the cyclic alignment certifies a shift or defers to `_shift_to`."""
+
+    @staticmethod
+    def _screen(flat, newest):
+        return _screened_shift(_floats(1, flat), _floats(1, newest))
+
+    def test_exact_tie_is_left_to_the_exact_path(self):
+        flat, newest = [1, 0, -1, 0], [0, 1, 0, -1]
+        assert _shift_to(flat, newest) is None
+        assert self._screen(flat, newest) is None
+
+    def test_dots_one_apart_at_200_bits_are_not_certified(self):
+        """dot(shift 0) - dot(shift 2) is -1, 0 or 1 while both are near 2**400."""
+        rng = random.Random(3)
+        big = 2**200
+        for _ in range(100):
+            p, q, t, a, b = (rng.randint(-big, big) for _ in range(5))
+            newest = [p, q, p - 1, t]
+            for diff in (-1, 0, 1):
+                flat = [a, b, a - diff + q - t, b - 1]
+                dots = [sum(x * y for x, y in zip(flat[k:] + flat[:k], newest)) for k in (0, 2)]
+                assert dots[0] - dots[1] == diff
+                assert _shift_to(flat, newest) == {-1: 2, 0: None, 1: 0}[diff]
+                assert self._screen(flat, newest) is None
+
+    def test_agrees_with_the_exact_shift(self):
+        rng = random.Random(11)
+        certified = 0
+        for _ in range(300):
+            n = 2 * rng.randint(1, 8)
+            scale = rng.choice([1, 2**60, 2**200])
+            flat = [rng.randint(-9, 9) * scale + rng.randint(-3, 3) for _ in range(n)]
+            newest = [rng.randint(-9, 9) * scale for _ in range(n)]
+            screened = self._screen(flat, newest)
+            if screened is not None:
+                certified += 1
+                assert screened == _shift_to(flat, newest)
+        assert certified > 200
+
+    def test_floats_out_of_range_are_not_screened(self):
+        assert _floats(1, [10**400, 0]) is None
+        assert _floats(10**400, [1, 0]) is None  # would underflow to 0.0
+        assert _floats(1, [0, 3]) == ([0.0, 3.0], 3.0)

@@ -32,12 +32,12 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
-    _orient3,
+    _cut,
+    _line,
     _polygon,
     clip,
     clip_all,
     convex_hull,
-    hull_of_polygons,
     minkowski_sum,
     orient,
     project_convex_polygon,
@@ -204,7 +204,9 @@ class TestOrientation:
     @example([pt(1, 1), pt(1, 1), pt(2, 3)])
     def test_integer_orientation_has_the_sign_of_orient(self, pts):
         a, b, c = pts[:3]
-        assert sign(_orient3(a._t, b._t, c._t)) == sign(orient(a, b, c))
+        la, lb, lc = _line(a._t, b._t)
+        x, y, w = c._t
+        assert sign(la * x + lb * y + lc * w) == sign(orient(a, b, c))
 
 
 class TestRepresentation:
@@ -264,7 +266,121 @@ class TestConvexHull:
     @example([segment(pt(0, 0), pt(0, 2)), segment(pt(0, 1), pt(0, 3)), ConvexPolygon((pt(0, 1),))])
     def test_hull_of_polygons_equals_oracle(self, polygons):
         expected = oracle.convex_hull(v for p in polygons for v in p.vertices)
-        assert hull_of_polygons(polygons) == expected
+        assert convex_hull(v for p in polygons for v in p.vertices) == expected
+
+
+# Sorted by the float key, the first point comes before the second; exactly,
+# it comes after, since both x round to the float 1.0.
+NEAR_X = [pt(1 + Fraction(1, 2**70), 0), pt(1, 1), pt(1, -1), pt(Fraction(1, 2), 1)]
+HUGE = 10**400  # far beyond the float range
+
+
+class TestFloatKeyedHull:
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_equal_float_x_is_ordered_exactly(self, count):
+        pts = NEAR_X[:count]
+        for order in (pts, pts[::-1]):
+            assert convex_hull(order) == oracle.convex_hull(order)
+
+    def test_equal_float_x_with_y_in_reverse_order(self):
+        # Exactly, (1, 1) < (1 + 2**-70, 0); by floats, (1.0, 0.0) < (1.0, 1.0).
+        hull = convex_hull(NEAR_X[:2])
+        assert hull.vertices == (pt(1, 1), pt(1 + Fraction(1, 2**70), 0))
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(HUGE, 1), (-HUGE, 0), (0, HUGE), (1, 1)],
+            [(0, 0), (1, 0), (0, HUGE), (Fraction(1, HUGE), 1)],
+            [(HUGE, HUGE), (HUGE + 1, HUGE), (HUGE, HUGE + 1), (HUGE + 1, HUGE + 1)],
+        ],
+    )
+    def test_coordinates_too_large_for_a_float(self, coords):
+        pts = [pt(x, y) for x, y in coords]
+        assert convex_hull(pts) == oracle.convex_hull(pts)
+
+
+def _canonical(raw) -> ConvexPolygon:
+    """A raw CCW boundary list rotated to its smallest vertex, through the
+    validating constructor: strict left turns and no repeated point."""
+    pts = [Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in raw]
+    if pts:
+        k = pts.index(min(pts))
+        pts = pts[k:] + pts[:k]
+    return ConvexPolygon(pts)
+
+
+PENTAGON = convex_hull([pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5), pt(-1, 3)])
+
+
+def _planes_through_vertices(region):
+    """Planes through each vertex at several slopes, and through each pair of
+    vertices, keeping either side: every cut that puts a vertex on the line."""
+    verts = region.vertices
+    for v in verts:
+        for a, b in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2), (1, 3)]:
+            for sign in (1, -1):
+                yield HalfPlane(sign * a, sign * b, sign * (a * v.x + b * v.y))
+    for u in verts:
+        for w in verts:
+            if u != w:
+                a, b = w.y - u.y, u.x - w.x
+                yield HalfPlane(a, b, a * u.x + b * u.y)
+
+
+class TestRunCut:
+    """`_cut` keeps one cyclic slice of a polygon's list plus at most two crossings."""
+
+    def _check_every_rotation(self, region, plane):
+        ts = list(region._ts)
+        want = oracle.clip(region, plane)
+        for k in range(len(ts)):
+            assert _canonical(_cut(ts[k:] + ts[:k], plane.ints)) == want
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            HalfPlane(-1, 0, Fraction(-1, 2)),  # cuts (-1, 3) and (0, 0): the run wraps past 0
+            HalfPlane(0, 1, 4),  # cuts (2, 5) only
+            HalfPlane(1, 0, 3),  # cuts (4, 0), (5, 3): crossings on two edges
+            HalfPlane(-1, -1, Fraction(-15, 2)),  # keeps (5, 3) only, between two crossings
+            HalfPlane(1, 1, 100),  # cuts nothing
+            HalfPlane(1, 1, -100),  # cuts everything
+        ],
+    )
+    def test_free_cuts_in_every_rotation(self, plane):
+        self._check_every_rotation(PENTAGON, plane)
+
+    def test_zero_slack_vertex_at_either_end_of_the_run(self):
+        for region in (PENTAGON, SQUARE):
+            for plane in _planes_through_vertices(region):
+                self._check_every_rotation(region, plane)
+
+    def test_uncut_list_is_returned_as_is(self):
+        ts = PENTAGON._ts
+        assert _cut(ts, (1, 1, 100)) is ts
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            HalfPlane(1, 0, 1),  # the end (2, 2) is cut away
+            HalfPlane(-1, 0, -1),  # the end (0, 0) is cut away
+            HalfPlane(1, 0, 0),  # (0, 0) on the line, the rest cut away
+            HalfPlane(-1, 0, -2),  # (2, 2) on the line, the rest cut away
+            HalfPlane(1, -1, 0),  # the whole segment on the line
+            HalfPlane(1, 0, -1),  # both ends cut away
+            HalfPlane(1, 0, 5),  # nothing cut
+        ],
+    )
+    def test_points_and_segments(self, plane):
+        seg = segment(pt(0, 0), pt(2, 2))
+        u, v = seg._ts
+        want = oracle.clip(seg, plane)
+        for raw in ([u, v], [v, u]):
+            assert _canonical(_cut(raw, plane.ints)) == want
+        for p in (u, v, (1, 1, 1)):
+            point = ConvexPolygon((Point2(p[0], p[1]),))
+            assert _canonical(_cut([p], plane.ints)) == oracle.clip(point, plane)
 
 
 class TestClip:
