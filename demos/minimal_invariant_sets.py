@@ -17,7 +17,6 @@ SEED = ConvexPolygon((ORIGIN,))
 def show(label, result):
     print(f"\n{label}")
     print(f"  status:      {result.status} after {result.iterations} growing iterations")
-    print(f"  rounding:    {len(result.rounding_events)} coordinate snap(s)")
     print("  vertices:")
     for v in result.invariant_set.vertices:
         print(f"    ({v.x}, {v.y})")

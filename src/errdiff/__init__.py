@@ -29,12 +29,10 @@ from .operators import (
     IterationConfig,
     IterationResult,
     MonotoneFamilyReport,
-    RoundingEvent,
     apply_collection,
     apply_g_interval,
     apply_member,
     check_invariance,
-    conditional_round,
     iterate_1d,
     iterate_to_invariance,
     verify_monotone_family,

@@ -7,10 +7,10 @@ Subcommands:
   verify             run the named regression checks (CSV report, exit status)
 
 ``compute-invariant`` exits 0 when the run stops on ``converged`` or
-``extrapolated`` (a verified fixed point), and 2 on any other status.  A
-missing or malformed input file or option, or an ``--out`` path that
-cannot be written, ends the run with one line, ``errdiff: error:
-<message>``, on standard error and exit status 1.
+``extrapolated`` (a verified fixed point), and 2 when it stops on
+``budget`` or ``bits``.  A missing or malformed input file or option, or
+an ``--out`` path that cannot be written, ends the run with one line,
+``errdiff: error: <message>``, on standard error and exit status 1.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import sys
 from pathlib import Path
 
 from .geometry import ConvexPolygon, Point2
-from .operators import Collection, iterate_to_invariance
+from .operators import Collection, IterationConfig, iterate_to_invariance
 from .serialize import (
     emit_plot_data,
     load_collection,
     load_scenario,
-    parse_iteration_config,
     write_iteration_result,
     write_simulation,
 )
@@ -45,8 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--collection", required=True, help="JSON collection file")
     ci.add_argument("--mode", choices=("perfect", "persistent"), help="override file mode")
     ci.add_argument("--q0", default="0,0", help="seed point 'x,y' (rational), default origin")
-    ci.add_argument("--epsilon", help="rounding tolerance (rational, e.g. 1/100000000; 0: no rounding)")
-    ci.add_argument("--max-iters", type=int, help="iteration budget")
+    ci.add_argument(
+        "--max-iters",
+        type=int,
+        default=IterationConfig.max_iterations,
+        help="iteration budget (default %(default)s)",
+    )
     ci.add_argument("--out", help="write the result as JSON here")
 
     sim = sub.add_parser("simulate", help="run a scenario and dump traces")
@@ -113,16 +116,13 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     with _reporting("--q0"):
         seed = ConvexPolygon((_parse_xy(args.q0),))
     with _reporting("iteration options"):
-        config = parse_iteration_config(args)
+        config = IterationConfig(max_iterations=args.max_iters)
     result = iterate_to_invariance(collection, seed, config)
     if args.out:
         with _reporting(f"--out {args.out}", OSError):
             write_iteration_result(args.out, result)
-    events_by_iteration: dict[int, int] = {}
-    for ev in result.rounding_events:
-        events_by_iteration[ev.iteration] = events_by_iteration.get(ev.iteration, 0) + 1
     for idx, count in enumerate(result.vertex_counts):
-        print(f"iteration {idx}: vertices={count} rounding_events={events_by_iteration.get(idx, 0)}")
+        print(f"iteration {idx}: vertices={count}")
     print(f"converged: {result.converged}")
     print(f"status: {result.status}")
     print(f"iterations: {result.iterations}")

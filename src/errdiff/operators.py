@@ -34,13 +34,11 @@ canonical polygon: one operator application takes a single hull over the
 points of all its pieces.
 
 Iterating either collection operator from a seed grows a monotone chain of
-convex polygons whose limit is the minimal (convex) invariant set; the
-iteration stops as soon as the canonical vertex representation repeats, or
-as soon as an exact extrapolation of the chain's limit (minimal polynomial
-extrapolation on its recent iterates) is verified to be a fixed point that
-contains the seed.  A conditional per-coordinate rounding step can snap
-coordinates that creep toward simple fractions, which ends runs that
-extrapolation does not catch.
+convex polygons whose limit is the minimal (convex) invariant set.  The
+chain is exact: the iteration stops as soon as an image equals its iterate,
+or as soon as an exact extrapolation of the chain's limit (minimal
+polynomial extrapolation on its recent iterates) is verified to be a fixed
+point that contains the seed.
 """
 
 from __future__ import annotations
@@ -107,57 +105,26 @@ class Collection:
                 raise ValueError("collection members must be non-empty")
 
 
-# The finite menu of proper fractions that conditional rounding may snap a
-# coordinate's fractional part to: every denominator up to 6, sorted.
-SNAP_FRACTIONS: tuple[Fraction, ...] = tuple(
-    sorted({Fraction(num, den) for den in range(1, 7) for num in range(den)})
-)
-
-DEFAULT_EPSILON = Fraction(1, 10**8)
-
-
 @dataclass(frozen=True)
 class IterationConfig:
-    """Stopping-rule parameters for the invariant-set iteration.
+    """Stopping-rule parameters for the invariant-set iteration."""
 
-    ``epsilon`` is the tolerance within which conditional rounding snaps a
-    coordinate to the ``SNAP_FRACTIONS`` menu; at 0 rounding changes
-    nothing, so it is skipped.  Rounding never touches the seed.
-    """
-
-    epsilon: Fraction = DEFAULT_EPSILON
     max_iterations: int = 1000
     # Abort (converged=False) once any coordinate's numerator or denominator
     # outgrows this many bits.  Arbitrary collections can drift toward
-    # limits the snap menu never catches, with representations compounding
-    # every iteration; the budget turns that into a clean non-convergence.
+    # limits that extrapolation never catches, with representations
+    # compounding every iteration; the budget turns that into a clean
+    # non-convergence.
     max_coordinate_bits: int = 4096
-    # epsilon as (numerator, denominator), read by the integer snap.
-    _epsilon_ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        object.__setattr__(
-            self, "_epsilon_ratio", (self.epsilon.numerator, self.epsilon.denominator)
-        )
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
         if self.max_coordinate_bits < 16:
             raise ValueError("coordinate bit budget is unreasonably small")
 
 
-@dataclass(frozen=True)
-class RoundingEvent:
-    iteration: int
-    vertex: int
-    coordinate: str
-    before: Fraction
-    after: Fraction
-
-
-StopStatus = Literal["converged", "extrapolated", "budget", "cycle", "bits", "rounding-stall"]
+StopStatus = Literal["converged", "extrapolated", "budget", "bits"]
 
 
 @dataclass
@@ -165,29 +132,28 @@ class IterationResult:
     """Outcome of the fixed-point iteration.
 
     ``iterations`` counts the applications that strictly grew the iterate;
-    it is reported for information only, since operation order and rounding
-    schedule can legitimately perturb it.  When ``converged`` is true the
-    collection operator maps ``invariant_set`` to itself.  ``status`` says
-    why the run stopped:
+    it is reported for information only, since operation order can
+    legitimately perturb it.  When ``converged`` is true the collection
+    operator maps ``invariant_set`` to itself.  ``status`` says why the run
+    stopped:
 
-    * ``converged``: the unrounded image equals the iterate;
+    * ``converged``: the image of the iterate equals it;
     * ``extrapolated``: the returned set is an extrapolated limit of the
       chain, verified to contain the seed and the last iterate and to be
       mapped to itself (``iterations`` is the step it was found at);
     * ``budget``: the iteration budget ran out;
-    * ``cycle``: rounding brought back an iterate older than the last one;
-    * ``bits``: a coordinate outgrew the bit budget (``aborted``);
-    * ``rounding-stall``: rounding alone mapped the iterate to itself.
+    * ``bits``: a coordinate outgrew the bit budget (``aborted``).
     """
 
     invariant_set: ConvexPolygon
     iterations: int
     converged: bool
     status: StopStatus
-    rounding_events: list[RoundingEvent] = field(default_factory=list)
     history_hashes: list[str] = field(default_factory=list)
     vertex_counts: list[int] = field(default_factory=list)
     aborted: bool = False  # coordinate representations outgrew the budget
+    # Always empty; perfbench/tracing.py still reads it.
+    rounding_events = ()
 
 
 class GeometryInconsistencyError(RuntimeError):
@@ -302,85 +268,6 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
         for piece in _member_pieces(member, region, mode)
         for t in piece
     ))
-
-
-# ---------------------------------------------------------------------------
-# Conditional rounding
-# ---------------------------------------------------------------------------
-
-
-def conditional_round(q: RationalLike, config: IterationConfig) -> Fraction:
-    """Snap q to floor(q) + t when the nearest menu fraction t is within epsilon.
-
-    Ties between menu fractions go to the smaller fraction.  Values farther
-    than epsilon from every menu fraction are returned unchanged.  The menu
-    holds only proper fractions, so a value just below an integer never
-    snaps up: 3 - 1/10**9 stays as it is, while 3 + 1/10**9 snaps to 3.
-    """
-    q = as_fraction(q)
-    snapped = _snap(q.numerator, q.denominator, *config._epsilon_ratio)
-    return q if snapped is None else Fraction(*snapped)
-
-
-# The menu's denominators and their lcm L: every menu fraction is a multiple of 1/L.
-_SNAP_DENOMINATORS = tuple(sorted({t.denominator for t in SNAP_FRACTIONS}))
-_SNAP_LCM = math.lcm(*_SNAP_DENOMINATORS)
-
-
-def _snap(x: int, w: int, eps_num: int, eps_den: int) -> Optional[tuple[int, int]]:
-    """`conditional_round` of x/w (w > 0) on integers: the snapped value as
-    (numerator, denominator), or None when the value does not change.
-
-    With x = base*w + r the fractional part is r/w.  No menu fraction is
-    nearer to it than the nearest multiple of 1/L, so when that is farther
-    than epsilon nothing snaps.  Otherwise each menu denominator b offers
-    its nearest numerator a in [0, b), at distance |a*w - r*b| / (b*w);
-    candidates compare by cross-multiplication in (distance, fraction)
-    order, and the winner is within epsilon when its distance n / (b*w)
-    satisfies n*eps_den <= eps_num*b*w.
-    """
-    base, r = divmod(x, w)
-    near = r * _SNAP_LCM % w
-    if min(near, w - near) * eps_den > eps_num * _SNAP_LCM * w:
-        return None
-    best_n, best_a, best_b = w, 0, 1  # no candidate is as far as 1
-    for b in _SNAP_DENOMINATORS:
-        a, rem = divmod(r * b, w)
-        if 2 * rem > w and a + 1 < b:
-            a += 1
-        n = abs(a * w - r * b)
-        if (n * best_b, a * best_b) < (best_n * b, best_a * b):
-            best_n, best_a, best_b = n, a, b
-    if best_n == 0 or best_n * eps_den > eps_num * best_b * w:
-        return None
-    return base * best_b + best_a, best_b
-
-
-def _round_polygon(
-    poly: ConvexPolygon, config: IterationConfig, iteration: int
-) -> tuple[ConvexPolygon, list[RoundingEvent]]:
-    """Snap every vertex coordinate of poly; the polygon itself when none changes."""
-    eps_num, eps_den = config._epsilon_ratio
-    events: list[RoundingEvent] = []
-    rounded: list[Triple] = []
-    for idx, t in enumerate(poly._ts):
-        x, y, w = t
-        sx = _snap(x, w, eps_num, eps_den)
-        sy = _snap(y, w, eps_num, eps_den)
-        if sx is None and sy is None:
-            rounded.append(t)
-            continue
-        (xn, xd), (yn, yd) = sx or (x, w), sy or (y, w)
-        if sx is not None:
-            events.append(RoundingEvent(iteration, idx, "x", Fraction(x, w), Fraction(xn, xd)))
-        if sy is not None:
-            events.append(RoundingEvent(iteration, idx, "y", Fraction(y, w), Fraction(yn, yd)))
-        d = math.lcm(xd, yd)
-        rounded.append(_normalised(xn * (d // xd), yn * (d // yd), d))
-    if not events:
-        return poly, events
-    # Rounding can break strict convexity or canonical order; re-hull.
-    return _polygon(_hull(rounded)), events
 
 
 def _bits_and_digest(poly: ConvexPolygon) -> tuple[int, str]:
@@ -564,8 +451,8 @@ class _Extrapolation:
     when it contains the seed and the newest iterate, stays within the bit
     budget and is mapped to itself by the collection operator.  Since the
     operator is monotone and the candidate contains the seed, it then
-    contains every iterate of the unrounded chain, so it is an exact fixed
-    point containing the minimal invariant set.
+    contains every iterate of the chain, so it is an exact fixed point
+    containing the minimal invariant set.
     """
 
     def __init__(self, collection: Collection, seed: ConvexPolygon, max_bits: int) -> None:
@@ -642,29 +529,25 @@ def iterate_to_invariance(
     seed: ConvexPolygon,
     config: IterationConfig = IterationConfig(),
 ) -> IterationResult:
-    """Iterate the collection operator from a seed until the vertex
-    representation repeats or an extrapolated limit is verified.
+    """Iterate the collection operator from a seed until an image equals its
+    iterate or an extrapolated limit is verified.
 
-    The iterates form a growing chain (checked exactly each step before
-    rounding; a violation means a geometry bug and raises).  The seed is
-    never rounded.  After each step `_Extrapolation` tries to guess the
-    chain's limit.  ``converged`` is true only when the unrounded image of
-    the returned set equals it, which is exact invariance: at an exact
-    repeat or at a verified extrapolated limit.  A repeat that rounding
-    alone produced (a rounding stall), a longer cycle, the bit budget or
-    the iteration budget return the last iterate with ``converged`` false,
-    and ``status`` names which of them stopped the run.
+    The iterates form a growing chain, checked exactly each step (a
+    violation means a geometry bug and raises), so an iterate that is not a
+    fixed point is never seen again.  After each step `_Extrapolation`
+    tries to guess the chain's limit.  ``converged`` is true only when the
+    image of the returned set equals it, which is exact invariance: at a
+    fixed point of the chain or at a verified extrapolated limit.  The bit
+    budget or the iteration budget return the last iterate with
+    ``converged`` false, and ``status`` names which of them stopped the run.
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
     current = seed
-    events: list[RoundingEvent] = []
     hashes = [_bits_and_digest(current)[1]]
-    seen = set(hashes)
     counts = [len(current._ts)]
     status: StopStatus = "budget"
     iterations = config.max_iterations
-    rounding = config._epsilon_ratio[0] != 0
     extrapolation = _Extrapolation(collection, seed, config.max_coordinate_bits)
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
@@ -672,28 +555,18 @@ def iterate_to_invariance(
             raise GeometryInconsistencyError(
                 f"iterate {step} does not contain its predecessor"
             )
-        candidate = grown
-        if rounding:
-            candidate, step_events = _round_polygon(grown, config, step)
-            events.extend(step_events)
-        bits, digest = _bits_and_digest(candidate)
+        bits, digest = _bits_and_digest(grown)
         if bits > config.max_coordinate_bits:
             iterations = step
             status = "bits"
             break
         hashes.append(digest)
-        counts.append(len(candidate._ts))
-        if candidate == current:
-            status = "converged" if grown == current else "rounding-stall"
+        counts.append(len(grown._ts))
+        if grown == current:
+            status = "converged"
             iterations = step - 1
             break
-        if digest in seen:
-            # rounding produced a cycle longer than one step; no fixed point
-            iterations = step
-            status = "cycle"
-            break
-        seen.add(digest)
-        current = candidate
+        current = grown
         extrapolation.push(current)
         limit = extrapolation.limit()
         if limit is not None:
@@ -704,7 +577,6 @@ def iterate_to_invariance(
         iterations=iterations,
         converged=status in ("converged", "extrapolated"),
         status=status,
-        rounding_events=events,
         history_hashes=hashes,
         vertex_counts=counts,
         aborted=status == "bits",

@@ -38,7 +38,7 @@ from .geometry import (
     as_fraction,
     convex_hull,
 )
-from .operators import Collection, FeasibleSet, IterationConfig
+from .operators import Collection, FeasibleSet
 from .resources import HeaterParams, HeaterState, PVParams
 from .simulate import (
     Availability,
@@ -119,16 +119,6 @@ def iteration_result_to_json(result) -> dict:
         "status": result.status,
         "iterations": result.iterations,
         "vertices": polygon_to_json(result.invariant_set),
-        "rounding_events": [
-            {
-                "iteration": ev.iteration,
-                "vertex": ev.vertex,
-                "coordinate": ev.coordinate,
-                "before": str(ev.before),
-                "after": str(ev.after),
-            }
-            for ev in result.rounding_events
-        ],
         "history_hashes": result.history_hashes,
         "vertex_counts": result.vertex_counts,
     }
@@ -442,13 +432,3 @@ def parse_scenario(data: Any) -> Scenario:
 
 def load_scenario(path: PathLike) -> Scenario:
     return parse_scenario(json.loads(Path(path).read_text()))
-
-
-def parse_iteration_config(args: Any) -> IterationConfig:
-    """IterationConfig from parsed CLI flags (epsilon, max_iters)."""
-    kwargs: dict = {}
-    if getattr(args, "epsilon", None) is not None:
-        kwargs["epsilon"] = as_fraction(args.epsilon)
-    if getattr(args, "max_iters", None) is not None:
-        kwargs["max_iterations"] = int(args.max_iters)
-    return IterationConfig(**kwargs)

@@ -411,8 +411,9 @@ def check_operator_properties(golden_dir: Optional[Path] = None) -> CheckResult:
             problems.append(f"{idx}: monotonicity")
         result = iterate_to_invariance(collection, ORIGIN_SEED, _PROPERTY_CONFIG)
         if not result.converged:
-            # Arbitrary instances may drift past any snap menu; the checks
-            # below are conditional on convergence, so count and move on.
+            # Arbitrary instances may drift toward limits extrapolation never
+            # finds; the checks below are conditional on convergence, so
+            # count and move on.
             unconverged += 1
             continue
         invariant = result.invariant_set

@@ -4,10 +4,10 @@ This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`,
 translation, polygon containment and `project_convex_polygon` that
 `errdiff.geometry` runs on integer homogeneous triples, of one
 collection-operator step (`cell_pieces`, `apply_collection`) assembled
-from them, of the iteration's conditional rounding, coordinate bit count
-and digest, of the closed loop's `uniform_request`, `central_step`,
-`heater_step` and `compute_metrics`, and of the trace writers' `row` and
-`coords`, which the package runs on integers.  Only the tests import it,
+from them, of the iteration's coordinate bit count and digest, of the
+closed loop's `uniform_request`, `central_step`, `heater_step` and
+`compute_metrics`, and of the trace writers' `row` and `coords`, which the
+package runs on integers.  Only the tests import it,
 as an oracle: every function here must return exactly what its
 counterpart in the package returns.  It also holds the Fraction helpers
 the tests measure with (`dist2`, `slack`, `diameter_sq`,
@@ -19,7 +19,6 @@ and `voronoi_cell`, and it builds its polygons with the validating
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
@@ -38,7 +37,7 @@ from errdiff.geometry import (
 )
 from errdiff.dynamics import ControllerTrace
 from errdiff.intervals import IntervalUnion
-from errdiff.operators import SNAP_FRACTIONS, Collection, IterationConfig, RoundingEvent
+from errdiff.operators import Collection
 from errdiff.resources import TEMP_RESOLUTION, HeaterParams, HeaterState
 from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics, least_squares_slope
 
@@ -337,40 +336,6 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
         minkowski_sum(_feasible_hull(member), _hull_of_union(cell_pieces(member, region)))
         for member in collection.sets
     )
-
-
-def conditional_round(q: Fraction, config: IterationConfig) -> Fraction:
-    """floor(q) + t for the nearest menu fraction t, found by bisection, when within epsilon."""
-    base = Fraction(math.floor(q))
-    fractional = q - base
-    menu = SNAP_FRACTIONS
-    i = bisect.bisect_left(menu, fractional)
-    best = None
-    for j in (i - 1, i):
-        if 0 <= j < len(menu):
-            candidate = menu[j]
-            key = (abs(candidate - fractional), candidate)
-            if best is None or key < best:
-                best = key
-    if best is not None and best[0] <= config.epsilon:
-        return base + best[1]
-    return q
-
-
-def round_polygon(
-    poly: ConvexPolygon, config: IterationConfig, iteration: int
-) -> tuple[ConvexPolygon, list[RoundingEvent]]:
-    """Every vertex coordinate rounded, an event per change, and the hull of the result."""
-    events = []
-    rounded = []
-    for idx, v in enumerate(poly.vertices):
-        nx, ny = conditional_round(v.x, config), conditional_round(v.y, config)
-        if nx != v.x:
-            events.append(RoundingEvent(iteration, idx, "x", v.x, nx))
-        if ny != v.y:
-            events.append(RoundingEvent(iteration, idx, "y", v.y, ny))
-        rounded.append(Point2(nx, ny))
-    return (convex_hull(rounded) if events else poly), events
 
 
 def coordinate_bits(poly: ConvexPolygon) -> int:

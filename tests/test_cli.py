@@ -110,14 +110,6 @@ class TestComputeInvariant:
         )
         assert code == 2
 
-    def test_no_rounding_and_epsilon_flags(self, collection_file, capsys):
-        # --epsilon 0 turns rounding off; there is no separate flag for it
-        argv = ["compute-invariant", "--collection", str(collection_file)]
-        assert main([*argv, "--epsilon", "0"]) == 0
-        with pytest.raises(SystemExit):
-            main([*argv, "--no-rounding"])
-        assert "unrecognized arguments: --no-rounding" in capsys.readouterr().err
-
 
 STALL_COLLECTION = {
     "mode": "perfect",
@@ -127,7 +119,6 @@ STALL_COLLECTION = {
         {"points": [["-5", "3"], ["1", "-3"], ["4", "1"]]},
     ],
 }
-CYCLE_COLLECTION = {"mode": "perfect", "sets": [{"points": [["-2", "-5"], ["-2", "-1"], ["0", "-4"]]}]}
 # The paper's three-set family: the 8-point ring, without (0, -1), without (-1, -1) too.
 RING = [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)]
 FAMILY3_COLLECTION = {
@@ -162,15 +153,6 @@ class TestStopStatus:
     def test_extrapolated(self, tmp_path, capsys):
         path = _write(tmp_path, "family3.json", FAMILY3_COLLECTION)
         assert self._run(path, tmp_path, capsys) == (0, "extrapolated")
-
-    def test_rounding_stall(self, tmp_path, capsys):
-        path = _write(tmp_path, "stall.json", STALL_COLLECTION)
-        assert self._run(path, tmp_path, capsys, "--epsilon", "1/10") == (2, "rounding-stall")
-
-    def test_cycle(self, tmp_path, capsys):
-        # Rounding at 1/10 maps the second iterate to a third and back.
-        path = _write(tmp_path, "cycle.json", CYCLE_COLLECTION)
-        assert self._run(path, tmp_path, capsys, "--epsilon", "1/10") == (2, "cycle")
 
     def test_budget(self, tmp_path, capsys):
         path = _write(tmp_path, "stall.json", STALL_COLLECTION)
@@ -212,8 +194,9 @@ class TestMalformedInput:
     def test_three_coordinate_seed(self, collection_file, capsys):
         assert "--q0" in self._compute(capsys, collection_file, "--q0", "1,2,3")
 
-    def test_non_rational_epsilon(self, collection_file, capsys):
-        assert "'abc'" in self._compute(capsys, collection_file, "--epsilon", "abc")
+    def test_negative_iteration_budget(self, collection_file, capsys):
+        line = self._compute(capsys, collection_file, "--max-iters", "-1")
+        assert line == "errdiff: error: iteration options: max_iterations must be non-negative"
 
     def test_heater_without_a_temperature_per_room(self, tmp_path, capsys):
         scenario = json.loads(json.dumps(SCENARIO))
@@ -402,27 +385,15 @@ def test_closed_loop_without_diffusion_is_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "collection, extra, expected",
-    [
-        (FAMILY3_COLLECTION, [], "29f6bff22ad6f73f423f02a8e99cbc458ba2110d1992631f1b36310e0d7aa142"),
-        (
-            STALL_COLLECTION,
-            ["--epsilon", "1/10"],
-            "0d1bd824f0258b30ba2c008ecd2072112a57056e55c8288abed51c6ee12ca90e",
-        ),
-        (
-            CYCLE_COLLECTION,
-            ["--epsilon", "1/10"],
-            "8c29091c85ea77af646fb60392e9d4c61ef896fd796930fec2473310abc5a3c5",
-        ),
-    ],
-    ids=["family3", "rounding-stall", "cycle"],
+    "collection, expected",
+    [(FAMILY3_COLLECTION, "63a4d3278055e1d5298b8567683b75f5579a0b22315ddec88064d715829b2159")],
+    ids=["family3"],
 )
-def test_compute_invariant_outputs_are_pinned(collection, extra, expected, tmp_path, capsys):
-    """The --out document byte for byte: vertices, rounding events, digests and vertex counts."""
+def test_compute_invariant_outputs_are_pinned(collection, expected, tmp_path, capsys):
+    """The --out document byte for byte: vertices, status, digests and vertex counts."""
     out = tmp_path / "result.json"
     path = _write(tmp_path, "collection.json", collection)
-    main(["compute-invariant", "--collection", str(path), "--out", str(out), *extra])
+    main(["compute-invariant", "--collection", str(path), "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 

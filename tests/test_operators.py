@@ -15,14 +15,12 @@ from errdiff.geometry import (
 )
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import (
-    SNAP_FRACTIONS,
     Collection,
     IterationConfig,
     apply_collection,
     apply_g_interval,
     apply_member,
     check_invariance,
-    conditional_round,
     iterate_1d,
     iterate_to_invariance,
     verify_monotone_family,
@@ -162,49 +160,7 @@ class TestApplyP:
         assert merged == convex_hull(v for image in images for v in image.vertices)
 
 
-class TestConditionalRound:
-    CFG = IterationConfig()
-
-    def test_exact_half_unchanged(self):
-        assert conditional_round(Fraction(7, 2), self.CFG) == Fraction(7, 2)
-
-    def test_near_half_snaps(self):
-        cfg = IterationConfig(epsilon=Fraction(1, 10**6))
-        assert conditional_round(Fraction(4999999, 10**7), cfg) == Fraction(1, 2)
-
-    def test_outside_tolerance_unchanged(self):
-        assert conditional_round(Fraction(3, 10), self.CFG) == Fraction(3, 10)
-
-    def test_negative_values_floor_correctly(self):
-        cfg = IterationConfig(epsilon=Fraction(1, 10**6))
-        q = Fraction(-9, 2) + Fraction(1, 10**7)
-        assert conditional_round(q, cfg) == Fraction(-9, 2)
-
-    def test_just_below_an_integer_never_snaps_up(self):
-        # the menu holds proper fractions only, so 1 is no candidate for 3 - 1/10**9
-        below, above = Fraction(3) - Fraction(1, 10**9), Fraction(3) + Fraction(1, 10**9)
-        assert conditional_round(below, self.CFG) == below
-        assert conditional_round(above, self.CFG) == 3
-
-    def test_tie_goes_to_smaller_fraction(self):
-        # 1/12 lies halfway between the menu fractions 0 and 1/6
-        cfg = IterationConfig(epsilon=Fraction(1, 12))
-        assert conditional_round(Fraction(1, 12), cfg) == Fraction(0)
-
-    def test_matches_linear_scan(self):
-        cfg = IterationConfig(epsilon=Fraction(1, 50))
-        rng = random.Random(9)
-        for _ in range(300):
-            q = Fraction(rng.randint(-4000, 4000), rng.randint(1, 997))
-            base = Fraction(q.__floor__())
-            frac = q - base
-            best = min(SNAP_FRACTIONS, key=lambda x: (abs(x - frac), x))
-            want = base + best if abs(best - frac) <= cfg.epsilon else q
-            assert conditional_round(q, cfg) == want
-
-
-# Converges by rounding after 92 steps at the default epsilon; exactly, its
-# chain is caught neither by an exact repeat nor by extrapolation.
+# Its chain reaches neither a fixed point nor a verified extrapolated limit.
 STALL_COLLECTION = Collection(
     (
         PointSet((pt(-2, -5), pt(-2, 1))),
@@ -255,33 +211,14 @@ class TestIteration:
         assert result.status == "bits" and result.aborted
         assert result.iterations == 5
 
-    def test_stall_collection_still_needs_rounding(self):
+    def test_stall_collection_ends_on_budget(self):
         # Extrapolation tries every stride and degree at each of the 200
-        # exact steps and finds no limit.
-        exact = iterate_to_invariance(
-            STALL_COLLECTION, ORIGIN_POLY, IterationConfig(epsilon=0, max_iterations=200)
-        )
-        assert exact.status == "budget"
-        rounded = iterate_to_invariance(STALL_COLLECTION, ORIGIN_POLY)
-        assert (rounded.status, rounded.iterations) == ("converged", 92)
-        assert check_invariance(STALL_COLLECTION, rounded.invariant_set)
-
-    def test_rounding_stall_is_not_converged(self):
-        # round(G(Q)) == Q here, but G(Q) != Q: the stop is not a fixed point
+        # steps and finds no limit.
         result = iterate_to_invariance(
-            STALL_COLLECTION, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10))
+            STALL_COLLECTION, ORIGIN_POLY, IterationConfig(max_iterations=200)
         )
-        assert not check_invariance(STALL_COLLECTION, result.invariant_set)
-        assert not result.converged
-        assert result.status == "rounding-stall" and not result.aborted
-
-    def test_rounding_cycle_is_reported(self):
-        # at 1/10 rounding maps the second iterate to a third and back again
-        col = Collection((PointSet((pt(-2, -5), pt(-2, -1), pt(0, -4))),), "perfect")
-        result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(epsilon=Fraction(1, 10)))
-        hashes = result.history_hashes
-        assert result.status == "cycle" and not result.converged and not result.aborted
-        assert hashes[-1] in hashes[:-2] and hashes[-1] != hashes[-2]
+        assert (result.status, result.iterations) == ("budget", 200)
+        assert not result.converged and not result.aborted
 
 
 class TestCheckInvariance:

@@ -22,7 +22,7 @@ INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 PINNED = [
     ("bits", 19, "bf00334e39132479"),
     ("converged", 3, "1b73ead634efef2d"),
-    ("bits", 44, "32fe55b4ba644b7b"),
+    ("bits", 44, "65b3d07665aa346b"),
     ("bits", 8, "2f9e62f2efcc29ba"),
     ("converged", 0, "7334821429a99561"),
     ("bits", 8, "6e72094792de763f"),
