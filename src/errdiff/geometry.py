@@ -10,6 +10,10 @@ orientation is a 3x3 integer determinant, a half-plane test an integer dot
 product and the lexicographic order a cross-multiplied comparison.  Floats
 only order or screen: the hull sorts by correctly rounded float keys and
 re-sorts exactly wherever two keys tie, so no answer depends on a float.
+The hull splits the sorted points by the chord from the first to the last,
+so each point enters one of the two monotone chains.  The Minkowski sum
+merges both edge sequences from vertex 0, the smallest, so it emits a
+canonical polygon as it goes.
 
 Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
 'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
@@ -385,14 +389,17 @@ def segment(u: Point2, v: Point2) -> ConvexPolygon:
 
 
 def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
-    """Canonical convex hull of triples: monotone chain over the distinct points.
+    """Canonical convex hull of triples: Andrew's monotone chain over the distinct points.
 
     Canonical triples of equal points are equal, so a set removes the
     duplicates.  The points are sorted by the float key (X/W, Y/W): int/int
     division is correctly rounded and so monotone, which means only points
-    with equal float x can be out of order, and each such run is re-sorted
-    by exact cross-multiplication.  A key too large for a float takes the
-    exact sort.  The chain itself tests exact integer orientations.
+    with equal float x can be out of order; when two float x tie, each such
+    run is re-sorted by exact cross-multiplication.  A key too large for a
+    float takes the exact sort.  The chord from the first sorted point to
+    the last splits the rest: points right of it can only be on the lower
+    chain, points left of it only on the upper one, and points on it on
+    neither.  The chains themselves test exact integer orientations.
     """
     distinct = set(points)
     if len(distinct) <= 1:
@@ -402,12 +409,26 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
     except OverflowError:
         pts = sorted(distinct, key=_LEX_KEY)
     else:
-        pts = []
-        for _, run in groupby(keyed, key=itemgetter(0)):
-            run = [t for _, _, t in run]
-            pts += sorted(run, key=_LEX_KEY) if len(run) > 1 else run
-    lower = _chain(pts)
-    upper = _chain(reversed(pts))
+        if len({k for k, _, _ in keyed}) == len(keyed):
+            pts = [t for _, _, t in keyed]
+        else:
+            pts = []
+            for _, run in groupby(keyed, key=itemgetter(0)):
+                run = [t for _, _, t in run]
+                pts += sorted(run, key=_LEX_KEY) if len(run) > 1 else run
+    first, last = pts[0], pts[-1]
+    a, b, c = _line(first, last)
+    below: list[Triple] = []
+    above: list[Triple] = []
+    for p in pts[1:-1]:
+        x, y, w = p
+        side = a * x + b * y + c * w
+        if side < 0:
+            below.append(p)
+        elif side > 0:
+            above.append(p)
+    lower = _chain([first, *below, last])
+    upper = _chain([last, *reversed(above), first])
     return tuple(lower[:-1] + upper[:-1])
 
 
@@ -494,30 +515,27 @@ def _hull_of_triples(ts: tuple[Triple, ...]) -> ConvexPolygon:
     return _polygon(_hull(ts))
 
 
-def _edge_directions(ts: Sequence[Triple]) -> tuple[list[tuple[int, int]], int]:
-    """Integer edge directions traversed CCW from the bottom vertex, and its index.
+def _edge_directions(ts: Sequence[Triple]) -> list[tuple[int, int]]:
+    """Integer edge directions traversed CCW from vertex 0, the lexicographic minimum.
 
-    The bottom vertex is the lowest, then leftmost: the smallest in (y, x)
-    order.  From it a strictly convex CCW boundary has its edge angles
-    sorted in [0, 2*pi), and a two-vertex segment gives an antiparallel
-    pair.  A direction is the edge vector scaled by the positive Wu*Wv.
+    From the smallest (x, y) vertex a strictly convex CCW boundary has its
+    edge angles strictly increasing in (-pi/2, 3*pi/2]: the first edge
+    leaves rightward (or straight up, for a segment), the last may arrive
+    straight down.  A two-vertex segment gives an antiparallel pair.  A
+    direction is the edge vector scaled by the positive Wu*Wv.
     """
-    n = len(ts)
-    k = _lex_min([(y, x, w) for x, y, w in ts])
-    dirs = []
-    for i in range(n):
-        ux, uy, uw = ts[(k + i) % n]
-        vx, vy, vw = ts[(k + i + 1) % n]
-        dirs.append((vx * uw - ux * vw, vy * uw - uy * vw))
-    return dirs, k
+    return [
+        (vx * uw - ux * vw, vy * uw - uy * vw)
+        for (ux, uy, uw), (vx, vy, vw) in zip(ts, ts[1:] + ts[:1])
+    ]
 
 
 def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Exact comparison of polar angles in [0, 2*pi); 0 means same direction."""
+    """Exact comparison of polar angles in (-pi/2, 3*pi/2]; 0 means same direction."""
     ux, uy = u
     vx, vy = v
-    hu = 0 if (uy > 0 or (uy == 0 and ux > 0)) else 1
-    hv = 0 if (vy > 0 or (vy == 0 and vx > 0)) else 1
+    hu = 0 if (ux > 0 or (ux == 0 and uy > 0)) else 1
+    hv = 0 if (vx > 0 or (vx == 0 and vy > 0)) else 1
     if hu != hv:
         return -1 if hu < hv else 1
     cr = ux * vy - uy * vx
@@ -532,10 +550,12 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact Minkowski sum of two convex polygons.
 
     Computed by merging the edge sequences in angular order (linear time),
-    emitting the sum of the current vertex pair before each step; the
-    result has at most |p| + |q| vertices.  Parallel edges advance both
-    sequences at once, so the output is already strictly convex and only
-    needs rotating to its smallest vertex (a segment: ordering its ends).
+    both from their vertex 0, emitting the sum of the current vertex pair
+    before each step; the result has at most |p| + |q| vertices.  The sum
+    of the two smallest vertices is the smallest vertex of the sum, and
+    parallel edges advance both sequences at once, so the output is
+    already canonical: strictly convex, starting at its smallest vertex (a
+    segment: its ends in order).
     """
     pt, qt = p._ts, q._ts
     if not pt or not qt:
@@ -544,20 +564,18 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         return _translated(q, pt[0])
     if len(qt) == 1:
         return _translated(p, qt[0])
-    ep, i0 = _edge_directions(pt)
-    eq, j0 = _edge_directions(qt)
+    ep, eq = _edge_directions(pt), _edge_directions(qt)
     np_, nq = len(ep), len(eq)
     out = []
     i = j = 0
     while i < np_ or j < nq:
-        out.append(_add(pt[(i0 + i) % np_], qt[(j0 + j) % nq]))
+        out.append(_add(pt[i % np_], qt[j % nq]))
         cmp = 1 if i == np_ else -1 if j == nq else _angle_cmp(ep[i], eq[j])
         if cmp <= 0:
             i += 1
         if cmp >= 0:
             j += 1
-    k = _lex_min(out)
-    return _polygon(tuple(out[k:] + out[:k]))
+    return _polygon(tuple(out))
 
 
 def _cut(verts: Sequence[Triple], plane: Triple) -> Sequence[Triple]:

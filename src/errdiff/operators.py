@@ -12,26 +12,27 @@ where ``cell(c)`` is the Voronoi cell of c with respect to S.
 union over a collection's sets.
 
 Feasible sets may be finite point sets or continuous convex polygons.
-Either way S has a cached list of cells, each a pair (sweep, planes) whose
-piece of a region R is ``(R + sweep) ∩ planes``; `cell_pieces` returns
-them, and their union is ``U_c ((R ∩ cell(c)) - c)``.  A point sweep -c
-keeps its planes in the member's own frame, around c: R is clipped first
-and only the surviving vertices are moved by -c, which gives the same
-piece.  The cells are:
+Either way S has a cached set of cells; `cell_pieces` returns each cell's
+piece of a region R, and their union is ``U_c ((R ∩ cell(c)) - c)``.  No
+cell takes a Minkowski sum.  The cells are:
 
-* a site c of a point set: the point -c, and the facet bisectors of
-  cell(c);
-* a vertex v of a polygon, a point member or a segment end: the point -v,
-  and the normal cone at v (no plane for a point, one for a segment end);
-* an edge [u, w]: the segment [-u, -w], and the normal line through the
-  origin, cut to its outer ray for a polygon;
-* the interior points of a member with two or more vertices (their cells
-  are singletons): the reflected member -S, and the point 0, so the piece
-  is {0} exactly when S meets R.
+* point cells: a site c of a point set, with the facet bisectors of
+  cell(c), and a vertex v of a polygon, a point member or a segment end,
+  with its normal cone (no plane for a point, one for a segment end).  R
+  is clipped by the planes, around c, and the kept vertices move by -c;
+* edge cells: an edge [u, w], whose points c have the normal line through
+  c as their cell.  R is cut to the slab d.u <= d.p <= d.w, d = w - u, and
+  a kept point p maps to its offset from the edge line, t*n with n the
+  edge's outer normal and t = n.(p - u) / |n|^2.  The piece is the segment
+  over the extent of t on the kept vertices, cut to t >= 0 (the outer ray)
+  for a polygon;
+* the meet cell: the interior points of a member with two or more vertices
+  have singleton cells, so their piece is {0} exactly when S meets R,
+  which is when R clipped by the member's half-planes is non-empty.
 
-A piece is a raw counter-clockwise list of vertex triples, never made a
-canonical polygon: one operator application takes a single hull over the
-points of all its pieces.
+A piece is a raw list of vertex triples, never made a canonical polygon:
+one operator application takes a single hull over the points of all its
+pieces.
 
 Iterating either collection operator from a seed grows a monotone chain of
 convex polygons whose limit is the minimal (convex) invariant set.  The
@@ -48,12 +49,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .geometry import (
-    ORIGIN,
     ConvexPolygon,
     HalfPlane,
     PointSet,
@@ -65,9 +66,7 @@ from .geometry import (
     _normalised,
     _polygon,
     as_fraction,
-    convex_hull,
     minkowski_sum,
-    segment,
     voronoi_cell,
 )
 from .intervals import IntervalUnion
@@ -143,17 +142,29 @@ class IterationResult:
       mapped to itself (``iterations`` is the step it was found at);
     * ``budget``: the iteration budget ran out;
     * ``bits``: a coordinate outgrew the bit budget (``aborted``).
+
+    ``iterates`` is the chain from the seed, ending with the image equal to
+    its iterate on ``converged`` and without the image over budget on
+    ``bits``.  ``history_hashes`` (each iterate's `_digest`) and
+    ``vertex_counts`` are derived from it when read.
     """
 
     invariant_set: ConvexPolygon
     iterations: int
     converged: bool
     status: StopStatus
-    history_hashes: list[str] = field(default_factory=list)
-    vertex_counts: list[int] = field(default_factory=list)
+    iterates: list[ConvexPolygon] = field(default_factory=list, repr=False)
     aborted: bool = False  # coordinate representations outgrew the budget
     # Always empty; perfbench/tracing.py still reads it.
     rounding_events = ()
+
+    @cached_property
+    def history_hashes(self) -> list[str]:
+        return [_digest(poly) for poly in self.iterates]
+
+    @property
+    def vertex_counts(self) -> list[int]:
+        return [len(poly._ts) for poly in self.iterates]
 
 
 class GeometryInconsistencyError(RuntimeError):
@@ -164,25 +175,31 @@ class GeometryInconsistencyError(RuntimeError):
 # Voronoi-cell pieces
 # ---------------------------------------------------------------------------
 
-# A cell's sweep is a point, as the triple to translate by, or a polygon to
-# add; its planes are coprime integer triples (A, B, C) of A*x + B*y <= C.
-Cell = tuple[Union[Triple, ConvexPolygon], tuple[Triple, ...]]
+# A point cell: the triple -c to translate by, and the planes of cell(c)
+# around c.  An edge cell [u, w]: the planes of its slab; its outer normal
+# (nx, ny); with u = (X/W, Y/W), the integer nx*X + ny*Y, W and
+# W*(nx^2 + ny^2); and whether its piece is cut to the outer ray.  Planes
+# are coprime integer triples (A, B, C) of A*x + B*y <= C.
+PointCell = tuple[Triple, tuple[Triple, ...]]
+EdgeCell = tuple[tuple[Triple, ...], int, int, int, int, int, bool]
+Cells = tuple[tuple[PointCell, ...], tuple[EdgeCell, ...], Optional[tuple[Triple, ...]]]
 
-# The point 0 as half-planes: a sweep clipped by them is {0} or empty.
-_ORIGIN_PLANES = tuple(h.ints for h in ConvexPolygon((ORIGIN,)).half_planes())
+_ZERO: Triple = (0, 0, 1)
 
 
 @lru_cache(maxsize=2048)
-def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
-    """(sweep, planes) for every cell type of member; see the module docstring.
+def _cells(member: FeasibleSet) -> Cells:
+    """The point cells, edge cells and meet planes of member; see the module docstring.
 
-    A point sweep -c keeps its planes in the member's own frame, around c:
-    the region is clipped first, and only the surviving vertices move.
+    A point cell's planes are in the member's own frame, around c: the
+    region is clipped first, and only the surviving vertices move.  The
+    meet planes are the member's own half-planes, None for a point member.
     """
     if isinstance(member, PointSet):
-        return tuple(
+        points = tuple(
             ((-c)._t, tuple(h.ints for h in voronoi_cell(member, c))) for c in member.points
         )
+        return points, (), None
     verts = member.vertices
     if not verts:
         raise ValueError("feasible set must be non-empty")
@@ -190,7 +207,7 @@ def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
     # Edge i runs from verts[i] to verts[i + 1]: a segment has one, a polygon n.
     # Its direction (X, Y) is the triple's: the edge vector times W > 0.
     steps = [(verts[(i + 1) % n] - verts[i])._t[:2] for i in range(n if n > 2 else n - 1)]
-    cells: list[Cell] = []
+    points = []
     for i, v in enumerate(verts):
         # The normal cone v + N(v): behind its outgoing edge, ahead of its incoming one.
         cone = []
@@ -199,35 +216,71 @@ def _cells(member: FeasibleSet) -> tuple[Cell, ...]:
         if n > 2 or i > 0:
             dx, dy = steps[i - 1]
             cone.append(HalfPlane(-dx, -dy, 0))
-        cells.append(((-v)._t, tuple(h.translate(v).ints for h in cone)))
+        points.append(((-v)._t, tuple(h.translate(v).ints for h in cone)))
+    edges = []
     for i, (dx, dy) in enumerate(steps):
-        # The normal line through the edge's points; a polygon keeps its outer ray.
-        strip = [HalfPlane(dx, dy, 0), HalfPlane(-dx, -dy, 0)]
-        if n > 2:
-            strip.append(HalfPlane(-dy, dx, 0))
-        cells.append((segment(-verts[i], -verts[(i + 1) % n]), tuple(h.ints for h in strip)))
-    if n > 1:
-        cells.append((convex_hull(-v for v in verts), _ORIGIN_PLANES))
-    return tuple(cells)
+        # The slab d.u <= d.p <= d.w over the edge [u, w]; (dy, -dx) points out.
+        u, w = verts[i], verts[(i + 1) % n]
+        slab = (HalfPlane(-dx, -dy, 0).translate(u).ints, HalfPlane(dx, dy, 0).translate(w).ints)
+        ux, uy, uw = u._t
+        edges.append((slab, dy, -dx, dy * ux - dx * uy, uw, uw * (dx * dx + dy * dy), n > 2))
+    meet = tuple(h.ints for h in member.half_planes()) if n > 1 else None
+    return tuple(points), tuple(edges), meet
+
+
+def _extent(kept: Sequence[Triple], cell: EdgeCell) -> list[Triple]:
+    """The edge cell's piece {t*n} over the kept vertices of the region's slab.
+
+    A point p = (X/W, Y/W) of the slab maps to p - q, q its foot on the
+    edge line: t*n with t = n.(p - u) / |n|^2.  With C = n.u*Wu, an
+    integer, t*|n|^2*Wu*W is k = (nx*X + ny*Y)*Wu - C*W, so t orders as
+    (nx*X + ny*Y) / W, has the sign of k, and t*n is the triple
+    (k*nx, k*ny, W*Wu*|n|^2).  The extremes of t over the kept vertices
+    bound the piece; an outer edge keeps t >= 0.
+    """
+    _, nx, ny, c, uw, scale, outer = cell
+    lo = hi = kept[0]
+    lo_s = hi_s = nx * lo[0] + ny * lo[1]
+    for t in kept[1:]:
+        s = nx * t[0] + ny * t[1]
+        if s * lo[2] < lo_s * t[2]:
+            lo, lo_s = t, s
+        elif s * hi[2] > hi_s * t[2]:
+            hi, hi_s = t, s
+    k_hi = hi_s * uw - c * hi[2]
+    if outer and k_hi < 0:
+        return []
+    k_lo = lo_s * uw - c * lo[2]
+    ends = [_normalised(k_hi * nx, k_hi * ny, hi[2] * scale)]
+    if outer and k_lo < 0:
+        ends.append(_ZERO)
+    elif lo is not hi:
+        ends.append(_normalised(k_lo * nx, k_lo * ny, lo[2] * scale))
+    return ends
 
 
 def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[Triple]]:
-    """The non-empty convex pieces (region + sweep) ∩ planes over the cells of S.
+    """The non-empty convex pieces (region ∩ cell(c)) - c over the cells of S.
 
-    Their union is { (region ∩ cell(c)) - c : c in S }.  Each piece is a
-    raw CCW list of vertex triples, in no particular rotation.
+    Each piece is a raw list of vertex triples whose hull is the piece, in
+    no particular order: a point cell's is its clipped region translated
+    by -c, an edge cell's the ends of its segment, and the meet piece [0].
     """
     pieces = []
     ts = region._ts
-    for sweep, planes in _cells(feasible):
-        if sweep.__class__ is tuple:
-            piece = _clip(ts, planes)
-            if piece:
-                pieces.append([_add(t, sweep) for t in piece])
-        else:
-            piece = _clip(minkowski_sum(region, sweep)._ts, planes)
+    points, edges, meet = _cells(feasible)
+    for sweep, planes in points:
+        piece = _clip(ts, planes)
+        if piece:
+            pieces.append([_add(t, sweep) for t in piece])
+    for cell in edges:
+        kept = _clip(ts, cell[0])
+        if kept:
+            piece = _extent(kept, cell)
             if piece:
                 pieces.append(piece)
+    if meet is not None and _clip(ts, meet):
+        pieces.append([_ZERO])
     return pieces
 
 
@@ -240,54 +293,72 @@ def _member_pieces(
     member: FeasibleSet, region: ConvexPolygon, mode: Mode
 ) -> list[Sequence[Triple]]:
     """Vertex lists whose hull is the image of region under member's operator."""
-    if region.is_empty:
-        raise ValueError("region must be non-empty")
     if mode == "perfect":
+        if region.is_empty:
+            raise ValueError("region must be non-empty")
         return cell_pieces(member, minkowski_sum(feasible_hull(member), region))
     if mode == "persistent":
-        inner = _polygon(_hull(t for piece in cell_pieces(member, region) for t in piece))
-        return [minkowski_sum(feasible_hull(member), inner)._ts]
+        return [_persistent_image(member, region)._ts]
     raise ValueError(f"mode must be one of {MODES}")
+
+
+def _persistent_image(member: FeasibleSet, region: ConvexPolygon) -> ConvexPolygon:
+    """ch S + the hull of the cell pieces of region: canonical as a Minkowski sum is."""
+    if region.is_empty:
+        raise ValueError("region must be non-empty")
+    inner = _polygon(_hull(chain.from_iterable(cell_pieces(member, region))))
+    return minkowski_sum(feasible_hull(member), inner)
 
 
 def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
     """One application of a single feasible set's operator in the given mode."""
-    return _polygon(_hull(t for piece in _member_pieces(member, region, mode) for t in piece))
+    if mode == "persistent":
+        return _persistent_image(member, region)
+    return _polygon(_hull(chain.from_iterable(_member_pieces(member, region, mode))))
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
     """Convexified union of the per-set operator results.
 
     Computed as one hull over the pieces of every member, which equals the
-    hull of the per-set hulls.
+    hull of the per-set hulls; a single member's image is its own.
     """
-    mode = collection.mode
-    return _polygon(_hull(
-        t
-        for member in collection.sets
-        for piece in _member_pieces(member, region, mode)
-        for t in piece
-    ))
+    mode, sets = collection.mode, collection.sets
+    if len(sets) == 1:
+        return apply_member(sets[0], region, mode)
+    pieces = [_member_pieces(member, region, mode) for member in sets]
+    return _polygon(_hull(chain.from_iterable(chain.from_iterable(pieces))))
 
 
-def _bits_and_digest(poly: ConvexPolygon) -> tuple[int, str]:
-    """The most bits of any coordinate's numerator or denominator, and the digest.
-
-    Both read each coordinate X/W of the triples in lowest terms, through
-    gcd(X, W).  The digest is the sha256 prefix of "x,y;x,y;..." with each
-    coordinate written as `str(Fraction)` writes it: n, or n/d.
-    """
-    worst = 0
-    texts = []
+def _lowest_terms(poly: ConvexPolygon) -> Iterable[tuple[int, int]]:
+    """Each coordinate X/W of poly's triples as (n, d) in lowest terms, x before y."""
     for x, y, w in poly._ts:
-        pair = []
         for c in (x, y):
             g = math.gcd(c, w)
-            n, d = c // g, w // g
-            worst = max(worst, n.bit_length(), d.bit_length())
-            pair.append(str(n) if d == 1 else f"{n}/{d}")
-        texts.append(",".join(pair))
-    return worst, hashlib.sha256(";".join(texts).encode("ascii")).hexdigest()[:16]
+            yield c // g, w // g
+
+
+def _digest(poly: ConvexPolygon) -> str:
+    """The sha256 prefix of "x,y;x,y;..." with each coordinate written as
+    `str(Fraction)` writes it: n, or n/d."""
+    coords = [str(n) if d == 1 else f"{n}/{d}" for n, d in _lowest_terms(poly)]
+    text = ";".join(f"{x},{y}" for x, y in zip(coords[::2], coords[1::2]))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+def _within_bits(poly: ConvexPolygon, max_bits: int) -> bool:
+    """True when no coordinate's numerator or denominator, in lowest terms,
+    has more than max_bits bits.
+
+    Lowest terms X/g and W/g are never longer than X and W, so the gcds run
+    only when some raw X, Y or W of the triples is over the budget.  No
+    value is written out in decimal, so no size is too large to count.
+    """
+    if max(map(int.bit_length, chain.from_iterable(poly._ts))) <= max_bits:
+        return True
+    return all(
+        n.bit_length() <= max_bits and d.bit_length() <= max_bits for n, d in _lowest_terms(poly)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +584,7 @@ class _Extrapolation:
         if not (
             candidate.contains_polygon(self.seed)
             and candidate.contains_polygon(self.window[-1][0])
-            and _bits_and_digest(candidate)[0] <= self.max_bits
+            and _within_bits(candidate, self.max_bits)
         ):
             return None
         return candidate if apply_collection(self.collection, candidate) == candidate else None
@@ -544,24 +615,22 @@ def iterate_to_invariance(
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
     current = seed
-    hashes = [_bits_and_digest(current)[1]]
-    counts = [len(current._ts)]
+    iterates = [seed]
     status: StopStatus = "budget"
     iterations = config.max_iterations
-    extrapolation = _Extrapolation(collection, seed, config.max_coordinate_bits)
+    max_bits = config.max_coordinate_bits
+    extrapolation = _Extrapolation(collection, seed, max_bits)
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
         if not grown.contains_polygon(current):
             raise GeometryInconsistencyError(
                 f"iterate {step} does not contain its predecessor"
             )
-        bits, digest = _bits_and_digest(grown)
-        if bits > config.max_coordinate_bits:
+        if not _within_bits(grown, max_bits):
             iterations = step
             status = "bits"
             break
-        hashes.append(digest)
-        counts.append(len(grown._ts))
+        iterates.append(grown)
         if grown == current:
             status = "converged"
             iterations = step - 1
@@ -577,8 +646,7 @@ def iterate_to_invariance(
         iterations=iterations,
         converged=status in ("converged", "extrapolated"),
         status=status,
-        history_hashes=hashes,
-        vertex_counts=counts,
+        iterates=iterates,
         aborted=status == "bits",
     )
 

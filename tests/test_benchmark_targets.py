@@ -1,5 +1,5 @@
 """The benchmark's tracer rebinds errdiff functions by name; keep them resolvable,
-and keep the closed loop calling them."""
+and keep the closed loop and the operator iteration calling them."""
 
 import functools
 import importlib
@@ -10,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import errdiff.cli
+from errdiff.geometry import ORIGIN, ConvexPolygon, Point2, PointSet, convex_hull, segment
+from errdiff.operators import MODES, Collection, IterationConfig, iterate_to_invariance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 SCENARIO = Path(__file__).resolve().parent / "data" / "closed_loop_seed1.json"
@@ -23,6 +25,14 @@ CLOSED_LOOP_TARGETS = (
     "simulate.HeaterUnit.advance",
     "simulate.central_step",
     "dynamics.step_perfect",
+)
+
+# The per-layer targets of random-collections that a fast path in the
+# operator step could stop calling by name.
+OPERATOR_TARGETS = (
+    "operators.cell_pieces",
+    "operators.apply_collection",
+    "geometry.minkowski_sum",
 )
 
 
@@ -55,14 +65,14 @@ def _counting(calls: Counter, name: str, fn):
     return counted
 
 
-def test_short_simulate_calls_every_closed_loop_target(monkeypatch, tmp_path):
+def _count_calls(monkeypatch, targets) -> Counter:
     """Counting wrappers rebound the way the tracer rebinds: a function in
     every errdiff module that holds it, a method on its class."""
     traced = {name for name, _keep in _load_tracing().TARGETS}
-    assert set(CLOSED_LOOP_TARGETS) <= traced
+    assert set(targets) <= traced
     calls: Counter = Counter()
     modules = [m for n, m in sys.modules.items() if n == "errdiff" or n.startswith("errdiff.")]
-    for name in CLOSED_LOOP_TARGETS:
+    for name in targets:
         module_name, attr = name.split(".", 1)
         owner = importlib.import_module(f"errdiff.{module_name}")
         if "." in attr:
@@ -76,6 +86,11 @@ def test_short_simulate_calls_every_closed_loop_target(monkeypatch, tmp_path):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def test_short_simulate_calls_every_closed_loop_target(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, CLOSED_LOOP_TARGETS)
     scenario = json.loads(SCENARIO.read_text())
     scenario["horizon"] = 12
     path = tmp_path / "scenario.json"
@@ -83,3 +98,18 @@ def test_short_simulate_calls_every_closed_loop_target(monkeypatch, tmp_path):
     out = tmp_path / "out"
     assert errdiff.cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
     assert {name: calls[name] for name in CLOSED_LOOP_TARGETS if calls[name] < 1} == {}
+
+
+def test_short_iteration_calls_every_operator_target(monkeypatch):
+    """Both modes, each on a point set with a point, a segment and a triangle."""
+    calls = _count_calls(monkeypatch, OPERATOR_TARGETS)
+    members = (
+        PointSet.from_coords([(0, 0), (3, 0), (0, 2)]),
+        ConvexPolygon((Point2(1, 1),)),
+        segment(Point2(0, 0), Point2(2, 1)),
+        convex_hull(Point2(x, y) for x, y in [(0, 0), (2, 0), (0, 2)]),
+    )
+    config = IterationConfig(max_iterations=3)
+    for mode in MODES:
+        iterate_to_invariance(Collection(members, mode), ConvexPolygon((ORIGIN,)), config)
+    assert {name: calls[name] for name in OPERATOR_TARGETS if calls[name] < 1} == {}

@@ -33,6 +33,7 @@ from errdiff.geometry import (
     Point2,
     PointSet,
     _cut,
+    _hull,
     _line,
     _polygon,
     clip,
@@ -46,9 +47,11 @@ from errdiff.geometry import (
 from errdiff.operators import (
     MODES,
     Collection,
-    _bits_and_digest,
+    _digest,
+    _within_bits,
     apply_collection,
     apply_member,
+    cell_pieces,
 )
 from errdiff.resources import (
     TEMP_RESOLUTION,
@@ -253,6 +256,13 @@ class TestConvexHull:
     @given(point_lists(min_size=1, max_size=9))
     @example([pt(1, 1), pt(1, 1)])  # one distinct point, repeated
     @example([pt(0, 1), pt(0, 0), pt(0, 2), pt(0, 1)])  # vertical, with a repeat
+    # The chord from the first sorted point to the last splits the others
+    # between the chains; points on it, or all of them, are on neither.
+    @example([pt(3, 1), pt(-2, 1), pt(0, 1), pt(1, 1)])  # horizontal
+    @example([pt(2, 2), pt(-1, -1), pt(0, 0), pt(5, 5), pt(1, 1)])  # diagonal
+    @example([pt(0, 0), pt(4, 0), pt(2, 0), pt(2, 2), pt(1, 0), pt(2, -2)])  # on the chord
+    @example([pt(0, 0), pt(0, 0), pt(4, 4), pt(4, 4), pt(1, 3), pt(3, 1)])  # duplicated ends
+    @example([pt(0, 0), pt(0, 2), pt(4, 0), pt(4, 2), pt(0, 1), pt(4, 1)])  # vertical ends
     def test_equals_oracle(self, pts):
         assert convex_hull(pts) == oracle.convex_hull(pts)
 
@@ -289,6 +299,10 @@ class TestFloatKeyedHull:
             [(HUGE, 1), (-HUGE, 0), (0, HUGE), (1, 1)],
             [(0, 0), (1, 0), (0, HUGE), (Fraction(1, HUGE), 1)],
             [(HUGE, HUGE), (HUGE + 1, HUGE), (HUGE, HUGE + 1), (HUGE + 1, HUGE + 1)],
+            # Equal x, so the exact sort orders them by y.
+            [(HUGE, 2), (HUGE, -1), (HUGE, 0), (HUGE + 1, 1), (HUGE - 1, 1)],
+            [(HUGE, 1), (HUGE, 3), (HUGE, 2), (HUGE, 1)],
+            [(-HUGE, 0), (-HUGE, 1), (HUGE, 0), (HUGE, 1), (0, 2)],
         ],
     )
     def test_coordinates_too_large_for_a_float(self, coords):
@@ -409,9 +423,21 @@ class TestClip:
 class TestMinkowski:
     @settings(max_examples=100, deadline=None)
     @given(point_lists(), point_lists())
+    # The square's last edge arrives at its vertex 0 straight down; a
+    # vertical segment's first edge leaves it straight up.
+    @example([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)], [pt(0, 0), pt(0, 2)])
+    @example([pt(0, 0), pt(0, 2)], [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
+    @example([pt(0, 0), pt(2, 1), pt(0, 3)], [pt(1, -1), pt(3, 0), pt(1, 1)])
+    @example([pt(0, 0), pt(2, 1)], [pt(4, 2), pt(0, 0)])  # parallel segments, given reversed
+    @example([pt(0, 0), pt(0, 2)], [pt(1, 3), pt(1, 1)])  # vertical ones
+    @example([pt(0, 0), pt(2, 1)], [pt(1, 0), pt(-1, 1)])
+    @example([pt(1, 1)], [pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5)])  # a point operand
+    @example([pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5)], [pt(1, 1)])
     def test_equals_oracle(self, pa, pb):
         p, q = convex_hull(pa), convex_hull(pb)
-        assert minkowski_sum(p, q) == oracle.minkowski_sum(p, q)
+        got = minkowski_sum(p, q)
+        assert got == oracle.minkowski_sum(p, q)
+        assert ConvexPolygon(got.vertices) == got  # passes the validating constructor
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -495,6 +521,47 @@ class TestOperatorStep:
             assert apply_member(member, region, mode) == want
 
 
+@st.composite
+def member_regions(draw):
+    """A point, segment or triangle and a region of small points under one
+    large map; region points are often member vertices or shared grid points."""
+    f = draw(affine_maps())
+    member = draw(st.lists(small_points, min_size=1, max_size=3))
+    region = draw(st.lists(st.one_of(small_points, st.sampled_from(member)), min_size=1, max_size=4))
+    return convex_hull(map(f, member)), convex_hull(map(f, region))
+
+
+SLAB_TRIANGLE = convex_hull([pt(0, 0), pt(4, 0), pt(0, 4)])
+SEGMENT = segment(pt(0, 0), pt(2, 0))
+
+
+class TestCellPieces:
+    """Each cell's piece, and each member's operator, against the oracle's
+    pieces, which are cut from Minkowski sums."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(member_regions())
+    @example((SLAB_TRIANGLE, convex_hull([pt(0, 0), pt(-1, -2), pt(-2, -1)])))  # meets at a vertex only
+    @example((SLAB_TRIANGLE, segment(pt(0, -3), pt(0, -1))))  # on an edge's normal line
+    @example((SLAB_TRIANGLE, segment(pt(2, -3), pt(2, -1))))  # a zero-width slab inside a strip
+    @example((SLAB_TRIANGLE, convex_hull([pt(1, -3), pt(3, -3), pt(2, -1)])))  # inside one edge strip
+    @example((SLAB_TRIANGLE, segment(pt(2, -2), pt(2, 1))))  # crosses an edge into the member
+    @example((SEGMENT, segment(pt(1, -2), pt(1, 2))))  # both normal half-lines of a segment
+    @example((SEGMENT, segment(pt(1, 1), pt(1, 3))))
+    @example((SLAB_TRIANGLE, convex_hull([pt(5, 5), pt(6, 5), pt(5, 6)])))  # disjoint from the member
+    @example((SLAB_TRIANGLE, ConvexPolygon((pt(2, -1),))))  # a zero-length extent
+    @example((SLAB_TRIANGLE, segment(pt(1, -1), pt(3, -1))))  # zero length over two vertices
+    @example((ConvexPolygon((pt(1, 1),)), SLAB_TRIANGLE))
+    def test_pieces_equal_oracle(self, case):
+        member, region = case
+        for fattened in (region, minkowski_sum(member, region)):  # persistent, perfect
+            got = [_polygon(_hull(piece)) for piece in cell_pieces(member, fattened)]
+            assert got == oracle.cell_pieces(member, fattened)
+        for mode in MODES:
+            want = oracle.apply_collection(Collection((member,), mode), region)
+            assert apply_member(member, region, mode) == want
+
+
 # Just off an integer by a little or a lot, toward either side.
 near_integers = st.builds(
     lambda k, j, d: k + Fraction(j, d),
@@ -511,9 +578,24 @@ class TestBitsAndDigest:
     @example([pt(0, 0)])
     @example([pt(-3, Fraction(-7, 2)), pt(Fraction(4, 6), 1)])
     @example([pt(Fraction(3) - Fraction(1, 10**9), Fraction(2**200 + 1, 2**201))])
+    # Raw X, Y, W = 2**40, 3**26, 2**40 * 3**26; lowest terms 1/3**26 and 1/2**40.
+    @example([pt(Fraction(1, 3**26), Fraction(1, 2**40))])
     def test_equals_oracle(self, pts):
+        """The digest, and the bit screen exactly at the count and one under it."""
         poly = convex_hull(pts)
-        assert _bits_and_digest(poly) == (oracle.coordinate_bits(poly), oracle.digest(poly))
+        assert _digest(poly) == oracle.digest(poly)
+        bits = oracle.coordinate_bits(poly)
+        assert _within_bits(poly, bits) and not _within_bits(poly, bits - 1)
+
+    def test_bit_screen_counts_values_too_long_to_write_in_decimal(self):
+        """Python refuses to write an int of more than 4300 digits in decimal;
+        an extrapolated candidate can hold one, and the screen must still
+        answer.  Raw Y is 2**20000 * 3**13000; in lowest terms y = 2**20000
+        (20001 bits) and x = 1/3**13000 (20605 bits)."""
+        poly = ConvexPolygon((Point2(Fraction(1, 3**13000), 2**20000),))
+        assert _within_bits(poly, 20605)
+        assert not _within_bits(poly, 20604)
+        assert not _within_bits(poly, 4096)
 
 
 class TestProjection:

@@ -211,6 +211,27 @@ class TestIteration:
         assert result.status == "bits" and result.aborted
         assert result.iterations == 5
 
+    @pytest.mark.parametrize(
+        "x, y, status",
+        [
+            # Raw X, Y, W = 2**40, 3**26, 2**40 * 3**26 are over the budget;
+            # the lowest-terms 1/3**26 and 1/2**40 are not.
+            (Fraction(1, 3**26), Fraction(1, 2**40), "converged"),
+            (Fraction(1, 2**63), 0, "converged"),  # a 64-bit denominator: at the budget
+            (Fraction(1, 2**64), 0, "bits"),  # 65 bits: just over
+            (Fraction(2**64 - 1, 3), 1, "converged"),
+            (Fraction(-(2**64), 3), 1, "bits"),
+        ],
+    )
+    def test_bit_budget_reads_lowest_terms(self, x, y, status):
+        """A one-site perfect member maps every region to itself, so the
+        first image is the seed and only the bit budget can stop the run."""
+        collection = Collection((PointSet((ORIGIN,)),), "perfect")
+        seed = ConvexPolygon((Point2(x, y),))
+        result = iterate_to_invariance(collection, seed, IterationConfig(max_coordinate_bits=64))
+        assert result.status == status
+        assert result.iterations == (0 if status == "converged" else 1)
+
     def test_stall_collection_ends_on_budget(self):
         # Extrapolation tries every stride and degree at each of the 200
         # steps and finds no limit.

@@ -5,15 +5,26 @@ a kernel change that alters an outcome would pass it.  This test runs the
 40 seed-1 collections of `perfbench/inputs.py` with the benchmark's budgets
 and pins each one's stop status, iteration count and the sha256 prefix of
 its answer's canonical vertex text ("x,y;x,y;..." with each coordinate
-written as `str(Fraction)` writes it).
+written as `str(Fraction)` writes it).  A second pin is the sha256 prefix
+of each run's `history_hashes` joined by ";", so every iterate of every
+chain is pinned, not only the answer.
 """
 
 import hashlib
 import importlib.util
+from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 from errdiff.geometry import ORIGIN, ConvexPolygon
-from errdiff.operators import IterationConfig, iterate_to_invariance
+from errdiff.operators import (
+    IterationConfig,
+    _digest,
+    _within_bits,
+    apply_collection,
+    iterate_to_invariance,
+)
 from errdiff.serialize import parse_collection
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
@@ -63,6 +74,51 @@ PINNED = [
 ]
 
 
+# sha256 prefix of the ";"-joined history_hashes of each seed-1 collection.
+HISTORY_PINNED = [
+    "20b977a3783a8484",
+    "e585674637f6b458",
+    "f1313b776c5cadc0",
+    "fbb101d157d52724",
+    "11f674842441b2e2",
+    "75f25e0f5f9ded7d",
+    "f3f9bd96a49f351b",
+    "9219e81f77f6540a",
+    "93e4482e521a00bd",
+    "11f674842441b2e2",
+    "b68e0a0e761628df",
+    "2ed865c131af71c7",
+    "11f674842441b2e2",
+    "774acf8be0182053",
+    "11f674842441b2e2",
+    "a77e68387f3fb7d0",
+    "f989f314cac80fe1",
+    "0f33c4c89e82ba21",
+    "11f674842441b2e2",
+    "bf17d14233be0208",
+    "0fbb4eb13ac56d28",
+    "db18b9d7e912b7e5",
+    "189be6cbf9234276",
+    "29f5124792ad574f",
+    "11f674842441b2e2",
+    "ee97ceb28d3447bc",
+    "bb732ae6419e5812",
+    "84bdf7bc4c26881d",
+    "11f674842441b2e2",
+    "de5142efa0d7150f",
+    "2e64957b0dc8c69e",
+    "e31655cb907f22c2",
+    "11f674842441b2e2",
+    "c7ead6a9c793acb7",
+    "ce348e5f34f7ffaf",
+    "95c6c564120bca81",
+    "8cd5ab265d2076f1",
+    "ce5c26625930fae6",
+    "5e776e49360fe7bb",
+    "6df198f824726f1e",
+]
+
+
 def _load_inputs():
     spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
     module = importlib.util.module_from_spec(spec)
@@ -75,12 +131,52 @@ def _digest(poly: ConvexPolygon) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-def test_seed1_population_outcomes_are_pinned():
+CONFIG = IterationConfig(max_iterations=250, max_coordinate_bits=192)
+SEED = ConvexPolygon((ORIGIN,))
+
+
+@lru_cache(maxsize=1)
+def _seed1_collections():
     documents = _load_inputs().random_collection_documents(1, len(PINNED))
-    config = IterationConfig(max_iterations=250, max_coordinate_bits=192)
-    seed = ConvexPolygon((ORIGIN,))
-    got = []
-    for doc in documents:
-        result = iterate_to_invariance(parse_collection(doc), seed, config)
-        got.append((result.status, result.iterations, _digest(result.invariant_set)))
+    return [parse_collection(doc) for doc in documents]
+
+
+@lru_cache(maxsize=1)
+def _seed1_results():
+    return [iterate_to_invariance(c, SEED, CONFIG) for c in _seed1_collections()]
+
+
+def test_seed1_population_outcomes_are_pinned():
+    got = [(r.status, r.iterations, _digest(r.invariant_set)) for r in _seed1_results()]
     assert got == PINNED
+
+
+def test_seed1_population_histories_are_pinned():
+    got = [
+        hashlib.sha256(";".join(r.history_hashes).encode("ascii")).hexdigest()[:16]
+        for r in _seed1_results()
+    ]
+    assert got == HISTORY_PINNED
+
+
+@pytest.mark.parametrize("index, status", [(1, "converged"), (6, "extrapolated"), (0, "bits")])
+def test_history_is_read_from_the_kept_iterates(index, status):
+    """The derived history equals eager digests of the chain run by hand."""
+    result = _seed1_results()[index]
+    assert result.status == status
+    collection = _seed1_collections()[index]
+    # A converged run keeps the image equal to its iterate, an extrapolated
+    # one ends at the iterate it was found at, a bits one before the image
+    # over budget.
+    steps = {"converged": 1, "extrapolated": 0, "bits": -1}[status] + result.iterations
+    chain = [SEED]
+    for _ in range(steps):
+        chain.append(apply_collection(collection, chain[-1]))
+    assert result.history_hashes == [_digest(poly) for poly in chain]
+    assert result.vertex_counts == [len(poly.vertices) for poly in chain]
+    assert all(_within_bits(poly, CONFIG.max_coordinate_bits) for poly in chain)
+    if status == "converged":
+        assert chain[-1] == chain[-2] == result.invariant_set
+    if status == "bits":
+        over = apply_collection(collection, chain[-1])
+        assert not _within_bits(over, CONFIG.max_coordinate_bits)
