@@ -107,9 +107,15 @@ def step_persistent(
     return implemented, z + next_request - implemented
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
-    """One step of a trace; ``error`` is the accumulated error entering the step."""
+    """One step of a trace; ``error`` is the accumulated error entering the step.
+
+    A closed-loop run builds one record per step and nothing writes to a
+    record after the loop appends it, so the class is slotted and not
+    frozen: a frozen dataclass's constructor sets each field through
+    ``object.__setattr__``, which costs about four times as much.
+    """
 
     step: int
     feasible: FeasibleSet

@@ -309,13 +309,35 @@ class ConvexPolygon(_Frozen):
         return _contains_all(ts, (p._t,))
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
-        """Exact containment; valid because both regions are convex."""
+        """Exact containment; valid because both regions are convex.
+
+        A polygon of three or more vertices holds a segment or polygon when,
+        for each of its edges, the other region's support point for the
+        edge's outward normal lies on or left of the edge line.  Both edge
+        sequences run from their lexicographic minima in increasing angle in
+        (-pi/2, 3*pi/2], as in `minkowski_sum`, so one merge finds every
+        support point: the vertex reached once the other region's edges of
+        smaller angle are passed.  That is linear in the two vertex counts.
+        """
         ts, points = self._ts, other._ts
         if not points:
             return True
-        if len(ts) <= 1:
+        n, m = len(ts), len(points)
+        if n <= 1:
             return ts == points
-        return _contains_all(ts, points)
+        if n == 2 or m == 1:
+            return _contains_all(ts, points)
+        outer, inner = _edge_directions(ts), _edge_directions(points)
+        j = 0
+        for i in range(n):
+            d = outer[i]
+            while j < m and _angle_cmp(d, inner[j]) > 0:
+                j += 1
+            a, b, c = _line(ts[i], ts[(i + 1) % n])
+            x, y, w = points[j % m]
+            if a * x + b * y + c * w < 0:
+                return False
+        return True
 
     def translate(self, d: Point2) -> "ConvexPolygon":
         return _translated(self, d._t)

@@ -13,13 +13,14 @@ Writers format points straight from their integer triples: a coordinate
 X/W becomes its lowest-terms string by one gcd and its float by the
 correctly rounded integer division X / W, the value float(Fraction(X, W))
 has, so no Fraction is built per cell.  Traces repeat values, so each CSV
-file formats each distinct triple once (``_RowFormatter``).  Running
-averages are summed as triples.
+file formats each distinct triple once (``_RowFormatter``), and each row
+becomes one preformatted line; ``_write_csv`` writes a file's lines in one
+call, in the csv module's excel dialect.  Running averages are summed as
+triples.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -155,38 +156,44 @@ def _columns(index: Sequence[str], names: Sequence[str]) -> list[str]:
 
 
 class _RowFormatter:
-    """The rows of one CSV file: index columns, then each point's
-    coordinates exactly, then each coordinate as a float.
+    """The rows of one CSV file, each as one line without its terminator:
+    index columns, then each point's coordinates exactly, then each
+    coordinate as a float.
 
     A coordinate X/W is written in lowest terms by one gcd, and as a float
     by the repr of the correctly rounded integer division X / W, which is
-    float(Fraction(X, W)) as the csv writer renders it.  Each distinct
-    triple is formatted once per file; one beyond the float range raises
-    OverflowError.
+    float(Fraction(X, W)).  Each distinct triple is formatted once per
+    file, into its joined exact cell "x,y" and its joined float cell
+    "xf,yf"; one beyond the float range raises OverflowError.
     """
 
     def __init__(self) -> None:
-        # triple -> ((exact x, exact y), (float x, float y))
-        self._cells: dict[Triple, tuple[tuple[str, str], tuple[str, str]]] = {}
+        # triple -> ("x,y" exact, "xf,yf" float)
+        self._cells: dict[Triple, tuple[str, str]] = {}
 
-    def row(self, index: Sequence, triples: Iterable[Triple]) -> list:
+    def row(self, index: Sequence, triples: Iterable[Triple]) -> str:
         cells = self._cells
-        exact, floats = list(index), []
+        exact, floats = [str(i) for i in index], []
         for t in triples:
             c = cells.get(t)
             if c is None:
                 x, y, w = t
-                c = cells[t] = ((_rational(x, w), _rational(y, w)), (repr(x / w), repr(y / w)))
-            exact += c[0]
-            floats += c[1]
-        return exact + floats
+                c = cells[t] = (f"{_rational(x, w)},{_rational(y, w)}", f"{x / w!r},{y / w!r}")
+            exact.append(c[0])
+            floats.append(c[1])
+        return ",".join(exact + floats)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[str]) -> None:
+    """The header and the rows as CSV lines ended by CRLF, in one write.
+
+    This is byte for byte what ``csv.writer`` writes in its default excel
+    dialect: no field can hold a comma, a quote, CR or LF (they are ints,
+    hex set ids, "n" or "n/d" rationals, float reprs and fixed column
+    names), so none is quoted.
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -242,7 +249,7 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
     _write_json(out / "metrics.json", summary)
 
 
-def _running_averages(records: list[StepRecord]) -> Iterable[list]:
+def _running_averages(records: list[StepRecord]) -> Iterable[str]:
     """Rows of the running means: the sums kept as triples, each mean formatted over W*k."""
     row = _RowFormatter().row
     requested = implemented = ORIGIN._t
@@ -254,9 +261,9 @@ def _running_averages(records: list[StepRecord]) -> Iterable[list]:
 
 
 def _norm(e: Point2) -> float:
-    """|e| as the square root of the correctly rounded float of |e|^2."""
+    """|e| as the correctly rounded square root of the correctly rounded float of |e|^2."""
     x, y, w = e._t
-    return ((x * x + y * y) / (w * w)) ** 0.5
+    return math.sqrt((x * x + y * y) / (w * w))
 
 
 def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
@@ -286,7 +293,7 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
                 "accumulated_error",
                 "accumulated error e_n (components and norm)",
                 _columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"],
-                (error_row((n,), (e._t,)) + [_norm(e)] for n, e in enumerate(errors)),
+                (f"{error_row((n,), (e._t,))},{_norm(e)!r}" for n, e in enumerate(errors)),
             ),
             (
                 "time_averaged",

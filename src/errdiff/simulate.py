@@ -11,9 +11,9 @@ error exact and testable.
 
 The central step rounds each coordinate of its gradient target to the
 1/1024 grid (``REQUEST_RESOLUTION``, ties to even) by one integer divmod,
-and the metrics put every setpoint and error of a trace over one common
-denominator, so the sums, squared norms and the averaging-identity check
-are integer operations.  The resources' feasible sets come from the
+and the metrics put each distinct setpoint and error of a trace over one
+common denominator, so the sums, squared norms and the averaging-identity
+check are integer operations.  The resources' feasible sets come from the
 bounded caches of ``resources``, and ``serialize`` hashes each distinct
 set once.
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -372,7 +373,7 @@ class ResourceMetrics:
 
     @property
     def max_error_norm(self) -> float:
-        return float(self.max_error_norm2) ** 0.5
+        return math.sqrt(self.max_error_norm2)
 
 
 @dataclass
@@ -412,49 +413,69 @@ def least_squares_slope(ys: Sequence[float]) -> float:
     return (n * sum_iy - sum_i * sum_y) / ((n * sum_ii - sum_i * sum_i) << shift)
 
 
-def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> ResourceMetrics:
-    """The metrics of one trace, in one exact pass over integers.
+def _weighted_sum(counts: Counter, ints: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the scaled points ``ints``, each taken as often as ``counts`` says, in order."""
+    sx = sy = 0
+    for (x, y), k in zip(ints, counts.values()):
+        sx += x * k
+        sy += y * k
+    return sx, sy
 
-    Every requested and implemented setpoint and every error is put over
-    one common denominator L, so the sums, the squared norms (over L^2) and
-    the stagnation test are integer operations, and each reported rational
-    is built once.  The averaging identity mean(y) - mean(x) = (e_0 - e_N)/N
-    is checked exactly, as sum(y) - sum(x) = e_0 - e_N in those integers.
+
+def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> ResourceMetrics:
+    """The metrics of one trace, exact, over its distinct triples.
+
+    A trace repeats its setpoints and errors, so the requested and the
+    implemented setpoints are counted per distinct triple and the errors
+    are collected as a set.  Every distinct point is put over one common
+    denominator L, the lcm of all their W, so the sums (weighted by count)
+    and the squared norms (over L^2) are integer operations, and each
+    reported rational is built once.  Each distinct error's squared norm
+    and float norm is computed once and looked up per step for the slope.
+    The averaging identity mean(y) - mean(x) = (e_0 - e_N)/N is checked
+    exactly, as sum(y) - sum(x) = e_0 - e_N in those integers, and the
+    stagnation run compares canonical (requested, implemented) triples.
     """
     records = trace.records
     steps = len(records)
     if steps == 0:
         raise ValueError("cannot compute metrics for an empty trace")
     errors = trace.errors()
-    scale, ints = _scaled(
-        [p._t for p in [r.requested for r in records] + [r.implemented for r in records] + errors]
-    )
-    requested, implemented, scaled_errors = ints[:steps], ints[steps : 2 * steps], ints[2 * steps :]
-    norms2 = [x * x + y * y for x, y in scaled_errors]
-    max_norm2 = max(norms2)
+    pairs = [(r.requested._t, r.implemented._t) for r in records]
+    requested = Counter([x for x, _ in pairs])
+    implemented = Counter([y for _, y in pairs])
+    error_ts = [e._t for e in errors]
+    distinct_errors = dict.fromkeys(error_ts)
+    scale, ints = _scaled([*requested, *implemented, *distinct_errors])
+    n_req, n_imp = len(requested), len(implemented)
+    req_x, req_y = _weighted_sum(requested, ints[:n_req])
+    imp_x, imp_y = _weighted_sum(implemented, ints[n_req : n_req + n_imp])
+    error_ints = ints[n_req + n_imp :]
+    # e_0 is the first distinct error; e_N may repeat an earlier one, so it is scaled alone.
+    first_x, first_y = error_ints[0]
+    last_x, last_y, last_w = error_ts[-1]
+    k = scale // last_w
+    if (imp_x - req_x, imp_y - req_y) != (first_x - last_x * k, first_y - last_y * k):
+        raise AssertionError("trace violates the exact averaging identity")
+    norms2 = [x * x + y * y for x, y in error_ints]
+    total, square = scale * steps, scale * scale
+    # q / square is the correctly rounded float of the squared norm.
+    norms = dict(zip(distinct_errors, [math.sqrt(q / square) for q in norms2]))
+    max_err2 = Fraction(max(norms2), square)
     longest = current = 0
     prev = None
-    for pair in zip(requested, implemented):
+    for pair in pairs:
         current = current + 1 if pair == prev else 1
         prev = pair
-        longest = max(longest, current)
-    req_x = sum(x for x, _ in requested)
-    req_y = sum(y for _, y in requested)
-    imp_x = sum(x for x, _ in implemented)
-    imp_y = sum(y for _, y in implemented)
-    (first_x, first_y), (last_x, last_y) = scaled_errors[0], scaled_errors[-1]
-    if (imp_x - req_x, imp_y - req_y) != (first_x - last_x, first_y - last_y):
-        raise AssertionError("trace violates the exact averaging identity")
-    total, square = scale * steps, scale * scale
-    max_err2 = Fraction(max_norm2, square)
+        if current > longest:
+            longest = current
     return ResourceMetrics(
         steps=steps,
         max_error_norm2=max_err2,
         final_error=errors[-1],
         average_requested=_from_triple(_normalised(req_x, req_y, total)),
         average_implemented=_from_triple(_normalised(imp_x, imp_y, total)),
-        # q / square is the correctly rounded float of the squared norm.
-        error_slope=least_squares_slope([math.sqrt(q / square) for q in norms2]),
+        error_slope=least_squares_slope([norms[t] for t in error_ts]),
         stagnation_steps=longest,
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,

@@ -364,8 +364,9 @@ def _digest(out: Path) -> str:
         ("simulate", 1, "10c46af1505a55074155fbddf3b580d6040513e154d8de76ef50a2fa74bc3a86"),
         ("plot-data", 1, "6c0c379150fca03b67e16c5be9a964deb02d3e1a3063cfd50ea7a4c8c9cf3131"),
         ("simulate", 2, "d4229f6ffbde52cb17bc1199079336fd87dceb2d1e45961f4cad47be32f339f6"),
+        ("plot-data", 2, "94d52f679689ea73a94512fe6f470679477d34c0b67e7cc2fdc522b3e1c4fef7"),
     ],
-    ids=["simulate-seed1", "plot-data-seed1", "simulate-seed2"],
+    ids=["simulate-seed1", "plot-data-seed1", "simulate-seed2", "plot-data-seed2"],
 )
 def test_closed_loop_outputs_are_pinned(command, seed, expected, tmp_path, capsys):
     """The benchmark's closed-loop scenario (heaters and two PV units, 2000 steps) byte for byte."""
@@ -382,6 +383,15 @@ def test_closed_loop_without_diffusion_is_pinned(tmp_path, capsys):
     argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
     assert main(argv + ["--no-diffusion", "heaters", "pv_random"]) == 0
     assert _digest(out) == "68d07443cd94fa8c11920e0b101f44b0b55ff5f1493fea425e972ac4d331f61f"
+
+
+def test_plot_data_without_diffusion_is_pinned(tmp_path, capsys):
+    """The three plot series of the same run, with its unbounded errors."""
+    out = tmp_path / "out"
+    scenario = DATA / "closed_loop_seed1.json"
+    argv = ["plot-data", "--scenario", str(scenario), "--out", str(out)]
+    assert main(argv + ["--no-diffusion", "heaters", "pv_random"]) == 0
+    assert _digest(out) == "b6e55ca4b41347d624416d876470f6136675067d2d1b4f1515fa23a5d17d9506"
 
 
 @pytest.mark.parametrize(

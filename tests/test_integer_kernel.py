@@ -16,6 +16,7 @@ and denominators of 200 bits and more.  A common scale preserves every
 orientation sign, so the mapped input keeps its degeneracies.
 """
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -33,9 +34,12 @@ from errdiff.geometry import (
     Point2,
     PointSet,
     _cut,
+    _from_triple,
     _hull,
     _line,
+    _normalised,
     _polygon,
+    _scaled,
     clip,
     clip_all,
     convex_hull,
@@ -66,8 +70,10 @@ from errdiff.simulate import (
     CentralPolicy,
     MaximizeActivePower,
     QuadraticCost,
+    ResourceMetrics,
     central_step,
     compute_metrics,
+    least_squares_slope,
 )
 
 from conftest import pt
@@ -462,6 +468,9 @@ class TestMinkowski:
         assert minkowski_sum(p, q) == oracle.minkowski_sum(p, q)
 
 
+SQUARE4 = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
+
+
 class TestContainment:
     @settings(max_examples=80, deadline=None)
     @given(point_lists(), st.lists(small_points, min_size=1, max_size=5), affine_maps())
@@ -478,6 +487,18 @@ class TestContainment:
 
     @settings(max_examples=60, deadline=None)
     @given(point_lists(), point_lists())
+    # the inner set shares the outer vertex (4, 4)
+    @example(SQUARE4, [pt(2, 2), pt(4, 4), pt(3, 4)])
+    # an inner edge on an outer edge: equal edge angles
+    @example([pt(0, 0), pt(4, 0), pt(0, 4)], [pt(1, 0), pt(3, 0), pt(1, 1)])
+    # inner equal to outer
+    @example([pt(0, 0), pt(4, 0), pt(0, 4)], [pt(0, 0), pt(4, 0), pt(0, 4)])
+    # a vertical inner segment
+    @example(SQUARE4, [pt(1, 1), pt(1, 3)])
+    # one vertex outside by 2**-60, across only the last outer edge (x = 0)
+    @example(SQUARE4, [pt(1, 1), pt(Fraction(-1, 2**60), 2), pt(2, 3)])
+    # contact at the outer set's lexicographic minimum
+    @example([pt(0, 0), pt(4, -2), pt(4, 2)], [pt(0, 0), pt(2, 0), pt(2, 1)])
     def test_contains_polygon_equals_oracle(self, pa, pb):
         p, q = convex_hull(pa), convex_hull(pb)
         for outer, inner in ((p, q), (q, p), (p, p), (minkowski_sum(p, q), q)):
@@ -821,6 +842,82 @@ def traces(draw):
     )
 
 
+def per_step_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:
+    """The metrics in one integer pass over every step, each triple scaled,
+    summed and normed where it occurs: the per-step form of `compute_metrics`."""
+    records = trace.records
+    steps = len(records)
+    if steps == 0:
+        raise ValueError("cannot compute metrics for an empty trace")
+    errors = trace.errors()
+    scale, ints = _scaled(
+        [p._t for p in [r.requested for r in records] + [r.implemented for r in records] + errors]
+    )
+    requested, implemented, scaled_errors = ints[:steps], ints[steps : 2 * steps], ints[2 * steps :]
+    norms2 = [x * x + y * y for x, y in scaled_errors]
+    max_norm2 = max(norms2)
+    longest = current = 0
+    prev = None
+    for pair in zip(requested, implemented):
+        current = current + 1 if pair == prev else 1
+        prev = pair
+        longest = max(longest, current)
+    req_x = sum(x for x, _ in requested)
+    req_y = sum(y for _, y in requested)
+    imp_x = sum(x for x, _ in implemented)
+    imp_y = sum(y for _, y in implemented)
+    (first_x, first_y), (last_x, last_y) = scaled_errors[0], scaled_errors[-1]
+    if (imp_x - req_x, imp_y - req_y) != (first_x - last_x, first_y - last_y):
+        raise AssertionError("trace violates the exact averaging identity")
+    total, square = scale * steps, scale * scale
+    max_err2 = Fraction(max_norm2, square)
+    return ResourceMetrics(
+        steps=steps,
+        max_error_norm2=max_err2,
+        final_error=errors[-1],
+        average_requested=_from_triple(_normalised(req_x, req_y, total)),
+        average_implemented=_from_triple(_normalised(imp_x, imp_y, total)),
+        error_slope=least_squares_slope([math.sqrt(q / square) for q in norms2]),
+        stagnation_steps=longest,
+        error_bound_sq=bound_sq,
+        bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
+    )
+
+
+def _record_trace(error: Point2, steps) -> ControllerTrace:
+    """A trace of (requested, implemented) pairs from ``error``, each error
+    carried as e + x - y, so the averaging identity holds."""
+    records = []
+    for n, (x, y) in enumerate(steps):
+        records.append(StepRecord(n, PointSet((y,)), ConvexPolygon((x,)), x, y, error))
+        error = error + x - y
+    return ControllerTrace(records, final_error=error)
+
+
+@st.composite
+def metric_traces(draw):
+    """Hand-built traces of one step, of equal steps, of distinct steps, in
+    negative coordinates or over mixed denominators, with repeats between."""
+    kind = draw(st.sampled_from(["one", "equal", "distinct", "negative", "mixed"]))
+    coord = {
+        "negative": st.fractions(min_value=-40, max_value=-1, max_denominator=4),
+        "mixed": st.fractions(min_value=-6, max_value=6, max_denominator=60),
+    }.get(kind, st.integers(-3, 3))
+    point = st.builds(Point2, coord, coord)
+    error = draw(point)
+    if kind == "one":
+        steps = [(draw(point), draw(point))]
+    elif kind == "equal":
+        steps = [(draw(point), draw(point))] * draw(st.integers(2, 30))
+    elif kind == "distinct":
+        steps = [(pt(n, Fraction(1, n + 2)), pt(Fraction(n, 3), -n)) for n in range(draw(st.integers(2, 30)))]
+    else:
+        pool = draw(st.lists(point, min_size=1, max_size=6))
+        picks = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+        steps = draw(st.lists(picks, min_size=2, max_size=30))
+    return _record_trace(error, steps)
+
+
 class TestMetrics:
     @settings(max_examples=50, deadline=None)
     @given(traces(), st.one_of(st.none(), st.fractions(min_value=0)))
@@ -828,12 +925,20 @@ class TestMetrics:
         assert compute_metrics(trace, bound_sq) == oracle.compute_metrics(trace, bound_sq)
         assert trace.max_error_norm2() == max(e.norm2() for e in trace.errors())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(metric_traces(), traces()), st.one_of(st.none(), st.fractions(min_value=0)))
+    def test_equals_per_step_oracle(self, trace, bound_sq):
+        """Every field, the slope and the stagnation run included, as the per-step pass gives it."""
+        got, want = compute_metrics(trace, bound_sq), per_step_metrics(trace, bound_sq)
+        assert got == want
+        assert repr(got.error_slope) == repr(want.error_slope)
+
     def test_broken_identity_is_caught(self):
         records = [
             StepRecord(n, PointSet((p,)), ConvexPolygon((p,)), p, p, error)
             for n, p, error in ((0, pt(0, 0), pt(0, 0)), (1, pt(1, 0), pt(0, 1)))
         ]
         trace = ControllerTrace(records, final_error=pt(0, 1))
-        for metrics in (compute_metrics, oracle.compute_metrics):
+        for metrics in (compute_metrics, per_step_metrics, oracle.compute_metrics):
             with pytest.raises(AssertionError):
                 metrics(trace, None)

@@ -1,5 +1,10 @@
+import csv
+import io
 import json
+import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +15,10 @@ from errdiff.dynamics import fixed_request, run_trace
 from errdiff.geometry import Point2, PointSet, as_fraction
 from errdiff.operators import Collection
 from errdiff.serialize import (
+    _columns,
     _norm,
     _RowFormatter,
+    _write_csv,
     feasible_set_id,
     load_collection,
     load_scenario,
@@ -24,6 +31,7 @@ from errdiff.serialize import (
     polygon_to_json,
     write_trace_csv,
 )
+from errdiff.simulate import ResourceMetrics
 
 from conftest import poly, pt
 
@@ -65,13 +73,15 @@ rationals = st.one_of(
 )
 
 
-def _cells(row) -> object:
-    """The cells of a row as the csv writer renders them (str; repr for a
-    float), or OverflowError when a value has no float."""
+def _line(row) -> object:
+    """A row as one CSV line: its cells as the csv writer renders them (str;
+    repr for a float) joined by commas, or OverflowError when a value has no
+    float.  A row already formatted as a line is returned as it is."""
     try:
-        return [str(c) for c in row()]
+        cells = row()
     except OverflowError:
         return OverflowError
+    return cells if isinstance(cells, str) else ",".join(map(str, cells))
 
 
 class TestFormatter:
@@ -91,17 +101,24 @@ class TestFormatter:
         row = _RowFormatter().row
         for picks in rows + rows:
             chosen = [points[i % len(points)] for i in picks]
-            got = _cells(lambda: row((7, "id"), [p._t for p in chosen]))
-            assert got == _cells(lambda: oracle.row((7, "id"), oracle.coords(*chosen)))
+            got = _line(lambda: row((7, "id"), [p._t for p in chosen]))
+            assert got == _line(lambda: oracle.row((7, "id"), oracle.coords(*chosen)))
         for p in points:
             assert point_to_json(p) == [str(p.x), str(p.y)]
             try:
-                want = float(p.norm2()) ** 0.5
+                want = math.sqrt(p.norm2())
             except OverflowError:
                 with pytest.raises(OverflowError):
                     _norm(p)
             else:
                 assert repr(_norm(p)) == repr(want)
+
+    def test_norms_are_correctly_rounded(self):
+        """sqrt of the float of |e|^2, rounded once: x ** 0.5 gives ...432 here."""
+        e = pt(4, Fraction(1, 3))
+        assert repr(_norm(e)) == "4.013864859597431"
+        metrics = ResourceMetrics(1, e.norm2(), e, e, e, 0.0, 1, None, None)
+        assert repr(metrics.max_error_norm) == "4.013864859597431"
 
     def test_beyond_float_range_raises_on_both_sides(self):
         huge = Point2(Fraction(3 * 2**1100, 7), Fraction(1))
@@ -112,6 +129,61 @@ class TestFormatter:
         with pytest.raises(OverflowError):
             oracle.row((0,), oracle.coords(huge))
         assert point_to_json(huge) == [str(huge.x), "1"]
+
+
+# The real headers of the trace CSV and the three plot series: the number of
+# index columns, of points per row, and whether a float norm ends the row.
+CSV_SHAPES = [
+    (_columns(["n", "set_id"], ["x_p", "x_q", "y_p", "y_q", "e_p", "e_q"]), 2, 3, False),
+    (_columns(["n"], ["x_p", "x_q", "y_p", "y_q"]), 1, 2, False),
+    (_columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"], 1, 1, True),
+    (_columns(["n"], ["xbar_p", "xbar_q", "ybar_p", "ybar_q"]), 1, 2, False),
+]
+wide_ints = st.integers(-(2**210), 2**210)
+csv_values = st.one_of(
+    wide_ints.map(Fraction),
+    st.builds(Fraction, wide_ints, st.integers(1, 2**210)),
+    st.sampled_from([1e-300, 1e300, 0.0, -0.5]).map(Fraction),
+)
+csv_index = st.one_of(wide_ints, st.text("0123456789abcdef", min_size=12, max_size=12))
+
+
+class TestCsvWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(CSV_SHAPES),
+        st.lists(
+            st.tuples(
+                st.lists(csv_index, min_size=2, max_size=2),
+                st.lists(st.tuples(csv_values, csv_values), min_size=3, max_size=3),
+                st.sampled_from([1e-300, 1e300, 0.0, -0.5]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_lines_equal_csv_writer(self, shape, rows):
+        """The preformatted lines, byte for byte what csv.writer writes from the
+        oracle's cells: ints, "n/d" strings and floats."""
+        header, n_index, n_points, with_norm = shape
+        row = _RowFormatter().row
+        lines, cells = [], []
+        for index, pairs, norm in rows:
+            index, points = index[:n_index], [Point2(x, y) for x, y in pairs[:n_points]]
+            line = row(index, [p._t for p in points])
+            want = oracle.row(index, oracle.coords(*points))
+            if with_norm:
+                line += f",{norm!r}"
+                want.append(norm)
+            lines.append(line)
+            cells.append(want)
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(cells)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            _write_csv(path, header, lines)
+            assert path.read_bytes() == buffer.getvalue().encode()
 
 
 class TestGeometryJson:
