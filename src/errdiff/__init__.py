@@ -3,7 +3,16 @@
 The package computes minimal (convex) invariant sets for the accumulated
 error of greedy setpoint implementation over collections of feasible sets,
 and simulates the two-level controller that those sets bound.
+
+``geometry``, ``intervals`` and ``operators`` are imported with the
+package.  ``certificate``, ``dynamics``, ``resources``, ``simulate`` and
+``verify`` are registered in ``sys.modules`` (and bound here) at once, but
+each one's body runs only on its first attribute access, so a command that
+never uses them never compiles or runs them.
 """
+
+import sys as _sys
+from importlib import util as _util
 
 from .geometry import (
     EMPTY_POLYGON,
@@ -39,3 +48,19 @@ from .operators import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+
+def _deferred(name: str):
+    """errdiff.<name>, in sys.modules, with its body run on first attribute access."""
+    fullname = f"{__name__}.{name}"
+    spec = _util.find_spec(fullname)
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+certificate, dynamics, resources, simulate, verify = map(
+    _deferred, ("certificate", "dynamics", "resources", "simulate", "verify")
+)

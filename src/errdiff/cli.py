@@ -20,6 +20,7 @@ import contextlib
 import sys
 from pathlib import Path
 
+from . import simulate, verify
 from .geometry import ConvexPolygon, Point2
 from .operators import Collection, IterationConfig, iterate_to_invariance
 from .serialize import (
@@ -29,8 +30,6 @@ from .serialize import (
     write_iteration_result,
     write_simulation,
 )
-from .simulate import run_scenario
-from .verify import CHECKS, run_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--no-diffusion", nargs="*", default=[], metavar="RESOURCE")
 
     ver = sub.add_parser("verify", help="run the regression checks")
-    ver.add_argument("--only", nargs="*", metavar="CHECK", help=f"subset of: {', '.join(CHECKS)}")
+    ver.add_argument("--only", nargs="*", metavar="CHECK", help="subset of the checks (see --list)")
     ver.add_argument("--golden-dir", help="directory overriding packaged golden files")
     ver.add_argument("--list", action="store_true", help="list available checks and exit")
     return parser
@@ -142,7 +141,7 @@ def _run_scenario_from_args(args: argparse.Namespace):
         if unknown:
             raise ValueError(f"unknown resources: {', '.join(sorted(unknown))}")
     overrides = {rid: False for rid in args.no_diffusion}
-    return run_scenario(scenario, diffusion_overrides=overrides)
+    return simulate.run_scenario(scenario, diffusion_overrides=overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -166,14 +165,14 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.list:
-        for name in CHECKS:
+        for name in verify.CHECKS:
             print(name)
         return 0
     golden = Path(args.golden_dir) if args.golden_dir else None
     # run_checks turns a failing check into a FAIL row, so only its check of
     # the names can raise here.
     with _reporting("--only"):
-        results = run_checks(args.only or None, golden_dir=golden)
+        results = verify.run_checks(args.only or None, golden_dir=golden)
     print("check,expected,got,status,seconds")
     failed = False
     for r in results:

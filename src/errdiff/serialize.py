@@ -26,9 +26,9 @@ import json
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Sequence, Union
 
-from .dynamics import ControllerTrace, StepRecord
+from . import resources, simulate
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
@@ -40,21 +40,18 @@ from .geometry import (
     convex_hull,
 )
 from .operators import Collection, FeasibleSet
-from .resources import HeaterParams, HeaterState, PVParams
-from .simulate import (
-    Availability,
-    CentralPolicy,
-    HeaterSpec,
-    MaximizeActivePower,
-    PVSpec,
-    QuadraticCost,
-    ResourceMetrics,
-    Scenario,
-    ScenarioResult,
-    constant_availability,
-    random_availability,
-    square_wave,
-)
+
+if TYPE_CHECKING:
+    from .dynamics import ControllerTrace, StepRecord
+    from .simulate import (
+        Availability,
+        CentralPolicy,
+        HeaterSpec,
+        PVSpec,
+        ResourceMetrics,
+        Scenario,
+        ScenarioResult,
+    )
 
 PathLike = Union[str, Path]
 
@@ -346,18 +343,18 @@ def _json_boolean(value: Any, name: str) -> bool:
 def _parse_cost(data: Any):
     kind = _object(data, "cost").get("kind")
     if kind == "quadratic":
-        return QuadraticCost(
+        return simulate.QuadraticCost(
             center=parse_point(data["center"]),
             curvature=as_fraction(data.get("curvature", 1)),
         )
     if kind == "maximize_p":
-        return MaximizeActivePower()
+        return simulate.MaximizeActivePower()
     raise ValueError(f"unknown cost kind {kind!r}")
 
 
 def _parse_policy(data: Any) -> CentralPolicy:
     _object(data, "policy")
-    return CentralPolicy(
+    return simulate.CentralPolicy(
         cost=_parse_cost(data["cost"]),
         step_size=as_fraction(data.get("step_size", "1/2")),
     )
@@ -366,15 +363,15 @@ def _parse_policy(data: Any) -> CentralPolicy:
 def _parse_availability(data: Any) -> Availability:
     kind = _object(data, "availability").get("kind")
     if kind == "square":
-        return square_wave(
+        return simulate.square_wave(
             _json_integer(data["period"], "period"),
             as_fraction(data["low"]),
             as_fraction(data["high"]),
         )
     if kind == "constant":
-        return constant_availability(as_fraction(data["value"]))
+        return simulate.constant_availability(as_fraction(data["value"]))
     if kind == "random":
-        return random_availability(
+        return simulate.random_availability(
             as_fraction(data["low"]),
             as_fraction(data["high"]),
             _json_integer(data.get("denominator", 64), "denominator"),
@@ -384,7 +381,7 @@ def _parse_availability(data: Any) -> Availability:
 
 def _parse_heater(data: Any) -> HeaterSpec:
     thermal = _object(data.get("thermal", {}), "thermal")
-    params = HeaterParams(
+    params = resources.HeaterParams(
         powers=tuple(as_fraction(p) for p in data["powers"]),
         t_min=as_fraction(data["t_min"]),
         t_max=as_fraction(data["t_max"]),
@@ -395,8 +392,10 @@ def _parse_heater(data: Any) -> HeaterSpec:
     )
     temps = [as_fraction(t) for t in data["initial_temps"]]
     on = [_json_boolean(v, "initial_on") for v in data.get("initial_on", [False] * len(temps))]
-    initial = HeaterState(on=tuple(on), lock_remaining=(0,) * len(temps), temps=tuple(temps))
-    return HeaterSpec(
+    initial = resources.HeaterState(
+        on=tuple(on), lock_remaining=(0,) * len(temps), temps=tuple(temps)
+    )
+    return simulate.HeaterSpec(
         resource_id=data["id"],
         params=params,
         initial=initial,
@@ -407,8 +406,10 @@ def _parse_heater(data: Any) -> HeaterSpec:
 
 
 def _parse_pv(data: Any) -> PVSpec:
-    params = PVParams(p_max=as_fraction(data["p_max"]), tan_phi=as_fraction(data["tan_phi"]))
-    return PVSpec(
+    params = resources.PVParams(
+        p_max=as_fraction(data["p_max"]), tan_phi=as_fraction(data["tan_phi"])
+    )
+    return simulate.PVSpec(
         resource_id=data["id"],
         params=params,
         availability=_parse_availability(data["availability"]),
@@ -420,18 +421,18 @@ def _parse_pv(data: Any) -> PVSpec:
 
 def parse_scenario(data: Any) -> Scenario:
     _object(data, "scenario")
-    resources = []
+    specs = []
     for item in data.get("resources", []):
         kind = _object(item, "resource").get("kind")
         if kind == "heater":
-            resources.append(_parse_heater(item))
+            specs.append(_parse_heater(item))
         elif kind == "pv":
-            resources.append(_parse_pv(item))
+            specs.append(_parse_pv(item))
         else:
             raise ValueError(f"unknown resource kind {kind!r}")
-    return Scenario(
+    return simulate.Scenario(
         horizon=_json_integer(data["horizon"], "horizon"),
-        resources=resources,
+        resources=specs,
         seed=_json_integer(data.get("seed", 0), "seed"),
         step_ms=_json_integer(data.get("step_ms", 100), "step_ms"),
     )

@@ -35,6 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Protocol, Sequence, Union
 
 from .dynamics import ControllerTrace, RequestPolicy, SetSource, run_resource_loop
@@ -398,18 +399,22 @@ def least_squares_slope(ys: Sequence[float]) -> float:
 
     Every float is a dyadic rational, so all of them scale to integers over
     one power of two; the normal equations are then solved exactly and
-    rounded once, by the correctly rounded integer division.
+    rounded once, by the correctly rounded integer division.  A trace
+    repeats its values, so each distinct value is scaled once and the sums
+    run over the looked-up integers.
     """
     n = len(ys)
     if n < 2:
         raise ValueError("a slope needs at least two points")
-    ratios = [y.as_integer_ratio() for y in ys]
+    distinct = dict.fromkeys(ys)
+    ratios = [y.as_integer_ratio() for y in distinct]
     shift = max(den.bit_length() for _, den in ratios) - 1
-    scaled = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+    ints = dict(zip(distinct, [num << (shift + 1 - den.bit_length()) for num, den in ratios]))
+    scaled = list(map(ints.__getitem__, ys))
     sum_i = n * (n - 1) // 2
     sum_ii = (n - 1) * n * (2 * n - 1) // 6
     sum_y = sum(scaled)
-    sum_iy = sum(i * y for i, y in enumerate(scaled))
+    sum_iy = sum(map(mul, range(n), scaled))
     return (n * sum_iy - sum_i * sum_y) / ((n * sum_ii - sum_i * sum_i) << shift)
 
 
@@ -475,7 +480,7 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
         final_error=errors[-1],
         average_requested=_from_triple(_normalised(req_x, req_y, total)),
         average_implemented=_from_triple(_normalised(imp_x, imp_y, total)),
-        error_slope=least_squares_slope([norms[t] for t in error_ts]),
+        error_slope=least_squares_slope(list(map(norms.__getitem__, error_ts))),
         stagnation_steps=longest,
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,

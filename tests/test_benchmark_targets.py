@@ -5,6 +5,8 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -54,6 +56,18 @@ def test_every_trace_target_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(method)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def test_every_trace_target_module_is_registered_by_the_cli_import():
+    """The tracer looks each target's module up in sys.modules right after a
+    fresh ``import errdiff.cli``, deferred modules included."""
+    modules = sorted({f"errdiff.{name.split('.', 1)[0]}" for name, _keep in _load_tracing().TARGETS})
+    code = "import sys, errdiff.cli; print(' '.join(m for m in sys.argv[1:] if m not in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(errdiff.cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *modules], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.split() == []
 
 
 def _counting(calls: Counter, name: str, fn):

@@ -420,6 +420,62 @@ def test_cli_imports_only_the_standard_library():
     assert done.stdout.strip() == "[]"
 
 
+# Run in a fresh interpreter: reports which deferred errdiff modules are
+# registered and which have run their bodies after each command.
+# object.__getattribute__ reads a module's namespace without starting its load.
+_LAZY_PROBE = """
+import contextlib, io, json, sys
+import errdiff.cli
+
+DEFERRED = ("certificate", "dynamics", "resources", "simulate", "verify")
+collection, scenario, out = sys.argv[1:]
+report = {}
+
+def state(label, code=None):
+    ran = [n for n in DEFERRED
+           if "__builtins__" in object.__getattribute__(sys.modules["errdiff." + n], "__dict__")]
+    report[label] = {"code": code, "ran": ran,
+                     "registered": all("errdiff." + n in sys.modules for n in DEFERRED)}
+
+def run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = errdiff.cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+state("import")
+code, _, _ = run(["compute-invariant", "--collection", collection])
+state("compute-invariant", code)
+code, _, _ = run(["simulate", "--scenario", scenario, "--out", out])
+state("simulate", code)
+code, listed, _ = run(["verify", "--list"])
+report["list"] = {"code": code, "out": listed.splitlines()}
+code, _, err = run(["verify", "--only", "bogus"])
+report["bogus"] = {"code": code, "err": err.splitlines()}
+print(json.dumps(report))
+"""
+
+
+def test_deferred_modules_run_only_when_a_command_uses_them(tmp_path):
+    collection = _write(tmp_path, "collection.json", GRID8_COLLECTION)
+    scenario = _write(tmp_path, "scenario.json", {**SCENARIO, "resources": [_heater(), _pv()]})
+    env = {**os.environ, "PYTHONPATH": str(Path(errdiff.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE, str(collection), str(scenario), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    report = json.loads(done.stdout)
+    assert report["import"] == {"code": None, "ran": [], "registered": True}
+    assert report["compute-invariant"] == {"code": 0, "ran": [], "registered": True}
+    assert report["simulate"] == {
+        "code": 0, "ran": ["dynamics", "resources", "simulate"], "registered": True
+    }
+    assert report["list"] == {"code": 0, "out": list(errdiff.verify.CHECKS)}
+    (line,) = report["bogus"]["err"]
+    assert report["bogus"]["code"] == 1
+    assert line.startswith("errdiff: error: --only: unknown checks: ['bogus']")
+
+
 class TestVerify:
     def test_single_check_passes(self, capsys):
         code = main(["verify", "--only", "grid8-one-iteration"])

@@ -235,6 +235,19 @@ class TestErrorSlope:
     def test_matches_exact_oracle(self, ys):
         assert least_squares_slope(ys) == slope_oracle(ys)
 
+    @given(
+        st.lists(norm_floats, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=200)
+        )
+    )
+    def test_repeated_values_match_exact_oracle(self, ys):
+        """Traces repeat a few values; each distinct value is scaled once."""
+        assert least_squares_slope(ys) == slope_oracle(ys)
+
+    def test_signed_zeros_are_one_value(self):
+        ys = [0.0, -0.0, 0.75, -0.0, 0.0, 0.75]
+        assert least_squares_slope(ys) == slope_oracle(ys)
+
     @given(norm_floats, st.integers(min_value=2, max_value=30))
     def test_constant_list_is_flat(self, y, n):
         assert least_squares_slope([y] * n) == 0.0
