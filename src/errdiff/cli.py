@@ -8,32 +8,53 @@ Subcommands:
 
 ``compute-invariant`` exits 0 when the run stops on ``converged`` or
 ``extrapolated`` (a verified fixed point), and 2 when it stops on
-``budget`` or ``bits``.  A missing or malformed input file or option, or
-an ``--out`` path that cannot be written, ends the run with one line,
-``errdiff: error: <message>``, on standard error and exit status 1.
+``budget`` or ``bits``.  A missing or malformed input file, option or
+subcommand (argparse's own errors included), or an ``--out`` path that
+cannot be written, ends the run with one line, ``errdiff: error: <message>``,
+on standard error and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
-from pathlib import Path
 
 from . import simulate, verify
-from .geometry import ConvexPolygon, Point2
+from .geometry import ConvexPolygon
 from .operators import Collection, IterationConfig, iterate_to_invariance
 from .serialize import (
     emit_plot_data,
     load_collection,
     load_scenario,
+    parse_point,
     write_iteration_result,
     write_simulation,
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# Errors that reading or validating an input file or option can raise;
+# json.JSONDecodeError is a ValueError.
+_INPUT_ERRORS = (OSError, ValueError, ZeroDivisionError, KeyError, TypeError)
+
+
+class InputError(Exception):
+    """An input file or option could not be read or is malformed."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors end the run like any other bad option."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The errdiff parser, built once per process.  It does not name
+    ``verify.CHECKS``, which would load ``errdiff.verify`` for every command."""
+    parser = _Parser(
         prog="errdiff",
         description="Minimal invariant error sets and setpoint-tracking simulation",
     )
@@ -50,39 +71,30 @@ def _build_parser() -> argparse.ArgumentParser:
         help="iteration budget (default %(default)s)",
     )
     ci.add_argument("--out", help="write the result as JSON here")
+    ci.set_defaults(run=_cmd_compute_invariant)
 
-    sim = sub.add_parser("simulate", help="run a scenario and dump traces")
-    sim.add_argument("--scenario", required=True, help="JSON scenario file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, help="override the scenario seed")
-    sim.add_argument(
-        "--no-diffusion",
-        nargs="*",
-        default=[],
-        metavar="RESOURCE",
-        help="disable error diffusion for these resource ids",
-    )
-
-    plot = sub.add_parser("plot-data", help="run a scenario and emit figure CSV series")
-    plot.add_argument("--scenario", required=True)
-    plot.add_argument("--out", required=True)
-    plot.add_argument("--seed", type=int)
-    plot.add_argument("--no-diffusion", nargs="*", default=[], metavar="RESOURCE")
+    for name, help_text, run in (
+        ("simulate", "run a scenario and dump traces", _cmd_simulate),
+        ("plot-data", "run a scenario and emit figure CSV series", _cmd_plot_data),
+    ):
+        scenario = sub.add_parser(name, help=help_text)
+        scenario.add_argument("--scenario", required=True, help="JSON scenario file")
+        scenario.add_argument("--out", required=True, help="output directory")
+        scenario.add_argument("--seed", type=int, help="override the scenario seed")
+        scenario.add_argument(
+            "--no-diffusion",
+            nargs="*",
+            default=(),
+            metavar="RESOURCE",
+            help="disable error diffusion for these resource ids",
+        )
+        scenario.set_defaults(run=run)
 
     ver = sub.add_parser("verify", help="run the regression checks")
     ver.add_argument("--only", nargs="*", metavar="CHECK", help="subset of the checks (see --list)")
-    ver.add_argument("--golden-dir", help="directory overriding packaged golden files")
     ver.add_argument("--list", action="store_true", help="list available checks and exit")
+    ver.set_defaults(run=_cmd_verify)
     return parser
-
-
-# Errors that reading or validating an input file or option can raise;
-# json.JSONDecodeError is a ValueError.
-_INPUT_ERRORS = (OSError, ValueError, ZeroDivisionError, KeyError, TypeError)
-
-
-class InputError(Exception):
-    """An input file or option could not be read or is malformed."""
 
 
 @contextlib.contextmanager
@@ -100,20 +112,13 @@ def _reporting(what: str, errors: tuple = _INPUT_ERRORS):
         raise InputError(f"{what}: {detail}") from exc
 
 
-def _parse_xy(text: str) -> Point2:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'x,y', got {text!r}")
-    return Point2(*parts)
-
-
 def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     with _reporting(f"--collection {args.collection}"):
         collection = load_collection(args.collection)
         if args.mode:
             collection = Collection(collection.sets, args.mode)
     with _reporting("--q0"):
-        seed = ConvexPolygon((_parse_xy(args.q0),))
+        seed = ConvexPolygon((parse_point(args.q0.split(",")),))
     with _reporting("iteration options"):
         config = IterationConfig(max_iterations=args.max_iters)
     result = iterate_to_invariance(collection, seed, config)
@@ -168,11 +173,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for name in verify.CHECKS:
             print(name)
         return 0
-    golden = Path(args.golden_dir) if args.golden_dir else None
     # run_checks turns a failing check into a FAIL row, so only its check of
     # the names can raise here.
     with _reporting("--only"):
-        results = verify.run_checks(args.only or None, golden_dir=golden)
+        results = verify.run_checks(args.only or None)
     print("check,expected,got,status,seconds")
     failed = False
     for r in results:
@@ -185,15 +189,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "compute-invariant": _cmd_compute_invariant,
-        "simulate": _cmd_simulate,
-        "plot-data": _cmd_plot_data,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except InputError as exc:
         print(f"errdiff: error: {exc}", file=sys.stderr)
         return 1

@@ -369,11 +369,11 @@ class ConvexPolygon(_Frozen):
         return [HalfPlane(-a, -b, c) for a, b, c in (_line(ts[i], ts[(i + 1) % n]) for i in range(n))]
 
 
-def _polygon(ts: tuple[Triple, ...], verts: Optional[tuple[Point2, ...]] = None) -> ConvexPolygon:
-    """Construct from canonical triples (and their Point2s, if known) without validation."""
+def _polygon(ts: tuple[Triple, ...]) -> ConvexPolygon:
+    """Construct from canonical triples without validation."""
     poly = object.__new__(ConvexPolygon)
     _setattr(poly, "_ts", ts)
-    _setattr(poly, "_verts", verts)
+    _setattr(poly, "_verts", None)
     return poly
 
 

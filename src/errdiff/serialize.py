@@ -85,8 +85,15 @@ def parse_point_set(data: Any) -> PointSet:
     return PointSet(tuple(parse_point(item) for item in data))
 
 
+def _object(data: Any, what: str) -> dict:
+    """data, checked to be a JSON object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def parse_feasible(data: Any) -> FeasibleSet:
-    if "points" in data:
+    if "points" in _object(data, "feasible set"):
         return parse_point_set(data["points"])
     if "polygon" in data:
         return parse_polygon(data["polygon"])
@@ -99,10 +106,13 @@ def parse_feasible(data: Any) -> FeasibleSet:
 
 
 def parse_collection(data: Any) -> Collection:
-    if "sets" not in data:
+    if "sets" not in _object(data, "collection"):
         raise ValueError("collection file needs a 'sets' list")
+    sets = data["sets"]
+    if not isinstance(sets, list):
+        raise ValueError(f"'sets' must be a JSON list, got {type(sets).__name__}")
     mode = data.get("mode", "perfect")
-    return Collection(tuple(parse_feasible(item) for item in data["sets"]), mode)
+    return Collection(tuple(parse_feasible(item) for item in sets), mode)
 
 
 def load_collection(path: PathLike) -> Collection:
@@ -317,13 +327,6 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
 # ---------------------------------------------------------------------------
 # Scenario files
 # ---------------------------------------------------------------------------
-
-
-def _object(data: Any, what: str) -> dict:
-    """data, checked to be a JSON object."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    return data
 
 
 def _json_integer(value: Any, name: str) -> int:

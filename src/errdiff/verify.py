@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .certificate import certify_invariant
@@ -71,7 +70,7 @@ class CheckResult:
     seconds: float = 0.0
 
 
-CheckFn = Callable[[Optional[Path]], CheckResult]
+CheckFn = Callable[[], CheckResult]
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +95,8 @@ def interior_point_set(p_y: int) -> PointSet:
     return PointSet.from_coords([(-10, -10), (10, -10), (10, 10), (-10, 10), (0, p_y)])
 
 
-def load_golden_polygon(golden_dir: Optional[Path]) -> ConvexPolygon:
-    if golden_dir is not None:
-        text = (Path(golden_dir) / "family3_invariant.json").read_text()
-    else:
-        text = (resources.files("errdiff") / "golden" / "family3_invariant.json").read_text()
+def load_golden_polygon() -> ConvexPolygon:
+    text = (resources.files("errdiff") / "golden" / "family3_invariant.json").read_text()
     data = json.loads(text)
     return convex_hull(Point2(x, y) for x, y in data["vertices"])
 
@@ -117,8 +113,8 @@ ORIGIN_SEED = ConvexPolygon((ORIGIN,))
 # ---------------------------------------------------------------------------
 
 
-def check_family3(golden_dir: Optional[Path] = None) -> CheckResult:
-    golden = load_golden_polygon(golden_dir)
+def check_family3() -> CheckResult:
+    golden = load_golden_polygon()
     family = three_set_family()
     result = iterate_to_invariance(family, ORIGIN_SEED, IterationConfig(max_iterations=600))
     got = result.invariant_set
@@ -131,7 +127,7 @@ def check_family3(golden_dir: Optional[Path] = None) -> CheckResult:
     )
 
 
-def check_grid8(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_grid8() -> CheckResult:
     grid = grid8_collection()
     result = iterate_to_invariance(grid, ORIGIN_SEED, IterationConfig())
     passed = (
@@ -160,7 +156,7 @@ def _random_1d_collections(count: int, seed: int) -> list[list[tuple[Fraction, .
     return collections
 
 
-def check_interval_oracle(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_interval_oracle() -> CheckResult:
     collections = _random_1d_collections(200, seed=1301)
     failures = 0
     for sets in collections:
@@ -180,7 +176,7 @@ def _embedded_1d(sets: Sequence[tuple[Fraction, ...]]) -> list[PointSet]:
     return [PointSet(tuple(Point2(v, Fraction(0)) for v in values)) for values in sets]
 
 
-def check_interval_sim_bound(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_interval_sim_bound() -> CheckResult:
     collections = _random_1d_collections(200, seed=1301)
     sampled = collections[::17]  # every 17th: full-horizon runs stay within budget
     horizon = 10**4
@@ -214,7 +210,7 @@ PV_CASES = (
 )
 
 
-def check_pv_invariance(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_pv_invariance() -> CheckResult:
     failures = []
     for p_max, tan_phi in PV_CASES:
         params = PVParams(p_max=p_max, tan_phi=tan_phi)
@@ -231,7 +227,7 @@ def check_pv_invariance(golden_dir: Optional[Path] = None) -> CheckResult:
     )
 
 
-def check_pv_sim_bound(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_pv_sim_bound() -> CheckResult:
     horizon = 10**4
     failures = []
     for p_max, tan_phi in PV_CASES:
@@ -275,7 +271,7 @@ def _heater_unit(powers, temps, lock_steps=10) -> HeaterUnit:
     return HeaterUnit("heater", params, state)
 
 
-def check_heater_single_bound(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_heater_single_bound() -> CheckResult:
     horizon = 10**4
     unit = _heater_unit([15000], ["20"])
     bound = heater_error_bound(unit.params.powers)
@@ -291,7 +287,7 @@ def check_heater_single_bound(golden_dir: Optional[Path] = None) -> CheckResult:
     )
 
 
-def check_heater_multi_bound(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_heater_multi_bound() -> CheckResult:
     horizon = 10**4
     unit = _heater_unit([1, 2, 3], ["20", "41/2", "21"], lock_steps=5)
     bound = heater_error_bound(unit.params.powers)
@@ -307,7 +303,7 @@ def check_heater_multi_bound(golden_dir: Optional[Path] = None) -> CheckResult:
     )
 
 
-def check_diffusion_contrast(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_diffusion_contrast() -> CheckResult:
     horizon = 10**3
     p_heat = Fraction(15000)
     params = HeaterParams(
@@ -349,7 +345,7 @@ def bounded_voronoi_polygon(sites: PointSet, center: Point2, box: int = 10**6) -
     return clip_to_cell(big, sites, center)
 
 
-def check_voronoi_coverage(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_voronoi_coverage() -> CheckResult:
     failures = []
     for p_y in (0, 5, 9):
         sites = interior_point_set(p_y)
@@ -391,7 +387,7 @@ def _random_collection(rng: random.Random) -> Collection:
 _PROPERTY_CONFIG = IterationConfig(max_iterations=250, max_coordinate_bits=192)
 
 
-def check_operator_properties(golden_dir: Optional[Path] = None) -> CheckResult:
+def check_operator_properties() -> CheckResult:
     seed = 777
     rng = random.Random(seed)
     n_collections = 100
@@ -482,9 +478,7 @@ CHECKS: dict[str, CheckFn] = {
 }
 
 
-def run_checks(
-    names: Optional[Sequence[str]] = None, golden_dir: Optional[Path] = None
-) -> list[CheckResult]:
+def run_checks(names: Optional[Sequence[str]] = None) -> list[CheckResult]:
     selected = list(CHECKS) if not names else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
@@ -493,7 +487,7 @@ def run_checks(
     for name in selected:
         start = time.perf_counter()
         try:
-            result = CHECKS[name](golden_dir)
+            result = CHECKS[name]()
         except Exception as exc:  # a broken check fails; it must not stop the run
             result = CheckResult(name=name, expected="check to run", got=f"error: {exc}", passed=False)
         result.seconds = time.perf_counter() - start

@@ -53,7 +53,7 @@ def test_support_planes_describe_the_minkowski_sum(a, b):
 
 def test_family3_golden_certified_and_a_smaller_set_rejected():
     family = three_set_family()
-    golden = load_golden_polygon(None)
+    golden = load_golden_polygon()
     assert certify_invariant(family, golden)
     assert not certify_invariant(family, convex_hull(golden.vertices[1:]))
 

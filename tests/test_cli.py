@@ -6,12 +6,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 import pytest
 
 import errdiff
+from errdiff import cli
 from errdiff.cli import main
 
 
@@ -159,6 +159,62 @@ class TestStopStatus:
         assert self._run(path, tmp_path, capsys, "--max-iters", "1") == (2, "budget")
 
 
+# Files the exit-status table names by key, written to a temporary directory.
+_TABLE_FILES = {
+    "grid8.json": GRID8_COLLECTION,
+    "family3.json": FAMILY3_COLLECTION,
+    "stall.json": STALL_COLLECTION,
+    "scenario.json": SCENARIO,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compute-invariant", "--collection", "grid8.json"], 0),
+        (["compute-invariant", "--collection", "family3.json"], 0),
+        (["compute-invariant", "--collection", "stall.json", "--max-iters", "1"], 2),
+        (["compute-invariant"], 1),
+        (["compute-invariant", "--collection", "grid8.json", "--max-iters", "abc"], 1),
+        (["compute-invariant", "--collection", "grid8.json", "--mode", "bogus"], 1),
+        (["simulate", "--scenario", "scenario.json"], 1),
+        (["bogus"], 1),
+        ([], 1),
+    ],
+    ids=[
+        "converged", "extrapolated", "budget", "missing-collection", "max-iters-abc",
+        "mode-bogus", "simulate-without-out", "unknown-subcommand", "empty-argv",
+    ],
+)
+def test_exit_status(argv, code, tmp_path, capsys):
+    """0 for a certified set, 2 for a run that stopped short, 1 for any malformed
+    command line, which argparse rejects with the same one line as a bad file."""
+    for name, doc in _TABLE_FILES.items():
+        _write(tmp_path, name, doc)
+    argv = [str(tmp_path / word) if word in _TABLE_FILES else word for word in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        (line,) = captured.err.splitlines()
+        assert line.startswith("errdiff: error: ")
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+        assert f"converged: {code == 0}" in captured.out.splitlines()
+
+
+def test_parser_is_built_once_per_process(collection_file, monkeypatch, capsys):
+    argv = ["compute-invariant", "--collection", str(collection_file)]
+    assert main(argv) == 0  # builds the parser unless an earlier call did
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(
+        cli._Parser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
+    )
+    assert main(argv) == 0
+    assert built == []
+
+
 class TestMalformedInput:
     """Bad input files and options end in one stderr line and exit 1."""
 
@@ -182,6 +238,20 @@ class TestMalformedInput:
     def test_collection_without_sets(self, tmp_path, capsys):
         line = self._compute(capsys, _write(tmp_path, "c.json", {"points": []}))
         assert "'sets'" in line
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([GRID8_COLLECTION], "collection must be a JSON object, got list"),
+            ({"sets": "x"}, "'sets' must be a JSON list, got str"),
+            ({"sets": {"points": 1}}, "'sets' must be a JSON list, got dict"),
+            ({"sets": [1]}, "feasible set must be a JSON object, got int"),
+        ],
+        ids=["document-not-object", "sets-string", "sets-object", "member-not-object"],
+    )
+    def test_collection_shape(self, doc, message, tmp_path, capsys):
+        line = self._compute(capsys, _write(tmp_path, "c.json", doc))
+        assert line.endswith(message)
 
     def test_zero_denominator(self, tmp_path, capsys):
         path = _write(tmp_path, "c.json", {"sets": [{"points": [["1/0", "0"]]}]})
@@ -498,15 +568,12 @@ class TestVerify:
         assert main(["verify", "--list"]) == 0
         assert "invariant-family3" in capsys.readouterr().out
 
-    def test_perturbed_golden_fails(self, tmp_path, capsys):
-        golden_dir = tmp_path / "golden"
-        golden_dir.mkdir()
-        packaged = json.loads(
-            (importlib_resources.files("errdiff") / "golden" / "family3_invariant.json").read_text()
-        )
-        vx, vy = packaged["vertices"][0]
-        packaged["vertices"][0] = [str(Fraction(vx) + Fraction(1, 1000)), vy]
-        (golden_dir / "family3_invariant.json").write_text(json.dumps(packaged))
-        code = main(["verify", "--only", "invariant-family3", "--golden-dir", str(golden_dir)])
+    def test_perturbed_golden_fails(self, monkeypatch, capsys):
+        golden = errdiff.verify.load_golden_polygon()
+        first, *rest = golden.vertices
+        perturbed = errdiff.convex_hull([errdiff.Point2(first.x + Fraction(1, 1000), first.y), *rest])
+        assert perturbed != golden
+        monkeypatch.setattr(errdiff.verify, "load_golden_polygon", lambda: perturbed)
+        code = main(["verify", "--only", "invariant-family3"])
         assert code == 1
         assert ",FAIL," in capsys.readouterr().out

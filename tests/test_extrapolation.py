@@ -144,7 +144,7 @@ def test_late_limits_are_found(step):
 def test_family3_golden_polygon_at_step_six():
     result = iterate_to_invariance(three_set_family(), ORIGIN_POLY, FAMILY3)
     assert (result.status, result.iterations) == ("extrapolated", 6)
-    assert result.invariant_set == load_golden_polygon(None)
+    assert result.invariant_set == load_golden_polygon()
     assert result.vertex_counts == [1, 6, 8, 8, 8, 8, 8]
 
 

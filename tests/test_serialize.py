@@ -208,7 +208,7 @@ class TestGeometryJson:
     def test_golden_file_matches_computed_polygon(self):
         from errdiff.verify import load_golden_polygon
 
-        golden = load_golden_polygon(None)
+        golden = load_golden_polygon()
         assert len(golden.vertices) == 7
         assert golden.vertices[0] == pt(-3, "-7/2")
 
