@@ -37,7 +37,8 @@ spec = HeaterSpec(
 scenario = Scenario(horizon=2000, resources=[spec], seed=11)
 
 for diffusion in (False, True):
-    result = run_scenario(scenario, diffusion_overrides={"heater": diffusion})
+    spec.diffusion = diffusion
+    result = run_scenario(scenario)
     m = result.report.resources["heater"]
     mode = "with diffusion" if diffusion else "no diffusion "
     print(

@@ -145,8 +145,10 @@ def _run_scenario_from_args(args: argparse.Namespace):
         unknown = set(args.no_diffusion) - {r.resource_id for r in scenario.resources}
         if unknown:
             raise ValueError(f"unknown resources: {', '.join(sorted(unknown))}")
-    overrides = {rid: False for rid in args.no_diffusion}
-    return simulate.run_scenario(scenario, diffusion_overrides=overrides)
+    for spec in scenario.resources:
+        if spec.resource_id in args.no_diffusion:
+            spec.diffusion = False
+    return simulate.run_scenario(scenario)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -132,16 +132,18 @@ class IterationResult:
 
     ``iterations`` counts the applications that strictly grew the iterate;
     it is reported for information only, since operation order can
-    legitimately perturb it.  When ``converged`` is true the collection
-    operator maps ``invariant_set`` to itself.  ``status`` says why the run
-    stopped:
+    legitimately perturb it.  ``status`` says why the run stopped:
 
     * ``converged``: the image of the iterate equals it;
     * ``extrapolated``: the returned set is an extrapolated limit of the
       chain, verified to contain the seed and the last iterate and to be
       mapped to itself (``iterations`` is the step it was found at);
     * ``budget``: the iteration budget ran out;
-    * ``bits``: a coordinate outgrew the bit budget (``aborted``).
+    * ``bits``: a coordinate outgrew the bit budget.
+
+    ``converged`` and ``aborted`` are read from it: on ``converged`` and
+    ``extrapolated`` the collection operator maps ``invariant_set`` to
+    itself, and ``aborted`` means ``bits``.
 
     ``iterates`` is the chain from the seed, ending with the image equal to
     its iterate on ``converged`` and without the image over budget on
@@ -151,12 +153,18 @@ class IterationResult:
 
     invariant_set: ConvexPolygon
     iterations: int
-    converged: bool
     status: StopStatus
     iterates: list[ConvexPolygon] = field(default_factory=list, repr=False)
-    aborted: bool = False  # coordinate representations outgrew the budget
     # Always empty; perfbench/tracing.py still reads it.
     rounding_events = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.status in ("converged", "extrapolated")
+
+    @property
+    def aborted(self) -> bool:
+        return self.status == "bits"
 
     @cached_property
     def history_hashes(self) -> list[str]:
@@ -510,13 +518,21 @@ def _screened_shift(
     return 2 * k if best - runner_up > 2 * bound else None
 
 
-class _Extrapolation:
-    """MPE on a window of the newest iterates, verified before it is trusted.
+def _windowed(poly: ConvexPolygon) -> tuple:
+    """poly as the extrapolation window keeps it: (poly, d, its flat
+    coordinates over d, their `_floats` or None)."""
+    d, flat = _flat(poly)
+    return poly, d, flat, _floats(d, flat)
 
-    Lives for one `iterate_to_invariance` call.  After each step, every
-    stride s and degree m reads the m + 2 iterates s apart that end at the
-    newest one, provided their vertex counts agree; each is aligned to the
-    newest by its nearest cyclic vertex shift, which a float screen
+
+def _extrapolate(
+    collection: Collection, seed: ConvexPolygon, window: deque, max_bits: int
+) -> Optional[ConvexPolygon]:
+    """MPE on the window of the newest iterates, verified before it is trusted.
+
+    Every stride s and degree m reads the m + 2 iterates s apart that end
+    at the newest one, provided their vertex counts agree; each is aligned
+    to the newest by its nearest cyclic vertex shift, which a float screen
     certifies where it can and `_shift_to` decides exactly where it cannot.
     A candidate, the hull of the extrapolated vertices, is returned only
     when it contains the seed and the newest iterate, stays within the bit
@@ -525,69 +541,51 @@ class _Extrapolation:
     contains every iterate of the chain, so it is an exact fixed point
     containing the minimal invariant set.
     """
+    newest, newest_d, newest_flat, newest_floats = window[-1]
+    size = len(newest_flat)
+    # The newest iterate's vertices are distinct, so shift 0 is its own
+    # unique nearest shift.
+    aligned: dict[int, Optional[tuple[int, list[int]]]] = {
+        len(window) - 1: (newest_d, newest_flat)
+    }
 
-    def __init__(self, collection: Collection, seed: ConvexPolygon, max_bits: int) -> None:
-        self.collection, self.seed, self.max_bits = collection, seed, max_bits
-        # (iterate, d, flat coordinates over d, their `_floats` or None)
-        self.window: deque[tuple] = deque(maxlen=_WINDOW)
-        self.push(seed)
+    def sample(idx: int) -> Optional[tuple[int, list[int]]]:
+        if idx not in aligned:
+            _, d, flat, floats = window[idx]
+            k = None
+            if len(flat) == size:
+                if floats is not None and newest_floats is not None:
+                    k = _screened_shift(floats, newest_floats)
+                if k is None:
+                    k = _shift_to(flat, newest_flat)
+            aligned[idx] = None if k is None else (d, flat[k:] + flat[:k])
+        return aligned[idx]
 
-    def push(self, poly: ConvexPolygon) -> None:
-        d, flat = _flat(poly)
-        self.window.append((poly, d, flat, _floats(d, flat)))
-
-    def limit(self) -> Optional[ConvexPolygon]:
-        window = self.window
-        _, newest_d, newest_flat, newest_floats = window[-1]
-        size = len(newest_flat)
-        # The newest iterate's vertices are distinct, so shift 0 is its own
-        # unique nearest shift.
-        aligned: dict[int, Optional[tuple[int, list[int]]]] = {
-            len(window) - 1: (newest_d, newest_flat)
-        }
-
-        def sample(idx: int) -> Optional[tuple[int, list[int]]]:
-            if idx not in aligned:
-                _, d, flat, floats = window[idx]
-                k = None
-                if len(flat) == size:
-                    if floats is not None and newest_floats is not None:
-                        k = _screened_shift(floats, newest_floats)
-                    if k is None:
-                        k = _shift_to(flat, newest_flat)
-                aligned[idx] = None if k is None else (d, flat[k:] + flat[:k])
-            return aligned[idx]
-
-        for s in range(1, _MAX_STRIDE + 1):
-            for m in range(1, _MAX_DEGREE + 1):
-                picks = [len(window) - 1 - s * t for t in range(m + 1, -1, -1)]
-                # Rows (two per vertex) must outnumber the unknowns, or
-                # some weights always fit.
-                if picks[0] < 0 or size <= m:
-                    break
-                samples = [sample(i) for i in picks]
-                if None in samples:
-                    break
-                candidate = self._candidate(samples)
-                if candidate is not None:
-                    return candidate
-        return None
-
-    def _candidate(self, samples: list[tuple[int, list[int]]]) -> Optional[ConvexPolygon]:
-        found = _mpe_limit(samples)
-        if found is None:
-            return None
-        nums, den = found
-        candidate = _polygon(_hull(
-            _normalised(nums[i], nums[i + 1], den) for i in range(0, len(nums), 2)
-        ))
-        if not (
-            candidate.contains_polygon(self.seed)
-            and candidate.contains_polygon(self.window[-1][0])
-            and _within_bits(candidate, self.max_bits)
-        ):
-            return None
-        return candidate if apply_collection(self.collection, candidate) == candidate else None
+    for s in range(1, _MAX_STRIDE + 1):
+        for m in range(1, _MAX_DEGREE + 1):
+            picks = [len(window) - 1 - s * t for t in range(m + 1, -1, -1)]
+            # Rows (two per vertex) must outnumber the unknowns, or some
+            # weights always fit.
+            if picks[0] < 0 or size <= m:
+                break
+            samples = [sample(i) for i in picks]
+            if None in samples:
+                break
+            found = _mpe_limit(samples)
+            if found is None:
+                continue
+            nums, den = found
+            candidate = _polygon(_hull(
+                _normalised(nums[i], nums[i + 1], den) for i in range(0, len(nums), 2)
+            ))
+            if (
+                candidate.contains_polygon(seed)
+                and candidate.contains_polygon(newest)
+                and _within_bits(candidate, max_bits)
+                and apply_collection(collection, candidate) == candidate
+            ):
+                return candidate
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -605,21 +603,19 @@ def iterate_to_invariance(
 
     The iterates form a growing chain, checked exactly each step (a
     violation means a geometry bug and raises), so an iterate that is not a
-    fixed point is never seen again.  After each step `_Extrapolation`
-    tries to guess the chain's limit.  ``converged`` is true only when the
-    image of the returned set equals it, which is exact invariance: at a
-    fixed point of the chain or at a verified extrapolated limit.  The bit
-    budget or the iteration budget return the last iterate with
-    ``converged`` false, and ``status`` names which of them stopped the run.
+    fixed point is never seen again.  The loop keeps the newest `_WINDOW`
+    iterates, and after each step `_extrapolate` tries to guess the chain's
+    limit from them.  ``converged`` is true only when the image of the
+    returned set equals it, which is exact invariance: at a fixed point of
+    the chain or at a verified extrapolated limit.  The bit budget or the
+    iteration budget return the last iterate with ``converged`` false, and
+    ``status`` names which of them stopped the run.
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
-    current = seed
-    iterates = [seed]
-    status: StopStatus = "budget"
-    iterations = config.max_iterations
     max_bits = config.max_coordinate_bits
-    extrapolation = _Extrapolation(collection, seed, max_bits)
+    current, iterates = seed, [seed]
+    window = deque([_windowed(seed)], maxlen=_WINDOW)
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
         if not grown.contains_polygon(current):
@@ -627,28 +623,16 @@ def iterate_to_invariance(
                 f"iterate {step} does not contain its predecessor"
             )
         if not _within_bits(grown, max_bits):
-            iterations = step
-            status = "bits"
-            break
+            return IterationResult(current, step, "bits", iterates)
         iterates.append(grown)
         if grown == current:
-            status = "converged"
-            iterations = step - 1
-            break
+            return IterationResult(current, step - 1, "converged", iterates)
         current = grown
-        extrapolation.push(current)
-        limit = extrapolation.limit()
+        window.append(_windowed(current))
+        limit = _extrapolate(collection, seed, window, max_bits)
         if limit is not None:
-            current, iterations, status = limit, step, "extrapolated"
-            break
-    return IterationResult(
-        invariant_set=current,
-        iterations=iterations,
-        converged=status in ("converged", "extrapolated"),
-        status=status,
-        iterates=iterates,
-        aborted=status == "bits",
-    )
+            return IterationResult(limit, step, "extrapolated", iterates)
+    return IterationResult(current, config.max_iterations, "budget", iterates)
 
 
 def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:

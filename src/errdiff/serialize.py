@@ -93,11 +93,12 @@ def _object(data: Any, what: str) -> dict:
 
 
 def parse_feasible(data: Any) -> FeasibleSet:
-    if "points" in _object(data, "feasible set"):
-        return parse_point_set(data["points"])
-    if "polygon" in data:
-        return parse_polygon(data["polygon"])
-    raise ValueError("feasible set needs 'points' or 'polygon'")
+    points, polygon = "points" in _object(data, "feasible set"), "polygon" in data
+    if points == polygon:
+        raise ValueError("feasible set needs exactly one of 'points' and 'polygon'")
+    if points:
+        return parse_point_set(_json_list(data["points"], "points"))
+    return parse_polygon(_json_list(data["polygon"], "polygon"))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +109,7 @@ def parse_feasible(data: Any) -> FeasibleSet:
 def parse_collection(data: Any) -> Collection:
     if "sets" not in _object(data, "collection"):
         raise ValueError("collection file needs a 'sets' list")
-    sets = data["sets"]
-    if not isinstance(sets, list):
-        raise ValueError(f"'sets' must be a JSON list, got {type(sets).__name__}")
+    sets = _json_list(data["sets"], "sets")
     mode = data.get("mode", "perfect")
     return Collection(tuple(parse_feasible(item) for item in sets), mode)
 
@@ -343,6 +342,20 @@ def _json_boolean(value: Any, name: str) -> bool:
     return value
 
 
+def _json_list(value: Any, name: str) -> list:
+    """value, checked to be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _json_string(value: Any, name: str) -> str:
+    """value, checked to be a JSON string."""
+    if type(value) is not str:
+        raise ValueError(f"{name!r} must be a JSON string, got {value!r}")
+    return value
+
+
 def _parse_cost(data: Any):
     kind = _object(data, "cost").get("kind")
     if kind == "quadratic":
@@ -385,7 +398,7 @@ def _parse_availability(data: Any) -> Availability:
 def _parse_heater(data: Any) -> HeaterSpec:
     thermal = _object(data.get("thermal", {}), "thermal")
     params = resources.HeaterParams(
-        powers=tuple(as_fraction(p) for p in data["powers"]),
+        powers=tuple(as_fraction(p) for p in _json_list(data["powers"], "powers")),
         t_min=as_fraction(data["t_min"]),
         t_max=as_fraction(data["t_max"]),
         lock_steps=_json_integer(data.get("lock_steps", 0), "lock_steps"),
@@ -393,13 +406,15 @@ def _parse_heater(data: Any) -> HeaterSpec:
         gain=as_fraction(thermal.get("gain", 0)),
         t_out=as_fraction(thermal.get("t_out", 0)),
     )
-    temps = [as_fraction(t) for t in data["initial_temps"]]
-    on = [_json_boolean(v, "initial_on") for v in data.get("initial_on", [False] * len(temps))]
+    temps = [as_fraction(t) for t in _json_list(data["initial_temps"], "initial_temps")]
+    on = _json_list(data.get("initial_on", [False] * len(temps)), "initial_on")
     initial = resources.HeaterState(
-        on=tuple(on), lock_remaining=(0,) * len(temps), temps=tuple(temps)
+        on=tuple(_json_boolean(v, "initial_on") for v in on),
+        lock_remaining=(0,) * len(temps),
+        temps=tuple(temps),
     )
     return simulate.HeaterSpec(
-        resource_id=data["id"],
+        resource_id=_json_string(data["id"], "id"),
         params=params,
         initial=initial,
         policy=_parse_policy(data["policy"]),
@@ -413,7 +428,7 @@ def _parse_pv(data: Any) -> PVSpec:
         p_max=as_fraction(data["p_max"]), tan_phi=as_fraction(data["tan_phi"])
     )
     return simulate.PVSpec(
-        resource_id=data["id"],
+        resource_id=_json_string(data["id"], "id"),
         params=params,
         availability=_parse_availability(data["availability"]),
         policy=_parse_policy(data["policy"]),
@@ -425,7 +440,7 @@ def _parse_pv(data: Any) -> PVSpec:
 def parse_scenario(data: Any) -> Scenario:
     _object(data, "scenario")
     specs = []
-    for item in data.get("resources", []):
+    for item in _json_list(data.get("resources", []), "resources"):
         kind = _object(item, "resource").get("kind")
         if kind == "heater":
             specs.append(_parse_heater(item))

@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Protocol, Sequence, Union
 
-from .dynamics import ControllerTrace, RequestPolicy, SetSource, run_resource_loop
+from .dynamics import ControllerTrace, SetSource, run_resource_loop
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
@@ -387,7 +387,11 @@ class ScenarioResult:
     scenario: Scenario
     traces: dict[str, ControllerTrace]
     report: MetricsReport
-    diffusion: dict[str, bool]
+
+    @property
+    def diffusion(self) -> dict[str, bool]:
+        """Whether each resource ran with error diffusion, by id in scenario order."""
+        return {spec.resource_id: spec.diffusion for spec in self.scenario.resources}
 
 
 def _resource_rng(seed: int, resource_id: str) -> random.Random:
@@ -487,30 +491,21 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
     )
 
 
-def run_scenario(
-    scenario: Scenario, *, diffusion_overrides: Optional[dict[str, bool]] = None
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run every resource loop; fully deterministic for a fixed seed.
 
     Resources are uncoupled, so running them one after another in listed
     order is equivalent to interleaving steps; each gets an independent
-    seeded stream.  ``diffusion_overrides`` force diffusion on/off per
-    resource id (used by the command line's --no-diffusion flag).
+    seeded stream.  Each spec's ``diffusion`` field switches its error
+    diffusion on or off.
     """
-    overrides = diffusion_overrides or {}
-    unknown = set(overrides) - {r.resource_id for r in scenario.resources}
-    if unknown:
-        raise ValueError(f"diffusion override for unknown resources: {sorted(unknown)}")
     traces: dict[str, ControllerTrace] = {}
     report = MetricsReport()
-    flags: dict[str, bool] = {}
     for spec in scenario.resources:
         rng = _resource_rng(scenario.seed, spec.resource_id)
         unit = spec.build(rng)
         requests = GradientRequests(spec.policy)
-        diffusion = overrides.get(spec.resource_id, spec.diffusion)
-        flags[spec.resource_id] = diffusion
-        trace = run_resource_loop(unit, requests, scenario.horizon, rng, diffusion=diffusion)
+        trace = run_resource_loop(unit, requests, scenario.horizon, rng, diffusion=spec.diffusion)
         traces[spec.resource_id] = trace
         report.resources[spec.resource_id] = compute_metrics(trace, unit.error_bound_sq())
-    return ScenarioResult(scenario=scenario, traces=traces, report=report, diffusion=flags)
+    return ScenarioResult(scenario=scenario, traces=traces, report=report)

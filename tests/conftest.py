@@ -37,6 +37,12 @@ def points(*coords) -> PointSet:
     return PointSet.from_coords(coords)
 
 
+# Its chain reaches neither a fixed point nor a verified extrapolated limit.
+STALL_COLLECTION = Collection(
+    (points((-2, -5), (-2, 1)), points((5, 0)), points((-5, 3), (1, -3), (4, 1))), "perfect"
+)
+
+
 # Collections 6, 19 and 23 of the benchmark's fixed population
 # (`perfbench/inputs.population(40)`), before placement.  Each pairs a point
 # set with a convex member, and extrapolation answers each of them.

@@ -8,12 +8,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import errdiff.cli
 from errdiff.geometry import ORIGIN, ConvexPolygon, Point2, PointSet, convex_hull, segment
 from errdiff.operators import MODES, Collection, IterationConfig, iterate_to_invariance
+
+from conftest import BENCHMARK_COLLECTIONS, STALL_COLLECTION
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 SCENARIO = Path(__file__).resolve().parent / "data" / "closed_loop_seed1.json"
@@ -127,3 +131,53 @@ def test_short_iteration_calls_every_operator_target(monkeypatch):
     for mode in MODES:
         iterate_to_invariance(Collection(members, mode), ConvexPolygon((ORIGIN,)), config)
     assert {name: calls[name] for name in OPERATOR_TARGETS if calls[name] < 1} == {}
+
+
+def _tracer(tracing):
+    return tracing.Tracer(SimpleNamespace(now=time.perf_counter))
+
+
+def test_iteration_hook_reads_a_result_of_each_stop_status():
+    """The hook counts an ``extrapolated`` run as converged, and never sees a cycle."""
+    tracing = _load_tracing()
+    origin = ConvexPolygon((ORIGIN,))
+    runs = [
+        (Collection((PointSet((ORIGIN,)),), "perfect"), IterationConfig()),
+        (BENCHMARK_COLLECTIONS[19], IterationConfig(max_iterations=250, max_coordinate_bits=192)),
+        (STALL_COLLECTION, IterationConfig(max_iterations=3)),
+        (STALL_COLLECTION, IterationConfig(max_iterations=200, max_coordinate_bits=24)),
+    ]
+    results = [iterate_to_invariance(collection, origin, config) for collection, config in runs]
+    assert [r.status for r in results] == ["converged", "extrapolated", "budget", "bits"]
+    tracer = _tracer(tracing)
+    for result in results:
+        tracer._after_iterate(result, ())
+    assert tracer.status == {"converged": 2, "budget": 1, "bits": 1}
+    assert tracer.iterations == sum(r.iterations for r in results)
+    assert tracer.rounding_events == 0
+    assert tracer.final_bits == max(
+        tracing.polygon_bits(r.invariant_set.vertices) for r in results
+    )
+
+
+def test_traced_simulate_fills_every_closed_loop_hook(monkeypatch, tmp_path):
+    """One short simulate through ``instrument``: the hooks read each unit's
+    ``resource_id`` and the result's ``report.resources``."""
+    tracing = _load_tracing()
+    # Counting wrappers on every target first, so that monkeypatch also
+    # undoes what instrument rebinds.
+    _count_calls(monkeypatch, [name for name, _keep in tracing.TARGETS])
+    tracer = _tracer(tracing)
+    tracing.instrument(tracer)
+    scenario = json.loads(SCENARIO.read_text())
+    scenario["horizon"] = 12
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    assert tracer.run_op(lambda: errdiff.cli.main(argv)) == 0
+    ids = sorted(r["id"] for r in scenario["resources"])
+    assert {rid: len(steps) for rid, steps in tracer.step_s.items()} == {rid: 11 for rid in ids}
+    assert sorted(tracer.error_bits) == sorted(tracer.bound_slack) == ids
+    assert tracer.calls["simulate.run_scenario"] == tracer.calls["cli.main"] == 1
+    metrics = tracing.layer_metrics(tracer, 1, 1.0, 0, 0.0, 0.0)
+    assert list(metrics) == [name for name, _unit, _better in tracing.layer_metric_specs()]

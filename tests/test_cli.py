@@ -246,8 +246,17 @@ class TestMalformedInput:
             ({"sets": "x"}, "'sets' must be a JSON list, got str"),
             ({"sets": {"points": 1}}, "'sets' must be a JSON list, got dict"),
             ({"sets": [1]}, "feasible set must be a JSON object, got int"),
+            ({"sets": [{"points": 1}]}, "'points' must be a JSON list, got int"),
+            ({"sets": [{"polygon": {"a": 1}}]}, "'polygon' must be a JSON list, got dict"),
+            (
+                {"sets": [{"points": [["0", "0"]], "polygon": [["1", "0"]]}]},
+                "feasible set needs exactly one of 'points' and 'polygon'",
+            ),
         ],
-        ids=["document-not-object", "sets-string", "sets-object", "member-not-object"],
+        ids=[
+            "document-not-object", "sets-string", "sets-object", "member-not-object",
+            "points-number", "polygon-object", "points-and-polygon",
+        ],
     )
     def test_collection_shape(self, doc, message, tmp_path, capsys):
         line = self._compute(capsys, _write(tmp_path, "c.json", doc))
@@ -368,6 +377,33 @@ class TestMalformedInput:
     def test_non_boolean_field(self, doc, field, tmp_path, capsys):
         line = self._scenario(capsys, tmp_path, doc)
         assert f"'{field}' must be a JSON boolean" in line
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {**SCENARIO, "resources": [_heater(powers="12", initial_temps=["20", "21"])]},
+                "'powers' must be a JSON list, got str",
+            ),
+            (
+                {**SCENARIO, "resources": [_heater(initial_temps=20)]},
+                "'initial_temps' must be a JSON list, got int",
+            ),
+            (
+                {**SCENARIO, "resources": [_heater(initial_on=True)]},
+                "'initial_on' must be a JSON list, got bool",
+            ),
+            ({**SCENARIO, "resources": 5}, "'resources' must be a JSON list, got int"),
+            ({**SCENARIO, "resources": [_heater(id=5)]}, "'id' must be a JSON string, got 5"),
+            ({"horizon": 4, "resources": [_pv(id=["pv"])]}, "'id' must be a JSON string, got ['pv']"),
+        ],
+        ids=[
+            "powers-string", "initial-temps-number", "initial-on-boolean", "resources-number",
+            "heater-id-number", "pv-id-list",
+        ],
+    )
+    def test_field_of_wrong_json_type(self, doc, message, tmp_path, capsys):
+        assert self._scenario(capsys, tmp_path, doc).endswith(message)
 
     @pytest.mark.parametrize("command", ["simulate", "plot-data"])
     def test_no_diffusion_unknown_resource(self, command, scenario_file, tmp_path, capsys):

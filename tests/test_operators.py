@@ -27,7 +27,7 @@ from errdiff.operators import (
 )
 from errdiff.resources import PVParams, pv_triangle, pv_triangle_family
 
-from conftest import poly, pt
+from conftest import STALL_COLLECTION, poly, pt
 from fraction_kernel import dist2, interval_contains
 
 ORIGIN_POLY = ConvexPolygon((ORIGIN,))
@@ -158,17 +158,6 @@ class TestApplyP:
         merged = apply_collection(col, domain)
         images = (apply_member(m, domain, "persistent") for m in (a, b))
         assert merged == convex_hull(v for image in images for v in image.vertices)
-
-
-# Its chain reaches neither a fixed point nor a verified extrapolated limit.
-STALL_COLLECTION = Collection(
-    (
-        PointSet((pt(-2, -5), pt(-2, 1))),
-        PointSet((pt(5, 0),)),
-        PointSet((pt(-5, 3), pt(1, -3), pt(4, 1))),
-    ),
-    "perfect",
-)
 
 
 class TestIteration:

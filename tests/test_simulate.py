@@ -167,10 +167,14 @@ class TestRunScenario:
         assert not metrics.bound_satisfied
 
     def test_diffusion_override_flags(self):
-        result = run_scenario(heater_scenario(), diffusion_overrides={"heater": False})
+        """The spec's field is the one switch, and the result reads it back."""
+        scenario = heater_scenario()
+        scenario.resources[0].diffusion = False
+        result = run_scenario(scenario)
         assert result.diffusion == {"heater": False}
-        with pytest.raises(ValueError):
-            run_scenario(heater_scenario(), diffusion_overrides={"nope": True})
+        built_off = run_scenario(heater_scenario(diffusion=False))
+        assert result.traces["heater"].errors() == built_off.traces["heater"].errors()
+        assert run_scenario(heater_scenario()).diffusion == {"heater": True}
 
     def test_duty_cycle_respects_lock_windows(self):
         lock_steps = 10
@@ -304,7 +308,6 @@ class TestEmitPlotData:
             scenario=scenario,
             traces={"heater": ControllerTrace()},
             report=MetricsReport(),
-            diffusion={"heater": True},
         )
         emit_plot_data(synthetic, tmp_path)
         for name in ("heater_setpoints.csv", "heater_accumulated_error.csv", "heater_time_averaged.csv"):
