@@ -45,7 +45,6 @@ from .geometry import (
     _contains_all,
     _from_triple,
     _normalised,
-    _scaled,
     project_convex_polygon,
     project_point_set,
 )
@@ -135,10 +134,6 @@ class ControllerTrace:
     def errors(self) -> list[Point2]:
         """Accumulated errors e[0..N], including the post-horizon value."""
         return [r.error for r in self.records] + [self.final_error]
-
-    def max_error_norm2(self) -> Fraction:
-        scale, errors = _scaled([e._t for e in self.errors()])
-        return Fraction(max(x * x + y * y for x, y in errors), scale * scale)
 
 
 # ---------------------------------------------------------------------------

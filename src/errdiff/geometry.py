@@ -18,8 +18,10 @@ canonical polygon as it goes.
 Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
 'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
 lowest-terms Fractions built on each read; squared lengths are Fractions
-too.  `orient`, written over those Fractions, is the reference that polygon
-validation and the tests hold the integer kernel to.
+too.  As text they leave through `_rational` and `_text`, the lowest-terms
+strings that the output files and the digests share.  `orient`, written
+over those Fractions, is the reference that polygon validation and the
+tests hold the integer kernel to.
 
 All value types are immutable and all operations are pure functions, so
 values can be shared freely across threads.
@@ -134,11 +136,6 @@ class Point2(_Frozen):
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Point2") -> Fraction:
-        ax, ay, aw = self._t
-        bx, by, bw = other._t
-        return Fraction(ax * bx + ay * by, aw * bw)
-
     def norm2(self) -> Fraction:
         """Squared Euclidean norm."""
         x, y, w = self._t
@@ -165,6 +162,17 @@ def _normalised(x: int, y: int, w: int) -> Triple:
     """(x, y, w) divided by its gcd; w must be positive."""
     g = math.gcd(x, y, w)
     return x // g, y // g, w // g
+
+
+def _rational(x: int, w: int) -> str:
+    """x/w for w > 0 in lowest terms, written as str(Fraction(x, w)) writes it."""
+    g = math.gcd(x, w)
+    return str(x // g) if g == w else f"{x // g}/{w // g}"
+
+
+def _text(ts: Iterable[Triple]) -> str:
+    """The points ts as "x,y;x,y;...", each coordinate written by `_rational`."""
+    return ";".join(f"{_rational(x, w)},{_rational(y, w)}" for x, y, w in ts)
 
 
 def _add(a: Triple, b: Triple) -> Triple:

@@ -65,6 +65,8 @@ from .geometry import (
     _hull,
     _normalised,
     _polygon,
+    _scaled,
+    _text,
     as_fraction,
     minkowski_sum,
     voronoi_cell,
@@ -300,28 +302,23 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[T
 def _member_pieces(
     member: FeasibleSet, region: ConvexPolygon, mode: Mode
 ) -> list[Sequence[Triple]]:
-    """Vertex lists whose hull is the image of region under member's operator."""
-    if mode == "perfect":
-        if region.is_empty:
-            raise ValueError("region must be non-empty")
-        return cell_pieces(member, minkowski_sum(feasible_hull(member), region))
-    if mode == "persistent":
-        return [_persistent_image(member, region)._ts]
-    raise ValueError(f"mode must be one of {MODES}")
+    """Vertex lists whose hull is the image of region under member's operator.
 
-
-def _persistent_image(member: FeasibleSet, region: ConvexPolygon) -> ConvexPolygon:
-    """ch S + the hull of the cell pieces of region: canonical as a Minkowski sum is."""
+    A persistent image, ch S + the hull of the cell pieces of region, is
+    one list: the vertices of a Minkowski sum, already a canonical polygon.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     if region.is_empty:
         raise ValueError("region must be non-empty")
+    if mode == "perfect":
+        return cell_pieces(member, minkowski_sum(feasible_hull(member), region))
     inner = _polygon(_hull(chain.from_iterable(cell_pieces(member, region))))
-    return minkowski_sum(feasible_hull(member), inner)
+    return [minkowski_sum(feasible_hull(member), inner)._ts]
 
 
 def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
     """One application of a single feasible set's operator in the given mode."""
-    if mode == "persistent":
-        return _persistent_image(member, region)
     return _polygon(_hull(chain.from_iterable(_member_pieces(member, region, mode))))
 
 
@@ -338,20 +335,9 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
     return _polygon(_hull(chain.from_iterable(chain.from_iterable(pieces))))
 
 
-def _lowest_terms(poly: ConvexPolygon) -> Iterable[tuple[int, int]]:
-    """Each coordinate X/W of poly's triples as (n, d) in lowest terms, x before y."""
-    for x, y, w in poly._ts:
-        for c in (x, y):
-            g = math.gcd(c, w)
-            yield c // g, w // g
-
-
 def _digest(poly: ConvexPolygon) -> str:
-    """The sha256 prefix of "x,y;x,y;..." with each coordinate written as
-    `str(Fraction)` writes it: n, or n/d."""
-    coords = [str(n) if d == 1 else f"{n}/{d}" for n, d in _lowest_terms(poly)]
-    text = ";".join(f"{x},{y}" for x, y in zip(coords[::2], coords[1::2]))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+    """The sha256 prefix of poly's vertices as `geometry._text` writes them."""
+    return hashlib.sha256(_text(poly._ts).encode("ascii")).hexdigest()[:16]
 
 
 def _within_bits(poly: ConvexPolygon, max_bits: int) -> bool:
@@ -364,9 +350,12 @@ def _within_bits(poly: ConvexPolygon, max_bits: int) -> bool:
     """
     if max(map(int.bit_length, chain.from_iterable(poly._ts))) <= max_bits:
         return True
-    return all(
-        n.bit_length() <= max_bits and d.bit_length() <= max_bits for n, d in _lowest_terms(poly)
-    )
+    for x, y, w in poly._ts:
+        for c in (x, y):
+            g = math.gcd(c, w)
+            if (c // g).bit_length() > max_bits or (w // g).bit_length() > max_bits:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +430,6 @@ def _back_substitute(pivots: list[tuple[int, list[int]]], m: int) -> list[int]:
     return [q.numerator * (d // q.denominator) for q in c]
 
 
-def _flat(poly: ConvexPolygon) -> tuple[int, list[int]]:
-    """poly's vertex coordinates x0, y0, x1, y1, ... over their common denominator."""
-    d = math.lcm(*(w for _, _, w in poly._ts))
-    flat = []
-    for x, y, w in poly._ts:
-        k = d // w
-        flat += (x * k, y * k)
-    return d, flat
-
-
 def _shift_to(flat: list[int], newest: list[int]) -> Optional[int]:
     """The cyclic vertex shift of flat nearest to newest, or None on a tie.
 
@@ -519,9 +498,11 @@ def _screened_shift(
 
 
 def _windowed(poly: ConvexPolygon) -> tuple:
-    """poly as the extrapolation window keeps it: (poly, d, its flat
-    coordinates over d, their `_floats` or None)."""
-    d, flat = _flat(poly)
+    """poly as the extrapolation window keeps it: (poly, d, its vertex
+    coordinates x0, y0, x1, y1, ... over their common denominator d, their
+    `_floats` or None)."""
+    d, scaled = _scaled(poly._ts)
+    flat = list(chain.from_iterable(scaled))
     return poly, d, flat, _floats(d, flat)
 
 

@@ -36,6 +36,8 @@ from .geometry import (
     PointSet,
     Triple,
     _add,
+    _rational,
+    _text,
     as_fraction,
     convex_hull,
 )
@@ -54,12 +56,6 @@ if TYPE_CHECKING:
     )
 
 PathLike = Union[str, Path]
-
-
-def _rational(x: int, w: int) -> str:
-    """x/w for w > 0 in lowest terms, written as str(Fraction(x, w)) writes it."""
-    g = math.gcd(x, w)
-    return str(x // g) if g == w else f"{x // g}/{w // g}"
 
 
 def point_to_json(p: Point2) -> list[str]:
@@ -220,9 +216,9 @@ def _scenario_header(result: ScenarioResult) -> dict:
 def feasible_set_id(feasible: FeasibleSet) -> str:
     """Short stable identifier of a feasible set's exact contents, hashed once per set."""
     if isinstance(feasible, PointSet):
-        text = "ps:" + ";".join(",".join(point_to_json(p)) for p in feasible.points)
+        text = "ps:" + _text(feasible._key)
     else:
-        text = "cp:" + ";".join(",".join(point_to_json(p)) for p in feasible.vertices)
+        text = "cp:" + _text(feasible._ts)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
@@ -395,6 +391,16 @@ def _parse_availability(data: Any) -> Availability:
     raise ValueError(f"unknown availability kind {kind!r}")
 
 
+def _resource_fields(data: dict, prediction: str) -> dict:
+    """The fields every resource spec reads alike; ``prediction`` is the kind's default."""
+    return {
+        "resource_id": _json_string(data["id"], "id"),
+        "policy": _parse_policy(data["policy"]),
+        "prediction": data.get("prediction", prediction),
+        "diffusion": _json_boolean(data.get("diffusion", True), "diffusion"),
+    }
+
+
 def _parse_heater(data: Any) -> HeaterSpec:
     thermal = _object(data.get("thermal", {}), "thermal")
     params = resources.HeaterParams(
@@ -413,14 +419,7 @@ def _parse_heater(data: Any) -> HeaterSpec:
         lock_remaining=(0,) * len(temps),
         temps=tuple(temps),
     )
-    return simulate.HeaterSpec(
-        resource_id=_json_string(data["id"], "id"),
-        params=params,
-        initial=initial,
-        policy=_parse_policy(data["policy"]),
-        prediction=data.get("prediction", "perfect"),
-        diffusion=_json_boolean(data.get("diffusion", True), "diffusion"),
-    )
+    return simulate.HeaterSpec(params=params, initial=initial, **_resource_fields(data, "perfect"))
 
 
 def _parse_pv(data: Any) -> PVSpec:
@@ -428,12 +427,9 @@ def _parse_pv(data: Any) -> PVSpec:
         p_max=as_fraction(data["p_max"]), tan_phi=as_fraction(data["tan_phi"])
     )
     return simulate.PVSpec(
-        resource_id=_json_string(data["id"], "id"),
         params=params,
         availability=_parse_availability(data["availability"]),
-        policy=_parse_policy(data["policy"]),
-        prediction=data.get("prediction", "persistent"),
-        diffusion=_json_boolean(data.get("diffusion", True), "diffusion"),
+        **_resource_fields(data, "persistent"),
     )
 
 

@@ -343,7 +343,11 @@ ResourceSpec = Union[HeaterSpec, PVSpec]
 
 @dataclass
 class Scenario:
-    """A fully deterministic closed-loop experiment."""
+    """A fully deterministic closed-loop experiment.
+
+    Each resource id names the resource's output files, so it must be a
+    file name part: not empty, "." or "..", and with no "/", "\\" or NUL.
+    """
 
     horizon: int
     resources: list[ResourceSpec]
@@ -354,6 +358,9 @@ class Scenario:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         ids = [r.resource_id for r in self.resources]
+        for rid in ids:
+            if rid in ("", ".", "..") or any(c in rid for c in "/\\\0"):
+                raise ValueError(f"resource id {rid!r} cannot name an output file")
         if len(set(ids)) != len(ids):
             raise ValueError("resource ids must be unique")
         if not self.resources:

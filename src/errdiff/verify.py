@@ -55,6 +55,7 @@ from .simulate import (
     HeaterUnit,
     MaximizeActivePower,
     PVUnit,
+    compute_metrics,
     random_availability,
     run_resource_loop,
     square_wave,
@@ -63,10 +64,13 @@ from .simulate import (
 
 @dataclass
 class CheckResult:
-    name: str
+    """One check's outcome; `run_checks` sets ``name``, the check's key in
+    `CHECKS`, and ``seconds``."""
+
     expected: str
     got: str
     passed: bool
+    name: str = ""
     seconds: float = 0.0
 
 
@@ -120,7 +124,6 @@ def check_family3() -> CheckResult:
     got = result.invariant_set
     passed = result.converged and got == golden and certify_invariant(family, got)
     return CheckResult(
-        name="invariant-family3",
         expected=_polygon_text(golden),
         got=f"{_polygon_text(got)} (converged={result.converged}, iterations={result.iterations})",
         passed=passed,
@@ -136,7 +139,6 @@ def check_grid8() -> CheckResult:
         and certify_invariant(grid, result.invariant_set)
     )
     return CheckResult(
-        name="grid8-one-iteration",
         expected="converged after exactly 1 growing iteration",
         got=f"converged={result.converged}, iterations={result.iterations}",
         passed=passed,
@@ -165,7 +167,6 @@ def check_interval_oracle() -> CheckResult:
         if fixed != IntervalUnion.closed(-delta / 2, delta / 2):
             failures += 1
     return CheckResult(
-        name="interval-oracle",
         expected="fixed point equals [-gap/2, gap/2] for 200 random 1D collections",
         got=f"{200 - failures}/200 matched",
         passed=failures == 0,
@@ -184,7 +185,6 @@ def check_interval_sim_bound() -> CheckResult:
     for idx, sets in enumerate(sampled):
         embedded = _embedded_1d(sets)
         delta = max_step_size(sets)
-        bound_sq = (delta / 2) ** 2
         rng = random.Random(9000 + idx)
         trace = run_trace(
             "perfect",
@@ -193,10 +193,9 @@ def check_interval_sim_bound() -> CheckResult:
             horizon,
             seed=idx,
         )
-        if trace.max_error_norm2() > bound_sq:
+        if not compute_metrics(trace, (delta / 2) ** 2).bound_satisfied:
             violations += 1
     return CheckResult(
-        name="interval-sim-bound",
         expected=f"max |e_n| <= gap/2 over {len(sampled)} runs of {horizon} random-request steps",
         got=f"{len(sampled) - violations}/{len(sampled)} runs within bound",
         passed=violations == 0,
@@ -220,7 +219,6 @@ def check_pv_invariance() -> CheckResult:
             if not (check_invariance(family, full) and certify_invariant(family, full)):
                 failures.append((str(p_max), str(tan_phi), m))
     return CheckResult(
-        name="pv-invariance",
         expected="full triangle invariant for cap families m in {1,4,16}, three parameter pairs",
         got="all invariant" if not failures else f"failures: {failures}",
         passed=not failures,
@@ -247,10 +245,9 @@ def check_pv_sim_bound() -> CheckResult:
             rng = random.Random(f"pv:{p_max}:{tan_phi}:{label}")
             unit = PVUnit("pv", params, wave, "persistent", rng)
             trace = run_resource_loop(unit, requests, horizon, rng)
-            if trace.max_error_norm2() > bound_sq:
+            if not compute_metrics(trace, bound_sq).bound_satisfied:
                 failures.append((str(p_max), str(tan_phi), label))
     return CheckResult(
-        name="pv-sim-bound",
         expected=f"|e_n|^2 <= squared triangle diameter over {horizon}-step persistent runs",
         got="all within bound" if not failures else f"failures: {failures}",
         passed=not failures,
@@ -277,13 +274,11 @@ def check_heater_single_bound() -> CheckResult:
     bound = heater_error_bound(unit.params.powers)
     rng = random.Random("heater-single")
     trace = run_resource_loop(unit, uniform_request(denominator=256), horizon, rng)
-    max_sq = trace.max_error_norm2()
-    passed = max_sq <= bound * bound
+    metrics = compute_metrics(trace, bound * bound)
     return CheckResult(
-        name="heater-single-bound",
         expected=f"max |e_n| <= {bound} over {horizon} random-request steps",
-        got=f"max |e_n|^2 = {max_sq}",
-        passed=passed,
+        got=f"max |e_n|^2 = {metrics.max_error_norm2}",
+        passed=metrics.bound_satisfied,
     )
 
 
@@ -293,13 +288,11 @@ def check_heater_multi_bound() -> CheckResult:
     bound = heater_error_bound(unit.params.powers)
     rng = random.Random("heater-multi")
     trace = run_resource_loop(unit, uniform_request(denominator=256), horizon, rng)
-    max_sq = trace.max_error_norm2()
-    passed = bound == Fraction(3, 2) and max_sq <= bound * bound
+    metrics = compute_metrics(trace, bound * bound)
     return CheckResult(
-        name="heater-multi-bound",
         expected=f"max |e_n| <= 3/2 over {horizon} random-request steps",
-        got=f"bound={bound}, max |e_n|^2 = {max_sq}",
-        passed=passed,
+        got=f"bound={bound}, max |e_n|^2 = {metrics.max_error_norm2}",
+        passed=bound == Fraction(3, 2) and metrics.bound_satisfied,
     )
 
 
@@ -332,7 +325,6 @@ def check_diffusion_contrast() -> CheckResult:
     )
     on_ok = all(e.norm2() <= (p_heat / 2) ** 2 for e in on_trace.errors())
     return CheckResult(
-        name="diffusion-contrast",
         expected="without diffusion |e_n| >= n*P/4 for n >= 2; with diffusion |e_n| <= P/2",
         got=f"linear-growth holds: {off_ok}; bounded holds: {on_ok}",
         passed=off_ok and on_ok,
@@ -362,7 +354,6 @@ def check_voronoi_coverage() -> CheckResult:
         ):
             failures.append(p_y)
     return CheckResult(
-        name="voronoi-coverage",
         expected="minimal invariant set contains the shifted bounded cell for p_y in {0,5,9}",
         got="covered in all cases" if not failures else f"failed for p_y = {failures}",
         passed=not failures,
@@ -452,7 +443,6 @@ def check_operator_properties() -> CheckResult:
     got = f"{n_collections - unconverged}/{n_collections} converged; "
     got += "all properties hold" if not problems else f"problems={problems[:5]}"
     return CheckResult(
-        name="operator-properties",
         expected=(
             f"extensivity, monotonicity on {n_collections} random collections; invariance "
             "and trajectory containment wherever the iteration converges (at least 30); "
@@ -489,7 +479,8 @@ def run_checks(names: Optional[Sequence[str]] = None) -> list[CheckResult]:
         try:
             result = CHECKS[name]()
         except Exception as exc:  # a broken check fails; it must not stop the run
-            result = CheckResult(name=name, expected="check to run", got=f"error: {exc}", passed=False)
+            result = CheckResult(expected="check to run", got=f"error: {exc}", passed=False)
+        result.name = name
         result.seconds = time.perf_counter() - start
         results.append(result)
     return results

@@ -46,6 +46,10 @@ def cross(u: Point2, v: Point2) -> Fraction:
     return u.x * v.y - u.y * v.x
 
 
+def dot(u: Point2, v: Point2) -> Fraction:
+    return u.x * v.x + u.y * v.y
+
+
 def dist2(a: Point2, b: Point2) -> Fraction:
     return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
 
@@ -270,7 +274,7 @@ def contains_point(polygon: ConvexPolygon, p: Point2) -> bool:
         if orient(u, v, p) != 0:
             return False
         d = v - u
-        t = (p - u).dot(d)
+        t = dot(p - u, d)
         return 0 <= t <= d.norm2()
     return all(orient(verts[i], verts[(i + 1) % n], p) >= 0 for i in range(n))
 
@@ -364,7 +368,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     best = None
     for u, v in edges(polygon):
         d = v - u
-        t = (z - u).dot(d) / d.norm2()
+        t = dot(z - u, d) / d.norm2()
         if t < 0:
             t = Fraction(0)
         elif t > 1:

@@ -414,6 +414,21 @@ class TestMalformedInput:
         assert line == "errdiff: error: --no-diffusion: unknown resources: bogus"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "plot-data"])
+    @pytest.mark.parametrize(
+        "rid",
+        ["../escaped", "{tmp}/absolute", "a/b", "", ".", "..", "a\\b", "a\0b"],
+        ids=["parent", "absolute", "nested", "empty", "dot", "dot-dot", "backslash", "nul"],
+    )
+    def test_resource_id_that_is_not_a_file_name(self, command, rid, tmp_path, capsys):
+        rid = rid.format(tmp=tmp_path)
+        out = tmp_path / "o"
+        path = _write(tmp_path, "s.json", {**SCENARIO, "resources": [_heater(id=rid)]})
+        line = self._fails(capsys, [command, "--scenario", str(path), "--out", str(out)])
+        assert f"resource id {rid!r}" in line
+        # Nothing is written, inside --out or beside it.
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
 
 class TestSimulate:
     def test_outputs_and_determinism(self, scenario_file, tmp_path, capsys):
@@ -613,3 +628,15 @@ class TestVerify:
         code = main(["verify", "--only", "invariant-family3"])
         assert code == 1
         assert ",FAIL," in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "check, bound",
+        [("pv-sim-bound", "pv_error_bound_sq"), ("heater-single-bound", "heater_error_bound")],
+    )
+    def test_quartered_bound_fails(self, check, bound, monkeypatch, capsys):
+        original = getattr(errdiff.verify, bound)
+        monkeypatch.setattr(errdiff.verify, bound, lambda *args: original(*args) / 4)
+        assert main(["verify", "--only", check]) == 1
+        (row,) = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        # The run finished and its metrics broke the bound; the check did not crash.
+        assert row[0] == check and row[3] == "FAIL" and not row[2].startswith("error:")

@@ -254,7 +254,7 @@ class TestRunTrace:
                 400,
                 seed=trial,
             )
-            assert trace.max_error_norm2() <= bound_sq
+            assert compute_metrics(trace, bound_sq).bound_satisfied
             exercised += 1
         assert exercised >= 4
 

@@ -31,6 +31,7 @@ from fraction_kernel import (
     canonical_from_ccw,
     diameter_sq,
     dist2,
+    dot,
     polygon_intersection,
     slack,
 )
@@ -480,7 +481,7 @@ def cell_is_unbounded(point_set, center):
     """
     normals = [pt(h.ints[0], h.ints[1]) for h in voronoi_cell(point_set, center)]
     directions = [pt(-n.y, n.x) for n in normals] + [pt(n.y, -n.x) for n in normals]
-    return not normals or any(all(n.dot(d) <= 0 for n in normals) for d in directions)
+    return not normals or any(all(dot(n, d) <= 0 for n in normals) for d in directions)
 
 
 class TestClassify:

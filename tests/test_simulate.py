@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -335,3 +336,9 @@ class TestUnits:
         spec = heater_scenario().resources[0]
         with pytest.raises(ValueError):
             Scenario(horizon=5, resources=[spec, spec])
+
+    @pytest.mark.parametrize("rid", ["", ".", "..", "../x", "/x", "a/b", "a\\b", "a\0b"])
+    def test_resource_id_must_be_a_file_name(self, rid):
+        spec = dataclasses.replace(heater_scenario().resources[0], resource_id=rid)
+        with pytest.raises(ValueError, match="resource id"):
+            Scenario(horizon=5, resources=[spec])
