@@ -22,11 +22,16 @@ sequences (``run_trace``) and closed-loop resources alike.
 All arithmetic is exact; the recursion above holds as an identity of
 rationals in every trace.
 
-A step is a pure function of its set, request and error, and in grid
-scenarios those repeat, so ``run_resource_loop`` keeps two tables for the
-length of one call: the projection of each distinct (set, target) pair and
-the pairs (advertisement, request) already found to contain the request.
-Nothing is kept between calls.
+A step is a pure function of its set, advertisement, request and error
+(for a given ``diffusion``), and in grid scenarios those repeat, so
+``run_resource_loop`` keeps a step table for the length of one call: each
+distinct step key maps to the step's ``StepRecord`` and the error it leaves.
+A repeated step appends that same record object, so a trace's records are
+shared between equal steps and a record's position in ``records`` is its
+step index (``StepRecord`` has no ``step`` field).  Among the steps the
+table misses, two more tables catch the repeated parts: the projection of
+each distinct (set, target) pair and the pairs (advertisement, request)
+already found to contain the request.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -106,17 +111,19 @@ def step_persistent(
     return implemented, z + next_request - implemented
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class StepRecord:
-    """One step of a trace; ``error`` is the accumulated error entering the step.
+    """One distinct step of a trace; ``error`` is the accumulated error entering it.
 
-    A closed-loop run builds one record per step and nothing writes to a
-    record after the loop appends it, so the class is slotted and not
-    frozen: a frozen dataclass's constructor sets each field through
-    ``object.__setattr__``, which costs about four times as much.
+    The loop appends one record object for every equal step, so a record
+    holds no step index (its positions in ``ControllerTrace.records`` are
+    its steps), and records compare and hash by identity: counting or
+    formatting each distinct record once covers every step it stands for.
+    Nothing writes to a record after the loop builds it, so the class is
+    slotted and not frozen: a frozen dataclass's constructor sets each field
+    through ``object.__setattr__``, which costs about four times as much.
     """
 
-    step: int
     feasible: FeasibleSet
     advertised: ConvexPolygon
     requested: Point2
@@ -126,7 +133,8 @@ class StepRecord:
 
 @dataclass
 class ControllerTrace:
-    """The steps of one run; the error starts at the origin and ends at ``final_error``."""
+    """The steps of one run, ``records[n]`` being step n; equal steps share one
+    record.  The error starts at the origin and ends at ``final_error``."""
 
     records: list[StepRecord] = field(default_factory=list)
     final_error: Point2 = ORIGIN
@@ -242,8 +250,8 @@ def run_resource_loop(
 ) -> ControllerTrace:
     """Run the local controller over ``source`` for ``horizon`` steps.
 
-    Every step reads one feasible set, takes one hull, checks the request
-    against the advertisement it was drawn from and projects once.  The
+    Every step reads one feasible set, takes one hull and draws one request
+    from an advertisement, and ``source.advance`` receives its setpoint.  The
     advertisement is the hull of the current set under perfect prediction
     and the hull of the previous set under persistent prediction (step 0
     advertises its own set).  The error starts at the origin.  With
@@ -254,9 +262,15 @@ def run_resource_loop(
     after the first draw the request before reading the set.  A source and
     a request policy sharing ``rng`` see that order.
 
-    The call projects each distinct (set, target) pair and checks each
-    distinct (advertisement, request) pair once; a request outside its
-    advertisement is never added, so it raises whenever it recurs.
+    The rest of a step (the check of the request against its advertisement,
+    the projection, the error update and the ``StepRecord``) is a pure
+    function of its key (set, advertisement, request, error), so for the
+    length of the call a step table keeps each distinct key's record and the
+    error it leaves: a repeated key appends that same record object and
+    takes that error.  Among the keys the table misses, each distinct
+    (set, target) pair is projected and each distinct (advertisement,
+    request) pair checked once; a request outside its advertisement is
+    never added, so it raises whenever it recurs.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -264,7 +278,10 @@ def run_resource_loop(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     trace = ControllerTrace()
+    records = trace.records
     error = ORIGIN
+    # step key -> (the step's record, the error it leaves)
+    steps: dict[tuple, tuple[StepRecord, Point2]] = {}
     projections: Projections = {}
     # Keyed on triples: a tuple of ints hashes and compares without a Python call.
     contained: set[tuple[tuple[Triple, ...], Triple]] = set()
@@ -278,19 +295,26 @@ def run_resource_loop(
             feasible = source.feasible_set()
             hull = advertised = feasible_hull(feasible)
             request = requests(advertised, error, rng)
-        checked = (advertised._ts, request._t)
-        if checked not in contained:
-            if not advertised.contains_point(request):
-                raise InfeasibleRequestError(f"request {request} outside advertised set")
-            contained.add(checked)
-        # Without diffusion the step sees no carried error; e[n+1] still
-        # accumulates its residual.
-        implemented, residual = step_perfect(
-            error if diffusion else ORIGIN, request, feasible, projections
-        )
-        trace.records.append(StepRecord(n, feasible, advertised, request, implemented, error))
-        error = residual if diffusion else error + residual
-        source.advance(implemented)
+        # The set itself, not its triples: a point set and a polygon with
+        # the same triples project differently.
+        key = (feasible, advertised._ts, request._t, error._t)
+        step = steps.get(key)
+        if step is None:
+            checked = (advertised._ts, request._t)
+            if checked not in contained:
+                if not advertised.contains_point(request):
+                    raise InfeasibleRequestError(f"request {request} outside advertised set")
+                contained.add(checked)
+            # Without diffusion the step sees no carried error; e[n+1] still
+            # accumulates its residual.
+            implemented, residual = step_perfect(
+                error if diffusion else ORIGIN, request, feasible, projections
+            )
+            record = StepRecord(feasible, advertised, request, implemented, error)
+            step = steps[key] = (record, residual if diffusion else error + residual)
+        record, error = step
+        records.append(record)
+        source.advance(record.implemented)
     trace.final_error = error
     return trace
 

@@ -261,11 +261,15 @@ class ConvexPolygon(_Frozen):
     The polygon holds the integer triples of its vertices; `vertices`
     wraps them in Point2s on first use and keeps them, so a vertex is one
     object for the polygon's life.  Equality and hashing compare the
-    triples.  The constructor validates its Point2s; the kernel builds
-    polygons from triples it knows to be canonical.
+    triples; the hash is computed on first use and kept, because a
+    closed-loop run keys its tables on the few feasible sets it meets.  The
+    constructor validates its Point2s; the kernel builds polygons from
+    triples it knows to be canonical.
     """
 
-    __slots__ = ("_ts", "_verts")
+    # _hash is left unset until __hash__ first runs, so building a polygon
+    # costs nothing more.
+    __slots__ = ("_ts", "_verts", "_hash")
 
     def __init__(self, vertices: Iterable[Point2]) -> None:
         verts = tuple(vertices)
@@ -293,7 +297,11 @@ class ConvexPolygon(_Frozen):
         return self._ts == other._ts
 
     def __hash__(self) -> int:
-        return hash(self._ts)
+        try:
+            return self._hash
+        except AttributeError:
+            _setattr(self, "_hash", hash(self._ts))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"ConvexPolygon(vertices={self.vertices!r})"
@@ -500,9 +508,11 @@ class PointSet:
 
     points: tuple[Point2, ...]
     # The points' triples and the hash of points, computed once: point sets
-    # key several caches, and equal triples mean equal points.
+    # key several caches, and equal triples mean equal points.  The hull is
+    # kept on first use: a closed-loop run takes it at every step.
     _key: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    _hull: Optional[ConvexPolygon] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(sorted(set(self.points)))
@@ -511,6 +521,7 @@ class PointSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_key", tuple(p._t for p in pts))
         object.__setattr__(self, "_hash", hash((pts,)))
+        object.__setattr__(self, "_hull", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not PointSet:
@@ -534,7 +545,11 @@ class PointSet:
         return iter(self.points)
 
     def hull(self) -> ConvexPolygon:
-        return _hull_of_triples(self._key)
+        hull = self._hull
+        if hull is None:
+            hull = _hull_of_triples(self._key)
+            object.__setattr__(self, "_hull", hull)
+        return hull
 
 
 # The caches of point-set data are keyed by the triples, not the PointSet: a

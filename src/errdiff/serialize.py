@@ -13,10 +13,11 @@ Writers format points straight from their integer triples: a coordinate
 X/W becomes its lowest-terms string by one gcd and its float by the
 correctly rounded integer division X / W, the value float(Fraction(X, W))
 has, so no Fraction is built per cell.  Traces repeat values, so each CSV
-file formats each distinct triple once (``_RowFormatter``), and each row
-becomes one preformatted line; ``_write_csv`` writes a file's lines in one
-call, in the csv module's excel dialect.  Running averages are summed as
-triples.
+file formats each distinct triple once (``_Cells``), and equal steps share
+one ``StepRecord``, so the per-step rows of the trace and setpoint files
+format each distinct record's row after its index once (``_step_rows``);
+``_write_csv`` writes a file's lines in one call, in the csv module's excel
+dialect.  Running averages are summed as triples.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
 
 from . import resources, simulate
 from .geometry import (
@@ -157,33 +158,21 @@ def _columns(index: Sequence[str], names: Sequence[str]) -> list[str]:
     return [*index, *names, *(f"{name}_float" for name in names)]
 
 
-class _RowFormatter:
-    """The rows of one CSV file, each as one line without its terminator:
-    index columns, then each point's coordinates exactly, then each
-    coordinate as a float.
+class _Cells(dict):
+    """The two cells of each distinct triple of one CSV file: its exact
+    "x,y" and its float "xf,yf", formatted on first lookup.
 
     A coordinate X/W is written in lowest terms by one gcd, and as a float
     by the repr of the correctly rounded integer division X / W, which is
-    float(Fraction(X, W)).  Each distinct triple is formatted once per
-    file, into its joined exact cell "x,y" and its joined float cell
-    "xf,yf"; one beyond the float range raises OverflowError.
+    float(Fraction(X, W)); one beyond the float range raises OverflowError.
+    A row is its index columns, then each point's exact cell, then each
+    point's float cell, joined by each writer in the order of its header.
     """
 
-    def __init__(self) -> None:
-        # triple -> ("x,y" exact, "xf,yf" float)
-        self._cells: dict[Triple, tuple[str, str]] = {}
-
-    def row(self, index: Sequence, triples: Iterable[Triple]) -> str:
-        cells = self._cells
-        exact, floats = [str(i) for i in index], []
-        for t in triples:
-            c = cells.get(t)
-            if c is None:
-                x, y, w = t
-                c = cells[t] = (f"{_rational(x, w)},{_rational(y, w)}", f"{x / w!r},{y / w!r}")
-            exact.append(c[0])
-            floats.append(c[1])
-        return ",".join(exact + floats)
+    def __missing__(self, t: Triple) -> tuple[str, str]:
+        x, y, w = t
+        cells = self[t] = (f"{_rational(x, w)},{_rational(y, w)}", f"{x / w!r},{y / w!r}")
+        return cells
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[str]) -> None:
@@ -222,20 +211,32 @@ def feasible_set_id(feasible: FeasibleSet) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
+def _step_rows(records: list[StepRecord], tail: Callable[[StepRecord], str]) -> list[str]:
+    """One "n,<tail>" row per step; equal steps share a record, so each
+    distinct record's tail is formatted once."""
+    tails = {r: tail(r) for r in dict.fromkeys(records)}
+    return [f"{n},{t}" for n, t in enumerate(map(tails.__getitem__, records))]
+
+
 def write_trace_csv(path: PathLike, trace: ControllerTrace) -> None:
     """Exact trace dump: one row per step, rational strings plus floats."""
-    row = _RowFormatter().row
+    cells = _Cells()
+
+    def tail(r: StepRecord) -> str:
+        x, y, e = cells[r.requested._t], cells[r.implemented._t], cells[r.error._t]
+        return f"{feasible_set_id(r.feasible)},{x[0]},{y[0]},{e[0]},{x[1]},{y[1]},{e[1]}"
+
     _write_csv(
         Path(path),
         _columns(["n", "set_id"], ["x_p", "x_q", "y_p", "y_q", "e_p", "e_q"]),
-        (
-            row(
-                (r.step, feasible_set_id(r.feasible)),
-                (r.requested._t, r.implemented._t, r.error._t),
-            )
-            for r in trace.records
-        ),
+        _step_rows(trace.records, tail),
     )
+
+
+def _resource_csv(out: Path, rid: str, name: str) -> Path:
+    """``out/<rid>_<name>.csv``; the id is checked again here, since a spec
+    may have changed since its scenario checked it."""
+    return out / f"{simulate.checked_resource_id(rid)}_{name}.csv"
 
 
 def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
@@ -243,7 +244,7 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rid, trace in result.traces.items():
-        write_trace_csv(out / f"{rid}_trace.csv", trace)
+        write_trace_csv(_resource_csv(out, rid, "trace"), trace)
     summary = _scenario_header(result)
     summary["resources"] = {
         rid: metrics_to_json(metrics) for rid, metrics in result.report.resources.items()
@@ -253,13 +254,14 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
 
 def _running_averages(records: list[StepRecord]) -> Iterable[str]:
     """Rows of the running means: the sums kept as triples, each mean formatted over W*k."""
-    row = _RowFormatter().row
+    cells = _Cells()
     requested = implemented = ORIGIN._t
     for k, r in enumerate(records, start=1):
         requested = _add(requested, r.requested._t)
         implemented = _add(implemented, r.implemented._t)
         (rx, ry, rw), (ix, iy, iw) = requested, implemented
-        yield row((k - 1,), ((rx, ry, rw * k), (ix, iy, iw * k)))
+        x, y = cells[rx, ry, rw * k], cells[ix, iy, iw * k]
+        yield f"{k - 1},{x[0]},{y[0]},{x[1]},{y[1]}"
 
 
 def _norm(e: Point2) -> float:
@@ -283,19 +285,27 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
     for rid, trace in result.traces.items():
         records = trace.records
         errors = trace.errors() if records else []
-        setpoint_row, error_row = _RowFormatter().row, _RowFormatter().row
+        setpoint_cells, error_cells = _Cells(), _Cells()
+
+        def setpoints(r: StepRecord) -> str:
+            x, y = setpoint_cells[r.requested._t], setpoint_cells[r.implemented._t]
+            return f"{x[0]},{y[0]},{x[1]},{y[1]}"
+
         series = (
             (
                 "setpoints",
                 "requested vs implemented setpoints per step",
                 _columns(["n"], ["x_p", "x_q", "y_p", "y_q"]),
-                (setpoint_row((r.step,), (r.requested._t, r.implemented._t)) for r in records),
+                _step_rows(records, setpoints),
             ),
             (
                 "accumulated_error",
                 "accumulated error e_n (components and norm)",
                 _columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"],
-                (f"{error_row((n,), (e._t,))},{_norm(e)!r}" for n, e in enumerate(errors)),
+                (
+                    f"{n},{','.join(error_cells[e._t])},{_norm(e)!r}"
+                    for n, e in enumerate(errors)
+                ),
             ),
             (
                 "time_averaged",
@@ -305,7 +315,7 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
             ),
         )
         for name, description, header, rows in series:
-            path = out / f"{rid}_{name}.csv"
+            path = _resource_csv(out, rid, name)
             _write_csv(path, header, rows)
             files.append({"path": path.name, "resource": rid, "series": description})
             written.append(path)

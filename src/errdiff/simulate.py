@@ -21,8 +21,10 @@ On the grid the same steps recur, and one run computes each of them once:
 ``GradientRequests``, built afresh for every resource of every run, keeps
 the central step of each (advertisement, previous request) pair, and a
 random availability wave, built with its scenario, builds each grid level
-when it is first drawn.  The loop's own projection and containment tables
-are described in ``dynamics``.  No table is process-wide.
+when it is first drawn.  The loop's step table, described in ``dynamics``,
+appends one shared ``StepRecord`` for all equal steps, so
+``compute_metrics`` counts each distinct record once.  No table is
+process-wide.
 
 This module holds the resource units, the central policy, scenarios and
 metrics; ``serialize`` writes them out.
@@ -35,7 +37,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import compress, count
+from operator import mul, ne, sub
 from typing import Callable, Optional, Protocol, Sequence, Union
 
 from .dynamics import ControllerTrace, SetSource, run_resource_loop
@@ -341,12 +344,21 @@ class PVSpec:
 ResourceSpec = Union[HeaterSpec, PVSpec]
 
 
+def checked_resource_id(rid: str) -> str:
+    """``rid``, checked to be a file name part: not empty, "." or "..", and
+    with no "/", "\\" or NUL, since each resource id names its output files."""
+    if rid in ("", ".", "..") or any(c in rid for c in "/\\\0"):
+        raise ValueError(f"resource id {rid!r} cannot name an output file")
+    return rid
+
+
 @dataclass
 class Scenario:
     """A fully deterministic closed-loop experiment.
 
-    Each resource id names the resource's output files, so it must be a
-    file name part: not empty, "." or "..", and with no "/", "\\" or NUL.
+    Each resource id names the resource's output files, so it must pass
+    ``checked_resource_id``; ``serialize`` checks it again when it builds
+    each file name, because the specs stay mutable.
     """
 
     horizon: int
@@ -357,10 +369,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        ids = [r.resource_id for r in self.resources]
-        for rid in ids:
-            if rid in ("", ".", "..") or any(c in rid for c in "/\\\0"):
-                raise ValueError(f"resource id {rid!r} cannot name an output file")
+        ids = [checked_resource_id(r.resource_id) for r in self.resources]
         if len(set(ids)) != len(ids):
             raise ValueError("resource ids must be unique")
         if not self.resources:
@@ -429,7 +438,7 @@ def least_squares_slope(ys: Sequence[float]) -> float:
     return (n * sum_iy - sum_i * sum_y) / ((n * sum_ii - sum_i * sum_i) << shift)
 
 
-def _weighted_sum(counts: Counter, ints: Sequence[tuple[int, int]]) -> tuple[int, int]:
+def _weighted_sum(counts: dict[Triple, int], ints: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """The sum of the scaled points ``ints``, each taken as often as ``counts`` says, in order."""
     sx = sy = 0
     for (x, y), k in zip(ints, counts.values()):
@@ -439,37 +448,42 @@ def _weighted_sum(counts: Counter, ints: Sequence[tuple[int, int]]) -> tuple[int
 
 
 def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> ResourceMetrics:
-    """The metrics of one trace, exact, over its distinct triples.
+    """The metrics of one trace, exact, over its distinct records.
 
-    A trace repeats its setpoints and errors, so the requested and the
-    implemented setpoints are counted per distinct triple and the errors
-    are collected as a set.  Every distinct point is put over one common
-    denominator L, the lcm of all their W, so the sums (weighted by count)
-    and the squared norms (over L^2) are integer operations, and each
-    reported rational is built once.  Each distinct error's squared norm
-    and float norm is computed once and looked up per step for the slope.
-    The averaging identity mean(y) - mean(x) = (e_0 - e_N)/N is checked
-    exactly, as sum(y) - sum(x) = e_0 - e_N in those integers, and the
-    stagnation run compares canonical (requested, implemented) triples.
+    Equal steps share one record, so the records are counted once (by
+    identity) and the requested and implemented setpoints are summed per
+    distinct triple, weighted by their records' counts; the errors are
+    collected as a set.  Every distinct point is put over one common
+    denominator L, the lcm of all their W, so the sums and the squared
+    norms (over L^2) are integer operations, and each reported rational is
+    built once.  Each distinct error's squared norm and float norm is
+    computed once and looked up per step for the slope.  The averaging
+    identity mean(y) - mean(x) = (e_0 - e_N)/N is checked exactly, as
+    sum(y) - sum(x) = e_0 - e_N in those integers, and the stagnation run
+    is the longest run of steps with equal (requested, implemented) triples.
     """
     records = trace.records
     steps = len(records)
     if steps == 0:
         raise ValueError("cannot compute metrics for an empty trace")
-    errors = trace.errors()
-    pairs = [(r.requested._t, r.implemented._t) for r in records]
-    requested = Counter([x for x, _ in pairs])
-    implemented = Counter([y for _, y in pairs])
-    error_ts = [e._t for e in errors]
-    distinct_errors = dict.fromkeys(error_ts)
+    counts = Counter(records)
+    requested: dict[Triple, int] = {}
+    implemented: dict[Triple, int] = {}
+    for r, k in counts.items():
+        x, y = r.requested._t, r.implemented._t
+        requested[x] = requested.get(x, 0) + k
+        implemented[y] = implemented.get(y, 0) + k
+    final = trace.final_error._t
+    # e_0, the first record's error, comes first.
+    distinct_errors = dict.fromkeys([*[r.error._t for r in counts], final])
     scale, ints = _scaled([*requested, *implemented, *distinct_errors])
     n_req, n_imp = len(requested), len(implemented)
     req_x, req_y = _weighted_sum(requested, ints[:n_req])
     imp_x, imp_y = _weighted_sum(implemented, ints[n_req : n_req + n_imp])
     error_ints = ints[n_req + n_imp :]
-    # e_0 is the first distinct error; e_N may repeat an earlier one, so it is scaled alone.
+    # e_N may repeat an earlier error, so it is scaled alone.
     first_x, first_y = error_ints[0]
-    last_x, last_y, last_w = error_ts[-1]
+    last_x, last_y, last_w = final
     k = scale // last_w
     if (imp_x - req_x, imp_y - req_y) != (first_x - last_x * k, first_y - last_y * k):
         raise AssertionError("trace violates the exact averaging identity")
@@ -478,21 +492,17 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
     # q / square is the correctly rounded float of the squared norm.
     norms = dict(zip(distinct_errors, [math.sqrt(q / square) for q in norms2]))
     max_err2 = Fraction(max(norms2), square)
-    longest = current = 0
-    prev = None
-    for pair in pairs:
-        current = current + 1 if pair == prev else 1
-        prev = pair
-        if current > longest:
-            longest = current
+    # The stagnation runs end where the pair changes: at those steps and at N.
+    pairs = [(r.requested._t, r.implemented._t) for r in records]
+    ends = [*compress(count(1), map(ne, pairs, pairs[1:])), steps]
     return ResourceMetrics(
         steps=steps,
         max_error_norm2=max_err2,
-        final_error=errors[-1],
+        final_error=trace.final_error,
         average_requested=_from_triple(_normalised(req_x, req_y, total)),
         average_implemented=_from_triple(_normalised(imp_x, imp_y, total)),
-        error_slope=least_squares_slope(list(map(norms.__getitem__, error_ts))),
-        stagnation_steps=longest,
+        error_slope=least_squares_slope([norms[e._t] for e in trace.errors()]),
+        stagnation_steps=max(map(sub, ends, [0, *ends])),
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
     )

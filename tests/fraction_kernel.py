@@ -7,14 +7,16 @@ collection-operator step (`cell_pieces`, `apply_collection`) assembled
 from them, of the iteration's coordinate bit count and digest, of the
 closed loop's `uniform_request`, `central_step`, `heater_step` and
 `compute_metrics`, and of the trace writers' `row` and `coords`, which the
-package runs on integers.  Only the tests import it,
+package runs on integers.  Its `run_resource_loop` is the controller loop
+without the package loop's tables: one `step_perfect` call with a fresh
+projections dict and one new record per step.  Only the tests import it,
 as an oracle: every function here must return exactly what its
 counterpart in the package returns.  It also holds the Fraction helpers
 the tests measure with (`dist2`, `slack`, `diameter_sq`,
 `polygon_intersection`, `edges`, `interval_contains`).  Of the package it
-uses the value types, their Fraction coordinates and arithmetic, `orient`
-and `voronoi_cell`, and it builds its polygons with the validating
-`ConvexPolygon` constructor.
+uses the value types, their Fraction coordinates and arithmetic, `orient`,
+`voronoi_cell` and `step_perfect`, and it builds its polygons with the
+validating `ConvexPolygon` constructor.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from errdiff.geometry import (
     orient,
     voronoi_cell,
 )
-from errdiff.dynamics import ControllerTrace
+from errdiff.dynamics import ControllerTrace, InfeasibleRequestError, StepRecord, step_perfect
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import Collection
 from errdiff.resources import TEMP_RESOLUTION, HeaterParams, HeaterState
@@ -478,6 +480,34 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
         heat = params.gain * params.powers[i] if now_on else 0
         temps.append(round((t + params.leak * (params.t_out - t) + heat) / res) * res)
     return HeaterState(on=tuple(on), lock_remaining=tuple(locks), temps=tuple(temps))
+
+
+def run_resource_loop(source, requests, horizon: int, rng, *, diffusion: bool = True) -> ControllerTrace:
+    """The controller loop with no table: every step checks its request by
+    the Fraction `contains_point`, runs `step_perfect` with a fresh
+    projections dict and appends a record of its own, so no two steps share
+    a record.  The source, the request policy and the rng are called in the
+    package loop's order."""
+    trace = ControllerTrace()
+    error, previous = ORIGIN, None
+    for n in range(horizon):
+        if source.prediction == "persistent" and n > 0:
+            advertised = _feasible_hull(previous)
+            request = requests(advertised, error, rng)
+            feasible = source.feasible_set()
+        else:
+            feasible = source.feasible_set()
+            advertised = _feasible_hull(feasible)
+            request = requests(advertised, error, rng)
+        if not contains_point(advertised, request):
+            raise InfeasibleRequestError(f"request {request} outside advertised set")
+        implemented, residual = step_perfect(error if diffusion else ORIGIN, request, feasible, {})
+        trace.records.append(StepRecord(feasible, advertised, request, implemented, error))
+        error = residual if diffusion else error + residual
+        source.advance(implemented)
+        previous = feasible
+    trace.final_error = error
+    return trace
 
 
 def compute_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:

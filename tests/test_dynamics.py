@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from errdiff.dynamics import (
@@ -29,6 +29,7 @@ from errdiff.simulate import (
 )
 
 from conftest import poly, pt
+import fraction_kernel as oracle
 from fraction_kernel import diameter_sq, dist2
 
 
@@ -340,8 +341,86 @@ class TestLoopMatchesSteps:
         assert trace.final_error == error
 
 
+class _Replay:
+    """A fixed list of sets as a set source, for the loop and its oracle alike."""
+
+    def __init__(self, prediction, sets):
+        self.prediction, self.sets, self.n = prediction, sets, 0
+
+    def feasible_set(self):
+        return self.sets[self.n]
+
+    def advance(self, implemented):
+        self.n += 1
+
+
+@st.composite
+def recurring_runs(draw):
+    """A schedule cycling through one to three sets, in either mode, with or
+    without diffusion, under a request policy whose draws recur: grid points
+    of the advertisement with denominator 1 or 2, projected gradient steps,
+    or the origin, which every set then holds, so that steps differ only in
+    their set and advertisement."""
+    pool = draw(st.lists(feasible_sets, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["grid", "gradient", "origin"]))
+    if kind == "grid":
+        denominator = draw(st.sampled_from([1, 2]))
+        requests = lambda: uniform_request(denominator=denominator)  # noqa: E731
+    elif kind == "gradient":
+        policy = CentralPolicy(QuadraticCost(draw(points)), draw(st.sampled_from(["1/2", "1/4"])))
+        requests = lambda: GradientRequests(policy)  # noqa: E731
+    else:
+        pool = [
+            PointSet((*s.points, ORIGIN))
+            if isinstance(s, PointSet)
+            else convex_hull((*s.vertices, ORIGIN))
+            for s in pool
+        ]
+        requests = lambda: fixed_request(ORIGIN)  # noqa: E731
+    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=30))
+    sets = [pool[k % len(pool)] for k in picks]
+    return draw(st.sampled_from(["perfect", "persistent"])), sets, requests, draw(st.booleans())
+
+
+def _step_fields(r):
+    return (r.feasible, r.advertised, r.requested, r.implemented, r.error)
+
+
 class TestLoopMemo:
     """The loop computes each distinct step once per run, and the answers are the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(recurring_runs(), st.integers(0, 2**16))
+    # Steps 0 and 1 differ only in their error.
+    @example(("perfect", [HEATER] * 3, lambda: fixed_request(pt("-15/2", 0)), True), 0)
+    # Steps 1 and 3 differ only in their advertisement, the hull of the set
+    # before: the segment from the origin to (1, 0), then to (0, 1).
+    @example(
+        (
+            "persistent",
+            [PointSet((ORIGIN, p)) for p in (pt(1, 0), ORIGIN, pt(0, 1), ORIGIN)],
+            lambda: fixed_request(ORIGIN),
+            True,
+        ),
+        0,
+    )
+    def test_step_table_equals_table_free_oracle(self, run, seed):
+        """Every record and the final error equal the oracle's, which runs each
+        step afresh; steps with equal (set, advertisement, request, error)
+        share one record, and steps that differ in any of them do not."""
+        mode, sets, requests, diffusion = run
+        got = run_resource_loop(
+            _Replay(mode, sets), requests(), len(sets), random.Random(seed), diffusion=diffusion
+        )
+        want = oracle.run_resource_loop(
+            _Replay(mode, sets), requests(), len(sets), random.Random(seed), diffusion=diffusion
+        )
+        assert [_step_fields(r) for r in got.records] == [_step_fields(r) for r in want.records]
+        assert got.final_error == want.final_error
+        shared = {}
+        for g, w in zip(got.records, want.records):
+            assert shared.setdefault((w.feasible, w.advertised, w.requested, w.error), g) is g
+        assert len(set(map(id, got.records))) == len(shared)
 
     def test_request_checked_against_each_advertisement(self):
         # The same request under two advertisements: only the first holds it,

@@ -16,11 +16,14 @@ and denominators of 200 bits and more.  A common scale preserves every
 orientation sign, so the mapped input keeps its degeneracies.
 """
 
+import dataclasses
 import math
 import pickle
 import random
+import tempfile
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +68,7 @@ from errdiff.resources import (
     heater_setpoints_2d,
     heater_step,
 )
+from errdiff.serialize import write_trace_csv
 from errdiff.simulate import (
     REQUEST_RESOLUTION,
     CentralPolicy,
@@ -885,12 +889,21 @@ def per_step_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:
 
 def _record_trace(error: Point2, steps) -> ControllerTrace:
     """A trace of (requested, implemented) pairs from ``error``, each error
-    carried as e + x - y, so the averaging identity holds."""
-    records = []
-    for n, (x, y) in enumerate(steps):
-        records.append(StepRecord(n, PointSet((y,)), ConvexPolygon((x,)), x, y, error))
+    carried as e + x - y, so the averaging identity holds.  Equal steps share
+    one record, as the loop's do."""
+    records, shared = [], {}
+    for x, y in steps:
+        key = (x, y, error)
+        if key not in shared:
+            shared[key] = StepRecord(PointSet((y,)), ConvexPolygon((x,)), x, y, error)
+        records.append(shared[key])
         error = error + x - y
     return ControllerTrace(records, final_error=error)
+
+
+def _copied(trace: ControllerTrace) -> ControllerTrace:
+    """The trace with a record of its own for every step."""
+    return ControllerTrace([dataclasses.replace(r) for r in trace.records], trace.final_error)
 
 
 @st.composite
@@ -933,10 +946,27 @@ class TestMetrics:
         assert got == want
         assert repr(got.error_slope) == repr(want.error_slope)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(metric_traces(), traces()), st.one_of(st.none(), st.fractions(min_value=0)))
+    def test_shared_and_copied_records_agree(self, trace, bound_sq):
+        """Counting and writing each distinct record once gives what one record
+        per step gives: the same metrics, equal to the per-step oracle, and the
+        same trace CSV bytes."""
+        copied = _copied(trace)
+        assert len(set(map(id, copied.records))) == len(copied.records)
+        metrics = compute_metrics(trace, bound_sq)
+        assert metrics == compute_metrics(copied, bound_sq) == per_step_metrics(copied, bound_sq)
+        assert repr(metrics.error_slope) == repr(per_step_metrics(copied, bound_sq).error_slope)
+        with tempfile.TemporaryDirectory() as tmp:
+            shared_csv, copied_csv = Path(tmp) / "shared.csv", Path(tmp) / "copied.csv"
+            write_trace_csv(shared_csv, trace)
+            write_trace_csv(copied_csv, copied)
+            assert shared_csv.read_bytes() == copied_csv.read_bytes()
+
     def test_broken_identity_is_caught(self):
         records = [
-            StepRecord(n, PointSet((p,)), ConvexPolygon((p,)), p, p, error)
-            for n, p, error in ((0, pt(0, 0), pt(0, 0)), (1, pt(1, 0), pt(0, 1)))
+            StepRecord(PointSet((p,)), ConvexPolygon((p,)), p, p, error)
+            for p, error in ((pt(0, 0), pt(0, 0)), (pt(1, 0), pt(0, 1)))
         ]
         trace = ControllerTrace(records, final_error=pt(0, 1))
         for metrics in (compute_metrics, per_step_metrics, oracle.compute_metrics):

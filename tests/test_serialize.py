@@ -17,7 +17,7 @@ from errdiff.operators import Collection
 from errdiff.serialize import (
     _columns,
     _norm,
-    _RowFormatter,
+    _Cells,
     _write_csv,
     feasible_set_id,
     load_collection,
@@ -73,6 +73,18 @@ rationals = st.one_of(
 )
 
 
+def _row_of(cells: _Cells):
+    """A row builder over one file's cells, laid out as every writer lays out
+    its rows: the index columns, each point's exact cell, then each point's
+    float cell."""
+
+    def row(index, triples) -> str:
+        got = [cells[t] for t in triples]
+        return ",".join([*map(str, index), *(c[0] for c in got), *(c[1] for c in got)])
+
+    return row
+
+
 def _line(row) -> object:
     """A row as one CSV line: its cells as the csv writer renders them (str;
     repr for a float) joined by commas, or OverflowError when a value has no
@@ -98,7 +110,7 @@ class TestFormatter:
         """Rows of one file pick points by index; the second pass over them
         reads every cell from the memo, and both passes equal the oracle."""
         points = [Point2(x, y) for x, y in pairs]
-        row = _RowFormatter().row
+        row = _row_of(_Cells())
         for picks in rows + rows:
             chosen = [points[i % len(points)] for i in picks]
             got = _line(lambda: row((7, "id"), [p._t for p in chosen]))
@@ -122,7 +134,7 @@ class TestFormatter:
 
     def test_beyond_float_range_raises_on_both_sides(self):
         huge = Point2(Fraction(3 * 2**1100, 7), Fraction(1))
-        row = _RowFormatter().row
+        row = _row_of(_Cells())
         for _ in range(2):
             with pytest.raises(OverflowError):
                 row((0,), [huge._t])
@@ -165,7 +177,7 @@ class TestCsvWriter:
         """The preformatted lines, byte for byte what csv.writer writes from the
         oracle's cells: ints, "n/d" strings and floats."""
         header, n_index, n_points, with_norm = shape
-        row = _RowFormatter().row
+        row = _row_of(_Cells())
         lines, cells = [], []
         for index, pairs, norm in rows:
             index, points = index[:n_index], [Point2(x, y) for x, y in pairs[:n_points]]

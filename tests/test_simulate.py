@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from errdiff.dynamics import ControllerTrace
 from errdiff.geometry import ORIGIN, Point2
 from errdiff.resources import HeaterParams, HeaterState, PVParams, pv_error_bound_sq
-from errdiff.serialize import emit_plot_data
+from errdiff.serialize import emit_plot_data, write_simulation
 from errdiff.simulate import (
     CentralPolicy,
     GradientRequests,
@@ -342,3 +342,17 @@ class TestUnits:
         spec = dataclasses.replace(heater_scenario().resources[0], resource_id=rid)
         with pytest.raises(ValueError, match="resource id"):
             Scenario(horizon=5, resources=[spec])
+
+    @pytest.mark.parametrize("write", [write_simulation, emit_plot_data])
+    def test_resource_id_changed_after_construction_is_refused_by_the_writers(
+        self, write, tmp_path
+    ):
+        """A library caller may change a spec's id once its scenario has checked
+        it; the writers check it again before they name a file after it."""
+        scenario = heater_scenario()
+        scenario.resources[0].resource_id = "../escaped"
+        result = run_scenario(scenario)
+        out = tmp_path / "sub" / "out"
+        with pytest.raises(ValueError, match="resource id '../escaped'"):
+            write(result, out)
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "sub", out]
