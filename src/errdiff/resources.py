@@ -11,9 +11,16 @@ numerators over another, so rooms are classified (once per state) and
 ordered coldest first by integer comparisons, a setpoint is decoded as an
 integer subset sum, and each new temperature is rounded to the 1/1024 grid
 (``TEMP_RESOLUTION``, ties to even) by one integer divmod.  Fractions are
-built only where a temperature is read.  Feasible sets are built once and
-shared through bounded caches: the heater set per (forced base,
-comfort-room powers) and the PV triangle per (cap, tan_phi).
+built only where a temperature is read.
+
+A heater step works from tables.  The decode table keeps the rooms to
+heat for each distinct (comfort order, scaled powers, target), None for
+an unreachable target; the bank keeps each room's thermal update with its
+rounding per state denominator; and the step classifies the state it
+makes in its room loop, so the next step's feasible set is one lookup.
+Feasible sets are built once and shared through bounded caches: the
+heater set per (scale, powers, forced base, comfort rooms) and the PV
+triangle per (cap, tan_phi).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .geometry import (
     ORIGIN,
@@ -46,8 +53,8 @@ from .geometry import (
 # the exact recursion multiplies denominators every step; the temperature
 # only selects which feasible set appears, so the grid is a modeling
 # choice, not an accuracy loss in the error accounting.
-TEMP_RESOLUTION = Fraction(1, 1024)
-_GRID_NUM, _GRID_DEN = TEMP_RESOLUTION.numerator, TEMP_RESOLUTION.denominator
+_GRID_DEN = 1024
+TEMP_RESOLUTION = Fraction(1, _GRID_DEN)
 
 
 def _nearest(num: int, den: int) -> int:
@@ -83,6 +90,8 @@ class HeaterParams:
     (numerator, denominator) pairs; and per room and switch state the
     thermal update in units of ``TEMP_RESOLUTION``,
     T' / TEMP_RESOLUTION = (T*keep + add) / over with integer keep, add, over.
+    ``_rounding`` holds that update, rounding included, for each state
+    denominator dividing the grid's (see ``_thermal_rounding``).
     """
 
     powers: tuple[Fraction, ...]
@@ -96,6 +105,8 @@ class HeaterParams:
     _scaled_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _band: tuple[tuple[int, int], tuple[int, int]] = field(init=False, repr=False, compare=False)
     _thermal: tuple = field(init=False, repr=False, compare=False)
+    _rounding: dict = field(init=False, repr=False, compare=False)
+    _grid_band: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", tuple(as_fraction(p) for p in self.powers))
@@ -118,14 +129,16 @@ class HeaterParams:
         object.__setattr__(
             self, "_band", tuple((t.numerator, t.denominator) for t in (self.t_min, self.t_max))
         )
+        (lo_n, lo_d), (hi_n, hi_d) = self._band
+        object.__setattr__(self, "_grid_band", (lo_d, lo_n * _GRID_DEN, hi_d, hi_n * _GRID_DEN))
         keep = (1 - self.leak) / TEMP_RESOLUTION
         add = self.leak * self.t_out / TEMP_RESOLUTION
         heat = self.gain / TEMP_RESOLUTION
-        object.__setattr__(
-            self,
-            "_thermal",
-            tuple((_affine(keep, add), _affine(keep, add + heat * p)) for p in self.powers),
-        )
+        thermal = tuple((_affine(keep, add), _affine(keep, add + heat * p)) for p in self.powers)
+        object.__setattr__(self, "_thermal", thermal)
+        # A stepped state's denominator divides the grid's, a power of two.
+        dens = [_GRID_DEN >> j for j in range(_GRID_DEN.bit_length())]
+        object.__setattr__(self, "_rounding", {d: _thermal_rounding(thermal, d) for d in dens})
 
     @property
     def rooms(self) -> int:
@@ -136,6 +149,22 @@ def _affine(keep: Fraction, add: Fraction) -> tuple[int, int, int]:
     """T -> T*keep + add as integers (k, a, m): T' = (T*k + a) / m."""
     m = math.lcm(keep.denominator, add.denominator)
     return keep.numerator * (m // keep.denominator), add.numerator * (m // add.denominator), m
+
+
+def _thermal_rounding(thermal: tuple, den: int) -> tuple:
+    """Per room and switch state, the thermal update of a temperature t/den
+    with its rounding: (times, plus, over) such that, for q, r =
+    divmod(t*times + plus, over), the new temperature over
+    ``TEMP_RESOLUTION`` is q, or q - 1 when r is 0 and q is odd.
+
+    The update is N/D = (t*keep + add*den) / (den*over) in grid units, and
+    q = floor((2N + D) / 2D) rounds it to the nearest integer with halves
+    up; r = 0 is a half, which goes to the even neighbour.
+    """
+    return tuple(
+        tuple((2 * keep, (2 * add + over) * den, 2 * over * den) for keep, add, over in room)
+        for room in thermal
+    )
 
 
 class HeaterState(_Frozen):
@@ -205,13 +234,21 @@ class HeaterState(_Frozen):
         return HeaterState, (self.on, self.lock_remaining, self.temps)
 
 
-def _init_state(state: HeaterState, on: tuple, locks: tuple, nums: tuple, den: int) -> HeaterState:
-    """Set the slots of a state whose temperatures are nums/den in least terms."""
+def _init_state(
+    state: HeaterState,
+    on: tuple,
+    locks: tuple,
+    nums: tuple,
+    den: int,
+    rooms: Optional[tuple] = None,
+) -> HeaterState:
+    """Set the slots of a state whose temperatures are nums/den in least terms,
+    with its room classes under a bank if known (see ``_room_classes``)."""
     _setattr(state, "on", on)
     _setattr(state, "lock_remaining", locks)
     _setattr(state, "_nums", nums)
     _setattr(state, "_den", den)
-    _setattr(state, "_rooms", None)
+    _setattr(state, "_rooms", rooms)
     return state
 
 
@@ -222,8 +259,11 @@ def _room_classes(
 
     Temperatures are compared with the band by cross-multiplication; the
     base is the negated power of the locked-on and too-cold rooms, as an
-    integer over ``params._scale``.  Computed once per state and bank:
+    integer over ``params._scale``.  Kept once per state and bank:
     ``heater_setpoints_2d`` and ``heater_step`` both read them.
+    ``heater_step`` classifies the state it makes in its room loop, the same
+    way, so they are computed here only for a state built from its fields
+    or read under another bank.
     """
     kept = state._rooms
     if kept is not None and kept[0] is params:
@@ -249,10 +289,13 @@ def _room_classes(
 
 
 @lru_cache(maxsize=4096)
-def _setpoints(scale: int, base: int, comfort: tuple[int, ...]) -> PointSet:
-    """base minus every subset sum of the comfort powers, over scale, on the P axis."""
+def _setpoints(
+    scale: int, powers: tuple[int, ...], base: int, comfort: tuple[int, ...]
+) -> PointSet:
+    """base minus every subset sum of the comfort rooms' powers, over scale, on the P axis."""
     sums = {0}
-    for p in comfort:
+    for room in comfort:
+        p = powers[room]
         sums |= {s + p for s in sums}
     return PointSet(tuple(_from_triple(_normalised(base - s, 0, scale)) for s in sums))
 
@@ -262,31 +305,40 @@ def heater_setpoints_2d(params: HeaterParams, state: HeaterState) -> PointSet:
 
     Locked heaters and too-cold rooms contribute a fixed base consumption;
     each subset of the unlocked comfort-band rooms may additionally heat.
-    The set is built once per (base, comfort-room powers) and then shared.
+    The set is built once per (bank, base, comfort rooms) and then shared:
+    a state's set is one cached lookup.
     """
     _, comfort, base = _room_classes(params, state)
-    powers = params._scaled_powers
-    return _setpoints(params._scale, base, tuple(powers[i] for i in comfort))
+    return _setpoints(params._scale, params._scaled_powers, base, comfort)
 
 
+@lru_cache(maxsize=4096)
 def _coldest_subset(
-    order: Sequence[int], powers: Sequence[int], target: int
-) -> Optional[list[int]]:
-    """First subset (in coldest-first preference order) summing to target, or None."""
+    order: tuple[int, ...], powers: tuple[int, ...], target: int
+) -> Optional[frozenset[int]]:
+    """The rooms to heat: the first subset of ``order`` whose powers sum to
+    target, None if no subset does.
 
-    def search(idx: int, remaining: int, chosen: list[int]):
-        if remaining == 0:
-            return chosen
-        if idx == len(order):
-            return None
-        room = order[idx]
-        if powers[room] <= remaining:
-            found = search(idx + 1, remaining - powers[room], chosen + [room])
-            if found is not None:
-                return found
-        return search(idx + 1, remaining, chosen)
-
-    return search(0, target, [])
+    "First" is the order of a search that tries each room, coldest first,
+    with it before without it.  It is found without the search: each room
+    is taken exactly when the rest of the target is still a subset sum of
+    the rooms after it.  A bank's decodes repeat, so each distinct
+    (order, powers, target) is decoded once and kept, None included.
+    """
+    # after[k]: every subset sum of the rooms order[k:].
+    after = [{0}]
+    for room in reversed(order):
+        p = powers[room]
+        after.append(after[-1] | {s + p for s in after[-1]})
+    after.reverse()
+    if target not in after[0]:
+        return None
+    heated = []
+    for k, room in enumerate(order, 1):
+        if target - powers[room] in after[k]:
+            heated.append(room)
+            target -= powers[room]
+    return frozenset(heated)
 
 
 def heater_step(params: HeaterParams, state: HeaterState, setpoint: RationalLike) -> HeaterState:
@@ -298,27 +350,35 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: RationalLike
     heated (room index breaks exact temperature ties).  Heaters that switch
     acquire a fresh lock; temperatures then follow the first-order thermal
     model using the new switch states, rounded to the ``TEMP_RESOLUTION``
-    grid (ties to even) by one integer divmod per room.  All of it runs on
-    the state's numerators over its common denominator; an int setpoint
-    needs no Fraction.
+    grid (ties to even) by one integer divmod per room, in the room loop.
+    All of it runs on the state's numerators over its common denominator;
+    an int setpoint needs no Fraction.
     """
-    if type(setpoint) is not int:
-        setpoint = as_fraction(setpoint)
     cold, comfort, base = _room_classes(params, state)
     nums, den = state._nums, state._den
-    # Over one denominator the numerators order the temperatures; the sort
-    # is stable and comfort ascends, so the room index breaks ties.
-    order = sorted(comfort, key=nums.__getitem__)
     # The decode runs in integers over params._scale; a setpoint off that
     # grid is no sum of powers.
-    target, off_grid = divmod(setpoint.numerator * params._scale, setpoint.denominator)
-    heated = None if off_grid else _coldest_subset(order, params._scaled_powers, base - target)
+    if type(setpoint) is int:
+        target, off_grid = setpoint * params._scale, 0
+    else:
+        setpoint = as_fraction(setpoint)
+        target, off_grid = divmod(setpoint.numerator * params._scale, setpoint.denominator)
+    # Over one denominator the numerators order the temperatures; the sort
+    # is stable and comfort ascends, so the room index breaks ties.
+    if len(comfort) > 1:
+        comfort = tuple(sorted(comfort, key=nums.__getitem__))
+    heated = None if off_grid else _coldest_subset(comfort, params._scaled_powers, base - target)
     if heated is None:
         raise ValueError(f"setpoint {setpoint} is not implementable in this state")
 
-    thermal, lock_steps = params._thermal, params.lock_steps
+    rounding = params._rounding.get(den) or _thermal_rounding(params._thermal, den)
+    lock_steps, powers = params.lock_steps, params._scaled_powers
+    lo_d, lo, hi_d, hi = params._grid_band
     on, locks, snapped = [], [], []
-    for i, (now_on, lock, a) in enumerate(zip(state.on, state.lock_remaining, nums)):
+    next_cold, next_comfort, next_base = [], [], 0
+    for i, (now_on, lock, a, switch) in enumerate(
+        zip(state.on, state.lock_remaining, nums, rounding)
+    ):
         # A locked room keeps its switch and counts down; an unlocked one
         # heats when too cold or chosen, a too-hot room switches off, and a
         # switch takes a fresh lock.
@@ -328,13 +388,30 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: RationalLike
             now_on, lock = not now_on, lock_steps
         on.append(now_on)
         locks.append(lock)
-        keep, add, over = thermal[i][now_on]
-        snapped.append(_nearest(a * keep + add * den, den * over) * _GRID_NUM)
+        times, plus, over = switch[now_on]
+        k, r = divmod(a * times + plus, over)
+        if not r and k & 1:
+            k -= 1
+        snapped.append(k)
+        # The new state's classes, as _room_classes finds them, on k over the grid.
+        if lock:
+            if now_on:
+                next_base -= powers[i]
+        elif k * lo_d < lo:
+            next_cold.append(i)
+            next_base -= powers[i]
+        elif k * hi_d <= hi:
+            next_comfort.append(i)
     g = math.gcd(_GRID_DEN, *snapped)
     if g > 1:
         snapped = [k // g for k in snapped]
     return _init_state(
-        object.__new__(HeaterState), tuple(on), tuple(locks), tuple(snapped), _GRID_DEN // g
+        object.__new__(HeaterState),
+        tuple(on),
+        tuple(locks),
+        tuple(snapped),
+        _GRID_DEN // g,
+        (params, (tuple(next_cold), tuple(next_comfort), next_base)),
     )
 
 

@@ -253,15 +253,19 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
 
 
 def _running_averages(records: list[StepRecord]) -> Iterable[str]:
-    """Rows of the running means: the sums kept as triples, each mean formatted over W*k."""
-    cells = _Cells()
+    """Rows of the running means: the sums kept as triples, each mean written
+    over W*k in the cells ``_Cells`` writes.  Nearly every mean is new, so
+    the cells are formatted in the row, none kept for a later one."""
     requested = implemented = ORIGIN._t
     for k, r in enumerate(records, start=1):
         requested = _add(requested, r.requested._t)
         implemented = _add(implemented, r.implemented._t)
         (rx, ry, rw), (ix, iy, iw) = requested, implemented
-        x, y = cells[rx, ry, rw * k], cells[ix, iy, iw * k]
-        yield f"{k - 1},{x[0]},{y[0]},{x[1]},{y[1]}"
+        rw, iw = rw * k, iw * k
+        yield (
+            f"{k - 1},{_rational(rx, rw)},{_rational(ry, rw)},{_rational(ix, iw)},"
+            f"{_rational(iy, iw)},{rx / rw!r},{ry / rw!r},{ix / iw!r},{iy / iw!r}"
+        )
 
 
 def _norm(e: Point2) -> float:

@@ -752,6 +752,33 @@ class TestHeater:
             state = nxt
         assert all(t.denominator <= TEMP_RESOLUTION.denominator for t in state.temps)
 
+    def test_banks_with_other_powers_decode_apart(self):
+        """Two banks with the same comfort order and the same targets but other
+        powers, stepped interleaved: a decode kept for one bank is never the
+        other's.  Bank a heats both rooms for -3, bank b only room 1."""
+        banks = [
+            HeaterParams(powers=powers, t_min=19, t_max=22, gain=Fraction(1, 6), t_out=8)
+            for powers in ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(3)))
+        ]
+        states = [HeaterState.initial(["20", "41/2"]) for _ in banks]
+        for setpoint in (Fraction(-3), Fraction(-1), Fraction(-3), Fraction(0), Fraction(-3)):
+            for k, params in enumerate(banks):
+                nxt = heater_step(params, states[k], setpoint)
+                assert nxt == oracle.heater_step(params, states[k], setpoint)
+                states[k] = nxt
+        assert states[0].on == (True, True) and states[1].on == (False, True)
+
+    def test_unimplementable_setpoint_raises_every_time(self):
+        """A target that no subset of the comfort powers sums to raises each
+        time it is asked, after the first answer has been kept."""
+        params = HeaterParams(powers=(Fraction(1), Fraction(2)), t_min=19, t_max=22)
+        state = HeaterState.initial(["20", "21"])
+        assert oracle.heater_feasible_set(params, state) == tuple(map(Fraction, (-3, -2, -1, 0)))
+        for setpoint in (Fraction(-4), Fraction(-4), -4, Fraction(1), 1):
+            with pytest.raises(ValueError, match="not implementable"):
+                heater_step(params, state, setpoint)
+        assert heater_step(params, state, -3) == oracle.heater_step(params, state, Fraction(-3))
+
     @settings(max_examples=60, deadline=None)
     @given(heater_cases())
     def test_state_compares_and_hashes_as_its_fractions(self, case):
