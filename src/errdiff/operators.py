@@ -12,14 +12,24 @@ where ``cell(c)`` is the Voronoi cell of c with respect to S.
 union over a collection's sets.
 
 Feasible sets may be finite point sets or continuous convex polygons.
-Either way S has a cached set of cells; `cell_pieces` returns each cell's
-piece of a region R, and their union is ``U_c ((R ∩ cell(c)) - c)``.  No
-cell takes a Minkowski sum.  The cells are:
+Either way S has cached cell data; `cell_pieces` returns each cell's piece
+of a region R, and their union is ``U_c ((R ∩ cell(c)) - c)``.  No cell
+takes a Minkowski sum.
 
-* point cells: a site c of a point set, with the facet bisectors of
-  cell(c), and a vertex v of a polygon, a point member or a segment end,
+A point set's cells are not clipped one at a time.  Its data are each
+site's integer form f_c, larger exactly where c is nearer, and its Voronoi
+vertices with their incident sites.  One pass labels every vertex of R
+with its nearest sites, walks each edge of R whose end labels share no
+site from nearest site to nearest site, and adds the Voronoi vertices that
+lie in R (nearest-site labelling; Aurenhammer, "Voronoi diagrams",
+ACM Comput. Surv. 23(3), 1991).  The piece of c is the hull of the points
+c collected, moved by -c.
+
+A convex member's cells are:
+
+* vertex cells: a vertex v of a polygon, a point member or a segment end,
   with its normal cone (no plane for a point, one for a segment end).  R
-  is clipped by the planes, around c, and the kept vertices move by -c;
+  is clipped by the planes, around v, and the kept vertices move by -v;
 * edge cells: an edge [u, w], whose points c have the normal line through
   c as their cell.  R is cut to the slab d.u <= d.p <= d.w, d = w - u, and
   a kept point p maps to its offset from the edge line, t*n with n the
@@ -50,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul
 from typing import Iterable, Literal, Optional, Sequence, Union
 
@@ -62,14 +72,16 @@ from .geometry import (
     Triple,
     _add,
     _clip,
+    _contains_all,
+    _crossing,
     _hull,
+    _line,
     _normalised,
     _polygon,
     _scaled,
     _text,
     as_fraction,
     minkowski_sum,
-    voronoi_cell,
 )
 from .intervals import IntervalUnion
 
@@ -185,31 +197,34 @@ class GeometryInconsistencyError(RuntimeError):
 # Voronoi-cell pieces
 # ---------------------------------------------------------------------------
 
-# A point cell: the triple -c to translate by, and the planes of cell(c)
-# around c.  An edge cell [u, w]: the planes of its slab; its outer normal
-# (nx, ny); with u = (X/W, Y/W), the integer nx*X + ny*Y, W and
+# A vertex cell: the triple -v to translate by, and the planes of v's
+# normal cone around v.  An edge cell [u, w]: the planes of its slab; its
+# outer normal (nx, ny); with u = (X/W, Y/W), the integer nx*X + ny*Y, W and
 # W*(nx^2 + ny^2); and whether its piece is cut to the outer ray.  Planes
 # are coprime integer triples (A, B, C) of A*x + B*y <= C.
-PointCell = tuple[Triple, tuple[Triple, ...]]
+VertexCell = tuple[Triple, tuple[Triple, ...]]
 EdgeCell = tuple[tuple[Triple, ...], int, int, int, int, int, bool]
-Cells = tuple[tuple[PointCell, ...], tuple[EdgeCell, ...], Optional[tuple[Triple, ...]]]
+Cells = tuple[tuple[VertexCell, ...], tuple[EdgeCell, ...], Optional[tuple[Triple, ...]]]
+# A point set's sites c, in site order: the triples -c and the integer forms
+# (a, b, q) of f_c; and its Voronoi vertices p, each with the pairs
+# (index of c, p - c) of its incident sites c.
+Corner = tuple[Triple, tuple[tuple[int, Triple], ...]]
+Sites = tuple[tuple[Triple, ...], tuple[Triple, ...], tuple[Corner, ...]]
 
 _ZERO: Triple = (0, 0, 1)
 
 
 @lru_cache(maxsize=2048)
-def _cells(member: FeasibleSet) -> Cells:
-    """The point cells, edge cells and meet planes of member; see the module docstring.
+def _cells(member: FeasibleSet) -> Union[Cells, Sites]:
+    """A point set's `Sites`, or a convex member's vertex cells, edge cells
+    and meet planes; see the module docstring.
 
-    A point cell's planes are in the member's own frame, around c: the
+    A vertex cell's planes are in the member's own frame, around v: the
     region is clipped first, and only the surviving vertices move.  The
     meet planes are the member's own half-planes, None for a point member.
     """
     if isinstance(member, PointSet):
-        points = tuple(
-            ((-c)._t, tuple(h.ints for h in voronoi_cell(member, c))) for c in member.points
-        )
-        return points, (), None
+        return _sites(member._key)
     verts = member.vertices
     if not verts:
         raise ValueError("feasible set must be non-empty")
@@ -217,7 +232,7 @@ def _cells(member: FeasibleSet) -> Cells:
     # Edge i runs from verts[i] to verts[i + 1]: a segment has one, a polygon n.
     # Its direction (X, Y) is the triple's: the edge vector times W > 0.
     steps = [(verts[(i + 1) % n] - verts[i])._t[:2] for i in range(n if n > 2 else n - 1)]
-    points = []
+    cones = []
     for i, v in enumerate(verts):
         # The normal cone v + N(v): behind its outgoing edge, ahead of its incoming one.
         cone = []
@@ -226,7 +241,7 @@ def _cells(member: FeasibleSet) -> Cells:
         if n > 2 or i > 0:
             dx, dy = steps[i - 1]
             cone.append(HalfPlane(-dx, -dy, 0))
-        points.append(((-v)._t, tuple(h.translate(v).ints for h in cone)))
+        cones.append(((-v)._t, tuple(h.translate(v).ints for h in cone)))
     edges = []
     for i, (dx, dy) in enumerate(steps):
         # The slab d.u <= d.p <= d.w over the edge [u, w]; (dy, -dx) points out.
@@ -235,7 +250,47 @@ def _cells(member: FeasibleSet) -> Cells:
         ux, uy, uw = u._t
         edges.append((slab, dy, -dx, dy * ux - dx * uy, uw, uw * (dx * dx + dy * dy), n > 2))
     meet = tuple(h.ints for h in member.half_planes()) if n > 1 else None
-    return tuple(points), tuple(edges), meet
+    return tuple(cones), tuple(edges), meet
+
+
+def _sites(ts: tuple[Triple, ...]) -> Sites:
+    """The `Sites` of the point set whose sorted site triples are ts.
+
+    With the sites scaled to integers (x_c, y_c) = L*c, L the lcm of their
+    W, a point p = (X/W, Y/W) has L^2*W*(|p|^2 - |p - c|^2) = f_c(X, Y, W)
+    = a_c*X + b_c*Y - q_c*W, a_c = 2*L*x_c, b_c = 2*L*y_c and q_c = x_c^2 +
+    y_c^2.  Every f_c is linear in the triple, so the point where three
+    sites tie is the cross product of the planes f_i - f_j and f_i - f_k,
+    and it is a Voronoi vertex when no site's f is larger there.  No point
+    is equidistant from three sites on one line, so a set on one line has
+    no Voronoi vertex.
+    """
+    scale, scaled = _scaled(ts)
+    forms = tuple((2 * scale * x, 2 * scale * y, x * x + y * y) for x, y in scaled)
+    sweeps = tuple((-x, -y, w) for x, y, w in ts)
+    corners: dict[Triple, tuple[tuple[int, Triple], ...]] = {}
+    la, lb, lc = _line(ts[0], ts[-1])
+    if any(la * x + lb * y + lc * w for x, y, w in ts):
+        for i, j, k in combinations(range(len(ts)), 3):
+            (ai, bi, qi), (aj, bj, qj), (ak, bk, qk) = forms[i], forms[j], forms[k]
+            ux, uy, uq = ai - aj, bi - bj, qj - qi
+            vx, vy, vq = ai - ak, bi - bk, qk - qi
+            w = ux * vy - uy * vx
+            if w == 0:
+                continue
+            x, y = uy * vq - uq * vy, uq * vx - ux * vq
+            corner = _normalised(x, y, w) if w > 0 else _normalised(-x, -y, -w)
+            if corner in corners:
+                continue
+            x, y, w = corner
+            top = ai * x + bi * y - qi * w
+            if all(a * x + b * y - q * w <= top for a, b, q in forms):
+                corners[corner] = tuple(
+                    (s, _add(corner, sweeps[s]))
+                    for s, (a, b, q) in enumerate(forms)
+                    if a * x + b * y - q * w == top
+                )
+    return sweeps, forms, tuple(corners.items())
 
 
 def _extent(kept: Sequence[Triple], cell: EdgeCell) -> list[Triple]:
@@ -273,13 +328,17 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[T
     """The non-empty convex pieces (region ∩ cell(c)) - c over the cells of S.
 
     Each piece is a raw list of vertex triples whose hull is the piece, in
-    no particular order: a point cell's is its clipped region translated
-    by -c, an edge cell's the ends of its segment, and the meet piece [0].
+    no particular order: a site's is what `_site_pieces` collected for it,
+    a vertex cell's its clipped region, each translated by -c, an edge
+    cell's the ends of its segment, and the meet piece [0].
     """
-    pieces = []
     ts = region._ts
-    points, edges, meet = _cells(feasible)
-    for sweep, planes in points:
+    cells = _cells(feasible)
+    if isinstance(feasible, PointSet):
+        return _site_pieces(cells, ts)
+    pieces = []
+    cones, edges, meet = cells
+    for sweep, planes in cones:
         piece = _clip(ts, planes)
         if piece:
             pieces.append([_add(t, sweep) for t in piece])
@@ -292,6 +351,119 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[T
     if meet is not None and _clip(ts, meet):
         pieces.append([_ZERO])
     return pieces
+
+
+def _site_pieces(sites: Sites, ts: Sequence[Triple]) -> list[list[Triple]]:
+    """The pieces (R ∩ cell(c)) - c of a point set's sites, in site order.
+
+    R ∩ cell(c) is the hull of its vertices: the vertices of R nearest to c,
+    the points where the boundary of R enters or leaves cell(c), and the
+    Voronoi vertices of c inside R.  Each vertex of R is scored once by
+    every f_c and goes to each site of largest score, its label.  An edge
+    whose end labels share a site s lies in cell(s), and any other site
+    whose cell meets it inside ties with s along all of it, so its ends are
+    all such a site needs.  Every other edge is walked by `_walk`.  A
+    Voronoi vertex in the closed region R goes to all its incident sites;
+    the walk leaves some of those on the boundary to it.
+    """
+    sweeps, forms, corners = sites
+    found: list[list[Triple]] = [[] for _ in sweeps]
+    scores = [[a * x + b * y - q * w for a, b, q in forms] for x, y, w in ts]
+    labels = []
+    for t, f in zip(ts, scores):
+        top = max(f)
+        if f.count(top) == 1:
+            label = (f.index(top),)
+        else:
+            label = tuple(c for c, v in enumerate(f) if v == top)
+        for c in label:
+            found[c].append(t)
+        labels.append(label)
+    m = len(ts)
+    for i in range(m if m > 2 else m - 1):
+        j = (i + 1) % m
+        start, end = labels[i], labels[j]
+        if start != end and set(start).isdisjoint(end):
+            _walk(ts[i], ts[j], scores[i], scores[j], start, end, found)
+    pieces = [[_add(t, sweep) for t in piece] for piece, sweep in zip(found, sweeps)]
+    if m > 1:
+        for corner, moved in corners:
+            if _holds(ts, corner):
+                for c, t in moved:
+                    pieces[c].append(t)
+    return [piece for piece in pieces if piece]
+
+
+def _walk(
+    u: Triple,
+    v: Triple,
+    fu: list[int],
+    fv: list[int],
+    start: tuple[int, ...],
+    end: tuple[int, ...],
+    found: list[list[Triple]],
+) -> None:
+    """Give each point where the nearest site changes along u -> v to the sites tied there.
+
+    On the triples p(s) = (1 - s)*u + s*v, 0 <= s <= 1, which run from u
+    to v, every f_c is linear: f_c(u) + s*(f_c(v) - f_c(u)).  The nearest
+    site leaves u as the site of u's label largest at v.  From site c the
+    next change is at the smallest s where a site d of larger slope
+    overtakes c, s = (f_c(u) - f_d(u)) / (slope_d - slope_c), compared by
+    cross-multiplication; the point goes to c and every d that overtakes
+    there, and the walk goes on from the largest of those at v until its
+    site is in v's label.  A site tied with c all along the edge ties with
+    it at such a point too, which is then a Voronoi vertex of three sites.
+    """
+    slopes = [b - a for a, b in zip(fu, fv)]
+    site = start[0] if len(start) == 1 else max(start, key=fv.__getitem__)
+    while site not in end:
+        lead, rise = fu[site], slopes[site]
+        tied: list[int] = []
+        for c, slope in enumerate(slopes):
+            if slope > rise:
+                gain, gap = slope - rise, lead - fu[c]
+                if not tied or gap * den < num * gain:
+                    num, den, tied = gap, gain, [c]
+                elif gap * den == num * gain:
+                    tied.append(c)
+        point = _crossing(u, v, num, num - den)
+        found[site].append(point)
+        for c in tied:
+            found[c].append(point)
+        site = tied[0] if len(tied) == 1 else max(tied, key=fv.__getitem__)
+
+
+def _holds(ts: Sequence[Triple], p: Triple) -> bool:
+    """True when the closed segment or polygon ts holds the point p.
+
+    A polygon's fan from vertex 0 splits it into triangles; a binary search
+    on the orientation of p to the fan's diagonals finds the one whose
+    wedge holds p, and p is inside when it is on or left of that
+    triangle's outer edge.
+    """
+    if len(ts) == 2:
+        return _contains_all(ts, (p,))
+    # det[ts[0]; ts[k]; p] = (p x ts[0]) . ts[k], positive when p is left of
+    # the diagonal ts[0] -> ts[k].
+    a, b, c = _line(p, ts[0])
+    lo, hi = 1, len(ts) - 1
+    x, y, w = ts[lo]
+    if a * x + b * y + c * w < 0:
+        return False
+    x, y, w = ts[hi]
+    if a * x + b * y + c * w > 0:
+        return False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x, y, w = ts[mid]
+        if a * x + b * y + c * w >= 0:
+            lo = mid
+        else:
+            hi = mid
+    a, b, c = _line(ts[lo], ts[hi])
+    x, y, w = p
+    return a * x + b * y + c * w >= 0
 
 
 # ---------------------------------------------------------------------------

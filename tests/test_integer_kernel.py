@@ -17,6 +17,7 @@ orientation sign, so the mapped input keeps its degeneracies.
 """
 
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -24,12 +25,14 @@ import tempfile
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel as oracle
+from errdiff import operators
 from errdiff.dynamics import ControllerTrace, StepRecord, fixed_request, run_trace, uniform_request
 from errdiff.geometry import (
     ConvexPolygon,
@@ -59,6 +62,7 @@ from errdiff.operators import (
     apply_collection,
     apply_member,
     cell_pieces,
+    feasible_hull,
 )
 from errdiff.resources import (
     TEMP_RESOLUTION,
@@ -555,16 +559,70 @@ def member_regions(draw):
     return convex_hull(map(f, member)), convex_hull(map(f, region))
 
 
+@st.composite
+def point_set_regions(draw):
+    """A point set of 2-8 sites, free or on one line, and a region of 1-5
+    points that are often sites, midpoints of two sites or shared grid
+    points, all under one large map."""
+    f = draw(affine_maps())
+    if draw(st.booleans()):
+        sites = draw(st.lists(small_points, min_size=2, max_size=8, unique=True))
+    else:
+        base = draw(small_points)
+        d = draw(small_points.filter(lambda p: p != Point2(0, 0)))
+        sites = [base + d * t for t in draw(st.lists(small, min_size=2, max_size=8, unique=True))]
+    near = sites + [(p + q) * Fraction(1, 2) for p, q in itertools.combinations(sites, 2)]
+    region = draw(st.lists(st.one_of(small_points, st.sampled_from(near)), min_size=1, max_size=5))
+    return PointSet(tuple(map(f, sites))), convex_hull(map(f, region))
+
+
+# The heater bank's setpoints lie on the P axis: their cells are strips.
+STRIPS = PointSet.from_coords([(0, 0), (3, 0), (5, 0), (8, 0)])
+TWO_SITES = PointSet.from_coords([(0, 0), (2, 0)])
+# The x axis is the bisector of (0, -1) and (0, 1); it meets the cells of
+# (-3, 0) and (3, 0) at the Voronoi vertices (-4/3, 0) and (4/3, 0).
+MIRRORED = PointSet.from_coords([(-3, 0), (0, -1), (0, 1), (3, 0)])
+# RING's four midpoints share the Voronoi vertex (0, 0).
+AROUND_ORIGIN = convex_hull([pt(-2, -1), pt(2, -1), pt(0, 2)])
+FROM_ORIGIN = convex_hull([pt(0, 0), pt(3, 1), pt(1, 3)])
+# Regions with an edge along the x axis: the first edge, the last edge, and
+# an edge away from vertex 0.
+ALONG_AXIS = (
+    convex_hull([pt(-4, 0), pt(4, 0), pt(0, 3)]),
+    convex_hull([pt(-4, 0), pt(0, -3), pt(4, 0)]),
+    convex_hull([pt(-5, -1), pt(0, -3), pt(4, 0), pt(-4, 0)]),
+)
+POINT_SET_EXAMPLES = (
+    (RING, AROUND_ORIGIN),
+    (STRIPS, convex_hull([pt(-1, -2), pt(9, 1), pt(2, 3)])),
+    (STRIPS, segment(pt(-1, 1), pt(9, -1))),
+    (TWO_SITES, convex_hull([pt(0, 1), pt(3, -1), pt(2, 2)])),
+    (RING, FROM_ORIGIN),  # a region vertex at a Voronoi vertex
+    (MIRRORED, segment(pt(-4, 0), pt(4, 0))),
+    (RING, ConvexPolygon((pt(0, 0),))),
+    (RING, segment(pt(-2, 0), pt(2, 0))),
+) + tuple((MIRRORED, region) for region in ALONG_AXIS)  # a region edge along a bisector
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
 SLAB_TRIANGLE = convex_hull([pt(0, 0), pt(4, 0), pt(0, 4)])
 SEGMENT = segment(pt(0, 0), pt(2, 0))
 
 
 class TestCellPieces:
     """Each cell's piece, and each member's operator, against the oracle's
-    pieces, which are cut from Minkowski sums."""
+    pieces, which are clipped by Voronoi cells or cut from Minkowski sums."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(member_regions())
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(member_regions(), point_set_regions()))
     @example((SLAB_TRIANGLE, convex_hull([pt(0, 0), pt(-1, -2), pt(-2, -1)])))  # meets at a vertex only
     @example((SLAB_TRIANGLE, segment(pt(0, -3), pt(0, -1))))  # on an edge's normal line
     @example((SLAB_TRIANGLE, segment(pt(2, -3), pt(2, -1))))  # a zero-width slab inside a strip
@@ -576,14 +634,44 @@ class TestCellPieces:
     @example((SLAB_TRIANGLE, ConvexPolygon((pt(2, -1),))))  # a zero-length extent
     @example((SLAB_TRIANGLE, segment(pt(1, -1), pt(3, -1))))  # zero length over two vertices
     @example((ConvexPolygon((pt(1, 1),)), SLAB_TRIANGLE))
+    @_with_examples(POINT_SET_EXAMPLES)
     def test_pieces_equal_oracle(self, case):
         member, region = case
-        for fattened in (region, minkowski_sum(member, region)):  # persistent, perfect
+        for fattened in (region, minkowski_sum(feasible_hull(member), region)):  # persistent, perfect
             got = [_polygon(_hull(piece)) for piece in cell_pieces(member, fattened)]
             assert got == oracle.cell_pieces(member, fattened)
         for mode in MODES:
             want = oracle.apply_collection(Collection((member,), mode), region)
             assert apply_member(member, region, mode) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_set_regions())
+    @_with_examples(POINT_SET_EXAMPLES)
+    def test_each_walk_computes_its_changes_once(self, case):
+        """An edge is walked only where its nearest site changes, and each
+        change is computed once, strictly inside the edge."""
+        member, region = case
+        walks, crossings = [], []
+        walk, crossing = operators._walk, operators._crossing
+
+        def counted_walk(u, v, *rest):
+            before = len(crossings)
+            walk(u, v, *rest)
+            walks.append((u, v, crossings[before:]))
+
+        def counted_crossing(*args):
+            crossings.append(crossing(*args))
+            return crossings[-1]
+
+        with mock.patch.object(operators, "_walk", counted_walk), mock.patch.object(
+            operators, "_crossing", counted_crossing
+        ):
+            for fattened in (region, minkowski_sum(feasible_hull(member), region)):
+                cell_pieces(member, fattened)
+        for u, v, points in walks:
+            assert points
+            assert len(set(points)) == len(points)
+            assert u not in points and v not in points
 
 
 # Just off an integer by a little or a lot, toward either side.
