@@ -206,7 +206,7 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
             xn, xd = lerp(xmin, xmax, rng.randrange(denominator + 1))
             yn, yd = lerp(ymin, ymax, rng.randrange(denominator + 1))
             t = (xn * yd, yn * xd, xd * yd)
-            if _contains_all(ts, (t,)):
+            if _contains_all(advertised, (t,)):
                 return _from_triple(_normalised(*t))
         # Thin polygon: fall back to a random convex combination of vertices
         # (equal weights when the grid has no point strictly between 0 and 1).

@@ -9,11 +9,17 @@ translation and containment) and both projections run on these ints:
 orientation is a 3x3 integer determinant, a half-plane test an integer dot
 product and the lexicographic order a cross-multiplied comparison.  Floats
 only order or screen: the hull sorts by correctly rounded float keys and
-re-sorts exactly wherever two keys tie, so no answer depends on a float.
-The hull splits the sorted points by the chord from the first to the last,
-so each point enters one of the two monotone chains.  The Minkowski sum
-merges both edge sequences from vertex 0, the smallest, so it emits a
-canonical polygon as it goes.
+re-sorts exactly when two neighbours may be out of order, so no answer
+depends on a float.  The hull splits the sorted points by the chord from
+the first to the last, so each point enters one of the two monotone
+chains.  The Minkowski sum merges both edge sequences from vertex 0, the
+smallest, so it emits a canonical polygon as it goes.
+
+A polygon of two or more vertices has an edge table, built on first use
+and kept: for edge i, from vertex i to vertex i + 1, its integer direction
+tagged with its angle half, and its line.  The Minkowski sum, containment,
+`half_planes`, the projection and the closed loop's request sampler read
+it instead of deriving the edges on every call.
 
 Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
 'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
@@ -24,7 +30,10 @@ over those Fractions, is the reference that polygon validation and the
 tests hold the integer kernel to.
 
 All value types are immutable and all operations are pure functions, so
-values can be shared freely across threads.
+values can be shared freely across threads.  A polygon's lazy slots (its
+vertices, hash and edge table) hold values derived from its triples alone:
+filling one twice stores an equal value, and dropping the edge table only
+makes the next reader rebuild it.
 """
 
 from __future__ import annotations
@@ -33,8 +42,6 @@ import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -263,13 +270,16 @@ class ConvexPolygon(_Frozen):
     object for the polygon's life.  Equality and hashing compare the
     triples; the hash is computed on first use and kept, because a
     closed-loop run keys its tables on the few feasible sets it meets.  The
+    edge table (see `_edge_table`) is built on first use too, since the
+    kernels read a member's hull or an advertised set many times.  The
     constructor validates its Point2s; the kernel builds polygons from
-    triples it knows to be canonical.
+    triples it knows to be canonical.  A pickle or copy carries only the
+    triples.
     """
 
-    # _hash is left unset until __hash__ first runs, so building a polygon
-    # costs nothing more.
-    __slots__ = ("_ts", "_verts", "_hash")
+    # _hash and _edges are left unset until first read, so building a
+    # polygon costs nothing more, and neither takes part in equality.
+    __slots__ = ("_ts", "_verts", "_hash", "_edges")
 
     def __init__(self, vertices: Iterable[Point2]) -> None:
         verts = tuple(vertices)
@@ -306,6 +316,9 @@ class ConvexPolygon(_Frozen):
     def __repr__(self) -> str:
         return f"ConvexPolygon(vertices={self.vertices!r})"
 
+    def __reduce__(self):
+        return _polygon, (self._ts,)
+
     @property
     def vertices(self) -> tuple[Point2, ...]:
         verts = self._verts
@@ -322,7 +335,7 @@ class ConvexPolygon(_Frozen):
         ts = self._ts
         if len(ts) <= 1:
             return ts == (p._t,)
-        return _contains_all(ts, (p._t,))
+        return _contains_all(self, (p._t,))
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
         """Exact containment; valid because both regions are convex.
@@ -342,14 +355,16 @@ class ConvexPolygon(_Frozen):
         if n <= 1:
             return ts == points
         if n == 2 or m == 1:
-            return _contains_all(ts, points)
-        outer, inner = _edge_directions(ts), _edge_directions(points)
+            return _contains_all(self, points)
+        outer, lines = _edge_table(self)
+        inner = _edge_table(other)[0]
         j = 0
-        for i in range(n):
-            d = outer[i]
-            while j < m and _angle_cmp(d, inner[j]) > 0:
+        for (h, dx, dy), (a, b, c) in zip(outer, lines):
+            while j < m:  # pass the inner edges of strictly smaller angle
+                g, ex, ey = inner[j]
+                if (g - h or dx * ey - dy * ex) >= 0:
+                    break
                 j += 1
-            a, b, c = _line(ts[i], ts[(i + 1) % n])
             x, y, w = points[j % m]
             if a * x + b * y + c * w < 0:
                 return False
@@ -361,8 +376,8 @@ class ConvexPolygon(_Frozen):
     def half_planes(self) -> list[HalfPlane]:
         """Half-planes whose intersection is exactly this region.
 
-        A triple (a, b, c) of `_line(u, v)` has a*X + b*Y + c*W >= 0 for the
-        points (X/W, Y/W) left of u -> v, that is HalfPlane(-a, -b, c).
+        An edge line (a, b, c) has a*X + b*Y + c*W >= 0 for the points
+        (X/W, Y/W) left of its edge, that is HalfPlane(-a, -b, c).
         """
         ts = self._ts
         if not ts:
@@ -370,19 +385,19 @@ class ConvexPolygon(_Frozen):
         if len(ts) == 1:
             ((x, y, w),) = ts
             return [HalfPlane(w, 0, x), HalfPlane(-w, 0, -x), HalfPlane(0, w, y), HalfPlane(0, -w, -y)]
+        dirs, lines = _edge_table(self)
         if len(ts) == 2:
             # Both sides of the line, then the caps at v and at u along d ~ v - u.
-            (ux, uy, uw), (vx, vy, vw) = u, v = ts
-            a, b, c = _line(u, v)
-            dx, dy = vx * uw - ux * vw, vy * uw - uy * vw
+            (ux, uy, uw), (vx, vy, vw) = ts
+            a, b, c = lines[0]
+            _, dx, dy = dirs[0]
             return [
                 HalfPlane(a, b, -c),
                 HalfPlane(-a, -b, c),
                 HalfPlane(dx * vw, dy * vw, dx * vx + dy * vy),
                 HalfPlane(-dx * uw, -dy * uw, -dx * ux - dy * uy),
             ]
-        n = len(ts)
-        return [HalfPlane(-a, -b, c) for a, b, c in (_line(ts[i], ts[(i + 1) % n]) for i in range(n))]
+        return [HalfPlane(-a, -b, c) for a, b, c in lines]
 
 
 def _polygon(ts: tuple[Triple, ...]) -> ConvexPolygon:
@@ -402,23 +417,67 @@ def _translated(poly: ConvexPolygon, d: Triple) -> ConvexPolygon:
     return _polygon(tuple(_add(t, d) for t in poly._ts))
 
 
-def _contains_all(ts: Sequence[Triple], points: Sequence[Triple]) -> bool:
-    """True when every triple of points lies in the segment or polygon ts.
+def _edge_table(poly: ConvexPolygon) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
+    """poly's edge directions and edge lines, built on first use and kept.
+
+    Edge i runs from vertex i to vertex i + 1 (cyclically), so a segment
+    u < v has the antiparallel pair u -> v, v -> u.  Its direction is
+    (h, dx, dy): the edge vector times the positive Wu*Wv, and h, 0 for an
+    angle in (-pi/2, pi/2] and 1 for one in (pi/2, 3*pi/2].  From vertex 0,
+    the lexicographic minimum, a strictly convex CCW boundary has its edge
+    angles strictly increasing in (-pi/2, 3*pi/2]: the first edge leaves
+    rightward (or straight up, for a segment), the last may arrive straight
+    down.  So d comes before e when g - h or cross(d, e), for their halves
+    h and g, is positive, and 0 means parallel.  Its line is `_line(u, v)`,
+    (-dy, dx, Xu*Yv - Yu*Xv), positive on points left of the edge.  Only
+    polygons of two or more vertices have a table.
+    """
+    try:
+        return poly._edges
+    except AttributeError:
+        pass
+    ts = poly._ts
+    dirs = []
+    lines = []
+    for (ux, uy, uw), (vx, vy, vw) in zip(ts, ts[1:] + ts[:1]):
+        dx, dy = vx * uw - ux * vw, vy * uw - uy * vw
+        dirs.append((0 if dx > 0 or (dx == 0 and dy > 0) else 1, dx, dy))
+        lines.append((-dy, dx, ux * vy - uy * vx))
+    table = tuple(dirs), tuple(lines)
+    _setattr(poly, "_edges", table)
+    return table
+
+
+def _drop_edge_table(poly: ConvexPolygon) -> None:
+    """Forget poly's edge table, if it has one, so that a polygon kept for
+    its vertices alone holds no more than them; a later reader rebuilds it."""
+    try:
+        object.__delattr__(poly, "_edges")
+    except AttributeError:
+        pass
+
+
+def _contains_all(poly: ConvexPolygon, points: Sequence[Triple]) -> bool:
+    """True when every triple of points lies in the segment or polygon poly.
 
     A point lies in a strictly convex counter-clockwise polygon when it is
     on or left of every edge line, and in a segment u < v when it is on its
     line and u <= p <= v lexicographically.
     """
-    if len(ts) == 2:
-        u, v = ts
-        a, b, c = _line(u, v)
+    lines = _edge_table(poly)[1]
+    if len(lines) == 2:
+        u, v = poly._ts
+        a, b, c = lines[0]
         for p in points:
             x, y, w = p
             if a * x + b * y + c * w != 0 or _lex_cmp(u, p) > 0 or _lex_cmp(p, v) > 0:
                 return False
         return True
-    lines = [_line(ts[i - 1], ts[i]) for i in range(len(ts))]
-    return all(a * x + b * y + c * w >= 0 for x, y, w in points for a, b, c in lines)
+    for x, y, w in points:
+        for a, b, c in lines:
+            if a * x + b * y + c * w < 0:
+                return False
+    return True
 
 
 def segment(u: Point2, v: Point2) -> ConvexPolygon:
@@ -431,13 +490,16 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
 
     Canonical triples of equal points are equal, so a set removes the
     duplicates.  The points are sorted by the float key (X/W, Y/W): int/int
-    division is correctly rounded and so monotone, which means only points
-    with equal float x can be out of order; when two float x tie, each such
-    run is re-sorted by exact cross-multiplication.  A key too large for a
-    float takes the exact sort.  The chord from the first sorted point to
-    the last splits the rest: points right of it can only be on the lower
-    chain, points left of it only on the upper one, and points on it on
-    neither.  The chains themselves test exact integer orientations.
+    division is correctly rounded and so monotone, which means only
+    neighbours with equal float x can be out of order, and those only when
+    their float y tie or their exact x are reversed.  One scan of adjacent
+    keys looks for such a pair, and only one found sends the list to the
+    exact sort by cross-multiplication; columns of small integer points
+    pass.  A key too large for a float takes the exact sort.  The chord
+    from the first sorted point to the last splits the rest: points right
+    of it can only be on the lower chain, points left of it only on the
+    upper one, and points on it on neither.  The chains themselves test
+    exact integer orientations.
     """
     distinct = set(points)
     if len(distinct) <= 1:
@@ -447,13 +509,13 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
     except OverflowError:
         pts = sorted(distinct, key=_LEX_KEY)
     else:
-        if len({k for k, _, _ in keyed}) == len(keyed):
-            pts = [t for _, _, t in keyed]
-        else:
-            pts = []
-            for _, run in groupby(keyed, key=itemgetter(0)):
-                run = [t for _, _, t in run]
-                pts += sorted(run, key=_LEX_KEY) if len(run) > 1 else run
+        pts = [t for _, _, t in keyed]
+        fx, fy, (x, _, w) = keyed[0]
+        for gx, gy, t in keyed[1:]:
+            if gx == fx and (gy == fy or t[0] * w < x * t[2]):
+                pts.sort(key=_LEX_KEY)
+                break
+            fx, fy, (x, _, w) = gx, gy, t
     first, last = pts[0], pts[-1]
     a, b, c = _line(first, last)
     below: list[Triple] = []
@@ -473,8 +535,9 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
 def _chain(pts: Iterable[Triple]) -> list[Triple]:
     """One monotone chain: the points kept so that every turn is strictly left.
 
-    The line through each kept edge is computed once, when the edge is
-    appended, so testing a point against it is one integer dot product.
+    The line through each kept edge, `_line` of its ends, is computed once,
+    when the edge is appended, so testing a point against it is one integer
+    dot product.
     """
     chain: list[Triple] = []
     lines: list[Triple] = []  # lines[i] runs through chain[i] and chain[i + 1]
@@ -487,7 +550,8 @@ def _chain(pts: Iterable[Triple]) -> list[Triple]:
             lines.pop()
             chain.pop()
         if chain:
-            lines.append(_line(chain[-1], p))
+            ux, uy, uw = chain[-1]
+            lines.append((uy * w - uw * y, uw * x - ux * w, ux * y - uy * x))
         chain.append(p)
     return chain
 
@@ -560,47 +624,18 @@ def _hull_of_triples(ts: tuple[Triple, ...]) -> ConvexPolygon:
     return _polygon(_hull(ts))
 
 
-def _edge_directions(ts: Sequence[Triple]) -> list[tuple[int, int]]:
-    """Integer edge directions traversed CCW from vertex 0, the lexicographic minimum.
-
-    From the smallest (x, y) vertex a strictly convex CCW boundary has its
-    edge angles strictly increasing in (-pi/2, 3*pi/2]: the first edge
-    leaves rightward (or straight up, for a segment), the last may arrive
-    straight down.  A two-vertex segment gives an antiparallel pair.  A
-    direction is the edge vector scaled by the positive Wu*Wv.
-    """
-    return [
-        (vx * uw - ux * vw, vy * uw - uy * vw)
-        for (ux, uy, uw), (vx, vy, vw) in zip(ts, ts[1:] + ts[:1])
-    ]
-
-
-def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Exact comparison of polar angles in (-pi/2, 3*pi/2]; 0 means same direction."""
-    ux, uy = u
-    vx, vy = v
-    hu = 0 if (ux > 0 or (ux == 0 and uy > 0)) else 1
-    hv = 0 if (vx > 0 or (vx == 0 and vy > 0)) else 1
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cr = ux * vy - uy * vx
-    if cr > 0:
-        return -1
-    if cr < 0:
-        return 1
-    return 0
-
-
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Exact Minkowski sum of two convex polygons.
 
     Computed by merging the edge sequences in angular order (linear time),
     both from their vertex 0, emitting the sum of the current vertex pair
-    before each step; the result has at most |p| + |q| vertices.  The sum
-    of the two smallest vertices is the smallest vertex of the sum, and
-    parallel edges advance both sequences at once, so the output is
-    already canonical: strictly convex, starting at its smallest vertex (a
-    segment: its ends in order).
+    before each step; the result has at most |p| + |q| vertices.  The edges
+    come from the operands' edge tables.  The sum of the two smallest
+    vertices is the smallest vertex of the sum, and parallel edges advance
+    both sequences at once, so the output is already canonical: strictly
+    convex, starting at its smallest vertex (a segment: its ends in order).
+    Once one sequence is used up, the rest of the other meets the first's
+    vertex 0.
     """
     pt, qt = p._ts, q._ts
     if not pt or not qt:
@@ -609,17 +644,21 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         return _translated(q, pt[0])
     if len(qt) == 1:
         return _translated(p, qt[0])
-    ep, eq = _edge_directions(pt), _edge_directions(qt)
-    np_, nq = len(ep), len(eq)
+    ep, eq = _edge_table(p)[0], _edge_table(q)[0]
+    np_, nq = len(pt), len(qt)
     out = []
     i = j = 0
-    while i < np_ or j < nq:
-        out.append(_add(pt[i % np_], qt[j % nq]))
-        cmp = 1 if i == np_ else -1 if j == nq else _angle_cmp(ep[i], eq[j])
-        if cmp <= 0:
+    while i < np_ and j < nq:
+        out.append(_add(pt[i], qt[j]))
+        h, dx, dy = ep[i]
+        g, ex, ey = eq[j]
+        order = g - h or dx * ey - dy * ex  # positive: p's edge comes first
+        if order >= 0:
             i += 1
-        if cmp >= 0:
+        if order <= 0:
             j += 1
+    out += [_add(t, qt[0]) for t in pt[i:]]
+    out += [_add(pt[0], t) for t in qt[j:]]
     return _polygon(tuple(out))
 
 
@@ -841,10 +880,11 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     zt = z._t
     if len(ts) == 1:
         return z if ts[0] == zt else polygon.vertices[0]
-    if _contains_all(ts, (zt,)):
+    if _contains_all(polygon, (zt,)):
         return z
     zx, zy, zw = zt
     n = len(ts)
+    dirs = _edge_table(polygon)[0]
     best_num = best_den = 0
     best_t: Triple = zt
     best_vertex: Optional[int] = None
@@ -852,7 +892,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
         j = (i + 1) % n
         ux, uy, uw = ts[i]
         vx, vy, vw = ts[j]
-        dx, dy = vx * uw - ux * vw, vy * uw - uy * vw
+        _, dx, dy = dirs[i]
         px, py = zx * uw - ux * zw, zy * uw - uy * zw
         dot = px * dx + py * dy
         d2 = dx * dx + dy * dy

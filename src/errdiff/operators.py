@@ -74,6 +74,7 @@ from .geometry import (
     _clip,
     _contains_all,
     _crossing,
+    _drop_edge_table,
     _hull,
     _line,
     _normalised,
@@ -335,7 +336,7 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[T
     ts = region._ts
     cells = _cells(feasible)
     if isinstance(feasible, PointSet):
-        return _site_pieces(cells, ts)
+        return _site_pieces(cells, region)
     pieces = []
     cones, edges, meet = cells
     for sweep, planes in cones:
@@ -353,7 +354,7 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[T
     return pieces
 
 
-def _site_pieces(sites: Sites, ts: Sequence[Triple]) -> list[list[Triple]]:
+def _site_pieces(sites: Sites, region: ConvexPolygon) -> list[list[Triple]]:
     """The pieces (R ∩ cell(c)) - c of a point set's sites, in site order.
 
     R ∩ cell(c) is the hull of its vertices: the vertices of R nearest to c,
@@ -367,6 +368,7 @@ def _site_pieces(sites: Sites, ts: Sequence[Triple]) -> list[list[Triple]]:
     the walk leaves some of those on the boundary to it.
     """
     sweeps, forms, corners = sites
+    ts = region._ts
     found: list[list[Triple]] = [[] for _ in sweeps]
     scores = [[a * x + b * y - q * w for a, b, q in forms] for x, y, w in ts]
     labels = []
@@ -388,7 +390,7 @@ def _site_pieces(sites: Sites, ts: Sequence[Triple]) -> list[list[Triple]]:
     pieces = [[_add(t, sweep) for t in piece] for piece, sweep in zip(found, sweeps)]
     if m > 1:
         for corner, moved in corners:
-            if _holds(ts, corner):
+            if _holds(region, corner):
                 for c, t in moved:
                     pieces[c].append(t)
     return [piece for piece in pieces if piece]
@@ -434,16 +436,17 @@ def _walk(
         site = tied[0] if len(tied) == 1 else max(tied, key=fv.__getitem__)
 
 
-def _holds(ts: Sequence[Triple], p: Triple) -> bool:
-    """True when the closed segment or polygon ts holds the point p.
+def _holds(region: ConvexPolygon, p: Triple) -> bool:
+    """True when the closed segment or polygon region holds the point p.
 
     A polygon's fan from vertex 0 splits it into triangles; a binary search
     on the orientation of p to the fan's diagonals finds the one whose
     wedge holds p, and p is inside when it is on or left of that
-    triangle's outer edge.
+    triangle's outer edge.  A segment reads its line from its edge table.
     """
+    ts = region._ts
     if len(ts) == 2:
-        return _contains_all(ts, (p,))
+        return _contains_all(region, (p,))
     # det[ts[0]; ts[k]; p] = (p x ts[0]) . ts[k], positive when p is left of
     # the diagonal ts[0] -> ts[k].
     a, b, c = _line(p, ts[0])
@@ -477,7 +480,8 @@ def _member_pieces(
     """Vertex lists whose hull is the image of region under member's operator.
 
     A persistent image, ch S + the hull of the cell pieces of region, is
-    one list: the vertices of a Minkowski sum, already a canonical polygon.
+    one list: the vertices of a Minkowski sum, already a canonical polygon,
+    which `apply_member` therefore takes as it is.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -491,7 +495,8 @@ def _member_pieces(
 
 def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
     """One application of a single feasible set's operator in the given mode."""
-    return _polygon(_hull(chain.from_iterable(_member_pieces(member, region, mode))))
+    pieces = _member_pieces(member, region, mode)
+    return _polygon(pieces[0] if mode == "persistent" else _hull(chain.from_iterable(pieces)))
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
@@ -756,7 +761,9 @@ def iterate_to_invariance(
 
     The iterates form a growing chain, checked exactly each step (a
     violation means a geometry bug and raises), so an iterate that is not a
-    fixed point is never seen again.  The loop keeps the newest `_WINDOW`
+    fixed point is never applied again.  The loop drops the edge table of
+    each iterate it replaces, and of every polygon the result holds, so a
+    kept chain costs its vertices only.  It keeps the newest `_WINDOW`
     iterates, and after each step `_extrapolate` tries to guess the chain's
     limit from them.  ``converged`` is true only when the image of the
     returned set equals it, which is exact invariance: at a fixed point of
@@ -776,16 +783,24 @@ def iterate_to_invariance(
                 f"iterate {step} does not contain its predecessor"
             )
         if not _within_bits(grown, max_bits):
-            return IterationResult(current, step, "bits", iterates)
+            answer, iterations, status = current, step, "bits"
+            break
         iterates.append(grown)
         if grown == current:
-            return IterationResult(current, step - 1, "converged", iterates)
+            answer, iterations, status = current, step - 1, "converged"
+            break
+        _drop_edge_table(current)
         current = grown
         window.append(_windowed(current))
-        limit = _extrapolate(collection, seed, window, max_bits)
-        if limit is not None:
-            return IterationResult(limit, step, "extrapolated", iterates)
-    return IterationResult(current, config.max_iterations, "budget", iterates)
+        answer = _extrapolate(collection, seed, window, max_bits)
+        if answer is not None:
+            iterations, status = step, "extrapolated"
+            break
+    else:
+        answer, iterations, status = current, config.max_iterations, "budget"
+    for poly in (answer, seed, *iterates[-2:]):
+        _drop_edge_table(poly)
+    return IterationResult(answer, iterations, status, iterates)
 
 
 def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:

@@ -1,10 +1,11 @@
 """Reference kernel: the exact algorithms written over `Fraction` coordinates.
 
 This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`,
-translation, polygon containment and `project_convex_polygon` that
-`errdiff.geometry` runs on integer homogeneous triples, of one
-collection-operator step (`cell_pieces`, `apply_collection`) assembled
-from them, of the iteration's coordinate bit count and digest, of the
+translation, polygon containment, `half_planes` and
+`project_convex_polygon` that `errdiff.geometry` runs on integer
+homogeneous triples, of one collection-operator step (`cell_pieces`,
+`apply_collection`) assembled from them, of the iteration's coordinate
+bit count and digest, of the
 closed loop's `uniform_request`, `central_step`, `heater_step` and
 `compute_metrics`, and of the trace writers' `row` and `coords`, which the
 package runs on integers.  Its `run_resource_loop` is the controller loop
@@ -283,6 +284,22 @@ def contains_point(polygon: ConvexPolygon, p: Point2) -> bool:
 
 def contains_polygon(polygon: ConvexPolygon, other: ConvexPolygon) -> bool:
     return all(contains_point(polygon, v) for v in other.vertices)
+
+
+def half_planes(polygon: ConvexPolygon) -> list[HalfPlane]:
+    """The package's list: a point's four axis planes, a segment's right and
+    left side and its caps at v and at u, a polygon's left sides in edge order."""
+    verts = polygon.vertices
+    if len(verts) == 1:
+        (v,) = verts
+        return [HalfPlane(1, 0, v.x), HalfPlane(-1, 0, -v.x), HalfPlane(0, 1, v.y), HalfPlane(0, -1, -v.y)]
+    lefts = [HalfPlane(v.y - u.y, u.x - v.x, cross(u, v)) for u, v in edges(polygon)]
+    if len(verts) == 2:
+        (u, v), (left,) = verts, lefts
+        d = v - u
+        a, b, c = left.ints
+        return [HalfPlane(-a, -b, -c), left, HalfPlane(d.x, d.y, dot(d, v)), HalfPlane(-d.x, -d.y, -dot(d, u))]
+    return lefts
 
 
 def translate(polygon: ConvexPolygon, d: Point2) -> ConvexPolygon:

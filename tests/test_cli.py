@@ -528,6 +528,57 @@ def test_compute_invariant_outputs_are_pinned(collection, expected, tmp_path, ca
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+COLLINEAR_COLLECTION = {
+    "mode": "persistent",
+    "sets": [
+        {"points": [["0", "0"], ["3", "0"], ["5", "0"], ["8", "0"]]},
+        {"points": [["0", "0"], ["5", "0"], ["6", "0"]]},
+    ],
+}
+
+
+def _outputs_under_hash_seeds(argv, tmp_path) -> list[dict[str, bytes]]:
+    """Run ``python -m errdiff.cli *argv --out OUT`` in a fresh interpreter
+    under PYTHONHASHSEED 0 and then 1; the bytes each run wrote to OUT, a
+    file or a directory, by file name."""
+    written = []
+    for seed in (0, 1):
+        out = tmp_path / f"hashseed{seed}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(errdiff.__file__).parents[1]),
+            "PYTHONHASHSEED": str(seed),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "errdiff.cli", *argv, "--out", str(out)],
+            capture_output=True, check=True, env=env,
+        )
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        written.append({path.name: path.read_bytes() for path in files})
+    return written
+
+
+def test_simulate_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Set and dict order must not reach the output of a closed-loop run."""
+    argv = ["simulate", "--scenario", str(DATA / "closed_loop_seed1.json")]
+    first, second = _outputs_under_hash_seeds(argv, tmp_path)
+    assert sorted(first) == ["heaters_trace.csv", "metrics.json", "pv_random_trace.csv", "pv_square_trace.csv"]
+    assert first == second
+
+
+@pytest.mark.parametrize(
+    "collection", [FAMILY3_COLLECTION, COLLINEAR_COLLECTION], ids=["ring-family", "collinear"]
+)
+def test_compute_invariant_bytes_do_not_depend_on_the_hash_seed(collection, tmp_path):
+    """The hull deduplicates through a set of triples, and the members' cell
+    tables are keyed by hash; neither order may reach the --out document."""
+    path = _write(tmp_path, "collection.json", collection)
+    argv = ["compute-invariant", "--collection", str(path)]
+    first, second = _outputs_under_hash_seeds(argv, tmp_path)
+    assert json.loads(first["hashseed0"])["status"] in ("converged", "extrapolated")
+    assert list(first.values()) == list(second.values())
+
+
 def test_cli_imports_only_the_standard_library():
     code = (
         "import sys; before = set(sys.modules); import errdiff.cli; "

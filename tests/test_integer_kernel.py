@@ -16,6 +16,7 @@ and denominators of 200 bits and more.  A common scale preserves every
 orientation sign, so the mapped input keeps its degeneracies.
 """
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -32,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel as oracle
-from errdiff import operators
+from errdiff import geometry, operators
 from errdiff.dynamics import ControllerTrace, StepRecord, fixed_request, run_trace, uniform_request
 from errdiff.geometry import (
     ConvexPolygon,
@@ -256,6 +257,122 @@ class TestTranslate:
             assert w > 0 and gcd(x, y, w) == 1
 
 
+def _filled(poly: ConvexPolygon) -> ConvexPolygon:
+    """poly, after the kernels that read its edge table have run on it."""
+    poly.half_planes()
+    minkowski_sum(poly, poly)
+    return poly
+
+
+def _round_trip_values() -> dict:
+    sites = PointSet((pt(0, 0), pt(2, 1), pt(1, 3)))
+    sites.hull()
+    hashed = convex_hull([pt(0, 0), pt(Fraction(1, 3), 5)])
+    hash(hashed)
+    tabled = _filled(convex_hull([pt(-1, 0), pt(2, -1), pt(2, 2), pt(0, 3)]))
+    collection = Collection((sites, tabled), "persistent")
+    config = operators.IterationConfig(max_iterations=4)
+    return {
+        "point": pt(Fraction(-2, 3), 7),
+        "half-plane": HalfPlane(Fraction(1, 2), -3, 4),
+        "fresh polygon": convex_hull([pt(0, 0), pt(3, 1), pt(1, 2)]),
+        "hashed segment": hashed,
+        "polygon with its table": tabled,
+        "point set after hull": sites,
+        "collection": collection,
+        "iteration result": operators.iterate_to_invariance(collection, ConvexPolygon((pt(0, 0),)), config),
+    }
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("name", list(_round_trip_values()))
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip_is_equal_with_an_equal_hash(self, name, copier):
+        value = _round_trip_values()[name]
+        back = copier(value)
+        if isinstance(value, ConvexPolygon):
+            assert hasattr(value, "_edges") == (name == "polygon with its table")
+            # Only the triples travel: no table, hash or vertex cache.
+            assert back._verts is None
+            assert not hasattr(back, "_hash") and not hasattr(back, "_edges")
+        assert back == value
+        if name == "iteration result":  # mutable, so unhashable: hash what it holds
+            assert hash(back.invariant_set) == hash(value.invariant_set)
+            assert hash(tuple(back.iterates)) == hash(tuple(value.iterates))
+        else:
+            assert hash(back) == hash(value)
+
+
+@st.composite
+def table_polygons(draw):
+    """A point, segment or polygon built by the validating constructor,
+    from triples by `_polygon`, by `translate` or by `minkowski_sum`."""
+    pts = draw(point_lists(max_size=5))
+    source = draw(st.sampled_from(["validated", "triples", "translate", "minkowski_sum"]))
+    if source == "validated":
+        return oracle.convex_hull(pts)
+    if source == "triples":
+        return _polygon(tuple(v._t for v in oracle.convex_hull(pts).vertices))
+    if source == "translate":
+        return convex_hull(pts).translate(draw(offsets))
+    return minkowski_sum(convex_hull(pts), convex_hull(draw(point_lists(max_size=4))))
+
+
+# Each reader of the edge table, with its oracle.
+TABLE_READERS = {
+    "minkowski_sum": lambda p, q, z: (minkowski_sum(p, q), oracle.minkowski_sum(p, q)),
+    "contains_polygon": lambda p, q, z: (
+        (p.contains_polygon(q), q.contains_polygon(p)),
+        (oracle.contains_polygon(p, q), oracle.contains_polygon(q, p)),
+    ),
+    "contains_point": lambda p, q, z: (
+        [p.contains_point(v) for v in (z, *q.vertices)],
+        [oracle.contains_point(p, v) for v in (z, *q.vertices)],
+    ),
+    "project_convex_polygon": lambda p, q, z: (
+        (project_convex_polygon(p, z), project_convex_polygon(q, z)),
+        (oracle.project_convex_polygon(p, z), oracle.project_convex_polygon(q, z)),
+    ),
+    "half_planes": lambda p, q, z: ((p.half_planes(), q.half_planes()), (oracle.half_planes(p), oracle.half_planes(q))),
+}
+
+
+class TestEdgeTable:
+    @settings(max_examples=80, deadline=None)
+    @given(table_polygons(), table_polygons(), small_points, st.permutations(list(TABLE_READERS)))
+    def test_readers_in_any_order_equal_oracle(self, p, q, z, order):
+        """Each reader meets the tables of p and q empty or filled by the
+        readers before it; the second pass reads them all filled."""
+        for name in order + order:
+            got, expected = TABLE_READERS[name](p, q, z)
+            assert got == expected, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_polygons())
+    def test_filled_table_compares_and_hashes_like_a_fresh_polygon(self, poly):
+        fresh = _polygon(poly._ts)
+        _filled(poly)
+        assert poly == fresh and fresh == poly
+        assert hash(poly) == hash(fresh)
+        assert {fresh: "found"}[poly] == "found"
+
+    def test_kept_iterates_hold_no_table(self):
+        collection = Collection((PointSet.from_coords([(0, 0), (2, 1), (1, 3)]), PointSet.from_coords([(0, 0), (3, 0)])))
+        seed = ConvexPolygon((pt(0, 0),))
+        result = operators.iterate_to_invariance(collection, seed, operators.IterationConfig(max_iterations=12))
+        assert result.status == "budget" and len(result.iterates) == 13
+        assert all(len(poly._ts) >= 3 for poly in result.iterates[2:])
+        assert not any(hasattr(poly, "_edges") for poly in result.iterates)
+        # The steps did read tables: a step's first reader refills them.
+        assert not hasattr(result.invariant_set, "_edges")
+        operators.check_invariance(collection, result.invariant_set)
+        assert hasattr(result.invariant_set, "_edges")
+
+
 @st.composite
 def overlapping_polygons(draw):
     """Hulls of overlapping sublists of one point list, so vertices repeat across polygons."""
@@ -321,6 +438,40 @@ class TestFloatKeyedHull:
     def test_coordinates_too_large_for_a_float(self, coords):
         pts = [pt(x, y) for x, y in coords]
         assert convex_hull(pts) == oracle.convex_hull(pts)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            # Equal x; the float sort breaks the (1.0, 1.0) tie by the triples,
+            # (1, 1, 1) first, but exactly 1 - 2**-70 < 1.
+            [pt(1, 1), pt(1, 1 - Fraction(1, 2**70))],
+            [pt(1 - Fraction(1, 2**70), 1 - Fraction(1, 2**70)), pt(1, 1)],
+            [pt(1 + Fraction(1, 2**70), 1), pt(1, 1 + Fraction(1, 2**70))],
+        ],
+    )
+    def test_equal_float_x_and_y_are_ordered_exactly(self, pair):
+        for order in (pair, pair[::-1]):
+            assert convex_hull(order) == oracle.convex_hull(order)
+
+    def test_reversed_pair_after_an_ordered_one_in_a_run(self):
+        # The float sort puts the run (1, 0), (1 + e, 1), (1 - e, 2), e =
+        # 2**-70, in that order: its first pair is in exact order, its second
+        # is not, and its last point is the smallest of all exactly.
+        e = Fraction(1, 2**70)
+        pts = [pt(1, 0), pt(1 + e, 1), pt(1 - e, 2), pt(3, 1)]
+        for order in (pts, pts[::-1]):
+            assert convex_hull(order) == oracle.convex_hull(order)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+    def test_integer_columns_pass_the_scan(self, count, monkeypatch):
+        """Columns of equal integer x, as the benchmark's grids give: equal
+        float x there are equal x, so no exact sort runs."""
+        pts = [pt(x, y) for x in (-1, 0, 2) for y in range(count)] + [pt(1, -1), pt(1, count)]
+        exact = mock.Mock(side_effect=geometry._LEX_KEY)
+        monkeypatch.setattr(geometry, "_LEX_KEY", exact)
+        for order in (pts, pts[::-1]):
+            assert convex_hull(order) == oracle.convex_hull(order)
+        assert exact.call_count == 0
 
 
 def _canonical(raw) -> ConvexPolygon:
