@@ -22,15 +22,12 @@ from .geometry import (
     Point2,
     PointSet,
     as_fraction,
-    clip,
     clip_all,
-    clip_to_cell,
     convex_hull,
     minkowski_sum,
     project_convex_polygon,
     project_point_set,
     segment,
-    voronoi_cell,
 )
 from .intervals import IntervalUnion
 from .operators import (

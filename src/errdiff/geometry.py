@@ -734,26 +734,18 @@ def _clip(verts: Sequence[Triple], planes: Iterable[Triple]) -> Sequence[Triple]
     return verts
 
 
-def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
-    """Exact intersection of a convex polygon with a closed half-plane.
-
-    The output is never re-canonicalised.  A polygon's boundary list (kept
-    vertices plus crossing points, in order) is already in canonical form
-    up to rotation, because the input is strictly convex: crossing points
-    lie strictly inside distinct edges and at most two points lie on the
-    line.  If no kept vertex is strictly inside, the list is a single
-    vertex or the two ends of an edge on the line.  Rotating the list to
-    its smallest vertex therefore gives the canonical polygon, segment or
-    point.
-    """
-    return clip_all(polygon, (half_plane,))
-
-
 def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
     """polygon intersected with every half-plane, stopping once it is empty.
 
-    The polygon's triples are cut by every plane in turn (see `clip`).  A
-    polygon no plane cuts is returned as it is.
+    The output is never re-canonicalised.  After each cut the boundary list
+    (kept vertices plus crossing points, in order) is already in canonical
+    form up to rotation, because its input is strictly convex: crossing
+    points lie strictly inside distinct edges and at most two points lie
+    on the line.  If no kept vertex is strictly inside, the list is a
+    single vertex or the two ends of an edge on the line.  Rotating the
+    final list to its smallest vertex therefore gives the canonical
+    polygon, segment or point.  A polygon no plane cuts is returned as it
+    is.
     """
     original = polygon._ts
     verts = _clip(original, (h.ints for h in planes))
@@ -765,65 +757,9 @@ def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolyg
     return _polygon(tuple(verts[k:]) + tuple(verts[:k]))
 
 
-def voronoi_cell(point_set: PointSet, center: Point2) -> list[HalfPlane]:
-    """The bisector half-planes that define a facet of the Voronoi cell of center.
-
-    For every other site c' the constraint is 2(c'-c).x <= |c'|^2 - |c|^2,
-    taken times (W'*W)^2 on the triples of c' and c to stay in integers;
-    the list keeps, in site order, exactly those whose line meets the
-    intersection of the others in a segment of positive length, so the
-    cell equals the intersection of the list and no member is redundant.
-    The cell is closed, so neighboring cells overlap on their bisectors.
-    A singleton set yields no constraints (the cell is the whole plane).
-    """
-    if center not in point_set:
-        raise ValueError("center must belong to the point set")
-    cx, cy, cw = center._t
-    planes = [
-        HalfPlane(
-            2 * ow * cw * (ox * cw - cx * ow),
-            2 * ow * cw * (oy * cw - cy * ow),
-            (ox * ox + oy * oy) * cw * cw - (cx * cx + cy * cy) * ow * ow,
-        )
-        for ox, oy, ow in (other._t for other in point_set.points if other != center)
-    ]
-    return [h for i, h in enumerate(planes) if _defines_facet(h, planes[:i] + planes[i + 1 :])]
-
-
-def _defines_facet(h: HalfPlane, others: Sequence[HalfPlane]) -> bool:
-    """True when the line of h meets the intersection of others in positive length.
-
-    The line is p0 + t*d with p0 = (a, b) * c / (a^2 + b^2), its point
-    nearest the origin, and d = (-b, a); each other half-plane bounds t from
-    one side, or, when parallel, keeps the whole line or none of it.  Every
-    bound is taken times a^2 + b^2 > 0, which keeps it an exact quotient of
-    integers.
-    """
-    a, b, c = h.ints
-    norm2 = a * a + b * b
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for g in others:
-        ga, gb, gc = g.ints
-        rate = gb * a - ga * b  # g's normal dotted with d
-        room = gc * norm2 - (ga * a + gb * b) * c  # g's slack at p0, times a^2 + b^2
-        if rate == 0:
-            if room < 0:
-                return False
-        elif rate > 0:
-            bound = Fraction(room, rate)
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            bound = Fraction(room, rate)
-            if lo is None or bound > lo:
-                lo = bound
-    return lo is None or hi is None or lo < hi
-
-
-def clip_to_cell(polygon: ConvexPolygon, point_set: PointSet, center: Point2) -> ConvexPolygon:
-    """polygon intersected with the Voronoi cell of center, exactly."""
-    return clip_all(polygon, voronoi_cell(point_set, center))
+def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
+    """`clip_all` with one plane, kept as a name the per-layer tracer looks up."""
+    return clip_all(polygon, (half_plane,))
 
 
 def _scaled(ts: Sequence[Triple]) -> tuple[int, list[tuple[int, int]]]:

@@ -24,9 +24,10 @@ from .dynamics import fixed_request, run_trace, uniform_request
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
+    HalfPlane,
     Point2,
     PointSet,
-    clip_to_cell,
+    clip_all,
     convex_hull,
 )
 from .intervals import IntervalUnion
@@ -331,10 +332,19 @@ def check_diffusion_contrast() -> CheckResult:
     )
 
 
-def bounded_voronoi_polygon(sites: PointSet, center: Point2, box: int = 10**6) -> ConvexPolygon:
-    """The (bounded) Voronoi cell of an interior site as an explicit polygon."""
-    big = convex_hull(Point2(sx * box, sy * box) for sx in (-1, 1) for sy in (-1, 1))
-    return clip_to_cell(big, sites, center)
+def bounded_voronoi_polygon(sites: PointSet, center: Point2) -> ConvexPolygon:
+    """The Voronoi cell of an interior site: a large box cut by every bisector.
+
+    A bisector that bounds no facet of the cell does not change the
+    intersection, so none is filtered out.
+    """
+    big = convex_hull(Point2(sx * 10**6, sy * 10**6) for sx in (-1, 1) for sy in (-1, 1))
+    bisectors = (
+        HalfPlane(2 * (s.x - center.x), 2 * (s.y - center.y), s.norm2() - center.norm2())
+        for s in sites.points
+        if s != center
+    )
+    return clip_all(big, bisectors)
 
 
 def check_voronoi_coverage() -> CheckResult:

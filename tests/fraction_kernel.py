@@ -1,23 +1,24 @@
 """Reference kernel: the exact algorithms written over `Fraction` coordinates.
 
-This is the straightforward form of `clip`, `convex_hull`, `minkowski_sum`,
-translation, polygon containment, `half_planes` and
-`project_convex_polygon` that `errdiff.geometry` runs on integer
-homogeneous triples, of one collection-operator step (`cell_pieces`,
-`apply_collection`) assembled from them, of the iteration's coordinate
-bit count and digest, of the
-closed loop's `uniform_request`, `central_step`, `heater_step` and
-`compute_metrics`, and of the trace writers' `row` and `coords`, which the
-package runs on integers.  Its `run_resource_loop` is the controller loop
-without the package loop's tables: one `step_perfect` call with a fresh
-projections dict and one new record per step.  Only the tests import it,
-as an oracle: every function here must return exactly what its
-counterpart in the package returns.  It also holds the Fraction helpers
-the tests measure with (`dist2`, `slack`, `diameter_sq`,
+This is the straightforward form of `orient`, `clip`, `convex_hull`,
+`minkowski_sum`, translation, polygon containment, `half_planes`,
+`project_convex_polygon` and `project_feasible` that `errdiff.geometry`
+and `errdiff.dynamics` run on integer homogeneous triples, of a site's
+Voronoi cell as all of its bisectors (`bisectors`), of one
+collection-operator step (`cell_pieces`, `apply_collection`) assembled
+from them, of the iteration's coordinate bit count and digest, of the
+closed loop's `uniform_request`, `central_step`, `heater_step`,
+`least_squares_slope` and `compute_metrics`, and of the trace writers'
+`row` and `coords`, which the package runs on integers.  Its
+`run_resource_loop` is the controller loop without the package loop's
+tables: each step projects afresh and appends a new record.  Only the
+tests import it, as an oracle: every function here must return exactly
+what its counterpart in the package returns.  It also holds the Fraction
+helpers the tests measure with (`dist2`, `slack`, `diameter_sq`,
 `polygon_intersection`, `edges`, `interval_contains`).  Of the package it
-uses the value types, their Fraction coordinates and arithmetic, `orient`,
-`voronoi_cell` and `step_perfect`, and it builds its polygons with the
-validating `ConvexPolygon` constructor.
+uses only value types, with their Fraction coordinates and arithmetic,
+and exceptions and constants; it builds its polygons with the validating
+`ConvexPolygon` constructor.
 """
 
 from __future__ import annotations
@@ -28,21 +29,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from errdiff.geometry import (
-    EMPTY_POLYGON,
-    ORIGIN,
-    ConvexPolygon,
-    HalfPlane,
-    Point2,
-    PointSet,
-    orient,
-    voronoi_cell,
-)
-from errdiff.dynamics import ControllerTrace, InfeasibleRequestError, StepRecord, step_perfect
+from errdiff.geometry import EMPTY_POLYGON, ORIGIN, ConvexPolygon, HalfPlane, Point2, PointSet
+from errdiff.dynamics import ControllerTrace, InfeasibleRequestError, StepRecord
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import Collection
 from errdiff.resources import TEMP_RESOLUTION, HeaterParams, HeaterState
-from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics, least_squares_slope
+from errdiff.simulate import REQUEST_RESOLUTION, ResourceMetrics
 
 
 def cross(u: Point2, v: Point2) -> Fraction:
@@ -55,6 +47,11 @@ def dot(u: Point2, v: Point2) -> Fraction:
 
 def dist2(a: Point2, b: Point2) -> Fraction:
     return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
+
+
+def orient(a: Point2, b: Point2, c: Point2) -> Fraction:
+    """Twice the signed area of triangle abc; positive for a left turn."""
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
 def slack(plane: HalfPlane, p: Point2) -> Fraction:
@@ -88,7 +85,7 @@ def diameter_sq(polygon: ConvexPolygon) -> Fraction:
 
 def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """p clipped by every half-plane of the non-empty q."""
-    return clip_all(p, q.half_planes())
+    return clip_all(p, half_planes(q))
 
 
 def segment(u: Point2, v: Point2) -> ConvexPolygon:
@@ -184,9 +181,9 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     if p.is_empty or q.is_empty:
         raise ValueError("Minkowski sum requires non-empty polygons")
     if len(p.vertices) == 1:
-        return q.translate(p.vertices[0])
+        return translate(q, p.vertices[0])
     if len(q.vertices) == 1:
-        return p.translate(q.vertices[0])
+        return translate(p, q.vertices[0])
     ep, start_p = _edges_from_bottom(p.vertices)
     eq, start_q = _edges_from_bottom(q.vertices)
     current = start_p + start_q
@@ -278,7 +275,7 @@ def contains_point(polygon: ConvexPolygon, p: Point2) -> bool:
             return False
         d = v - u
         t = dot(p - u, d)
-        return 0 <= t <= d.norm2()
+        return 0 <= t <= dot(d, d)
     return all(orient(verts[i], verts[(i + 1) % n], p) >= 0 for i in range(n))
 
 
@@ -314,10 +311,26 @@ def _feasible_hull(feasible) -> ConvexPolygon:
     return convex_hull(feasible.points) if isinstance(feasible, PointSet) else feasible
 
 
+def bisectors(point_set: PointSet, center: Point2) -> list[HalfPlane]:
+    """center's bisector against every other site, redundant ones included.
+
+    For a site o the plane is 2(o - c).p <= |o|^2 - |c|^2, the points no
+    farther from c than from o, so the closed Voronoi cell of c is the
+    intersection of the list; a singleton's list is empty (the whole plane).
+    """
+    if center not in point_set:
+        raise ValueError("center must belong to the point set")
+    return [
+        HalfPlane(2 * (o.x - center.x), 2 * (o.y - center.y), dot(o, o) - dot(center, center))
+        for o in point_set.points
+        if o != center
+    ]
+
+
 def cell_pieces(feasible, region: ConvexPolygon) -> list[ConvexPolygon]:
     """The pieces (region ∩ cell(c)) - c of `errdiff.operators.cell_pieces`."""
     if isinstance(feasible, PointSet):
-        pieces = [(clip_all(region, voronoi_cell(feasible, c)), c) for c in feasible.points]
+        pieces = [(clip_all(region, bisectors(feasible, c)), c) for c in feasible.points]
         return [translate(piece, -c) for piece, c in pieces if not piece.is_empty]
     verts = feasible.vertices
     if len(verts) == 1:
@@ -342,7 +355,7 @@ def cell_pieces(feasible, region: ConvexPolygon) -> list[ConvexPolygon]:
             swept = minkowski_sum(region, segment(-verts[i], -verts[(i + 1) % n]))
             ray = [HalfPlane(-nrm.y, nrm.x, 0), HalfPlane(nrm.y, -nrm.x, 0), HalfPlane(-nrm.x, -nrm.y, 0)]
             pieces.append(clip_all(swept, ray))
-    if not clip_all(feasible, region.half_planes()).is_empty:
+    if not clip_all(feasible, half_planes(region)).is_empty:
         pieces.append(ConvexPolygon((ORIGIN,)))
     return [p for p in pieces if not p.is_empty]
 
@@ -387,7 +400,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     best = None
     for u, v in edges(polygon):
         d = v - u
-        t = dot(z - u, d) / d.norm2()
+        t = dot(z - u, d) / dot(d, d)
         if t < 0:
             t = Fraction(0)
         elif t > 1:
@@ -397,6 +410,13 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
         if best is None or key < best:
             best = key
     return best[1]
+
+
+def project_feasible(feasible, z: Point2) -> Point2:
+    """Closest feasible point: a site by (dist^2, point), or the polygon projection."""
+    if isinstance(feasible, PointSet):
+        return min(feasible.points, key=lambda p: (dist2(p, z), p))
+    return project_convex_polygon(feasible, z)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +521,11 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
 
 def run_resource_loop(source, requests, horizon: int, rng, *, diffusion: bool = True) -> ControllerTrace:
     """The controller loop with no table: every step checks its request by
-    the Fraction `contains_point`, runs `step_perfect` with a fresh
-    projections dict and appends a record of its own, so no two steps share
-    a record.  The source, the request policy and the rng are called in the
-    package loop's order."""
+    the Fraction `contains_point`, implements the projection of error plus
+    request, carries the remainder and appends a record of its own, so no
+    two steps share a record.  Without diffusion the projection is of the
+    request alone and the remainders add up.  The source, the request
+    policy and the rng are called in the package loop's order."""
     trace = ControllerTrace()
     error, previous = ORIGIN, None
     for n in range(horizon):
@@ -518,13 +539,26 @@ def run_resource_loop(source, requests, horizon: int, rng, *, diffusion: bool = 
             request = requests(advertised, error, rng)
         if not contains_point(advertised, request):
             raise InfeasibleRequestError(f"request {request} outside advertised set")
-        implemented, residual = step_perfect(error if diffusion else ORIGIN, request, feasible, {})
+        target = error + request if diffusion else request
+        implemented = project_feasible(feasible, target)
+        residual = target - implemented
         trace.records.append(StepRecord(feasible, advertised, request, implemented, error))
         error = residual if diffusion else error + residual
         source.advance(implemented)
         previous = feasible
     trace.final_error = error
     return trace
+
+
+def least_squares_slope(ys: Sequence[float]) -> float:
+    """Least-squares slope of the points (i, ys[i]) by the centred formula,
+    in exact rationals, rounded once."""
+    qs = [Fraction(y) for y in ys]
+    n = len(qs)
+    i_bar = Fraction(n - 1, 2)
+    y_bar = sum(qs) / n
+    num = sum((i - i_bar) * (y - y_bar) for i, y in enumerate(qs))
+    return float(num / sum((i - i_bar) ** 2 for i in range(n)))
 
 
 def compute_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:

@@ -8,7 +8,10 @@ converged collections included, so a change that moves either fails here.
 
 import time
 
-from errdiff.verify import run_checks
+import pytest
+
+from conftest import poly, pt
+from errdiff.verify import bounded_voronoi_polygon, interior_point_set, run_checks
 
 
 def _run(number: int, title: str, names: list[str]) -> list[str]:
@@ -70,6 +73,20 @@ def test_criterion_7_voronoi_cell_coverage():
     """The minimal invariant set covers the shifted bounded cell of the
     interior point in all three configurations."""
     _run(7, "invariant set covers the interior point's cell", ["voronoi-coverage"])
+
+
+@pytest.mark.parametrize(
+    "p_y, vertices",
+    [
+        (0, [(-10, 0), (0, -10), (10, 0), (0, 10)]),
+        (5, [("-35/4", 0), (0, "-35/6"), ("35/4", 0), (0, "35/2")]),
+        (9, [("-119/20", 0), (0, "-119/38"), ("119/20", 0), (0, "119/2")]),
+    ],
+)
+def test_voronoi_coverage_cell_is_pinned(p_y, vertices):
+    """The row only checks that the invariant set contains the interior
+    site's cell, so the cell itself is pinned."""
+    assert bounded_voronoi_polygon(interior_point_set(p_y), pt(0, p_y)) == poly(*vertices)
 
 
 def test_criterion_8_operator_property_suite():

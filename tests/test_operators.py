@@ -28,7 +28,7 @@ from errdiff.operators import (
 from errdiff.resources import PVParams, pv_triangle, pv_triangle_family
 
 from conftest import STALL_COLLECTION, poly, pt
-from fraction_kernel import dist2, interval_contains
+from fraction_kernel import bisectors, clip_all, dist2, interval_contains, minkowski_sum
 
 ORIGIN_POLY = ConvexPolygon((ORIGIN,))
 
@@ -41,12 +41,10 @@ regions = st.lists(points, min_size=1, max_size=5).map(convex_hull)
 def brute_g_single(sites: PointSet, region: ConvexPolygon, probes):
     """Definitional oracle for membership in the convexified error-set image:
     collect (shifted ∩ cell) - c sample points and hull them."""
-    from errdiff.geometry import clip_to_cell, minkowski_sum
-
     shifted = minkowski_sum(sites.hull(), region)
     pts = []
     for c in sites.points:
-        piece = clip_to_cell(shifted, sites, c)
+        piece = clip_all(shifted, bisectors(sites, c))
         pts.extend(v - c for v in piece.vertices)
     return convex_hull(pts)
 

@@ -33,6 +33,7 @@ from errdiff.simulate import (
 )
 
 from conftest import poly, pt
+from fraction_kernel import least_squares_slope as slope_oracle
 
 
 def heater_params(p=15000, lock_steps=10, leak="1/100", gain="1/20000"):
@@ -216,16 +217,6 @@ class TestRunScenario:
         result = run_scenario(sc)
         assert set(result.traces) == {"heater", "pv"}
         assert set(result.report.resources) == {"heater", "pv"}
-
-
-def slope_oracle(ys):
-    """Least-squares slope by the centred formula, in exact rationals."""
-    qs = [Fraction(y) for y in ys]
-    n = len(qs)
-    i_bar = Fraction(n - 1, 2)
-    y_bar = sum(qs) / n
-    num = sum((i - i_bar) * (y - y_bar) for i, y in enumerate(qs))
-    return float(num / sum((i - i_bar) ** 2 for i in range(n)))
 
 
 norm_floats = st.one_of(
