@@ -18,8 +18,8 @@ smallest, so it emits a canonical polygon as it goes.
 A polygon of two or more vertices has an edge table, built on first use
 and kept: for edge i, from vertex i to vertex i + 1, its integer direction
 tagged with its angle half, and its line.  The Minkowski sum, containment,
-`half_planes`, the projection and the closed loop's request sampler read
-it instead of deriving the edges on every call.
+the projection, the convex cells of `operators` and the closed loop's
+request sampler read it instead of deriving the edges on every call.
 
 Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
 'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
@@ -166,7 +166,7 @@ def orient(a: Point2, b: Point2, c: Point2) -> Fraction:
 
 
 def _normalised(x: int, y: int, w: int) -> Triple:
-    """(x, y, w) divided by its gcd; w must be positive."""
+    """(x, y, w) divided by its gcd: a point's triple for w > 0, a plane's for (x, y) != (0, 0)."""
     g = math.gcd(x, y, w)
     return x // g, y // g, w // g
 
@@ -229,11 +229,12 @@ def _lex_min(ts: Sequence[Triple]) -> int:
 
 @dataclass(frozen=True, slots=True, init=False)
 class HalfPlane:
-    """Closed half-plane {p : a*p.x + b*p.y <= c}.
+    """Closed half-plane {p : a*p.x + b*p.y <= c}, the public input of `clip_all`.
 
     Only (a, b, c) scaled to coprime integers is kept, in ``ints``: two
-    half-planes compare equal exactly when they are the same set, and the
-    kernel reads the triple as it is.
+    half-planes compare equal exactly when they are the same set.  The
+    kernel's own planes are such integer triples, never HalfPlanes, and
+    `clip_all` reads ``ints`` as it is.
     """
 
     ints: Triple
@@ -248,12 +249,6 @@ class HalfPlane:
         ic = c.numerator * (scale // c.denominator)
         g = math.gcd(ia, ib, ic)
         object.__setattr__(self, "ints", (ia // g, ib // g, ic // g))
-
-    def translate(self, d: Point2) -> "HalfPlane":
-        """The half-plane moved by d = (X/W, Y/W): a*W*p.x + b*W*p.y <= c*W + a*X + b*Y."""
-        a, b, c = self.ints
-        x, y, w = d._t
-        return HalfPlane(a * w, b * w, c * w + a * x + b * y)
 
 
 class ConvexPolygon(_Frozen):
@@ -372,32 +367,6 @@ class ConvexPolygon(_Frozen):
 
     def translate(self, d: Point2) -> "ConvexPolygon":
         return _translated(self, d._t)
-
-    def half_planes(self) -> list[HalfPlane]:
-        """Half-planes whose intersection is exactly this region.
-
-        An edge line (a, b, c) has a*X + b*Y + c*W >= 0 for the points
-        (X/W, Y/W) left of its edge, that is HalfPlane(-a, -b, c).
-        """
-        ts = self._ts
-        if not ts:
-            raise ValueError("empty polygon has no half-plane representation")
-        if len(ts) == 1:
-            ((x, y, w),) = ts
-            return [HalfPlane(w, 0, x), HalfPlane(-w, 0, -x), HalfPlane(0, w, y), HalfPlane(0, -w, -y)]
-        dirs, lines = _edge_table(self)
-        if len(ts) == 2:
-            # Both sides of the line, then the caps at v and at u along d ~ v - u.
-            (ux, uy, uw), (vx, vy, vw) = ts
-            a, b, c = lines[0]
-            _, dx, dy = dirs[0]
-            return [
-                HalfPlane(a, b, -c),
-                HalfPlane(-a, -b, c),
-                HalfPlane(dx * vw, dy * vw, dx * vx + dy * vy),
-                HalfPlane(-dx * uw, -dy * uw, -dx * ux - dy * uy),
-            ]
-        return [HalfPlane(-a, -b, c) for a, b, c in lines]
 
 
 def _polygon(ts: tuple[Triple, ...]) -> ConvexPolygon:

@@ -66,7 +66,6 @@ from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .geometry import (
     ConvexPolygon,
-    HalfPlane,
     PointSet,
     RationalLike,
     Triple,
@@ -75,6 +74,7 @@ from .geometry import (
     _contains_all,
     _crossing,
     _drop_edge_table,
+    _edge_table,
     _hull,
     _line,
     _normalised,
@@ -220,38 +220,52 @@ def _cells(member: FeasibleSet) -> Union[Cells, Sites]:
     """A point set's `Sites`, or a convex member's vertex cells, edge cells
     and meet planes; see the module docstring.
 
-    A vertex cell's planes are in the member's own frame, around v: the
-    region is clipped first, and only the surviving vertices move.  The
-    meet planes are the member's own half-planes, None for a point member.
+    Every plane is built from the member's triples and the directions d and
+    lines of its edge table.  A vertex cell's planes are in the member's own
+    frame, around v: the region is clipped first, and only the surviving
+    vertices move.  The cone at v is d.q <= d.v for the outgoing edge and,
+    in a polygon, -d.q <= -d.v for the incoming one; a segment's second
+    edge runs back from its end.  The meet planes are the edge lines
+    (a, b, c) as (-a, -b, c), a segment's also its slab, the end caps; None
+    for a point member.
     """
     if isinstance(member, PointSet):
         return _sites(member._key)
-    verts = member.vertices
-    if not verts:
+    ts = member._ts
+    if not ts:
         raise ValueError("feasible set must be non-empty")
-    n = len(verts)
-    # Edge i runs from verts[i] to verts[i + 1]: a segment has one, a polygon n.
-    # Its direction (X, Y) is the triple's: the edge vector times W > 0.
-    steps = [(verts[(i + 1) % n] - verts[i])._t[:2] for i in range(n if n > 2 else n - 1)]
+    n = len(ts)
+    if n == 1:
+        ((x, y, w),) = ts
+        return (((-x, -y, w), ()),), (), None
+    dirs, lines = _edge_table(member)
     cones = []
-    for i, v in enumerate(verts):
-        # The normal cone v + N(v): behind its outgoing edge, ahead of its incoming one.
-        cone = []
-        if i < len(steps):
-            cone.append(HalfPlane(*steps[i], 0))
-        if n > 2 or i > 0:
-            dx, dy = steps[i - 1]
-            cone.append(HalfPlane(-dx, -dy, 0))
-        cones.append(((-v)._t, tuple(h.translate(v).ints for h in cone)))
+    for i, v in enumerate(ts):
+        _, dx, dy = dirs[i]
+        cone = [_plane(dx, dy, v)]
+        if n > 2:
+            _, dx, dy = dirs[i - 1]
+            cone.append(_plane(-dx, -dy, v))
+        x, y, w = v
+        cones.append(((-x, -y, w), tuple(cone)))
     edges = []
-    for i, (dx, dy) in enumerate(steps):
+    for i in range(n if n > 2 else 1):
         # The slab d.u <= d.p <= d.w over the edge [u, w]; (dy, -dx) points out.
-        u, w = verts[i], verts[(i + 1) % n]
-        slab = (HalfPlane(-dx, -dy, 0).translate(u).ints, HalfPlane(dx, dy, 0).translate(w).ints)
-        ux, uy, uw = u._t
+        _, dx, dy = dirs[i]
+        u, w = ts[i], ts[(i + 1) % n]
+        slab = (_plane(-dx, -dy, u), _plane(dx, dy, w))
+        ux, uy, uw = u
         edges.append((slab, dy, -dx, dy * ux - dx * uy, uw, uw * (dx * dx + dy * dy), n > 2))
-    meet = tuple(h.ints for h in member.half_planes()) if n > 1 else None
+    meet = tuple(_normalised(-a, -b, c) for a, b, c in lines)
+    if n == 2:
+        meet += edges[0][0]
     return tuple(cones), tuple(edges), meet
+
+
+def _plane(dx: int, dy: int, p: Triple) -> Triple:
+    """The coprime triple of the half-plane d.q <= d.p, d = (dx, dy) != 0."""
+    x, y, w = p
+    return _normalised(dx * w, dy * w, dx * x + dy * y)
 
 
 def _sites(ts: tuple[Triple, ...]) -> Sites:
@@ -597,14 +611,17 @@ def _mpe_limit(samples: Sequence[tuple[int, Sequence[int]]]) -> Optional[tuple[l
 def _back_substitute(pivots: list[tuple[int, list[int]]], m: int) -> list[int]:
     """Integer weights (c_0 ... c_m) * D, c_m = 1, from m independent pivot rows.
 
-    Each pivot row is zero in the lead columns of the rows before it.
+    Each pivot row is zero in the lead columns of the rows before it.  The
+    weights stay integers over a common scale: c[col] = -rest / p[col]
+    scales them by p[col], and the primitive vector with c_m > 0 is returned.
     """
-    c: list[Fraction] = [Fraction(0)] * m + [Fraction(1)]
+    c = [0] * m + [1]
     for col, p in reversed(pivots):
-        rest = sum(p[k] * c[k] for k in range(m + 1) if k != col)
-        c[col] = -rest / p[col]
-    d = math.lcm(*(q.denominator for q in c))
-    return [q.numerator * (d // q.denominator) for q in c]
+        rest = sum(map(mul, p, c))
+        c = [p[col] * a for a in c]
+        c[col] = -rest
+    g = math.gcd(*c) if c[m] > 0 else -math.gcd(*c)
+    return [a // g for a in c]
 
 
 def _shift_to(flat: list[int], newest: list[int]) -> Optional[int]:
@@ -804,13 +821,14 @@ def iterate_to_invariance(
 
 
 def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:
-    """True exactly when every per-set operator maps candidate into itself."""
+    """True exactly when every per-set operator maps candidate into itself.
+
+    The candidate is convex, so it contains every member's image exactly
+    when it contains the hull of their union, the collection image.
+    """
     if candidate.is_empty:
         raise ValueError("candidate must be non-empty")
-    return all(
-        candidate.contains_polygon(apply_member(member, candidate, collection.mode))
-        for member in collection.sets
-    )
+    return candidate.contains_polygon(apply_collection(collection, candidate))
 
 
 # ---------------------------------------------------------------------------

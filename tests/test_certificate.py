@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from errdiff import certificate
 from errdiff.certificate import certify_invariant
 from errdiff.geometry import ORIGIN, ConvexPolygon, Point2, PointSet, convex_hull, minkowski_sum
-from errdiff.operators import MODES, Collection, IterationConfig, check_invariance, iterate_to_invariance
+from errdiff.operators import (
+    MODES,
+    Collection,
+    IterationConfig,
+    apply_member,
+    check_invariance,
+    iterate_to_invariance,
+)
 from errdiff.resources import PVParams, pv_triangle, pv_triangle_family
 from errdiff.verify import load_golden_polygon, three_set_family
 
@@ -80,7 +87,12 @@ def test_agrees_with_check_invariance_on_mixed_collections(collection, candidate
     # Random candidates are mostly not invariant, converged iterates are.
     result = iterate_to_invariance(collection, ORIGIN_POLY, QUICK)
     for q in (candidate, result.invariant_set):
-        assert certify_invariant(collection, q) == check_invariance(collection, q)
+        checked = check_invariance(collection, q)
+        assert certify_invariant(collection, q) == checked
+        # The per-member definition that check_invariance reads off one image.
+        assert checked == all(
+            q.contains_polygon(apply_member(m, q, collection.mode)) for m in collection.sets
+        )
     if result.converged:
         assert certify_invariant(collection, result.invariant_set)
 

@@ -290,7 +290,6 @@ class TestTranslate:
 
 def _filled(poly: ConvexPolygon) -> ConvexPolygon:
     """poly, after the kernels that read its edge table have run on it."""
-    poly.half_planes()
     minkowski_sum(poly, poly)
     return poly
 
@@ -368,7 +367,6 @@ TABLE_READERS = {
         (project_convex_polygon(p, z), project_convex_polygon(q, z)),
         (oracle.project_convex_polygon(p, z), oracle.project_convex_polygon(q, z)),
     ),
-    "half_planes": lambda p, q, z: ((p.half_planes(), q.half_planes()), (oracle.half_planes(p), oracle.half_planes(q))),
 }
 
 
@@ -816,6 +814,9 @@ class TestCellPieces:
     @example((SLAB_TRIANGLE, ConvexPolygon((pt(2, -1),))))  # a zero-length extent
     @example((SLAB_TRIANGLE, segment(pt(1, -1), pt(3, -1))))  # zero length over two vertices
     @example((ConvexPolygon((pt(1, 1),)), SLAB_TRIANGLE))
+    @example((SEGMENT, segment(pt(3, -1), pt(3, 1))))  # crosses the line beyond one end: no meet
+    @example((SEGMENT, segment(pt(-1, -1), pt(-1, 1))))  # beyond the other end
+    @example((SEGMENT, ConvexPolygon((pt(1, 0),))))  # a point inside the segment: the meet [0]
     @_with_examples(POINT_SET_EXAMPLES)
     def test_pieces_equal_oracle(self, case):
         member, region = case
