@@ -17,13 +17,16 @@ of a region R, and their union is ``U_c ((R ∩ cell(c)) - c)``.  No cell
 takes a Minkowski sum.
 
 A point set's cells are not clipped one at a time.  Its data are each
-site's integer form f_c, larger exactly where c is nearer, and its Voronoi
-vertices with their incident sites.  One pass labels every vertex of R
-with its nearest sites, walks each edge of R whose end labels share no
-site from nearest site to nearest site, and adds the Voronoi vertices that
-lie in R (nearest-site labelling; Aurenhammer, "Voronoi diagrams",
-ACM Comput. Surv. 23(3), 1991).  The piece of c is the hull of the points
-c collected, moved by -c.
+site's integer form f_c, larger exactly where c is nearer, its Voronoi
+neighbours, and its Voronoi vertices with their incident sites.  One pass
+labels every vertex of R with its nearest sites, walks each edge of R whose
+end labels share no site from nearest site to nearest site, scanning only
+the current site's neighbours, and adds the Voronoi vertices that lie in R
+(nearest-site labelling; Aurenhammer, "Voronoi diagrams", ACM Comput.
+Surv. 23(3), 1991).  The piece of c is the hull of the points c collected,
+moved by -c.  A perfect-mode region R = ch S + Q with the origin in Q
+contains ch S, so the Voronoi vertices inside ch S are taken without a
+test, and a convex member's meet piece below is present.
 
 A convex member's cells are:
 
@@ -76,6 +79,7 @@ from .geometry import (
     _drop_edge_table,
     _edge_table,
     _hull,
+    _hull_of_triples,
     _line,
     _normalised,
     _polygon,
@@ -206,11 +210,15 @@ class GeometryInconsistencyError(RuntimeError):
 VertexCell = tuple[Triple, tuple[Triple, ...]]
 EdgeCell = tuple[tuple[Triple, ...], int, int, int, int, int, bool]
 Cells = tuple[tuple[VertexCell, ...], tuple[EdgeCell, ...], Optional[tuple[Triple, ...]]]
-# A point set's sites c, in site order: the triples -c and the integer forms
-# (a, b, q) of f_c; and its Voronoi vertices p, each with the pairs
-# (index of c, p - c) of its incident sites c.
+# A point set's sites c, in site order: the triples -c, the integer forms
+# (a, b, q) of f_c and the sorted indices of c's Voronoi neighbours; and its
+# Voronoi vertices p, each with the pairs (index of c, p - c) of its
+# incident sites c, split into those in the closed hull ch S and the rest.
 Corner = tuple[Triple, tuple[tuple[int, Triple], ...]]
-Sites = tuple[tuple[Triple, ...], tuple[Triple, ...], tuple[Corner, ...]]
+Sites = tuple[
+    tuple[Triple, ...], tuple[Triple, ...], tuple[tuple[int, ...], ...],
+    tuple[Corner, ...], tuple[Corner, ...],
+]
 
 _ZERO: Triple = (0, 0, 1)
 
@@ -276,9 +284,15 @@ def _sites(ts: tuple[Triple, ...]) -> Sites:
     = a_c*X + b_c*Y - q_c*W, a_c = 2*L*x_c, b_c = 2*L*y_c and q_c = x_c^2 +
     y_c^2.  Every f_c is linear in the triple, so the point where three
     sites tie is the cross product of the planes f_i - f_j and f_i - f_k,
-    and it is a Voronoi vertex when no site's f is larger there.  No point
-    is equidistant from three sites on one line, so a set on one line has
-    no Voronoi vertex.
+    and it is a Voronoi vertex when no site's f is larger there.
+
+    No point is equidistant from three sites on one line, so a set on one
+    line has no Voronoi vertex; its cells are strips in site order, and a
+    site's neighbours are the sites just before and after it.  In any other
+    set every Voronoi edge is a segment or a ray, so two sites whose cells
+    meet are both incident to a Voronoi vertex, and a site's neighbours are
+    the other sites incident to its vertices.  The vertices are split once,
+    by the cached hull ch S, into those in it and the rest.
     """
     scale, scaled = _scaled(ts)
     forms = tuple((2 * scale * x, 2 * scale * y, x * x + y * y) for x, y in scaled)
@@ -305,7 +319,15 @@ def _sites(ts: tuple[Triple, ...]) -> Sites:
                     for s, (a, b, q) in enumerate(forms)
                     if a * x + b * y - q * w == top
                 )
-    return sweeps, forms, tuple(corners.items())
+    n = len(ts)
+    links = [set() if corners else {d for d in (c - 1, c + 1) if 0 <= d < n} for c in range(n)]
+    hull = _hull_of_triples(ts)
+    inner, outer = [], []
+    for corner, moved in corners.items():
+        for c, _ in moved:
+            links[c].update(d for d, _ in moved if d != c)
+        (inner if _contains_all(hull, (corner,)) else outer).append((corner, moved))
+    return sweeps, forms, tuple(tuple(sorted(s)) for s in links), tuple(inner), tuple(outer)
 
 
 def _extent(kept: Sequence[Triple], cell: EdgeCell) -> list[Triple]:
@@ -339,18 +361,25 @@ def _extent(kept: Sequence[Triple], cell: EdgeCell) -> list[Triple]:
     return ends
 
 
-def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[Triple]]:
+def cell_pieces(
+    feasible: FeasibleSet, region: ConvexPolygon, *, covers_hull: bool = False
+) -> list[Sequence[Triple]]:
     """The non-empty convex pieces (region ∩ cell(c)) - c over the cells of S.
 
     Each piece is a raw list of vertex triples whose hull is the piece, in
     no particular order: a site's is what `_site_pieces` collected for it,
     a vertex cell's its clipped region, each translated by -c, an edge
     cell's the ends of its segment, and the meet piece [0].
+
+    covers_hull says that the caller knows region to contain ch S, as a
+    perfect-mode region ch S + Q does when Q holds the origin.  Then the
+    Voronoi vertices in ch S are in region, and S ∩ region = S is not
+    empty, so neither is tested.  By default every one is.
     """
     ts = region._ts
     cells = _cells(feasible)
     if isinstance(feasible, PointSet):
-        return _site_pieces(cells, region)
+        return _site_pieces(cells, region, covers_hull)
     pieces = []
     cones, edges, meet = cells
     for sweep, planes in cones:
@@ -363,12 +392,12 @@ def cell_pieces(feasible: FeasibleSet, region: ConvexPolygon) -> list[Sequence[T
             piece = _extent(kept, cell)
             if piece:
                 pieces.append(piece)
-    if meet is not None and _clip(ts, meet):
+    if meet is not None and (covers_hull or _clip(ts, meet)):
         pieces.append([_ZERO])
     return pieces
 
 
-def _site_pieces(sites: Sites, region: ConvexPolygon) -> list[list[Triple]]:
+def _site_pieces(sites: Sites, region: ConvexPolygon, covers_hull: bool) -> list[list[Triple]]:
     """The pieces (R ∩ cell(c)) - c of a point set's sites, in site order.
 
     R ∩ cell(c) is the hull of its vertices: the vertices of R nearest to c,
@@ -379,9 +408,10 @@ def _site_pieces(sites: Sites, region: ConvexPolygon) -> list[list[Triple]]:
     whose cell meets it inside ties with s along all of it, so its ends are
     all such a site needs.  Every other edge is walked by `_walk`.  A
     Voronoi vertex in the closed region R goes to all its incident sites;
-    the walk leaves some of those on the boundary to it.
+    the walk leaves some of those on the boundary to it.  When R covers
+    ch S, the vertices in ch S go to their sites untested.
     """
-    sweeps, forms, corners = sites
+    sweeps, forms, nbrs, inner, outer = sites
     ts = region._ts
     found: list[list[Triple]] = [[] for _ in sweeps]
     scores = [[a * x + b * y - q * w for a, b, q in forms] for x, y, w in ts]
@@ -400,11 +430,11 @@ def _site_pieces(sites: Sites, region: ConvexPolygon) -> list[list[Triple]]:
         j = (i + 1) % m
         start, end = labels[i], labels[j]
         if start != end and set(start).isdisjoint(end):
-            _walk(ts[i], ts[j], scores[i], scores[j], start, end, found)
+            _walk(ts[i], ts[j], scores[i], scores[j], start, end, nbrs, found)
     pieces = [[_add(t, sweep) for t in piece] for piece, sweep in zip(found, sweeps)]
-    if m > 1:
+    for corners, known in ((inner, covers_hull), (outer, False)):
         for corner, moved in corners:
-            if _holds(region, corner):
+            if known or _holds(region, corner):
                 for c, t in moved:
                     pieces[c].append(t)
     return [piece for piece in pieces if piece]
@@ -417,6 +447,7 @@ def _walk(
     fv: list[int],
     start: tuple[int, ...],
     end: tuple[int, ...],
+    nbrs: tuple[tuple[int, ...], ...],
     found: list[list[Triple]],
 ) -> None:
     """Give each point where the nearest site changes along u -> v to the sites tied there.
@@ -424,19 +455,26 @@ def _walk(
     On the triples p(s) = (1 - s)*u + s*v, 0 <= s <= 1, which run from u
     to v, every f_c is linear: f_c(u) + s*(f_c(v) - f_c(u)).  The nearest
     site leaves u as the site of u's label largest at v.  From site c the
-    next change is at the smallest s where a site d of larger slope
+    next change is at the smallest s where a neighbour d of larger slope
     overtakes c, s = (f_c(u) - f_d(u)) / (slope_d - slope_c), compared by
     cross-multiplication; the point goes to c and every d that overtakes
     there, and the walk goes on from the largest of those at v until its
     site is in v's label.  A site tied with c all along the edge ties with
     it at such a point too, which is then a Voronoi vertex of three sites.
+
+    Only c's neighbours, in site order, are scanned, and only their slopes
+    computed.  That is exact: c is nearest up to the first point z where
+    any site overtakes it, and every site tied with c at z is then nearest
+    at z too, so its cell meets cell(c) at z and it is a neighbour.  So the
+    first overtake, and the sites tied there, are the same over the
+    neighbours as over all sites.
     """
-    slopes = [b - a for a, b in zip(fu, fv)]
     site = start[0] if len(start) == 1 else max(start, key=fv.__getitem__)
     while site not in end:
-        lead, rise = fu[site], slopes[site]
+        lead, rise = fu[site], fv[site] - fu[site]
         tied: list[int] = []
-        for c, slope in enumerate(slopes):
+        for c in nbrs[site]:
+            slope = fv[c] - fu[c]
             if slope > rise:
                 gain, gap = slope - rise, lead - fu[c]
                 if not tied or gap * den < num * gain:
@@ -451,14 +489,17 @@ def _walk(
 
 
 def _holds(region: ConvexPolygon, p: Triple) -> bool:
-    """True when the closed segment or polygon region holds the point p.
+    """True when the closed point, segment or polygon region holds the point p.
 
-    A polygon's fan from vertex 0 splits it into triangles; a binary search
-    on the orientation of p to the fan's diagonals finds the one whose
-    wedge holds p, and p is inside when it is on or left of that
-    triangle's outer edge.  A segment reads its line from its edge table.
+    A point region holds only itself.  A polygon's fan from vertex 0 splits
+    it into triangles; a binary search on the orientation of p to the fan's
+    diagonals finds the one whose wedge holds p, and p is inside when it is
+    on or left of that triangle's outer edge.  A segment reads its line
+    from its edge table.
     """
     ts = region._ts
+    if len(ts) == 1:
+        return ts[0] == p
     if len(ts) == 2:
         return _contains_all(region, (p,))
     # det[ts[0]; ts[k]; p] = (p x ts[0]) . ts[k], positive when p is left of
@@ -488,28 +529,36 @@ def _holds(region: ConvexPolygon, p: Triple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _member_pieces(
-    member: FeasibleSet, region: ConvexPolygon, mode: Mode
-) -> list[Sequence[Triple]]:
-    """Vertex lists whose hull is the image of region under member's operator.
-
-    A persistent image, ch S + the hull of the cell pieces of region, is
-    one list: the vertices of a Minkowski sum, already a canonical polygon,
-    which `apply_member` therefore takes as it is.
-    """
+def _covers_hull(region: ConvexPolygon, mode: Mode) -> bool:
+    """Check mode and region; True when every perfect-mode fattened region
+    ch S + region contains ch S, which is when region holds the origin."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if region.is_empty:
         raise ValueError("region must be non-empty")
+    return mode == "perfect" and _holds(region, _ZERO)
+
+
+def _member_pieces(
+    member: FeasibleSet, region: ConvexPolygon, mode: Mode, covers_hull: bool
+) -> list[Sequence[Triple]]:
+    """Vertex lists whose hull is the image of region under member's operator.
+
+    covers_hull is `_covers_hull` of region and mode.  A persistent image,
+    ch S + the hull of the cell pieces of region, is one list: the vertices
+    of a Minkowski sum, already a canonical polygon, which `apply_member`
+    therefore takes as it is.
+    """
     if mode == "perfect":
-        return cell_pieces(member, minkowski_sum(feasible_hull(member), region))
+        fattened = minkowski_sum(feasible_hull(member), region)
+        return cell_pieces(member, fattened, covers_hull=covers_hull)
     inner = _polygon(_hull(chain.from_iterable(cell_pieces(member, region))))
     return [minkowski_sum(feasible_hull(member), inner)._ts]
 
 
 def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
     """One application of a single feasible set's operator in the given mode."""
-    pieces = _member_pieces(member, region, mode)
+    pieces = _member_pieces(member, region, mode, _covers_hull(region, mode))
     return _polygon(pieces[0] if mode == "persistent" else _hull(chain.from_iterable(pieces)))
 
 
@@ -517,12 +566,14 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
     """Convexified union of the per-set operator results.
 
     Computed as one hull over the pieces of every member, which equals the
-    hull of the per-set hulls; a single member's image is its own.
+    hull of the per-set hulls; a single member's image is its own.  Whether
+    region holds the origin is tested once, for every member.
     """
     mode, sets = collection.mode, collection.sets
     if len(sets) == 1:
         return apply_member(sets[0], region, mode)
-    pieces = [_member_pieces(member, region, mode) for member in sets]
+    covers_hull = _covers_hull(region, mode)
+    pieces = [_member_pieces(member, region, mode, covers_hull) for member in sets]
     return _polygon(_hull(chain.from_iterable(chain.from_iterable(pieces))))
 
 

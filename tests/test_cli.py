@@ -11,8 +11,12 @@ from pathlib import Path
 import pytest
 
 import errdiff
+import fraction_kernel as oracle
 from errdiff import cli
 from errdiff.cli import main
+from errdiff.geometry import ConvexPolygon, Point2
+from errdiff.operators import check_invariance
+from errdiff.serialize import load_collection, parse_polygon
 
 
 GRID8_COLLECTION = {
@@ -157,6 +161,28 @@ class TestStopStatus:
     def test_budget(self, tmp_path, capsys):
         path = _write(tmp_path, "stall.json", STALL_COLLECTION)
         assert self._run(path, tmp_path, capsys, "--max-iters", "1") == (2, "budget")
+
+
+def test_seed_off_the_origin(tmp_path, capsys):
+    """The seed (3, -2) and the first iterate do not hold the origin, so
+    their fattened regions need not contain a member's hull and every
+    Voronoi vertex is tested.  Each iterate is the Fraction oracle's, and
+    the answer is invariant."""
+    path = _write(tmp_path, "family3.json", FAMILY3_COLLECTION)
+    out = tmp_path / "result.json"
+    argv = ["compute-invariant", "--collection", str(path), "--q0", "3,-2", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["iterations"]) == ("extrapolated", 11)
+    assert doc["vertex_counts"] == [1, 4, 5, 7, 8, 7, 9, 8, 9, 8, 9, 8]
+    collection = load_collection(path)
+    region = ConvexPolygon((Point2(3, -2),))
+    for k, digest in enumerate(doc["history_hashes"]):
+        if k:
+            region = oracle.apply_collection(collection, region)
+        assert digest == oracle.digest(region)
+        assert oracle.contains_point(region, Point2(0, 0)) == (k > 1)
+    assert check_invariance(collection, parse_polygon(doc["vertices"]))
 
 
 # Files the exit-status table names by key, written to a temporary directory.

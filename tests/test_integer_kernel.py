@@ -692,6 +692,24 @@ class TestContainment:
             assert outer.contains_polygon(inner) == oracle.contains_polygon(outer, inner)
 
 
+class TestHolds:
+    @settings(max_examples=80, deadline=None)
+    @given(point_lists(max_size=5), st.lists(small_points, min_size=1, max_size=4), affine_maps())
+    @example([pt(1, 2)], [pt(1, 2), pt(0, 0)], lambda p: p)  # a point holds only itself
+    @example([pt(0, 0), pt(2, 1)], [pt(4, 2), pt(1, 1)], lambda p: p)  # on the segment's line, off it
+    @example(SQUARE4, [pt(2, 2), pt(4, 5)], lambda p: p)
+    def test_equals_oracle(self, pts, probes, f):
+        """A point, segment or polygon region: its vertices, edge midpoints,
+        points on its edge lines beyond the ends, and free points."""
+        region = convex_hull(map(f, pts))
+        half = Fraction(1, 2)
+        candidates = list(region.vertices) + [f(p) for p in probes]
+        for u, v in oracle.edges(region):
+            candidates += [(u + v) * half, u * 2 - v, v * 2 - u]
+        for z in candidates:
+            assert operators._holds(region, z._t) == oracle.contains_point(region, z)
+
+
 @st.composite
 def collections(draw):
     """1-3 point-set or convex members of small rational points under one large map."""
@@ -781,6 +799,7 @@ POINT_SET_EXAMPLES = (
     (MIRRORED, segment(pt(-4, 0), pt(4, 0))),
     (RING, ConvexPolygon((pt(0, 0),))),
     (RING, segment(pt(-2, 0), pt(2, 0))),
+    (MIRRORED, segment(pt(0, -2), pt(Fraction(8, 3), 2))),  # crosses (4/3, 0) at a slant
 ) + tuple((MIRRORED, region) for region in ALONG_AXIS)  # a region edge along a bisector
 
 
@@ -795,6 +814,14 @@ def _with_examples(cases):
 
 SLAB_TRIANGLE = convex_hull([pt(0, 0), pt(4, 0), pt(0, 4)])
 SEGMENT = segment(pt(0, 0), pt(2, 0))
+# Its one Voronoi vertex, the circumcentre (2, -3/2), lies outside its hull.
+OBTUSE = PointSet.from_coords([(0, 0), (4, 0), (2, 1)])
+# Holds the origin; its sum with OBTUSE's hull holds (2, -3/2).
+AROUND_ORIGIN_LOW = convex_hull([pt(-1, -2), pt(1, -2), pt(0, 1)])
+
+
+def _pieces(member, region, **flags):
+    return [_polygon(_hull(piece)) for piece in cell_pieces(member, region, **flags)]
 
 
 class TestCellPieces:
@@ -817,15 +844,56 @@ class TestCellPieces:
     @example((SEGMENT, segment(pt(3, -1), pt(3, 1))))  # crosses the line beyond one end: no meet
     @example((SEGMENT, segment(pt(-1, -1), pt(-1, 1))))  # beyond the other end
     @example((SEGMENT, ConvexPolygon((pt(1, 0),))))  # a point inside the segment: the meet [0]
+    @example((SLAB_TRIANGLE, AROUND_ORIGIN_LOW))  # holds the origin: the meet [0] untested
+    @example((OBTUSE, AROUND_ORIGIN_LOW))  # holds the origin, and R holds the outer vertex
     @_with_examples(POINT_SET_EXAMPLES)
     def test_pieces_equal_oracle(self, case):
-        member, region = case
-        for fattened in (region, minkowski_sum(feasible_hull(member), region)):  # persistent, perfect
-            got = [_polygon(_hull(piece)) for piece in cell_pieces(member, fattened)]
-            assert got == oracle.cell_pieces(member, fattened)
-        for mode in MODES:
-            want = oracle.apply_collection(Collection((member,), mode), region)
-            assert apply_member(member, region, mode) == want
+        """Each region as drawn and with the origin added after the map.
+        A perfect-mode region ch S + Q with 0 in Q covers ch S, and its
+        pieces are also taken with that known."""
+        member, drawn = case
+        for region in dict.fromkeys((drawn, convex_hull([*drawn.vertices, pt(0, 0)]))):
+            fattened = minkowski_sum(feasible_hull(member), region)
+            assert _pieces(member, region) == oracle.cell_pieces(member, region)  # persistent
+            want = oracle.cell_pieces(member, fattened)  # perfect
+            assert _pieces(member, fattened) == want
+            if oracle.contains_point(region, pt(0, 0)):
+                assert _pieces(member, fattened, covers_hull=True) == want
+            for mode in MODES:
+                want = oracle.apply_collection(Collection((member,), mode), region)
+                assert apply_member(member, region, mode) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_set_regions())
+    @_with_examples(POINT_SET_EXAMPLES)
+    def test_neighbours_hold_every_meeting_cell(self, case):
+        """The neighbour lists are sorted and symmetric, and hold every two
+        sites incident to one Voronoi vertex and every two sites whose
+        oracle cells meet inside a box around the sites and vertices.  On
+        one line they are the sorted adjacency."""
+        member, _ = case
+        _, _, nbrs, inner, outer = operators._cells(member)
+        n = len(member)
+        assert all(list(ds) == sorted(set(ds)) for ds in nbrs)
+        pairs = {(c, d) for c in range(n) for d in nbrs[c]}
+        assert pairs == {(d, c) for c, d in pairs}
+        for _, moved in inner + outer:
+            incident = [c for c, _ in moved]
+            assert {(c, d) for c in incident for d in incident if c != d} <= pairs
+        if len(oracle.convex_hull(member.points).vertices) <= 2:
+            assert pairs == {(c, d) for c in range(n) for d in (c - 1, c + 1) if 0 <= d < n}
+        corners = [_from_triple(p) for p, _ in inner + outer]
+        xs = [p.x for p in [*member.points, *corners]]
+        ys = [p.y for p in [*member.points, *corners]]
+        pad = max(max(xs) - min(xs), max(ys) - min(ys))
+        box = oracle.convex_hull(
+            Point2(x, y) for x in (min(xs) - pad, max(xs) + pad) for y in (min(ys) - pad, max(ys) + pad)
+        )
+        sites = member.points
+        for c, d in itertools.combinations(range(n), 2):
+            both = oracle.bisectors(member, sites[c]) + oracle.bisectors(member, sites[d])
+            if not oracle.clip_all(box, both).is_empty:
+                assert (c, d) in pairs
 
     @settings(max_examples=40, deadline=None)
     @given(point_set_regions())

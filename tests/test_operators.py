@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from errdiff.geometry import (
     convex_hull,
     project_convex_polygon,
 )
+from errdiff import operators
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import (
     Collection,
@@ -177,6 +180,32 @@ class TestIteration:
         result = iterate_to_invariance(col, ORIGIN_POLY, IterationConfig(max_iterations=600))
         assert result.converged
         assert check_invariance(col, result.invariant_set)
+
+    def test_family3_tests_no_voronoi_vertex_inside_a_hull(self, ring_family):
+        """Every iterate from the origin holds it, so each fattened region
+        contains every member's hull, and the Voronoi vertices in a hull are
+        taken without a test.  From (3, -2) the first two iterates do not
+        hold the origin, and those vertices are tested."""
+        col = Collection(ring_family, "perfect")
+        holds = operators._holds
+        inside = {p for member in ring_family for p, _ in operators._cells(member)[3]}
+        assert inside
+
+        def tested_vertices(seed):
+            tested = []
+
+            def counted_holds(region, p):
+                if sys._getframe(1).f_code.co_name == "_site_pieces":  # not the origin test
+                    tested.append(p)
+                return holds(region, p)
+
+            with mock.patch.object(operators, "_holds", counted_holds):
+                result = iterate_to_invariance(col, seed, IterationConfig(max_iterations=600))
+            assert result.status == "extrapolated"
+            return tested
+
+        assert inside.isdisjoint(tested_vertices(ORIGIN_POLY))
+        assert not inside.isdisjoint(tested_vertices(ConvexPolygon((pt(3, -2),))))
 
     def test_history_monotone_data(self, grid8):
         result = iterate_to_invariance(Collection((grid8,), "perfect"), ORIGIN_POLY)
