@@ -45,14 +45,17 @@ A convex member's cells are:
 
 A piece is a raw list of vertex triples, never made a canonical polygon:
 one operator application takes a single hull over the points of all its
-pieces.
+pieces.  A member of one point, a one-point set or a one-vertex polygon,
+has the plane as its only cell, so both its operators are the identity and
+its image is the region itself, with no sum and no piece.
 
 Iterating either collection operator from a seed grows a monotone chain of
 convex polygons whose limit is the minimal (convex) invariant set.  The
 chain is exact: the iteration stops as soon as an image equals its iterate,
 or as soon as an exact extrapolation of the chain's limit (minimal
 polynomial extrapolation on its recent iterates) is verified to be a fixed
-point that contains the seed.
+point that contains the seed.  An iterate is scaled to integers and floats
+for the extrapolation only once some stride and degree read it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import chain, combinations
 from operator import mul
 from typing import Iterable, Literal, Optional, Sequence, Union
@@ -548,7 +551,13 @@ def _member_pieces(
     ch S + the hull of the cell pieces of region, is one list: the vertices
     of a Minkowski sum, already a canonical polygon, which `apply_member`
     therefore takes as it is.
+
+    A member of one point c has the plane as its only cell, so its image is
+    the region itself: (c + Q) - c = Q in perfect mode, {c} + (D - c) = D in
+    persistent mode.  It is returned as it is, without a sum or a piece.
     """
+    if len(member._key if isinstance(member, PointSet) else member._ts) == 1:
+        return [region._ts]
     if mode == "perfect":
         fattened = minkowski_sum(feasible_hull(member), region)
         return cell_pieces(member, fattened, covers_hull=covers_hull)
@@ -688,12 +697,13 @@ def _shift_to(flat: list[int], newest: list[int]) -> Optional[int]:
 
 
 def _cyclic_dots(xs: Sequence, ys: Sequence) -> list:
-    """ys dotted with xs under each cyclic vertex shift (two coordinates a step)."""
-    size = len(xs)
-    return [
-        sum(map(mul, xs[k:], ys)) + sum(map(mul, xs[:k], ys[size - k :]))
-        for k in range(0, size, 2)
-    ]
+    """ys dotted with xs under each cyclic vertex shift (two coordinates a step).
+
+    Shift k pairs xs[k + i], cyclically, with ys[i]: one sum over the
+    doubled list, which `map` stops at the end of ys.
+    """
+    doubled = [*xs, *xs]
+    return [sum(map(mul, doubled[k:], ys)) for k in range(0, len(xs), 2)]
 
 
 # Float coordinates are screened only inside [2**-500, 2**500] (or 0), so no
@@ -742,13 +752,15 @@ def _screened_shift(
     return 2 * k if best - runner_up > 2 * bound else None
 
 
-def _windowed(poly: ConvexPolygon) -> tuple:
-    """poly as the extrapolation window keeps it: (poly, d, its vertex
-    coordinates x0, y0, x1, y1, ... over their common denominator d, their
-    `_floats` or None)."""
-    d, scaled = _scaled(poly._ts)
-    flat = list(chain.from_iterable(scaled))
-    return poly, d, flat, _floats(d, flat)
+def _slot(entry: list) -> tuple[int, list[int], Optional[tuple[list[float], float]]]:
+    """A window entry [poly, slot]'s slot, filled on first read: the common
+    denominator d of poly's vertex coordinates, the coordinates x0, y0, x1,
+    y1, ... over d and their `_floats` or None."""
+    if entry[1] is None:
+        d, scaled = _scaled(entry[0]._ts)
+        flat = list(chain.from_iterable(scaled))
+        entry[1] = d, flat, _floats(d, flat)
+    return entry[1]
 
 
 def _extrapolate(
@@ -757,42 +769,48 @@ def _extrapolate(
     """MPE on the window of the newest iterates, verified before it is trusted.
 
     Every stride s and degree m reads the m + 2 iterates s apart that end
-    at the newest one, provided their vertex counts agree; each is aligned
-    to the newest by its nearest cyclic vertex shift, which a float screen
-    certifies where it can and `_shift_to` decides exactly where it cannot.
-    A candidate, the hull of the extrapolated vertices, is returned only
-    when it contains the seed and the newest iterate, stays within the bit
-    budget and is mapped to itself by the collection operator.  Since the
-    operator is monotone and the candidate contains the seed, it then
-    contains every iterate of the chain, so it is an exact fixed point
-    containing the minimal invariant set.
+    at the newest one, provided all their vertex counts agree, which is
+    checked before any of them is read.  Each is aligned to the newest by
+    its nearest cyclic vertex shift, which a float screen certifies where
+    it can and `_shift_to` decides exactly where it cannot.  The window
+    holds [iterate, slot] entries, and an iterate is scaled into its slot
+    (`_slot`) the first time a stride and degree read it, so one that none
+    reads is never scaled.  A candidate, the hull of the extrapolated
+    vertices, is returned only when it contains the seed and the newest
+    iterate, stays within the bit budget and is mapped to itself by the
+    collection operator.  Since the operator is monotone and the candidate
+    contains the seed, it then contains every iterate of the chain, so it
+    is an exact fixed point containing the minimal invariant set.
     """
-    newest, newest_d, newest_flat, newest_floats = window[-1]
-    size = len(newest_flat)
-    # The newest iterate's vertices are distinct, so shift 0 is its own
-    # unique nearest shift.
-    aligned: dict[int, Optional[tuple[int, list[int]]]] = {
-        len(window) - 1: (newest_d, newest_flat)
-    }
+    newest = window[-1][0]
+    count, last = len(newest._ts), len(window) - 1
+    aligned: dict[int, Optional[tuple[int, list[int]]]] = {}
 
     def sample(idx: int) -> Optional[tuple[int, list[int]]]:
         if idx not in aligned:
-            _, d, flat, floats = window[idx]
+            d, flat, floats = _slot(window[idx])
+            if idx == last:
+                # The newest iterate's vertices are distinct, so shift 0 is
+                # its own unique nearest shift.
+                aligned[idx] = d, flat
+                return aligned[idx]
+            _, newest_flat, newest_floats = _slot(window[last])
             k = None
-            if len(flat) == size:
-                if floats is not None and newest_floats is not None:
-                    k = _screened_shift(floats, newest_floats)
-                if k is None:
-                    k = _shift_to(flat, newest_flat)
+            if floats is not None and newest_floats is not None:
+                k = _screened_shift(floats, newest_floats)
+            if k is None:
+                k = _shift_to(flat, newest_flat)
             aligned[idx] = None if k is None else (d, flat[k:] + flat[:k])
         return aligned[idx]
 
     for s in range(1, _MAX_STRIDE + 1):
         for m in range(1, _MAX_DEGREE + 1):
-            picks = [len(window) - 1 - s * t for t in range(m + 1, -1, -1)]
+            picks = [last - s * t for t in range(m + 1, -1, -1)]
             # Rows (two per vertex) must outnumber the unknowns, or some
             # weights always fit.
-            if picks[0] < 0 or size <= m:
+            if picks[0] < 0 or 2 * count <= m:
+                break
+            if any(len(window[i][0]._ts) != count for i in picks):
                 break
             samples = [sample(i) for i in picks]
             if None in samples:
@@ -832,18 +850,20 @@ def iterate_to_invariance(
     fixed point is never applied again.  The loop drops the edge table of
     each iterate it replaces, and of every polygon the result holds, so a
     kept chain costs its vertices only.  It keeps the newest `_WINDOW`
-    iterates, and after each step `_extrapolate` tries to guess the chain's
-    limit from them.  ``converged`` is true only when the image of the
-    returned set equals it, which is exact invariance: at a fixed point of
-    the chain or at a verified extrapolated limit.  The bit budget or the
-    iteration budget return the last iterate with ``converged`` false, and
-    ``status`` names which of them stopped the run.
+    iterates, each with an empty slot for its scaled coordinates, and after
+    each step `_extrapolate` tries to guess the chain's limit from them,
+    filling the slots of those it reads.  ``converged`` is true only when
+    the image of the returned set equals it, which is exact invariance: at
+    a fixed point of the chain or at a verified extrapolated limit.  The
+    bit budget or the iteration budget return the last iterate with
+    ``converged`` false, and ``status`` names which of them stopped the
+    run.
     """
     if seed.is_empty:
         raise ValueError("seed must be non-empty")
     max_bits = config.max_coordinate_bits
     current, iterates = seed, [seed]
-    window = deque([_windowed(seed)], maxlen=_WINDOW)
+    window = deque([[seed, None]], maxlen=_WINDOW)
     for step in range(1, config.max_iterations + 1):
         grown = apply_collection(collection, current)
         if not grown.contains_polygon(current):
@@ -859,7 +879,7 @@ def iterate_to_invariance(
             break
         _drop_edge_table(current)
         current = grown
-        window.append(_windowed(current))
+        window.append([current, None])
         answer = _extrapolate(collection, seed, window, max_bits)
         if answer is not None:
             iterations, status = step, "extrapolated"
@@ -951,6 +971,13 @@ class MonotoneFamilyReport:
     reason: str = ""
 
 
+def _inclusion(a: ConvexPolygon, b: ConvexPolygon) -> int:
+    """Order a before b when b contains a; a total order on a chain."""
+    if a == b:
+        return 0
+    return -1 if b.contains_polygon(a) else 1
+
+
 def verify_monotone_family(family: Sequence[ConvexPolygon]) -> MonotoneFamilyReport:
     """Check the sufficient conditions under which the largest member of a
     nested family of convex sets is invariant for the persistent dynamics.
@@ -960,21 +987,22 @@ def verify_monotone_family(family: Sequence[ConvexPolygon]) -> MonotoneFamilyRep
     x in S and y in S_max.  The persistent operator of S maps S_max to the
     hull of exactly these points, so the condition is checked exactly as
     the persistent-mode invariance of S_max under the family.
+
+    Nestedness takes O(n log n) containment tests, not one per pair: the
+    members are sorted as if inclusion were a total order, and the family
+    is nested exactly when each sorted member contains the one before it.
+    Any sorted order in which it does is a chain, by transitivity, and a
+    chain sorts into one.  The last member is then the largest.
     """
     members = list(family)
     if not members:
         raise ValueError("family must be non-empty")
     if any(m.is_empty for m in members):
         raise ValueError("family members must be non-empty")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
-            if not (a.contains_polygon(b) or b.contains_polygon(a)):
-                return MonotoneFamilyReport(False, None, "family is not nested")
-    largest = members[0]
-    for m in members[1:]:
-        if m.contains_polygon(largest):
-            largest = m
+    ordered = sorted(members, key=cmp_to_key(_inclusion))
+    if not all(b.contains_polygon(a) for a, b in zip(ordered, ordered[1:])):
+        return MonotoneFamilyReport(False, None, "family is not nested")
+    largest = ordered[-1]
     if not check_invariance(Collection(tuple(members), "persistent"), largest):
         return MonotoneFamilyReport(False, None, "closure condition fails")
     return MonotoneFamilyReport(True, largest, "")

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errdiff.certificate import certify_invariant
 from errdiff.geometry import ORIGIN, ConvexPolygon, Point2, PointSet, convex_hull
 from errdiff.operators import (
     Collection,
     IterationConfig,
+    _cyclic_dots,
     _floats,
     _mpe_limit,
     _screened_shift,
@@ -217,6 +220,27 @@ class TestScreenedAlignment:
                 certified += 1
                 assert screened == _shift_to(flat, newest)
         assert certified > 200
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=20).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-(2**200), 2**200), min_size=2 * n, max_size=2 * n),
+                min_size=2,
+                max_size=2,
+            )
+        )
+    )
+    def test_cyclic_dots_equal_the_two_slice_sums(self, pair):
+        """Each shift's one sum over the doubled list equals its sum over
+        the two slices of xs either side of the shift."""
+        xs, ys = pair
+        size = len(xs)
+        want = [
+            sum(x * y for x, y in zip(xs[k:], ys)) + sum(x * y for x, y in zip(xs[:k], ys[size - k :]))
+            for k in range(0, size, 2)
+        ]
+        assert _cyclic_dots(xs, ys) == want
 
     def test_floats_out_of_range_are_not_screened(self):
         assert _floats(1, [10**400, 0]) is None

@@ -747,6 +747,68 @@ class TestOperatorStep:
             assert apply_member(member, region, mode) == want
 
 
+wide_points = st.builds(Point2, wide_coords, wide_coords)
+
+
+@st.composite
+def one_point_cases(draw):
+    """A one-point member, a point set or a one-vertex polygon, and a point,
+    segment or polygon region that holds the origin or, mostly, does not;
+    numerators and denominators have up to 200 bits."""
+    c = draw(wide_points)
+    member = PointSet((c,)) if draw(st.booleans()) else ConvexPolygon((c,))
+    pts = draw(st.lists(wide_points, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pts.append(Point2(0, 0))
+    return member, convex_hull(pts)
+
+
+class TestOnePointMember:
+    """A member of one point c has the plane as its only cell, so both of
+    its operators are the identity: (c + Q) - c = Q and {c} + (D - c) = D."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(one_point_cases(), st.sampled_from(MODES))
+    @example((PointSet((pt(5, -2),)), convex_hull([pt(1, 1), pt(3, 1), pt(2, 4)])), "perfect")
+    @example((ConvexPolygon((pt(5, -2),)), segment(pt(1, 1), pt(3, 2))), "persistent")
+    @example((ConvexPolygon((pt(5, -2),)), ConvexPolygon((pt(-1, 7),))), "perfect")
+    def test_is_the_identity(self, case, mode):
+        member, region = case
+        assert oracle.apply_collection(Collection((member,), mode), region) == region
+        assert apply_member(member, region, mode) == region
+
+    @settings(max_examples=40, deadline=None)
+    @given(collections(), one_point_cases(), st.integers(min_value=0, max_value=3))
+    def test_in_a_collection_equals_oracle(self, collection, case, at):
+        member, region = case
+        sets = list(collection.sets)
+        sets.insert(at % (len(sets) + 1), member)
+        mixed = Collection(tuple(sets), collection.mode)
+        assert apply_collection(mixed, region) == oracle.apply_collection(mixed, region)
+
+    @pytest.mark.parametrize("member", [PointSet((pt(3, -2),)), ConvexPolygon((pt(3, -2),))])
+    def test_errors_are_unchanged(self, member):
+        empty = ConvexPolygon(())
+        for mode in MODES:
+            with pytest.raises(ValueError, match="region must be non-empty"):
+                apply_member(member, empty, mode)
+            with pytest.raises(ValueError, match="region must be non-empty"):
+                apply_collection(Collection((member, RING), mode), empty)
+        for region in (empty, SQUARE):
+            with pytest.raises(ValueError, match="mode must be one of"):
+                apply_member(member, region, "bogus")
+
+    def test_builds_no_sum_and_no_piece(self):
+        members = (PointSet((pt(3, -2),)), ConvexPolygon((pt(3, -2),)))
+        with mock.patch.object(operators, "minkowski_sum") as summed, \
+                mock.patch.object(operators, "cell_pieces") as pieces:
+            for member in members:
+                for mode in MODES:
+                    assert apply_member(member, SQUARE, mode) == SQUARE
+        summed.assert_not_called()
+        pieces.assert_not_called()
+
+
 @st.composite
 def member_regions(draw):
     """A point, segment or triangle and a region of small points under one

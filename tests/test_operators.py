@@ -20,6 +20,7 @@ from errdiff.intervals import IntervalUnion
 from errdiff.operators import (
     Collection,
     IterationConfig,
+    MonotoneFamilyReport,
     apply_collection,
     apply_g_interval,
     apply_member,
@@ -349,6 +350,26 @@ class TestMonotoneFamily:
         report = verify_monotone_family(family)
         assert report.ok
         assert report.candidate == pv_triangle(params, 1)
+
+    def test_shuffled_129_member_family_passes_in_n_log_n_tests(self):
+        params = PVParams(p_max=Fraction(4), tan_phi=Fraction(1, 2))
+        family = pv_triangle_family(params, 128)
+        random.Random(7).shuffle(family)
+        real = ConvexPolygon.contains_polygon
+        with mock.patch.object(ConvexPolygon, "contains_polygon", autospec=True, side_effect=real) as tests:
+            report = verify_monotone_family(family)
+        assert report.ok and report.reason == ""
+        assert report.candidate == pv_triangle(params, params.p_max)
+        # A sort's comparisons, the consecutive pairs and one invariance
+        # check; every pair would be 8128 tests.
+        n = len(family)
+        assert tests.call_count <= n * n.bit_length() + n
+
+    def test_incomparable_members_far_apart_fail(self):
+        squares = [poly((-k, -k), (k, -k), (k, k), (-k, k)) for k in range(1, 40)]
+        wide, tall = poly((-1, 0), (1, 0)), poly((0, -1), (0, 1))
+        report = verify_monotone_family([wide, *squares, tall])
+        assert report == MonotoneFamilyReport(False, None, "family is not nested")
 
     def test_disjoint_squares_fail(self):
         a = poly((0, 0), (1, 0), (1, 1), (0, 1))

@@ -7,20 +7,27 @@ and pins each one's stop status, iteration count and the sha256 prefix of
 its answer's canonical vertex text ("x,y;x,y;..." with each coordinate
 written as `str(Fraction)` writes it).  A second pin is the sha256 prefix
 of each run's `history_hashes` joined by ";", so every iterate of every
-chain is pinned, not only the answer.
+chain is pinned, not only the answer.  The seed-2 collections, placed by
+other translations and orderings, are pinned the same way.
 """
 
 import hashlib
 import importlib.util
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from errdiff.geometry import ORIGIN, ConvexPolygon
+from errdiff import operators
+from errdiff.geometry import ORIGIN, ConvexPolygon, _scaled
 from errdiff.operators import (
+    _MAX_DEGREE,
+    _MAX_STRIDE,
+    _WINDOW,
     IterationConfig,
     _digest,
+    _floats,
     _within_bits,
     apply_collection,
     iterate_to_invariance,
@@ -135,36 +142,54 @@ CONFIG = IterationConfig(max_iterations=250, max_coordinate_bits=192)
 SEED = ConvexPolygon((ORIGIN,))
 
 
-@lru_cache(maxsize=1)
-def _seed1_collections():
-    documents = _load_inputs().random_collection_documents(1, len(PINNED))
+@lru_cache(maxsize=2)
+def _collections(seed):
+    documents = _load_inputs().random_collection_documents(seed, len(PINNED))
     return [parse_collection(doc) for doc in documents]
 
 
-@lru_cache(maxsize=1)
-def _seed1_results():
-    return [iterate_to_invariance(c, SEED, CONFIG) for c in _seed1_collections()]
+@lru_cache(maxsize=2)
+def _results(seed):
+    return [iterate_to_invariance(c, SEED, CONFIG) for c in _collections(seed)]
+
+
+def _outcomes(seed):
+    return [(r.status, r.iterations, _digest(r.invariant_set)) for r in _results(seed)]
+
+
+def _histories(seed):
+    return [
+        hashlib.sha256(";".join(r.history_hashes).encode("ascii")).hexdigest()[:16]
+        for r in _results(seed)
+    ]
 
 
 def test_seed1_population_outcomes_are_pinned():
-    got = [(r.status, r.iterations, _digest(r.invariant_set)) for r in _seed1_results()]
-    assert got == PINNED
+    assert _outcomes(1) == PINNED
 
 
 def test_seed1_population_histories_are_pinned():
-    got = [
-        hashlib.sha256(";".join(r.history_hashes).encode("ascii")).hexdigest()[:16]
-        for r in _seed1_results()
-    ]
-    assert got == HISTORY_PINNED
+    assert _histories(1) == HISTORY_PINNED
+
+
+# Seed 2 draws no axis swap, and the iteration is exactly equivariant under
+# the translations and orderings it draws instead, so its pins, generated on
+# their own, equal seed 1's: the arithmetic differs, the chains do not.
+def test_seed2_population_outcomes_are_pinned():
+    assert _collections(2) != _collections(1)
+    assert _outcomes(2) == PINNED
+
+
+def test_seed2_population_histories_are_pinned():
+    assert _histories(2) == HISTORY_PINNED
 
 
 @pytest.mark.parametrize("index, status", [(1, "converged"), (6, "extrapolated"), (0, "bits")])
 def test_history_is_read_from_the_kept_iterates(index, status):
     """The derived history equals eager digests of the chain run by hand."""
-    result = _seed1_results()[index]
+    result = _results(1)[index]
     assert result.status == status
-    collection = _seed1_collections()[index]
+    collection = _collections(1)[index]
     # A converged run keeps the image equal to its iterate, an extrapolated
     # one ends at the iterate it was found at, a bits one before the image
     # over budget.
@@ -180,3 +205,61 @@ def test_history_is_read_from_the_kept_iterates(index, status):
     if status == "bits":
         over = apply_collection(collection, chain[-1])
         assert not _within_bits(over, CONFIG.max_coordinate_bits)
+
+
+def _read_by_window(counts, newest):
+    """The iterates some stride s and degree m read when iterate newest is
+    the newest of the window: the m + 2 iterates s apart that end at it,
+    while the window holds them and their vertex counts all agree."""
+    first = max(0, newest - _WINDOW + 1)
+    read = set()
+    for s in range(1, _MAX_STRIDE + 1):
+        for m in range(1, _MAX_DEGREE + 1):
+            picks = [newest - s * t for t in range(m + 1, -1, -1)]
+            if picks[0] < first or 2 * counts[newest] <= m:
+                break
+            if any(counts[i] != counts[newest] for i in picks):
+                break
+            read.update(picks)
+    return read
+
+
+def test_window_scales_and_screens_only_the_iterates_it_reads(monkeypatch):
+    """Seed-1 collection 2 alternates between 9 and 10 vertices.  Each
+    iterate is scaled at most once, when it is first read, and screened
+    against the newest once per step that reads it; one that no stride or
+    degree reads is neither."""
+    collection, expected = _collections(1)[2], _results(1)[2]
+    counts = expected.vertex_counts
+    assert expected.status == "bits" and set(counts[9:]) == {9, 10}
+    index = {poly._ts: i for i, poly in enumerate(expected.iterates)}
+    scaled, screened = [], []
+
+    def scale(ts):
+        if ts in index:
+            scaled.append(index[ts])
+        return _scaled(ts)
+
+    def screen(floats, newest):
+        screened.append((tuple(floats[0]), tuple(newest[0])))
+        return real_screen(floats, newest)
+
+    real_screen = operators._screened_shift
+    monkeypatch.setattr(operators, "_scaled", scale)
+    monkeypatch.setattr(operators, "_screened_shift", screen)
+    result = iterate_to_invariance(collection, SEED, CONFIG)
+    assert result.history_hashes == expected.history_hashes
+
+    # The seed gets no extrapolation: it is never the newest.
+    reads = {j: _read_by_window(counts, j) for j in range(1, len(counts))}
+    read = set().union(*reads.values())
+    assert max(Counter(scaled).values()) == 1
+    assert set(scaled) == read
+    assert read < set(range(len(counts)))
+
+    def floats(i):
+        d, pairs = _scaled(expected.iterates[i]._ts)
+        return tuple(_floats(d, [c for pair in pairs for c in pair])[0])
+
+    want = Counter((floats(i), floats(j)) for j, r in reads.items() for i in r if i != j)
+    assert Counter(screened) == want
