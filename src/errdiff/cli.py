@@ -9,9 +9,10 @@ Subcommands:
 ``compute-invariant`` exits 0 when the run stops on ``converged`` or
 ``extrapolated`` (a verified fixed point), and 2 when it stops on
 ``budget`` or ``bits``.  A missing or malformed input file, option or
-subcommand (argparse's own errors included), or an ``--out`` path that
-cannot be written, ends the run with one line, ``errdiff: error: <message>``,
-on standard error and exit status 1.
+subcommand (argparse's own errors included), an ``--out`` path that cannot
+be written, or a scenario value too large for the float columns, norms and
+metrics that ``simulate`` and ``plot-data`` write, ends the run with one
+line, ``errdiff: error: <message>``, on standard error and exit status 1.
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def _run_scenario_from_args(args: argparse.Namespace):
     return simulate.run_scenario(scenario)
 
 
+# OverflowError comes where a float column, norm or metric is made, before any output line.
+_beyond_float_range = _reporting("a scenario value is beyond the float range", (OverflowError,))
+
+
+@_beyond_float_range
 def _cmd_simulate(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
     with _reporting(f"--out {args.out}", OSError):
@@ -161,6 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@_beyond_float_range
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
     with _reporting(f"--out {args.out}", OSError):

@@ -32,6 +32,8 @@ step index (``StepRecord`` has no ``step`` field).  Among the steps the
 table misses, two more tables catch the repeated parts: the projection of
 each distinct (set, target) pair and the pairs (advertisement, request)
 already found to contain the request.  Nothing is kept between calls.
+Every membership test here, `ConvexPolygon.contains_point` and the request
+sampler's test of its draws, is `geometry._holds`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .geometry import (
     Point2,
     PointSet,
     Triple,
-    _contains_all,
     _from_triple,
+    _holds,
     _normalised,
     project_convex_polygon,
     project_point_set,
@@ -206,7 +208,7 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
             xn, xd = lerp(xmin, xmax, rng.randrange(denominator + 1))
             yn, yd = lerp(ymin, ymax, rng.randrange(denominator + 1))
             t = (xn * yd, yn * xd, xd * yd)
-            if _contains_all(advertised, (t,)):
+            if _holds(advertised, t):
                 return _from_triple(_normalised(*t))
         # Thin polygon: fall back to a random convex combination of vertices
         # (equal weights when the grid has no point strictly between 0 and 1).

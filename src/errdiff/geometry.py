@@ -7,7 +7,12 @@ of its vertices and a `HalfPlane` its coprime integer triple (A, B, C).
 Point arithmetic, the kernel (`clip_all`, `convex_hull`, `minkowski_sum`,
 translation and containment) and both projections run on these ints:
 orientation is a 3x3 integer determinant, a half-plane test an integer dot
-product and the lexicographic order a cross-multiplied comparison.  Floats
+product and the lexicographic order a cross-multiplied comparison.  Each
+exact point computation has one function here, which every module calls:
+`_holds` is the one membership test of a point in a region (point, segment
+or polygon), `_site_forms` the integer forms f_c by which a point set's
+nearest site is found, both by `project_point_set` and by the Voronoi
+cells of `operators`, and `_norm` the one float norm of a point triple.  Floats
 only order or screen: the hull sorts by correctly rounded float keys and
 re-sorts exactly when two neighbours may be out of order, so no answer
 depends on a float.  The hull splits the sorted points by the chord from
@@ -17,9 +22,9 @@ smallest, so it emits a canonical polygon as it goes.
 
 A polygon of two or more vertices has an edge table, built on first use
 and kept: for edge i, from vertex i to vertex i + 1, its integer direction
-tagged with its angle half, and its line.  The Minkowski sum, containment,
-the projection, the convex cells of `operators` and the closed loop's
-request sampler read it instead of deriving the edges on every call.
+tagged with its angle half, and its line.  The Minkowski sum, polygon
+containment, the projection and the convex cells of `operators` read it
+instead of deriving the edges on every call.
 
 Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
 'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
@@ -182,6 +187,14 @@ def _text(ts: Iterable[Triple]) -> str:
     return ";".join(f"{_rational(x, w)},{_rational(y, w)}" for x, y, w in ts)
 
 
+def _norm(t: Triple) -> float:
+    """|p| for the point triple t: the correctly rounded square root of the
+    correctly rounded float of |p|^2.  Beyond the float range it raises
+    OverflowError."""
+    x, y, w = t
+    return math.sqrt((x * x + y * y) / (w * w))
+
+
 def _add(a: Triple, b: Triple) -> Triple:
     """The triple of the sum of the points a and b.
 
@@ -327,10 +340,7 @@ class ConvexPolygon(_Frozen):
         return not self._ts
 
     def contains_point(self, p: Point2) -> bool:
-        ts = self._ts
-        if len(ts) <= 1:
-            return ts == (p._t,)
-        return _contains_all(self, (p._t,))
+        return _holds(self, p._t)
 
     def contains_polygon(self, other: "ConvexPolygon") -> bool:
         """Exact containment; valid because both regions are convex.
@@ -347,10 +357,8 @@ class ConvexPolygon(_Frozen):
         if not points:
             return True
         n, m = len(ts), len(points)
-        if n <= 1:
-            return ts == points
-        if n == 2 or m == 1:
-            return _contains_all(self, points)
+        if n <= 2 or m == 1:
+            return all(_holds(self, p) for p in points)
         outer, lines = _edge_table(self)
         inner = _edge_table(other)[0]
         j = 0
@@ -426,27 +434,41 @@ def _drop_edge_table(poly: ConvexPolygon) -> None:
         pass
 
 
-def _contains_all(poly: ConvexPolygon, points: Sequence[Triple]) -> bool:
-    """True when every triple of points lies in the segment or polygon poly.
+def _holds(poly: ConvexPolygon, p: Triple) -> bool:
+    """True when the closed region poly holds the point p; the one membership test.
 
-    A point lies in a strictly convex counter-clockwise polygon when it is
-    on or left of every edge line, and in a segment u < v when it is on its
-    line and u <= p <= v lexicographically.
+    An empty region holds nothing and a point region only itself.  A
+    segment u < v holds p when p is on its line and u <= p <= v
+    lexicographically.  A polygon's fan from vertex 0 splits it into
+    triangles; a binary search on the orientation of p to the fan's
+    diagonals finds the one whose wedge holds p, and p is inside when it is
+    on or left of that triangle's outer edge.
     """
-    lines = _edge_table(poly)[1]
-    if len(lines) == 2:
-        u, v = poly._ts
-        a, b, c = lines[0]
-        for p in points:
-            x, y, w = p
-            if a * x + b * y + c * w != 0 or _lex_cmp(u, p) > 0 or _lex_cmp(p, v) > 0:
-                return False
-        return True
-    for x, y, w in points:
-        for a, b, c in lines:
-            if a * x + b * y + c * w < 0:
-                return False
-    return True
+    ts = poly._ts
+    if len(ts) <= 1:
+        return ts == (p,)
+    if len(ts) == 2:
+        u, v = ts
+        a, b, c = _line(u, v)
+        x, y, w = p
+        return a * x + b * y + c * w == 0 and _lex_cmp(u, p) <= 0 and _lex_cmp(p, v) <= 0
+    # det[ts[0]; ts[k]; p] = (p x ts[0]) . ts[k], positive when p is left of
+    # the diagonal ts[0] -> ts[k].
+    a, b, c = _line(p, ts[0])
+    lo, hi = 1, len(ts) - 1
+    (x, y, w), (xh, yh, wh) = ts[lo], ts[hi]
+    if a * x + b * y + c * w < 0 or a * xh + b * yh + c * wh > 0:
+        return False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x, y, w = ts[mid]
+        if a * x + b * y + c * w >= 0:
+            lo = mid
+        else:
+            hi = mid
+    a, b, c = _line(ts[lo], ts[hi])
+    x, y, w = p
+    return a * x + b * y + c * w >= 0
 
 
 def segment(u: Point2, v: Point2) -> ConvexPolygon:
@@ -540,10 +562,11 @@ class PointSet:
     """Finite set of distinct points, stored sorted for determinism."""
 
     points: tuple[Point2, ...]
-    # The points' triples and the hash of points, computed once: point sets
-    # key several caches, and equal triples mean equal points.  The hull is
-    # kept on first use: a closed-loop run takes it at every step.
-    _key: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
+    # The points' triples, named as a polygon's vertex triples are, and the
+    # hash of points, computed once: point sets key several caches, and
+    # equal triples mean equal points.  The hull is kept on first use: a
+    # closed-loop run takes it at every step.
+    _ts: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _hull: Optional[ConvexPolygon] = field(init=False, repr=False, compare=False)
 
@@ -552,14 +575,14 @@ class PointSet:
         if not pts:
             raise ValueError("point set must be non-empty")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_key", tuple(p._t for p in pts))
+        object.__setattr__(self, "_ts", tuple(p._t for p in pts))
         object.__setattr__(self, "_hash", hash((pts,)))
         object.__setattr__(self, "_hull", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not PointSet:
             return NotImplemented
-        return self._key == other._key
+        return self._ts == other._ts
 
     def __hash__(self) -> int:
         return self._hash
@@ -580,7 +603,7 @@ class PointSet:
     def hull(self) -> ConvexPolygon:
         hull = self._hull
         if hull is None:
-            hull = _hull_of_triples(self._key)
+            hull = _hull_of_triples(self._ts)
             object.__setattr__(self, "_hull", hull)
         return hull
 
@@ -738,30 +761,30 @@ def _scaled(ts: Sequence[Triple]) -> tuple[int, list[tuple[int, int]]]:
 
 
 @lru_cache(maxsize=8192)
-def _scaled_points(ts: tuple[Triple, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """`_scaled` of a point set's triples, computed once per set."""
+def _site_forms(ts: tuple[Triple, ...]) -> tuple[Triple, ...]:
+    """The integer form (a_c, b_c, q_c) of f_c for each site c of the point
+    set whose sorted triples are ts, computed once per set.
+
+    With the sites scaled to integers (x_c, y_c) = L*c, L the lcm of their
+    W, a point p = (X/W, Y/W) has L^2*W*(|p|^2 - |p - c|^2) = f_c(X, Y, W)
+    = a_c*X + b_c*Y - q_c*W, a_c = 2*L*x_c, b_c = 2*L*y_c and q_c = x_c^2 +
+    y_c^2.  One positive factor scales every site's, so f_c is larger
+    exactly where c is nearer.
+    """
     scale, scaled = _scaled(ts)
-    return scale, tuple(scaled)
+    return tuple((2 * scale * x, 2 * scale * y, x * x + y * y) for x, y in scaled)
 
 
 def project_point_set(point_set: PointSet, z: Point2) -> Point2:
     """Closest point of a finite set, ties broken lexicographically.
 
-    With the points scaled to integers (Xi, Yi) = L*pi and z = (zx, zy, zw),
-    |pi - z|^2 is ((Xi*zw - zx*L)^2 + (Yi*zw - zy*L)^2) / (L*zw)^2, one
-    positive factor for every point.  The points are sorted, and `min`
-    returns the first of equal keys, which is the lexicographically
-    smallest of the closest points.
+    The closest sites are those of largest `_site_forms` score at z's
+    triple.  The points are sorted, so the first of them is the
+    lexicographically smallest.
     """
-    scale, scaled = _scaled_points(point_set._key)
-    zx, zy, zw = z._t
-    zx *= scale
-    zy *= scale
-    best = min(
-        range(len(scaled)),
-        key=lambda i: (scaled[i][0] * zw - zx) ** 2 + (scaled[i][1] * zw - zy) ** 2,
-    )
-    return point_set.points[best]
+    x, y, w = z._t
+    scores = [a * x + b * y - q * w for a, b, q in _site_forms(point_set._ts)]
+    return point_set.points[scores.index(max(scores))]
 
 
 def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
@@ -785,7 +808,7 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     zt = z._t
     if len(ts) == 1:
         return z if ts[0] == zt else polygon.vertices[0]
-    if _contains_all(polygon, (zt,)):
+    if _holds(polygon, zt):
         return z
     zx, zy, zw = zt
     n = len(ts)

@@ -17,16 +17,19 @@ of a region R, and their union is ``U_c ((R ∩ cell(c)) - c)``.  No cell
 takes a Minkowski sum.
 
 A point set's cells are not clipped one at a time.  Its data are each
-site's integer form f_c, larger exactly where c is nearer, its Voronoi
+site's integer form f_c, larger exactly where c is nearer (the forms
+`geometry._site_forms` that the projection scores by), its Voronoi
 neighbours, and its Voronoi vertices with their incident sites.  One pass
 labels every vertex of R with its nearest sites, walks each edge of R whose
 end labels share no site from nearest site to nearest site, scanning only
 the current site's neighbours, and adds the Voronoi vertices that lie in R
 (nearest-site labelling; Aurenhammer, "Voronoi diagrams", ACM Comput.
 Surv. 23(3), 1991).  The piece of c is the hull of the points c collected,
-moved by -c.  A perfect-mode region R = ch S + Q with the origin in Q
-contains ch S, so the Voronoi vertices inside ch S are taken without a
-test, and a convex member's meet piece below is present.
+moved by -c.  Whether a Voronoi vertex lies in R, or in ch S, and whether
+Q holds the origin, is `geometry._holds`.  A perfect-mode region R = ch S
++ Q with the origin in Q contains ch S, so the Voronoi vertices inside
+ch S are taken without a test, and a convex member's meet piece below is
+present.
 
 A convex member's cells are:
 
@@ -77,16 +80,17 @@ from .geometry import (
     Triple,
     _add,
     _clip,
-    _contains_all,
     _crossing,
     _drop_edge_table,
     _edge_table,
+    _holds,
     _hull,
     _hull_of_triples,
     _line,
     _normalised,
     _polygon,
     _scaled,
+    _site_forms,
     _text,
     as_fraction,
     minkowski_sum,
@@ -241,7 +245,7 @@ def _cells(member: FeasibleSet) -> Union[Cells, Sites]:
     for a point member.
     """
     if isinstance(member, PointSet):
-        return _sites(member._key)
+        return _sites(member._ts)
     ts = member._ts
     if not ts:
         raise ValueError("feasible set must be non-empty")
@@ -282,10 +286,8 @@ def _plane(dx: int, dy: int, p: Triple) -> Triple:
 def _sites(ts: tuple[Triple, ...]) -> Sites:
     """The `Sites` of the point set whose sorted site triples are ts.
 
-    With the sites scaled to integers (x_c, y_c) = L*c, L the lcm of their
-    W, a point p = (X/W, Y/W) has L^2*W*(|p|^2 - |p - c|^2) = f_c(X, Y, W)
-    = a_c*X + b_c*Y - q_c*W, a_c = 2*L*x_c, b_c = 2*L*y_c and q_c = x_c^2 +
-    y_c^2.  Every f_c is linear in the triple, so the point where three
+    The forms f_c are `geometry._site_forms`, the ones the projection
+    scores by.  Every f_c is linear in the triple, so the point where three
     sites tie is the cross product of the planes f_i - f_j and f_i - f_k,
     and it is a Voronoi vertex when no site's f is larger there.
 
@@ -297,8 +299,7 @@ def _sites(ts: tuple[Triple, ...]) -> Sites:
     the other sites incident to its vertices.  The vertices are split once,
     by the cached hull ch S, into those in it and the rest.
     """
-    scale, scaled = _scaled(ts)
-    forms = tuple((2 * scale * x, 2 * scale * y, x * x + y * y) for x, y in scaled)
+    forms = _site_forms(ts)
     sweeps = tuple((-x, -y, w) for x, y, w in ts)
     corners: dict[Triple, tuple[tuple[int, Triple], ...]] = {}
     la, lb, lc = _line(ts[0], ts[-1])
@@ -329,7 +330,7 @@ def _sites(ts: tuple[Triple, ...]) -> Sites:
     for corner, moved in corners.items():
         for c, _ in moved:
             links[c].update(d for d, _ in moved if d != c)
-        (inner if _contains_all(hull, (corner,)) else outer).append((corner, moved))
+        (inner if _holds(hull, corner) else outer).append((corner, moved))
     return sweeps, forms, tuple(tuple(sorted(s)) for s in links), tuple(inner), tuple(outer)
 
 
@@ -491,42 +492,6 @@ def _walk(
         site = tied[0] if len(tied) == 1 else max(tied, key=fv.__getitem__)
 
 
-def _holds(region: ConvexPolygon, p: Triple) -> bool:
-    """True when the closed point, segment or polygon region holds the point p.
-
-    A point region holds only itself.  A polygon's fan from vertex 0 splits
-    it into triangles; a binary search on the orientation of p to the fan's
-    diagonals finds the one whose wedge holds p, and p is inside when it is
-    on or left of that triangle's outer edge.  A segment reads its line
-    from its edge table.
-    """
-    ts = region._ts
-    if len(ts) == 1:
-        return ts[0] == p
-    if len(ts) == 2:
-        return _contains_all(region, (p,))
-    # det[ts[0]; ts[k]; p] = (p x ts[0]) . ts[k], positive when p is left of
-    # the diagonal ts[0] -> ts[k].
-    a, b, c = _line(p, ts[0])
-    lo, hi = 1, len(ts) - 1
-    x, y, w = ts[lo]
-    if a * x + b * y + c * w < 0:
-        return False
-    x, y, w = ts[hi]
-    if a * x + b * y + c * w > 0:
-        return False
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        x, y, w = ts[mid]
-        if a * x + b * y + c * w >= 0:
-            lo = mid
-        else:
-            hi = mid
-    a, b, c = _line(ts[lo], ts[hi])
-    x, y, w = p
-    return a * x + b * y + c * w >= 0
-
-
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
@@ -556,7 +521,7 @@ def _member_pieces(
     the region itself: (c + Q) - c = Q in perfect mode, {c} + (D - c) = D in
     persistent mode.  It is returned as it is, without a sum or a piece.
     """
-    if len(member._key if isinstance(member, PointSet) else member._ts) == 1:
+    if len(member._ts) == 1:
         return [region._ts]
     if mode == "perfect":
         fattened = minkowski_sum(feasible_hull(member), region)

@@ -17,14 +17,14 @@ file formats each distinct triple once (``_Cells``), and equal steps share
 one ``StepRecord``, so the per-step rows of the trace and setpoint files
 format each distinct record's row after its index once (``_step_rows``);
 ``_write_csv`` writes a file's lines in one call, in the csv module's excel
-dialect.  Running averages are summed as triples.
+dialect.  Running averages are summed as triples.  Readers pass on only
+the optional keys a document gives (``_given``), so no default is restated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
@@ -37,6 +37,7 @@ from .geometry import (
     PointSet,
     Triple,
     _add,
+    _norm,
     _rational,
     _text,
     as_fraction,
@@ -45,6 +46,8 @@ from .geometry import (
 from .operators import Collection, FeasibleSet
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .dynamics import ControllerTrace, StepRecord
     from .simulate import (
         Availability,
@@ -106,9 +109,8 @@ def parse_feasible(data: Any) -> FeasibleSet:
 def parse_collection(data: Any) -> Collection:
     if "sets" not in _object(data, "collection"):
         raise ValueError("collection file needs a 'sets' list")
-    sets = _json_list(data["sets"], "sets")
-    mode = data.get("mode", "perfect")
-    return Collection(tuple(parse_feasible(item) for item in sets), mode)
+    sets = tuple(parse_feasible(item) for item in _json_list(data["sets"], "sets"))
+    return Collection(sets, **_given(data, mode=_json_string))
 
 
 def load_collection(path: PathLike) -> Collection:
@@ -204,10 +206,7 @@ def _scenario_header(result: ScenarioResult) -> dict:
 @lru_cache(maxsize=4096)
 def feasible_set_id(feasible: FeasibleSet) -> str:
     """Short stable identifier of a feasible set's exact contents, hashed once per set."""
-    if isinstance(feasible, PointSet):
-        text = "ps:" + _text(feasible._key)
-    else:
-        text = "cp:" + _text(feasible._ts)
+    text = ("ps:" if isinstance(feasible, PointSet) else "cp:") + _text(feasible._ts)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
@@ -268,12 +267,6 @@ def _running_averages(records: list[StepRecord]) -> Iterable[str]:
         )
 
 
-def _norm(e: Point2) -> float:
-    """|e| as the correctly rounded square root of the correctly rounded float of |e|^2."""
-    x, y, w = e._t
-    return math.sqrt((x * x + y * y) / (w * w))
-
-
 def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
     """Write per-resource CSV series and a manifest describing them.
 
@@ -307,7 +300,7 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
                 "accumulated error e_n (components and norm)",
                 _columns(["n"], ["e_p", "e_q"]) + ["e_norm_float"],
                 (
-                    f"{n},{','.join(error_cells[e._t])},{_norm(e)!r}"
+                    f"{n},{','.join(error_cells[e._t])},{_norm(e._t)!r}"
                     for n, e in enumerate(errors)
                 ),
             ),
@@ -366,12 +359,23 @@ def _json_string(value: Any, name: str) -> str:
     return value
 
 
+def _fraction(value: Any, name: str) -> Fraction:
+    """value as a Fraction; `as_fraction`'s own error names the wrong type."""
+    return as_fraction(value)
+
+
+def _given(data: dict, **read: Callable[[Any, str], Any]) -> dict:
+    """The keyword arguments for the keys of data that ``read`` names, each
+    value read by ``read[key](value, key)``.  A key the document leaves out
+    is not passed on, so it takes the model's default."""
+    return {key: f(data[key], key) for key, f in read.items() if key in data}
+
+
 def _parse_cost(data: Any):
     kind = _object(data, "cost").get("kind")
     if kind == "quadratic":
         return simulate.QuadraticCost(
-            center=parse_point(data["center"]),
-            curvature=as_fraction(data.get("curvature", 1)),
+            center=parse_point(data["center"]), **_given(data, curvature=_fraction)
         )
     if kind == "maximize_p":
         return simulate.MaximizeActivePower()
@@ -381,8 +385,7 @@ def _parse_cost(data: Any):
 def _parse_policy(data: Any) -> CentralPolicy:
     _object(data, "policy")
     return simulate.CentralPolicy(
-        cost=_parse_cost(data["cost"]),
-        step_size=as_fraction(data.get("step_size", "1/2")),
+        cost=_parse_cost(data["cost"]), **_given(data, step_size=_fraction)
     )
 
 
@@ -400,18 +403,17 @@ def _parse_availability(data: Any) -> Availability:
         return simulate.random_availability(
             as_fraction(data["low"]),
             as_fraction(data["high"]),
-            _json_integer(data.get("denominator", 64), "denominator"),
+            **_given(data, denominator=_json_integer),
         )
     raise ValueError(f"unknown availability kind {kind!r}")
 
 
-def _resource_fields(data: dict, prediction: str) -> dict:
-    """The fields every resource spec reads alike; ``prediction`` is the kind's default."""
+def _resource_fields(data: dict) -> dict:
+    """The fields every resource spec reads alike."""
     return {
         "resource_id": _json_string(data["id"], "id"),
         "policy": _parse_policy(data["policy"]),
-        "prediction": data.get("prediction", prediction),
-        "diffusion": _json_boolean(data.get("diffusion", True), "diffusion"),
+        **_given(data, prediction=_json_string, diffusion=_json_boolean),
     }
 
 
@@ -421,10 +423,8 @@ def _parse_heater(data: Any) -> HeaterSpec:
         powers=tuple(as_fraction(p) for p in _json_list(data["powers"], "powers")),
         t_min=as_fraction(data["t_min"]),
         t_max=as_fraction(data["t_max"]),
-        lock_steps=_json_integer(data.get("lock_steps", 0), "lock_steps"),
-        leak=as_fraction(thermal.get("leak", "1/100")),
-        gain=as_fraction(thermal.get("gain", 0)),
-        t_out=as_fraction(thermal.get("t_out", 0)),
+        **_given(data, lock_steps=_json_integer),
+        **_given(thermal, leak=_fraction, gain=_fraction, t_out=_fraction),
     )
     temps = [as_fraction(t) for t in _json_list(data["initial_temps"], "initial_temps")]
     on = _json_list(data.get("initial_on", [False] * len(temps)), "initial_on")
@@ -433,7 +433,7 @@ def _parse_heater(data: Any) -> HeaterSpec:
         lock_remaining=(0,) * len(temps),
         temps=tuple(temps),
     )
-    return simulate.HeaterSpec(params=params, initial=initial, **_resource_fields(data, "perfect"))
+    return simulate.HeaterSpec(params=params, initial=initial, **_resource_fields(data))
 
 
 def _parse_pv(data: Any) -> PVSpec:
@@ -443,7 +443,7 @@ def _parse_pv(data: Any) -> PVSpec:
     return simulate.PVSpec(
         params=params,
         availability=_parse_availability(data["availability"]),
-        **_resource_fields(data, "persistent"),
+        **_resource_fields(data),
     )
 
 
@@ -461,8 +461,7 @@ def parse_scenario(data: Any) -> Scenario:
     return simulate.Scenario(
         horizon=_json_integer(data["horizon"], "horizon"),
         resources=specs,
-        seed=_json_integer(data.get("seed", 0), "seed"),
-        step_ms=_json_integer(data.get("step_ms", 100), "step_ms"),
+        **_given(data, seed=_json_integer, step_ms=_json_integer),
     )
 
 

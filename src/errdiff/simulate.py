@@ -48,6 +48,7 @@ from .geometry import (
     Point2,
     Triple,
     _from_triple,
+    _norm,
     _normalised,
     _scaled,
     as_fraction,
@@ -456,11 +457,12 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
     collected as a set.  Every distinct point is put over one common
     denominator L, the lcm of all their W, so the sums and the squared
     norms (over L^2) are integer operations, and each reported rational is
-    built once.  Each distinct error's squared norm and float norm is
-    computed once and looked up per step for the slope.  The averaging
-    identity mean(y) - mean(x) = (e_0 - e_N)/N is checked exactly, as
-    sum(y) - sum(x) = e_0 - e_N in those integers, and the stagnation run
-    is the longest run of steps with equal (requested, implemented) triples.
+    built once.  Each distinct error's float norm, `geometry._norm` of its
+    triple, is computed once and looked up per step for the slope.  The
+    averaging identity mean(y) - mean(x) = (e_0 - e_N)/N is checked
+    exactly, as sum(y) - sum(x) = e_0 - e_N in those integers, and the
+    stagnation run is the longest run of steps with equal (requested,
+    implemented) triples.
     """
     records = trace.records
     steps = len(records)
@@ -487,11 +489,9 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
     k = scale // last_w
     if (imp_x - req_x, imp_y - req_y) != (first_x - last_x * k, first_y - last_y * k):
         raise AssertionError("trace violates the exact averaging identity")
-    norms2 = [x * x + y * y for x, y in error_ints]
     total, square = scale * steps, scale * scale
-    # q / square is the correctly rounded float of the squared norm.
-    norms = dict(zip(distinct_errors, [math.sqrt(q / square) for q in norms2]))
-    max_err2 = Fraction(max(norms2), square)
+    max_err2 = Fraction(max(x * x + y * y for x, y in error_ints), square)
+    norms = {t: _norm(t) for t in distinct_errors}
     # The stagnation runs end where the pair changes: at those steps and at N.
     pairs = [(r.requested._t, r.implemented._t) for r in records]
     ends = [*compress(count(1), map(ne, pairs, pairs[1:])), steps]

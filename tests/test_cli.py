@@ -455,6 +455,24 @@ class TestMalformedInput:
         # Nothing is written, inside --out or beside it.
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "plot-data"])
+    def test_heater_power_beyond_the_float_range(self, command, tmp_path, capsys):
+        """A power of 1e400 is a rational the parser takes, but its setpoints
+        have no float column; the run ends in one line, not a traceback."""
+        scenario = json.loads((DATA / "closed_loop_seed1.json").read_text())
+        scenario["horizon"] = 30
+        scenario["resources"][0]["powers"][2] = "1e400"
+        path = _write(tmp_path, "s.json", scenario)
+        line = self._fails(capsys, [command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert "beyond the float range" in line
+
+    def test_coordinates_beyond_the_float_range_still_solve(self, tmp_path, capsys):
+        """compute-invariant writes exact strings only, so 1e400 coordinates run."""
+        doc = {"sets": [{"points": [["0", "0"], ["1e400", "0"]]}, {"polygon": [["0", "1e400"]]}]}
+        path = _write(tmp_path, "c.json", doc)
+        assert main(["compute-invariant", "--collection", str(path), "--q0", "1e400,0"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSimulate:
     def test_outputs_and_determinism(self, scenario_file, tmp_path, capsys):

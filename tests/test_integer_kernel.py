@@ -697,17 +697,23 @@ class TestHolds:
     @given(point_lists(max_size=5), st.lists(small_points, min_size=1, max_size=4), affine_maps())
     @example([pt(1, 2)], [pt(1, 2), pt(0, 0)], lambda p: p)  # a point holds only itself
     @example([pt(0, 0), pt(2, 1)], [pt(4, 2), pt(1, 1)], lambda p: p)  # on the segment's line, off it
+    @example([pt(2, 1), pt(0, 0), pt(0, 3)], [pt(-2, -1), pt(1, 1)], lambda p: p)
     @example(SQUARE4, [pt(2, 2), pt(4, 5)], lambda p: p)
     def test_equals_oracle(self, pts, probes, f):
-        """A point, segment or polygon region: its vertices, edge midpoints,
-        points on its edge lines beyond the ends, and free points."""
-        region = convex_hull(map(f, pts))
+        """`geometry._holds` on the empty region and on the point, the
+        segment and the polygon that the first one, the first two and all
+        of pts span.  The probes are the region's vertices (a segment's
+        ends), edge midpoints, points on its edge lines beyond the ends,
+        which for a segment lie on its line but outside it, and free points."""
         half = Fraction(1, 2)
-        candidates = list(region.vertices) + [f(p) for p in probes]
-        for u, v in oracle.edges(region):
-            candidates += [(u + v) * half, u * 2 - v, v * 2 - u]
-        for z in candidates:
-            assert operators._holds(region, z._t) == oracle.contains_point(region, z)
+        hulls = {convex_hull(map(f, pts[:k])) for k in (1, 2, len(pts))}
+        for region in (geometry.EMPTY_POLYGON, *hulls):
+            candidates = list(region.vertices) + [f(p) for p in probes]
+            for u, v in oracle.edges(region):
+                candidates += [(u + v) * half, u * 2 - v, v * 2 - u]
+            for z in candidates:
+                assert geometry._holds(region, z._t) == oracle.contains_point(region, z)
+                assert region.contains_point(z) == oracle.contains_point(region, z)
 
 
 @st.composite

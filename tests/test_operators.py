@@ -15,7 +15,7 @@ from errdiff.geometry import (
     convex_hull,
     project_convex_polygon,
 )
-from errdiff import operators
+from errdiff import geometry, operators
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import (
     Collection,
@@ -188,7 +188,8 @@ class TestIteration:
         taken without a test.  From (3, -2) the first two iterates do not
         hold the origin, and those vertices are tested."""
         col = Collection(ring_family, "perfect")
-        holds = operators._holds
+        holds = geometry._holds
+        assert operators._holds is holds
         inside = {p for member in ring_family for p, _ in operators._cells(member)[3]}
         assert inside
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -12,11 +13,10 @@ from hypothesis import strategies as st
 
 import fraction_kernel as oracle
 from errdiff.dynamics import fixed_request, run_trace
-from errdiff.geometry import Point2, PointSet, as_fraction
+from errdiff.geometry import Point2, PointSet, _norm, as_fraction
 from errdiff.operators import Collection
 from errdiff.serialize import (
     _columns,
-    _norm,
     _Cells,
     _write_csv,
     feasible_set_id,
@@ -121,14 +121,14 @@ class TestFormatter:
                 want = math.sqrt(p.norm2())
             except OverflowError:
                 with pytest.raises(OverflowError):
-                    _norm(p)
+                    _norm(p._t)
             else:
-                assert repr(_norm(p)) == repr(want)
+                assert repr(_norm(p._t)) == repr(want)
 
     def test_norms_are_correctly_rounded(self):
         """sqrt of the float of |e|^2, rounded once: x ** 0.5 gives ...432 here."""
         e = pt(4, Fraction(1, 3))
-        assert repr(_norm(e)) == "4.013864859597431"
+        assert repr(_norm(e._t)) == "4.013864859597431"
         metrics = ResourceMetrics(1, e.norm2(), e, e, e, 0.0, 1, None, None)
         assert repr(metrics.max_error_norm) == "4.013864859597431"
 
@@ -295,6 +295,36 @@ class TestScenarioFiles:
         assert heater.params.lock_steps == 10
         assert pv.params.tan_phi == 1
         assert pv.prediction == "persistent"
+
+    def test_absent_keys_take_the_model_defaults(self):
+        """A minimal scenario and collection parse equal to ones that give
+        every optional key its default; a random wave is compared by its draws."""
+        heater = {k: v for k, v in SCENARIO["resources"][0].items() if k not in (
+            "prediction", "diffusion", "lock_steps", "thermal")}
+        heater["policy"] = {"cost": {"kind": "quadratic", "center": ["-7500", "0"]}}
+        pv = {k: v for k, v in SCENARIO["resources"][1].items() if k != "prediction"}
+        pv["availability"] = {"kind": "random", "low": "0", "high": "1"}
+        pv["policy"] = {"cost": {"kind": "maximize_p"}}
+        minimal = {"horizon": 20, "resources": [heater, pv]}
+        explicit = {"horizon": 20, "seed": 0, "step_ms": 100, "resources": [
+            {**heater, "prediction": "perfect", "diffusion": True, "lock_steps": 0,
+             "thermal": {"leak": "1/100", "gain": "0", "t_out": "0"},
+             "policy": {"cost": {**heater["policy"]["cost"], "curvature": "1"}, "step_size": "1/2"}},
+            {**pv, "prediction": "persistent", "diffusion": True,
+             "availability": {**pv["availability"], "denominator": 64},
+             "policy": {**pv["policy"], "step_size": "1/2"}},
+        ]}
+        got, want = parse_scenario(minimal), parse_scenario(explicit)
+        draws = []
+        for scenario in (got, want):
+            wave = scenario.resources[1].availability
+            rng = random.Random(5)
+            draws.append([wave(n, rng) for n in range(200)])
+            scenario.resources[1].availability = None
+        assert draws[0] == draws[1]
+        assert got == want
+        sets = [{"points": [["0", "0"], ["1", "0"]]}]
+        assert parse_collection({"sets": sets}) == parse_collection({"mode": "perfect", "sets": sets})
 
     def test_scenario_runs_from_file(self, tmp_path):
         from errdiff.simulate import run_scenario
