@@ -11,9 +11,8 @@ closed-loop simulation never escapes it.
 import random
 from fractions import Fraction
 
-from errdiff.intervals import IntervalUnion
-from errdiff.operators import apply_g_interval, iterate_1d
-from errdiff.resources import heater_error_bound, max_step_size
+from errdiff.intervals import IntervalUnion, apply_g_interval, iterate_1d, max_step_size
+from errdiff.resources import heater_error_bound
 
 collection = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(3))]
 print(f"collection: {[[str(v) for v in s] for s in collection]}")

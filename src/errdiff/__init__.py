@@ -29,17 +29,15 @@ from .geometry import (
     project_point_set,
     segment,
 )
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, apply_g_interval, iterate_1d
 from .operators import (
     Collection,
     IterationConfig,
     IterationResult,
     MonotoneFamilyReport,
     apply_collection,
-    apply_g_interval,
     apply_member,
     check_invariance,
-    iterate_1d,
     iterate_to_invariance,
     verify_monotone_family,
 )

@@ -13,6 +13,8 @@ subcommand (argparse's own errors included), an ``--out`` path that cannot
 be written, or a scenario value too large for the float columns, norms and
 metrics that ``simulate`` and ``plot-data`` write, ends the run with one
 line, ``errdiff: error: <message>``, on standard error and exit status 1.
+``simulate`` and ``plot-data`` format every output file before they make
+``--out``, so a value beyond the float range leaves no ``--out`` behind.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from . import simulate, verify
 from .geometry import ConvexPolygon
-from .operators import Collection, IterationConfig, iterate_to_invariance
+from .operators import MODES, Collection, IterationConfig, iterate_to_invariance
 from .serialize import (
     emit_plot_data,
     load_collection,
@@ -63,7 +65,7 @@ def _build_parser() -> _Parser:
 
     ci = sub.add_parser("compute-invariant", help="iterate a collection to invariance")
     ci.add_argument("--collection", required=True, help="JSON collection file")
-    ci.add_argument("--mode", choices=("perfect", "persistent"), help="override file mode")
+    ci.add_argument("--mode", choices=MODES, help="override file mode")
     ci.add_argument("--q0", default="0,0", help="seed point 'x,y' (rational), default origin")
     ci.add_argument(
         "--max-iters",

@@ -49,6 +49,7 @@ from .geometry import (
     Point2,
     PointSet,
     Triple,
+    _extremes,
     _from_triple,
     _holds,
     _normalised,
@@ -165,17 +166,6 @@ def fixed_request(point: Point2) -> RequestPolicy:
     return policy
 
 
-def _extent(ts: Sequence[Triple], axis: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The smallest and largest coordinate ``axis`` of the triples, as (numerator, denominator)."""
-    lo = hi = ts[0]
-    for t in ts[1:]:
-        if t[axis] * lo[2] < lo[axis] * t[2]:
-            lo = t
-        elif t[axis] * hi[2] > hi[axis] * t[2]:
-            hi = t
-    return (lo[axis], lo[2]), (hi[axis], hi[2])
-
-
 def uniform_request(denominator: int = 1024) -> RequestPolicy:
     """Random rational request in the advertised set.
 
@@ -203,7 +193,10 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
             x, w = lerp((ux, uw), (vx, vw), k)
             y, _ = lerp((uy, uw), (vy, vw), k)
             return _from_triple(_normalised(x, y, w))
-        (xmin, xmax), (ymin, ymax) = _extent(ts, 0), _extent(ts, 1)
+        # The bounding box's sides as (numerator, denominator) pairs.
+        (xmin, xmax), (ymin, ymax) = (
+            [(s, t[2]) for t, s in _extremes(ts, a, b)] for a, b in ((1, 0), (0, 1))
+        )
         for _ in range(200):
             xn, xd = lerp(xmin, xmax, rng.randrange(denominator + 1))
             yn, yd = lerp(ymin, ymax, rng.randrange(denominator + 1))

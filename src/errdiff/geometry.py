@@ -754,6 +754,22 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
     return clip_all(polygon, (half_plane,))
 
 
+def _extremes(
+    ts: Sequence[Triple], a: int, b: int
+) -> tuple[tuple[Triple, int], tuple[Triple, int]]:
+    """The first triples of ts at which (a*X + b*Y)/W is smallest and
+    largest, each with its a*X + b*Y, compared by cross-multiplication."""
+    lo = hi = ts[0]
+    lo_s = hi_s = a * lo[0] + b * lo[1]
+    for t in ts[1:]:
+        s = a * t[0] + b * t[1]
+        if s * lo[2] < lo_s * t[2]:
+            lo, lo_s = t, s
+        elif s * hi[2] > hi_s * t[2]:
+            hi, hi_s = t, s
+    return (lo, lo_s), (hi, hi_s)
+
+
 def _scaled(ts: Sequence[Triple]) -> tuple[int, list[tuple[int, int]]]:
     """L, the lcm of the triples' W, and each point times L as an integer pair."""
     scale = math.lcm(*{w for _, _, w in ts})

@@ -8,8 +8,8 @@ Each feasible set S has one operator per prediction discipline:
   through ``ch( ch S + U_c ((D ∩ cell(c)) - c) )``,
 
 where ``cell(c)`` is the Voronoi cell of c with respect to S.
-`apply_member` applies one of them and `apply_collection` the convexified
-union over a collection's sets.
+`apply_collection` applies the convexified union over a collection's sets,
+and `apply_member` is it for a collection of one set.
 
 Feasible sets may be finite point sets or continuous convex polygons.
 Either way S has cached cell data; `cell_pieces` returns each cell's piece
@@ -67,22 +67,21 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import chain, combinations
 from operator import mul
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence, Union
 
 from .geometry import (
     ConvexPolygon,
     PointSet,
-    RationalLike,
     Triple,
     _add,
     _clip,
     _crossing,
     _drop_edge_table,
     _edge_table,
+    _extremes,
     _holds,
     _hull,
     _hull_of_triples,
@@ -92,10 +91,8 @@ from .geometry import (
     _scaled,
     _site_forms,
     _text,
-    as_fraction,
     minkowski_sum,
 )
-from .intervals import IntervalUnion
 
 FeasibleSet = Union[PointSet, ConvexPolygon]
 Mode = Literal["perfect", "persistent"]
@@ -341,18 +338,11 @@ def _extent(kept: Sequence[Triple], cell: EdgeCell) -> list[Triple]:
     edge line: t*n with t = n.(p - u) / |n|^2.  With C = n.u*Wu, an
     integer, t*|n|^2*Wu*W is k = (nx*X + ny*Y)*Wu - C*W, so t orders as
     (nx*X + ny*Y) / W, has the sign of k, and t*n is the triple
-    (k*nx, k*ny, W*Wu*|n|^2).  The extremes of t over the kept vertices
-    bound the piece; an outer edge keeps t >= 0.
+    (k*nx, k*ny, W*Wu*|n|^2).  The extremes of t over the kept vertices,
+    `geometry._extremes`, bound the piece; an outer edge keeps t >= 0.
     """
     _, nx, ny, c, uw, scale, outer = cell
-    lo = hi = kept[0]
-    lo_s = hi_s = nx * lo[0] + ny * lo[1]
-    for t in kept[1:]:
-        s = nx * t[0] + ny * t[1]
-        if s * lo[2] < lo_s * t[2]:
-            lo, lo_s = t, s
-        elif s * hi[2] > hi_s * t[2]:
-            hi, hi_s = t, s
+    (lo, lo_s), (hi, hi_s) = _extremes(kept, nx, ny)
     k_hi = hi_s * uw - c * hi[2]
     if outer and k_hi < 0:
         return []
@@ -498,10 +488,8 @@ def _walk(
 
 
 def _covers_hull(region: ConvexPolygon, mode: Mode) -> bool:
-    """Check mode and region; True when every perfect-mode fattened region
-    ch S + region contains ch S, which is when region holds the origin."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    """Check region; True when every perfect-mode fattened region ch S +
+    region contains ch S, which is when region holds the origin."""
     if region.is_empty:
         raise ValueError("region must be non-empty")
     return mode == "perfect" and _holds(region, _ZERO)
@@ -514,8 +502,8 @@ def _member_pieces(
 
     covers_hull is `_covers_hull` of region and mode.  A persistent image,
     ch S + the hull of the cell pieces of region, is one list: the vertices
-    of a Minkowski sum, already a canonical polygon, which `apply_member`
-    therefore takes as it is.
+    of a Minkowski sum, already a canonical polygon, which `apply_collection`
+    therefore takes as it is for a collection of one member.
 
     A member of one point c has the plane as its only cell, so its image is
     the region itself: (c + Q) - c = Q in perfect mode, {c} + (D - c) = D in
@@ -532,22 +520,22 @@ def _member_pieces(
 
 def apply_member(member: FeasibleSet, region: ConvexPolygon, mode: Mode) -> ConvexPolygon:
     """One application of a single feasible set's operator in the given mode."""
-    pieces = _member_pieces(member, region, mode, _covers_hull(region, mode))
-    return _polygon(pieces[0] if mode == "persistent" else _hull(chain.from_iterable(pieces)))
+    return apply_collection(Collection((member,), mode), region)
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
     """Convexified union of the per-set operator results.
 
     Computed as one hull over the pieces of every member, which equals the
-    hull of the per-set hulls; a single member's image is its own.  Whether
-    region holds the origin is tested once, for every member.
+    hull of the per-set hulls.  Whether region holds the origin is tested
+    once, for every member.  The persistent image of a single member is its
+    one canonical list, taken without a hull.
     """
     mode, sets = collection.mode, collection.sets
-    if len(sets) == 1:
-        return apply_member(sets[0], region, mode)
     covers_hull = _covers_hull(region, mode)
     pieces = [_member_pieces(member, region, mode, covers_hull) for member in sets]
+    if len(sets) == 1 and mode == "persistent":
+        return _polygon(pieces[0][0])
     return _polygon(_hull(chain.from_iterable(chain.from_iterable(pieces))))
 
 
@@ -728,9 +716,7 @@ def _slot(entry: list) -> tuple[int, list[int], Optional[tuple[list[float], floa
     return entry[1]
 
 
-def _extrapolate(
-    collection: Collection, seed: ConvexPolygon, window: deque, max_bits: int
-) -> Optional[ConvexPolygon]:
+def _extrapolate(collection: Collection, window: deque, max_bits: int) -> Optional[ConvexPolygon]:
     """MPE on the window of the newest iterates, verified before it is trusted.
 
     Every stride s and degree m reads the m + 2 iterates s apart that end
@@ -741,11 +727,12 @@ def _extrapolate(
     holds [iterate, slot] entries, and an iterate is scaled into its slot
     (`_slot`) the first time a stride and degree read it, so one that none
     reads is never scaled.  A candidate, the hull of the extrapolated
-    vertices, is returned only when it contains the seed and the newest
-    iterate, stays within the bit budget and is mapped to itself by the
-    collection operator.  Since the operator is monotone and the candidate
-    contains the seed, it then contains every iterate of the chain, so it
-    is an exact fixed point containing the minimal invariant set.
+    vertices, is returned only when it contains the newest iterate, stays
+    within the bit budget and is mapped to itself by the collection
+    operator.  The chain grows, so the newest iterate contains the seed, and
+    so does the candidate.  Since the operator is monotone, it then contains
+    every iterate of the chain, so it is an exact fixed point containing the
+    minimal invariant set.
     """
     newest = window[-1][0]
     count, last = len(newest._ts), len(window) - 1
@@ -788,8 +775,7 @@ def _extrapolate(
                 _normalised(nums[i], nums[i + 1], den) for i in range(0, len(nums), 2)
             ))
             if (
-                candidate.contains_polygon(seed)
-                and candidate.contains_polygon(newest)
+                candidate.contains_polygon(newest)
                 and _within_bits(candidate, max_bits)
                 and apply_collection(collection, candidate) == candidate
             ):
@@ -845,7 +831,7 @@ def iterate_to_invariance(
         _drop_edge_table(current)
         current = grown
         window.append([current, None])
-        answer = _extrapolate(collection, seed, window, max_bits)
+        answer = _extrapolate(collection, window, max_bits)
         if answer is not None:
             iterations, status = step, "extrapolated"
             break
@@ -865,63 +851,6 @@ def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:
     if candidate.is_empty:
         raise ValueError("candidate must be non-empty")
     return candidate.contains_polygon(apply_collection(collection, candidate))
-
-
-# ---------------------------------------------------------------------------
-# Exact one-dimensional iteration
-# ---------------------------------------------------------------------------
-
-
-def _scalar_values(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    vals = tuple(sorted({as_fraction(v) for v in values}))
-    if not vals:
-        raise ValueError("1D feasible set must be non-empty")
-    return vals
-
-
-def apply_g_interval(values: Iterable[RationalLike], region: IntervalUnion) -> IntervalUnion:
-    """One-dimensional error-set operator for a single finite set.
-
-    Cells of the sorted sites are the midpoint intervals; the region is
-    first fattened by the hull interval of the set, then each cell slice is
-    recentered on its site and the slices are unioned.
-    """
-    vals = _scalar_values(values)
-    if region.is_empty:
-        raise ValueError("region must be non-empty")
-    fattened = region.add_interval(vals[0], vals[-1])
-    result = IntervalUnion.EMPTY
-    for i, c in enumerate(vals):
-        cell_lo = (vals[i - 1] + c) / 2 if i > 0 else None
-        cell_hi = (c + vals[i + 1]) / 2 if i + 1 < len(vals) else None
-        piece = fattened.clip(cell_lo, cell_hi).translate(-c)
-        result = result.union(piece)
-    return result
-
-
-def iterate_1d(
-    sets: Iterable[Iterable[RationalLike]],
-    seed: IntervalUnion,
-    max_iterations: int = 64,
-) -> IntervalUnion:
-    """Exact non-convex 1D iteration to its fixed point.
-
-    Unlike the 2D path this keeps unions of intervals without convexifying,
-    so it serves as an independent oracle for the interval [-gap/2, gap/2]
-    predicted from the largest between-site gap of the collection.
-    """
-    members = [_scalar_values(s) for s in sets]
-    if not members:
-        raise ValueError("collection must contain at least one set")
-    current = seed
-    for _ in range(max_iterations):
-        grown = IntervalUnion.EMPTY
-        for vals in members:
-            grown = grown.union(apply_g_interval(vals, current))
-        if grown == current:
-            return current
-        current = grown
-    raise RuntimeError(f"1D iteration did not reach a fixed point in {max_iterations} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -415,22 +415,6 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: RationalLike
     )
 
 
-def max_step_size(sets: Iterable[Iterable[RationalLike]]) -> Fraction:
-    """Largest gap between consecutive points over all 1D sets (0 for singletons)."""
-    worst = Fraction(0)
-    seen = False
-    for values in sets:
-        seen = True
-        vals = sorted({as_fraction(v) for v in values})
-        if not vals:
-            raise ValueError("1D sets must be non-empty")
-        for a, b in zip(vals, vals[1:]):
-            worst = max(worst, b - a)
-    if not seen:
-        raise ValueError("collection must be non-empty")
-    return worst
-
-
 def heater_error_bound(powers: Iterable[RationalLike]) -> Fraction:
     """Tight accumulated-error bound: half the largest single-heater power.
 
@@ -484,22 +468,23 @@ def pv_triangle(params: PVParams, cap: RationalLike) -> ConvexPolygon:
     """Feasible (P, Q) triangle with real power in [0, cap] inside the cone.
 
     Vertices are (0, 0) and (cap, +-cap*tan_phi); cap = 0 collapses to the
-    origin and tan_phi = 0 to a segment on the P axis.  The result is built
-    in canonical form: the origin is the lexicographically smallest vertex
-    and (0, 0), (cap, -spread), (cap, spread) turn counter-clockwise.  The
-    cap is checked, and the cache keyed, on numerators and denominators.
+    origin and tan_phi = 0 to a segment on the P axis.  A cap above p_max
+    is refused here; any other cap is `pv_feasible_set`'s, which refuses a
+    negative one and builds the triangle.
     """
     cap = as_fraction(cap)
-    cn, cd = cap.numerator, cap.denominator
     pn, pd = params._p_max
-    if cn < 0 or cn * pd > pn * cd:
+    if cap.numerator * pd > pn * cap.denominator:
         raise ValueError(f"cap {cap} outside [0, {params.p_max}]")
-    return _pv_triangle(cn, cd, *params._tan_phi)
+    return pv_feasible_set(params, cap)
 
 
 @lru_cache(maxsize=4096)
 def _pv_triangle(cn: int, cd: int, tn: int, td: int) -> ConvexPolygon:
-    """The triangle of a valid cap cn/cd, built once per (cap, tan_phi): they determine it."""
+    """The triangle of a valid cap cn/cd, built once per (cap, tan_phi): they
+    determine it.  It is built in canonical form: the origin is the
+    lexicographically smallest vertex, and (0, 0), (cap, -spread), (cap,
+    spread) turn counter-clockwise."""
     x, spread, w = top = _normalised(cn * td, cn * tn, cd * td)  # (cap, cap*tan_phi)
     if spread == 0:
         return segment(ORIGIN, _from_triple(top))  # the origin itself when cap = 0

@@ -16,9 +16,13 @@ has, so no Fraction is built per cell.  Traces repeat values, so each CSV
 file formats each distinct triple once (``_Cells``), and equal steps share
 one ``StepRecord``, so the per-step rows of the trace and setpoint files
 format each distinct record's row after its index once (``_step_rows``);
-``_write_csv`` writes a file's lines in one call, in the csv module's excel
-dialect.  Running averages are summed as triples.  Readers pass on only
-the optional keys a document gives (``_given``), so no default is restated.
+``_csv`` joins a file's lines in the csv module's excel dialect.  Running
+averages are summed as triples.  A closed-loop writer formats the text of
+every file before ``_write_files`` makes the output directory and writes
+them, so a value that cannot be written (a float beyond range, a resource
+id changed since its scenario checked it) leaves no directory and no file
+behind.  Readers pass on only the optional keys a document gives
+(``_given``), so no default is restated.
 """
 
 from __future__ import annotations
@@ -177,20 +181,32 @@ class _Cells(dict):
         return cells
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[str]) -> None:
-    """The header and the rows as CSV lines ended by CRLF, in one write.
+def _csv(header: Sequence[str], rows: Iterable[str]) -> str:
+    """The header and the rows as CSV lines ended by CRLF.
 
     This is byte for byte what ``csv.writer`` writes in its default excel
     dialect: no field can hold a comma, a quote, CR or LF (they are ints,
     hex set ids, "n" or "n/d" rationals, float reprs and fixed column
     names), so none is quoted.
     """
-    with path.open("w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+    return "\r\n".join([",".join(header), *rows, ""])
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _write_files(out_dir: PathLike, files: dict[str, str]) -> list[Path]:
+    """Make out_dir and write each named text into it as it is, with no
+    newline translation; the paths written, in order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text, newline="")
+        paths.append(path)
+    return paths
 
 
 def _scenario_header(result: ScenarioResult) -> dict:
@@ -217,7 +233,7 @@ def _step_rows(records: list[StepRecord], tail: Callable[[StepRecord], str]) -> 
     return [f"{n},{t}" for n, t in enumerate(map(tails.__getitem__, records))]
 
 
-def write_trace_csv(path: PathLike, trace: ControllerTrace) -> None:
+def _trace_csv(trace: ControllerTrace) -> str:
     """Exact trace dump: one row per step, rational strings plus floats."""
     cells = _Cells()
 
@@ -225,30 +241,27 @@ def write_trace_csv(path: PathLike, trace: ControllerTrace) -> None:
         x, y, e = cells[r.requested._t], cells[r.implemented._t], cells[r.error._t]
         return f"{feasible_set_id(r.feasible)},{x[0]},{y[0]},{e[0]},{x[1]},{y[1]},{e[1]}"
 
-    _write_csv(
-        Path(path),
+    return _csv(
         _columns(["n", "set_id"], ["x_p", "x_q", "y_p", "y_q", "e_p", "e_q"]),
         _step_rows(trace.records, tail),
     )
 
 
-def _resource_csv(out: Path, rid: str, name: str) -> Path:
-    """``out/<rid>_<name>.csv``; the id is checked again here, since a spec
-    may have changed since its scenario checked it."""
-    return out / f"{simulate.checked_resource_id(rid)}_{name}.csv"
+def _resource_csv(rid: str, name: str) -> str:
+    """``<rid>_<name>.csv``; the id is checked again here, since a spec may
+    have changed since its scenario checked it."""
+    return f"{simulate.checked_resource_id(rid)}_{name}.csv"
 
 
 def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
     """Write one ``<id>_trace.csv`` per resource and the ``metrics.json`` summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for rid, trace in result.traces.items():
-        write_trace_csv(_resource_csv(out, rid, "trace"), trace)
+    files = {_resource_csv(rid, "trace"): _trace_csv(trace) for rid, trace in result.traces.items()}
     summary = _scenario_header(result)
     summary["resources"] = {
         rid: metrics_to_json(metrics) for rid, metrics in result.report.resources.items()
     }
-    _write_json(out / "metrics.json", summary)
+    files["metrics.json"] = _json(summary)
+    _write_files(out_dir, files)
 
 
 def _running_averages(records: list[StepRecord]) -> Iterable[str]:
@@ -272,11 +285,10 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
 
     Series per resource: requested vs implemented setpoints, accumulated
     error components, and running time averages.  Values are exact rational
-    strings plus float renderings, so reruns are byte-identical.
+    strings plus float renderings, so reruns are byte-identical.  Returns
+    the paths written.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    texts: dict[str, str] = {}
     files: list[dict] = []
     metrics: dict = {}
     for rid, trace in result.traces.items():
@@ -312,18 +324,15 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
             ),
         )
         for name, description, header, rows in series:
-            path = _resource_csv(out, rid, name)
-            _write_csv(path, header, rows)
-            files.append({"path": path.name, "resource": rid, "series": description})
-            written.append(path)
+            file_name = _resource_csv(rid, name)
+            texts[file_name] = _csv(header, rows)
+            files.append({"path": file_name, "resource": rid, "series": description})
         if records:
             metrics[rid] = metrics_to_json(result.report.resources[rid])
     scenario = _scenario_header(result)
     scenario["resources"] = [r.resource_id for r in result.scenario.resources]
-    manifest_path = out / "manifest.json"
-    _write_json(manifest_path, {"scenario": scenario, "files": files, "metrics": metrics})
-    written.append(manifest_path)
-    return written
+    texts["manifest.json"] = _json({"scenario": scenario, "files": files, "metrics": metrics})
+    return _write_files(out_dir, texts)
 
 
 # ---------------------------------------------------------------------------

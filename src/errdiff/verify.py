@@ -30,14 +30,12 @@ from .geometry import (
     clip_all,
     convex_hull,
 )
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, apply_g_interval, iterate_1d, max_step_size
 from .operators import (
     Collection,
     IterationConfig,
-    apply_g_interval,
     apply_collection,
     check_invariance,
-    iterate_1d,
     iterate_to_invariance,
 )
 from .resources import (
@@ -45,7 +43,6 @@ from .resources import (
     HeaterState,
     PVParams,
     heater_error_bound,
-    max_step_size,
     pv_error_bound_sq,
     pv_triangle,
     pv_triangle_family,

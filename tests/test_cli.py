@@ -466,6 +466,23 @@ class TestMalformedInput:
         line = self._fails(capsys, [command, "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert "beyond the float range" in line
 
+    @pytest.mark.parametrize("command", ["simulate", "plot-data"])
+    @pytest.mark.parametrize("heater_at", ["first", "last"])
+    def test_value_beyond_the_float_range_leaves_no_out(self, command, heater_at, tmp_path, capsys):
+        """Every file is formatted before --out is made, so the failing run
+        leaves no directory, nor the files of the resources listed before the
+        heater whose column cannot be written."""
+        scenario = json.loads((DATA / "closed_loop_seed1.json").read_text())
+        scenario["horizon"] = 30
+        heater = scenario["resources"].pop(0)
+        heater["powers"][2] = "1e400"
+        scenario["resources"].insert(0 if heater_at == "first" else 2, heater)
+        path = _write(tmp_path, "s.json", scenario)
+        out = tmp_path / "o"
+        line = self._fails(capsys, [command, "--scenario", str(path), "--out", str(out)])
+        assert "beyond the float range" in line
+        assert not out.exists()
+
     def test_coordinates_beyond_the_float_range_still_solve(self, tmp_path, capsys):
         """compute-invariant writes exact strings only, so 1e400 coordinates run."""
         doc = {"sets": [{"points": [["0", "0"], ["1e400", "0"]]}, {"polygon": [["0", "1e400"]]}]}

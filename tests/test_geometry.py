@@ -12,6 +12,7 @@ from errdiff.geometry import (
     HalfPlane,
     Point2,
     PointSet,
+    _extremes,
     clip,
     clip_all,
     convex_hull,
@@ -127,6 +128,27 @@ class TestPoint2:
     def test_lexicographic_order(self):
         assert pt(0, 5) < pt(1, -10)
         assert pt(1, -10) < pt(1, 0)
+
+
+class TestExtremes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(points, min_size=1, max_size=8), st.integers(-5, 5), st.integers(-5, 5))
+    def test_first_min_and_max(self, pts, a, b):
+        """The first triples of smallest and largest (a*X + b*Y)/W, as a brute
+        force over Fractions finds them, each with its a*X + b*Y."""
+        ts = [p._t for p in pts]
+        values = [a * p.x + b * p.y for p in pts]
+        (lo, lo_s), (hi, hi_s) = _extremes(ts, a, b)
+        assert lo is ts[values.index(min(values))]
+        assert hi is ts[values.index(max(values))]
+        assert (lo_s, hi_s) == (a * lo[0] + b * lo[1], a * hi[0] + b * hi[1])
+
+    def test_ties_return_the_first(self):
+        ts = [pt(1, 0)._t, pt(0, 1)._t, pt(1, 1)._t, pt("1/2", "1/2")._t]
+        (lo, _), (hi, _) = _extremes(ts, 1, 1)
+        assert lo is ts[0] and hi is ts[2]
+        (lo, _), (hi, _) = _extremes(ts, 0, 0)
+        assert lo is hi is ts[0]
 
 
 class TestConvexHull:

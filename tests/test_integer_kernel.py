@@ -24,7 +24,6 @@ import itertools
 import math
 import pickle
 import random
-import tempfile
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -75,7 +74,7 @@ from errdiff.resources import (
     heater_setpoints_2d,
     heater_step,
 )
-from errdiff.serialize import write_trace_csv
+from errdiff.serialize import _trace_csv
 from errdiff.simulate import (
     REQUEST_RESOLUTION,
     CentralPolicy,
@@ -1391,11 +1390,7 @@ class TestMetrics:
         metrics = compute_metrics(trace, bound_sq)
         assert metrics == compute_metrics(copied, bound_sq) == per_step_metrics(copied, bound_sq)
         assert repr(metrics.error_slope) == repr(per_step_metrics(copied, bound_sq).error_slope)
-        with tempfile.TemporaryDirectory() as tmp:
-            shared_csv, copied_csv = Path(tmp) / "shared.csv", Path(tmp) / "copied.csv"
-            write_trace_csv(shared_csv, trace)
-            write_trace_csv(copied_csv, copied)
-            assert shared_csv.read_bytes() == copied_csv.read_bytes()
+        assert _trace_csv(trace) == _trace_csv(copied)
 
     def test_broken_identity_is_caught(self):
         records = [

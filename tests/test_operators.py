@@ -16,16 +16,14 @@ from errdiff.geometry import (
     project_convex_polygon,
 )
 from errdiff import geometry, operators
-from errdiff.intervals import IntervalUnion
+from errdiff.intervals import IntervalUnion, apply_g_interval, iterate_1d, max_step_size
 from errdiff.operators import (
     Collection,
     IterationConfig,
     MonotoneFamilyReport,
     apply_collection,
-    apply_g_interval,
     apply_member,
     check_invariance,
-    iterate_1d,
     iterate_to_invariance,
     verify_monotone_family,
 )
@@ -309,8 +307,6 @@ class TestIterate1D:
         )
     )
     def test_matches_gap_formula(self, raw_sets):
-        from errdiff.resources import max_step_size
-
         sets = [tuple(s) for s in raw_sets]
         delta = max_step_size(sets)
         fixed = iterate_1d(sets, IntervalUnion.singleton(0))

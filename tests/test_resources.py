@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from errdiff.geometry import convex_hull
-from errdiff.intervals import IntervalUnion
-from errdiff.operators import Collection, check_invariance, iterate_1d, verify_monotone_family
+from errdiff.intervals import IntervalUnion, iterate_1d, max_step_size
+from errdiff.operators import Collection, check_invariance, verify_monotone_family
 from errdiff.resources import (
     TEMP_RESOLUTION,
     HeaterParams,
@@ -17,7 +17,6 @@ from errdiff.resources import (
     heater_error_bound,
     heater_setpoints_2d,
     heater_step,
-    max_step_size,
     pv_error_bound_sq,
     pv_feasible_set,
     pv_triangle,

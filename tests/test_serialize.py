@@ -3,9 +3,7 @@ import io
 import json
 import math
 import random
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +16,8 @@ from errdiff.operators import Collection
 from errdiff.serialize import (
     _columns,
     _Cells,
-    _write_csv,
+    _csv,
+    _trace_csv,
     feasible_set_id,
     load_collection,
     load_scenario,
@@ -29,7 +28,6 @@ from errdiff.serialize import (
     parse_scenario,
     point_to_json,
     polygon_to_json,
-    write_trace_csv,
 )
 from errdiff.simulate import ResourceMetrics
 
@@ -192,10 +190,7 @@ class TestCsvWriter:
         writer = csv.writer(buffer)
         writer.writerow(header)
         writer.writerows(cells)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "rows.csv"
-            _write_csv(path, header, lines)
-            assert path.read_bytes() == buffer.getvalue().encode()
+        assert _csv(header, lines) == buffer.getvalue()
 
 
 class TestGeometryJson:
@@ -351,11 +346,9 @@ HEATER = PointSet((pt(-15, 0), pt(0, 0)))  # consumption setpoints, embedded at 
 
 
 class TestTraceExport:
-    def test_csv_round_trip_values(self, tmp_path):
+    def test_csv_round_trip_values(self):
         trace = run_trace("perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 4)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
-        lines = path.read_text().splitlines()
+        lines = _trace_csv(trace).splitlines()
         assert lines[0] == (
             "n,set_id,x_p,x_q,y_p,y_q,e_p,e_q,"
             "x_p_float,x_q_float,y_p_float,y_q_float,e_p_float,e_q_float"
