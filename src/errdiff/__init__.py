@@ -15,7 +15,6 @@ import sys as _sys
 from importlib import util as _util
 
 from .geometry import (
-    EMPTY_POLYGON,
     ORIGIN,
     ConvexPolygon,
     HalfPlane,

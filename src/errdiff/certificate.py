@@ -216,8 +216,6 @@ def _member(member: PointSet | ConvexPolygon) -> tuple[list[XY], list[Cell]]:
 
 def certify_invariant(collection: Collection, candidate: ConvexPolygon) -> bool:
     """True exactly when every member's operator maps candidate into itself."""
-    if candidate.is_empty:
-        raise ValueError("candidate must be non-empty")
     region = _coords(candidate.vertices)
     own = _support_planes([region])
     origin = [(Fraction(0), Fraction(0))]

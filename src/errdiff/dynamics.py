@@ -183,8 +183,6 @@ def uniform_request(denominator: int = 1024) -> RequestPolicy:
 
     def policy(advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
         ts = advertised._ts
-        if not ts:
-            raise ValueError("cannot sample from an empty advertisement")
         if len(ts) == 1:
             return advertised.vertices[0]
         if len(ts) == 2:

@@ -4,6 +4,9 @@ A point is one integer triple (X, Y, W), W > 0 and gcd(X, Y, W) = 1,
 standing for (X/W, Y/W); the normal form is unique, so equal points have
 equal triples.  A `Point2` holds its triple, a `ConvexPolygon` the triples
 of its vertices and a `HalfPlane` its coprime integer triple (A, B, C).
+A polygon is never empty: its degenerate forms are a point and a segment,
+and the constructor and `convex_hull` refuse an empty vertex list, so no
+function taking a polygon checks for emptiness again.
 Point arithmetic, the kernel (`clip_all`, `convex_hull`, `minkowski_sum`,
 translation and containment) and both projections run on these ints:
 orientation is a 3x3 integer determinant, a half-plane test an integer dot
@@ -51,6 +54,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Triple = tuple[int, int, int]
+
+_NO_VERTEX = "a convex polygon needs at least one vertex"
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -270,8 +275,9 @@ class ConvexPolygon(_Frozen):
     Vertices are in counter-clockwise order, no three consecutive vertices
     collinear, starting from the lexicographically smallest vertex; with
     that normalization structural equality coincides with set equality.
-    Degenerate regions are first-class: empty (no vertices), a single
-    point, or a segment (two vertices in lexicographic order).
+    Degenerate regions are first-class: a single point, or a segment (two
+    vertices in lexicographic order).  There is no empty polygon: the
+    constructor refuses an empty vertex list.
 
     The polygon holds the integer triples of its vertices; `vertices`
     wraps them in Point2s on first use and keeps them, so a vertex is one
@@ -292,6 +298,8 @@ class ConvexPolygon(_Frozen):
     def __init__(self, vertices: Iterable[Point2]) -> None:
         verts = tuple(vertices)
         n = len(verts)
+        if n == 0:
+            raise ValueError(_NO_VERTEX)
         if n == 2:
             if not verts[0] < verts[1]:
                 raise ValueError("segment vertices must be distinct and ordered")
@@ -335,10 +343,6 @@ class ConvexPolygon(_Frozen):
             _setattr(self, "_verts", verts)
         return verts
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._ts
-
     def contains_point(self, p: Point2) -> bool:
         return _holds(self, p._t)
 
@@ -354,8 +358,6 @@ class ConvexPolygon(_Frozen):
         smaller angle are passed.  That is linear in the two vertex counts.
         """
         ts, points = self._ts, other._ts
-        if not points:
-            return True
         n, m = len(ts), len(points)
         if n <= 2 or m == 1:
             return all(_holds(self, p) for p in points)
@@ -378,14 +380,12 @@ class ConvexPolygon(_Frozen):
 
 
 def _polygon(ts: tuple[Triple, ...]) -> ConvexPolygon:
-    """Construct from canonical triples without validation."""
+    """Construct from canonical triples without validation; the kernel
+    hands it only non-empty canonical tuples."""
     poly = object.__new__(ConvexPolygon)
     _setattr(poly, "_ts", ts)
     _setattr(poly, "_verts", None)
     return poly
-
-
-EMPTY_POLYGON = ConvexPolygon(())
 
 
 def _translated(poly: ConvexPolygon, d: Triple) -> ConvexPolygon:
@@ -437,15 +437,14 @@ def _drop_edge_table(poly: ConvexPolygon) -> None:
 def _holds(poly: ConvexPolygon, p: Triple) -> bool:
     """True when the closed region poly holds the point p; the one membership test.
 
-    An empty region holds nothing and a point region only itself.  A
-    segment u < v holds p when p is on its line and u <= p <= v
-    lexicographically.  A polygon's fan from vertex 0 splits it into
-    triangles; a binary search on the orientation of p to the fan's
-    diagonals finds the one whose wedge holds p, and p is inside when it is
-    on or left of that triangle's outer edge.
+    A point region holds only itself.  A segment u < v holds p when p is on
+    its line and u <= p <= v lexicographically.  A polygon's fan from vertex
+    0 splits it into triangles; a binary search on the orientation of p to
+    the fan's diagonals finds the one whose wedge holds p, and p is inside
+    when it is on or left of that triangle's outer edge.
     """
     ts = poly._ts
-    if len(ts) <= 1:
+    if len(ts) == 1:
         return ts == (p,)
     if len(ts) == 2:
         u, v = ts
@@ -551,10 +550,13 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
     """Convex hull via monotone chain with exact orientation predicates.
 
     Degenerate inputs yield the matching degenerate polygon: one distinct
-    point gives a point, collinear points give the extreme segment.  The
-    chain runs on the points' integer triples.
+    point gives a point, collinear points give the extreme segment, and an
+    empty input is refused.  The chain runs on the points' integer triples.
     """
-    return _polygon(_hull(p._t for p in points))
+    ts = _hull(p._t for p in points)
+    if not ts:
+        raise ValueError(_NO_VERTEX)
+    return _polygon(ts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -630,8 +632,6 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     vertex 0.
     """
     pt, qt = p._ts, q._ts
-    if not pt or not qt:
-        raise ValueError("Minkowski sum requires non-empty polygons")
     if len(pt) == 1:
         return _translated(q, pt[0])
     if len(qt) == 1:
@@ -726,8 +726,8 @@ def _clip(verts: Sequence[Triple], planes: Iterable[Triple]) -> Sequence[Triple]
     return verts
 
 
-def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
-    """polygon intersected with every half-plane, stopping once it is empty.
+def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> Optional[ConvexPolygon]:
+    """polygon intersected with every half-plane; None once nothing is left.
 
     The output is never re-canonicalised.  After each cut the boundary list
     (kept vertices plus crossing points, in order) is already in canonical
@@ -744,12 +744,12 @@ def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolyg
     if verts is original:
         return polygon
     if not verts:
-        return EMPTY_POLYGON
+        return None
     k = _lex_min(verts)
     return _polygon(tuple(verts[k:]) + tuple(verts[:k]))
 
 
-def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
+def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> Optional[ConvexPolygon]:
     """`clip_all` with one plane, kept as a name the per-layer tracer looks up."""
     return clip_all(polygon, (half_plane,))
 
@@ -819,8 +819,6 @@ def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     distance, point) order all the same.
     """
     ts = polygon._ts
-    if not ts:
-        raise ValueError("cannot project onto an empty polygon")
     zt = z._t
     if len(ts) == 1:
         return z if ts[0] == zt else polygon.vertices[0]

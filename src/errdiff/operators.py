@@ -102,11 +102,7 @@ MODES = ("perfect", "persistent")
 
 def feasible_hull(feasible: FeasibleSet) -> ConvexPolygon:
     """Convex hull of a feasible set (identity for convex polygons)."""
-    if isinstance(feasible, PointSet):
-        return feasible.hull()
-    if feasible.is_empty:
-        raise ValueError("feasible set must be non-empty")
-    return feasible
+    return feasible.hull() if isinstance(feasible, PointSet) else feasible
 
 
 @dataclass(frozen=True)
@@ -122,9 +118,6 @@ class Collection:
             raise ValueError("collection must contain at least one set")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        for member in self.sets:
-            if isinstance(member, ConvexPolygon) and member.is_empty:
-                raise ValueError("collection members must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -244,8 +237,6 @@ def _cells(member: FeasibleSet) -> Union[Cells, Sites]:
     if isinstance(member, PointSet):
         return _sites(member._ts)
     ts = member._ts
-    if not ts:
-        raise ValueError("feasible set must be non-empty")
     n = len(ts)
     if n == 1:
         ((x, y, w),) = ts
@@ -487,23 +478,17 @@ def _walk(
 # ---------------------------------------------------------------------------
 
 
-def _covers_hull(region: ConvexPolygon, mode: Mode) -> bool:
-    """Check region; True when every perfect-mode fattened region ch S +
-    region contains ch S, which is when region holds the origin."""
-    if region.is_empty:
-        raise ValueError("region must be non-empty")
-    return mode == "perfect" and _holds(region, _ZERO)
-
-
 def _member_pieces(
     member: FeasibleSet, region: ConvexPolygon, mode: Mode, covers_hull: bool
 ) -> list[Sequence[Triple]]:
     """Vertex lists whose hull is the image of region under member's operator.
 
-    covers_hull is `_covers_hull` of region and mode.  A persistent image,
-    ch S + the hull of the cell pieces of region, is one list: the vertices
-    of a Minkowski sum, already a canonical polygon, which `apply_collection`
-    therefore takes as it is for a collection of one member.
+    covers_hull is true when every perfect-mode fattened region ch S +
+    region contains ch S, which is when region holds the origin.  A
+    persistent image, ch S + the hull of the cell pieces of region, is one
+    list: the vertices of a Minkowski sum, already a canonical polygon,
+    which `apply_collection` therefore takes as it is for a collection of
+    one member.
 
     A member of one point c has the plane as its only cell, so its image is
     the region itself: (c + Q) - c = Q in perfect mode, {c} + (D - c) = D in
@@ -532,7 +517,7 @@ def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPol
     one canonical list, taken without a hull.
     """
     mode, sets = collection.mode, collection.sets
-    covers_hull = _covers_hull(region, mode)
+    covers_hull = mode == "perfect" and _holds(region, _ZERO)
     pieces = [_member_pieces(member, region, mode, covers_hull) for member in sets]
     if len(sets) == 1 and mode == "persistent":
         return _polygon(pieces[0][0])
@@ -810,8 +795,6 @@ def iterate_to_invariance(
     ``converged`` false, and ``status`` names which of them stopped the
     run.
     """
-    if seed.is_empty:
-        raise ValueError("seed must be non-empty")
     max_bits = config.max_coordinate_bits
     current, iterates = seed, [seed]
     window = deque([[seed, None]], maxlen=_WINDOW)
@@ -848,8 +831,6 @@ def check_invariance(collection: Collection, candidate: ConvexPolygon) -> bool:
     The candidate is convex, so it contains every member's image exactly
     when it contains the hull of their union, the collection image.
     """
-    if candidate.is_empty:
-        raise ValueError("candidate must be non-empty")
     return candidate.contains_polygon(apply_collection(collection, candidate))
 
 
@@ -891,8 +872,6 @@ def verify_monotone_family(family: Sequence[ConvexPolygon]) -> MonotoneFamilyRep
     members = list(family)
     if not members:
         raise ValueError("family must be non-empty")
-    if any(m.is_empty for m in members):
-        raise ValueError("family members must be non-empty")
     ordered = sorted(members, key=cmp_to_key(_inclusion))
     if not all(b.contains_polygon(a) for a, b in zip(ordered, ordered[1:])):
         return MonotoneFamilyReport(False, None, "family is not nested")

@@ -130,8 +130,6 @@ def central_step(policy: CentralPolicy, advertised: ConvexPolygon, x_prev: Point
     even, by one integer divmod on the two points' triples; the snapped
     point is then projected.
     """
-    if advertised.is_empty:
-        raise ValueError("advertisement must be non-empty")
     x, y, w = x_prev._t
     gx, gy, gw = policy.cost.gradient(x_prev)._t
     step = policy.step_size

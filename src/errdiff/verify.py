@@ -252,7 +252,12 @@ def check_pv_sim_bound() -> CheckResult:
     )
 
 
-def _heater_unit(powers, temps, lock_steps=10) -> HeaterUnit:
+_HEATER_STEPS = 10**4
+
+
+def _heater_bound(powers, temps, seed: str, lock_steps=10):
+    """The heater error bound of one unit and the metrics of `_HEATER_STEPS`
+    random-request steps from seed, judged against it."""
     params = HeaterParams(
         powers=tuple(Fraction(p) for p in powers),
         t_min=Fraction(19),
@@ -262,33 +267,26 @@ def _heater_unit(powers, temps, lock_steps=10) -> HeaterUnit:
         gain=Fraction(1, 2) / max(Fraction(p) for p in powers),
         t_out=Fraction(8),
     )
-    state = HeaterState.initial([Fraction(t) for t in temps])
-    return HeaterUnit("heater", params, state)
+    unit = HeaterUnit("heater", params, HeaterState.initial([Fraction(t) for t in temps]))
+    bound = heater_error_bound(params.powers)
+    requests = uniform_request(denominator=256)
+    trace = run_resource_loop(unit, requests, _HEATER_STEPS, random.Random(seed))
+    return bound, compute_metrics(trace, bound * bound)
 
 
 def check_heater_single_bound() -> CheckResult:
-    horizon = 10**4
-    unit = _heater_unit([15000], ["20"])
-    bound = heater_error_bound(unit.params.powers)
-    rng = random.Random("heater-single")
-    trace = run_resource_loop(unit, uniform_request(denominator=256), horizon, rng)
-    metrics = compute_metrics(trace, bound * bound)
+    bound, metrics = _heater_bound([15000], ["20"], "heater-single")
     return CheckResult(
-        expected=f"max |e_n| <= {bound} over {horizon} random-request steps",
+        expected=f"max |e_n| <= {bound} over {_HEATER_STEPS} random-request steps",
         got=f"max |e_n|^2 = {metrics.max_error_norm2}",
         passed=metrics.bound_satisfied,
     )
 
 
 def check_heater_multi_bound() -> CheckResult:
-    horizon = 10**4
-    unit = _heater_unit([1, 2, 3], ["20", "41/2", "21"], lock_steps=5)
-    bound = heater_error_bound(unit.params.powers)
-    rng = random.Random("heater-multi")
-    trace = run_resource_loop(unit, uniform_request(denominator=256), horizon, rng)
-    metrics = compute_metrics(trace, bound * bound)
+    bound, metrics = _heater_bound([1, 2, 3], ["20", "41/2", "21"], "heater-multi", lock_steps=5)
     return CheckResult(
-        expected=f"max |e_n| <= 3/2 over {horizon} random-request steps",
+        expected=f"max |e_n| <= 3/2 over {_HEATER_STEPS} random-request steps",
         got=f"bound={bound}, max |e_n|^2 = {metrics.max_error_norm2}",
         passed=bound == Fraction(3, 2) and metrics.bound_satisfied,
     )
@@ -333,7 +331,8 @@ def bounded_voronoi_polygon(sites: PointSet, center: Point2) -> ConvexPolygon:
     """The Voronoi cell of an interior site: a large box cut by every bisector.
 
     A bisector that bounds no facet of the cell does not change the
-    intersection, so none is filtered out.
+    intersection, so none is filtered out.  The cell holds its site, so
+    the intersection is never empty.
     """
     big = convex_hull(Point2(sx * 10**6, sy * 10**6) for sx in (-1, 1) for sy in (-1, 1))
     bisectors = (

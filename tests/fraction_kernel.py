@@ -18,7 +18,8 @@ helpers the tests measure with (`dist2`, `slack`, `diameter_sq`,
 `polygon_intersection`, `edges`, `interval_contains`).  Of the package it
 uses only value types, with their Fraction coordinates and arithmetic,
 and exceptions and constants; it builds its polygons with the validating
-`ConvexPolygon` constructor.
+`ConvexPolygon` constructor.  An empty intersection is None, as the
+package's `clip_all` returns it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from errdiff.geometry import EMPTY_POLYGON, ORIGIN, ConvexPolygon, HalfPlane, Point2, PointSet
+from errdiff.geometry import ORIGIN, ConvexPolygon, HalfPlane, Point2, PointSet
 from errdiff.dynamics import ControllerTrace, InfeasibleRequestError, StepRecord
 from errdiff.intervals import IntervalUnion
 from errdiff.operators import Collection
@@ -83,8 +84,8 @@ def diameter_sq(polygon: ConvexPolygon) -> Fraction:
     return max((dist2(a, b) for a, b in pairs), default=Fraction(0))
 
 
-def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """p clipped by every half-plane of the non-empty q."""
+def polygon_intersection(p: ConvexPolygon, q: ConvexPolygon) -> Optional[ConvexPolygon]:
+    """p clipped by every half-plane of q; None when they do not meet."""
     return clip_all(p, half_planes(q))
 
 
@@ -101,10 +102,7 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
     for p in pts:
         if not deduped or p != deduped[-1]:
             deduped.append(p)
-    n = len(deduped)
-    if n == 0:
-        return EMPTY_POLYGON
-    if n == 1:
+    if len(deduped) == 1:
         return ConvexPolygon((deduped[0],))
     lower: list[Point2] = []
     for p in deduped:
@@ -131,8 +129,6 @@ def canonical_from_ccw(points: Sequence[Point2]) -> ConvexPolygon:
             pts.append(p)
     while len(pts) > 1 and pts[-1] == pts[0]:
         pts.pop()
-    if not pts:
-        return EMPTY_POLYGON
     if len(pts) <= 2:
         return segment(pts[0], pts[-1])
     while True:
@@ -178,8 +174,6 @@ def _angle_cmp(u: Point2, v: Point2) -> int:
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Edge-merge Minkowski sum, re-canonicalised from its boundary list."""
-    if p.is_empty or q.is_empty:
-        raise ValueError("Minkowski sum requires non-empty polygons")
     if len(p.vertices) == 1:
         return translate(q, p.vertices[0])
     if len(q.vertices) == 1:
@@ -214,8 +208,9 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     return canonical_from_ccw(out)
 
 
-def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
-    """Boundary-list clip with Fraction crossings, rotated to the smallest vertex.
+def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> Optional[ConvexPolygon]:
+    """Boundary-list clip with Fraction crossings, rotated to the smallest
+    vertex; None when nothing is left.
 
     Vertices with non-negative slack are kept in order and each edge whose
     endpoints have strictly opposite signs adds its crossing point; a
@@ -223,24 +218,22 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
     """
     verts = polygon.vertices
     n = len(verts)
-    if n == 0:
-        return EMPTY_POLYGON
     slacks = [slack(half_plane, v) for v in verts]
     if n == 1:
-        return polygon if slacks[0] >= 0 else EMPTY_POLYGON
+        return polygon if slacks[0] >= 0 else None
     if n == 2:
         su, sv = slacks
         if su >= 0 and sv >= 0:
             return polygon
         if su < 0 and sv < 0:
-            return EMPTY_POLYGON
+            return None
         u, v = verts
         w = u + (v - u) * (su / (su - sv))
         return segment(u if su >= 0 else v, w)
     if all(s >= 0 for s in slacks):
         return polygon
     if all(s < 0 for s in slacks):
-        return EMPTY_POLYGON
+        return None
     out: list[Point2] = []
     for i in range(n):
         j = (i + 1) % n
@@ -253,10 +246,10 @@ def clip(polygon: ConvexPolygon, half_plane: HalfPlane) -> ConvexPolygon:
     return ConvexPolygon(tuple(out[k:] + out[:k]))
 
 
-def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> ConvexPolygon:
+def clip_all(polygon: ConvexPolygon, planes: Iterable[HalfPlane]) -> Optional[ConvexPolygon]:
     for plane in planes:
         polygon = clip(polygon, plane)
-        if polygon.is_empty:
+        if polygon is None:
             break
     return polygon
 
@@ -265,8 +258,6 @@ def contains_point(polygon: ConvexPolygon, p: Point2) -> bool:
     """Membership by the Fraction orientation of p against every edge."""
     verts = polygon.vertices
     n = len(verts)
-    if n == 0:
-        return False
     if n == 1:
         return verts[0] == p
     if n == 2:
@@ -331,7 +322,7 @@ def cell_pieces(feasible, region: ConvexPolygon) -> list[ConvexPolygon]:
     """The pieces (region ∩ cell(c)) - c of `errdiff.operators.cell_pieces`."""
     if isinstance(feasible, PointSet):
         pieces = [(clip_all(region, bisectors(feasible, c)), c) for c in feasible.points]
-        return [translate(piece, -c) for piece, c in pieces if not piece.is_empty]
+        return [translate(piece, -c) for piece, c in pieces if piece is not None]
     verts = feasible.vertices
     if len(verts) == 1:
         return [translate(region, -verts[0])]
@@ -355,9 +346,9 @@ def cell_pieces(feasible, region: ConvexPolygon) -> list[ConvexPolygon]:
             swept = minkowski_sum(region, segment(-verts[i], -verts[(i + 1) % n]))
             ray = [HalfPlane(-nrm.y, nrm.x, 0), HalfPlane(nrm.y, -nrm.x, 0), HalfPlane(-nrm.x, -nrm.y, 0)]
             pieces.append(clip_all(swept, ray))
-    if not clip_all(feasible, half_planes(region)).is_empty:
+    if clip_all(feasible, half_planes(region)) is not None:
         pieces.append(ConvexPolygon((ORIGIN,)))
-    return [p for p in pieces if not p.is_empty]
+    return [p for p in pieces if p is not None]
 
 
 def apply_collection(collection: Collection, region: ConvexPolygon) -> ConvexPolygon:
@@ -391,8 +382,6 @@ def digest(poly: ConvexPolygon) -> str:
 
 def project_convex_polygon(polygon: ConvexPolygon, z: Point2) -> Point2:
     """Closest point: z itself inside, else the best vertex or edge foot by (dist^2, point)."""
-    if polygon.is_empty:
-        raise ValueError("cannot project onto an empty polygon")
     if contains_point(polygon, z):
         return z
     if len(polygon.vertices) == 1:
@@ -432,8 +421,6 @@ def uniform_request(denominator: int = 1024):
 
     def policy(advertised: ConvexPolygon, error: Point2, rng) -> Point2:
         verts = advertised.vertices
-        if not verts:
-            raise ValueError("cannot sample from an empty advertisement")
         if len(verts) == 1:
             return verts[0]
         if len(verts) == 2:
@@ -456,8 +443,6 @@ def uniform_request(denominator: int = 1024):
 
 def central_step(policy, advertised: ConvexPolygon, x_prev: Point2) -> Point2:
     """One projected gradient step, snapped by rounding the Fraction ratio to the grid."""
-    if advertised.is_empty:
-        raise ValueError("advertisement must be non-empty")
     target = x_prev - policy.cost.gradient(x_prev) * policy.step_size
     res = REQUEST_RESOLUTION
     snapped = Point2(round(target.x / res) * res, round(target.y / res) * res)

@@ -278,10 +278,11 @@ class TestMalformedInput:
                 {"sets": [{"points": [["0", "0"]], "polygon": [["1", "0"]]}]},
                 "feasible set needs exactly one of 'points' and 'polygon'",
             ),
+            ({"sets": [{"polygon": []}]}, "a convex polygon needs at least one vertex"),
         ],
         ids=[
             "document-not-object", "sets-string", "sets-object", "member-not-object",
-            "points-number", "polygon-object", "points-and-polygon",
+            "points-number", "polygon-object", "points-and-polygon", "polygon-empty",
         ],
     )
     def test_collection_shape(self, doc, message, tmp_path, capsys):

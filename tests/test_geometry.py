@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from errdiff.geometry import (
-    EMPTY_POLYGON,
     ConvexPolygon,
     HalfPlane,
     Point2,
@@ -70,7 +69,8 @@ def brute_hull(pts):
 
 
 def boundary_list_clip(polygon, plane):
-    """Oracle: clip's boundary list for any input, always re-canonicalised.
+    """Oracle: clip's boundary list for any input, always re-canonicalised;
+    None when it is empty.
 
     Vertices with non-negative slack are kept in order and each edge whose
     endpoints have strictly opposite signs adds its crossing point.
@@ -85,7 +85,7 @@ def boundary_list_clip(polygon, plane):
             out.append(u)
         if su * sv < 0:
             out.append(u + (v - u) * (su / (su - sv)))
-    return canonical_from_ccw(out)
+    return canonical_from_ccw(out) if out else None
 
 
 @st.composite
@@ -218,9 +218,15 @@ class TestCanonicalForm:
             ConvexPolygon(star)
 
     def test_degenerate_forms(self):
-        assert EMPTY_POLYGON.is_empty
         assert len(ConvexPolygon((pt(1, 2),)).vertices) == 1
         assert segment(pt(1, 0), pt(0, 0)).vertices == (pt(0, 0), pt(1, 0))
+
+    @pytest.mark.parametrize("build", [ConvexPolygon, convex_hull])
+    @pytest.mark.parametrize("empty", [(), [], iter(())], ids=["tuple", "list", "iterator"])
+    def test_empty_vertex_list_refused(self, build, empty):
+        """There is no empty polygon: both ways of building one refuse it."""
+        with pytest.raises(ValueError, match="^a convex polygon needs at least one vertex$"):
+            build(empty)
 
 
 class TestMinkowski:
@@ -234,8 +240,9 @@ class TestMinkowski:
         assert minkowski_sum(horizontal, vertical) == unit_square
 
     def test_empty_rejected(self, unit_square):
-        with pytest.raises(ValueError):
-            minkowski_sum(unit_square, EMPTY_POLYGON)
+        """An empty operand is refused where it is built, before the sum runs."""
+        with pytest.raises(ValueError, match="needs at least one vertex"):
+            minkowski_sum(unit_square, convex_hull([]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(points, min_size=1, max_size=6), st.lists(points, min_size=1, max_size=6))
@@ -275,7 +282,7 @@ class TestMinkowski:
 
         def in_sum(z, right):
             shifted = convex_hull(z - v for v in a.vertices)
-            return not polygon_intersection(shifted, right).is_empty
+            return polygon_intersection(shifted, right) is not None
 
         half = Fraction(1, 2)
         probes = list(ab.vertices) + list(ac.vertices)
@@ -296,7 +303,7 @@ class TestClip:
         assert clip(unit_square, HalfPlane(1, 0, 2)) == unit_square
 
     def test_infeasible(self, unit_square):
-        assert clip(unit_square, HalfPlane(1, 0, -1)).is_empty
+        assert clip(unit_square, HalfPlane(1, 0, -1)) is None
 
     def test_half_square_exact(self, unit_square):
         got = clip(unit_square, HalfPlane(1, 0, Fraction(1, 2)))
@@ -318,7 +325,7 @@ class TestClip:
         for _ in range(25):
             probe = pt(Fraction(rng.randint(-16, 16), 2), Fraction(rng.randint(-16, 16), 2))
             expected = region.contains_point(probe) and slack(plane, probe) >= 0
-            assert clipped.contains_point(probe) == expected
+            assert (clipped is not None and clipped.contains_point(probe)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(clip_cases())
@@ -337,7 +344,7 @@ class TestClip:
     @given(st.lists(points, min_size=1, max_size=7), half_planes)
     def test_clip_output_is_canonical_hull_of_itself(self, pts, plane):
         clipped = clip(convex_hull(pts), plane)
-        assert clipped == convex_hull(clipped.vertices)
+        assert clipped is None or clipped == convex_hull(clipped.vertices)
 
 
 class TestVoronoi:
@@ -390,7 +397,7 @@ class TestClipToCell:
     def test_disjoint_region_empty(self):
         sites = PointSet((pt(0, 0), pt(10, 0)))
         far = poly((8, 0), (9, 0), (9, 1))
-        assert clip_all(far, bisectors(sites, pt(0, 0))).is_empty
+        assert clip_all(far, bisectors(sites, pt(0, 0))) is None
 
     def test_cell_pieces_cover_region(self, grid8):
         region = poly((-2, -2), (6, -2), (6, 2), (-2, 2))
@@ -399,7 +406,7 @@ class TestClipToCell:
         for _ in range(60):
             probe = pt(Fraction(rng.randint(-8, 24), 4), Fraction(rng.randint(-8, 8), 4))
             if region.contains_point(probe):
-                assert any(p.contains_point(probe) for p in pieces if not p.is_empty)
+                assert any(p.contains_point(probe) for p in pieces if p is not None)
 
 
 class TestProjection:
@@ -542,7 +549,7 @@ class TestPolygonIntersection:
 
     def test_disjoint(self, unit_square):
         far = unit_square.translate(pt(5, 5))
-        assert polygon_intersection(unit_square, far).is_empty
+        assert polygon_intersection(unit_square, far) is None
 
     def test_degenerate_operands(self, unit_square):
         inside_point = ConvexPolygon((pt("1/2", "1/2"),))

@@ -27,6 +27,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -502,14 +503,15 @@ class TestFloatKeyedHull:
         assert exact.call_count == 0
 
 
-def _canonical(raw) -> ConvexPolygon:
+def _canonical(raw) -> Optional[ConvexPolygon]:
     """A raw CCW boundary list rotated to its smallest vertex, through the
-    validating constructor: strict left turns and no repeated point."""
+    validating constructor: strict left turns and no repeated point.  An
+    empty list is None, as `clip_all` returns it."""
+    if not raw:
+        return None
     pts = [Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in raw]
-    if pts:
-        k = pts.index(min(pts))
-        pts = pts[k:] + pts[:k]
-    return ConvexPolygon(pts)
+    k = pts.index(min(pts))
+    return ConvexPolygon(pts[k:] + pts[:k])
 
 
 PENTAGON = convex_hull([pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5), pt(-1, 3)])
@@ -604,9 +606,12 @@ class TestClip:
     @settings(max_examples=50, deadline=None)
     @given(point_lists(), st.lists(cut_cases(), min_size=1, max_size=4))
     def test_clip_all_equals_oracle(self, pts, cases):
+        """Equal to the oracle, and None exactly when the oracle's intersection is empty."""
         region = convex_hull(pts)
         planes = [plane for _, plane in cases]
-        assert clip_all(region, planes) == oracle.clip_all(region, planes)
+        got, want = clip_all(region, planes), oracle.clip_all(region, planes)
+        assert (got is None) == (want is None)
+        assert got == want
 
     def test_uncut_polygon_is_returned_as_is(self):
         assert clip_all(SQUARE, [HalfPlane(1, 0, 1), HalfPlane(0, 1, 5)]) is SQUARE
@@ -699,20 +704,24 @@ class TestHolds:
     @example([pt(2, 1), pt(0, 0), pt(0, 3)], [pt(-2, -1), pt(1, 1)], lambda p: p)
     @example(SQUARE4, [pt(2, 2), pt(4, 5)], lambda p: p)
     def test_equals_oracle(self, pts, probes, f):
-        """`geometry._holds` on the empty region and on the point, the
-        segment and the polygon that the first one, the first two and all
-        of pts span.  The probes are the region's vertices (a segment's
+        """`geometry._holds` on the point, the segment and the polygon that
+        the first one, the first two and all of pts span.  The probes are the region's vertices (a segment's
         ends), edge midpoints, points on its edge lines beyond the ends,
         which for a segment lie on its line but outside it, and free points."""
         half = Fraction(1, 2)
         hulls = {convex_hull(map(f, pts[:k])) for k in (1, 2, len(pts))}
-        for region in (geometry.EMPTY_POLYGON, *hulls):
+        for region in hulls:
             candidates = list(region.vertices) + [f(p) for p in probes]
             for u, v in oracle.edges(region):
                 candidates += [(u + v) * half, u * 2 - v, v * 2 - u]
             for z in candidates:
                 assert geometry._holds(region, z._t) == oracle.contains_point(region, z)
                 assert region.contains_point(z) == oracle.contains_point(region, z)
+
+    def test_no_empty_region_reaches_it(self):
+        """An empty region is refused where it is built, so `_holds` never sees one."""
+        with pytest.raises(ValueError, match="needs at least one vertex"):
+            geometry._holds(convex_hull([]), (0, 0, 1))
 
 
 @st.composite
@@ -793,15 +802,15 @@ class TestOnePointMember:
 
     @pytest.mark.parametrize("member", [PointSet((pt(3, -2),)), ConvexPolygon((pt(3, -2),))])
     def test_errors_are_unchanged(self, member):
-        empty = ConvexPolygon(())
+        """An empty region is refused where it is built, before any operator
+        runs; a bogus mode is refused by the collection."""
         for mode in MODES:
-            with pytest.raises(ValueError, match="region must be non-empty"):
-                apply_member(member, empty, mode)
-            with pytest.raises(ValueError, match="region must be non-empty"):
-                apply_collection(Collection((member, RING), mode), empty)
-        for region in (empty, SQUARE):
-            with pytest.raises(ValueError, match="mode must be one of"):
-                apply_member(member, region, "bogus")
+            with pytest.raises(ValueError, match="needs at least one vertex"):
+                apply_member(member, ConvexPolygon(()), mode)
+            with pytest.raises(ValueError, match="needs at least one vertex"):
+                apply_collection(Collection((member, RING), mode), convex_hull([]))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            apply_member(member, SQUARE, "bogus")
 
     def test_builds_no_sum_and_no_piece(self):
         members = (PointSet((pt(3, -2),)), ConvexPolygon((pt(3, -2),)))
@@ -959,7 +968,7 @@ class TestCellPieces:
         sites = member.points
         for c, d in itertools.combinations(range(n), 2):
             both = oracle.bisectors(member, sites[c]) + oracle.bisectors(member, sites[d])
-            if not oracle.clip_all(box, both).is_empty:
+            if oracle.clip_all(box, both) is not None:
                 assert (c, d) in pairs
 
     @settings(max_examples=40, deadline=None)
@@ -1056,7 +1065,8 @@ class TestProjection:
                 assert got is verts[verts.index(got)]  # a vertex is the polygon's own
 
     def test_empty_polygon_rejected(self):
-        with pytest.raises(ValueError):
+        """An empty polygon is refused where it is built, before the projection runs."""
+        with pytest.raises(ValueError, match="needs at least one vertex"):
             project_convex_polygon(ConvexPolygon(()), pt(0, 0))
 
 
