@@ -8,6 +8,7 @@ energy error grows without bound; with it, the heater duty-cycles and the
 error stays inside [-P/2, P/2] forever.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from errdiff.geometry import Point2
@@ -37,8 +38,7 @@ spec = HeaterSpec(
 scenario = Scenario(horizon=2000, resources=[spec], seed=11)
 
 for diffusion in (False, True):
-    spec.diffusion = diffusion
-    result = run_scenario(scenario)
+    result = run_scenario(replace(scenario, resources=[replace(spec, diffusion=diffusion)]))
     m = result.report.resources["heater"]
     mode = "with diffusion" if diffusion else "no diffusion "
     print(

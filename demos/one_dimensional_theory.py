@@ -22,9 +22,9 @@ region = IntervalUnion.singleton(0)
 for k in range(4):
     pieces = [f"[{a}, {b}]" for a, b in region.intervals]
     print(f"  iterate {k}: {' u '.join(pieces)}")
-    grown = IntervalUnion.EMPTY
-    for values in collection:
-        grown = grown.union(apply_g_interval(values, region))
+    grown = IntervalUnion(
+        tuple(iv for values in collection for iv in apply_g_interval(values, region).intervals)
+    )
     if grown == region:
         break
     region = grown

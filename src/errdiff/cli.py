@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from dataclasses import replace
 
 from . import simulate, verify
 from .geometry import ConvexPolygon
@@ -140,18 +141,20 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
 
 
 def _run_scenario_from_args(args: argparse.Namespace):
+    """Run the scenario file as the options change it: the loaded scenario
+    is frozen, so ``--seed`` and ``--no-diffusion`` build a variant."""
     with _reporting(f"--scenario {args.scenario}"):
         scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario.seed = args.seed
     with _reporting("--no-diffusion"):
         unknown = set(args.no_diffusion) - {r.resource_id for r in scenario.resources}
         if unknown:
             raise ValueError(f"unknown resources: {', '.join(sorted(unknown))}")
-    for spec in scenario.resources:
-        if spec.resource_id in args.no_diffusion:
-            spec.diffusion = False
-    return simulate.run_scenario(scenario)
+    specs = tuple(
+        replace(spec, diffusion=False) if spec.resource_id in args.no_diffusion else spec
+        for spec in scenario.resources
+    )
+    seed = scenario.seed if args.seed is None else args.seed
+    return simulate.run_scenario(replace(scenario, seed=seed, resources=specs))
 
 
 # OverflowError comes where a float column, norm or metric is made, before any output line.

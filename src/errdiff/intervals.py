@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable
+from typing import Iterable
 
 from .geometry import RationalLike, as_fraction
 
@@ -26,8 +26,8 @@ class IntervalUnion:
 
     The constructor normalizes: intervals are coerced to Fractions, sorted,
     and overlapping or touching intervals are merged, so structural equality
-    coincides with set equality.  The empty union is allowed (it shows up as
-    an intermediate value when clipping).
+    coincides with set equality.  A union is never empty: the constructor
+    refuses one with no interval.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -47,6 +47,8 @@ class IntervalUnion:
                 merged[-1] = (prev_lo, max(prev_hi, hi))
             else:
                 merged.append((lo, hi))
+        if not merged:
+            raise ValueError("an interval union needs at least one interval")
         object.__setattr__(self, "intervals", tuple(merged))
 
     @classmethod
@@ -58,22 +60,11 @@ class IntervalUnion:
     def closed(cls, lo: RationalLike, hi: RationalLike) -> "IntervalUnion":
         return cls(((as_fraction(lo), as_fraction(hi)),))
 
-    EMPTY: ClassVar["IntervalUnion"]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.intervals + other.intervals)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        if self.is_empty:
-            raise ValueError("empty interval union has no bounds")
         return self.intervals[0][0], self.intervals[-1][1]
-
-
-IntervalUnion.EMPTY = IntervalUnion(())
 
 
 def _scalar_values(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -97,11 +88,10 @@ def apply_g_interval(values: Iterable[RationalLike], region: IntervalUnion) -> I
 
     Each interval of the region is fattened by the hull [min S, max S] of
     the set, cut to each site's midpoint cell and recentred on the site;
-    the pieces are normalised once, into their union.
+    the pieces are normalised once, into their union.  The cells tile the
+    line, so the image of a union is never empty.
     """
     vals = _scalar_values(values)
-    if region.is_empty:
-        raise ValueError("region must be non-empty")
     fattened = [(a + vals[0], b + vals[-1]) for a, b in region.intervals]
     pieces = []
     for i, c in enumerate(vals):
@@ -133,9 +123,9 @@ def iterate_1d(
         raise ValueError("collection must contain at least one set")
     current = seed
     for _ in range(max_iterations):
-        grown = IntervalUnion.EMPTY
-        for vals in members:
-            grown = grown.union(apply_g_interval(vals, current))
+        grown = IntervalUnion(
+            tuple(iv for vals in members for iv in apply_g_interval(vals, current).intervals)
+        )
         if grown == current:
             return current
         current = grown

@@ -19,10 +19,10 @@ format each distinct record's row after its index once (``_step_rows``);
 ``_csv`` joins a file's lines in the csv module's excel dialect.  Running
 averages are summed as triples.  A closed-loop writer formats the text of
 every file before ``_write_files`` makes the output directory and writes
-them, so a value that cannot be written (a float beyond range, a resource
-id changed since its scenario checked it) leaves no directory and no file
-behind.  Readers pass on only the optional keys a document gives
-(``_given``), so no default is restated.
+them, so a float beyond range leaves no directory and no file behind.
+Each resource id names its files, as its ``Scenario`` checked it.  Readers
+pass on only the optional keys a document gives (``_given``), so no
+default is restated.
 """
 
 from __future__ import annotations
@@ -247,15 +247,9 @@ def _trace_csv(trace: ControllerTrace) -> str:
     )
 
 
-def _resource_csv(rid: str, name: str) -> str:
-    """``<rid>_<name>.csv``; the id is checked again here, since a spec may
-    have changed since its scenario checked it."""
-    return f"{simulate.checked_resource_id(rid)}_{name}.csv"
-
-
 def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
     """Write one ``<id>_trace.csv`` per resource and the ``metrics.json`` summary."""
-    files = {_resource_csv(rid, "trace"): _trace_csv(trace) for rid, trace in result.traces.items()}
+    files = {f"{rid}_trace.csv": _trace_csv(trace) for rid, trace in result.traces.items()}
     summary = _scenario_header(result)
     summary["resources"] = {
         rid: metrics_to_json(metrics) for rid, metrics in result.report.resources.items()
@@ -324,7 +318,7 @@ def emit_plot_data(result: ScenarioResult, out_dir: PathLike) -> list[Path]:
             ),
         )
         for name, description, header, rows in series:
-            file_name = _resource_csv(rid, name)
+            file_name = f"{rid}_{name}.csv"
             texts[file_name] = _csv(header, rows)
             files.append({"path": file_name, "resource": rid, "series": description})
         if records:

@@ -23,11 +23,17 @@ the central step of each (advertisement, previous request) pair, and a
 random availability wave, built with its scenario, builds each grid level
 when it is first drawn.  The loop's step table, described in ``dynamics``,
 appends one shared ``StepRecord`` for all equal steps, so
-``compute_metrics`` counts each distinct record once.  No table is
-process-wide.
+``compute_metrics`` counts each distinct record once.  The loop's and
+the request source's tables belong to one run and a wave's to its
+scenario; the bounded caches of ``resources``, ``geometry``, ``operators``
+and ``serialize`` are process-wide.
 
-This module holds the resource units, the central policy, scenarios and
-metrics; ``serialize`` writes them out.
+A scenario and its specs are frozen values that hold every fixed fact
+about their resources, error bounds included; a variant is built with
+``dataclasses.replace``, so a result always describes the run it came
+from.  A resource unit, built from its spec for one run, holds that
+run's state.  This module holds the units, the central policy, scenarios
+and metrics; ``serialize`` writes them out.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from operator import mul, ne, sub
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .dynamics import ControllerTrace, SetSource, run_resource_loop
+from .dynamics import ControllerTrace, run_resource_loop
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
@@ -175,13 +181,6 @@ class GradientRequests:
 # ---------------------------------------------------------------------------
 
 
-class ResourceUnit(SetSource, Protocol):
-    resource_id: str
-
-    def error_bound_sq(self) -> Optional[Fraction]:
-        ...
-
-
 class HeaterUnit:
     """Heater bank as a 1D resource embedded on the P axis (Q = 0)."""
 
@@ -206,10 +205,6 @@ class HeaterUnit:
         if y:
             raise ValueError("heater bank cannot implement reactive power")
         self.state = heater_step(self.params, self.state, x if w == 1 else Fraction(x, w))
-
-    def error_bound_sq(self) -> Optional[Fraction]:
-        bound = heater_error_bound(self.params.powers)
-        return bound * bound
 
 
 Availability = Callable[[int, random.Random], Fraction]
@@ -292,9 +287,6 @@ class PVUnit:
     def advance(self, implemented: Point2) -> None:
         self.step += 1
 
-    def error_bound_sq(self) -> Optional[Fraction]:
-        return pv_error_bound_sq(self.params)
-
 
 # ---------------------------------------------------------------------------
 # Scenario plumbing
@@ -306,7 +298,7 @@ def _check_prediction(spec: "ResourceSpec") -> None:
         raise ValueError(f"resource {spec.resource_id!r}: prediction must be one of {MODES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeaterSpec:
     resource_id: str
     params: HeaterParams
@@ -320,11 +312,15 @@ class HeaterSpec:
         if len(self.initial.temps) != self.params.rooms:
             raise ValueError(f"heater {self.resource_id!r} needs one initial state per room")
 
-    def build(self, rng: random.Random) -> ResourceUnit:
+    def build(self, rng: random.Random) -> HeaterUnit:
         return HeaterUnit(self.resource_id, self.params, self.initial, self.prediction)
 
+    def error_bound_sq(self) -> Fraction:
+        bound = heater_error_bound(self.params.powers)
+        return bound * bound
 
-@dataclass
+
+@dataclass(frozen=True)
 class PVSpec:
     resource_id: str
     params: PVParams
@@ -336,8 +332,11 @@ class PVSpec:
     def __post_init__(self) -> None:
         _check_prediction(self)
 
-    def build(self, rng: random.Random) -> ResourceUnit:
+    def build(self, rng: random.Random) -> PVUnit:
         return PVUnit(self.resource_id, self.params, self.availability, self.prediction, rng)
+
+    def error_bound_sq(self) -> Fraction:
+        return pv_error_bound_sq(self.params)
 
 
 ResourceSpec = Union[HeaterSpec, PVSpec]
@@ -351,21 +350,21 @@ def checked_resource_id(rid: str) -> str:
     return rid
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A fully deterministic closed-loop experiment.
 
-    Each resource id names the resource's output files, so it must pass
-    ``checked_resource_id``; ``serialize`` checks it again when it builds
-    each file name, because the specs stay mutable.
+    The resources are kept as a tuple.  Each resource id names the
+    resource's output files, so it must pass ``checked_resource_id``.
     """
 
     horizon: int
-    resources: list[ResourceSpec]
+    resources: tuple[ResourceSpec, ...]
     seed: int = 0
     step_ms: int = 100
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "resources", tuple(self.resources))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         ids = [checked_resource_id(r.resource_id) for r in self.resources]
@@ -522,5 +521,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         requests = GradientRequests(spec.policy)
         trace = run_resource_loop(unit, requests, scenario.horizon, rng, diffusion=spec.diffusion)
         traces[spec.resource_id] = trace
-        report.resources[spec.resource_id] = compute_metrics(trace, unit.error_bound_sq())
+        report.resources[spec.resource_id] = compute_metrics(trace, spec.error_bound_sq())
     return ScenarioResult(scenario=scenario, traces=traces, report=report)

@@ -31,9 +31,10 @@ class TestNormalization:
         with pytest.raises(ValueError):
             iu((2, 1))
 
-    def test_empty_allowed(self):
-        assert IntervalUnion.EMPTY.is_empty
-        assert not iu((0, 0)).is_empty
+    def test_empty_refused(self):
+        with pytest.raises(ValueError, match="at least one interval"):
+            IntervalUnion(())
+        assert iu((0, 0)).intervals == ((Fraction(0), Fraction(0)),)
 
 
 class TestOperations:
@@ -48,8 +49,7 @@ class TestOperations:
 
     def test_bounds(self):
         assert iu((0, 1), (4, 9)).bounds() == (Fraction(0), Fraction(9))
-        with pytest.raises(ValueError):
-            IntervalUnion.EMPTY.bounds()
+        assert iu((2, 2)).bounds() == (Fraction(2), Fraction(2))
 
 
 def in_image(values, region, t) -> bool:
@@ -107,8 +107,6 @@ class TestApplyG:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             apply_g_interval([], iu((0, 0)))
-        with pytest.raises(ValueError):
-            apply_g_interval([0], IntervalUnion.EMPTY)
 
 
 def test_shares_no_kernel_code():

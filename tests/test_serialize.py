@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -310,14 +311,15 @@ class TestScenarioFiles:
              "policy": {**pv["policy"], "step_size": "1/2"}},
         ]}
         got, want = parse_scenario(minimal), parse_scenario(explicit)
-        draws = []
+        draws, waveless = [], []
         for scenario in (got, want):
-            wave = scenario.resources[1].availability
+            heater_spec, pv_spec = scenario.resources
             rng = random.Random(5)
-            draws.append([wave(n, rng) for n in range(200)])
-            scenario.resources[1].availability = None
+            draws.append([pv_spec.availability(n, rng) for n in range(200)])
+            pv_spec = dataclasses.replace(pv_spec, availability=None)
+            waveless.append(dataclasses.replace(scenario, resources=[heater_spec, pv_spec]))
         assert draws[0] == draws[1]
-        assert got == want
+        assert waveless[0] == waveless[1]
         sets = [{"points": [["0", "0"], ["1", "0"]]}]
         assert parse_collection({"sets": sets}) == parse_collection({"mode": "perfect", "sets": sets})
 

@@ -171,8 +171,8 @@ class TestRunScenario:
     def test_diffusion_override_flags(self):
         """The spec's field is the one switch, and the result reads it back."""
         scenario = heater_scenario()
-        scenario.resources[0].diffusion = False
-        result = run_scenario(scenario)
+        off = dataclasses.replace(scenario.resources[0], diffusion=False)
+        result = run_scenario(dataclasses.replace(scenario, resources=[off]))
         assert result.diffusion == {"heater": False}
         built_off = run_scenario(heater_scenario(diffusion=False))
         assert result.traces["heater"].errors() == built_off.traces["heater"].errors()
@@ -181,8 +181,8 @@ class TestRunScenario:
     def test_duty_cycle_respects_lock_windows(self):
         lock_steps = 10
         scenario = heater_scenario(horizon=800)
-        scenario.resources[0].params = heater_params(lock_steps=lock_steps)
-        result = run_scenario(scenario)
+        spec = dataclasses.replace(scenario.resources[0], params=heater_params(lock_steps=lock_steps))
+        result = run_scenario(dataclasses.replace(scenario, resources=[spec]))
         ys = [r.implemented.x for r in result.traces["heater"].records]
         switches = [i for i in range(1, len(ys)) if ys[i] != ys[i - 1]]
         assert len(switches) >= 10  # it genuinely duty-cycles
@@ -213,7 +213,7 @@ class TestRunScenario:
 
     def test_multi_resource_scenario_runs_in_order(self):
         sc = heater_scenario()
-        sc.resources.append(pv_scenario().resources[0])
+        sc = dataclasses.replace(sc, resources=[*sc.resources, pv_scenario().resources[0]])
         result = run_scenario(sc)
         assert set(result.traces) == {"heater", "pv"}
         assert set(result.report.resources) == {"heater", "pv"}
@@ -334,17 +334,43 @@ class TestUnits:
         with pytest.raises(ValueError, match="resource id"):
             Scenario(horizon=5, resources=[spec])
 
-    @pytest.mark.parametrize("write", [write_simulation, emit_plot_data])
-    def test_resource_id_changed_after_construction_is_refused_by_the_writers(
-        self, write, tmp_path
-    ):
-        """A library caller may change a spec's id once its scenario has checked
-        it; the writers check it again before they name a file after it, and
-        they name every file before they make the output directory."""
+
+class TestFrozenInputs:
+    """A scenario and its specs are values: a variant is a new value, built
+    with ``dataclasses.replace``, and a result keeps describing its own run."""
+
+    def test_every_field_refuses_assignment(self):
         scenario = heater_scenario()
-        scenario.resources[0].resource_id = "../escaped"
+        for value in (scenario, scenario.resources[0], pv_scenario().resources[0]):
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+        assert type(scenario.resources) is tuple
+
+    def test_a_variant_leaves_an_earlier_result_as_it_ran(self, tmp_path):
+        """A result's files describe its own run: the scenario it holds cannot
+        be changed in place, and a variant built after the run is a new value."""
+        scenario = heater_scenario(horizon=50, diffusion=False, seed=11)
         result = run_scenario(scenario)
-        out = tmp_path / "sub" / "out"
-        with pytest.raises(ValueError, match="resource id '../escaped'"):
-            write(result, out)
-        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.resources[0].diffusion = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.seed = 99
+        on = dataclasses.replace(scenario.resources[0], diffusion=True)
+        variant = run_scenario(dataclasses.replace(scenario, seed=99, resources=[on]))
+        assert variant.diffusion == {"heater": True} and variant.scenario.seed == 99
+        write_simulation(result, tmp_path / "sim")
+        emit_plot_data(result, tmp_path / "plot")
+        metrics = json.loads((tmp_path / "sim" / "metrics.json").read_text())
+        manifest = json.loads((tmp_path / "plot" / "manifest.json").read_text())
+        for header in (metrics, manifest["scenario"]):
+            assert header["seed"] == 11
+            assert header["diffusion"] == {"heater": False}
+
+    def test_the_specs_hold_the_bounds(self):
+        heater, pv = heater_scenario().resources[0], pv_scenario().resources[0]
+        assert heater.error_bound_sq() == 7500**2
+        assert pv.error_bound_sq() == pv_error_bound_sq(pv.params) == 4
+        result = run_scenario(Scenario(horizon=5, resources=[heater, pv]))
+        bounds = [m.error_bound_sq for m in result.report.resources.values()]
+        assert bounds == [7500**2, 4]
