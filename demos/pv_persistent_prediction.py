@@ -22,8 +22,8 @@ from errdiff.simulate import (
     MaximizeActivePower,
     PVSpec,
     Scenario,
+    SquareWave,
     run_scenario,
-    square_wave,
 )
 
 params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
@@ -45,7 +45,7 @@ for m in (1, 4, 16):
 spec = PVSpec(
     resource_id="pv",
     params=params,
-    availability=square_wave(6, Fraction(0), params.p_max),
+    availability=SquareWave(6, Fraction(0), params.p_max),
     policy=CentralPolicy(MaximizeActivePower(), Fraction(1, 4)),
 )
 result = run_scenario(Scenario(horizon=3000, resources=[spec], seed=7))

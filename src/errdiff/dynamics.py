@@ -39,7 +39,7 @@ sampler's test of its draws, is `geometry._holds`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Protocol, Sequence, Union
 
@@ -134,13 +134,18 @@ class StepRecord:
     error: Point2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerTrace:
     """The steps of one run, ``records[n]`` being step n; equal steps share one
-    record.  The error starts at the origin and ends at ``final_error``."""
+    record.  The error starts at the origin and ends at ``final_error``.
+    The trace is frozen and keeps its records as a tuple, so no step can be
+    added, dropped or replaced once the run has returned it."""
 
-    records: list[StepRecord] = field(default_factory=list)
+    records: tuple[StepRecord, ...] = ()
     final_error: Point2 = ORIGIN
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", tuple(self.records))
 
     def errors(self) -> list[Point2]:
         """Accumulated errors e[0..N], including the post-horizon value."""
@@ -270,8 +275,7 @@ def run_resource_loop(
     mode = source.prediction
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    trace = ControllerTrace()
-    records = trace.records
+    records: list[StepRecord] = []
     error = ORIGIN
     # step key -> (the step's record, the error it leaves)
     steps: dict[tuple, tuple[StepRecord, Point2]] = {}
@@ -308,8 +312,7 @@ def run_resource_loop(
         record, error = step
         records.append(record)
         source.advance(record.implemented)
-    trace.final_error = error
-    return trace
+    return ControllerTrace(records, error)
 
 
 Schedule = Union[Sequence[FeasibleSet], Callable[[int], FeasibleSet]]

@@ -16,12 +16,15 @@ exact point computation has one function here, which every module calls:
 or polygon), `_site_forms` the integer forms f_c by which a point set's
 nearest site is found, both by `project_point_set` and by the Voronoi
 cells of `operators`, and `_norm` the one float norm of a point triple.  Floats
-only order or screen: the hull sorts by correctly rounded float keys and
-re-sorts exactly when two neighbours may be out of order, so no answer
-depends on a float.  The hull splits the sorted points by the chord from
-the first to the last, so each point enters one of the two monotone
-chains.  The Minkowski sum merges both edge sequences from vertex 0, the
-smallest, so it emits a canonical polygon as it goes.
+never produce a coordinate; they only decide a sign where a proven error
+bound makes the decision exact.  The hull sorts by correctly rounded float
+keys and re-sorts exactly when two neighbours may be out of order, and it
+takes an orientation's sign from those keys only when the value clears
+the error bound derived in `_hull`, so no answer depends on a float.  The
+hull splits the sorted points by the chord from the first to the last, so
+each point enters one of the two monotone chains.  The Minkowski sum
+merges both edge sequences from vertex 0, the smallest, so it emits a
+canonical polygon as it goes.
 
 A polygon of two or more vertices has an edge table, built on first use
 and kept: for edge i, from vertex i to vertex i + 1, its integer direction
@@ -54,6 +57,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Triple = tuple[int, int, int]
+Keyed = tuple[float, float, Triple]  # a point's float key (X/W, Y/W) and its triple
 
 _NO_VERTEX = "a convex polygon needs at least one vertex"
 
@@ -485,11 +489,32 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
     their float y tie or their exact x are reversed.  One scan of adjacent
     keys looks for such a pair, and only one found sends the list to the
     exact sort by cross-multiplication; columns of small integer points
-    pass.  A key too large for a float takes the exact sort.  The chord
-    from the first sorted point to the last splits the rest: points right
-    of it can only be on the lower chain, points left of it only on the
-    upper one, and points on it on neither.  The chains themselves test
-    exact integer orientations.
+    pass.  Each point keeps its key through either sort.  The chord from
+    the first sorted point to the last splits the rest: points right of it
+    can only be on the lower chain, points left of it only on the upper
+    one, and points on it on neither.
+
+    The split and the chains' turns are orientation tests, D = (bx - ax)
+    (py - ay) - (by - ay)(px - ax) for points a, b, p.  Each is first
+    evaluated on the keys, as the float D~, and the sign of D~ is taken
+    when |D~| > tol = 2**-46 * B**2, B the largest |key| of the call; only
+    the others build the exact line `_line(a, b)` and take the sign of its
+    integer dot product with p.  The bound, with u = 2**-53: a correctly
+    rounded key is within u|x| + 2**-1075 of its coordinate x, so each of
+    the two float differences is within 4uB of its exact value (2uB from
+    the keys, 2uB from its own rounding of a value up to 2B), each product
+    of two differences up to 2B is within 2 * 2B * 4uB + 4uB**2 = 20uB**2,
+    and the final subtraction adds u * 8B**2: |D~ - D| <= 48uB**2 plus
+    terms of order u**2 * B**2 and 2**-1074 * B.  With 2**-400 <= B <=
+    2**400 no product overflows, and a rounding to a subnormal, or the
+    2**-1075 of a key, is below 2**-200 * uB**2, so 128uB**2 = tol leaves
+    more than twice the bound: |D~| > tol means D != 0 with the sign of D~.
+    This is the filtered predicate of Fortune and Van Wyk (1993) and
+    Shewchuk (1997).  For a B outside that range tol is infinite, and so is
+    it for keys beyond the float range, which are replaced by zeros (B =
+    0): then neither D~ > tol nor D~ < -tol holds, not even for a D~ that
+    overflowed to nan, so every test is exact.  The filter only decides
+    signs it has proven, so the hull is the one the exact tests give.
     """
     distinct = set(points)
     if len(distinct) <= 1:
@@ -497,51 +522,62 @@ def _hull(points: Iterable[Triple]) -> tuple[Triple, ...]:
     try:
         keyed = sorted([(x / w, y / w, (x, y, w)) for x, y, w in distinct])
     except OverflowError:
-        pts = sorted(distinct, key=_LEX_KEY)
+        keyed = [(0.0, 0.0, t) for t in sorted(distinct, key=_LEX_KEY)]
     else:
-        pts = [t for _, _, t in keyed]
         fx, fy, (x, _, w) = keyed[0]
         for gx, gy, t in keyed[1:]:
             if gx == fx and (gy == fy or t[0] * w < x * t[2]):
-                pts.sort(key=_LEX_KEY)
+                keyed.sort(key=lambda k: _LEX_KEY(k[2]))
                 break
             fx, fy, (x, _, w) = gx, gy, t
-    first, last = pts[0], pts[-1]
-    a, b, c = _line(first, last)
-    below: list[Triple] = []
-    above: list[Triple] = []
-    for p in pts[1:-1]:
-        x, y, w = p
-        side = a * x + b * y + c * w
+    first, last = keyed[0], keyed[-1]
+    big = max(abs(first[0]), abs(last[0]), max([abs(k[1]) for k in keyed]))
+    tol = 2.0**-46 * big * big if 2.0**-400 <= big <= 2.0**400 else math.inf
+    ax, ay, a = first
+    dx, dy = last[0] - ax, last[1] - ay
+    chord = None  # the exact line, built on the first undecided test
+    below: list[Keyed] = []
+    above: list[Keyed] = []
+    for p in keyed[1:-1]:
+        px, py, t = p
+        side = dx * (py - ay) - dy * (px - ax)
+        if not (side > tol or side < -tol):
+            if chord is None:
+                chord = _line(a, last[2])
+            la, lb, lc = chord
+            x, y, w = t
+            side = la * x + lb * y + lc * w
         if side < 0:
             below.append(p)
         elif side > 0:
             above.append(p)
-    lower = _chain([first, *below, last])
-    upper = _chain([last, *reversed(above), first])
-    return tuple(lower[:-1] + upper[:-1])
+    lower = _chain([first, *below, last], tol)
+    upper = _chain([last, *reversed(above), first], tol)
+    return tuple([t for _, _, t in lower[:-1] + upper[:-1]])
 
 
-def _chain(pts: Iterable[Triple]) -> list[Triple]:
-    """One monotone chain: the points kept so that every turn is strictly left.
+def _chain(pts: Iterable[Keyed], tol: float) -> list[Keyed]:
+    """One monotone chain: the keyed points kept so that every turn is strictly left.
 
-    The line through each kept edge, `_line` of its ends, is computed once,
-    when the edge is appended, so testing a point against it is one integer
-    dot product.
+    A turn is decided by the float orientation of its keys when that is
+    beyond ``tol`` (see `_hull`), else by the exact line of the last kept
+    edge, `_line` of its ends, dotted with the point.
     """
-    chain: list[Triple] = []
-    lines: list[Triple] = []  # lines[i] runs through chain[i] and chain[i + 1]
+    chain: list[Keyed] = []
     for p in pts:
-        x, y, w = p
-        while lines:
-            a, b, c = lines[-1]
-            if a * x + b * y + c * w > 0:
+        px, py, t = p
+        while len(chain) > 1:
+            ax, ay, a = chain[-2]
+            bx, by, b = chain[-1]
+            turn = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if turn > tol:
                 break
-            lines.pop()
+            if not turn < -tol:
+                la, lb, lc = _line(a, b)
+                x, y, w = t
+                if la * x + lb * y + lc * w > 0:
+                    break
             chain.pop()
-        if chain:
-            ux, uy, uw = chain[-1]
-            lines.append((uy * w - uw * y, uw * x - ux * w, ux * y - uy * x))
         chain.append(p)
     return chain
 

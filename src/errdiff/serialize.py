@@ -226,7 +226,7 @@ def feasible_set_id(feasible: FeasibleSet) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
-def _step_rows(records: list[StepRecord], tail: Callable[[StepRecord], str]) -> list[str]:
+def _step_rows(records: Sequence[StepRecord], tail: Callable[[StepRecord], str]) -> list[str]:
     """One "n,<tail>" row per step; equal steps share a record, so each
     distinct record's tail is formatted once."""
     tails = {r: tail(r) for r in dict.fromkeys(records)}
@@ -258,7 +258,7 @@ def write_simulation(result: ScenarioResult, out_dir: PathLike) -> None:
     _write_files(out_dir, files)
 
 
-def _running_averages(records: list[StepRecord]) -> Iterable[str]:
+def _running_averages(records: Sequence[StepRecord]) -> Iterable[str]:
     """Rows of the running means: the sums kept as triples, each mean written
     over W*k in the cells ``_Cells`` writes.  Nearly every mean is new, so
     the cells are formatted in the row, none kept for a later one."""
@@ -395,15 +395,15 @@ def _parse_policy(data: Any) -> CentralPolicy:
 def _parse_availability(data: Any) -> Availability:
     kind = _object(data, "availability").get("kind")
     if kind == "square":
-        return simulate.square_wave(
+        return simulate.SquareWave(
             _json_integer(data["period"], "period"),
             as_fraction(data["low"]),
             as_fraction(data["high"]),
         )
     if kind == "constant":
-        return simulate.constant_availability(as_fraction(data["value"]))
+        return simulate.ConstantWave(as_fraction(data["value"]))
     if kind == "random":
-        return simulate.random_availability(
+        return simulate.RandomWave(
             as_fraction(data["low"]),
             as_fraction(data["high"]),
             **_given(data, denominator=_json_integer),

@@ -28,12 +28,14 @@ the request source's tables belong to one run and a wave's to its
 scenario; the bounded caches of ``resources``, ``geometry``, ``operators``
 and ``serialize`` are process-wide.
 
-A scenario and its specs are frozen values that hold every fixed fact
-about their resources, error bounds included; a variant is built with
-``dataclasses.replace``, so a result always describes the run it came
-from.  A resource unit, built from its spec for one run, holds that
-run's state.  This module holds the units, the central policy, scenarios
-and metrics; ``serialize`` writes them out.
+A scenario, its specs and their availability waves are frozen values
+that hold every fixed fact about their resources, error bounds included,
+so two loads of one scenario file compare equal; a variant is built with
+``dataclasses.replace``.  A result is frozen too, with its metrics and
+traces in read-only mappings and each trace's records in a tuple, so it
+always describes the run it came from.  A resource unit, built from its
+spec for one run, holds that run's state.  This module holds the units,
+the central policy, scenarios and metrics; ``serialize`` writes them out.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from operator import mul, ne, sub
-from typing import Callable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .dynamics import ControllerTrace, run_resource_loop
 from .geometry import (
@@ -210,57 +213,70 @@ class HeaterUnit:
 Availability = Callable[[int, random.Random], Fraction]
 
 
-def _levels(*values: Fraction) -> list[Fraction]:
-    """The values as Fractions, checked to be available powers."""
-    levels = [as_fraction(v) for v in values]
-    if any(v < 0 for v in levels):
-        raise ValueError("availability levels must be non-negative")
-    return levels
+def _check_levels(wave: object, *names: str) -> None:
+    """Set the wave's named fields to Fractions, checked to be available powers."""
+    for name in names:
+        level = as_fraction(getattr(wave, name))
+        if level < 0:
+            raise ValueError("availability levels must be non-negative")
+        object.__setattr__(wave, name, level)
 
 
-def square_wave(period: int, low: Fraction, high: Fraction) -> Availability:
-    """Alternate between low and high every half period (in control steps)."""
-    low, high = _levels(low, high)
-    if period < 2:
-        raise ValueError("period must span at least two steps")
-    half = period // 2
+@dataclass(frozen=True)
+class SquareWave:
+    """Alternate between high and low every half period (in control steps)."""
 
-    def wave(n: int, rng: random.Random) -> Fraction:
-        return high if (n // half) % 2 == 0 else low
+    period: int
+    low: Fraction
+    high: Fraction
 
-    return wave
+    def __post_init__(self) -> None:
+        _check_levels(self, "low", "high")
+        if self.period < 2:
+            raise ValueError("period must span at least two steps")
 
-
-def constant_availability(value: Fraction) -> Availability:
-    (value,) = _levels(value)
-
-    def wave(n: int, rng: random.Random) -> Fraction:
-        return value
-
-    return wave
+    def __call__(self, n: int, rng: random.Random) -> Fraction:
+        return self.high if (n // (self.period // 2)) % 2 == 0 else self.low
 
 
-def random_availability(low: Fraction, high: Fraction, denominator: int = 64) -> Availability:
+@dataclass(frozen=True)
+class ConstantWave:
+    """The same level at every step."""
+
+    value: Fraction
+
+    def __post_init__(self) -> None:
+        _check_levels(self, "value")
+
+    def __call__(self, n: int, rng: random.Random) -> Fraction:
+        return self.value
+
+
+@dataclass(frozen=True)
+class RandomWave:
     """Seeded random availability on a rational grid between low and high.
 
     Each level low + (high - low)*k/denominator is built the first time
     draw k comes up and kept by the wave, so a fine grid costs nothing
-    until it is drawn.
+    until it is drawn.  The kept levels take no part in equality.
     """
-    low, high = _levels(low, high)
-    if denominator < 1:
-        raise ValueError("availability grid denominator must be at least 1")
-    span = high - low
-    levels: dict[int, Fraction] = {}
 
-    def wave(n: int, rng: random.Random) -> Fraction:
-        k = rng.randrange(denominator + 1)
-        level = levels.get(k)
+    low: Fraction
+    high: Fraction
+    denominator: int = 64
+    _drawn: dict[int, Fraction] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_levels(self, "low", "high")
+        if self.denominator < 1:
+            raise ValueError("availability grid denominator must be at least 1")
+
+    def __call__(self, n: int, rng: random.Random) -> Fraction:
+        k = rng.randrange(self.denominator + 1)
+        level = self._drawn.get(k)
         if level is None:
-            level = levels[k] = low + span * Fraction(k, denominator)
+            level = self._drawn[k] = self.low + (self.high - self.low) * Fraction(k, self.denominator)
         return level
-
-    return wave
 
 
 class PVUnit:
@@ -374,7 +390,7 @@ class Scenario:
             raise ValueError("scenario needs at least one resource")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceMetrics:
     steps: int
     max_error_norm2: Fraction
@@ -391,16 +407,28 @@ class ResourceMetrics:
         return math.sqrt(self.max_error_norm2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
-    resources: dict[str, ResourceMetrics] = field(default_factory=dict)
+    """Each resource's metrics by id, kept as a read-only mapping."""
+
+    resources: Mapping[str, ResourceMetrics] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "resources", MappingProxyType(dict(self.resources)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioResult:
+    """A run's scenario, traces and metrics.  Like everything it holds, it is
+    frozen, and its traces are a read-only mapping, so the files written
+    from a result always describe the run."""
+
     scenario: Scenario
-    traces: dict[str, ControllerTrace]
+    traces: Mapping[str, ControllerTrace]
     report: MetricsReport
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "traces", MappingProxyType(dict(self.traces)))
 
     @property
     def diffusion(self) -> dict[str, bool]:
@@ -514,12 +542,12 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     diffusion on or off.
     """
     traces: dict[str, ControllerTrace] = {}
-    report = MetricsReport()
+    metrics: dict[str, ResourceMetrics] = {}
     for spec in scenario.resources:
         rng = _resource_rng(scenario.seed, spec.resource_id)
         unit = spec.build(rng)
         requests = GradientRequests(spec.policy)
         trace = run_resource_loop(unit, requests, scenario.horizon, rng, diffusion=spec.diffusion)
         traces[spec.resource_id] = trace
-        report.resources[spec.resource_id] = compute_metrics(trace, spec.error_bound_sq())
-    return ScenarioResult(scenario=scenario, traces=traces, report=report)
+        metrics[spec.resource_id] = compute_metrics(trace, spec.error_bound_sq())
+    return ScenarioResult(scenario=scenario, traces=traces, report=MetricsReport(metrics))

@@ -53,10 +53,10 @@ from .simulate import (
     HeaterUnit,
     MaximizeActivePower,
     PVUnit,
+    RandomWave,
+    SquareWave,
     compute_metrics,
-    random_availability,
     run_resource_loop,
-    square_wave,
 )
 
 
@@ -231,11 +231,11 @@ def check_pv_sim_bound() -> CheckResult:
         bound_sq = pv_error_bound_sq(params)
         runs = {
             "square+gradient": (
-                square_wave(6, Fraction(0), p_max),
+                SquareWave(6, Fraction(0), p_max),
                 GradientRequests(CentralPolicy(MaximizeActivePower(), Fraction(1, 4))),
             ),
             "random+uniform": (
-                random_availability(Fraction(0), p_max, denominator=32),
+                RandomWave(Fraction(0), p_max, denominator=32),
                 uniform_request(denominator=128),
             ),
         }

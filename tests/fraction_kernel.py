@@ -511,7 +511,7 @@ def run_resource_loop(source, requests, horizon: int, rng, *, diffusion: bool = 
     two steps share a record.  Without diffusion the projection is of the
     request alone and the remainders add up.  The source, the request
     policy and the rng are called in the package loop's order."""
-    trace = ControllerTrace()
+    records = []
     error, previous = ORIGIN, None
     for n in range(horizon):
         if source.prediction == "persistent" and n > 0:
@@ -527,12 +527,11 @@ def run_resource_loop(source, requests, horizon: int, rng, *, diffusion: bool = 
         target = error + request if diffusion else request
         implemented = project_feasible(feasible, target)
         residual = target - implemented
-        trace.records.append(StepRecord(feasible, advertised, request, implemented, error))
+        records.append(StepRecord(feasible, advertised, request, implemented, error))
         error = residual if diffusion else error + residual
         source.advance(implemented)
         previous = feasible
-    trace.final_error = error
-    return trace
+    return ControllerTrace(records, error)
 
 
 def least_squares_slope(ys: Sequence[float]) -> float:

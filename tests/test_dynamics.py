@@ -23,9 +23,9 @@ from errdiff.simulate import (
     GradientRequests,
     PVUnit,
     QuadraticCost,
+    RandomWave,
     central_step,
     compute_metrics,
-    random_availability,
 )
 
 from conftest import poly, pt
@@ -131,7 +131,7 @@ class TestStepPersistent:
 class TestRunTrace:
     def test_zero_horizon(self):
         trace = run_trace("perfect", lambda n: HEATER, fixed_request(pt(0, 0)), 0)
-        assert trace.records == []
+        assert trace.records == ()
         assert trace.final_error == ORIGIN
 
     def test_exact_recursion_identity(self):
@@ -467,7 +467,7 @@ class TestLoopMemo:
     def test_fine_availability_grid_is_drawn_lazily(self):
         params = PVParams(p_max=Fraction(4), tan_phi=Fraction(1, 2))
         grid = 10**12
-        wave = random_availability(Fraction(1), Fraction(4), denominator=grid)
+        wave = RandomWave(Fraction(1), Fraction(4), denominator=grid)
         draws = random.Random(5)
         expected = [1 + 3 * Fraction(draws.randrange(grid + 1), grid) for _ in range(6)]
         rng = random.Random(5)

@@ -24,6 +24,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -501,6 +502,113 @@ class TestFloatKeyedHull:
         for order in (pts, pts[::-1]):
             assert convex_hull(order) == oracle.convex_hull(order)
         assert exact.call_count == 0
+
+
+def _float_orient(a: Point2, b: Point2, c: Point2) -> float:
+    """orient(a, b, c) evaluated as `_hull` first evaluates it: on the
+    correctly rounded float keys."""
+    (ax, ay), (bx, by), (cx, cy) = [(float(p.x), float(p.y)) for p in (a, b, c)]
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+# Numerators and denominators of 200 bits, magnitudes up to 2.
+unit = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(2**199, 2**200))
+# Magnitudes inside the filter's guard 2**-400 <= B <= 2**400, at its two
+# edges and just beyond them, so large that the float products overflow,
+# so small that they are subnormal, so small that the keys are subnormal or
+# zero, and beyond the float range, where the keys overflow.
+GUARD_SCALES = [
+    Fraction(1), Fraction(2**399), Fraction(2**400), Fraction(2**401),
+    Fraction(1, 2**399), Fraction(1, 2**400), Fraction(1, 2**402),
+    Fraction(2**700), Fraction(1, 2**530), Fraction(1, 2**1080), Fraction(2**1030), Fraction(HUGE),
+]
+
+
+@st.composite
+def near_collinear(draw):
+    """a, b and up to three points a + t(b - a) moved across the line ab by
+    2**-k times its normal, k in 40..80, or not at all; sometimes a point
+    within about 2**-70 of a, whose float key ties a's; all scaled by one of
+    `GUARD_SCALES` and shuffled."""
+    a = Point2(draw(unit), draw(unit))
+    b = draw(st.builds(Point2, unit, unit).filter(lambda q: q != a))
+    d, normal = b - a, Point2(a.y - b.y, b.x - a.x)
+    pts = [a, b]
+    for _ in range(draw(st.integers(1, 3))):
+        off = draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 2 ** draw(st.integers(40, 80)))
+        pts.append(a + d * draw(unit) + normal * off)
+    if draw(st.booleans()):
+        e = Fraction(draw(st.integers(-3, 3)), 2**70)
+        off = draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 2 ** draw(st.integers(70, 80)))
+        pts.append(a + d * e + normal * off)
+    scale = draw(st.sampled_from(GUARD_SCALES))
+    return draw(st.permutations([p * scale for p in pts]))
+
+
+class TestFilteredOrientation:
+    @settings(max_examples=300, deadline=None)
+    @given(near_collinear())
+    # Below the guard, where the float products are subnormal: a triangle
+    # whose rounded orientation would read it as a segment.
+    @example([
+        p * Fraction(1, 2**540)
+        for p in (pt(-1, 1), pt(9, Fraction(1, 3)),
+                  pt(Fraction(1260871850926195272056831, 3 * 2**72), Fraction(-23611832414348226068485, 2**72)))
+    ])
+    def test_near_collinear_equals_oracle(self, pts):
+        assert convex_hull(pts) == oracle.convex_hull(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # A triangle that reads as a segment in floats: 2 + 2**-60 rounds to 2.
+            [pt(0, 0), pt(1, 1), pt(2, 2 + Fraction(1, 2**60))],
+            # Exactly the last point is right of the first two, by the floats left.
+            [pt(0, 0), pt(10, Fraction(11, 6)), pt(Fraction(85, 2), Fraction(187, 24) - Fraction(1, 2**54))],
+        ],
+        ids=["float zero", "float wrong sign"],
+    )
+    def test_undecided_floats_take_the_exact_test(self, pts, monkeypatch):
+        exact, rounded = orient(*pts), _float_orient(*pts)
+        assert exact != 0 and (rounded > 0) != (exact > 0)
+        line = mock.Mock(side_effect=geometry._line)
+        monkeypatch.setattr(geometry, "_line", line)
+        for order in (pts, pts[::-1]):
+            hull = convex_hull(order)
+            assert len(hull.vertices) == 3 and hull == oracle.convex_hull(order)
+        assert line.call_count > 0
+
+    def test_the_filter_decides_points_in_general_position(self, monkeypatch):
+        """Forty points with 200-bit coordinates, none near another's line:
+        the floats decide nearly every test, so few exact lines are built."""
+        rng = random.Random(7)
+        coord = lambda: Fraction(rng.randrange(-(2**200), 2**200), rng.randrange(2**199, 2**200))
+        pts = [pt(coord(), coord()) for _ in range(40)]
+        line = mock.Mock(side_effect=geometry._line)
+        monkeypatch.setattr(geometry, "_line", line)
+        for order in (pts, pts[::-1]):
+            assert convex_hull(order) == oracle.convex_hull(order)
+        assert line.call_count <= 4
+
+
+class TestFloatAssumptions:
+    """What the float screens' error bounds assume of the platform: binary64
+    floats and correctly rounded int / int."""
+
+    def test_floats_are_binary64(self):
+        info = sys.float_info
+        assert (info.radix, info.mant_dig, info.max_exp, info.min_exp) == (2, 53, 1024, -1021)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_int_division_is_correctly_rounded(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            x = rng.randrange(-(2**300), 2**300)
+            w = rng.randrange(1, 2**300) if rng.random() < 0.5 else rng.randrange(2**299, 2**300)
+            q, exact = x / w, Fraction(x, w)
+            err = abs(Fraction(q) - exact)
+            for neighbour in (math.nextafter(q, -math.inf), math.nextafter(q, math.inf)):
+                assert err <= abs(Fraction(neighbour) - exact)
 
 
 def _canonical(raw) -> Optional[ConvexPolygon]:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from errdiff.serialize import (
     point_to_json,
     polygon_to_json,
 )
-from errdiff.simulate import ResourceMetrics
+from errdiff.simulate import PVSpec, ResourceMetrics
 
 from conftest import poly, pt
 
@@ -294,7 +295,7 @@ class TestScenarioFiles:
 
     def test_absent_keys_take_the_model_defaults(self):
         """A minimal scenario and collection parse equal to ones that give
-        every optional key its default; a random wave is compared by its draws."""
+        every optional key its default."""
         heater = {k: v for k, v in SCENARIO["resources"][0].items() if k not in (
             "prediction", "diffusion", "lock_steps", "thermal")}
         heater["policy"] = {"cost": {"kind": "quadratic", "center": ["-7500", "0"]}}
@@ -310,18 +311,25 @@ class TestScenarioFiles:
              "availability": {**pv["availability"], "denominator": 64},
              "policy": {**pv["policy"], "step_size": "1/2"}},
         ]}
-        got, want = parse_scenario(minimal), parse_scenario(explicit)
-        draws, waveless = [], []
-        for scenario in (got, want):
-            heater_spec, pv_spec = scenario.resources
-            rng = random.Random(5)
-            draws.append([pv_spec.availability(n, rng) for n in range(200)])
-            pv_spec = dataclasses.replace(pv_spec, availability=None)
-            waveless.append(dataclasses.replace(scenario, resources=[heater_spec, pv_spec]))
-        assert draws[0] == draws[1]
-        assert waveless[0] == waveless[1]
+        assert parse_scenario(minimal) == parse_scenario(explicit)
         sets = [{"points": [["0", "0"], ["1", "0"]]}]
         assert parse_collection({"sets": sets}) == parse_collection({"mode": "perfect", "sets": sets})
+
+    @pytest.mark.parametrize("name", ["closed_loop_seed1.json", "closed_loop_seed2.json"])
+    def test_two_loads_of_one_file_are_equal_values(self, name):
+        """Every availability wave is a frozen value, so two loads of one
+        scenario file are equal and hash equal, and a random wave's drawn
+        levels take no part in equality."""
+        path = Path(__file__).resolve().parent / "data" / name
+        first, second = load_scenario(path), load_scenario(path)
+        assert first == second and hash(first) == hash(second)
+        rng = random.Random(3)
+        for spec in first.resources:
+            if isinstance(spec, PVSpec):
+                for n in range(50):
+                    spec.availability(n, rng)
+        assert first == second and hash(first) == hash(second)
+        assert first != dataclasses.replace(first, seed=first.seed + 1)
 
     def test_scenario_runs_from_file(self, tmp_path):
         from errdiff.simulate import run_scenario

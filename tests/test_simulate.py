@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from errdiff.dynamics import ControllerTrace
 from errdiff.geometry import ORIGIN, Point2
 from errdiff.resources import HeaterParams, HeaterState, PVParams, pv_error_bound_sq
-from errdiff.serialize import emit_plot_data, write_simulation
+from errdiff.serialize import emit_plot_data, load_scenario, write_simulation
 from errdiff.simulate import (
     CentralPolicy,
+    ConstantWave,
     GradientRequests,
     HeaterSpec,
     HeaterUnit,
@@ -22,18 +24,19 @@ from errdiff.simulate import (
     PVSpec,
     PVUnit,
     QuadraticCost,
+    RandomWave,
     Scenario,
     ScenarioResult,
+    SquareWave,
     central_step,
-    constant_availability,
     least_squares_slope,
-    random_availability,
     run_scenario,
-    square_wave,
 )
 
 from conftest import poly, pt
 from fraction_kernel import least_squares_slope as slope_oracle
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def heater_params(p=15000, lock_steps=10, leak="1/100", gain="1/20000"):
@@ -69,7 +72,7 @@ def pv_scenario(horizon=400, seed=5):
     spec = PVSpec(
         resource_id="pv",
         params=params,
-        availability=square_wave(6, Fraction(0), Fraction(1)),
+        availability=SquareWave(6, Fraction(0), Fraction(1)),
         policy=CentralPolicy(MaximizeActivePower(), Fraction(1, 4)),
     )
     return Scenario(horizon=horizon, resources=[spec], seed=seed)
@@ -262,15 +265,15 @@ class TestErrorSlope:
 
 class TestAvailabilityWaves:
     def test_square_wave_alternates(self):
-        wave = square_wave(6, Fraction(0), Fraction(1))
+        wave = SquareWave(6, Fraction(0), Fraction(1))
         rng = random.Random(0)
         values = [wave(n, rng) for n in range(12)]
         assert values == [1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0]
 
     def test_constant_and_random_bounds(self):
         rng = random.Random(0)
-        assert constant_availability(Fraction(3, 4))(17, rng) == Fraction(3, 4)
-        wave = random_availability(Fraction(0), Fraction(2), denominator=8)
+        assert ConstantWave(Fraction(3, 4))(17, rng) == Fraction(3, 4)
+        wave = RandomWave(Fraction(0), Fraction(2), denominator=8)
         assert all(0 <= wave(n, rng) <= 2 for n in range(50))
 
 
@@ -315,7 +318,7 @@ class TestUnits:
 
     def test_pv_unit_follows_wave(self):
         params = PVParams(p_max=Fraction(1), tan_phi=Fraction(1))
-        unit = PVUnit("pv", params, square_wave(2, Fraction(0), Fraction(1)))
+        unit = PVUnit("pv", params, SquareWave(2, Fraction(0), Fraction(1)))
         first = unit.feasible_set()
         unit.advance(pt(0, 0))
         second = unit.feasible_set()
@@ -374,3 +377,33 @@ class TestFrozenInputs:
         result = run_scenario(Scenario(horizon=5, resources=[heater, pv]))
         bounds = [m.error_bound_sq for m in result.report.resources.values()]
         assert bounds == [7500**2, 4]
+
+
+class TestFrozenResults:
+    """A result is a value too: its metrics, its traces and the mappings
+    that hold them refuse change, so the files written from it describe
+    the run."""
+
+    def test_a_result_refuses_change_and_writes_the_run(self, tmp_path):
+        scenario = load_scenario(DATA / "closed_loop_seed1.json")
+        result = run_scenario(dataclasses.replace(scenario, horizon=30))
+        write_simulation(result, tmp_path / "before")
+        metrics, trace = result.report.resources["heaters"], result.traces["heaters"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            metrics.bound_satisfied = False
+        with pytest.raises(AttributeError):
+            trace.records.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.records = ()
+        with pytest.raises(TypeError):
+            result.report.resources["heaters"] = dataclasses.replace(metrics, bound_satisfied=False)
+        with pytest.raises(TypeError):
+            del result.traces["heaters"]
+        for value, name in ((result, "traces"), (result, "report"), (result.report, "resources")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, {})
+        write_simulation(result, tmp_path / "after")
+        for name in ("metrics.json", "heaters_trace.csv"):
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+        assert json.loads((tmp_path / "after" / "metrics.json").read_text())["resources"]["heaters"]["steps"] == 30
+        assert len(trace.records) == 30
