@@ -8,13 +8,15 @@ Subcommands:
 
 ``compute-invariant`` exits 0 when the run stops on ``converged`` or
 ``extrapolated`` (a verified fixed point), and 2 when it stops on
-``budget`` or ``bits``.  A missing or malformed input file, option or
-subcommand (argparse's own errors included), an ``--out`` path that cannot
-be written, or a scenario value too large for the float columns, norms and
-metrics that ``simulate`` and ``plot-data`` write, ends the run with one
-line, ``errdiff: error: <message>``, on standard error and exit status 1.
-``simulate`` and ``plot-data`` format every output file before they make
-``--out``, so a value beyond the float range leaves no ``--out`` behind.
+``budget`` or ``bits``; it prints the answer's exact ``gap`` to the last
+exact iterate, ``None`` on ``budget`` and ``bits``.  A missing or
+malformed input file, option or subcommand (argparse's own errors
+included), an ``--out`` path that cannot be written, or a scenario value
+too large for the float columns, norms and metrics that ``simulate`` and
+``plot-data`` write, ends the run with one line, ``errdiff: error:
+<message>``, on standard error and exit status 1.  ``simulate`` and
+``plot-data`` format every output file before they make ``--out``, so a
+value beyond the float range leaves no ``--out`` behind.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     print(f"converged: {result.converged}")
     print(f"status: {result.status}")
     print(f"iterations: {result.iterations}")
+    print(f"gap: {result.gap}")
     print("invariant set vertices (exact):")
     for v in result.invariant_set.vertices:
         print(f"  {v.x} {v.y}")

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, NamedTuple, Protocol, Sequence, Union
 
 from .geometry import (
     ORIGIN,
@@ -114,17 +114,16 @@ def step_persistent(
     return implemented, z + next_request - implemented
 
 
-@dataclass(slots=True, eq=False)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One distinct step of a trace; ``error`` is the accumulated error entering it.
 
     The loop appends one record object for every equal step, so a record
     holds no step index (its positions in ``ControllerTrace.records`` are
     its steps), and records compare and hash by identity: counting or
     formatting each distinct record once covers every step it stands for.
-    Nothing writes to a record after the loop builds it, so the class is
-    slotted and not frozen: a frozen dataclass's constructor sets each field
-    through ``object.__setattr__``, which costs about four times as much.
+    A record is a tuple, so no field can be written once the loop has built
+    it; a frozen dataclass would set each field through
+    ``object.__setattr__`` and cost about twice as much to build.
     """
 
     feasible: FeasibleSet
@@ -132,6 +131,10 @@ class StepRecord:
     requested: Point2
     implemented: Point2
     error: Point2
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

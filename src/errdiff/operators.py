@@ -57,8 +57,10 @@ convex polygons whose limit is the minimal (convex) invariant set.  The
 chain is exact: the iteration stops as soon as an image equals its iterate,
 or as soon as an exact extrapolation of the chain's limit (minimal
 polynomial extrapolation on its recent iterates) is verified to be a fixed
-point that contains the seed.  An iterate is scaled to integers and floats
-for the extrapolation only once some stride and degree read it.
+point that contains the seed.  A chain that outgrows the bit budget
+restarts once from the newest extrapolation it refused, and a fixed point
+reached from there is an answer too.  An iterate is scaled to integers
+and floats for the extrapolation only once some stride reads it.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 from operator import mul
 from typing import Literal, Optional, Sequence, Union
 
@@ -153,7 +156,9 @@ class IterationResult:
     * ``converged``: the image of the iterate equals it;
     * ``extrapolated``: the returned set is an extrapolated limit of the
       chain, verified to contain the seed and the last iterate and to be
-      mapped to itself (``iterations`` is the step it was found at);
+      mapped to itself, or a fixed point reached by a chain restarted from
+      such a limit (``iterations`` is the step it was found at, counting
+      both chains);
     * ``budget``: the iteration budget ran out;
     * ``bits``: a coordinate outgrew the bit budget.
 
@@ -161,10 +166,11 @@ class IterationResult:
     ``extrapolated`` the collection operator maps ``invariant_set`` to
     itself, and ``aborted`` means ``bits``.
 
-    ``iterates`` is the chain from the seed, ending with the image equal to
-    its iterate on ``converged`` and without the image over budget on
-    ``bits``.  ``history_hashes`` (each iterate's `_digest`) and
-    ``vertex_counts`` are derived from it when read.
+    ``iterates`` is the exact chain from the seed, ending with the image
+    equal to its iterate on ``converged`` and without the image over budget
+    on ``bits``; a restarted chain adds none.  ``history_hashes`` (each
+    iterate's `_digest`), ``vertex_counts``, ``inner`` and ``gap`` are
+    derived from it when read.
     """
 
     invariant_set: ConvexPolygon
@@ -189,6 +195,45 @@ class IterationResult:
     @property
     def vertex_counts(self) -> list[int]:
         return [len(poly._ts) for poly in self.iterates]
+
+    @property
+    def inner(self) -> ConvexPolygon:
+        """The last exact iterate; on ``converged`` and ``extrapolated`` it
+        lies in the minimal invariant set, which lies in the answer."""
+        return self.iterates[-1]
+
+    @cached_property
+    def gap(self) -> Optional[Fraction]:
+        """The largest squared distance from an edge line of the answer to
+        ``inner``, exact (`_gap`): along each of its edge normals the answer
+        reaches at most the gap's square root beyond the minimal invariant
+        set.  0 on ``converged``; None on ``budget`` and ``bits``, whose
+        answer is not invariant."""
+        if not self.converged:
+            return None
+        return _gap(self.invariant_set, self.inner)
+
+
+def _gap(outer: ConvexPolygon, inner: ConvexPolygon) -> Fraction:
+    """The largest squared distance from an edge line of outer to inner, for
+    inner inside outer; 0 for a one-point outer.
+
+    The line of the edge u -> v, `geometry._line(u, v)` = (a, b, c), has
+    a*x + b*y + c*w >= 0 on outer and (-a, -b) as its outer normal, so the
+    distance from it to inner is the smallest (a*x + b*y + c*w) / w over
+    inner's vertices (`geometry._extremes`), divided by |(a, b)|, and its
+    square is rational.
+    """
+    ts = outer._ts
+    if len(ts) == 1:
+        return Fraction(0)
+    widest = Fraction(0)
+    for u, v in zip(ts, ts[1:] + ts[:1]):
+        a, b, c = _line(u, v)
+        (low, low_s), _ = _extremes(inner._ts, a, b)
+        w = low[2]
+        widest = max(widest, Fraction((low_s + c * w) ** 2, w * w * (a * a + b * b)))
+    return widest
 
 
 class GeometryInconsistencyError(RuntimeError):
@@ -552,12 +597,14 @@ def _within_bits(poly: ConvexPolygon, max_bits: int) -> bool:
 # ---------------------------------------------------------------------------
 
 # Strides s and degrees m the extrapolation tries.  The window holds the
-# (m + 1) * s + 1 newest iterates that the largest of them reads.  Every
-# extrapolated answer measured on family3, the benchmark population and
-# operator-properties came from (1, 2), (2, 1) or (2, 2), and a search up to
-# (4, 4) answered no collection that these miss.
+# (m + 1) * s + 1 newest iterates that the largest of them reads.  Without
+# restarts, every extrapolated answer measured on family3, the benchmark
+# population and operator-properties came from (1, 2), (2, 1) or (2, 2),
+# and a search up to (4, 4) answered no collection that these miss.  Seed-1
+# collections 2 and 38 of the benchmark population certify after a restart
+# (see `iterate_to_invariance`) through a stride-2, degree-3 candidate.
 _MAX_STRIDE = 2
-_MAX_DEGREE = 2
+_MAX_DEGREE = 3
 _WINDOW = (_MAX_DEGREE + 1) * _MAX_STRIDE + 1
 
 
@@ -569,17 +616,34 @@ def _mpe_limit(samples: Sequence[tuple[int, Sequence[int]]]) -> Optional[tuple[l
     in every coordinate.  The rows, one per coordinate, are built over the
     common denominator and eliminated one by one, fraction-free: a row that
     reduces to 0 = r with r != 0 is inconsistent and ends the solve.  Once
-    m rows are independent every later row reduces to 0 = r, so r is its
-    residual, and it must be exactly 0.  The limit is
-    sum_j c_j x_j / sum_j c_j, returned as (numerators, den) with coordinate
-    i equal to numerators[i] / den.  None when no unique weights exist or
-    they sum to 0.
+    m rows are independent the weights are unique; they are back-substituted
+    then, and each later row holds exactly when its dot product with them is
+    0, so it is checked by that one product instead of being reduced.  The
+    limit is sum_j c_j x_j / sum_j c_j, returned as (numerators, den) with
+    coordinate i equal to numerators[i] / den.  None when the system is
+    inconsistent or the weights sum to 0.
+
+    Fewer than m independent rows leave the weights undetermined, and the
+    solve falls back to degree m - 1, on the m + 1 newest samples.  That is
+    what every degree up to m decides together (the padding lemma): a
+    solution of degree k < m, padded with m - k leading zero weights, solves
+    degree m.  So when degree m is inconsistent, so is every lower degree;
+    when its weights are unique with j leading zeros, degrees m - j ... m
+    have the same weights, zero-padded, hence the same limit, and every
+    lower degree is inconsistent (a solution there would pad to a second one
+    of degree m).  Only an undetermined system says nothing of the degrees
+    below it.
     """
     m = len(samples) - 2
     common = math.lcm(*(d for d, _ in samples))
     scaled = [(common // d, xs) for d, xs in samples]
     pivots: list[tuple[int, list[int]]] = []
+    check: Optional[list[int]] = None
     for i in range(len(samples[0][1])):
+        if check is not None:
+            if sum(map(mul, check, (xs[i] for _, xs in scaled))):
+                return None
+            continue
         vals = [k * xs[i] for k, xs in scaled]
         r = [b - a for a, b in zip(vals, vals[1:])]
         for col, p in pivots:
@@ -593,9 +657,15 @@ def _mpe_limit(samples: Sequence[tuple[int, Sequence[int]]]) -> Optional[tuple[l
             continue
         g = math.gcd(*r)
         pivots.append((lead, [a // g for a in r]))
-    if len(pivots) < m:
-        return None
-    weights = _back_substitute(pivots, m)
+        if len(pivots) == m:
+            weights = _back_substitute(pivots, m)
+            # sum_j c_j (x_{j+1} - x_j) = sum_j (c_{j-1} - c_j) x_j, over
+            # the common denominator, with c_{-1} = c_{m+1} = 0.
+            check = [
+                k * (a - b) for (k, _), a, b in zip(scaled, [0, *weights], [*weights, 0])
+            ]
+    if check is None:
+        return _mpe_limit(samples[1:]) if m > 1 else None
     total = sum(weights)
     if total == 0:
         return None
@@ -701,23 +771,39 @@ def _slot(entry: list) -> tuple[int, list[int], Optional[tuple[list[float], floa
     return entry[1]
 
 
-def _extrapolate(collection: Collection, window: deque, max_bits: int) -> Optional[ConvexPolygon]:
-    """MPE on the window of the newest iterates, verified before it is trusted.
+def _extrapolate(
+    collection: Collection, window: deque, max_bits: int
+) -> Optional[tuple[ConvexPolygon, bool]]:
+    """MPE on the window of the newest iterates: the newest candidate that
+    contains the newest iterate and fits the bit budget, and whether the
+    collection operator maps it to itself; None when no candidate does.
 
-    Every stride s and degree m reads the m + 2 iterates s apart that end
-    at the newest one, provided all their vertex counts agree, which is
-    checked before any of them is read.  Each is aligned to the newest by
-    its nearest cyclic vertex shift, which a float screen certifies where
-    it can and `_shift_to` decides exactly where it cannot.  The window
-    holds [iterate, slot] entries, and an iterate is scaled into its slot
-    (`_slot`) the first time a stride and degree read it, so one that none
-    reads is never scaled.  A candidate, the hull of the extrapolated
-    vertices, is returned only when it contains the newest iterate, stays
-    within the bit budget and is mapped to itself by the collection
-    operator.  The chain grows, so the newest iterate contains the seed, and
-    so does the candidate.  Since the operator is monotone, it then contains
-    every iterate of the chain, so it is an exact fixed point containing the
-    minimal invariant set.
+    Every stride s reads the iterates s apart that end at the newest one, as
+    far back as the window holds them, their vertex counts agree with the
+    newest's (checked before any of them is read) and a degree m needs them
+    (m + 2 of them, with more rows than unknowns and m up to `_MAX_DEGREE`).
+    Each is aligned to the newest by its nearest cyclic vertex shift, which
+    a float screen certifies where it can and `_shift_to` decides exactly
+    where it cannot; the first one, newest first, that has no unique nearest
+    shift ends the stride's samples there.  The window holds [iterate, slot]
+    entries, and an iterate is scaled into its slot (`_slot`) the first time
+    a stride reads it, so one that none reads is never scaled.
+
+    One `_mpe_limit` solve at the largest degree the samples allow decides
+    the stride: by the padding lemma in its docstring it returns exactly
+    the one candidate that any degree of the stride, tried from 1 upward,
+    would.  A candidate is the hull of the extrapolated vertices; it is
+    refused when the hull is over the bit budget or does not contain the
+    newest iterate.
+    The strides are tried in order: the first candidate the operator maps
+    to itself is returned with True, or else the last one with False.
+
+    The chain grows, so the newest iterate contains the seed, and so does
+    the candidate.  Since the operator is monotone, a candidate it maps to
+    itself contains every iterate of the chain, so it is an exact fixed
+    point containing the minimal invariant set.  One it does not map to
+    itself still contains the seed, so a chain restarted from it that
+    reaches a fixed point reaches one containing the minimal invariant set.
     """
     newest = window[-1][0]
     count, last = len(newest._ts), len(window) - 1
@@ -740,37 +826,81 @@ def _extrapolate(collection: Collection, window: deque, max_bits: int) -> Option
             aligned[idx] = None if k is None else (d, flat[k:] + flat[:k])
         return aligned[idx]
 
+    # Rows (two per vertex) must outnumber the unknowns, or some weights
+    # always fit.
+    degree = min(_MAX_DEGREE, 2 * count - 1)
+    refused = None
     for s in range(1, _MAX_STRIDE + 1):
-        for m in range(1, _MAX_DEGREE + 1):
-            picks = [last - s * t for t in range(m + 1, -1, -1)]
-            # Rows (two per vertex) must outnumber the unknowns, or some
-            # weights always fit.
-            if picks[0] < 0 or 2 * count <= m:
-                break
-            if any(len(window[i][0]._ts) != count for i in picks):
-                break
-            samples = [sample(i) for i in picks]
-            if None in samples:
-                break
-            found = _mpe_limit(samples)
-            if found is None:
-                continue
-            nums, den = found
-            candidate = _polygon(_hull(
-                _normalised(nums[i], nums[i + 1], den) for i in range(0, len(nums), 2)
-            ))
-            if (
-                candidate.contains_polygon(newest)
-                and _within_bits(candidate, max_bits)
-                and apply_collection(collection, candidate) == candidate
-            ):
-                return candidate
-    return None
+        # Newest first: the vertex counts are checked before any iterate is
+        # read, and reading stops at the first that has no unique shift.
+        picks = range(last, max(-1, last - s * (degree + 2)), -s)
+        agreeing = list(takewhile(lambda i: len(window[i][0]._ts) == count, picks))
+        if len(agreeing) < 3:
+            continue
+        samples = list(takewhile(lambda x: x is not None, map(sample, agreeing)))
+        if len(samples) < 3:
+            continue
+        limit = _mpe_limit(samples[::-1])
+        if limit is None:
+            continue
+        nums, den = limit
+        points = [_normalised(nums[i], nums[i + 1], den) for i in range(0, len(nums), 2)]
+        candidate = _polygon(_hull(points))
+        if not (_within_bits(candidate, max_bits) and candidate.contains_polygon(newest)):
+            continue
+        if apply_collection(collection, candidate) == candidate:
+            return candidate, True
+        refused = candidate, False
+    return refused
 
 
 # ---------------------------------------------------------------------------
 # Fixed-point iteration
 # ---------------------------------------------------------------------------
+
+
+def _chain(
+    collection: Collection,
+    start: ConvexPolygon,
+    iterates: list[ConvexPolygon],
+    budget: int,
+    max_bits: int,
+) -> tuple[ConvexPolygon, int, StopStatus, Optional[ConvexPolygon]]:
+    """Iterate from start for at most budget steps, appending each image
+    within the bit budget to iterates: (answer, iterations, status, restart).
+
+    The iterates form a growing chain, checked exactly each step (a
+    violation means a geometry bug and raises), so an iterate that is not a
+    fixed point is never applied again.  The loop drops the edge table of
+    each iterate it replaces, so a kept chain costs its vertices only.  It
+    keeps the newest `_WINDOW` iterates, each with an empty slot for its
+    scaled coordinates, and after each step `_extrapolate` tries to guess
+    the chain's limit from them.  restart is the newest candidate it
+    returned that the operator does not map to itself.
+    """
+    current, restart = start, None
+    window = deque([[start, None]], maxlen=_WINDOW)
+    for step in range(1, budget + 1):
+        grown = apply_collection(collection, current)
+        if not grown.contains_polygon(current):
+            raise GeometryInconsistencyError(
+                f"iterate {step} does not contain its predecessor"
+            )
+        if not _within_bits(grown, max_bits):
+            return current, step, "bits", restart
+        iterates.append(grown)
+        if grown == current:
+            return current, step - 1, "converged", None
+        _drop_edge_table(current)
+        current = grown
+        window.append([current, None])
+        found = _extrapolate(collection, window, max_bits)
+        if found is not None:
+            candidate, invariant = found
+            if invariant:
+                return candidate, step, "extrapolated", None
+            restart = candidate
+    return current, budget, "budget", restart
 
 
 def iterate_to_invariance(
@@ -781,45 +911,32 @@ def iterate_to_invariance(
     """Iterate the collection operator from a seed until an image equals its
     iterate or an extrapolated limit is verified.
 
-    The iterates form a growing chain, checked exactly each step (a
-    violation means a geometry bug and raises), so an iterate that is not a
-    fixed point is never applied again.  The loop drops the edge table of
-    each iterate it replaces, and of every polygon the result holds, so a
-    kept chain costs its vertices only.  It keeps the newest `_WINDOW`
-    iterates, each with an empty slot for its scaled coordinates, and after
-    each step `_extrapolate` tries to guess the chain's limit from them,
-    filling the slots of those it reads.  ``converged`` is true only when
-    the image of the returned set equals it, which is exact invariance: at
-    a fixed point of the chain or at a verified extrapolated limit.  The
-    bit budget or the iteration budget return the last iterate with
-    ``converged`` false, and ``status`` names which of them stopped the
-    run.
+    The exact chain from the seed (`_chain`) stops on a fixed point, a
+    verified extrapolated limit, the iteration budget or the bit budget.  On
+    the bit budget it restarts once from the newest candidate its
+    extrapolation refused as not invariant, with a fresh window and the
+    steps left in the budget: that candidate contains the newest iterate of
+    its step, hence the seed, and the operator is extensive, so a fixed
+    point the restarted chain reaches contains the seed and is invariant,
+    hence contains the minimal invariant set (Cousot & Cousot, "Constructive
+    versions of Tarski's fixed point theorems", Pacific J. Math. 82(1),
+    1979).  It is returned with status ``extrapolated`` and the steps of
+    both chains; a restarted chain that stops any other way is dropped, and
+    the exact chain's ``bits`` answer stands.  ``iterates`` is always the
+    exact chain.  The loop drops the edge table of every polygon the result
+    holds.
     """
     max_bits = config.max_coordinate_bits
-    current, iterates = seed, [seed]
-    window = deque([[seed, None]], maxlen=_WINDOW)
-    for step in range(1, config.max_iterations + 1):
-        grown = apply_collection(collection, current)
-        if not grown.contains_polygon(current):
-            raise GeometryInconsistencyError(
-                f"iterate {step} does not contain its predecessor"
-            )
-        if not _within_bits(grown, max_bits):
-            answer, iterations, status = current, step, "bits"
-            break
-        iterates.append(grown)
-        if grown == current:
-            answer, iterations, status = current, step - 1, "converged"
-            break
-        _drop_edge_table(current)
-        current = grown
-        window.append([current, None])
-        answer = _extrapolate(collection, window, max_bits)
-        if answer is not None:
-            iterations, status = step, "extrapolated"
-            break
-    else:
-        answer, iterations, status = current, config.max_iterations, "budget"
+    iterates = [seed]
+    answer, iterations, status, restart = _chain(
+        collection, seed, iterates, config.max_iterations, max_bits
+    )
+    if status == "bits" and restart is not None:
+        limit, steps, how, _ = _chain(
+            collection, restart, [restart], config.max_iterations - iterations, max_bits
+        )
+        if how in ("converged", "extrapolated"):
+            answer, iterations, status = limit, iterations + steps, "extrapolated"
     for poly in (answer, seed, *iterates[-2:]):
         _drop_edge_table(poly)
     return IterationResult(answer, iterations, status, iterates)

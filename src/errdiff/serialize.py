@@ -122,12 +122,14 @@ def load_collection(path: PathLike) -> Collection:
 
 
 def iteration_result_to_json(result) -> dict:
-    """The result as JSON: ``status`` is one of ``operators.StopStatus``, and
-    ``converged`` is true for ``converged`` and ``extrapolated``."""
+    """The result as JSON: ``status`` is one of ``operators.StopStatus``,
+    ``converged`` is true for ``converged`` and ``extrapolated``, and
+    ``gap`` is the exact ``IterationResult.gap`` as a string, or null."""
     return {
         "converged": result.converged,
         "status": result.status,
         "iterations": result.iterations,
+        "gap": None if result.gap is None else str(result.gap),
         "vertices": polygon_to_json(result.invariant_set),
         "history_hashes": result.history_hashes,
         "vertex_counts": result.vertex_counts,

@@ -6,10 +6,13 @@ This is the straightforward form of `orient`, `clip`, `convex_hull`,
 and `errdiff.dynamics` run on integer homogeneous triples, of a site's
 Voronoi cell as all of its bisectors (`bisectors`), of one
 collection-operator step (`cell_pieces`, `apply_collection`) assembled
-from them, of the iteration's coordinate bit count and digest, of the
-closed loop's `uniform_request`, `central_step`, `heater_step`,
-`least_squares_slope` and `compute_metrics`, and of the trace writers'
-`row` and `coords`, which the package runs on integers.  Its
+from them, of the iteration's coordinate bit count and digest, of its
+extrapolation searched degree by degree from 1 upward (`mpe_limit`,
+`nearest_shift`, `extrapolate`), which the package searches from the top
+degree down, and of an answer's gap (`support_gap`), of the closed loop's
+`uniform_request`, `central_step`, `heater_step`, `least_squares_slope`
+and `compute_metrics`, and of the trace writers' `row` and `coords`,
+which the package runs on integers.  Its
 `run_resource_loop` is the controller loop without the package loop's
 tables: each step projects afresh and appends a new record.  Only the
 tests import it, as an oracle: every function here must return exactly
@@ -578,6 +581,108 @@ def compute_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:
         stagnation_steps=longest,
         error_bound_sq=bound_sq,
         bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Extrapolated limits
+# ---------------------------------------------------------------------------
+
+
+def mpe_limit(samples: Sequence[Sequence[Fraction]]) -> Optional[list[Fraction]]:
+    """Minimal polynomial extrapolation of degree m = len(samples) - 2.
+
+    The weights c_0 ... c_m, c_m = 1, with sum_j c_j (x_{j+1} - x_j) = 0 in
+    every coordinate, by Gauss-Jordan elimination; the limit sum_j c_j x_j
+    / sum_j c_j.  None when the weights are not unique, do not exist or sum
+    to 0.
+    """
+    m = len(samples) - 2
+    diffs = [[b - a for a, b in zip(x, y)] for x, y in zip(samples, samples[1:])]
+    rows = [[u[i] for u in diffs[:m]] + [-diffs[m][i]] for i in range(len(samples[0]))]
+    for col in range(m):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
+        lead[:] = [v / lead[col] for v in lead]
+        for r, other in enumerate(rows):
+            if r != col and other[col]:
+                rows[r] = [a - other[col] * b for a, b in zip(other, lead)]
+    if any(row[m] for row in rows[m:]):
+        return None
+    weights = [row[m] for row in rows[:m]] + [Fraction(1)]
+    total = sum(weights)
+    if total == 0:
+        return None
+    return [sum(c * x[i] for c, x in zip(weights, samples)) / total for i in range(len(samples[0]))]
+
+
+def nearest_shift(polygon: ConvexPolygon, newest: ConvexPolygon) -> Optional[list[Point2]]:
+    """polygon's vertices, cyclically shifted so that the summed squared
+    distance to newest's vertices in order is smallest; None on a tie."""
+    vs, ws = polygon.vertices, newest.vertices
+    costs = [sum(dist2(vs[(k + i) % len(vs)], w) for i, w in enumerate(ws)) for k in range(len(vs))]
+    best = min(costs)
+    if costs.count(best) > 1:
+        return None
+    k = costs.index(best)
+    return list(vs[k:] + vs[:k])
+
+
+def extrapolate(
+    collection: Collection,
+    window: Sequence[ConvexPolygon],
+    max_bits: int,
+    max_stride: int,
+    max_degree: int,
+) -> Optional[tuple[ConvexPolygon, bool]]:
+    """The extrapolation's search bottom-up: every stride s and degree m from
+    1 upward, each on the m + 2 iterates s apart that end at the newest.
+
+    A stride stops at the first degree whose iterates the window does not
+    hold, whose rows do not outnumber its unknowns, whose vertex counts
+    differ or one of whose iterates has no unique nearest shift.  A
+    candidate, the hull of the limit's vertices, counts when it fits the
+    bit budget and contains the newest iterate.  The first one the
+    collection operator maps to itself is returned with True, or else the
+    last one with False; None when none counts.
+    """
+    newest = window[-1]
+    count, last = len(newest.vertices), len(window) - 1
+    found = None
+    for s in range(1, max_stride + 1):
+        for m in range(1, max_degree + 1):
+            picks = [last - s * t for t in range(m + 1, -1, -1)]
+            if picks[0] < 0 or 2 * count <= m:
+                break
+            if any(len(window[i].vertices) != count for i in picks):
+                break
+            aligned = [nearest_shift(window[i], newest) for i in picks]
+            if None in aligned:
+                break
+            limit = mpe_limit([coords(*vs) for vs in aligned])
+            if limit is None:
+                continue
+            candidate = convex_hull(Point2(*limit[i : i + 2]) for i in range(0, len(limit), 2))
+            if coordinate_bits(candidate) > max_bits or not contains_polygon(candidate, newest):
+                continue
+            if apply_collection(collection, candidate) == candidate:
+                return candidate, True
+            found = candidate, False
+    return found
+
+
+def support_gap(outer: ConvexPolygon, inner: ConvexPolygon) -> Fraction:
+    """The largest squared distance from an edge line of outer to inner, for
+    inner inside outer; 0 for a one-point outer."""
+    return max(
+        (
+            min(cross(v - u, w - u) for w in inner.vertices) ** 2 / dist2(u, v)
+            for u, v in edges(outer)
+        ),
+        default=Fraction(0),
     )
 
 

@@ -123,15 +123,9 @@ STALL_COLLECTION = {
         {"points": [["-5", "3"], ["1", "-3"], ["4", "1"]]},
     ],
 }
+DATA = Path(__file__).resolve().parent / "data"
 # The paper's three-set family: the 8-point ring, without (0, -1), without (-1, -1) too.
-RING = [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)]
-FAMILY3_COLLECTION = {
-    "mode": "perfect",
-    "sets": [
-        {"points": [[str(x), str(y)] for x, y in RING if (x, y) not in dropped]}
-        for dropped in ((), ((0, -1),), ((0, -1), (-1, -1)))
-    ],
-}
+FAMILY3_COLLECTION = json.loads((DATA / "family3.json").read_text())
 
 
 def _write(tmp_path, name, data):
@@ -141,26 +135,28 @@ def _write(tmp_path, name, data):
 
 
 class TestStopStatus:
-    """Each status the CLI can report, with its line, JSON key and exit code."""
+    """Each status the CLI can report, with its line, JSON key and exit code,
+    and the exact gap it prints and writes."""
 
     def _run(self, path, tmp_path, capsys, *extra):
         out = tmp_path / "result.json"
         code = main(["compute-invariant", "--collection", str(path), "--out", str(out), *extra])
-        printed = capsys.readouterr().out
-        status = json.loads(out.read_text())["status"]
-        assert f"status: {status}" in printed.splitlines()
-        return code, status
+        printed = capsys.readouterr().out.splitlines()
+        doc = json.loads(out.read_text())
+        assert f"status: {doc['status']}" in printed
+        assert f"gap: {doc['gap']}" in printed
+        return code, doc["status"], doc["gap"]
 
     def test_converged(self, collection_file, tmp_path, capsys):
-        assert self._run(collection_file, tmp_path, capsys) == (0, "converged")
+        assert self._run(collection_file, tmp_path, capsys) == (0, "converged", "0")
 
     def test_extrapolated(self, tmp_path, capsys):
         path = _write(tmp_path, "family3.json", FAMILY3_COLLECTION)
-        assert self._run(path, tmp_path, capsys) == (0, "extrapolated")
+        assert self._run(path, tmp_path, capsys) == (0, "extrapolated", "65536/15625")
 
     def test_budget(self, tmp_path, capsys):
         path = _write(tmp_path, "stall.json", STALL_COLLECTION)
-        assert self._run(path, tmp_path, capsys, "--max-iters", "1") == (2, "budget")
+        assert self._run(path, tmp_path, capsys, "--max-iters", "1") == (2, "budget", None)
 
 
 def test_seed_off_the_origin(tmp_path, capsys):
@@ -530,9 +526,6 @@ class TestSimulate:
         assert (out / "heater_setpoints.csv").exists()
 
 
-DATA = Path(__file__).resolve().parent / "data"
-
-
 def _digest(out: Path) -> str:
     """sha256 over the sorted output files, each as name, NUL, bytes."""
     digest = hashlib.sha256()
@@ -579,11 +572,11 @@ def test_plot_data_without_diffusion_is_pinned(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "collection, expected",
-    [(FAMILY3_COLLECTION, "63a4d3278055e1d5298b8567683b75f5579a0b22315ddec88064d715829b2159")],
+    [(FAMILY3_COLLECTION, "251fb713d7775851ff05fc5704a75080daccd9767b42af40b7a9c64f56af334b")],
     ids=["family3"],
 )
 def test_compute_invariant_outputs_are_pinned(collection, expected, tmp_path, capsys):
-    """The --out document byte for byte: vertices, status, digests and vertex counts."""
+    """The --out document byte for byte: vertices, status, gap, digests and vertex counts."""
     out = tmp_path / "result.json"
     path = _write(tmp_path, "collection.json", collection)
     main(["compute-invariant", "--collection", str(path), "--out", str(out)])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,15 @@ from hypothesis import strategies as st
 from errdiff.certificate import certify_invariant
 from errdiff.geometry import ORIGIN, ConvexPolygon, Point2, PointSet, convex_hull
 from errdiff.operators import (
+    _MAX_DEGREE,
+    _MAX_STRIDE,
+    _WINDOW,
     Collection,
     IterationConfig,
     _cyclic_dots,
+    _extrapolate,
     _floats,
+    _gap,
     _mpe_limit,
     _screened_shift,
     _shift_to,
@@ -23,7 +29,10 @@ from errdiff.operators import (
 )
 from errdiff.verify import load_golden_polygon, three_set_family
 
-from conftest import BENCHMARK_COLLECTIONS, points, poly
+import fraction_kernel as oracle
+from conftest import BENCHMARK_COLLECTIONS, STALL_COLLECTION, points, poly
+from test_population import CONFIG as POPULATION_CONFIG
+from test_population import EXACT_CHAIN_ENDS, _collections, _results
 
 ORIGIN_POLY = ConvexPolygon((ORIGIN,))
 # The budgets of the benchmark's random collections and of operator-properties.
@@ -246,3 +255,127 @@ class TestScreenedAlignment:
         assert _floats(1, [10**400, 0]) is None
         assert _floats(10**400, [1, 0]) is None  # would underflow to 0.0
         assert _floats(1, [0, 3]) == ([0.0, 3.0], 3.0)
+
+
+# ---------------------------------------------------------------------------
+# The top-down search against the bottom-up oracle
+# ---------------------------------------------------------------------------
+
+# A strictly convex octagon: shrinking each vertex of any subset of it
+# toward the origin by up to a tenth keeps the subset strictly convex.
+OCTAGON = [(100, 0), (70, 70), (0, 100), (-70, 70), (-100, 0), (-70, -70), (0, -100), (70, -70)]
+# The operator of a one-point member maps every region to itself, so it
+# accepts every candidate that counts; the stall collection's maps none of
+# these windows' candidates to itself, so they become restart points.
+IDENTITY = Collection((points((0, 0)),), "perfect")
+
+
+def _shrink(family, k, a, b):
+    """The shrink factor at step k of one vertex, following a `TestMPE`
+    family with coefficients 0 < a <= 1/10 and |b| <= a/2: positive, so
+    the window grows inside the octagon, except under arithmetic growth."""
+    if family == "two rates":
+        return a * Fraction(1, 2) ** k + b * Fraction(-1, 3) ** k
+    if family == "one rate":
+        return a * Fraction(2, 3) ** k
+    if family == "harmonic":
+        return a / k**2
+    return -k * a / 16  # arithmetic growth
+
+
+@st.composite
+def family_windows(draw):
+    """Windows of polygons whose vertices shrink toward a subset of
+    `OCTAGON` by a `TestMPE` family, one pair of coefficients per vertex.
+    On the one-rate and two-rate families the top degree is undetermined,
+    so the search falls back."""
+    family = draw(st.sampled_from(["two rates", "one rate", "harmonic", "arithmetic"]))
+    corners = sorted(draw(st.sets(st.sampled_from(OCTAGON), min_size=3)), key=OCTAGON.index)
+    coefficients = []
+    for _ in corners:
+        a = draw(st.fractions(Fraction(1, 100), Fraction(1, 10), max_denominator=100))
+        b = draw(st.fractions(-a / 2, a / 2, max_denominator=200))
+        coefficients.append((a, b))
+    start = draw(st.integers(1, 6))
+    window = []
+    for k in range(start, start + draw(st.integers(3, _WINDOW))):
+        window.append(convex_hull(
+            Point2(x, y) * (1 - _shrink(family, k, a, b))
+            for (x, y), (a, b) in zip(corners, coefficients)
+        ))
+    return window
+
+
+def _search(collection, window, max_bits):
+    """`_extrapolate` on a window of these polygons, and the oracle's answer."""
+    got = _extrapolate(collection, deque([[p, None] for p in window]), max_bits)
+    return got, oracle.extrapolate(collection, window, max_bits, _MAX_STRIDE, _MAX_DEGREE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family_windows(),
+    st.sampled_from([IDENTITY, STALL_COLLECTION]),
+    st.sampled_from([24, 40, 192]),
+)
+def test_top_down_search_agrees_on_family_windows(window, collection, max_bits):
+    """The same accepted candidate, or the same restart point, as the search
+    from degree 1 upward."""
+    got, want = _search(collection, window, max_bits)
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_top_down_search_agrees_on_population_windows(data):
+    results = _results(1)
+    index = data.draw(st.sampled_from([i for i, r in enumerate(results) if len(r.iterates) > 2]))
+    chain = results[index].iterates
+    end = data.draw(st.integers(2, len(chain) - 1))
+    window = chain[max(0, end + 1 - _WINDOW) : end + 1]
+    got, want = _search(_collections(1)[index], window, POPULATION_CONFIG.max_coordinate_bits)
+    assert got == want
+
+
+@pytest.mark.parametrize("index", sorted(EXACT_CHAIN_ENDS))
+def test_top_down_search_agrees_on_every_window_of_a_restarted_chain(index):
+    """Every window of the exact chains that leave restart points, so every
+    restart point they keep is the oracle's."""
+    chain, kept = _results(1)[index].iterates, 0
+    for end in range(2, len(chain)):
+        window = chain[max(0, end + 1 - _WINDOW) : end + 1]
+        got, want = _search(_collections(1)[index], window, POPULATION_CONFIG.max_coordinate_bits)
+        assert got == want
+        kept += want is not None and not want[1]
+    assert kept > 0
+
+
+coordinates = st.integers(-30, 30)
+
+
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=12), st.data())
+def test_gap_equals_the_oracle_on_nested_polygons(coords, data):
+    """inner is the hull of midpoints of outer's points, so it lies inside."""
+    pts = [Point2(x, y) for x, y in coords]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), min_size=1))
+    outer = convex_hull(pts)
+    inner = convex_hull((p + q) * Fraction(1, 2) for p, q in pairs)
+    assert _gap(outer, inner) == oracle.support_gap(outer, inner)
+
+
+
+def test_strides_with_different_limits_keep_the_first_fixed_point_and_the_last_refusal():
+    """Every vertex of the window shrinks toward the octagon by one factor,
+    geometric over the newest four iterates, and iterate 4 is set so that
+    iterates 4, 6 and 8 are geometric toward the octagon grown by 1/100.
+    So stride 1 extrapolates the octagon and stride 2 the grown one."""
+    a, r, grow = Fraction(1, 10), Fraction(1, 2), Fraction(1, 100)
+    shrink = {k: a * r**k for k in range(5, 9)}
+    shrink[4] = -grow + (shrink[6] + grow) ** 2 / (shrink[8] + grow)
+    shrink.update({k: a * 2 ** (3 - k) for k in range(4)})
+    window = [convex_hull(Point2(x, y) * (1 - shrink[k]) for x, y in OCTAGON) for k in range(9)]
+    octagon = convex_hull(Point2(x, y) for x, y in OCTAGON)
+    grown = convex_hull(Point2(x, y) * (1 + grow) for x, y in OCTAGON)
+    for collection, want in ((IDENTITY, (octagon, True)), (STALL_COLLECTION, (grown, False))):
+        got, oracle_got = _search(collection, window, 192)
+        assert got == oracle_got == want

@@ -18,7 +18,6 @@ orientation sign, so the mapped input keeps its degeneracies.
 
 import ast
 import copy
-import dataclasses
 import importlib
 import itertools
 import math
@@ -1454,7 +1453,7 @@ def _record_trace(error: Point2, steps) -> ControllerTrace:
 
 def _copied(trace: ControllerTrace) -> ControllerTrace:
     """The trace with a record of its own for every step."""
-    return ControllerTrace([dataclasses.replace(r) for r in trace.records], trace.final_error)
+    return ControllerTrace([r._replace() for r in trace.records], trace.final_error)
 
 
 @st.composite

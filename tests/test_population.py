@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from errdiff import operators
+from errdiff.certificate import certify_invariant
 from errdiff.geometry import ORIGIN, ConvexPolygon, _scaled
 from errdiff.operators import (
     _MAX_DEGREE,
@@ -30,6 +31,7 @@ from errdiff.operators import (
     _floats,
     _within_bits,
     apply_collection,
+    check_invariance,
     iterate_to_invariance,
 )
 from errdiff.serialize import parse_collection
@@ -40,7 +42,7 @@ INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 PINNED = [
     ("bits", 19, "bf00334e39132479"),
     ("converged", 3, "1b73ead634efef2d"),
-    ("bits", 44, "65b3d07665aa346b"),
+    ("extrapolated", 46, "b8f7f77662dbb18f"),
     ("bits", 8, "2f9e62f2efcc29ba"),
     ("converged", 0, "7334821429a99561"),
     ("bits", 8, "6e72094792de763f"),
@@ -60,7 +62,7 @@ PINNED = [
     ("extrapolated", 9, "c0959493a576db02"),
     ("bits", 18, "dba149b941917a2f"),
     ("bits", 17, "168d162596112b48"),
-    ("bits", 40, "6f1e6f492053545b"),
+    ("extrapolated", 41, "5032c082dd37d9ca"),
     ("extrapolated", 8, "359960d99354425a"),
     ("converged", 0, "7334821429a99561"),
     ("bits", 12, "e1548928b434664e"),
@@ -76,7 +78,7 @@ PINNED = [
     ("bits", 8, "2ce0df1bf273073e"),
     ("bits", 20, "da0688d3cc4e9319"),
     ("bits", 9, "a559990c8c8c93dd"),
-    ("bits", 30, "7268cb4ee6c23d50"),
+    ("extrapolated", 31, "483ca2767466088c"),
     ("converged", 1, "8f5af24404ed8da5"),
 ]
 
@@ -184,6 +186,55 @@ def test_seed2_population_histories_are_pinned():
     assert _histories(2) == HISTORY_PINNED
 
 
+# The collections that certify only after a restart, with the outcome of
+# their exact chains, which stop on bits.  Each restarts from a stride-2
+# candidate of a degree-3 solve.
+EXACT_CHAIN_ENDS = {
+    2: ("bits", 44, "65b3d07665aa346b"),
+    22: ("bits", 40, "6f1e6f492053545b"),
+    38: ("bits", 30, "7268cb4ee6c23d50"),
+}
+
+
+@pytest.mark.parametrize("index", sorted(EXACT_CHAIN_ENDS))
+def test_restarted_answers_are_invariant_and_contain_the_chain(index):
+    """The restarted answer is certified twice over, contains the seed and
+    the last exact iterate, and was found after the exact chain stopped."""
+    result, collection = _results(1)[index], _collections(1)[index]
+    answer = result.invariant_set
+    assert result.status == "extrapolated"
+    assert result.iterations > EXACT_CHAIN_ENDS[index][1] == len(result.iterates)
+    assert check_invariance(collection, answer) and certify_invariant(collection, answer)
+    assert result.inner is result.iterates[-1] != answer
+    assert answer.contains_polygon(result.inner) and answer.contains_polygon(SEED)
+    assert result.gap > 0
+
+
+def test_a_candidate_without_the_newest_iterate_is_never_a_restart_point(monkeypatch):
+    """Pulled halfway to the origin, no limit of these chains gives a
+    candidate that contains the newest iterate, so no step keeps one, and
+    each chain ends on bits exactly as it did without restarts."""
+    real = operators._mpe_limit
+    depth = 0
+
+    def halved(samples):
+        # A fallback degree calls `_mpe_limit` again through the module, so
+        # only the outermost call halves.
+        nonlocal depth
+        depth += 1
+        try:
+            found = real(samples)
+        finally:
+            depth -= 1
+        return found if found is None or depth else (found[0], 2 * found[1])
+
+    monkeypatch.setattr(operators, "_mpe_limit", halved)
+    for index, outcome in EXACT_CHAIN_ENDS.items():
+        result = iterate_to_invariance(_collections(1)[index], SEED, CONFIG)
+        assert (result.status, result.iterations, _digest(result.invariant_set)) == outcome
+        assert result.history_hashes == _results(1)[index].history_hashes
+
+
 @pytest.mark.parametrize("index, status", [(1, "converged"), (6, "extrapolated"), (0, "bits")])
 def test_history_is_read_from_the_kept_iterates(index, status):
     """The derived history equals eager digests of the chain run by hand."""
@@ -225,13 +276,15 @@ def _read_by_window(counts, newest):
 
 
 def test_window_scales_and_screens_only_the_iterates_it_reads(monkeypatch):
-    """Seed-1 collection 2 alternates between 9 and 10 vertices.  Each
-    iterate is scaled at most once, when it is first read, and screened
-    against the newest once per step that reads it; one that no stride or
-    degree reads is neither."""
-    collection, expected = _collections(1)[2], _results(1)[2]
+    """Seed-1 collection 36 alternates between 12 and 13 vertices, then has
+    12 long enough to fill the window, and stops on bits with nothing to
+    restart from.  Each iterate is scaled at most once, when it is first
+    read, and screened against the newest once per step that reads it; one
+    that no stride or degree reads is neither."""
+    collection, expected = _collections(1)[36], _results(1)[36]
     counts = expected.vertex_counts
-    assert expected.status == "bits" and set(counts[9:]) == {9, 10}
+    assert expected.status == "bits" and counts[7:11] == [13, 12, 13, 12]
+    assert counts[10:-1] == [12] * _WINDOW
     index = {poly._ts: i for i, poly in enumerate(expected.iterates)}
     scaled, screened = [], []
 

@@ -407,3 +407,22 @@ class TestFrozenResults:
             assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
         assert json.loads((tmp_path / "after" / "metrics.json").read_text())["resources"]["heaters"]["steps"] == 30
         assert len(trace.records) == 30
+
+    def test_a_record_refuses_change(self, tmp_path):
+        """Writing a step record's field once changed the trace CSV but not
+        metrics.json.  A record is a tuple now, so the write is refused, and
+        records still compare and hash by identity."""
+        scenario = load_scenario(DATA / "closed_loop_seed1.json")
+        result = run_scenario(dataclasses.replace(scenario, horizon=30))
+        write_simulation(result, tmp_path / "before")
+        records = result.traces["heaters"].records
+        with pytest.raises(AttributeError):
+            records[0].implemented = records[0].requested
+        with pytest.raises(TypeError):
+            records[0][3] = records[0].requested
+        write_simulation(result, tmp_path / "after")
+        for path in sorted((tmp_path / "before").iterdir()):
+            assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes()
+        twin = records[0]._replace()
+        assert twin != records[0] and records[0] == records[0]
+        assert len({twin, records[0]}) == 2
