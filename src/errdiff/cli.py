@@ -28,7 +28,7 @@ import sys
 from dataclasses import replace
 
 from . import simulate, verify
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, _rational
 from .operators import MODES, Collection, IterationConfig, iterate_to_invariance
 from .serialize import (
     emit_plot_data,
@@ -138,8 +138,8 @@ def _cmd_compute_invariant(args: argparse.Namespace) -> int:
     print(f"iterations: {result.iterations}")
     print(f"gap: {result.gap}")
     print("invariant set vertices (exact):")
-    for v in result.invariant_set.vertices:
-        print(f"  {v.x} {v.y}")
+    for x, y, w in result.invariant_set._ts:
+        print(f"  {_rational(x, w)} {_rational(y, w)}")
     return 0 if result.converged else 2
 
 

@@ -32,11 +32,20 @@ tagged with its angle half, and its line.  The Minkowski sum, polygon
 containment, the projection and the convex cells of `operators` read it
 instead of deriving the edges on every call.
 
-Rationals enter through `Point2(x, y)`, which takes Fractions, ints or
-'p/q' strings but never a float, and leave through `Point2.x` and `.y`,
-lowest-terms Fractions built on each read; squared lengths are Fractions
-too.  As text they leave through `_rational` and `_text`, the lowest-terms
-strings that the output files and the digests share.  `orient`, written
+Rationals enter through `_ratio`, the one reader of rational input, which
+`Point2(x, y)`, `HalfPlane` and `as_fraction` share.  It takes ints,
+Fractions and every string that Fraction reads (integers and 'p/q' with
+optional whitespace and sign, decimals, exponents such as '1e400' and, as
+the running Python's Fraction allows, underscores and non-ASCII digits),
+but never a float or a bool.  An integer or 'p/q' string in ASCII digits
+is read by `int` straight into the pair a triple is built from; every
+other string goes through Fraction, which decides what it accepts and
+raises its errors, except that a decimal exponent beyond Python's
+integer string digit limit in magnitude is refused.  Rationals leave
+through `Point2.x` and `.y`, lowest-terms Fractions built on each read;
+squared lengths are Fractions too.  As text they leave through `_rational`
+and `_text`, the lowest-terms strings written from the triples, which the
+output files, the printed vertex lines and the digests share.  `orient`, written
 over those Fractions, is the reference that polygon validation and the
 tests hold the integer kernel to.
 
@@ -50,6 +59,8 @@ makes the next reader rebuild it.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -62,18 +73,74 @@ Keyed = tuple[float, float, Triple]  # a point's float key (X/W, Y/W) and its tr
 _NO_VERTEX = "a convex polygon needs at least one vertex"
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to Fraction.
+# An integer or 'p/q' string in ASCII digits, which `int` reads on its own.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+# The decimal exponent that ends a literal, as Fraction's grammar writes it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z").search
+# Python's limit on the digits of an integer string, 0 for none; before
+# 3.10.7 Python has no limit and no such function, and int() is 0.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", int)
 
-    Floats are rejected on purpose: silently converting a binary float
-    would smuggle rounding error into an exact pipeline.  Booleans are
-    rejected too, although `bool` is an `int`: a JSON ``true`` is not 1.
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """value as (numerator, denominator), in lowest terms with a positive
+    denominator: the one reader of rational input.
+
+    Ints and Fractions pass through.  An integer or 'p/q' string in ASCII
+    digits, '-' its only sign, is read by `int` straight into the pair;
+    every other string, a zero denominator's too, goes to `_fraction`, so
+    Fraction's grammar and errors decide what else is accepted.  Floats are
+    rejected on purpose: silently converting a binary float would smuggle
+    rounding error into an exact pipeline.  Booleans are rejected too,
+    although `bool` is an `int`: a JSON ``true`` is not 1.
     """
+    if isinstance(value, str):
+        m = _PLAIN(value)
+        if m is not None:
+            n, d = int(m[1]), int(m[2] or 1)
+            if d:
+                g = math.gcd(n, d)
+                return n // g, d // g
+        f = _fraction(value)
+        return f.numerator, f.denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"expected a rational value, got {type(value).__name__!s}")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond
+    sys.get_int_max_str_digits() in magnitude: Fraction would build its
+    power of ten first, over 33 million bits and seconds of work for
+    '1e10000000', before any bit budget applies.
+
+    The literal with its exponent's digits zeroed is well formed exactly
+    when the literal is, so Fraction judges that one first: a malformed
+    literal keeps Fraction's own error, raised before its exponent is read.
+    An exponent of more digits than the limit keeps Fraction's error too.
+    """
+    m = _EXPONENT(text)
+    limit = _max_str_digits()
+    try:
+        beyond = m is not None and limit and abs(int(m[1])) > limit
+    except ValueError:  # more digits than the limit
+        beyond = False
+    if beyond:
+        try:
+            Fraction(text[: m.start(1)] + re.sub(r"\d", "0", m[1]) + text[m.end(1) :])
+        except ValueError:
+            return Fraction(text)
+        raise ValueError(f"exponent in {text!r} exceeds {limit}, the integer string digit limit")
+    return Fraction(text)
+
+
+def as_fraction(value: RationalLike) -> Fraction:
+    """value, an int, Fraction or string, as a Fraction, read by `_ratio`."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected a rational value, got {type(value).__name__!s}")
+    return Fraction(*_ratio(value))
 
 
 class _Frozen:
@@ -103,12 +170,11 @@ class Point2(_Frozen):
     __slots__ = ("_t",)
 
     def __init__(self, x: RationalLike, y: RationalLike) -> None:
-        x, y = as_fraction(x), as_fraction(y)
-        xd, yd = x.denominator, y.denominator
+        (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
         # Both coordinates are in lowest terms, so scaling them by the lcm
         # of their denominators leaves no common factor.
         w = xd if xd == yd else math.lcm(xd, yd)
-        _setattr(self, "_t", (x.numerator * (w // xd), y.numerator * (w // yd), w))
+        _setattr(self, "_t", (xn * (w // xd), yn * (w // yd), w))
 
     @property
     def x(self) -> Fraction:
@@ -151,9 +217,9 @@ class Point2(_Frozen):
         return _from_triple((-x, -y, w))
 
     def __mul__(self, k: RationalLike) -> "Point2":
-        k = as_fraction(k)
+        kn, kd = _ratio(k)
         x, y, w = self._t
-        return _from_triple(_normalised(x * k.numerator, y * k.numerator, w * k.denominator))
+        return _from_triple(_normalised(x * kn, y * kn, w * kd))
 
     __rmul__ = __mul__
 
@@ -262,13 +328,11 @@ class HalfPlane:
     ints: Triple
 
     def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike) -> None:
-        a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
-        if a == 0 and b == 0:
+        (an, ad), (bn, bd), (cn, cd) = _ratio(a), _ratio(b), _ratio(c)
+        if an == 0 and bn == 0:
             raise ValueError("half-plane normal must be non-zero")
-        scale = math.lcm(a.denominator, b.denominator, c.denominator)
-        ia = a.numerator * (scale // a.denominator)
-        ib = b.numerator * (scale // b.denominator)
-        ic = c.numerator * (scale // c.denominator)
+        scale = math.lcm(ad, bd, cd)
+        ia, ib, ic = an * (scale // ad), bn * (scale // bd), cn * (scale // cd)
         g = math.gcd(ia, ib, ic)
         object.__setattr__(self, "ints", (ia // g, ib // g, ic // g))
 

@@ -222,18 +222,21 @@ def _gap(outer: ConvexPolygon, inner: ConvexPolygon) -> Fraction:
     a*x + b*y + c*w >= 0 on outer and (-a, -b) as its outer normal, so the
     distance from it to inner is the smallest (a*x + b*y + c*w) / w over
     inner's vertices (`geometry._extremes`), divided by |(a, b)|, and its
-    square is rational.
+    square is rational.  The squares stay integer pairs, compared by
+    cross-multiplication, and only the widest becomes a Fraction.
     """
     ts = outer._ts
     if len(ts) == 1:
         return Fraction(0)
-    widest = Fraction(0)
+    num, den = 0, 1
     for u, v in zip(ts, ts[1:] + ts[:1]):
         a, b, c = _line(u, v)
         (low, low_s), _ = _extremes(inner._ts, a, b)
         w = low[2]
-        widest = max(widest, Fraction((low_s + c * w) ** 2, w * w * (a * a + b * b)))
-    return widest
+        n, d = (low_s + c * w) ** 2, w * w * (a * a + b * b)
+        if n * den > num * d:
+            num, den = n, d
+    return Fraction(num, den)
 
 
 class GeometryInconsistencyError(RuntimeError):

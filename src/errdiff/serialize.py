@@ -78,7 +78,7 @@ def parse_point(data: Any) -> Point2:
 
 
 def polygon_to_json(poly: ConvexPolygon) -> list[list[str]]:
-    return [point_to_json(v) for v in poly.vertices]
+    return [[_rational(x, w), _rational(y, w)] for x, y, w in poly._ts]
 
 
 def parse_polygon(data: Any) -> ConvexPolygon:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,15 @@ def pt(x, y) -> Point2:
 
 def poly(*coords) -> ConvexPolygon:
     return convex_hull(Point2(Fraction(x), Fraction(y)) for x, y in coords)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's integer string digit limit set to its default, 4300, for the test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
 
 
 @pytest.fixture

@@ -293,6 +293,13 @@ class TestMalformedInput:
         path = _write(tmp_path, "c.json", {"sets": [{"points": [[True, "0"]]}]})
         assert "expected a rational value, got bool" in self._compute(capsys, path)
 
+    @pytest.mark.parametrize("exponent", ["1e10000000", "1E-10000000"])
+    def test_exponent_beyond_the_digit_limit(self, exponent, digit_limit, tmp_path, capsys):
+        """Fraction would spend seconds on the power of ten; the reader refuses it at once."""
+        path = _write(tmp_path, "c.json", {"sets": [{"points": [["0", exponent]]}]})
+        line = self._compute(capsys, path)
+        assert line.endswith(f"exponent in {exponent!r} exceeds 4300, the integer string digit limit")
+
     def test_three_coordinate_seed(self, collection_file, capsys):
         assert "--q0" in self._compute(capsys, collection_file, "--q0", "1,2,3")
 
@@ -581,6 +588,59 @@ def test_compute_invariant_outputs_are_pinned(collection, expected, tmp_path, ca
     path = _write(tmp_path, "collection.json", collection)
     main(["compute-invariant", "--collection", str(path), "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+# A point set and a triangle, every coordinate a 'p/q' string.
+FRACTIONAL_COLLECTION = {
+    "mode": "perfect",
+    "sets": [
+        {"points": [["-2/3", "-1/2"], ["1/3", "-1/2"], ["2/3", "1/4"], ["-1/3", "3/4"]]},
+        {"polygon": [["-1/2", "-2/3"], ["5/6", "-1/3"], ["1/6", "2/3"]]},
+    ],
+}
+FRACTIONAL_STDOUT = (
+    "iteration 0: vertices=1\n"
+    "iteration 1: vertices=9\n"
+    "iteration 2: vertices=7\n"
+    "iteration 3: vertices=11\n"
+    "iteration 4: vertices=8\n"
+    "iteration 5: vertices=11\n"
+    "iteration 6: vertices=8\n"
+    "iteration 7: vertices=11\n"
+    "iteration 8: vertices=8\n"
+    "iteration 9: vertices=11\n"
+    "iteration 10: vertices=8\n"
+    "iteration 11: vertices=11\n"
+    "iteration 12: vertices=8\n"
+    "converged: True\n"
+    "status: extrapolated\n"
+    "iterations: 12\n"
+    "gap: 15530217148088529850914884663144180875264/3858767640916609392455230188775634765625\n"
+    "invariant set vertices (exact):\n"
+    "  -269/84 31/168\n"
+    "  -1/2 -2\n"
+    "  1/2 -2\n"
+    "  386/291 -109/776\n"
+    "  15/16 5/8\n"
+    "  -1/16 9/8\n"
+    "  -241/84 241/168\n"
+)
+
+
+@pytest.mark.parametrize(
+    "collection, expected",
+    [
+        (FAMILY3_COLLECTION, (DATA / "family3.stdout").read_text()),
+        (FRACTIONAL_COLLECTION, FRACTIONAL_STDOUT),
+    ],
+    ids=["family3", "fractional"],
+)
+def test_compute_invariant_stdout_is_pinned(collection, expected, tmp_path, capsys):
+    """The printed report byte for byte: vertex counts, status, gap and the
+    exact vertex lines, written from the answer's triples."""
+    path = _write(tmp_path, "collection.json", collection)
+    assert main(["compute-invariant", "--collection", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 COLLINEAR_COLLECTION = {

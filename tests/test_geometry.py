@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from errdiff.geometry import (
     Point2,
     PointSet,
     _extremes,
+    as_fraction,
     clip,
     clip_all,
     convex_hull,
@@ -128,6 +131,105 @@ class TestPoint2:
     def test_lexicographic_order(self):
         assert pt(0, 5) < pt(1, -10)
         assert pt(1, -10) < pt(1, 0)
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and message of the error it raises."""
+    try:
+        return read(*args)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_triple(x, y):
+    """The triple of (Fraction(x), Fraction(y)), built from the Fractions."""
+    fx, fy = Fraction(x), Fraction(y)
+    w = math.lcm(fx.denominator, fy.denominator)
+    return fx.numerator * (w // fx.denominator), fy.numerator * (w // fy.denominator), w
+
+
+_signs = st.sampled_from(["", "-", "+"])
+_pads = st.sampled_from(["", "0", "00"])
+_spaces = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
+# Exponents stay far inside the integer string digit limit, whose smallest
+# non-zero value is 640; beyond it the reader refuses them (TestExponentBound).
+_exponents = st.integers(-400, 400).map(str) | st.sampled_from(["+5", "-0", "1_0", "0_1", "+00"])
+_rational_text = st.one_of(
+    st.builds(lambda s, p, n: f"{s}{p}{n}", _signs, _pads, st.integers(0, 10**40)),
+    st.builds(
+        lambda s, p, n, d: f"{s}{p}{n}/{p}{d}", _signs, _pads, st.integers(0, 10**6), st.integers(0, 10**6)
+    ),
+    st.builds(
+        lambda s, n, f, e: f"{s}{n}.{f}" + (f"e{e}" if e is not None else ""),
+        _signs, st.sampled_from(["", "0", "12"]), st.sampled_from(["", "5", "125", "0_5"]), st.none() | _exponents,
+    ),
+    st.builds(lambda n, mark, e: f"{n}{mark}{e}", st.integers(-99, 99), st.sampled_from("eE"), _exponents),
+    st.builds(lambda a, t, b: f"{a}{t}{b}", _spaces, st.integers(-99, 99).map(str), _spaces),
+    st.text(alphabet="0123456789-+/._ \u0661\u0663", max_size=8),
+    st.sampled_from([
+        "6/4", "-0/5", "0/0", "1/0", "-1/0", "0/1", "1e400", "-1e-400", "1_000", "1__0", "_1", "1_",
+        "1_0/2_0", "1/-2", "--1", "+-1", "1/ 2", "1 /2", " 3/4 ", "1.", ".5", ".", "1e", "e5", "1.e3",
+        "1/2e3", "1e1.5", "1e400x", "0x10", "inf", "nan", "\u0661\u0662", "\u0663/\u0664",
+        "\u0661.\u0665", "\uff11", "", " ", "-", "/", "1" * 5000, "-" + "7" * 5000,
+        "1/" + "3" * 5000, "1" * 5000 + "/0", "0." + "1" * 5000,
+    ]),
+)
+_readable = st.one_of(st.integers(), st.fractions(), _rational_text)
+
+
+class TestReader:
+    """`geometry._ratio` reads what Fraction reads, and fails as Fraction fails."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_readable, _readable)
+    @example("6/4", "-0/5")
+    @example("0/0", "1/0")
+    @example(" 12 ", "+3/4")
+    @example("1.25e-3", "1_000")
+    @example("\u0661\u0662", "\u0663/\u0664")
+    @example("1" * 5000, "1")
+    def test_point_reads_as_fraction(self, x, y):
+        assert _outcome(lambda: Point2(x, y)._t) == _outcome(_fraction_triple, x, y)
+        assert _outcome(as_fraction, x) == _outcome(Fraction, x)
+
+    @given(_readable, _readable, _readable)
+    def test_half_plane_reads_as_fraction(self, a, b, c):
+        got = _outcome(lambda: HalfPlane(a, b, c).ints)
+        want = _outcome(lambda: HalfPlane(Fraction(a), Fraction(b), Fraction(c)).ints)
+        assert got == want
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, 1.0, float("nan"), None, [1]])
+    def test_non_rationals_rejected(self, value):
+        message = f"expected a rational value, got {type(value).__name__}"
+        for read in (lambda: Point2(value, 1), lambda: Point2(1, value), lambda: as_fraction(value)):
+            with pytest.raises(TypeError) as info:
+                read()
+            assert str(info.value) == message
+
+
+class TestExponentBound:
+    """A decimal exponent beyond the integer string digit limit in magnitude
+    is refused before Fraction builds its power of ten."""
+
+    @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "2.5e+10000000", " -1e10000000 "])
+    def test_refused(self, text, digit_limit):
+        with pytest.raises(ValueError) as info:
+            Point2(0, text)
+        assert str(info.value) == f"exponent in {text!r} exceeds 4300, the integer string digit limit"
+
+    @pytest.mark.parametrize("text", ["1e400", "1e4300", "-1e-4300", "0.5e4300"])
+    def test_within_the_limit(self, text, digit_limit):
+        assert Point2(text, 0) == Point2(Fraction(text), 0)
+
+    @pytest.mark.parametrize(
+        "text", ["1/2e99999999", "1e99999999x", "x1e99999999", "1e99999999.5", "1e" + "9" * 5000]
+    )
+    def test_malformed_keeps_fractions_error(self, text, digit_limit):
+        assert _outcome(Point2, text, 0) == _outcome(Fraction, text)
+
+    def test_no_limit(self, digit_limit):
+        sys.set_int_max_str_digits(0)
+        assert Point2("1e5000", 0) == Point2(10**5000, 0)
 
 
 class TestExtremes:
