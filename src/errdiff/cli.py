@@ -170,8 +170,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with _reporting(f"--out {args.out}", OSError):
         write_simulation(result, args.out)
     for rid, metrics in result.report.resources.items():
-        status = "" if metrics.bound_satisfied is None else f" bound_ok={metrics.bound_satisfied}"
-        print(f"{rid}: max|e|={metrics.max_error_norm:.6g} slope={metrics.error_slope:.3g}{status}")
+        print(
+            f"{rid}: max|e|={metrics.max_error_norm:.6g} slope={metrics.error_slope:.3g}"
+            f" bound_ok={metrics.bound_satisfied}"
+        )
     return 0
 
 

@@ -19,6 +19,13 @@ which is the same update with the advertisement one step behind.  So one
 loop, ``run_resource_loop``, runs both disciplines, over fixed set
 sequences (``run_trace``) and closed-loop resources alike.
 
+A request policy (``RequestPolicy``) sees the advertisement alone: the
+central controller picks from what is advertised, and the local
+controller compensates its own error.  A random policy,
+``uniform_request``, owns the stream it draws from, as a PV unit owns its
+availability's; a source and a policy meant to share one stream are given
+the same ``Random``.
+
 All arithmetic is exact; the recursion above holds as an identity of
 rationals in every trace.
 
@@ -160,36 +167,33 @@ class ControllerTrace:
 # ---------------------------------------------------------------------------
 
 
-class RequestPolicy(Protocol):
-    def __call__(self, advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
-        ...
+# A request policy picks the next request from the advertisement alone.
+RequestPolicy = Callable[[ConvexPolygon], Point2]
 
 
 def fixed_request(point: Point2) -> RequestPolicy:
     """Always request the same setpoint."""
-
-    def policy(advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
-        return point
-
-    return policy
+    return lambda advertised: point
 
 
-def uniform_request(denominator: int = 1024) -> RequestPolicy:
-    """Random rational request in the advertised set.
+def uniform_request(rng: random.Random, denominator: int) -> RequestPolicy:
+    """Random rational request in the advertised set, drawn from ``rng``.
 
     Points are drawn on a denominator-bounded grid: rejection sampling from
     the bounding box for full polygons, parameter sampling for segments.
     Each draw k/denominator is placed in integers, on the segment's or the
     box's corners as numerator-denominator pairs, and only the returned
-    point's triple becomes a Point2.
+    point's triple becomes a Point2.  A denominator below 1 is refused.
     """
+    if denominator < 1:
+        raise ValueError(f"uniform_request denominator must be at least 1, got {denominator}")
 
     def lerp(a: tuple[int, int], b: tuple[int, int], k: int) -> tuple[int, int]:
         """a + (b - a)*k/denominator for a = an/ad and b = bn/bd, as a numerator and denominator."""
         (an, ad), (bn, bd) = a, b
         return an * bd * (denominator - k) + bn * ad * k, ad * bd * denominator
 
-    def policy(advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
+    def policy(advertised: ConvexPolygon) -> Point2:
         ts = advertised._ts
         if len(ts) == 1:
             return advertised.vertices[0]
@@ -245,7 +249,6 @@ def run_resource_loop(
     source: SetSource,
     requests: RequestPolicy,
     horizon: int,
-    rng: random.Random,
     *,
     diffusion: bool = True,
 ) -> ControllerTrace:
@@ -261,7 +264,7 @@ def run_resource_loop(
 
     Perfect steps read the set before drawing the request; persistent steps
     after the first draw the request before reading the set.  A source and
-    a request policy sharing ``rng`` see that order.
+    a request policy that draw from one shared stream see that order.
 
     The rest of a step (the check of the request against its advertisement,
     the projection, the error update and the ``StepRecord``) is a pure
@@ -288,13 +291,13 @@ def run_resource_loop(
     for n in range(horizon):
         if mode == "persistent" and n > 0:
             advertised = hull  # the previous step's set
-            request = requests(advertised, error, rng)
+            request = requests(advertised)
             feasible = source.feasible_set()
             hull = feasible_hull(feasible)
         else:
             feasible = source.feasible_set()
             hull = advertised = feasible_hull(feasible)
-            request = requests(advertised, error, rng)
+            request = requests(advertised)
         # The set itself, not its triples: a point set and a polygon with
         # the same triples project differently.
         key = (feasible, advertised._ts, request._t, error._t)
@@ -342,19 +345,11 @@ def run_trace(
     requests: RequestPolicy,
     horizon: int,
     *,
-    seed: int = 0,
     diffusion: bool = True,
 ) -> ControllerTrace:
     """Run the controller against a fixed schedule of feasible sets.
 
     ``sets`` may be a sequence or a function of the step index; it is read
-    once per step and does not depend on what gets implemented.  ``seed``
-    seeds the stream the request policy draws from.
+    once per step and does not depend on what gets implemented.
     """
-    return run_resource_loop(
-        _ScheduledSource(mode, sets),
-        requests,
-        horizon,
-        random.Random(seed),
-        diffusion=diffusion,
-    )
+    return run_resource_loop(_ScheduledSource(mode, sets), requests, horizon, diffusion=diffusion)

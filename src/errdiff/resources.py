@@ -90,8 +90,9 @@ class HeaterParams:
     (numerator, denominator) pairs; and per room and switch state the
     thermal update in units of ``TEMP_RESOLUTION``,
     T' / TEMP_RESOLUTION = (T*keep + add) / over with integer keep, add, over.
-    ``_rounding`` holds that update, rounding included, for each state
-    denominator dividing the grid's (see ``_thermal_rounding``).
+    ``_rounding`` holds that update, rounding included, per state
+    denominator (see ``_thermal_rounding``), filled by ``heater_step`` the
+    first time it meets each one.
     """
 
     powers: tuple[Fraction, ...]
@@ -105,7 +106,7 @@ class HeaterParams:
     _scaled_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _band: tuple[tuple[int, int], tuple[int, int]] = field(init=False, repr=False, compare=False)
     _thermal: tuple = field(init=False, repr=False, compare=False)
-    _rounding: dict = field(init=False, repr=False, compare=False)
+    _rounding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _grid_band: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,9 +137,6 @@ class HeaterParams:
         heat = self.gain / TEMP_RESOLUTION
         thermal = tuple((_affine(keep, add), _affine(keep, add + heat * p)) for p in self.powers)
         object.__setattr__(self, "_thermal", thermal)
-        # A stepped state's denominator divides the grid's, a power of two.
-        dens = [_GRID_DEN >> j for j in range(_GRID_DEN.bit_length())]
-        object.__setattr__(self, "_rounding", {d: _thermal_rounding(thermal, d) for d in dens})
 
     @property
     def rooms(self) -> int:
@@ -204,7 +202,7 @@ class HeaterState(_Frozen):
 
     @classmethod
     def initial(cls, temps: Iterable[RationalLike], on: Iterable[bool] = ()) -> "HeaterState":
-        temps = tuple(as_fraction(t) for t in temps)
+        temps = tuple(temps)
         on = tuple(on) or (False,) * len(temps)
         return cls(on=on, lock_remaining=(0,) * len(temps), temps=temps)
 
@@ -371,7 +369,9 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: RationalLike
     if heated is None:
         raise ValueError(f"setpoint {setpoint} is not implementable in this state")
 
-    rounding = params._rounding.get(den) or _thermal_rounding(params._thermal, den)
+    rounding = params._rounding.get(den)
+    if rounding is None:
+        rounding = params._rounding[den] = _thermal_rounding(params._thermal, den)
     lock_steps, powers = params.lock_steps, params._scaled_powers
     lo_d, lo, hi_d, hi = params._grid_band
     on, locks, snapped = [], [], []

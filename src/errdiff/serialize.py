@@ -22,7 +22,8 @@ every file before ``_write_files`` makes the output directory and writes
 them, so a float beyond range leaves no directory and no file behind.
 Each resource id names its files, as its ``Scenario`` checked it.  Readers
 pass on only the optional keys a document gives (``_given``), so no
-default is restated.
+default is restated, and pass each rational on as the document writes it:
+the model it builds converts and checks it, once.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ from .geometry import (
     _norm,
     _rational,
     _text,
-    as_fraction,
     convex_hull,
 )
 from .operators import Collection, FeasibleSet
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .dynamics import ControllerTrace, StepRecord
     from .simulate import (
         Availability,
@@ -152,7 +150,7 @@ def metrics_to_json(metrics: ResourceMetrics) -> dict:
         "average_implemented": point_to_json(metrics.average_implemented),
         "error_slope": metrics.error_slope,
         "stagnation_steps": metrics.stagnation_steps,
-        "error_bound_sq": None if metrics.error_bound_sq is None else str(metrics.error_bound_sq),
+        "error_bound_sq": str(metrics.error_bound_sq),
         "bound_satisfied": metrics.bound_satisfied,
     }
 
@@ -364,24 +362,21 @@ def _json_string(value: Any, name: str) -> str:
     return value
 
 
-def _fraction(value: Any, name: str) -> Fraction:
-    """value as a Fraction; `as_fraction`'s own error names the wrong type."""
-    return as_fraction(value)
-
-
-def _given(data: dict, **read: Callable[[Any, str], Any]) -> dict:
-    """The keyword arguments for the keys of data that ``read`` names, each
-    value read by ``read[key](value, key)``.  A key the document leaves out
-    is not passed on, so it takes the model's default."""
-    return {key: f(data[key], key) for key, f in read.items() if key in data}
+def _given(data: dict, *keys: str, **read: Callable[[Any, str], Any]) -> dict:
+    """The keyword arguments for the keys of data that ``keys`` or ``read``
+    names: a value under one of ``keys`` as it is, for the model to convert
+    and check, and one under ``read`` as ``read[key](value, key)`` reads it.
+    A key the document leaves out is not passed on, so it takes the
+    model's default."""
+    given = {key: data[key] for key in keys if key in data}
+    given.update((key, f(data[key], key)) for key, f in read.items() if key in data)
+    return given
 
 
 def _parse_cost(data: Any):
     kind = _object(data, "cost").get("kind")
     if kind == "quadratic":
-        return simulate.QuadraticCost(
-            center=parse_point(data["center"]), **_given(data, curvature=_fraction)
-        )
+        return simulate.QuadraticCost(parse_point(data["center"]), **_given(data, "curvature"))
     if kind == "maximize_p":
         return simulate.MaximizeActivePower()
     raise ValueError(f"unknown cost kind {kind!r}")
@@ -389,27 +384,19 @@ def _parse_cost(data: Any):
 
 def _parse_policy(data: Any) -> CentralPolicy:
     _object(data, "policy")
-    return simulate.CentralPolicy(
-        cost=_parse_cost(data["cost"]), **_given(data, step_size=_fraction)
-    )
+    return simulate.CentralPolicy(_parse_cost(data["cost"]), **_given(data, "step_size"))
 
 
 def _parse_availability(data: Any) -> Availability:
     kind = _object(data, "availability").get("kind")
     if kind == "square":
-        return simulate.SquareWave(
-            _json_integer(data["period"], "period"),
-            as_fraction(data["low"]),
-            as_fraction(data["high"]),
-        )
+        period = _json_integer(data["period"], "period")
+        return simulate.SquareWave(period, data["low"], data["high"])
     if kind == "constant":
-        return simulate.ConstantWave(as_fraction(data["value"]))
+        return simulate.ConstantWave(data["value"])
     if kind == "random":
-        return simulate.RandomWave(
-            as_fraction(data["low"]),
-            as_fraction(data["high"]),
-            **_given(data, denominator=_json_integer),
-        )
+        grid = _given(data, denominator=_json_integer)
+        return simulate.RandomWave(data["low"], data["high"], **grid)
     raise ValueError(f"unknown availability kind {kind!r}")
 
 
@@ -425,26 +412,24 @@ def _resource_fields(data: dict) -> dict:
 def _parse_heater(data: Any) -> HeaterSpec:
     thermal = _object(data.get("thermal", {}), "thermal")
     params = resources.HeaterParams(
-        powers=tuple(as_fraction(p) for p in _json_list(data["powers"], "powers")),
-        t_min=as_fraction(data["t_min"]),
-        t_max=as_fraction(data["t_max"]),
+        powers=_json_list(data["powers"], "powers"),
+        t_min=data["t_min"],
+        t_max=data["t_max"],
         **_given(data, lock_steps=_json_integer),
-        **_given(thermal, leak=_fraction, gain=_fraction, t_out=_fraction),
+        **_given(thermal, "leak", "gain", "t_out"),
     )
-    temps = [as_fraction(t) for t in _json_list(data["initial_temps"], "initial_temps")]
+    temps = _json_list(data["initial_temps"], "initial_temps")
     on = _json_list(data.get("initial_on", [False] * len(temps)), "initial_on")
     initial = resources.HeaterState(
-        on=tuple(_json_boolean(v, "initial_on") for v in on),
+        on=[_json_boolean(v, "initial_on") for v in on],
         lock_remaining=(0,) * len(temps),
-        temps=tuple(temps),
+        temps=temps,
     )
     return simulate.HeaterSpec(params=params, initial=initial, **_resource_fields(data))
 
 
 def _parse_pv(data: Any) -> PVSpec:
-    params = resources.PVParams(
-        p_max=as_fraction(data["p_max"]), tan_phi=as_fraction(data["tan_phi"])
-    )
+    params = resources.PVParams(p_max=data["p_max"], tan_phi=data["tan_phi"])
     return simulate.PVSpec(
         params=params,
         availability=_parse_availability(data["availability"]),

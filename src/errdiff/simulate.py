@@ -167,7 +167,7 @@ class GradientRequests:
         self._current: Optional[Point2] = None
         self._steps: dict[tuple[tuple[Triple, ...], Triple], Point2] = {}
 
-    def __call__(self, advertised: ConvexPolygon, error: Point2, rng: random.Random) -> Point2:
+    def __call__(self, advertised: ConvexPolygon) -> Point2:
         current = self._current
         if current is None:
             current = project_convex_polygon(advertised, ORIGIN)
@@ -399,8 +399,8 @@ class ResourceMetrics:
     average_implemented: Point2
     error_slope: float
     stagnation_steps: int
-    error_bound_sq: Optional[Fraction]
-    bound_satisfied: Optional[bool]
+    error_bound_sq: Fraction
+    bound_satisfied: bool
 
     @property
     def max_error_norm(self) -> float:
@@ -473,8 +473,9 @@ def _weighted_sum(counts: dict[Triple, int], ints: Sequence[tuple[int, int]]) ->
     return sx, sy
 
 
-def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> ResourceMetrics:
-    """The metrics of one trace, exact, over its distinct records.
+def compute_metrics(trace: ControllerTrace, bound_sq: Fraction) -> ResourceMetrics:
+    """The metrics of one trace, exact, over its distinct records, judged
+    against the squared error bound ``bound_sq``.
 
     Equal steps share one record, so the records are counted once (by
     identity) and the requested and implemented setpoints are summed per
@@ -529,7 +530,7 @@ def compute_metrics(trace: ControllerTrace, bound_sq: Optional[Fraction]) -> Res
         error_slope=least_squares_slope([norms[e._t] for e in trace.errors()]),
         stagnation_steps=max(map(sub, ends, [0, *ends])),
         error_bound_sq=bound_sq,
-        bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
+        bound_satisfied=max_err2 <= bound_sq,
     )
 
 
@@ -538,16 +539,15 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     Resources are uncoupled, so running them one after another in listed
     order is equivalent to interleaving steps; each gets an independent
-    seeded stream.  Each spec's ``diffusion`` field switches its error
-    diffusion on or off.
+    seeded stream, which a PV unit's availability draws from.  Each spec's
+    ``diffusion`` field switches its error diffusion on or off.
     """
     traces: dict[str, ControllerTrace] = {}
     metrics: dict[str, ResourceMetrics] = {}
     for spec in scenario.resources:
-        rng = _resource_rng(scenario.seed, spec.resource_id)
-        unit = spec.build(rng)
+        unit = spec.build(_resource_rng(scenario.seed, spec.resource_id))
         requests = GradientRequests(spec.policy)
-        trace = run_resource_loop(unit, requests, scenario.horizon, rng, diffusion=spec.diffusion)
+        trace = run_resource_loop(unit, requests, scenario.horizon, diffusion=spec.diffusion)
         traces[spec.resource_id] = trace
         metrics[spec.resource_id] = compute_metrics(trace, spec.error_bound_sq())
     return ScenarioResult(scenario=scenario, traces=traces, report=MetricsReport(metrics))

@@ -187,9 +187,8 @@ def check_interval_sim_bound() -> CheckResult:
         trace = run_trace(
             "perfect",
             lambda n: embedded[rng.randrange(len(embedded))],
-            uniform_request(denominator=360),
+            uniform_request(random.Random(idx), 360),
             horizon,
-            seed=idx,
         )
         if not compute_metrics(trace, (delta / 2) ** 2).bound_satisfied:
             violations += 1
@@ -229,20 +228,21 @@ def check_pv_sim_bound() -> CheckResult:
     for p_max, tan_phi in PV_CASES:
         params = PVParams(p_max=p_max, tan_phi=tan_phi)
         bound_sq = pv_error_bound_sq(params)
+        # Each run's wave and request policy, the latter built on the run's stream.
         runs = {
             "square+gradient": (
                 SquareWave(6, Fraction(0), p_max),
-                GradientRequests(CentralPolicy(MaximizeActivePower(), Fraction(1, 4))),
+                lambda rng: GradientRequests(CentralPolicy(MaximizeActivePower(), Fraction(1, 4))),
             ),
             "random+uniform": (
                 RandomWave(Fraction(0), p_max, denominator=32),
-                uniform_request(denominator=128),
+                lambda rng: uniform_request(rng, 128),
             ),
         }
         for label, (wave, requests) in runs.items():
             rng = random.Random(f"pv:{p_max}:{tan_phi}:{label}")
             unit = PVUnit("pv", params, wave, "persistent", rng)
-            trace = run_resource_loop(unit, requests, horizon, rng)
+            trace = run_resource_loop(unit, requests(rng), horizon)
             if not compute_metrics(trace, bound_sq).bound_satisfied:
                 failures.append((str(p_max), str(tan_phi), label))
     return CheckResult(
@@ -269,8 +269,8 @@ def _heater_bound(powers, temps, seed: str, lock_steps=10):
     )
     unit = HeaterUnit("heater", params, HeaterState.initial([Fraction(t) for t in temps]))
     bound = heater_error_bound(params.powers)
-    requests = uniform_request(denominator=256)
-    trace = run_resource_loop(unit, requests, _HEATER_STEPS, random.Random(seed))
+    requests = uniform_request(random.Random(seed), 256)
+    trace = run_resource_loop(unit, requests, _HEATER_STEPS)
     return bound, compute_metrics(trace, bound * bound)
 
 
@@ -308,9 +308,7 @@ def check_diffusion_contrast() -> CheckResult:
 
     def run(diffusion: bool):
         unit = HeaterUnit("heater", params, HeaterState.initial([Fraction(20)]))
-        return run_resource_loop(
-            unit, request, horizon, random.Random(0), diffusion=diffusion
-        )
+        return run_resource_loop(unit, request, horizon, diffusion=diffusion)
 
     off_trace = run(False)
     on_trace = run(True)
@@ -421,9 +419,8 @@ def check_operator_properties() -> CheckResult:
         trace = run_trace(
             "perfect",
             lambda n: collection.sets[schedule.randrange(len(collection.sets))],
-            uniform_request(denominator=64),
+            uniform_request(random.Random(idx), 64),
             sim_steps,
-            seed=idx,
         )
         if not all(invariant.contains_point(e) for e in trace.errors()):
             problems.append(f"{idx}: trajectory left the invariant set")

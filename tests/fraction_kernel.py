@@ -416,23 +416,23 @@ def project_feasible(feasible, z: Point2) -> Point2:
 # ---------------------------------------------------------------------------
 
 
-def uniform_request(denominator: int = 1024):
+def uniform_request(rng, denominator: int):
     """Requests drawn by Fraction arithmetic: the same draws, in the same order, as the package."""
 
-    def rand_unit(rng) -> Fraction:
+    def rand_unit() -> Fraction:
         return Fraction(rng.randrange(denominator + 1), denominator)
 
-    def policy(advertised: ConvexPolygon, error: Point2, rng) -> Point2:
+    def policy(advertised: ConvexPolygon) -> Point2:
         verts = advertised.vertices
         if len(verts) == 1:
             return verts[0]
         if len(verts) == 2:
             u, v = verts
-            return u + (v - u) * rand_unit(rng)
+            return u + (v - u) * rand_unit()
         xs, ys = [v.x for v in verts], [v.y for v in verts]
         xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
         for _ in range(200):
-            p = Point2(xmin + (xmax - xmin) * rand_unit(rng), ymin + (ymax - ymin) * rand_unit(rng))
+            p = Point2(xmin + (xmax - xmin) * rand_unit(), ymin + (ymax - ymin) * rand_unit())
             if contains_point(advertised, p):
                 return p
         weights = [Fraction(rng.randrange(1, max(denominator, 2))) for _ in verts]
@@ -507,24 +507,24 @@ def heater_step(params: HeaterParams, state: HeaterState, setpoint: Fraction) ->
     return HeaterState(on=tuple(on), lock_remaining=tuple(locks), temps=tuple(temps))
 
 
-def run_resource_loop(source, requests, horizon: int, rng, *, diffusion: bool = True) -> ControllerTrace:
+def run_resource_loop(source, requests, horizon: int, *, diffusion: bool = True) -> ControllerTrace:
     """The controller loop with no table: every step checks its request by
     the Fraction `contains_point`, implements the projection of error plus
     request, carries the remainder and appends a record of its own, so no
     two steps share a record.  Without diffusion the projection is of the
-    request alone and the remainders add up.  The source, the request
-    policy and the rng are called in the package loop's order."""
+    request alone and the remainders add up.  The source and the request
+    policy are called in the package loop's order."""
     records = []
     error, previous = ORIGIN, None
     for n in range(horizon):
         if source.prediction == "persistent" and n > 0:
             advertised = _feasible_hull(previous)
-            request = requests(advertised, error, rng)
+            request = requests(advertised)
             feasible = source.feasible_set()
         else:
             feasible = source.feasible_set()
             advertised = _feasible_hull(feasible)
-            request = requests(advertised, error, rng)
+            request = requests(advertised)
         if not contains_point(advertised, request):
             raise InfeasibleRequestError(f"request {request} outside advertised set")
         target = error + request if diffusion else request
@@ -580,7 +580,7 @@ def compute_metrics(trace: ControllerTrace, bound_sq) -> ResourceMetrics:
         error_slope=least_squares_slope([math.sqrt(float(q)) for q in norms2]),
         stagnation_steps=longest,
         error_bound_sq=bound_sq,
-        bound_satisfied=None if bound_sq is None else max_err2 <= bound_sq,
+        bound_satisfied=max_err2 <= bound_sq,
     )
 
 

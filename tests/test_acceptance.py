@@ -1,21 +1,36 @@
 """Acceptance suite: the eight headline guarantees, at their exact tolerances.
 
 Each test prints one CRITERION line so a log scrape shows the full table.
-All comparisons are exact (rational equality / exact membership).  Criteria
-1 and 8 also pin their report text, iteration count and number of
-converged collections included, so a change that moves either fails here.
+All comparisons are exact (rational equality / exact membership).  Every
+check a criterion runs must also report the row pinned for it in
+``tests/data/verify.csv``, the ``errdiff verify`` report without its
+seconds column, so a change that moves a random draw, an iteration count
+or a reported error moves a row and fails here.
 """
 
+import csv
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import poly, pt
-from errdiff.verify import bounded_voronoi_polygon, interior_point_set, run_checks
+from errdiff.verify import CHECKS, bounded_voronoi_polygon, interior_point_set, run_checks
+
+_PINNED = Path(__file__).parent / "data" / "verify.csv"
+
+
+def _pinned_rows() -> dict[str, list[str]]:
+    """The pinned (check, expected, got, status) rows, by check name."""
+    with _PINNED.open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["check", "expected", "got", "status"]
+    return {row[0]: row for row in rows[1:]}
 
 
 def _run(number: int, title: str, names: list[str]) -> list[str]:
-    """Run the named checks, assert they pass and return their ``got`` texts."""
+    """Run the named checks, assert they pass and report their pinned rows,
+    and return their ``got`` texts."""
     start = time.perf_counter()
     results = run_checks(names)
     elapsed = time.perf_counter() - start
@@ -25,7 +40,17 @@ def _run(number: int, title: str, names: list[str]) -> list[str]:
     for r in results:
         print(f"  - {r.name}: expected {r.expected}; got {r.got}")
     assert ok, f"criterion {number} failed: {[r.name for r in results if not r.passed]}"
+    pinned = _pinned_rows()
+    for r in results:
+        # The row as `errdiff verify` prints it, which turns '"' into "'".
+        row = [r.name, r.expected.replace('"', "'"), r.got.replace('"', "'"), "pass"]
+        assert row == pinned[r.name]
     return [r.got for r in results]
+
+
+def test_every_check_has_one_pinned_row():
+    """The pin holds one row per check, in the order ``verify`` runs them."""
+    assert list(_pinned_rows()) == list(CHECKS)
 
 
 def test_criterion_1_three_set_family_exact_polygon():

@@ -70,8 +70,9 @@ class TestStepPerfect:
         sites = PointSet((pt(0, 0), pt(2, 1), pt(-1, 3), pt(4, -2)))
         error = ORIGIN
         advert = sites.hull()
+        draw = uniform_request(rng, 32)
         for k in range(60):
-            request = uniform_request(denominator=32)(advert, error, rng)
+            request = draw(advert)
             target = error + request
             y, error = step_perfect(error, request, sites, {})
             assert all(error.norm2() <= dist2(target, s) for s in sites.points)
@@ -118,12 +119,12 @@ class TestStepPersistent:
         requests = [pt("3/2", 0), pt(1, 1), pt(0, 3), pt("1/2", "1/2"), pt(2, 0)]
         seq = iter(requests + [pt(0, 0)])
 
-        def replay(advert, error, rng):
+        def replay(advert):
             return next(seq)
 
-        persistent = run_trace("persistent", lambda n: sites, replay, len(requests), seed=0)
+        persistent = run_trace("persistent", lambda n: sites, replay, len(requests))
         seq = iter(requests)
-        perfect = run_trace("perfect", lambda n: sites, replay, len(requests), seed=0)
+        perfect = run_trace("perfect", lambda n: sites, replay, len(requests))
         for a, b in zip(persistent.records, perfect.records):
             assert (a.requested, a.implemented, a.error) == (b.requested, b.implemented, b.error)
 
@@ -144,9 +145,8 @@ class TestRunTrace:
         trace = run_trace(
             "perfect",
             lambda n: pool[rng_sets.randrange(3)],
-            uniform_request(denominator=16),
+            uniform_request(random.Random(8), 16),
             300,
-            seed=8,
         )
         errors = trace.errors()
         for k, r in enumerate(trace.records):
@@ -161,9 +161,8 @@ class TestRunTrace:
         trace = run_trace(
             "persistent",
             lambda n: pool[rng_sets.randrange(2)],
-            uniform_request(denominator=16),
+            uniform_request(random.Random(8), 16),
             300,
-            seed=8,
         )
         errors = trace.errors()
         for k, r in enumerate(trace.records):
@@ -171,11 +170,9 @@ class TestRunTrace:
             assert r.advertised.contains_point(r.requested)
 
     def test_average_error_identity(self):
-        trace = run_trace(
-            "perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 101, seed=0
-        )
+        trace = run_trace("perfect", lambda n: HEATER, fixed_request(pt("-15/2", 0)), 101)
         n = len(trace.records)
-        metrics = compute_metrics(trace, None)
+        metrics = compute_metrics(trace, Fraction(225, 4))
         assert metrics.average_requested == pt("-15/2", 0)
         avg_gap = metrics.average_implemented - metrics.average_requested
         assert avg_gap == (trace.errors()[0] - trace.final_error) * Fraction(1, n)
@@ -206,7 +203,7 @@ class TestRunTrace:
         triangle = convex_hull((pt(0, 0), pt(2, 0), pt(0, 2)))
         pool = [HEATER, triangle]
         trace = run_trace(
-            "perfect", lambda n: pool[n % 2], uniform_request(denominator=32), 40, seed=6
+            "perfect", lambda n: pool[n % 2], uniform_request(random.Random(6), 32), 40
         )
         errors = trace.errors()
         for k, r in enumerate(trace.records):
@@ -251,9 +248,8 @@ class TestRunTrace:
             trace = run_trace(
                 "persistent",
                 lambda n: pool[picker.randrange(len(pool))],
-                uniform_request(denominator=64),
+                uniform_request(random.Random(trial), 64),
                 400,
-                seed=trial,
             )
             assert compute_metrics(trace, bound_sq).bound_satisfied
             exercised += 1
@@ -282,7 +278,7 @@ class TestControllerLoop:
     def test_persistent_first_request_is_checked(self):
         replay = iter([pt(1, 0)] + [pt(0, 0)] * 5)
         with pytest.raises(InfeasibleRequestError):
-            run_trace("persistent", [HEATER] * 5, lambda a, e, r: next(replay), 5)
+            run_trace("persistent", [HEATER] * 5, lambda advertised: next(replay), 5)
 
     def test_persistent_requests_checked_without_diffusion(self):
         # x[2] is drawn from the hull of S[1] = {0}, which excludes (1, 0)
@@ -294,7 +290,7 @@ class TestControllerLoop:
         params = PVParams(p_max=Fraction(4), tan_phi=Fraction(1, 2))
         caps = [Fraction(4 * (40 - n), 40) for n in range(41)]
         sets = [pv_triangle(params, cap) for cap in caps]
-        trace = run_trace("persistent", sets, uniform_request(denominator=32), len(sets), seed=3)
+        trace = run_trace("persistent", sets, uniform_request(random.Random(3), 32), len(sets))
         records = trace.records
         z = records[0].requested
         for now, nxt in zip(records, records[1:]):
@@ -305,13 +301,31 @@ class TestControllerLoop:
         assert any(r.error != ORIGIN for r in records)
 
 
+class TestUniformRequest:
+    @pytest.mark.parametrize("denominator", [0, -3])
+    def test_denominator_below_one_is_refused_when_built(self, denominator):
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=f"denominator must be at least 1, got {denominator}"):
+            uniform_request(rng, denominator)
+        assert rng.getstate() == random.Random(0).getstate()
+
+    def test_draws_from_the_stream_it_is_given(self):
+        """On the segment from (0, 0) to (16, 0) with denominator 16, each
+        request is (k, 0) for the stream's next randrange(17)."""
+        draw = uniform_request(random.Random(3), 16)
+        replay = random.Random(3)
+        along = convex_hull((pt(0, 0), pt(16, 0)))
+        assert [draw(along) for _ in range(8)] == [pt(replay.randrange(17), 0) for _ in range(8)]
+
+
 class TestLoopMatchesSteps:
     """The loop's e-form against the step functions iterated by hand."""
 
     @settings(max_examples=60, deadline=None)
     @given(schedules, st.integers(0, 2**16))
     def test_persistent_loop_is_the_z_recursion(self, sets, seed):
-        trace = run_trace("persistent", sets, uniform_request(denominator=8), len(sets), seed=seed)
+        requests = uniform_request(random.Random(seed), 8)
+        trace = run_trace("persistent", sets, requests, len(sets))
         records = trace.records
         z = records[0].requested  # z[0] = e[0] + x[0] with e[0] = 0
         for now, nxt in zip(records, records[1:]):
@@ -325,9 +339,8 @@ class TestLoopMatchesSteps:
     @settings(max_examples=60, deadline=None)
     @given(schedules, st.integers(0, 2**16), st.booleans())
     def test_perfect_loop_iterates_step_perfect(self, sets, seed, diffusion):
-        trace = run_trace(
-            "perfect", sets, uniform_request(denominator=8), len(sets), seed=seed, diffusion=diffusion
-        )
+        requests = uniform_request(random.Random(seed), 8)
+        trace = run_trace("perfect", sets, requests, len(sets), diffusion=diffusion)
         error = ORIGIN
         for r in trace.records:
             assert r.error == error
@@ -365,10 +378,10 @@ def recurring_runs(draw):
     kind = draw(st.sampled_from(["grid", "gradient", "origin"]))
     if kind == "grid":
         denominator = draw(st.sampled_from([1, 2]))
-        requests = lambda: uniform_request(denominator=denominator)  # noqa: E731
+        requests = lambda rng: uniform_request(rng, denominator)  # noqa: E731
     elif kind == "gradient":
         policy = CentralPolicy(QuadraticCost(draw(points)), draw(st.sampled_from(["1/2", "1/4"])))
-        requests = lambda: GradientRequests(policy)  # noqa: E731
+        requests = lambda rng: GradientRequests(policy)  # noqa: E731
     else:
         pool = [
             PointSet((*s.points, ORIGIN))
@@ -376,7 +389,7 @@ def recurring_runs(draw):
             else convex_hull((*s.vertices, ORIGIN))
             for s in pool
         ]
-        requests = lambda: fixed_request(ORIGIN)  # noqa: E731
+        requests = lambda rng: fixed_request(ORIGIN)  # noqa: E731
     picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=30))
     sets = [pool[k % len(pool)] for k in picks]
     return draw(st.sampled_from(["perfect", "persistent"])), sets, requests, draw(st.booleans())
@@ -392,14 +405,14 @@ class TestLoopMemo:
     @settings(max_examples=200, deadline=None)
     @given(recurring_runs(), st.integers(0, 2**16))
     # Steps 0 and 1 differ only in their error.
-    @example(("perfect", [HEATER] * 3, lambda: fixed_request(pt("-15/2", 0)), True), 0)
+    @example(("perfect", [HEATER] * 3, lambda rng: fixed_request(pt("-15/2", 0)), True), 0)
     # Steps 1 and 3 differ only in their advertisement, the hull of the set
     # before: the segment from the origin to (1, 0), then to (0, 1).
     @example(
         (
             "persistent",
             [PointSet((ORIGIN, p)) for p in (pt(1, 0), ORIGIN, pt(0, 1), ORIGIN)],
-            lambda: fixed_request(ORIGIN),
+            lambda rng: fixed_request(ORIGIN),
             True,
         ),
         0,
@@ -410,10 +423,10 @@ class TestLoopMemo:
         share one record, and steps that differ in any of them do not."""
         mode, sets, requests, diffusion = run
         got = run_resource_loop(
-            _Replay(mode, sets), requests(), len(sets), random.Random(seed), diffusion=diffusion
+            _Replay(mode, sets), requests(random.Random(seed)), len(sets), diffusion=diffusion
         )
         want = oracle.run_resource_loop(
-            _Replay(mode, sets), requests(), len(sets), random.Random(seed), diffusion=diffusion
+            _Replay(mode, sets), requests(random.Random(seed)), len(sets), diffusion=diffusion
         )
         assert [_step_fields(r) for r in got.records] == [_step_fields(r) for r in want.records]
         assert got.final_error == want.final_error
@@ -428,7 +441,7 @@ class TestLoopMemo:
         wide, narrow = PointSet((pt(0, 0), pt(2, 0))), PointSet((pt(0, 0),))
         drawn = []
 
-        def request(advertised, error, rng):
+        def request(advertised):
             drawn.append(advertised)
             return pt(1, 0)
 
@@ -473,5 +486,5 @@ class TestLoopMemo:
         rng = random.Random(5)
         unit = PVUnit("pv", params, wave, rng=rng)
         policy = CentralPolicy(QuadraticCost(pt(4, 0)))
-        trace = run_resource_loop(unit, GradientRequests(policy), 6, rng)
+        trace = run_resource_loop(unit, GradientRequests(policy), 6)
         assert [r.feasible for r in trace.records] == [pv_triangle(params, c) for c in expected]

@@ -402,9 +402,8 @@ class TestDynamicsContainment:
         trace = run_trace(
             "perfect",
             lambda n: col.sets[rng.randrange(len(col.sets))],
-            uniform_request(denominator=128),
+            uniform_request(random.Random(4), 128),
             800,
-            seed=4,
         )
         assert all(invariant.contains_point(e) for e in trace.errors())
 
@@ -420,9 +419,8 @@ class TestDynamicsContainment:
         trace = run_trace(
             "perfect",
             lambda n: col.sets[rng.randrange(len(col.sets))],
-            uniform_request(denominator=64),
+            uniform_request(random.Random(9), 64),
             4000,
-            seed=9,
         )
         max_reach = max(e.norm2() for e in trace.errors())
         radius = max(v.norm2() for v in invariant.vertices)

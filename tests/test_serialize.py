@@ -129,7 +129,7 @@ class TestFormatter:
         """sqrt of the float of |e|^2, rounded once: x ** 0.5 gives ...432 here."""
         e = pt(4, Fraction(1, 3))
         assert repr(_norm(e._t)) == "4.013864859597431"
-        metrics = ResourceMetrics(1, e.norm2(), e, e, e, 0.0, 1, None, None)
+        metrics = ResourceMetrics(1, e.norm2(), e, e, e, 0.0, 1, e.norm2(), True)
         assert repr(metrics.max_error_norm) == "4.013864859597431"
 
     def test_beyond_float_range_raises_on_both_sides(self):

@@ -107,7 +107,7 @@ class TestCentralStep:
     def test_gradient_requests_start_from_projected_origin(self):
         requests = GradientRequests(CentralPolicy(MaximizeActivePower(), Fraction(1, 8)))
         tri = poly((0, 0), (1, -1), (1, 1))
-        first = requests(tri, ORIGIN, random.Random(0))
+        first = requests(tri)
         assert first == pt(Fraction(1, 8), 0)
 
 
