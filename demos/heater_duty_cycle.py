@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from errdiff.geometry import Point2
 from errdiff.resources import HeaterParams, HeaterState, heater_error_bound
-from errdiff.serialize import emit_plot_data
+from errdiff.scenario_io import emit_plot_data
 from errdiff.simulate import CentralPolicy, HeaterSpec, QuadraticCost, Scenario, run_scenario
 
 P_HEAT = Fraction(15000)

@@ -4,11 +4,13 @@ The package computes minimal (convex) invariant sets for the accumulated
 error of greedy setpoint implementation over collections of feasible sets,
 and simulates the two-level controller that those sets bound.
 
-``geometry``, ``intervals`` and ``operators`` are imported with the
-package.  ``certificate``, ``dynamics``, ``resources``, ``simulate`` and
-``verify`` are registered in ``sys.modules`` (and bound here) at once, but
-each one's body runs only on its first attribute access, so a command that
-never uses them never compiles or runs them.
+``geometry`` and ``operators`` are imported with the package.
+``certificate``, ``dynamics``, ``intervals``, ``resources``,
+``scenario_io``, ``simulate`` and ``verify`` are registered in
+``sys.modules`` (and bound here) at once, but each one's body runs only on
+its first attribute access, so a command that never uses them never
+compiles or runs them: ``compute-invariant`` reads neither the 1-D oracle
+in ``intervals`` nor the closed-loop file formats in ``scenario_io``.
 """
 
 import sys as _sys
@@ -28,7 +30,6 @@ from .geometry import (
     project_point_set,
     segment,
 )
-from .intervals import IntervalUnion, apply_g_interval, iterate_1d
 from .operators import (
     Collection,
     IterationConfig,
@@ -45,8 +46,12 @@ __all__ = [name for name in dir() if not name.startswith("_")]
 
 
 def _deferred(name: str):
-    """errdiff.<name>, in sys.modules, with its body run on first attribute access."""
+    """errdiff.<name>, in sys.modules, with its body run on first attribute
+    access.  One that an eager module already imported is kept, not loaded
+    a second time, so it shows as run."""
     fullname = f"{__name__}.{name}"
+    if fullname in _sys.modules:
+        return _sys.modules[fullname]
     spec = _util.find_spec(fullname)
     spec.loader = _util.LazyLoader(spec.loader)
     module = _util.module_from_spec(spec)
@@ -55,6 +60,7 @@ def _deferred(name: str):
     return module
 
 
-certificate, dynamics, resources, simulate, verify = map(
-    _deferred, ("certificate", "dynamics", "resources", "simulate", "verify")
+certificate, dynamics, intervals, resources, scenario_io, simulate, verify = map(
+    _deferred,
+    ("certificate", "dynamics", "intervals", "resources", "scenario_io", "simulate", "verify"),
 )

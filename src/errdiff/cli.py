@@ -27,17 +27,10 @@ import functools
 import sys
 from dataclasses import replace
 
-from . import simulate, verify
+from . import scenario_io, simulate, verify
 from .geometry import ConvexPolygon, _rational
 from .operators import MODES, Collection, IterationConfig, iterate_to_invariance
-from .serialize import (
-    emit_plot_data,
-    load_collection,
-    load_scenario,
-    parse_point,
-    write_iteration_result,
-    write_simulation,
-)
+from .serialize import load_collection, load_scenario, parse_point, write_iteration_result
 
 
 # Errors that reading or validating an input file or option can raise;
@@ -168,7 +161,7 @@ _beyond_float_range = _reporting("a scenario value is beyond the float range", (
 def _cmd_simulate(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
     with _reporting(f"--out {args.out}", OSError):
-        write_simulation(result, args.out)
+        scenario_io.write_simulation(result, args.out)
     for rid, metrics in result.report.resources.items():
         print(
             f"{rid}: max|e|={metrics.max_error_norm:.6g} slope={metrics.error_slope:.3g}"
@@ -181,7 +174,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     result = _run_scenario_from_args(args)
     with _reporting(f"--out {args.out}", OSError):
-        files = emit_plot_data(result, args.out)
+        files = scenario_io.emit_plot_data(result, args.out)
     for path in files:
         print(path)
     return 0

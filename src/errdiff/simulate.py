@@ -14,7 +14,7 @@ The central step rounds each coordinate of its gradient target to the
 and the metrics put each distinct setpoint and error of a trace over one
 common denominator, so the sums, squared norms and the averaging-identity
 check are integer operations.  The resources' feasible sets come from the
-bounded caches of ``resources``, and ``serialize`` hashes each distinct
+bounded caches of ``resources``, and ``scenario_io`` hashes each distinct
 set once.
 
 On the grid the same steps recur, and one run computes each of them once:
@@ -26,7 +26,7 @@ appends one shared ``StepRecord`` for all equal steps, so
 ``compute_metrics`` counts each distinct record once.  The loop's and
 the request source's tables belong to one run and a wave's to its
 scenario; the bounded caches of ``resources``, ``geometry``, ``operators``
-and ``serialize`` are process-wide.
+and ``scenario_io`` are process-wide.
 
 A scenario, its specs and their availability waves are frozen values
 that hold every fixed fact about their resources, error bounds included,
@@ -35,7 +35,8 @@ so two loads of one scenario file compare equal; a variant is built with
 traces in read-only mappings and each trace's records in a tuple, so it
 always describes the run it came from.  A resource unit, built from its
 spec for one run, holds that run's state.  This module holds the units,
-the central policy, scenarios and metrics; ``serialize`` writes them out.
+the central policy, scenarios and metrics; ``scenario_io`` reads scenario
+files into them and writes the results out.
 """
 
 from __future__ import annotations
@@ -328,7 +329,8 @@ class HeaterSpec:
         if len(self.initial.temps) != self.params.rooms:
             raise ValueError(f"heater {self.resource_id!r} needs one initial state per room")
 
-    def build(self, rng: random.Random) -> HeaterUnit:
+    def build(self, seed: int) -> HeaterUnit:
+        """A unit for one run of a scenario with this seed; a heater bank draws nothing."""
         return HeaterUnit(self.resource_id, self.params, self.initial, self.prediction)
 
     def error_bound_sq(self) -> Fraction:
@@ -348,7 +350,10 @@ class PVSpec:
     def __post_init__(self) -> None:
         _check_prediction(self)
 
-    def build(self, rng: random.Random) -> PVUnit:
+    def build(self, seed: int) -> PVUnit:
+        """A unit for one run of a scenario with this seed, whose availability
+        draws from its own stream, seeded by the seed and the resource id."""
+        rng = random.Random(f"{seed}:{self.resource_id}")
         return PVUnit(self.resource_id, self.params, self.availability, self.prediction, rng)
 
     def error_bound_sq(self) -> Fraction:
@@ -434,10 +439,6 @@ class ScenarioResult:
     def diffusion(self) -> dict[str, bool]:
         """Whether each resource ran with error diffusion, by id in scenario order."""
         return {spec.resource_id: spec.diffusion for spec in self.scenario.resources}
-
-
-def _resource_rng(seed: int, resource_id: str) -> random.Random:
-    return random.Random(f"{seed}:{resource_id}")
 
 
 def least_squares_slope(ys: Sequence[float]) -> float:
@@ -538,14 +539,15 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run every resource loop; fully deterministic for a fixed seed.
 
     Resources are uncoupled, so running them one after another in listed
-    order is equivalent to interleaving steps; each gets an independent
-    seeded stream, which a PV unit's availability draws from.  Each spec's
-    ``diffusion`` field switches its error diffusion on or off.
+    order is equivalent to interleaving steps; each spec builds its unit
+    from the scenario seed, and a PV unit's availability draws from a
+    stream of its own.  Each spec's ``diffusion`` field switches its error
+    diffusion on or off.
     """
     traces: dict[str, ControllerTrace] = {}
     metrics: dict[str, ResourceMetrics] = {}
     for spec in scenario.resources:
-        unit = spec.build(_resource_rng(scenario.seed, spec.resource_id))
+        unit = spec.build(scenario.seed)
         requests = GradientRequests(spec.policy)
         trace = run_resource_loop(unit, requests, scenario.horizon, diffusion=spec.diffusion)
         traces[spec.resource_id] = trace

@@ -9,12 +9,14 @@ or a reported error moves a row and fails here.
 """
 
 import csv
+import hashlib
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import poly, pt
+from errdiff import verify
 from errdiff.verify import CHECKS, bounded_voronoi_polygon, interior_point_set, run_checks
 
 _PINNED = Path(__file__).parent / "data" / "verify.csv"
@@ -48,6 +50,46 @@ def _run(number: int, title: str, names: list[str]) -> list[str]:
     return [r.got for r in results]
 
 
+def _hash_traces(monkeypatch) -> dict:
+    """While the test runs, hash every trace a check builds through
+    ``verify.run_trace`` or ``verify.run_resource_loop``: each step's
+    requested, implemented and error points, in order, into one sha256 per
+    check, returned by check name as the checks run.  A check that draws one
+    request, set or level differently changes its digest even where its
+    ``verify.csv`` row only counts runs within a bound."""
+    hashes = {}
+    running: list[str] = []
+
+    def named(name, check):
+        def run():
+            running.append(name)
+            return check()
+
+        return run
+
+    def hashed(loop):
+        def run(*args, **kwargs):
+            trace = loop(*args, **kwargs)
+            h = hashes.setdefault(running[-1], hashlib.sha256())
+            rows = {}
+            for r in trace.records:
+                row = rows.get(r)
+                if row is None:
+                    row = rows[r] = "".join(
+                        f"{p.x},{p.y};" for p in (r.requested, r.implemented, r.error)
+                    ).encode()
+                h.update(row)
+            return trace
+
+        return run
+
+    for name, check in CHECKS.items():
+        monkeypatch.setitem(CHECKS, name, named(name, check))
+    for loop in ("run_trace", "run_resource_loop"):
+        monkeypatch.setattr(verify, loop, hashed(getattr(verify, loop)))
+    return hashes
+
+
 def test_every_check_has_one_pinned_row():
     """The pin holds one row per check, in the order ``verify`` runs them."""
     assert list(_pinned_rows()) == list(CHECKS)
@@ -67,18 +109,27 @@ def test_criterion_2_grid_one_step_convergence():
     _run(2, "8-point grid converges with iterations = 1", ["grid8-one-iteration"])
 
 
-def test_criterion_3_one_dimensional_oracle_and_sim():
+def test_criterion_3_one_dimensional_oracle_and_sim(monkeypatch):
     """200 random 1D collections match [-gap/2, gap/2]; long random
-    simulations never exceed the bound."""
+    simulations never exceed the bound, and every step they take is pinned."""
+    hashes = _hash_traces(monkeypatch)
     _run(3, "1D fixed points equal the gap formula; sims within gap/2",
          ["interval-oracle", "interval-sim-bound"])
+    assert {name: h.hexdigest() for name, h in hashes.items()} == {
+        "interval-sim-bound": "58e42ccae2c4e2befaa25907883ec9bb2c9c45938da1cc8892f14ba1f9180091"
+    }
 
 
-def test_criterion_4_pv_triangle_invariance_and_sim():
+def test_criterion_4_pv_triangle_invariance_and_sim(monkeypatch):
     """The full triangle is invariant for capped-triangle families, and
-    persistent-prediction runs respect the squared-diameter bound."""
+    persistent-prediction runs respect the squared-diameter bound; every
+    step of those runs is pinned."""
+    hashes = _hash_traces(monkeypatch)
     _run(4, "PV triangle invariance and persistent simulation bound",
          ["pv-invariance", "pv-sim-bound"])
+    assert {name: h.hexdigest() for name, h in hashes.items()} == {
+        "pv-sim-bound": "aaea2d37051d04231a093e3036914b8d979a82cc72d724c8845f3fac6c6150cf"
+    }
 
 
 def test_criterion_5_heater_bounds():

@@ -707,60 +707,70 @@ def test_cli_imports_only_the_standard_library():
     assert done.stdout.strip() == "[]"
 
 
-# Run in a fresh interpreter: reports which deferred errdiff modules are
-# registered and which have run their bodies after each command.
+# Run in a fresh interpreter: imports errdiff.cli, runs each command of
+# argv[1] (a JSON list of argument lists) in order, and reports, after the
+# import and after each command, its exit code and output lines, which
+# deferred errdiff modules are registered and which have run their bodies.
 # object.__getattribute__ reads a module's namespace without starting its load.
 _LAZY_PROBE = """
 import contextlib, io, json, sys
 import errdiff.cli
 
-DEFERRED = ("certificate", "dynamics", "resources", "simulate", "verify")
-collection, scenario, out = sys.argv[1:]
-report = {}
+DEFERRED = %r
 
-def state(label, code=None):
+def state(code=None, out="", err=""):
     ran = [n for n in DEFERRED
            if "__builtins__" in object.__getattribute__(sys.modules["errdiff." + n], "__dict__")]
-    report[label] = {"code": code, "ran": ran,
-                     "registered": all("errdiff." + n in sys.modules for n in DEFERRED)}
+    return {"code": code, "ran": ran, "out": out.splitlines(), "err": err.splitlines(),
+            "registered": all("errdiff." + n in sys.modules for n in DEFERRED)}
 
-def run(argv):
+report = [state()]
+for argv in json.loads(sys.argv[1]):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = errdiff.cli.main(argv)
-    return code, stdout.getvalue(), stderr.getvalue()
-
-state("import")
-code, _, _ = run(["compute-invariant", "--collection", collection])
-state("compute-invariant", code)
-code, _, _ = run(["simulate", "--scenario", scenario, "--out", out])
-state("simulate", code)
-code, listed, _ = run(["verify", "--list"])
-report["list"] = {"code": code, "out": listed.splitlines()}
-code, _, err = run(["verify", "--only", "bogus"])
-report["bogus"] = {"code": code, "err": err.splitlines()}
+    report.append(state(code, stdout.getvalue(), stderr.getvalue()))
 print(json.dumps(report))
 """
+
+_DEFERRED = ("certificate", "dynamics", "intervals", "resources", "scenario_io", "simulate", "verify")
+
+
+def _probe(*commands: list[str]) -> list[dict]:
+    """The probe's report on the commands, run in order in one fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(errdiff.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE % (_DEFERRED,), json.dumps(commands)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return json.loads(done.stdout)
 
 
 def test_deferred_modules_run_only_when_a_command_uses_them(tmp_path):
     collection = _write(tmp_path, "collection.json", GRID8_COLLECTION)
     scenario = _write(tmp_path, "scenario.json", {**SCENARIO, "resources": [_heater(), _pv()]})
-    env = {**os.environ, "PYTHONPATH": str(Path(errdiff.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", _LAZY_PROBE, str(collection), str(scenario), str(tmp_path / "out")],
-        capture_output=True, text=True, check=True, env=env,
+    report = _probe(
+        ["compute-invariant", "--collection", str(collection)],
+        ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "sim")],
+        ["verify", "--list"],
+        ["verify", "--only", "bogus"],
     )
-    report = json.loads(done.stdout)
-    assert report["import"] == {"code": None, "ran": [], "registered": True}
-    assert report["compute-invariant"] == {"code": 0, "ran": [], "registered": True}
-    assert report["simulate"] == {
-        "code": 0, "ran": ["dynamics", "resources", "simulate"], "registered": True
-    }
-    assert report["list"] == {"code": 0, "out": list(errdiff.verify.CHECKS)}
-    (line,) = report["bogus"]["err"]
-    assert report["bogus"]["code"] == 1
+    assert all(state["registered"] for state in report)
+    imported, computed, simulated, listed, bogus = report
+    assert imported["ran"] == []
+    # The 1-D oracle and the closed-loop file formats are not on the compute path.
+    assert computed["code"] == 0 and computed["ran"] == []
+    closed_loop = ["dynamics", "resources", "scenario_io", "simulate"]
+    assert simulated["code"] == 0 and simulated["ran"] == closed_loop
+    # verify runs the 1-D oracle.
+    assert listed["code"] == 0 and listed["out"] == list(errdiff.verify.CHECKS)
+    assert listed["ran"] == list(_DEFERRED)
+    (line,) = bogus["err"]
+    assert bogus["code"] == 1
     assert line.startswith("errdiff: error: --only: unknown checks: ['bogus']")
+    # plot-data alone, in its own process, runs what simulate runs.
+    _, plotted = _probe(["plot-data", "--scenario", str(scenario), "--out", str(tmp_path / "plot")])
+    assert plotted["registered"] and plotted["code"] == 0 and plotted["ran"] == closed_loop
 
 
 class TestVerify:

@@ -75,7 +75,7 @@ from errdiff.resources import (
     heater_setpoints_2d,
     heater_step,
 )
-from errdiff.serialize import _trace_csv
+from errdiff.scenario_io import _trace_csv
 from errdiff.simulate import (
     REQUEST_RESOLUTION,
     CentralPolicy,

@@ -15,19 +15,14 @@ import fraction_kernel as oracle
 from errdiff.dynamics import fixed_request, run_trace
 from errdiff.geometry import Point2, PointSet, _norm, as_fraction
 from errdiff.operators import Collection
+from errdiff.scenario_io import _columns, _Cells, _csv, _trace_csv, feasible_set_id, parse_scenario
 from errdiff.serialize import (
-    _columns,
-    _Cells,
-    _csv,
-    _trace_csv,
-    feasible_set_id,
     load_collection,
     load_scenario,
     parse_collection,
     parse_feasible,
     parse_point,
     parse_polygon,
-    parse_scenario,
     point_to_json,
     polygon_to_json,
 )

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from errdiff.dynamics import ControllerTrace
 from errdiff.geometry import ORIGIN, Point2
 from errdiff.resources import HeaterParams, HeaterState, PVParams, pv_error_bound_sq
-from errdiff.serialize import emit_plot_data, load_scenario, write_simulation
+from errdiff.scenario_io import emit_plot_data, write_simulation
+from errdiff.serialize import load_scenario
 from errdiff.simulate import (
     CentralPolicy,
     ConstantWave,
